@@ -45,17 +45,19 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use serde::Serialize;
 
-use gpusim::{Device, DeviceFaultKind, DeviceFaultPlan, DeviceId};
+use gpusim::{Device, DeviceFaultKind, DeviceFaultPlan, DeviceId, LaunchStats};
+use streamir::graph::FlatGraph;
 use streamir::ir::Scalar;
 
 use crate::exec::GpuRun;
 use crate::pipeline::{ResilientCompiled, ResilientPipeline};
 use crate::serve::metrics::percentile_of;
+use crate::serve::warm;
 use crate::serve::{
-    cache_key, pipeline_options_for, run_artifact, AdmissionController, Decision, Job, Partitioner,
-    QosClass, RouteDecision, ServeOptions,
+    cache_key, pipeline_options_for, run_artifact, AdmissionController, Decision, Event, Job,
+    Partitioner, QosClass, RouteDecision, ServeOptions, WarmReport,
 };
-use crate::Result;
+use crate::{Error, Result};
 
 /// Hedged-dispatch configuration (applies to Interactive jobs only).
 #[derive(Debug, Clone, PartialEq)]
@@ -308,7 +310,7 @@ struct Running {
     hedge_won: bool,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 enum EvKind {
     /// Job `trace[i]` arrives.
     Arrival(usize),
@@ -320,36 +322,18 @@ enum EvKind {
     BrownoutHeal { restore_sms: u32 },
 }
 
-/// One event, totally ordered by `(time, device, tenant, seq)` so the
-/// loop pops in a replayable order.
-#[derive(Debug, Clone, PartialEq)]
-struct Ev {
-    time: f64,
-    device: u32,
-    tenant: String,
-    seq: u64,
-    kind: EvKind,
-}
+/// The shared serving event, here with a real `device` key component so
+/// the loop pops in a replayable `(time, device, tenant, seq)` order.
+type Ev = Event<EvKind>;
 
-impl Eq for Ev {}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want the earliest
-        // (time, device, tenant, seq) first.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.device.cmp(&self.device))
-            .then_with(|| other.tenant.cmp(&self.tenant))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// Bills `cycles` of fleet-level overhead into a job's stats: total and
+/// fault-overhead cycles plus the one disjoint component `bucket`
+/// selects, keeping the billing invariant exact.
+fn bill_overhead(stats: &mut LaunchStats, cycles: f64, bucket: fn(&mut LaunchStats) -> &mut f64) {
+    stats.cycles += cycles;
+    stats.fault_overhead_cycles += cycles;
+    *bucket(stats) += cycles;
+    stats.assert_billing();
 }
 
 /// The fleet discrete-event engine.
@@ -374,14 +358,8 @@ pub struct FleetEngine {
     jobs_rejected: u64,
     tokens_out: u64,
     latencies: Vec<f64>,
-    cycles: f64,
-    fault_overhead_cycles: f64,
-    failover_cycles: f64,
-    hedge_cycles: f64,
-    launch_path_cycles: f64,
-    graph_replays: u64,
-    graph_captures: u64,
-    graph_capture_cycles: f64,
+    /// Every completed job's billed stats, merged in completion order.
+    total: LaunchStats,
     /// Artifacts dispatched, and the subset carrying a verified
     /// isolation certificate (see [`crate::serve::run_artifact`]).
     artifacts: u64,
@@ -430,14 +408,7 @@ impl FleetEngine {
             jobs_rejected: 0,
             tokens_out: 0,
             latencies: Vec::new(),
-            cycles: 0.0,
-            fault_overhead_cycles: 0.0,
-            failover_cycles: 0.0,
-            hedge_cycles: 0.0,
-            launch_path_cycles: 0.0,
-            graph_replays: 0,
-            graph_captures: 0,
-            graph_capture_cycles: 0.0,
+            total: LaunchStats::default(),
             artifacts: 0,
             certified: 0,
             opts,
@@ -457,72 +428,76 @@ impl FleetEngine {
         self.store.stats()
     }
 
-    /// Pre-compiles `graphs` into the artifact store at every plausible
-    /// slice width for up to `max_tenants` tenants per device, under
-    /// both fault policies — the fleet counterpart of
-    /// [`crate::serve::warm_cache`]. Each warmed artifact is inserted
-    /// as if compiled on its top rendezvous-scored usable device, so
-    /// replica placement matches what an organic miss would produce.
-    /// Warming is offline: it charges no device's
-    /// `search_invocations`, and the store's lookup counters are left
-    /// untouched ([`ArtifactStore::contains`] does not count).
-    pub fn warm(
-        &mut self,
-        graphs: &[streamir::graph::FlatGraph],
-        max_tenants: usize,
-    ) -> crate::serve::WarmReport {
-        let widths =
-            crate::serve::partition::plausible_widths(self.opts.base.device.num_sms, max_tenants);
-        // The artifact store is unbounded (replication, not LRU, governs
-        // residency), so fleet warming can never evict itself.
-        let mut report = crate::serve::WarmReport {
-            widths: widths.clone(),
-            compiled: 0,
-            already_cached: 0,
-            failed: 0,
-            evictions: 0,
-        };
-        for graph in graphs {
-            for &width in &widths {
-                for policy in [
-                    crate::pipeline::FaultPolicy::Throughput,
-                    crate::pipeline::FaultPolicy::TailLatency,
-                ] {
-                    let popts = pipeline_options_for(
-                        &self.opts.base,
-                        width,
-                        crate::serve::Pressure::Nominal,
-                        policy,
-                    );
-                    let key = cache_key(graph, &popts);
-                    if self.store.contains(key) {
-                        report.already_cached += 1;
-                        continue;
-                    }
-                    let usable = self.router.usable_devices();
-                    let Some(&home) = usable
-                        .iter()
-                        .max_by_key(|&&d| (router::score(key, d), std::cmp::Reverse(d)))
-                    else {
-                        report.failed += 1;
-                        continue;
-                    };
-                    match ResilientPipeline::new(popts).compile(graph) {
-                        Ok(a) => {
-                            self.store.insert(key, a, DeviceId(home), &usable);
-                            report.compiled += 1;
-                        }
-                        Err(_) => report.failed += 1,
-                    }
-                }
+    /// Pre-compiles `graphs` into the artifact store over the same
+    /// graphs × plausible widths × both-policies sweep as
+    /// [`crate::serve::warm_cache`], for up to `max_tenants` tenants
+    /// per device. Each warmed artifact is inserted as if compiled on
+    /// its top rendezvous-scored usable device, so replica placement
+    /// matches what an organic miss would produce. Warming is offline:
+    /// it charges no device's `search_invocations`, and the store's
+    /// lookup counters are left untouched
+    /// ([`ArtifactStore::contains`] does not count). The store is
+    /// unbounded (replication, not LRU, governs residency), so fleet
+    /// warming can never evict itself.
+    pub fn warm(&mut self, graphs: &[FlatGraph], max_tenants: usize) -> WarmReport {
+        let (store, router) = (&mut self.store, &self.router);
+        warm::sweep(&self.opts.base, graphs, max_tenants, |graph, popts| {
+            let key = cache_key(graph, &popts);
+            if store.contains(key) {
+                return Ok(true);
             }
-        }
-        report
+            let usable = router.usable_devices();
+            let home = usable
+                .iter()
+                .max_by_key(|&&d| (router::score(key, d), std::cmp::Reverse(d)))
+                .ok_or_else(|| Error::Api("no usable device to warm".into()))?;
+            let artifact = ResilientPipeline::new(popts).compile(graph)?;
+            store.insert(key, artifact, DeviceId(*home), &usable);
+            Ok(false)
+        })
     }
 
-    fn next_seq(&mut self) -> u64 {
+    /// Queues `kind` for `device` at `time` under the next sequence
+    /// number.
+    fn schedule(
+        &mut self,
+        heap: &mut BinaryHeap<Ev>,
+        time: f64,
+        device: DeviceId,
+        tenant: &str,
+        kind: EvKind,
+    ) {
         self.seq += 1;
-        self.seq
+        heap.push(Ev {
+            time,
+            device: device.0,
+            tenant: tenant.to_string(),
+            seq: self.seq,
+            kind,
+        });
+    }
+
+    /// Virtual seconds a dispatch pays to obtain its artifact, by how
+    /// the store served it: nothing locally, a ship across devices, or
+    /// a full compile.
+    fn fetch_cost(&self, fetch: Fetch) -> f64 {
+        match fetch {
+            Fetch::LocalHit => 0.0,
+            Fetch::RemoteHit => self.opts.fetch_penalty_secs,
+            Fetch::Miss => self.opts.base.compile_penalty_secs,
+        }
+    }
+
+    /// The tenant's busy horizon on `device` (0 when it never ran there).
+    fn busy_until(&self, device: DeviceId, tenant: &str) -> f64 {
+        let busy = &self.devices[device.0 as usize].busy;
+        busy.get(tenant).copied().unwrap_or(0.0)
+    }
+
+    /// Moves the tenant's busy horizon on `device` to `until`.
+    fn occupy(&mut self, device: DeviceId, tenant: &str, until: f64) {
+        let busy = &mut self.devices[device.0 as usize].busy;
+        busy.insert(tenant.to_string(), until);
     }
 
     /// Serves an arrival trace to completion and returns one verdict per
@@ -537,25 +512,11 @@ impl FleetEngine {
         let mut heap = BinaryHeap::new();
         for (i, (job, at)) in trace.iter().enumerate() {
             let home = self.router.home(&job.tenant);
-            let seq = self.next_seq();
-            heap.push(Ev {
-                time: *at,
-                device: home.0,
-                tenant: job.tenant.clone(),
-                seq,
-                kind: EvKind::Arrival(i),
-            });
+            self.schedule(&mut heap, *at, home, &job.tenant, EvKind::Arrival(i));
         }
         let faults = self.opts.device_faults.clone();
         for (i, ev) in faults.events().iter().enumerate() {
-            let seq = self.next_seq();
-            heap.push(Ev {
-                time: ev.at_secs,
-                device: ev.device.0,
-                tenant: String::new(),
-                seq,
-                kind: EvKind::Fault(i),
-            });
+            self.schedule(&mut heap, ev.at_secs, ev.device, "", EvKind::Fault(i));
         }
 
         let mut verdicts: Vec<Option<FleetVerdict>> = Vec::new();
@@ -609,14 +570,7 @@ impl FleetEngine {
             self.jobs_completed += 1;
             self.tokens_out += r.run.outputs.len() as u64;
             self.latencies.push(r.finish - r.arrival);
-            self.cycles += r.run.stats.cycles;
-            self.fault_overhead_cycles += r.run.stats.fault_overhead_cycles;
-            self.failover_cycles += r.run.stats.failover_cycles;
-            self.hedge_cycles += r.run.stats.hedge_cycles;
-            self.launch_path_cycles += r.run.stats.launch_path_cycles;
-            self.graph_replays += r.run.stats.graph_replays;
-            self.graph_captures += r.run.stats.graph_captures;
-            self.graph_capture_cycles += r.run.stats.graph_capture_cycles;
+            self.total.merge(&r.run.stats);
             let d = &mut self.devices[r.device as usize];
             d.jobs_completed += 1;
             d.busy_secs += r.finish - r.exec_start;
@@ -734,14 +688,14 @@ impl FleetEngine {
         let key = cache_key(&job.graph, &popts);
         let usable = self.router.usable_devices();
         let (fetch, fetched) = self.store.fetch(key, dev, &usable)?;
-        let (artifact, fetch_cost) = match (fetch, fetched) {
-            (Fetch::LocalHit, Some(a)) => (a, 0.0),
-            (Fetch::RemoteHit, Some(a)) => (a, self.opts.fetch_penalty_secs),
-            _ => {
+        let fetch_cost = self.fetch_cost(fetch);
+        let artifact = match fetched {
+            Some(a) => a,
+            None => {
                 let a = ResilientPipeline::new(popts).compile(&job.graph)?;
                 self.devices[dev.0 as usize].search_invocations += a.report.search_invocations();
                 self.store.insert(key, a.clone(), dev, &usable);
-                (a, self.opts.base.compile_penalty_secs)
+                a
             }
         };
         self.artifacts += 1;
@@ -757,16 +711,9 @@ impl FleetEngine {
             None,
         )?;
 
-        let busy = self.devices[dev.0 as usize]
-            .busy
-            .get(&tenant)
-            .copied()
-            .unwrap_or(0.0);
-        let exec_start = t.max(busy) + fetch_cost;
+        let exec_start = t.max(self.busy_until(dev, &tenant)) + fetch_cost;
         let finish = exec_start + run.time_secs;
-        self.devices[dev.0 as usize]
-            .busy
-            .insert(tenant.clone(), finish);
+        self.occupy(dev, &tenant, finish);
 
         let state_words = artifact.report.checkpoint.state_words;
         let mut rec = Running {
@@ -825,17 +772,8 @@ impl FleetEngine {
         // the same deterministic execution.
         let usable = self.router.usable_devices();
         let (bfetch, _) = self.store.fetch(rec.key, backup, &usable)?;
-        let bcost = match bfetch {
-            Fetch::LocalHit => 0.0,
-            Fetch::RemoteHit => self.opts.fetch_penalty_secs,
-            Fetch::Miss => self.opts.base.compile_penalty_secs,
-        };
-        let bbusy = self.devices[backup.0 as usize]
-            .busy
-            .get(&rec.tenant)
-            .copied()
-            .unwrap_or(0.0);
-        let bstart = (t + delay).max(bbusy) + bcost;
+        let bcost = self.fetch_cost(bfetch);
+        let bstart = (t + delay).max(self.busy_until(backup, &rec.tenant)) + bcost;
         let bfinish = bstart + rec.base_exec_secs;
 
         self.hedges += 1;
@@ -859,20 +797,13 @@ impl FleetEngine {
             let burn_secs =
                 (bfinish - service_start).clamp(0.0, primary_fetch_cost + rec.base_exec_secs);
             let burn = burn_secs * clock;
-            rec.run.stats.cycles += burn;
-            rec.run.stats.fault_overhead_cycles += burn;
-            rec.run.stats.hedge_cycles += burn;
-            rec.run.stats.assert_billing();
-            self.devices[rec.device as usize]
-                .busy
-                .insert(rec.tenant.clone(), bfinish.min(rec.finish));
+            bill_overhead(&mut rec.run.stats, burn, |s| &mut s.hedge_cycles);
+            self.occupy(DeviceId(rec.device), &rec.tenant, bfinish.min(rec.finish));
             rec.device = backup.0;
             rec.exec_start = bstart;
             rec.finish = bfinish;
             rec.hedge_won = true;
-            self.devices[backup.0 as usize]
-                .busy
-                .insert(rec.tenant.clone(), bfinish);
+            self.occupy(backup, &rec.tenant, bfinish);
         } else {
             // Primary wins. The backup burned from its service start
             // (if it started at all) until the primary's finish
@@ -880,13 +811,8 @@ impl FleetEngine {
             let burn_secs = (rec.finish - (bstart - bcost)).clamp(0.0, bcost + rec.base_exec_secs);
             if burn_secs > 0.0 {
                 let burn = burn_secs * clock;
-                rec.run.stats.cycles += burn;
-                rec.run.stats.fault_overhead_cycles += burn;
-                rec.run.stats.hedge_cycles += burn;
-                rec.run.stats.assert_billing();
-                self.devices[backup.0 as usize]
-                    .busy
-                    .insert(rec.tenant.clone(), rec.finish.min(bfinish));
+                bill_overhead(&mut rec.run.stats, burn, |s| &mut s.hedge_cycles);
+                self.occupy(backup, &rec.tenant, rec.finish.min(bfinish));
             }
         }
         Ok(())
@@ -935,14 +861,7 @@ impl FleetEngine {
                     format!("{restore_sms} -> {target} SMs"),
                 );
                 if let Some(heal) = heal_secs {
-                    let seq = self.next_seq();
-                    heap.push(Ev {
-                        time: t + heal,
-                        device: d.0,
-                        tenant: String::new(),
-                        seq,
-                        kind: EvKind::BrownoutHeal { restore_sms },
-                    });
+                    self.schedule(heap, t + heal, d, "", EvKind::BrownoutHeal { restore_sms });
                 }
             }
             DeviceFaultKind::LinkPartition { heal_secs } => {
@@ -955,14 +874,7 @@ impl FleetEngine {
                     Some(d),
                     format!("heals at {:.3}s", t + heal_secs),
                 );
-                let seq = self.next_seq();
-                heap.push(Ev {
-                    time: t + heal_secs,
-                    device: d.0,
-                    tenant: String::new(),
-                    seq,
-                    kind: EvKind::PartitionHeal,
-                });
+                self.schedule(heap, t + heal_secs, d, "", EvKind::PartitionHeal);
             }
         }
     }
@@ -1002,33 +914,24 @@ impl FleetEngine {
                 .store
                 .fetch(r.key, target, &usable)
                 .expect("artifact verified at insert");
-            let fetch_cost = match fetch {
-                Fetch::LocalHit => 0.0,
-                Fetch::RemoteHit => self.opts.fetch_penalty_secs,
-                Fetch::Miss => {
-                    // Every replica died with the fleet's losses: pay a
-                    // recompile and restore the store from the job's own
-                    // copy of the artifact.
-                    self.store
-                        .insert(r.key, r.artifact.clone(), target, &usable);
-                    self.opts.base.compile_penalty_secs
-                }
-            };
+            if fetch == Fetch::Miss {
+                // Every replica died with the fleet's losses: pay a
+                // recompile and restore the store from the job's own
+                // copy of the artifact.
+                self.store
+                    .insert(r.key, r.artifact.clone(), target, &usable);
+            }
+            let fetch_cost = self.fetch_cost(fetch);
 
             let old_finish = r.finish;
-            let tbusy = self.devices[target.0 as usize]
-                .busy
-                .get(&r.tenant)
-                .copied()
-                .unwrap_or(0.0);
+            let tbusy = self.busy_until(target, &r.tenant);
 
-            if r.exec_start >= t {
+            // Cycles to ship the last commit's state and to replay the
+            // launches past it, and the launch execution resumes from.
+            let (ship, replay, committed) = if r.exec_start >= t {
                 // Never started executing: pure re-dispatch, no state to
                 // ship, no launches to replay.
-                let prefix: f64 = r.run.launch_cycles[..r.trace_base].iter().sum();
-                let remaining = r.base_exec_secs - timing.secs(prefix);
-                r.exec_start = t.max(tbusy) + fetch_cost;
-                r.finish = r.exec_start + remaining;
+                (0.0, 0.0, r.trace_base)
             } else {
                 let elapsed = (t - r.exec_start) * timing.clock_hz;
                 let k = r.run.checkpoint_interval.max(1) as usize;
@@ -1061,21 +964,16 @@ impl FleetEngine {
                     0.0
                 };
                 let overhead = ship + replay + recapture;
-                r.run.stats.cycles += overhead;
-                r.run.stats.fault_overhead_cycles += overhead;
-                r.run.stats.failover_cycles += overhead;
-                r.run.stats.assert_billing();
+                bill_overhead(&mut r.run.stats, overhead, |s| &mut s.failover_cycles);
+                (ship, replay, committed)
+            };
+            let prefix: f64 = r.run.launch_cycles[..committed].iter().sum();
+            let remaining = r.base_exec_secs - timing.secs(prefix);
+            r.exec_start = t.max(tbusy) + fetch_cost + timing.secs(ship);
+            r.finish = r.exec_start + timing.secs(replay) + remaining;
+            r.trace_base = committed;
 
-                let prefix: f64 = r.run.launch_cycles[..committed].iter().sum();
-                let remaining = r.base_exec_secs - timing.secs(prefix);
-                r.exec_start = t.max(tbusy) + fetch_cost + timing.secs(ship);
-                r.finish = r.exec_start + timing.secs(replay) + remaining;
-                r.trace_base = committed;
-            }
-
-            self.devices[target.0 as usize]
-                .busy
-                .insert(r.tenant.clone(), r.finish);
+            self.occupy(target, &r.tenant, r.finish);
             r.device = target.0;
             r.failed_over += 1;
             self.failover_latencies
@@ -1129,14 +1027,14 @@ impl FleetEngine {
             failover_p99_secs: percentile_of(&self.failover_latencies, 0.99),
             hedges: self.hedges,
             hedge_wins: self.hedge_wins,
-            cycles: self.cycles.round() as u64,
-            fault_overhead_cycles: self.fault_overhead_cycles.round() as u64,
-            failover_cycles: self.failover_cycles.round() as u64,
-            hedge_cycles: self.hedge_cycles.round() as u64,
-            launch_path_cycles: self.launch_path_cycles.round() as u64,
-            graph_replays: self.graph_replays,
-            graph_captures: self.graph_captures,
-            graph_capture_cycles: self.graph_capture_cycles.round() as u64,
+            cycles: self.total.cycles.round() as u64,
+            fault_overhead_cycles: self.total.fault_overhead_cycles.round() as u64,
+            failover_cycles: self.total.failover_cycles.round() as u64,
+            hedge_cycles: self.total.hedge_cycles.round() as u64,
+            launch_path_cycles: self.total.launch_path_cycles.round() as u64,
+            graph_replays: self.total.graph_replays,
+            graph_captures: self.total.graph_captures,
+            graph_capture_cycles: self.total.graph_capture_cycles.round() as u64,
             artifacts: self.artifacts,
             certified: self.certified,
             search_invocations: self.devices.iter().map(|d| d.search_invocations).sum(),

@@ -27,7 +27,7 @@ use serde_json::Value;
 use streamir::graph::FlatGraph;
 
 use crate::config::Selection;
-use crate::exec::{Compiled, Scheme};
+use crate::exec::{CompileOptions, Compiled, Scheme};
 use crate::hash::Fnv;
 use crate::instances::{self, ExecConfig};
 use crate::pipeline::{
@@ -55,17 +55,33 @@ pub fn cache_key(graph: &FlatGraph, opts: &PipelineOptions) -> u64 {
         ));
     }
     h.str(&format!("{:?}/{:?}", graph.input(), graph.output()));
-    h.str(&format!("{:?}", opts.compile.device));
-    h.str(&format!("{:?}", opts.compile.timing));
-    h.str(&format!("{:?}", opts.compile.profile));
-    h.str(&format!("{:?}", opts.compile.search));
-    h.str(&format!("{:?}", opts.budgets));
-    h.str(&format!("{:?}", opts.policy));
-    h.str(&format!("{:?}", opts.fault_plan));
+    // Exhaustive on purpose (no `..`): a field added to either options
+    // struct fails to compile here until it is hashed, so a forgotten
+    // key field cannot alias two different artifacts.
+    let PipelineOptions {
+        compile:
+            CompileOptions {
+                device,
+                timing,
+                profile,
+                search,
+            },
+        budgets,
+        fault_plan,
+        policy,
+        graph_dispatch,
+    } = opts;
+    h.str(&format!("{device:?}"));
+    h.str(&format!("{timing:?}"));
+    h.str(&format!("{profile:?}"));
+    h.str(&format!("{search:?}"));
+    h.str(&format!("{budgets:?}"));
+    h.str(&format!("{policy:?}"));
+    h.str(&format!("{fault_plan:?}"));
     // Dispatch mode is part of the artifact's identity: its run options
     // differ, so graph-dispatched and host-launched artifacts of the same
     // program must occupy distinct cache slots.
-    h.str(&format!("graph_dispatch={}", opts.graph_dispatch));
+    h.str(&format!("graph_dispatch={graph_dispatch}"));
     h.finish()
 }
 
@@ -563,7 +579,6 @@ fn rebuild(value: &Value, graph: &FlatGraph, opts: &PipelineOptions) -> Result<R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::CompileOptions;
     use crate::schedule;
     use streamir::graph::{FilterSpec, StreamSpec};
     use streamir::ir::{ElemTy, Expr, FnBuilder};
@@ -616,6 +631,15 @@ mod tests {
             cache_key(&g1, &narrower),
             "device shape must distinguish compilations"
         );
+    }
+
+    /// Known answer: keys seed `fleet::router::score`, i.e. replica
+    /// placement, i.e. `BENCH_fleet.json` — so a refactor of `cache_key`
+    /// must reproduce the exact `u64`, not merely stay deterministic.
+    #[test]
+    fn key_of_a_small_chain_is_pinned() {
+        let g = chain(&[("a", 2), ("b", 3)]);
+        assert_eq!(cache_key(&g, &small_opts()), 0xdc93_6b16_86ba_c634);
     }
 
     #[test]

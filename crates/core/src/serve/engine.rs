@@ -4,9 +4,10 @@
 //! [`super::Server::submit`] with an event loop over a virtual clock.
 //! Five event kinds — arrival, rebalance, dispatch, compile-finish,
 //! launch-finish (plus optional checkpoint ticks) — are totally ordered
-//! by the key `(virtual_time, tenant, seq)`, so two runs over the same
-//! trace pop the queue in exactly the same order and the whole run is
-//! bit-reproducible regardless of wall-clock thread scheduling.
+//! by the shared serving-event key `(virtual_time, device, tenant, seq)`
+//! with `device = 0` throughout, so two runs over the same trace pop the
+//! queue in exactly the same order and the whole run is bit-reproducible
+//! regardless of wall-clock thread scheduling.
 //!
 //! **Overlap.** The eager server pays every cache-miss compilation
 //! inline: while the degradation ladder runs, nothing else is served.
@@ -23,14 +24,15 @@
 //!
 //! * Arrivals are processed in `(time, tenant, seq)` order — exactly
 //!   the order the differential tests feed the eager server.
-//! * Compile options and run placement come from the same helpers
-//!   ([`super::pipeline_options_for`], [`super::run_artifact`]) on both
-//!   paths, so the cache addresses identical content.
-//! * Virtual-time bookkeeping (`start = max(arrival, busy_until)`,
-//!   `finish = start + compile_penalty + exec`) uses the same formulas;
-//!   a pending compile's job is *completed* — inflight entry pushed,
-//!   busy horizon advanced — before any later same-tenant dispatch
-//!   reads that state, which is when the eager path would have had it.
+//! * Admission, the service window (`start = max(arrival, busy_until)`,
+//!   `finish = start + compile_penalty + exec`), the metric roll-up and
+//!   the report are not re-implemented here: both paths hold the same
+//!   device core and call its `admit`/`settle`/`report`, and compile
+//!   options come from the one [`super::pipeline_options_for`], so the
+//!   cache addresses identical content.
+//! * A pending compile's job is *settled* — inflight entry pushed, busy
+//!   horizon advanced — before any later same-tenant dispatch reads
+//!   that state, which is when the eager path would have had it.
 //! * All metric accumulation is order-insensitive (sums, plus
 //!   percentiles over sorted copies), so late completions cannot skew
 //!   the report.
@@ -49,22 +51,19 @@
 //! compile-penalty window with the union of *other* tenants' execution
 //! intervals — and a queue-wait p99 per tenant.
 
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::thread::JoinHandle;
 
 use serde::Serialize;
 
-use crate::pipeline::{FaultPolicy, ResilientCompiled, ResilientPipeline};
+use crate::pipeline::{ResilientCompiled, ResilientPipeline};
 use crate::schedule::SearchInterrupt;
-use crate::serve::cache::{verify_artifact, CacheStats, CompilationCache, Lookup};
-use crate::serve::metrics::{ServeMetrics, ServeReport, TenantReport};
-use crate::serve::partition::{Partitioner, Slice};
-use crate::serve::resilience::{BrownoutSpec, ControllerDecision, FaultController};
-use crate::serve::{
-    pipeline_options_for, run_artifact, AdmissionController, Decision, Job, JobResult, Pressure,
-    QosClass, ServeOptions, TenantState, Verdict,
-};
+use crate::serve::cache::{verify_artifact, CacheStats, Lookup};
+use crate::serve::device_core::DeviceCore;
+use crate::serve::metrics::ServeReport;
+use crate::serve::partition::Slice;
+use crate::serve::resilience::{BrownoutSpec, ControllerDecision};
+use crate::serve::{pipeline_options_for, Event, Job, Pressure, ServeOptions, Verdict};
 use crate::{Error, Result};
 use streamir::graph::FlatGraph;
 
@@ -129,43 +128,7 @@ enum EvKind {
     Brownout(u32),
 }
 
-#[derive(Debug, Clone)]
-struct Ev {
-    time: f64,
-    tenant: String,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl Ev {
-    /// The total order key: virtual time, then tenant name, then
-    /// sequence number. `total_cmp` keeps NaN-free floats totally
-    /// ordered without panics.
-    fn key_cmp(&self, other: &Ev) -> Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then_with(|| self.tenant.cmp(&other.tenant))
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, other: &Ev) -> bool {
-        self.key_cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Ev) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    // Reversed: BinaryHeap is a max-heap and we pop the smallest key.
-    fn cmp(&self, other: &Ev) -> Ordering {
-        other.key_cmp(self)
-    }
-}
+type Ev = Event<EvKind>;
 
 /// A ladder compile in flight on the worker pool.
 struct PendingCompile {
@@ -218,34 +181,36 @@ struct RunState {
 }
 
 impl RunState {
-    fn next_seq(&mut self) -> u64 {
+    /// Queues `kind` for `tenant` at `time` under an explicit sequence
+    /// number (arrivals and their strided children).
+    fn schedule(&mut self, time: f64, tenant: &str, seq: u64, kind: EvKind) {
+        self.heap.push(Ev {
+            time,
+            device: 0,
+            tenant: tenant.to_string(),
+            seq,
+            kind,
+        });
+    }
+
+    /// [`RunState::schedule`] under the next auxiliary sequence number —
+    /// for events that become known after the arrival block was laid out.
+    fn schedule_aux(&mut self, time: f64, tenant: &str, kind: EvKind) {
         self.aux_seq += 1;
-        self.aux_seq
+        self.schedule(time, tenant, self.aux_seq, kind);
     }
 }
 
 /// The deterministic discrete-event serving engine.
 pub struct EventEngine {
-    opts: ServeOptions,
-    /// The one device this engine schedules onto, as a value.
-    device: gpusim::Device,
-    cache: CompilationCache,
-    partitioner: Partitioner,
-    admission: AdmissionController,
-    tenants: BTreeMap<String, TenantState>,
-    now: f64,
-    first_arrival: Option<f64>,
-    last_finish: f64,
+    /// The device's serving state and job lifecycle, shared with the
+    /// eager oracle.
+    core: DeviceCore,
     workers: usize,
     checkpoint_period_secs: f64,
     trace: Vec<TraceEvent>,
     completed: Vec<CompletedJob>,
-    controller: FaultController,
     brownouts: Vec<BrownoutSpec>,
-    /// Artifacts dispatched, and the subset carrying a verified
-    /// isolation certificate (see [`super::run_artifact`]).
-    artifacts: u64,
-    certified: u64,
 }
 
 impl EventEngine {
@@ -253,33 +218,13 @@ impl EventEngine {
     /// compile pool and no checkpoint ticks.
     #[must_use]
     pub fn new(opts: ServeOptions) -> EventEngine {
-        let device = opts.device_value();
-        let cache = CompilationCache::new(opts.cache.clone());
-        let partitioner = Partitioner::new(device.config.num_sms, opts.rate_alpha);
-        let admission = AdmissionController::new(opts.max_queue);
-        let controller = FaultController::new(
-            opts.resilience.clone(),
-            opts.timing.clone(),
-            opts.retry_warn_threshold,
-        );
         EventEngine {
-            opts,
-            device,
-            cache,
-            partitioner,
-            admission,
-            tenants: BTreeMap::new(),
-            now: 0.0,
-            first_arrival: None,
-            last_finish: 0.0,
+            core: DeviceCore::new(opts),
             workers: 4,
             checkpoint_period_secs: 0.0,
             trace: Vec::new(),
             completed: Vec::new(),
-            controller,
             brownouts: Vec::new(),
-            artifacts: 0,
-            certified: 0,
         }
     }
 
@@ -300,7 +245,7 @@ impl EventEngine {
     /// compiles off the serving path; statistics are reset so the
     /// subsequent trace reports its own hit rate.
     pub fn warm(&mut self, graphs: &[FlatGraph], max_tenants: usize) -> super::warm::WarmReport {
-        super::warm::warm_cache(&mut self.cache, &self.opts, graphs, max_tenants)
+        super::warm::warm_cache(&mut self.core.cache, &self.core.opts, graphs, max_tenants)
     }
 
     /// Enables periodic checkpoint events every `secs` of virtual time
@@ -350,36 +295,15 @@ impl EventEngine {
             aux_seq: trace.len() as u64 * SEQ_STRIDE,
         };
         for (i, (job, arrival)) in trace.iter().enumerate() {
-            run.heap.push(Ev {
-                time: *arrival,
-                tenant: job.tenant.clone(),
-                seq: i as u64 * SEQ_STRIDE,
-                kind: EvKind::Arrival(i),
-            });
+            let seq = i as u64 * SEQ_STRIDE;
+            run.schedule(*arrival, &job.tenant, seq, EvKind::Arrival(i));
         }
-        for spec in self.brownouts.clone() {
-            let seq = run.next_seq();
-            run.heap.push(Ev {
-                time: spec.at_secs,
-                tenant: String::new(),
-                seq,
-                kind: EvKind::Brownout(spec.total_sms),
-            });
+        for spec in &self.brownouts {
+            run.schedule_aux(spec.at_secs, "", EvKind::Brownout(spec.total_sms));
         }
         if self.checkpoint_period_secs > 0.0 {
-            if let Some(first) = trace
-                .iter()
-                .map(|(_, t)| *t)
-                .min_by(f64::total_cmp)
-                .map(|t| t + self.checkpoint_period_secs)
-            {
-                let seq = run.next_seq();
-                run.heap.push(Ev {
-                    time: first,
-                    tenant: String::new(),
-                    seq,
-                    kind: EvKind::Checkpoint,
-                });
+            if let Some(first) = trace.iter().map(|(_, t)| *t).min_by(f64::total_cmp) {
+                run.schedule_aux(first + self.checkpoint_period_secs, "", EvKind::Checkpoint);
             }
         }
 
@@ -394,7 +318,7 @@ impl EventEngine {
             for p in run.pending.drain(..) {
                 let key = p.key;
                 let _ = p.join();
-                self.cache.abandon(key);
+                self.core.cache.abandon(key);
             }
             return Err(e);
         }
@@ -446,19 +370,12 @@ impl EventEngine {
     }
 
     fn handle(&mut self, run: &mut RunState, ev: Ev) -> Result<()> {
-        self.now = self.now.max(ev.time);
+        self.core.tick(ev.time);
         match ev.kind {
             EvKind::Arrival(i) => self.on_arrival(run, &ev, i),
             EvKind::Rebalance => {
-                self.partitioner.recut_at(ev.time);
-                let widths = self
-                    .partitioner
-                    .slices()
-                    .iter()
-                    .map(|(t, s)| format!("{t}:{}", s.num_sms))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                self.log(&ev, EventKind::Rebalance, widths);
+                self.core.partitioner.recut_at(ev.time);
+                self.log(&ev, EventKind::Rebalance, self.slice_widths());
                 Ok(())
             }
             EvKind::Dispatch(i) => self.on_dispatch(run, &ev, i),
@@ -474,34 +391,32 @@ impl EventEngine {
                 let done = run.results.iter().filter(|r| r.is_some()).count();
                 self.log(&ev, EventKind::Checkpoint, format!("jobs_done={done}"));
                 if !run.heap.is_empty() {
-                    let seq = run.next_seq();
-                    run.heap.push(Ev {
-                        time: ev.time + self.checkpoint_period_secs,
-                        tenant: String::new(),
-                        seq,
-                        kind: EvKind::Checkpoint,
-                    });
+                    let next = ev.time + self.checkpoint_period_secs;
+                    run.schedule_aux(next, "", EvKind::Checkpoint);
                 }
                 Ok(())
             }
             EvKind::PolicySwitch(i) => self.on_policy_switch(run, &ev, i),
             EvKind::Brownout(total_sms) => {
-                self.partitioner.set_capacity(total_sms, ev.time)?;
-                let widths = self
-                    .partitioner
-                    .slices()
-                    .iter()
-                    .map(|(t, s)| format!("{t}:{}", s.num_sms))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                self.log(
-                    &ev,
-                    EventKind::Brownout,
-                    format!("sms={total_sms} {widths}"),
-                );
+                self.core.partitioner.set_capacity(total_sms, ev.time)?;
+                let detail = format!("sms={total_sms} {}", self.slice_widths());
+                self.log(&ev, EventKind::Brownout, detail);
                 Ok(())
             }
         }
+    }
+
+    /// Every tenant's slice width, `name:width` comma-joined in name
+    /// order — the trace detail of a recut.
+    fn slice_widths(&self) -> String {
+        let widths: Vec<String> = self
+            .core
+            .partitioner
+            .slices()
+            .iter()
+            .map(|(t, s)| format!("{t}:{}", s.num_sms))
+            .collect();
+        widths.join(",")
     }
 
     /// Applies a controller-ordered policy switch: re-addresses the
@@ -513,14 +428,17 @@ impl EventEngine {
     /// Pre-warming uses nominal budgets; a dispatch under elevated
     /// pressure addresses a different key and simply compiles then.
     fn on_policy_switch(&mut self, run: &mut RunState, ev: &Ev, i: usize) -> Result<()> {
-        let Some(slice) = self.partitioner.slice(&ev.tenant) else {
+        let Some(slice) = self.core.partitioner.slice(&ev.tenant) else {
             self.log(ev, EventKind::PolicySwitch, format!("job={i} no-slice"));
             return Ok(());
         };
         let job = run.jobs[i].clone();
-        let policy = self.controller.policy_for(&ev.tenant, job.qos.policy());
-        let popts = pipeline_options_for(&self.opts, slice.num_sms, Pressure::Nominal, policy);
-        let outcome = match self.cache.lookup_or_reserve(&job.graph, &popts)? {
+        let policy = self
+            .core
+            .controller
+            .policy_for(&ev.tenant, job.qos.policy());
+        let popts = pipeline_options_for(&self.core.opts, slice.num_sms, Pressure::Nominal, policy);
+        let outcome = match self.core.cache.lookup_or_reserve(&job.graph, &popts)? {
             Lookup::Hit(_) => "cached",
             Lookup::PendingHit(_) => "compiling",
             Lookup::Miss(key) => {
@@ -537,25 +455,14 @@ impl EventEngine {
     }
 
     fn on_arrival(&mut self, run: &mut RunState, ev: &Ev, i: usize) -> Result<()> {
-        self.first_arrival.get_or_insert(self.now);
+        self.core.arrive(ev.time);
         // Demand is recorded at the event's own timestamp — true
         // arrival order and true arrival time, never clamped to the
         // simulation clock.
-        let needs_recut = self.partitioner.record_arrival(&ev.tenant, ev.time)?;
-        if needs_recut {
-            run.heap.push(Ev {
-                time: ev.time,
-                tenant: ev.tenant.clone(),
-                seq: ev.seq + 1,
-                kind: EvKind::Rebalance,
-            });
+        if self.core.partitioner.record_arrival(&ev.tenant, ev.time)? {
+            run.schedule(ev.time, &ev.tenant, ev.seq + 1, EvKind::Rebalance);
         }
-        run.heap.push(Ev {
-            time: ev.time,
-            tenant: ev.tenant.clone(),
-            seq: ev.seq + 2,
-            kind: EvKind::Dispatch(i),
-        });
+        run.schedule(ev.time, &ev.tenant, ev.seq + 2, EvKind::Dispatch(i));
         self.log(ev, EventKind::Arrival, format!("job={i}"));
         Ok(())
     }
@@ -566,34 +473,24 @@ impl EventEngine {
         // admission and the busy horizon read the same state.
         self.resolve_tenant(run, &ev.tenant)?;
         let now = ev.time;
-        let slice = self
-            .partitioner
-            .slice(&ev.tenant)
-            .expect("observed tenant has a slice");
         let qos = run.jobs[i].qos;
-        let state = self.tenants.entry(ev.tenant.clone()).or_default();
-        state.qos = Some(qos);
-        state.inflight.retain(|&f| f > now);
-        let pressure = match self.admission.decide_event(&state.inflight, now) {
-            Decision::Reject { retry_after_secs } => {
-                state.metrics.jobs_rejected += 1;
-                run.results[i] = Some(Verdict::Rejected { retry_after_secs });
+        let (slice, pressure) = match self.core.admit(&ev.tenant, qos, now) {
+            Ok(admitted) => admitted,
+            Err(rejected) => {
+                run.results[i] = Some(rejected);
                 self.log(ev, EventKind::Dispatch, format!("job={i} rejected"));
                 return Ok(());
             }
-            Decision::Admit(p) => p,
         };
 
         // The compile policy is the controller's effective choice for
         // this tenant — the job's own QoS policy unless an adaptive
         // switch is in force.
-        let policy = self.controller.policy_for(&ev.tenant, qos.policy());
-        let popts = pipeline_options_for(&self.opts, slice.num_sms, pressure, policy);
-        match self.cache.lookup_or_reserve(&run.jobs[i].graph, &popts)? {
-            Lookup::Hit(artifact) => {
-                self.complete_job(run, i, &artifact, true, slice, now)?;
-                self.log(ev, EventKind::Dispatch, format!("job={i} hit"));
-            }
+        let policy = self.core.controller.policy_for(&ev.tenant, qos.policy());
+        let popts = pipeline_options_for(&self.core.opts, slice.num_sms, pressure, policy);
+        let graph = &run.jobs[i].graph;
+        let (artifact, outcome) = match self.core.cache.lookup_or_reserve(graph, &popts)? {
+            Lookup::Hit(artifact) => (*artifact, "hit"),
             Lookup::PendingHit(key) => {
                 // Another dispatch reserved this key; the eager path
                 // would have had the artifact by now. Join it (the
@@ -601,8 +498,7 @@ impl EventEngine {
                 // point) and serve verified, like any other hit.
                 let artifact = self.artifact_for(run, key)?;
                 verify_artifact(&artifact)?;
-                self.complete_job(run, i, &artifact, true, slice, now)?;
-                self.log(ev, EventKind::Dispatch, format!("job={i} pending-hit"));
+                (artifact, "pending-hit")
             }
             Lookup::Miss(key) => {
                 self.spawn_compile(run, key, &run.jobs[i].graph.clone(), &popts)?;
@@ -619,8 +515,11 @@ impl EventEngine {
                     },
                 );
                 self.log(ev, EventKind::Dispatch, format!("job={i} miss"));
+                return Ok(());
             }
-        }
+        };
+        self.complete_job(run, i, &artifact, true, slice, now)?;
+        self.log(ev, EventKind::Dispatch, format!("job={i} {outcome}"));
         Ok(())
     }
 
@@ -654,12 +553,12 @@ impl EventEngine {
         let key = p.key;
         match p.join() {
             Ok(artifact) => {
-                self.cache.fulfill(key, &artifact);
+                self.core.cache.fulfill(key, &artifact);
                 run.ready.insert(key, artifact);
                 Ok(())
             }
             Err(e) => {
-                self.cache.abandon(key);
+                self.core.cache.abandon(key);
                 Err(e)
             }
         }
@@ -697,9 +596,8 @@ impl EventEngine {
         Ok(())
     }
 
-    /// Executes one admitted job and applies the same virtual-time and
-    /// metric bookkeeping as the eager path, keyed off the job's own
-    /// arrival instant.
+    /// Settles one admitted job on the core, keyed off the job's own
+    /// arrival instant, and schedules what follows from it.
     fn complete_job(
         &mut self,
         run: &mut RunState,
@@ -709,115 +607,29 @@ impl EventEngine {
         slice: Slice,
         arrival: f64,
     ) -> Result<()> {
-        let job = &run.jobs[i];
-        let default_policy = job.qos.policy();
-        self.artifacts += 1;
-        if artifact.isolation.is_some() {
-            self.certified += 1;
-        }
-        let gpu_run = run_artifact(
-            artifact,
-            job,
-            &self.device.config,
-            slice.base_sm,
-            self.controller.interval_for(&job.tenant),
-            self.controller.max_attempts_override(),
-        )?;
-        let compile_cost = if cache_hit {
-            0.0
-        } else {
-            self.opts.compile_penalty_secs
-        };
-        let state = self
-            .tenants
-            .get_mut(&job.tenant)
-            .expect("tenant state exists");
-        let start = arrival.max(state.busy_until);
-        let finish = start + compile_cost + gpu_run.time_secs;
-        state.busy_until = finish;
-        state.inflight.push(finish);
-        self.last_finish = self.last_finish.max(finish);
-
-        let m = &mut state.metrics;
-        m.jobs_accepted += 1;
-        m.tokens_out += gpu_run.outputs.len() as u64;
-        m.busy_secs += compile_cost + gpu_run.time_secs;
-        m.launches += gpu_run.launches;
-        m.retries += gpu_run.retries;
-        m.cycles += gpu_run.stats.cycles.round() as u64;
-        m.fault_overhead_cycles += gpu_run.stats.fault_overhead_cycles.round() as u64;
-        m.launch_path_cycles += gpu_run.stats.launch_path_cycles.round() as u64;
-        m.graph_replays += gpu_run.stats.graph_replays;
-        m.graph_captures += gpu_run.stats.graph_captures;
-        m.graph_capture_cycles += gpu_run.stats.graph_capture_cycles.round() as u64;
-        m.latencies.push(finish - arrival);
-        m.queue_waits.push(start - arrival);
-        if cache_hit {
-            m.compile_hits += 1;
-        } else {
-            m.compile_misses += 1;
-            m.search_invocations += artifact.report.search_invocations();
-        }
-
-        let tenant = job.tenant.clone();
-        self.completed.push(CompletedJob {
-            tenant: tenant.clone(),
-            start,
-            compile_cost,
-            finish,
-        });
-        // Close the control loop: feed the run's observed retry rate
-        // and launch cost into the controller at the job's finish
-        // instant. A switch decision becomes an explicit engine event
-        // (at `finish`, with an aux sequence number) so the recompile
-        // is pre-spawned in deterministic event order.
-        let switched = self.controller.observe_job(
-            &tenant,
-            finish,
-            gpu_run.launches,
-            gpu_run.retries,
-            gpu_run.stats.productive_cycles(),
-            &artifact.report.checkpoint,
-            default_policy,
-        );
-        if switched.is_some() {
-            let seq = run.next_seq();
-            run.heap.push(Ev {
-                time: finish,
-                tenant: tenant.clone(),
-                seq,
-                kind: EvKind::PolicySwitch(i),
-            });
+        let settled = self
+            .core
+            .settle(&run.jobs[i], artifact, cache_hit, slice, arrival)?;
+        let tenant = run.jobs[i].tenant.clone();
+        let (start, finish) = (settled.result.start_secs, settled.result.finish_secs);
+        // A controller switch becomes an explicit engine event (at
+        // `finish`, with an aux sequence number) so the recompile is
+        // pre-spawned in deterministic event order.
+        if settled.switched {
+            run.schedule_aux(finish, &tenant, EvKind::PolicySwitch(i));
         }
         if !cache_hit {
-            let seq = run.next_seq();
-            run.heap.push(Ev {
-                time: start + compile_cost,
-                tenant: tenant.clone(),
-                seq,
-                kind: EvKind::CompileFinish,
-            });
+            let compiled_at = start + settled.compile_cost;
+            run.schedule_aux(compiled_at, &tenant, EvKind::CompileFinish);
         }
-        let seq = run.next_seq();
-        run.heap.push(Ev {
-            time: finish,
+        run.schedule_aux(finish, &tenant, EvKind::LaunchFinish);
+        self.completed.push(CompletedJob {
             tenant,
-            seq,
-            kind: EvKind::LaunchFinish,
+            start,
+            compile_cost: settled.compile_cost,
+            finish,
         });
-
-        run.results[i] = Some(Verdict::Completed(Box::new(JobResult {
-            outputs: gpu_run.outputs,
-            arrival_secs: arrival,
-            start_secs: start,
-            finish_secs: finish,
-            latency_secs: finish - arrival,
-            exec_secs: gpu_run.time_secs,
-            cache_hit,
-            shipped: artifact.report.shipped,
-            slice,
-            retries: gpu_run.retries,
-        })));
+        run.results[i] = Some(Verdict::Completed(Box::new(settled.result)));
         Ok(())
     }
 
@@ -859,13 +671,13 @@ impl EventEngine {
     /// Compilation-cache counters.
     #[must_use]
     pub fn cache_stats(&self) -> &CacheStats {
-        self.cache.stats()
+        self.core.cache.stats()
     }
 
     /// The tenant's current SM slice.
     #[must_use]
     pub fn slice(&self, tenant: &str) -> Option<Slice> {
-        self.partitioner.slice(tenant)
+        self.core.partitioner.slice(tenant)
     }
 
     /// The processed-event audit trace, in processing order.
@@ -877,7 +689,7 @@ impl EventEngine {
     /// The partition recut audit log.
     #[must_use]
     pub fn recut_log(&self) -> &[crate::serve::partition::RecutRecord] {
-        &self.partitioner.recut_log
+        &self.core.partitioner.recut_log
     }
 
     /// The resilience controller's decision log, in virtual-time order.
@@ -885,7 +697,7 @@ impl EventEngine {
     /// trace and fault seed always produce a byte-identical log.
     #[must_use]
     pub fn decisions(&self) -> &[ControllerDecision] {
-        self.controller.decisions()
+        self.core.controller.decisions()
     }
 
     /// Snapshots the serving run into a serializable report. Identical
@@ -893,56 +705,14 @@ impl EventEngine {
     /// overlap and queue-wait observables the event model adds.
     #[must_use]
     pub fn report(&self) -> ServeReport {
-        let makespan = (self.last_finish - self.first_arrival.unwrap_or(0.0)).max(0.0);
-        let overlaps = self.overlap_totals();
-        let tenants: Vec<TenantReport> = self
-            .tenants
-            .iter()
-            .map(|(name, state)| {
-                let slice = self.partitioner.slice(name).unwrap_or(Slice {
-                    base_sm: 0,
-                    num_sms: 0,
-                });
-                // The row reports the controller's *effective* policy:
-                // a recommendation the controller already acted on is
-                // resolved, not re-issued.
-                let default = state.qos.map_or(FaultPolicy::Throughput, QosClass::policy);
-                let policy = self.controller.policy_for(name, default);
-                let mut metrics: ServeMetrics = state.metrics.clone();
-                metrics.compile_overlap_secs = overlaps.get(name).copied().unwrap_or(0.0);
-                let mut row = TenantReport::of(
-                    name,
-                    &metrics,
-                    slice,
-                    makespan,
-                    policy,
-                    self.opts.retry_warn_threshold,
-                );
-                row.policy_switches = self.controller.switches_for(name);
-                row.checkpoint_interval = self.controller.interval_for(name);
-                row
-            })
-            .collect();
-        ServeReport {
-            makespan_secs: makespan,
-            cache: self.cache.stats().clone(),
-            cache_hit_rate: self.cache.stats().hit_rate(),
-            rebalances: self.partitioner.rebalances,
-            policy_switches: tenants.iter().map(|t| t.policy_switches).sum(),
-            artifacts: self.artifacts,
-            certified: self.certified,
-            compile_overlap_secs: tenants.iter().map(|t| t.compile_overlap_secs).sum(),
-            launch_path_cycles: tenants.iter().map(|t| t.launch_path_cycles).sum(),
-            graph_replays: tenants.iter().map(|t| t.graph_replays).sum(),
-            tenants,
-        }
+        self.core.report(&self.overlap_totals())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::ServeOptions;
+    use crate::serve::{QosClass, ServeOptions};
     use streamir::graph::{FilterSpec, StreamSpec};
     use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
 
@@ -964,28 +734,6 @@ mod tests {
             iterations: 2,
             qos: QosClass::Batch,
         }
-    }
-
-    #[test]
-    fn event_key_orders_time_then_tenant_then_seq() {
-        let ev = |time, tenant: &str, seq| Ev {
-            time,
-            tenant: tenant.into(),
-            seq,
-            kind: EvKind::Rebalance,
-        };
-        let a = ev(1.0, "a", 5);
-        let b = ev(1.0, "b", 0);
-        let c = ev(0.5, "z", 9);
-        let d = ev(1.0, "a", 6);
-        // key_cmp is the natural order; Ord is reversed for the heap.
-        assert_eq!(c.key_cmp(&a), Ordering::Less);
-        assert_eq!(a.key_cmp(&b), Ordering::Less);
-        assert_eq!(a.key_cmp(&d), Ordering::Less);
-        let mut heap = BinaryHeap::from(vec![a.clone(), b, c, d]);
-        let first = heap.pop().unwrap();
-        assert_eq!(first.time, 0.5, "heap must pop the smallest key");
-        assert_eq!(heap.pop().unwrap().key_cmp(&a), Ordering::Equal);
     }
 
     #[test]

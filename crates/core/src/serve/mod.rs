@@ -1,6 +1,6 @@
 //! Multi-tenant stream-serving runtime.
 //!
-//! [`Server`] accepts jobs — a stream graph, an input batch, a QoS
+//! [`EventEngine`] accepts jobs — a stream graph, an input batch, a QoS
 //! class — from named tenants and runs them on spatially-partitioned
 //! slices of one simulated device:
 //!
@@ -21,14 +21,23 @@
 //!   cache hit rate, slice utilization, retry rate and fault-overhead
 //!   share, exported as a serializable [`ServeReport`].
 //!
-//! Time is virtual: each submitted job is simulated eagerly and its
-//! modeled service time advances a per-tenant busy horizon, so a whole
-//! arrival trace can be served deterministically in one process without
-//! wall-clock sleeps.
+//! All of that state, and the per-job lifecycle over it (admit → run →
+//! place the service window → roll up metrics → report), lives once in
+//! the crate-private device core (`device_core.rs`). The engine drives it from
+//! a discrete-event loop that overlaps cache-miss compiles with other
+//! tenants' execution; [`Server`] drives the same core eagerly, one job
+//! at a time, and exists only as the differential oracle the engine is
+//! tested against — it is not a serving path.
+//!
+//! Time is virtual: each job is simulated and its modeled service time
+//! advances a per-tenant busy horizon, so a whole arrival trace can be
+//! served deterministically in one process without wall-clock sleeps.
 
 pub mod admission;
 pub mod cache;
+mod device_core;
 pub mod engine;
+mod event;
 pub mod metrics;
 pub mod partition;
 pub mod resilience;
@@ -36,7 +45,7 @@ pub mod warm;
 
 use std::collections::BTreeMap;
 
-use gpusim::{Device, DeviceConfig, FaultPlan, TimingModel};
+use gpusim::{DeviceConfig, FaultPlan, TimingModel};
 use streamir::graph::FlatGraph;
 use streamir::ir::Scalar;
 
@@ -49,6 +58,7 @@ use crate::Result;
 pub use admission::{budgets_for, AdmissionController, Decision, Pressure, RouteDecision};
 pub use cache::{cache_key, CacheOptions, CacheStats, CompilationCache, Lookup};
 pub use engine::{EventEngine, EventKind, TraceEvent};
+pub(crate) use event::Event;
 pub use metrics::{ServeMetrics, ServeReport, TenantReport};
 pub use partition::{placement_universe, Partitioner, RateEstimator, RecutRecord, Slice};
 pub use resilience::{
@@ -141,19 +151,6 @@ pub struct ServeOptions {
     pub graph_dispatch: bool,
 }
 
-impl ServeOptions {
-    /// The configured hardware as a [`Device`] *value* with the solo
-    /// identity (id 0). Single-device paths hold exactly one of these;
-    /// the fleet stamps out one per member with distinct ids. Having
-    /// every executor reach hardware through a `Device` value (rather
-    /// than ambient `device`/`timing` fields) is what lets N of them
-    /// coexist in one event loop.
-    #[must_use]
-    pub fn device_value(&self) -> Device {
-        Device::solo(self.device.clone(), self.timing.clone())
-    }
-}
-
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
@@ -222,9 +219,9 @@ pub struct JobResult {
 }
 
 /// The exact compile configuration one job compiles under on a slice of
-/// `slice_sms` SMs at queue `pressure` with fault policy `policy`. Both
-/// serving paths — the eager [`Server::submit`] and the event engine's
-/// compile tasks — build their options here, so a given
+/// `slice_sms` SMs at queue `pressure` with fault policy `policy`. Every
+/// path that compiles — the event engine's compile tasks, the fleet,
+/// the warm sweep, the eager oracle — builds its options here, so a given
 /// `(job, slice, pressure, policy)` is content-addressed identically by
 /// the cache no matter which path compiles it. The policy is explicit
 /// (rather than read off the job's QoS class) because the resilience
@@ -257,10 +254,10 @@ pub(crate) fn pipeline_options_for(
 /// compiled program needs, places it at `base_sm` on the shared device,
 /// and executes under the artifact's own run options (fault plan,
 /// retry, checkpoint) with the caller's commit interval and optional
-/// retry-budget override layered on top. Shared by both serving paths so
-/// per-job results are byte-identical by construction; the eager server
-/// always passes `(1, None)`, the event engine passes the resilience
-/// controller's choices.
+/// retry-budget override layered on top. Shared by the device core and
+/// the fleet so per-job results are byte-identical by construction; the
+/// core passes its controller's choices (`(1, None)` when disabled, as
+/// in the eager oracle), the fleet its fixed commit interval.
 ///
 /// Serving shares one device across tenants, so an artifact is refused
 /// here unless it carries a tenant-isolation certificate
@@ -303,64 +300,24 @@ pub(crate) fn run_artifact(
     )
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct TenantState {
-    pub(crate) metrics: ServeMetrics,
-    pub(crate) busy_until: f64,
-    /// Finish times of admitted jobs, pruned at each arrival.
-    pub(crate) inflight: Vec<f64>,
-    pub(crate) qos: Option<QosClass>,
-}
-
-/// The multi-tenant serving runtime.
+/// The eager differential oracle: the same device core the event engine
+/// holds, driven one job at a time with every compile paid inline. Not a
+/// serving path — `tests/serve_engine.rs` replays traces through both and
+/// requires byte-identical per-job results.
 pub struct Server {
-    opts: ServeOptions,
-    /// The one device this server owns, as a value.
-    device: Device,
-    cache: CompilationCache,
-    partitioner: Partitioner,
-    admission: AdmissionController,
-    tenants: BTreeMap<String, TenantState>,
-    now: f64,
-    first_arrival: Option<f64>,
-    last_finish: f64,
-    /// Artifacts dispatched, and the subset carrying a verified
-    /// isolation certificate. `run_artifact` refuses uncertified
-    /// dispatches, so a healthy run keeps these equal.
-    artifacts: u64,
-    certified: u64,
+    core: device_core::DeviceCore,
 }
 
 impl Server {
-    /// A fresh server over `opts.device`.
+    /// A fresh oracle over `opts.device`. It never adapts: the online
+    /// controller is forced off, so every job runs at commit interval 1
+    /// under its own QoS policy with the artifact's own retry budget.
     #[must_use]
-    pub fn new(opts: ServeOptions) -> Server {
-        let device = opts.device_value();
-        let cache = CompilationCache::new(opts.cache.clone());
-        let partitioner = Partitioner::new(device.config.num_sms, opts.rate_alpha);
-        let admission = AdmissionController::new(opts.max_queue);
+    pub fn new(mut opts: ServeOptions) -> Server {
+        opts.resilience.enabled = false;
         Server {
-            opts,
-            device,
-            cache,
-            partitioner,
-            admission,
-            tenants: BTreeMap::new(),
-            now: 0.0,
-            first_arrival: None,
-            last_finish: 0.0,
-            artifacts: 0,
-            certified: 0,
+            core: device_core::DeviceCore::new(opts),
         }
-    }
-
-    /// Pre-compiles `graphs` into this server's cache at every
-    /// plausible slice width for up to `max_tenants` tenants, under
-    /// both fault policies. Warmed entries are key-identical to the
-    /// serving path's lookups; the cache's hit/miss statistics are
-    /// reset afterwards so the serving run reports its own hit rate.
-    pub fn warm(&mut self, graphs: &[FlatGraph], max_tenants: usize) -> warm::WarmReport {
-        warm::warm_cache(&mut self.cache, &self.opts, graphs, max_tenants)
     }
 
     /// Submits a job arriving at virtual time `arrival_secs` (arrivals
@@ -373,139 +330,28 @@ impl Server {
     /// Compilation or execution errors, and [`crate::Error::Api`] when
     /// the tenant population would exceed one tenant per SM.
     pub fn submit(&mut self, job: &Job, arrival_secs: f64) -> Result<Verdict> {
-        let now = arrival_secs.max(self.now);
-        self.now = now;
-        self.first_arrival.get_or_insert(now);
-        self.partitioner.observe(&job.tenant, now)?;
-        let slice = self
-            .partitioner
-            .slice(&job.tenant)
-            .expect("observed tenant has a slice");
-
-        let state = self.tenants.entry(job.tenant.clone()).or_default();
-        state.qos = Some(job.qos);
-        state.inflight.retain(|&f| f > now);
-        let pressure = match self.admission.decide_event(&state.inflight, now) {
-            Decision::Reject { retry_after_secs } => {
-                state.metrics.jobs_rejected += 1;
-                return Ok(Verdict::Rejected { retry_after_secs });
-            }
-            Decision::Admit(p) => p,
+        let now = self.core.arrive(arrival_secs);
+        self.core.partitioner.observe(&job.tenant, now)?;
+        let (slice, pressure) = match self.core.admit(&job.tenant, job.qos, now) {
+            Ok(admitted) => admitted,
+            Err(rejected) => return Ok(rejected),
         };
-
-        let popts = pipeline_options_for(&self.opts, slice.num_sms, pressure, job.qos.policy());
-        let (artifact, cache_hit) = self.cache.get_or_compile(&job.graph, &popts)?;
-        self.artifacts += 1;
-        if artifact.isolation.is_some() {
-            self.certified += 1;
-        }
-        let run = run_artifact(&artifact, job, &self.device.config, slice.base_sm, 1, None)?;
-
-        let compile_cost = if cache_hit {
-            0.0
-        } else {
-            self.opts.compile_penalty_secs
-        };
-        let state = self
-            .tenants
-            .get_mut(&job.tenant)
-            .expect("tenant state exists");
-        let start = now.max(state.busy_until);
-        let finish = start + compile_cost + run.time_secs;
-        state.busy_until = finish;
-        state.inflight.push(finish);
-        self.last_finish = self.last_finish.max(finish);
-
-        let m = &mut state.metrics;
-        m.jobs_accepted += 1;
-        m.tokens_out += run.outputs.len() as u64;
-        m.busy_secs += compile_cost + run.time_secs;
-        m.launches += run.launches;
-        m.retries += run.retries;
-        m.cycles += run.stats.cycles.round() as u64;
-        m.fault_overhead_cycles += run.stats.fault_overhead_cycles.round() as u64;
-        m.launch_path_cycles += run.stats.launch_path_cycles.round() as u64;
-        m.graph_replays += run.stats.graph_replays;
-        m.graph_captures += run.stats.graph_captures;
-        m.graph_capture_cycles += run.stats.graph_capture_cycles.round() as u64;
-        m.latencies.push(finish - now);
-        m.queue_waits.push(start - now);
-        if cache_hit {
-            m.compile_hits += 1;
-        } else {
-            m.compile_misses += 1;
-            m.search_invocations += artifact.report.search_invocations();
-        }
-
-        Ok(Verdict::Completed(Box::new(JobResult {
-            outputs: run.outputs,
-            arrival_secs: now,
-            start_secs: start,
-            finish_secs: finish,
-            latency_secs: finish - now,
-            exec_secs: run.time_secs,
-            cache_hit,
-            shipped: artifact.report.shipped,
-            slice,
-            retries: run.retries,
-        })))
+        let popts =
+            pipeline_options_for(&self.core.opts, slice.num_sms, pressure, job.qos.policy());
+        let (artifact, cache_hit) = self.core.cache.get_or_compile(&job.graph, &popts)?;
+        let settled = self.core.settle(job, &artifact, cache_hit, slice, now)?;
+        Ok(Verdict::Completed(Box::new(settled.result)))
     }
 
     /// Compilation-cache counters.
     #[must_use]
     pub fn cache_stats(&self) -> &CacheStats {
-        self.cache.stats()
-    }
-
-    /// The tenant's current SM slice.
-    #[must_use]
-    pub fn slice(&self, tenant: &str) -> Option<Slice> {
-        self.partitioner.slice(tenant)
+        self.core.cache.stats()
     }
 
     /// Snapshots the serving run into a serializable report.
     #[must_use]
     pub fn report(&self) -> ServeReport {
-        let makespan = (self.last_finish - self.first_arrival.unwrap_or(0.0)).max(0.0);
-        let tenants = self
-            .tenants
-            .iter()
-            .map(|(name, state)| {
-                let slice = self.partitioner.slice(name).unwrap_or(Slice {
-                    base_sm: 0,
-                    num_sms: 0,
-                });
-                let policy = state.qos.map_or(FaultPolicy::Throughput, QosClass::policy);
-                TenantReport::of(
-                    name,
-                    &state.metrics,
-                    slice,
-                    makespan,
-                    policy,
-                    self.opts.retry_warn_threshold,
-                )
-            })
-            .collect();
-        ServeReport {
-            makespan_secs: makespan,
-            cache: self.cache.stats().clone(),
-            cache_hit_rate: self.cache.stats().hit_rate(),
-            rebalances: self.partitioner.rebalances,
-            policy_switches: 0,
-            artifacts: self.artifacts,
-            certified: self.certified,
-            compile_overlap_secs: self
-                .tenants
-                .values()
-                .map(|s| s.metrics.compile_overlap_secs)
-                .sum(),
-            launch_path_cycles: self
-                .tenants
-                .values()
-                .map(|s| s.metrics.launch_path_cycles)
-                .sum(),
-            graph_replays: self.tenants.values().map(|s| s.metrics.graph_replays).sum(),
-            tenants,
-        }
+        self.core.report(&BTreeMap::new())
     }
 }

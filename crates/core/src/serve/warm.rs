@@ -28,7 +28,8 @@ use streamir::graph::FlatGraph;
 use serde::Serialize;
 
 use super::{pipeline_options_for, CompilationCache, Pressure, ServeOptions};
-use crate::pipeline::FaultPolicy;
+use crate::pipeline::{FaultPolicy, PipelineOptions};
+use crate::Result;
 
 /// What a warming sweep did, per [`warm_cache`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -61,18 +62,22 @@ impl WarmReport {
     }
 }
 
-/// Pre-compiles `graphs` at every plausible slice width for a server
-/// expecting up to `max_tenants` concurrent tenants, under both fault
-/// policies, into `cache`. See the module docs for key-identity and
-/// statistics semantics.
-pub fn warm_cache(
-    cache: &mut CompilationCache,
+/// The one warming sweep: visits graphs × plausible slice widths for up
+/// to `max_tenants` tenants × both [`FaultPolicy`]s, handing `visit` the
+/// exact [`PipelineOptions`] the serving path will later address
+/// ([`pipeline_options_for`] at [`Pressure::Nominal`]), and tallies what
+/// it reports — like [`CompilationCache::get_or_compile`], `Ok(true)`
+/// for a point already present, `Ok(false)` for one compiled now, and
+/// an error (counted, not fatal) for one that failed. [`warm_cache`]
+/// visits a [`CompilationCache`]; [`crate::fleet::FleetEngine::warm`]
+/// visits the replicated store.
+pub(crate) fn sweep(
     opts: &ServeOptions,
     graphs: &[FlatGraph],
     max_tenants: usize,
+    mut visit: impl FnMut(&FlatGraph, PipelineOptions) -> Result<bool>,
 ) -> WarmReport {
     let widths = super::partition::plausible_widths(opts.device.num_sms, max_tenants);
-    let evictions_before = cache.stats().evictions;
     let mut report = WarmReport {
         widths: widths.clone(),
         compiled: 0,
@@ -84,14 +89,31 @@ pub fn warm_cache(
         for &width in &widths {
             for policy in [FaultPolicy::Throughput, FaultPolicy::TailLatency] {
                 let popts = pipeline_options_for(opts, width, Pressure::Nominal, policy);
-                match cache.get_or_compile(graph, &popts) {
-                    Ok((_, true)) => report.already_cached += 1,
-                    Ok((_, false)) => report.compiled += 1,
+                match visit(graph, popts) {
+                    Ok(true) => report.already_cached += 1,
+                    Ok(false) => report.compiled += 1,
                     Err(_) => report.failed += 1,
                 }
             }
         }
     }
+    report
+}
+
+/// Pre-compiles `graphs` at every plausible slice width for a server
+/// expecting up to `max_tenants` concurrent tenants, under both fault
+/// policies, into `cache`. See the module docs for key-identity and
+/// statistics semantics.
+pub fn warm_cache(
+    cache: &mut CompilationCache,
+    opts: &ServeOptions,
+    graphs: &[FlatGraph],
+    max_tenants: usize,
+) -> WarmReport {
+    let evictions_before = cache.stats().evictions;
+    let mut report = sweep(opts, graphs, max_tenants, |graph, popts| {
+        cache.get_or_compile(graph, &popts).map(|(_, hit)| hit)
+    });
     report.evictions = cache.stats().evictions - evictions_before;
     cache.reset_stats();
     report

@@ -32,9 +32,11 @@
 
 use streamir::ir::Scalar;
 use swpipe::serve::{
-    BrownoutSpec, ChaosStorm, ControllerDecision, EventEngine, Job, QosClass, ResilienceOptions,
+    BrownoutSpec, ChaosStorm, ControllerDecision, EventEngine, Job, ResilienceOptions,
     ServeOptions, ServeReport, TraceEvent, Verdict,
 };
+
+use crate::{suite_trace, write_json};
 
 /// One soak configuration: which storm, how much trace, which knobs.
 #[derive(Debug, Clone)]
@@ -153,41 +155,11 @@ pub fn storm_for(cfg: &SoakConfig) -> ChaosStorm {
         .unwrap_or_else(|| panic!("unknown storm profile {:?}", cfg.profile))
 }
 
-/// The deterministic arrival trace: every benchmark as its own tenant,
-/// `rounds` round-robin rounds, stable per-tenant QoS.
-#[must_use]
-pub fn build_trace(rounds: usize, iterations: u64) -> Vec<(Job, f64)> {
-    let suite = streambench::suite();
-    let mut trace = Vec::new();
-    let mut now = 0.0;
-    for _ in 0..rounds {
-        for (i, b) in suite.iter().enumerate() {
-            trace.push((
-                Job {
-                    tenant: b.name.to_string(),
-                    graph: b.spec.flatten().expect("benchmark flattens"),
-                    input: b.input,
-                    iterations,
-                    qos: if i % 2 == 0 {
-                        QosClass::Batch
-                    } else {
-                        QosClass::Interactive
-                    },
-                },
-                now,
-            ));
-            now += 0.05;
-        }
-        now += 1.0;
-    }
-    trace
-}
-
-/// The trace a soak config serves: [`build_trace`] over the config's
+/// The trace a soak config serves: [`suite_trace`] over the config's
 /// rounds, truncated to the config's job cap when one is set.
 #[must_use]
 pub fn trace_for(cfg: &SoakConfig) -> Vec<(Job, f64)> {
-    let mut trace = build_trace(cfg.rounds, cfg.iterations);
+    let mut trace = suite_trace(cfg.rounds, cfg.iterations);
     if let Some(cap) = cfg.jobs {
         trace.truncate(cap);
     }
@@ -470,8 +442,7 @@ pub fn main() {
         launch_path_cycles: run.report.launch_path_cycles,
         decisions: run.decisions,
     };
-    let json = serde_json::to_string_pretty(&summary);
-    std::fs::write("CHAOS_soak.json", json).expect("write CHAOS_soak.json");
+    write_json(&summary, "CHAOS_soak.json");
     println!("wrote CHAOS_soak.json");
 }
 
@@ -511,7 +482,7 @@ mod tests {
         let uncapped = SoakConfig::default();
         assert_eq!(
             trace_for(&uncapped).len(),
-            build_trace(uncapped.rounds, uncapped.iterations).len()
+            suite_trace(uncapped.rounds, uncapped.iterations).len()
         );
     }
 

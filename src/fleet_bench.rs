@@ -21,7 +21,9 @@ use swpipe::fleet::{
     FleetEngine, FleetOptions, FleetReport, FleetStorm, FleetVerdict, HedgeOptions, RackBrownout,
     RouterDecision,
 };
-use swpipe::serve::{Job, QosClass, ServeOptions};
+use swpipe::serve::{Job, ServeOptions};
+
+use crate::{check_committed, suite_trace, write_json};
 
 /// Arrival rounds of the full benchmark (each round submits all eight
 /// benchmarks once).
@@ -43,37 +45,6 @@ pub const FULL_SEED: u64 = 0xF1EE_700B;
 /// steady window to capture — the chaos run dispatches steady states
 /// as graph replays, and a device kill must be able to land mid-replay.
 pub const CHAOS_ITERATIONS: u64 = 48;
-
-/// The deterministic arrival trace: `rounds` round-robin rounds over
-/// the benchmark suite, 50 ms apart within a round, 1 s between rounds,
-/// QoS alternating across the suite so both fault policies serve.
-#[must_use]
-pub fn fleet_trace(rounds: usize, iterations: u64) -> Vec<(Job, f64)> {
-    let suite = streambench::suite();
-    let mut trace = Vec::new();
-    let mut now = 0.0;
-    for _round in 0..rounds {
-        for (i, b) in suite.iter().enumerate() {
-            trace.push((
-                Job {
-                    tenant: b.name.to_string(),
-                    graph: b.spec.flatten().expect("benchmark flattens"),
-                    input: b.input,
-                    iterations,
-                    qos: if i % 2 == 0 {
-                        QosClass::Batch
-                    } else {
-                        QosClass::Interactive
-                    },
-                },
-                now,
-            ));
-            now += 0.05;
-        }
-        now += 1.0;
-    }
-    trace
-}
 
 /// The per-device serving configuration all three runs share. No
 /// launch-grain fault plan: device-grain faults are the fleet's own
@@ -205,7 +176,7 @@ pub struct FleetBenchReport {
 /// to beat the solo disk-tier hit rate, or when the storm loses a job.
 #[must_use]
 pub fn run_bench(rounds: usize, iterations: u64, devices: u32, seed: u64) -> FleetBenchReport {
-    let trace = fleet_trace(rounds, iterations);
+    let trace = suite_trace(rounds, iterations);
 
     let (solo, _, _) = run_fleet(solo_options(), &trace);
     let (fleet, _, _) = run_fleet(fleet_options(devices), &trace);
@@ -269,87 +240,6 @@ pub struct FleetChaosArtifact {
     pub decisions: Vec<RouterDecision>,
 }
 
-/// Compares the committed `BENCH_fleet.json` against a fresh
-/// three-configuration run — the fleet counterpart of
-/// `serve_bench --check`. Drift is **schema drift** (recursive key
-/// structure differs) or **headline-counter drift**: job accounting,
-/// artifact-store hits/misses, failovers, and scheduler
-/// `search_invocations` are all deterministic in virtual time, so they
-/// must reproduce exactly per configuration.
-///
-/// # Errors
-///
-/// Returns every drift found, one human-readable line each.
-pub fn check_drift(fresh: &FleetBenchReport, committed: &str) -> Result<(), Vec<String>> {
-    use crate::serve_bench::{lookup, schema_paths};
-    let fresh_v =
-        serde_json::from_str(&serde_json::to_string(fresh)).expect("fresh report renders as JSON");
-    let committed_v = match serde_json::from_str(committed) {
-        Ok(v) => v,
-        Err(e) => return Err(vec![format!("committed artifact is not valid JSON: {e}")]),
-    };
-    let mut drifts = Vec::new();
-
-    let mut want = Vec::new();
-    schema_paths(&fresh_v, "", &mut want);
-    let mut have = Vec::new();
-    schema_paths(&committed_v, "", &mut have);
-    want.sort();
-    want.dedup();
-    have.sort();
-    have.dedup();
-    for p in want.iter().filter(|p| !have.contains(p)) {
-        drifts.push(format!("schema: committed file is missing key {p}"));
-    }
-    for p in have.iter().filter(|p| !want.contains(p)) {
-        drifts.push(format!("schema: committed file has stale key {p}"));
-    }
-
-    for config in ["solo", "fleet", "storm"] {
-        for counter in [
-            "jobs_submitted",
-            "jobs_completed",
-            "jobs_rejected",
-            "jobs_lost",
-            "failovers",
-            "artifacts",
-            "certified",
-            "search_invocations",
-            "store.lookups",
-            "store.local_hits",
-            "store.remote_hits",
-            "store.misses",
-        ] {
-            let path = format!("{config}.{counter}");
-            let f = lookup(&fresh_v, &path).and_then(serde_json::Value::as_f64);
-            let c = lookup(&committed_v, &path).and_then(serde_json::Value::as_f64);
-            match (f, c) {
-                (Some(f), Some(c)) if (f - c).abs() > 1e-9 * (1.0 + f.abs()) => {
-                    drifts.push(format!("counter {path}: committed {c} != fresh {f}"));
-                }
-                (Some(f), None) => drifts.push(format!("counter {path}: missing (fresh has {f})")),
-                _ => {}
-            }
-        }
-    }
-
-    if drifts.is_empty() {
-        Ok(())
-    } else {
-        Err(drifts)
-    }
-}
-
-/// Serializes any report to `path` as pretty JSON.
-///
-/// # Panics
-///
-/// Panics when the file cannot be written.
-pub fn write_json<T: Serialize>(value: &T, path: &str) {
-    let json = serde_json::to_string_pretty(value);
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-}
-
 fn print_report(name: &str, r: &FleetReport) {
     println!(
         "{name:>6}: {} dev ({} alive)  {} done / {} rejected / {} lost  \
@@ -374,10 +264,10 @@ fn print_report(name: &str, r: &FleetReport) {
 /// Entry point for the `fleet_bench` binary.
 ///
 /// Flags: `--chaos` (write `FLEET_chaos.json` with the decision log),
-/// `--check <path>` (exit non-zero if the committed artifact at `path`
-/// has drifted from a fresh run — the CI gate mirroring
-/// `serve_bench --check`), `--seed N`, `--devices N`, `--rounds N`,
-/// `--iterations N`.
+/// `--check <path>` (exit non-zero unless the committed artifact at
+/// `path` is byte-identical to a fresh run — the CI gate mirroring
+/// `serve_bench --check`, see [`crate::check_drift`]), `--seed N`,
+/// `--devices N`, `--rounds N`, `--iterations N`.
 ///
 /// # Panics
 ///
@@ -408,20 +298,8 @@ pub fn main() {
     }
 
     if let Some(path) = check {
-        let committed =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
         let fresh = run_bench(rounds, iterations, devices, seed);
-        match check_drift(&fresh, &committed) {
-            Ok(()) => println!("{path}: no drift against a fresh run"),
-            Err(drifts) => {
-                eprintln!("{path} has drifted from a fresh run:");
-                for d in &drifts {
-                    eprintln!("  - {d}");
-                }
-                eprintln!("regenerate with: cargo run --release --bin fleet_bench");
-                std::process::exit(1);
-            }
-        }
+        check_committed(&fresh, &path, "cargo run --release --bin fleet_bench");
         return;
     }
 
@@ -434,7 +312,7 @@ pub fn main() {
         } else {
             iterations
         };
-        let trace = fleet_trace(rounds, iters);
+        let trace = suite_trace(rounds, iters);
         // The same storm host-launched: the launch-overhead baseline
         // and the byte-identity reference for the graph-dispatched run.
         let (host, _, host_verdicts) = run_fleet(storm_options(devices, seed), &trace);
@@ -508,10 +386,10 @@ mod tests {
     use super::*;
 
     /// A cheap report for drift-gate tests: one tiny solo run stands in
-    /// for all three configurations (the gate compares JSON trees; it
-    /// does not care that the configurations coincide).
+    /// for all three configurations (the gate compares rendered JSON;
+    /// it does not care that the configurations coincide).
     fn tiny_report() -> FleetBenchReport {
-        let trace = fleet_trace(1, 1);
+        let trace = suite_trace(1, 1);
         let (solo, _, _) = run_fleet(solo_options(), &trace);
         FleetBenchReport {
             rounds: 1,
@@ -526,24 +404,31 @@ mod tests {
 
     #[test]
     fn drift_check_accepts_a_faithful_artifact_and_catches_drift() {
+        use crate::check_drift;
         let report = tiny_report();
         let json = serde_json::to_string_pretty(&report);
         assert_eq!(check_drift(&report, &json), Ok(()));
 
         let renamed = json.replacen("\"search_invocations\"", "\"search_invocs\"", 1);
-        let drifts = check_drift(&report, &renamed).unwrap_err();
+        let drift = check_drift(&report, &renamed).unwrap_err();
         assert!(
-            drifts.iter().any(|d| d.contains("schema")),
-            "renamed key must read as schema drift: {drifts:?}"
+            drift.contains("search_invocs"),
+            "renamed key must be shown on the differing line: {drift}"
         );
 
         let mut stale = report.clone();
         stale.fleet.jobs_completed += 1;
-        let drifts = check_drift(&stale, &json).unwrap_err();
+        let drift = check_drift(&stale, &json).unwrap_err();
         assert!(
-            drifts.iter().any(|d| d.contains("fleet.jobs_completed")),
-            "stale counter must be flagged: {drifts:?}"
+            drift.contains("jobs_completed"),
+            "stale counter must be flagged: {drift}"
         );
+
+        // Overhead buckets are gated like the job counters.
+        let mut burned = report.clone();
+        burned.storm.hedge_cycles += 1;
+        let drift = check_drift(&burned, &json).unwrap_err();
+        assert!(drift.contains("hedge_cycles"), "{drift}");
 
         assert!(check_drift(&report, "{not json").is_err());
     }

@@ -16,6 +16,9 @@
 //!   over random traces × device counts ∈ {2, 4, 8};
 //! * **Replication dividend** — the cross-device artifact store's hit
 //!   rate beats a solo device's disk tier on the same trace.
+//! * **Solo is a fleet of one** — a 1-device, replication-1, hedge-off
+//!   fleet serves the suite trace bit-identically to the solo
+//!   `EventEngine`.
 
 use proptest::prelude::*;
 use streamir::graph::{FilterSpec, FlatGraph, StreamSpec};
@@ -24,7 +27,7 @@ use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
 use gpusim::{DeviceFaultPlan, DeviceId};
 use stream_gpu::fleet_bench;
 use swpipe::fleet::{FleetEngine, FleetOptions, FleetStorm, FleetVerdict, HedgeOptions, Router};
-use swpipe::serve::{Job, QosClass, ServeOptions};
+use swpipe::serve::{EventEngine, Job, QosClass, ServeOptions, Verdict};
 
 fn map_filter(name: &str, k: i32) -> StreamSpec {
     let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
@@ -86,13 +89,59 @@ fn outputs_of(v: &FleetVerdict) -> &[Scalar] {
     }
 }
 
+/// "Solo is a fleet of one": routing, replication and hedging are
+/// no-ops at N = 1, so the fleet loop must reproduce the solo event
+/// engine bit for bit — per-job outputs and virtual instants, the
+/// makespan, and the miss count. The invariant a later merge of the two
+/// event loops leans on.
+#[test]
+fn one_device_fleet_serves_bit_identically_to_the_solo_engine() {
+    let trace = stream_gpu::suite_trace(2, 2);
+
+    let mut solo = EventEngine::new(fleet_bench::base_serve_options());
+    let solo_verdicts = solo.serve_trace(&trace).expect("solo trace serves");
+    let solo_report = solo.report();
+
+    let (fleet_report, _, fleet_verdicts) =
+        fleet_bench::run_fleet(fleet_bench::solo_options(), &trace);
+
+    assert_eq!(solo_verdicts.len(), fleet_verdicts.len());
+    for (i, (s, f)) in solo_verdicts.iter().zip(&fleet_verdicts).enumerate() {
+        match (s, f) {
+            (Verdict::Completed(s), FleetVerdict::Completed(f)) => {
+                assert_eq!(s.outputs, f.outputs, "job {i}: outputs diverge");
+                assert_eq!(
+                    s.finish_secs.to_bits(),
+                    f.finish_secs.to_bits(),
+                    "job {i}: finish {} vs {}",
+                    s.finish_secs,
+                    f.finish_secs
+                );
+                assert_eq!(
+                    s.latency_secs.to_bits(),
+                    f.latency_secs.to_bits(),
+                    "job {i}: latency {} vs {}",
+                    s.latency_secs,
+                    f.latency_secs
+                );
+            }
+            _ => panic!("job {i}: completion pattern diverged between solo and 1-device fleet"),
+        }
+    }
+    assert_eq!(
+        solo_report.makespan_secs.to_bits(),
+        fleet_report.makespan_secs.to_bits()
+    );
+    assert_eq!(solo_report.cache.misses, fleet_report.store.misses);
+}
+
 /// ISSUE 7 acceptance: for the full benchmark suite, a mid-run device
 /// loss completes every job with per-job outputs byte-identical to a
 /// fault-free single-device reference, the failover overhead billed
 /// into the disjoint `failover_cycles` component.
 #[test]
 fn device_loss_failover_matches_fault_free_reference_on_the_suite() {
-    let trace = fleet_bench::fleet_trace(1, 4);
+    let trace = stream_gpu::suite_trace(1, 4);
 
     // Fault-free single-device reference.
     let (_, _, reference) = fleet_bench::run_fleet(no_hedge(fleet_bench::solo_options()), &trace);

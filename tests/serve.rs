@@ -210,7 +210,7 @@ fn serve_bench_report_is_produced_and_parses() {
     // never overwrite it.
     let path = std::env::temp_dir().join("stream_gpu_test_BENCH_serve.json");
     let path = path.to_str().unwrap();
-    stream_gpu::serve_bench::write_report(&report, path);
+    stream_gpu::write_json(&report, path);
     let text = std::fs::read_to_string(path).unwrap();
     let v = serde_json::from_str(&text).expect("BENCH_serve.json parses");
 
