@@ -176,19 +176,31 @@ fn profile_one(
     timing: &TimingModel,
 ) -> Result<Option<f64>> {
     let work = &graph.node(node).work;
-    // A reduced-memory device is plenty for one instance's buffers and
-    // keeps per-point setup cheap.
+    let firings = if work.is_stateful() { 1 } else { threads };
+    let in_tokens = |port: u8| {
+        let (pop, peek) = (work.pop_rate(port), work.peek_rate(port));
+        (firings * pop + (peek - pop)).max(1)
+    };
+    let out_tokens = |port: u8| (firings * work.push_rate(port)).max(1);
+    let state_words = work.states().len().max(1) as u32;
+
+    // The device holds exactly this instance's buffers (a fresh `Gpu`
+    // zeroes its whole memory, once per grid point): every allocation
+    // rounded up to the allocator's alignment.
     let mut config = device.clone();
-    config.device_mem_words = 4 * 1024 * 1024;
+    let align = config.transaction_words().max(1);
+    config.device_mem_words = (0..work.input_ports().len() as u8)
+        .map(in_tokens)
+        .chain((0..work.output_ports().len() as u8).map(out_tokens))
+        .chain(work.is_stateful().then_some(state_words))
+        .map(|words| words.next_multiple_of(align))
+        .sum();
     let mut gpu = Gpu::with_timing(config, timing.clone());
 
-    let firings = if work.is_stateful() { 1 } else { threads };
     let mut inputs = Vec::new();
     for port in 0..work.input_ports().len() as u8 {
         let pop = work.pop_rate(port);
-        let peek = work.peek_rate(port);
-        let tokens = firings * pop + (peek - pop);
-        let tokens = tokens.max(1);
+        let tokens = in_tokens(port);
         let base = gpu.try_alloc_tokens(tokens)?;
         let ty = work.input_ports()[port as usize];
         let binding = BufferBinding {
@@ -210,7 +222,7 @@ fn profile_one(
     let mut outputs = Vec::new();
     for port in 0..work.output_ports().len() as u8 {
         let push = work.push_rate(port);
-        let tokens = (firings * push).max(1);
+        let tokens = out_tokens(port);
         let base = gpu.try_alloc_tokens(tokens)?;
         outputs.push(BufferBinding {
             base_word: base,
@@ -226,7 +238,7 @@ fn profile_one(
     // Stateful filters execute single-threaded with device-resident state.
     let active = if work.is_stateful() { 1 } else { threads };
     let state_base = if work.is_stateful() {
-        let base = gpu.try_alloc_tokens(work.states().len().max(1) as u32)?;
+        let base = gpu.try_alloc_tokens(state_words)?;
         for (i, st) in work.states().iter().enumerate() {
             gpu.memory_mut().write_token(base + i as u32, st.init);
         }
@@ -246,7 +258,7 @@ fn profile_one(
                 outputs,
                 shared_staging: staging,
                 state_base,
-                label: Some(format!("profile:{}", graph.node(node).name)),
+                label: None,
             }],
         }],
         sm_offset: 0,

@@ -1,11 +1,13 @@
 //! Kernel launches and the top-level [`Gpu`] handle.
 
+use std::collections::HashMap;
+
 use streamir::ir::WorkFunction;
 
 use crate::config::DeviceConfig;
-use crate::exec::{run_warp, ExecLimits, TripKind, WarpCtx, REG_ARRAY_WORDS};
+use crate::exec::{run_warp, ExecLimits, Program, TripKind, WarpCtx, WarpState};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::layout::BufferBinding;
+use crate::layout::{BufferBinding, WARP_LANES};
 use crate::mem::{Allocator, DeviceMemory};
 use crate::stats::{InstanceStats, LaunchStats};
 use crate::timing::TimingModel;
@@ -295,11 +297,18 @@ impl Gpu {
             ..LaunchStats::default()
         };
         let mut total_transactions = 0u64;
+        // Each work function is decoded once per launch; the launch's
+        // borrows keep the addresses the cache keys on distinct and alive.
+        let mut programs: HashMap<*const WorkFunction, Program> = HashMap::new();
+        let mut warp_state = WarpState::default();
 
         for (b, block) in launch.blocks.iter().enumerate() {
             let sm = (b + launch.sm_offset as usize) % self.config.num_sms as usize;
             for inst in &block.items {
-                let stats = self.run_instance(launch, inst, &mut limits)?;
+                let prog = programs
+                    .entry(std::ptr::from_ref(inst.work))
+                    .or_insert_with(|| Program::decode(inst.work));
+                let stats = self.run_instance(launch, inst, prog, &mut warp_state, &mut limits)?;
                 per_sm[sm] += self.timing.instance_cycles(&stats);
                 total_transactions += stats.mem_transactions + stats.spill_transactions;
                 totals.warp_instructions += stats.warp_instructions;
@@ -352,6 +361,12 @@ impl Gpu {
 
     fn validate(&self, launch: &Launch<'_>) -> Result<()> {
         let cfg = &self.config;
+        if cfg.warp_size as usize > WARP_LANES {
+            return Err(SimError::LaunchConfig(format!(
+                "warp size {} exceeds the {WARP_LANES} lanes the simulator models",
+                cfg.warp_size
+            )));
+        }
         if launch.threads_per_block == 0 || launch.threads_per_block > cfg.max_threads_per_block {
             return Err(SimError::LaunchConfig(format!(
                 "threads per block {} outside 1..={}",
@@ -415,6 +430,8 @@ impl Gpu {
         &mut self,
         launch: &Launch<'_>,
         inst: &InstanceExec<'_>,
+        prog: &Program,
+        warp_state: &mut WarpState,
         limits: &mut ExecLimits,
     ) -> Result<InstanceStats> {
         let warp = self.config.warp_size;
@@ -428,7 +445,7 @@ impl Gpu {
             let lane0 = w * warp;
             let active = warp.min(inst.active_threads - lane0);
             let ctx = WarpCtx {
-                wf: inst.work,
+                prog,
                 lane0_tid: lane0,
                 active,
                 inputs: &inst.inputs,
@@ -436,10 +453,9 @@ impl Gpu {
                 shared_staging: inst.shared_staging,
                 half_warp: self.config.warp_size / 2,
                 txn_words: u64::from(self.config.transaction_words()),
-                reg_array_words: REG_ARRAY_WORDS,
                 state_base: inst.state_base,
             };
-            run_warp(&ctx, &mut self.memory, &mut stats, limits)?;
+            run_warp(&ctx, warp_state, &mut self.memory, &mut stats, limits)?;
         }
 
         if inst.shared_staging {

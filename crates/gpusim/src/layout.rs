@@ -72,6 +72,40 @@ impl Layout {
     }
 }
 
+/// Lanes of a warp on every modeled device; active-lane masks are `u32`.
+pub const WARP_LANES: usize = 32;
+
+/// The `(lane, address)` pairs of one warp-wide access, lanes ascending:
+/// what [`crate::count_transactions`] and [`crate::bank_conflict_degree`]
+/// classify. Lives on the stack; derefs to the pair slice.
+#[derive(Debug, Clone, Copy)]
+pub struct WarpAddrs {
+    pairs: [(u32, u64); WARP_LANES],
+    len: usize,
+}
+
+impl WarpAddrs {
+    pub(crate) fn new() -> WarpAddrs {
+        WarpAddrs {
+            pairs: [(0, 0); WARP_LANES],
+            len: 0,
+        }
+    }
+
+    pub(crate) fn push(&mut self, lane: u32, addr: u64) {
+        self.pairs[self.len] = (lane, addr);
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for WarpAddrs {
+    type Target = [(u32, u64)];
+
+    fn deref(&self) -> &[(u32, u64)] {
+        &self.pairs[..self.len]
+    }
+}
+
 /// Binds one work-function port to a device buffer for an instance
 /// execution.
 ///
@@ -136,6 +170,121 @@ impl BufferBinding {
             self.region_tokens,
         );
         u64::from(self.base_word) + region * self.region_tokens + offset
+    }
+
+    /// The `(lane, address)` pairs of one warp-wide access in which every
+    /// lane of `mask` touches the same token ordinal `n` of its own
+    /// firing: `(l, self.addr(lane0_tid + l, n))` for each set bit `l`.
+    ///
+    /// This is the bulk form of [`BufferBinding::addr`], which stays the
+    /// definition: the divisions are done once for the lowest lane and
+    /// region, firing and offset are then carried across consecutive
+    /// lanes with additions and compares only.
+    #[must_use]
+    pub fn warp_addrs(&self, lane0_tid: u32, n: u64, mask: u32) -> WarpAddrs {
+        let mut out = WarpAddrs::new();
+        if mask == 0 {
+            return out;
+        }
+        // Every lane from the lowest set bit to the highest, then drop
+        // the masked-off ones in between (there are none unless the warp
+        // has diverged).
+        let lo = mask.trailing_zeros();
+        out.len = (32 - mask.leading_zeros() - lo) as usize;
+        self.fill_addrs(lo, lane0_tid + lo, n, &mut out.pairs[..out.len]);
+        if mask.count_ones() as usize != out.len {
+            let mut kept = 0;
+            for i in 0..out.len {
+                let pair = out.pairs[i];
+                if mask & (1 << pair.0) != 0 {
+                    out.pairs[kept] = pair;
+                    kept += 1;
+                }
+            }
+            out.len = kept;
+        }
+        out
+    }
+
+    /// `out[i] = (lane + i, self.addr(tid + i, n))`.
+    fn fill_addrs(&self, lane: u32, tid: u32, n: u64, out: &mut [(u32, u64)]) {
+        let rate = u64::from(self.endpoint_rate);
+        let rt = self.region_tokens;
+        let out = out.iter_mut().zip(lane..);
+        if rate >= rt {
+            // A lane step would cross more than one region boundary;
+            // no geometry the planner emits does, so keep it simple.
+            for (pair, l) in out {
+                *pair = (l, self.addr(tid + (l - lane), n));
+            }
+            return;
+        }
+        let base = u64::from(self.base_word);
+        let regions = u64::from(self.regions);
+        let j = self.abs_start + u64::from(tid) * rate + n;
+        let mut region_base = base + (j / rt) % regions * rt;
+        let mut idx = j % rt;
+        let end = base + regions * rt;
+        match self.layout {
+            Layout::Sequential => {
+                for (pair, l) in out {
+                    *pair = (l, region_base + idx);
+                    idx += rate;
+                    if idx >= rt {
+                        idx -= rt;
+                        region_base += rt;
+                        if region_base == end {
+                            region_base = base;
+                        }
+                    }
+                }
+            }
+            Layout::Transposed { group } => {
+                // `Layout::slot`'s coordinates, stepped instead of
+                // re-derived: `firing = chunk·g + in_chunk`, `k` the
+                // token's position inside its firing, and per chunk its
+                // first slot and how many firings wide it is.
+                let g = u64::from(group);
+                let o = u64::from(self.consumer_rate.max(1));
+                let f_full = rt / o;
+                let (step_firings, step_k) = (rate / o, rate % o);
+                let geometry =
+                    |chunk: u64| (chunk * g * o, g.min(f_full.saturating_sub(chunk * g)));
+                let (mut firing, mut k) = (idx / o, idx % o);
+                let (mut chunk, mut in_chunk) = (firing / g, firing % g);
+                let (mut chunk_base, mut width) = geometry(chunk);
+                for (pair, l) in out {
+                    let slot = if firing >= f_full {
+                        idx
+                    } else {
+                        chunk_base + k * width + in_chunk
+                    };
+                    *pair = (l, region_base + slot);
+                    idx += rate;
+                    if idx >= rt {
+                        idx -= rt;
+                        region_base += rt;
+                        if region_base == end {
+                            region_base = base;
+                        }
+                        (firing, k) = (idx / o, idx % o);
+                        (chunk, in_chunk) = (firing / g, firing % g);
+                        (chunk_base, width) = geometry(chunk);
+                        continue;
+                    }
+                    k += step_k;
+                    let carry = u64::from(k >= o);
+                    k -= carry * o;
+                    firing += step_firings + carry;
+                    in_chunk += step_firings + carry;
+                    while in_chunk >= g {
+                        in_chunk -= g;
+                        chunk += 1;
+                        (chunk_base, width) = geometry(chunk);
+                    }
+                }
+            }
+        }
     }
 
     /// Total words the buffer occupies (`regions × region_tokens`).
@@ -342,6 +491,55 @@ mod tests {
                     (base..base + words).contains(&a),
                     "lane {lane} token {n}: addr {a} outside span"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn warp_addrs_equal_per_lane_addr() {
+        // Every way the stepped coordinates can go wrong: chunk and
+        // region boundaries inside a warp, partial tails, producer and
+        // consumer disagreeing on the rate, a lane step longer than a
+        // region, and sparse masks.
+        let layouts = [
+            Layout::Sequential,
+            Layout::Transposed { group: 4 },
+            Layout::Transposed { group: 128 },
+        ];
+        for layout in layouts {
+            for (region_tokens, consumer_rate, endpoint_rate) in [
+                (384u64, 3u32, 3u32), // whole firings, rates agree
+                (100, 3, 3),          // partial tail
+                (130, 7, 2),          // producer rate != consumer rate
+                (96, 2, 5),
+                (64, 1, 0),  // a port only ever peeked
+                (10, 3, 24), // one lane step spans regions
+            ] {
+                for regions in [1u32, 3] {
+                    for abs_start in [0u64, 17, 3 * region_tokens + 5] {
+                        let b = BufferBinding {
+                            base_word: 4096,
+                            region_tokens,
+                            regions,
+                            layout,
+                            consumer_rate,
+                            endpoint_rate,
+                            abs_start,
+                        };
+                        for lane0 in [0u32, 32, 96] {
+                            for n in [0u64, 1, 5, 40] {
+                                for mask in [u32::MAX, 0x0000_ffff, 0x7fff_ffff, 1, 0xaaaa_0000] {
+                                    let got = b.warp_addrs(lane0, n, mask);
+                                    let want: Vec<_> = (0..32)
+                                        .filter(|l| mask & (1 << l) != 0)
+                                        .map(|l| (l, b.addr(lane0 + l, n)))
+                                        .collect();
+                                    assert_eq!(&got[..], &want[..], "{b:?} lane0={lane0} n={n}");
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -84,7 +84,7 @@ pub use config::{Device, DeviceConfig, DeviceId};
 pub use exec::{REG_ARRAY_WORDS, SHARED_BANKS};
 pub use fault::{DeviceFaultEvent, DeviceFaultKind, DeviceFaultPlan, FaultKind, FaultPlan};
 pub use launch::{BlockWork, Dispatch, Gpu, InstanceExec, Launch};
-pub use layout::{BufferBinding, Layout};
+pub use layout::{BufferBinding, Layout, WarpAddrs, WARP_LANES};
 pub use mem::{bank_conflict_degree, count_transactions, Allocator, DeviceMemory};
 pub use stats::{InstanceStats, LaunchStats};
 pub use timing::{CheckpointMode, TimingModel};

@@ -2,6 +2,7 @@
 
 use streamir::ir::{ElemTy, Scalar};
 
+use crate::layout::WARP_LANES;
 use crate::{Result, SimError};
 
 /// The simulated global device memory: a flat array of 32-bit words.
@@ -145,37 +146,32 @@ impl Allocator {
 /// serializes into one transaction per active thread.
 ///
 /// `addrs` holds the word address for each *active* lane as
-/// `(lane, addr)`.
+/// `(lane, addr)`, lanes ascending.
 #[must_use]
 pub fn count_transactions(addrs: &[(u32, u64)], half_warp: u32, transaction_words: u64) -> u64 {
-    if addrs.is_empty() {
-        return 0;
-    }
     let mut total = 0u64;
-    let mut i = 0usize;
-    while i < addrs.len() {
-        // Slice out one half-warp by lane index.
-        let hw = addrs[i].0 / half_warp;
-        let mut j = i;
-        while j < addrs.len() && addrs[j].0 / half_warp == hw {
-            j += 1;
-        }
-        let group = &addrs[i..j];
-        total += half_warp_transactions(group, half_warp, transaction_words);
-        i = j;
+    let mut rest = addrs;
+    while let Some(&(lane, _)) = rest.first() {
+        // Slice out one half-warp by lane index: one division per group,
+        // not one per lane.
+        let first_lane = lane / half_warp * half_warp;
+        let in_group = |&&(l, _): &&(u32, u64)| l.wrapping_sub(first_lane) < half_warp;
+        let (group, tail) = rest.split_at(rest.iter().take_while(in_group).count());
+        total += half_warp_transactions(group, first_lane, transaction_words);
+        rest = tail;
     }
     total
 }
 
-fn half_warp_transactions(group: &[(u32, u64)], half_warp: u32, transaction_words: u64) -> u64 {
+fn half_warp_transactions(group: &[(u32, u64)], first_lane: u32, transaction_words: u64) -> u64 {
     // Coalesced iff every active lane N accesses segment_base + (N % hw)
     // with segment_base aligned to the transaction size.
     let (lane0, addr0) = group[0];
-    let base = addr0.wrapping_sub(u64::from(lane0 % half_warp));
+    let base = addr0.wrapping_sub(u64::from(lane0 - first_lane));
     let aligned = base % transaction_words == 0;
     let in_pattern = group
         .iter()
-        .all(|&(lane, addr)| addr == base + u64::from(lane % half_warp));
+        .all(|&(lane, addr)| addr == base + u64::from(lane - first_lane));
     if aligned && in_pattern {
         1
     } else {
@@ -186,16 +182,19 @@ fn half_warp_transactions(group: &[(u32, u64)], half_warp: u32, transaction_word
 /// Counts extra serialization cycles from shared-memory bank conflicts for
 /// one warp-wide access: accesses proceed in as many passes as the most
 /// contended of the 16 banks, so the overhead is `passes - 1`.
+///
+/// # Panics
+///
+/// Panics if `banks` exceeds [`WARP_LANES`]: the tally lives on the
+/// stack, and no modeled device has more banks than lanes.
 #[must_use]
 pub fn bank_conflict_degree(addrs: &[(u32, u64)], banks: u64) -> u64 {
-    if addrs.is_empty() {
-        return 0;
-    }
-    let mut counts = vec![0u64; banks as usize];
+    let mut counts = [0u64; WARP_LANES];
+    let counts = &mut counts[..banks as usize];
     for &(_, addr) in addrs {
         counts[(addr % banks) as usize] += 1;
     }
-    counts.into_iter().max().unwrap_or(1).saturating_sub(1)
+    counts.iter().max().map_or(0, |&m| m.saturating_sub(1))
 }
 
 #[cfg(test)]

@@ -367,3 +367,169 @@ proptest! {
         }
     }
 }
+
+/// The simulator against both of its independent oracles at once, on the
+/// eight suite graphs and on seeded random ones, under every scheme:
+/// the output stream is the CPU interpreter's, and the memory counters
+/// are the static verifier's prediction.
+#[test]
+fn every_scheme_matches_the_cpu_and_the_verifier_on_suite_and_random_graphs() {
+    use swpipe::learn::dataset::random_sources;
+    use swpipe::verify::{self, StaticCounters};
+
+    let mut sources = stream_gpu::learn_gen::suite_sources();
+    sources.extend(random_sources(6, 0x5eed));
+    let iters = 4u64;
+    for s in &sources {
+        let name = &s.name;
+        let c = exec::compile(&s.graph, &CompileOptions::small_test())
+            .unwrap_or_else(|e| panic!("{name}: compile: {e}"));
+        let n_input = exec::required_input(&c, iters);
+        let steady = streamir::sdf::solve(&s.graph).expect("solves");
+        let per = steady.input_tokens_per_iteration(&s.graph).max(1);
+        let input = (s.input)((n_input + 2 * per + 64) as usize);
+        let cpu_iters = n_input
+            .saturating_sub(steady.input_tokens_for_init(&s.graph))
+            .div_ceil(per)
+            + 1;
+        let cpu = cpu::run(
+            &s.graph,
+            &steady,
+            cpu_iters,
+            &input,
+            &CpuCostModel::default(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: cpu: {e}"));
+        for scheme in [
+            Scheme::Swp { coarsening: 1 },
+            Scheme::SwpNc { coarsening: 1 },
+            Scheme::SwpRaw { coarsening: 1 },
+            Scheme::Serial { batch: 1 },
+        ] {
+            let run = exec::execute(&c, scheme, iters, &input[..n_input as usize])
+                .unwrap_or_else(|e| panic!("{name}/{scheme:?}: execute: {e}"));
+            assert!(!run.outputs.is_empty(), "{name}/{scheme:?}: no output");
+            assert_eq!(
+                run.outputs[..],
+                cpu.outputs[..run.outputs.len()],
+                "{name}/{scheme:?}: outputs differ from the CPU interpreter's"
+            );
+            let predicted = verify::predict(&c, scheme, iters)
+                .unwrap_or_else(|e| panic!("{name}/{scheme:?}: predict: {e}"));
+            assert!(predicted.exact, "{name}/{scheme:?}: prediction not exact");
+            assert_eq!(
+                predicted.counters,
+                StaticCounters::of_stats(&run.stats),
+                "{name}/{scheme:?}: counters differ from the verifier's prediction"
+            );
+        }
+    }
+}
+
+/// Fault semantics as known answers, captured from the lane-by-lane
+/// evaluator this simulator core replaced: where an injected memory
+/// corruption is detected, what an injected hang reports, and exactly
+/// which words each aborted launch had already written. The kernel peeks,
+/// pops and pushes through a transposed input over five full warps and a
+/// half one, so both trips land mid-launch.
+#[test]
+fn fault_trip_sites_and_partial_writes_are_pinned() {
+    use gpusim::{
+        BlockWork, BufferBinding, DeviceConfig, FaultKind, FaultPlan, Gpu, InstanceExec, Launch,
+        Layout, SimError,
+    };
+    use swpipe::hash::Fnv;
+
+    let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+    let acc = f.local(ElemTy::I32);
+    let x = f.local(ElemTy::I32);
+    f.assign(acc, Expr::i32(0));
+    f.for_loop(0, 4, |_, j| {
+        vec![Stmt::Assign(
+            acc,
+            Expr::local(acc)
+                .mul(Expr::i32(5))
+                .add(Expr::peek(0, Expr::local(j))),
+        )]
+    });
+    f.for_loop(0, 2, |_, _| {
+        vec![
+            Stmt::Pop {
+                port: 0,
+                dst: Some(x),
+            },
+            Stmt::Assign(acc, Expr::local(acc).bitxor(Expr::local(x))),
+        ]
+    });
+    f.push(0, Expr::local(acc));
+    f.push(0, Expr::local(acc).add(Expr::local(x)));
+    let wf = f.build().expect("valid");
+
+    let threads = 176u32;
+    let (in_tokens, out_tokens) = (threads * 2 + 2, threads * 2);
+    let layout = Layout::Transposed { group: 128 };
+    let mut gpu = Gpu::new(DeviceConfig::small_test());
+    let inp = gpu.alloc_tokens(in_tokens);
+    let out = gpu.alloc_tokens(out_tokens);
+    for i in 0..in_tokens {
+        let slot = layout.slot(u64::from(i), 2, u64::from(in_tokens)) as u32;
+        gpu.memory_mut()
+            .write_token(inp + slot, Scalar::I32(i as i32 * 37 - 1000));
+    }
+    gpu.inject_faults(
+        FaultPlan::new(0x5eed)
+            .at_launch(0, FaultKind::MemCorruption)
+            .at_launch(1, FaultKind::Hang),
+    );
+    let launch = Launch {
+        threads_per_block: threads,
+        regs_per_thread: 32,
+        blocks: vec![BlockWork {
+            items: vec![InstanceExec {
+                work: &wf,
+                active_threads: threads,
+                inputs: vec![BufferBinding::whole(inp, in_tokens, ElemTy::I32, layout, 2)],
+                outputs: vec![BufferBinding::whole(
+                    out,
+                    out_tokens,
+                    ElemTy::I32,
+                    Layout::Sequential,
+                    2,
+                )],
+                shared_staging: false,
+                state_base: None,
+                label: None,
+            }],
+        }],
+        sm_offset: 0,
+    };
+    // (non-zero words, FNV-1a of the whole output buffer)
+    let image = |gpu: &Gpu| {
+        let mut h = Fnv::new();
+        let mut written = 0;
+        for i in 0..out_tokens {
+            let w = gpu.memory().read(u64::from(out + i)).expect("in range");
+            h.write(&w.to_le_bytes());
+            written += u32::from(w != 0);
+        }
+        (written, h.finish())
+    };
+
+    let budget = gpu.watchdog_budget();
+    assert_eq!(budget, 812_500_000);
+    assert_eq!(
+        gpu.run(&launch).unwrap_err(),
+        SimError::MemFault {
+            addr: 430,
+            launch: 0
+        }
+    );
+    assert_eq!(image(&gpu), (32, 13273767069423559650));
+    assert_eq!(
+        gpu.run(&launch).unwrap_err(),
+        SimError::WatchdogTimeout { budget, launch: 1 }
+    );
+    assert_eq!(image(&gpu), (256, 15447679417037834595));
+    gpu.run(&launch).expect("the third attempt is fault-free");
+    assert_eq!(image(&gpu), (352, 12709742269725053885));
+}
