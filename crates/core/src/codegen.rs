@@ -8,7 +8,7 @@
 
 use gpusim::{BufferBinding, Gpu, Layout};
 use streamir::channel::Fifo;
-use streamir::graph::{FlatGraph, NodeId};
+use streamir::graph::{EdgeId, FlatGraph, NodeId};
 use streamir::ir::interp::{self, Channels};
 use streamir::ir::{OpCensus, Scalar};
 
@@ -491,24 +491,34 @@ pub fn run_init_on_cpu(
         .iter()
         .map(|node| node.work.initial_state())
         .collect();
-    let in_edges: Vec<Vec<_>> = (0..n).map(|i| graph.in_edges(NodeId(i as u32))).collect();
+    // Port wiring is resolved once per node, not once per basic firing.
+    let wiring: Vec<_> = (0..n as u32)
+        .map(|v| {
+            (
+                graph.input_wiring(NodeId(v)),
+                graph.output_wiring(NodeId(v)),
+            )
+        })
+        .collect();
 
     let mut progress = true;
     while progress {
         progress = false;
         for v in 0..n {
-            while remaining[v] > 0 && fireable(graph, v, &in_edges[v], &fifos) {
+            let (in_ports, out_ports) = &wiring[v];
+            while remaining[v] > 0 && fireable(graph, in_ports, &fifos) {
                 remaining[v] -= 1;
-                fire_basic(
-                    graph,
-                    NodeId(v as u32),
-                    &mut fifos,
+                let mut ch = InitChannels {
+                    in_ports,
+                    out_ports,
+                    fifos: &mut fifos,
                     input,
-                    &mut cursor,
-                    &mut init_out,
-                    &mut node_states[v],
-                    &mut counts,
-                )?;
+                    cursor: &mut cursor,
+                    outputs: &mut init_out,
+                };
+                let work = &graph.node(NodeId(v as u32)).work;
+                interp::execute_stateful(work, &mut ch, &mut node_states[v], &mut counts)
+                    .map_err(Error::Stream)?;
                 progress = true;
             }
         }
@@ -527,26 +537,18 @@ pub fn run_init_on_cpu(
     Ok((leftover, init_out, cursor, node_states))
 }
 
-fn fireable(
-    graph: &FlatGraph,
-    _v: usize,
-    in_edges: &[streamir::graph::EdgeId],
-    fifos: &[Fifo],
-) -> bool {
-    in_edges
+fn fireable(graph: &FlatGraph, in_ports: &[Option<EdgeId>], fifos: &[Fifo]) -> bool {
+    in_ports
         .iter()
+        .flatten()
         .all(|&e| fifos[e.0 as usize].len() as u64 >= u64::from(graph.peek_rate(e)))
 }
 
-#[derive(Clone, Copy)]
-enum Binding {
-    Edge(usize),
-    External,
-}
-
+/// The init phase's view of a node's ports: `None` is the graph's
+/// external input (output) stream.
 struct InitChannels<'a> {
-    in_ports: Vec<Binding>,
-    out_ports: Vec<Binding>,
+    in_ports: &'a [Option<EdgeId>],
+    out_ports: &'a [Option<EdgeId>],
     fifos: &'a mut [Fifo],
     input: &'a [Scalar],
     cursor: &'a mut usize,
@@ -556,8 +558,8 @@ struct InitChannels<'a> {
 impl Channels for InitChannels<'_> {
     fn pop(&mut self, port: u8) -> Scalar {
         match self.in_ports[port as usize] {
-            Binding::Edge(i) => self.fifos[i].pop().expect("firing rule"),
-            Binding::External => {
+            Some(e) => self.fifos[e.0 as usize].pop().expect("firing rule"),
+            None => {
                 let v = self.input[*self.cursor];
                 *self.cursor += 1;
                 v
@@ -566,45 +568,14 @@ impl Channels for InitChannels<'_> {
     }
     fn peek(&self, port: u8, depth: u32) -> Scalar {
         match self.in_ports[port as usize] {
-            Binding::Edge(i) => self.fifos[i].peek(depth).expect("firing rule"),
-            Binding::External => self.input[*self.cursor + depth as usize],
+            Some(e) => self.fifos[e.0 as usize].peek(depth).expect("firing rule"),
+            None => self.input[*self.cursor + depth as usize],
         }
     }
     fn push(&mut self, port: u8, value: Scalar) {
         match self.out_ports[port as usize] {
-            Binding::Edge(i) => self.fifos[i].push(value),
-            Binding::External => self.outputs.push(value),
+            Some(e) => self.fifos[e.0 as usize].push(value),
+            None => self.outputs.push(value),
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fire_basic(
-    graph: &FlatGraph,
-    node: NodeId,
-    fifos: &mut [Fifo],
-    input: &[Scalar],
-    cursor: &mut usize,
-    outputs: &mut Vec<Scalar>,
-    state: &mut Vec<Scalar>,
-    counts: &mut OpCensus,
-) -> Result<()> {
-    let work = &graph.node(node).work;
-    let mut in_ports = vec![Binding::External; work.input_ports().len()];
-    for e in graph.in_edges(node) {
-        in_ports[graph.edge(e).dst_port as usize] = Binding::Edge(e.0 as usize);
-    }
-    let mut out_ports = vec![Binding::External; work.output_ports().len()];
-    for e in graph.out_edges(node) {
-        out_ports[graph.edge(e).src_port as usize] = Binding::Edge(e.0 as usize);
-    }
-    let mut ch = InitChannels {
-        in_ports,
-        out_ports,
-        fifos,
-        input,
-        cursor,
-        outputs,
-    };
-    interp::execute_stateful(work, &mut ch, state, counts).map_err(Error::Stream)
 }

@@ -14,16 +14,16 @@
 //!   buffers constrained to a single batch in flight.
 
 use gpusim::{
-    BlockWork, CheckpointMode, DeviceConfig, Dispatch, FaultPlan, Gpu, InstanceExec, Launch,
-    LaunchStats, TimingModel,
+    BlockWork, CheckpointMode, DeviceConfig, Dispatch, FaultPlan, Gpu, InstanceExec, Kernel,
+    Launch, LaunchStats, TimingModel,
 };
-use streamir::graph::{FlatGraph, NodeId};
+use streamir::graph::{EdgeId, FlatGraph, NodeId};
 use streamir::ir::Scalar;
 
-use crate::codegen::{self, ProgramBuffers};
+use crate::codegen::{self, CapturedGraph, ProgramBuffers};
 use crate::config::{self, Selection};
 use crate::instances::{self, ExecConfig, InstanceGraph};
-use crate::plan::{self, LayoutKind};
+use crate::plan::{self, BufferPlan, LayoutKind};
 use crate::profile::{self, staging_fits, ProfileOptions};
 use crate::schedule::{self, Schedule, SearchOptions, SearchReport};
 use crate::{Error, Result};
@@ -353,7 +353,7 @@ pub fn required_input(c: &Compiled, iterations: u64) -> u64 {
 /// * [`Error::Stream`] for insufficient input.
 /// * [`Error::Sim`] for device faults.
 pub fn execute(c: &Compiled, scheme: Scheme, iterations: u64, input: &[Scalar]) -> Result<GpuRun> {
-    execute_inner(c, scheme, iterations, input, false, &RunOptions::default())
+    execute_with(c, scheme, iterations, input, &RunOptions::default())
 }
 
 /// [`execute`] with explicit [`RunOptions`]: install a fault plan on the
@@ -361,6 +361,10 @@ pub fn execute(c: &Compiled, scheme: Scheme, iterations: u64, input: &[Scalar]) 
 /// (more consecutive transient faults on one launch than
 /// [`RetryPolicy::max_attempts`]) the transient error propagates as
 /// [`Error::Sim`].
+///
+/// Prepares `c` for `scheme` and runs it once; to run one artifact many
+/// times, [`crate::pipeline::ResilientCompiled::execute`] keeps the
+/// prepared form.
 ///
 /// # Errors
 ///
@@ -372,7 +376,7 @@ pub fn execute_with(
     input: &[Scalar],
     opts: &RunOptions,
 ) -> Result<GpuRun> {
-    execute_inner(c, scheme, iterations, input, false, opts)
+    Prepared::new(c, scheme)?.run(c, iterations, input, false, opts)
 }
 
 /// The (iteration granule, buffer layout) shape of a scheme. Shared by
@@ -387,169 +391,372 @@ pub(crate) fn scheme_shape(scheme: Scheme) -> (u32, LayoutKind) {
     }
 }
 
-fn execute_inner(
-    c: &Compiled,
+/// What every instance of one node launches with.
+#[derive(Debug)]
+struct NodeLaunch {
+    kernel: Kernel,
+    threads: u32,
+    /// The channel behind each input (output) port; `None` is the
+    /// graph's external stream.
+    inputs: Vec<Option<EdgeId>>,
+    outputs: Vec<Option<EdgeId>>,
+    /// Stage the working set through shared memory: the scheme stages and
+    /// the window fits at `threads`.
+    staging: bool,
+    /// `name[k]` of each steady instance `k`.
+    labels: Vec<String>,
+}
+
+/// How a scheme's launch ordinals enumerate instances.
+#[derive(Debug)]
+enum Walk {
+    /// Ordinal `r` is software-pipelined kernel iteration `r`: per-SM
+    /// instance lists ordered by offset, ties by instance id (the paper:
+    /// "ties are broken arbitrarily"), gated by the staging predicate.
+    /// `capture` is the steady window's captured graph.
+    Swp {
+        order: Vec<Vec<usize>>,
+        capture: CapturedGraph,
+    },
+    /// Ordinals enumerate `(batch, node)` pairs in issue order, nodes in
+    /// topological order: one kernel per filter per batch.
+    Serial { topo: Vec<NodeId> },
+}
+
+/// Everything about running one artifact under one scheme that is a pure
+/// function of the artifact: loaded kernels, the port wiring and staging
+/// decision of every node, the launch enumeration, the captured steady
+/// graph and the canonical buffer plan. Built once
+/// ([`crate::pipeline::ResilientCompiled`] keeps it), then every run — and
+/// the static verifier, which must enumerate the very launches the
+/// executor issues — reads it; what a run still derives is what depends on
+/// the job (device memory, the init phase over its input, fault draws).
+///
+/// Always pass the [`Compiled`] it was prepared from.
+#[derive(Debug)]
+pub(crate) struct Prepared {
     scheme: Scheme,
-    iterations: u64,
-    input: &[Scalar],
-    scaled: bool,
-    opts: &RunOptions,
-) -> Result<GpuRun> {
-    let (granule, kind) = scheme_shape(scheme);
-    if iterations == 0 || !iterations.is_multiple_of(u64::from(granule)) {
-        return Err(Error::Api(format!(
-            "iterations ({iterations}) must be a positive multiple of the \
-             coarsening/batch factor ({granule})"
-        )));
-    }
-    if granule > 1
-        && !matches!(scheme, Scheme::Serial { .. })
-        && instances::requires_serial_iterations(&c.graph)
-    {
-        return Err(Error::Api(
-            "stateful filters and feedback loops cannot be coarsened: \
-             sub-firing interleaving would break their cross-iteration \
-             serial order (run with coarsening 1)"
-                .into(),
-        ));
-    }
-    let sched = match scheme {
-        Scheme::Serial { .. } => None,
-        _ => Some(&c.schedule),
-    };
-    // k-launch checkpointing only matters (and is only billed) under an
-    // armed fault plan; scaled measurement extrapolates merged steady
-    // launches, so it always commits per launch over canonical buffers.
-    let interval = if opts.fault_plan.is_some() && !scaled {
-        opts.checkpoint_interval.max(1)
-    } else {
-        1
-    };
-    // The adaptive watchdog has the same gate: fault-free runs must be
-    // byte- and cycle-identical across all settings, and scaled
-    // measurement merges steady launches into outsized composites the
-    // tightened budget would wrongly kill.
-    let watchdog_margin = if opts.fault_plan.is_some() && !scaled {
-        u64::from(opts.watchdog_margin.unwrap_or(0))
-    } else {
-        0
-    };
-    let plan = plan::plan_with_replay_slack(&c.graph, &c.ig, sched, granule, kind, interval - 1);
+    nodes: Vec<NodeLaunch>,
+    walk: Walk,
+    plan: BufferPlan,
+}
 
-    // In scaled mode only a bounded window of launches is simulated, so
-    // buffers (and the required input) cover just that window; addresses
-    // of far-future iterations wrap harmlessly (their data is not used).
-    let alloc_iters = if scaled {
-        iterations.min((c.schedule.max_stage() + 4) * u64::from(granule))
-    } else {
-        iterations
-    };
-    let (exec_device, sm_offset) = match &opts.placement {
-        Some(p) => {
-            if p.base_sm + c.device.num_sms > p.device.num_sms {
-                return Err(Error::Api(format!(
-                    "SM slice [{}, {}) does not fit the {}-SM execution device",
-                    p.base_sm,
-                    p.base_sm + c.device.num_sms,
-                    p.device.num_sms
-                )));
+impl Prepared {
+    pub(crate) fn new(c: &Compiled, scheme: Scheme) -> Result<Prepared> {
+        let (granule, kind) = scheme_shape(scheme);
+        let staged = !matches!(scheme, Scheme::SwpRaw { .. });
+        let nodes = (c.graph.nodes().iter().enumerate())
+            .map(|(v, node)| {
+                let threads = c.exec_cfg.threads[v];
+                NodeLaunch {
+                    kernel: Kernel::load(&node.work),
+                    threads,
+                    inputs: c.graph.input_wiring(NodeId(v as u32)),
+                    outputs: c.graph.output_wiring(NodeId(v as u32)),
+                    staging: staged && staging_fits(&node.work, threads, &c.device),
+                    labels: (0..c.ig.reps[v])
+                        .map(|k| format!("{}[{k}]", node.name))
+                        .collect(),
+                }
+            })
+            .collect();
+        let (walk, sched) = match scheme {
+            Scheme::Serial { .. } => (
+                Walk::Serial {
+                    topo: c.graph.topo_order()?,
+                },
+                None,
+            ),
+            _ => {
+                let sched = &c.schedule;
+                let mut order = vec![Vec::new(); c.device.num_sms as usize];
+                let mut idx: Vec<usize> = (0..c.ig.len()).collect();
+                idx.sort_by_key(|&i| (sched.offset[i], i));
+                for i in idx {
+                    order[sched.sm_of[i] as usize].push(i);
+                }
+                let capture = codegen::capture_graph(&c.ig, sched, granule);
+                (Walk::Swp { order, capture }, Some(sched))
             }
-            (p.device.clone(), p.base_sm)
-        }
-        None => (c.device.clone(), 0),
-    };
-    let mut gpu = Gpu::with_timing(exec_device, c.timing.clone());
-    if let Some(fault_plan) = &opts.fault_plan {
-        gpu.inject_faults(fault_plan.clone());
-    }
-    let buffers = codegen::allocate(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, &plan, alloc_iters)?;
-    check_input_len(c, &buffers, input)?;
-    let init_out = buffers.seed_init_state(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, input)?;
-    if buffers.input.is_some() {
-        buffers.write_input(&mut gpu, input);
+        };
+        Ok(Prepared {
+            scheme,
+            nodes,
+            walk,
+            plan: plan::plan(&c.graph, &c.ig, sched, granule, kind),
+        })
     }
 
-    let ckpt_plan = plan::checkpoint_plan(&c.graph, &c.timing, opts.fault_plan.as_ref());
-    let mode = match opts.checkpoint {
-        CheckpointSpec::Auto => ckpt_plan.mode,
-        CheckpointSpec::Force(m) => m,
-    };
-    let mut ckpt = Checkpointer::new(&mut gpu, c, &buffers, mode, opts.fault_plan.is_some())?;
+    pub(crate) fn scheme(&self) -> Scheme {
+        self.scheme
+    }
 
-    let mut totals = LaunchStats::default();
-    let mut launches = 0u64;
-    let mut retries = 0u64;
-    let mut trace = Vec::new();
-    match scheme {
-        Scheme::Swp { .. } | Scheme::SwpNc { .. } | Scheme::SwpRaw { .. } => {
-            // Both optimized and no-coalesce schemes stage fitting working
-            // sets through shared memory (the raw ablation variant does
-            // not); the layouts differ for everything that does not fit.
-            let staged = !matches!(scheme, Scheme::SwpRaw { .. });
-            run_swp(
-                c,
-                &buffers,
-                granule,
-                iterations,
-                staged,
-                scaled,
-                sm_offset,
-                opts.graph_dispatch,
-                &mut gpu,
-                &mut totals,
-                &mut launches,
-                opts.retry,
-                &mut retries,
-                &mut ckpt,
-                interval,
-                watchdog_margin,
-                &mut trace,
-            )?;
-        }
-        Scheme::Serial { .. } => {
-            run_serial(
-                c,
-                &buffers,
-                granule,
-                iterations,
-                scaled,
-                sm_offset,
-                &mut gpu,
-                &mut totals,
-                &mut launches,
-                opts.retry,
-                &mut retries,
-                &mut ckpt,
-                interval,
-                watchdog_margin,
-                &mut trace,
-            )?;
+    /// The canonical (no replay slack) buffer plan.
+    pub(crate) fn plan(&self) -> &BufferPlan {
+        &self.plan
+    }
+
+    /// Each node's loaded kernel, in node order — the values launched
+    /// instances point at.
+    pub(crate) fn kernels(&self) -> impl Iterator<Item = &Kernel> {
+        self.nodes.iter().map(|n| &n.kernel)
+    }
+
+    /// Launches an `iterations`-long run issues: fill, steady and drain
+    /// kernel iterations, or one kernel per node per batch.
+    pub(crate) fn launch_count(&self, c: &Compiled, iterations: u64) -> u64 {
+        let rounds = iterations / u64::from(scheme_shape(self.scheme).0);
+        match &self.walk {
+            Walk::Swp { .. } => rounds + c.schedule.max_stage(),
+            Walk::Serial { topo } => rounds * topo.len() as u64,
         }
     }
 
-    // The simulated-retry counter is exact even in scaled mode (where
-    // merged steady-window stats are extrapolated, not re-simulated).
-    totals.retries = retries;
-    // Fault billing must account: the disjoint overhead components sum
-    // to the fault overhead, which never exceeds the wall cycles.
-    totals.assert_billing();
+    /// Visits the instances of launch `ordinal` of an `iterations`-long
+    /// run as `(block, node, instance)`, each block's in execution order.
+    /// The executor and the static verifier both enumerate launches
+    /// through here, so they cannot disagree on what a launch contains.
+    pub(crate) fn for_each_instance<'p>(
+        &'p self,
+        c: &Compiled,
+        buffers: &ProgramBuffers,
+        ordinal: u64,
+        iterations: u64,
+        mut visit: impl FnMut(usize, NodeId, InstanceExec<'p>),
+    ) {
+        let granule = u64::from(scheme_shape(self.scheme).0);
+        match &self.walk {
+            Walk::Swp { order, .. } => {
+                let kernel_iters = iterations / granule;
+                for (sm, items) in order.iter().enumerate() {
+                    for &i in items {
+                        let f = c.schedule.stage[i];
+                        if ordinal < f || ordinal - f >= kernel_iters {
+                            continue; // staging predicate: filling or draining
+                        }
+                        let (v, k) = c.ig.list[i];
+                        for sub in 0..granule {
+                            let b = (ordinal - f) * granule + sub;
+                            visit(sm, v, self.instance(c, buffers, v, k, b));
+                        }
+                    }
+                }
+            }
+            // Every instance of the node over one batch, round-robin over
+            // the SMs.
+            Walk::Serial { topo } => {
+                let node = topo[(ordinal % topo.len() as u64) as usize];
+                let batch_no = ordinal / topo.len() as u64;
+                let num_sms = c.device.num_sms as usize;
+                let mut slot = 0usize;
+                for sub in 0..granule {
+                    let b = batch_no * granule + sub;
+                    for k in 0..c.ig.reps[node.0 as usize] {
+                        visit(slot % num_sms, node, self.instance(c, buffers, node, k, b));
+                        slot += 1;
+                    }
+                }
+            }
+        }
+    }
 
-    let outputs = if scaled {
-        Vec::new()
-    } else {
-        collect_output(c, &buffers, &gpu, iterations, init_out)
-    };
-    Ok(GpuRun {
-        outputs,
-        time_secs: totals.time_secs,
-        launches,
-        retries,
-        buffer_bytes: plan.total_bytes(),
-        checkpoint_mode: mode,
-        checkpoint_interval: interval,
-        launch_cycles: if scaled { Vec::new() } else { trace },
-        stats: totals,
-    })
+    /// Instance `k` of `node` at basic iteration `b`: the node's prepared
+    /// launch shape with every port bound at that iteration.
+    fn instance<'p>(
+        &'p self,
+        c: &Compiled,
+        buffers: &ProgramBuffers,
+        node: NodeId,
+        k: u32,
+        b: u64,
+    ) -> InstanceExec<'p> {
+        let n = &self.nodes[node.0 as usize];
+        let input = |port: &Option<EdgeId>| match port {
+            Some(e) => buffers.consumer_binding(&c.ig, e.0 as usize, b, k),
+            None => buffers.input_binding(b, k),
+        };
+        let output = |port: &Option<EdgeId>| match port {
+            Some(e) => buffers.producer_binding(&c.ig, e.0 as usize, b, k),
+            None => buffers.output_binding(b, k),
+        };
+        InstanceExec {
+            kernel: &n.kernel,
+            active_threads: n.threads,
+            inputs: n.inputs.iter().map(input).collect(),
+            outputs: n.outputs.iter().map(output).collect(),
+            shared_staging: n.staging,
+            state_base: buffers.state_base[node.0 as usize],
+            label: Some(&n.labels[k as usize]),
+        }
+    }
+
+    fn launch<'p>(
+        &'p self,
+        c: &Compiled,
+        buffers: &ProgramBuffers,
+        ordinal: u64,
+        iterations: u64,
+        sm_offset: u32,
+    ) -> Launch<'p> {
+        let mut blocks = vec![BlockWork::default(); c.device.num_sms as usize];
+        self.for_each_instance(c, buffers, ordinal, iterations, |block, _, inst| {
+            blocks[block].items.push(inst);
+        });
+        let threads_per_block = match &self.walk {
+            Walk::Swp { .. } => c.exec_cfg.threads_per_block,
+            Walk::Serial { topo } => {
+                c.exec_cfg.threads[topo[(ordinal % topo.len() as u64) as usize].0 as usize]
+            }
+        };
+        Launch {
+            threads_per_block,
+            regs_per_thread: c.exec_cfg.regs_per_thread,
+            blocks,
+            sm_offset,
+        }
+    }
+
+    /// Executes `iterations` basic steady iterations of `c` (`scaled`:
+    /// measure instead, see [`measure`]).
+    pub(crate) fn run(
+        &self,
+        c: &Compiled,
+        iterations: u64,
+        input: &[Scalar],
+        scaled: bool,
+        opts: &RunOptions,
+    ) -> Result<GpuRun> {
+        let (granule, kind) = scheme_shape(self.scheme);
+        let serial = matches!(self.walk, Walk::Serial { .. });
+        if iterations == 0 || !iterations.is_multiple_of(u64::from(granule)) {
+            return Err(Error::Api(format!(
+                "iterations ({iterations}) must be a positive multiple of the \
+                 coarsening/batch factor ({granule})"
+            )));
+        }
+        if granule > 1 && !serial && instances::requires_serial_iterations(&c.graph) {
+            return Err(Error::Api(
+                "stateful filters and feedback loops cannot be coarsened: \
+                 sub-firing interleaving would break their cross-iteration \
+                 serial order (run with coarsening 1)"
+                    .into(),
+            ));
+        }
+        // k-launch checkpointing only matters (and is only billed) under an
+        // armed fault plan; scaled measurement extrapolates merged steady
+        // launches, so it always commits per launch over canonical buffers.
+        let interval = if opts.fault_plan.is_some() && !scaled {
+            opts.checkpoint_interval.max(1)
+        } else {
+            1
+        };
+        // The adaptive watchdog has the same gate: fault-free runs must be
+        // byte- and cycle-identical across all settings, and scaled
+        // measurement merges steady launches into outsized composites the
+        // tightened budget would wrongly kill.
+        let watchdog_margin = if opts.fault_plan.is_some() && !scaled {
+            u64::from(opts.watchdog_margin.unwrap_or(0))
+        } else {
+            0
+        };
+        let slack_plan;
+        let plan = if interval == 1 {
+            &self.plan
+        } else {
+            let sched = (!serial).then_some(&c.schedule);
+            slack_plan =
+                plan::plan_with_replay_slack(&c.graph, &c.ig, sched, granule, kind, interval - 1);
+            &slack_plan
+        };
+
+        // In scaled mode only a bounded window of launches is simulated, so
+        // buffers (and the required input) cover just that window; addresses
+        // of far-future iterations wrap harmlessly (their data is not used).
+        let alloc_iters = if scaled {
+            iterations.min((c.schedule.max_stage() + 4) * u64::from(granule))
+        } else {
+            iterations
+        };
+        let (exec_device, sm_offset) = match &opts.placement {
+            Some(p) => {
+                if p.base_sm + c.device.num_sms > p.device.num_sms {
+                    return Err(Error::Api(format!(
+                        "SM slice [{}, {}) does not fit the {}-SM execution device",
+                        p.base_sm,
+                        p.base_sm + c.device.num_sms,
+                        p.device.num_sms
+                    )));
+                }
+                (p.device.clone(), p.base_sm)
+            }
+            None => (c.device.clone(), 0),
+        };
+        let mut gpu = Gpu::with_timing(exec_device, c.timing.clone());
+        if let Some(fault_plan) = &opts.fault_plan {
+            gpu.inject_faults(fault_plan.clone());
+        }
+        let buffers = codegen::allocate(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, plan, alloc_iters)?;
+        check_input_len(&buffers, input)?;
+        let init_out = buffers.seed_init_state(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, input)?;
+        if buffers.input.is_some() {
+            buffers.write_input(&mut gpu, input);
+        }
+
+        let ckpt_plan = plan::checkpoint_plan(&c.graph, &c.timing, opts.fault_plan.as_ref());
+        let mode = match opts.checkpoint {
+            CheckpointSpec::Auto => ckpt_plan.mode,
+            CheckpointSpec::Force(m) => m,
+        };
+        let mut ckpt = Checkpointer::new(&mut gpu, c, &buffers, mode, opts.fault_plan.is_some())?;
+
+        let mut totals = LaunchStats::default();
+        let mut launches = 0u64;
+        let mut retries = 0u64;
+        let mut trace = Vec::new();
+        let run_scheme = if serial { run_serial } else { run_swp };
+        run_scheme(
+            self,
+            c,
+            &buffers,
+            iterations,
+            scaled,
+            sm_offset,
+            opts.graph_dispatch,
+            &mut gpu,
+            &mut totals,
+            &mut launches,
+            opts.retry,
+            &mut retries,
+            &mut ckpt,
+            interval,
+            watchdog_margin,
+            &mut trace,
+        )?;
+
+        // The simulated-retry counter is exact even in scaled mode (where
+        // merged steady-window stats are extrapolated, not re-simulated).
+        totals.retries = retries;
+        // Fault billing must account: the disjoint overhead components sum
+        // to the fault overhead, which never exceeds the wall cycles.
+        totals.assert_billing();
+
+        let outputs = if scaled {
+            Vec::new()
+        } else {
+            collect_output(c, &buffers, &gpu, iterations, init_out)
+        };
+        Ok(GpuRun {
+            outputs,
+            time_secs: totals.time_secs,
+            launches,
+            retries,
+            buffer_bytes: plan.total_bytes(),
+            checkpoint_mode: mode,
+            checkpoint_interval: interval,
+            launch_cycles: if scaled { Vec::new() } else { trace },
+            stats: totals,
+        })
+    }
 }
 
 /// Measures `iterations` steady iterations under `scheme` without full
@@ -567,7 +774,7 @@ fn execute_inner(
 ///
 /// As for [`execute`].
 pub fn measure(c: &Compiled, scheme: Scheme, iterations: u64, input: &[Scalar]) -> Result<GpuRun> {
-    execute_inner(c, scheme, iterations, input, true, &RunOptions::default())
+    Prepared::new(c, scheme)?.run(c, iterations, input, true, &RunOptions::default())
 }
 
 /// Input tokens [`measure`] needs: enough for the initialization phase
@@ -584,7 +791,7 @@ pub fn measure_input(c: &Compiled, scheme: Scheme) -> u64 {
     required_input(c, window)
 }
 
-fn check_input_len(c: &Compiled, buffers: &ProgramBuffers, input: &[Scalar]) -> Result<()> {
+fn check_input_len(buffers: &ProgramBuffers, input: &[Scalar]) -> Result<()> {
     if let Some(io) = &buffers.input {
         // The allocation already covers init + iterations (+ peek slack);
         // require the caller to fill everything but the slack.
@@ -596,7 +803,6 @@ fn check_input_len(c: &Compiled, buffers: &ProgramBuffers, input: &[Scalar]) -> 
             }));
         }
     }
-    let _ = c;
     Ok(())
 }
 
@@ -847,7 +1053,7 @@ fn run_launch_windowed<'a, F, D>(
     tuner: &mut WatchdogTuner,
 ) -> Result<LaunchStats>
 where
-    F: Fn(u64) -> Result<Launch<'a>>,
+    F: Fn(u64) -> Launch<'a>,
     D: Fn(u64) -> Dispatch,
 {
     // A faulted attempt's sunk cost depends on the path it took: a
@@ -871,7 +1077,7 @@ where
     let mut attempt = 0u32;
     let mut tries = 0u64;
     let max_attempts = retry.max_attempts.max(1);
-    let launch = build(ordinal)?;
+    let launch = build(ordinal);
     let give_up = |e: gpusim::SimError, attempts: u32| {
         Error::sim_while(
             e,
@@ -922,7 +1128,7 @@ where
                 // the original launch took, at the same cost.
                 let mut i = 0usize;
                 while i < window.pending.len() {
-                    let replay = build(window.pending[i])?;
+                    let replay = build(window.pending[i]);
                     match gpu.run_dispatched(&replay, dispatch_of(window.pending[i])) {
                         Ok(s) => {
                             tuner.observe_success(gpu, &s);
@@ -957,11 +1163,10 @@ where
 /// and drain.
 #[allow(clippy::too_many_arguments)]
 fn run_swp(
+    prep: &Prepared,
     c: &Compiled,
     buffers: &ProgramBuffers,
-    coarsening: u32,
     iterations: u64,
-    staged: bool,
     scaled: bool,
     sm_offset: u32,
     graph_dispatch: bool,
@@ -975,11 +1180,11 @@ fn run_swp(
     watchdog_margin: u64,
     trace: &mut Vec<f64>,
 ) -> Result<()> {
-    let sched = &c.schedule;
-    let num_sms = c.device.num_sms;
-    let kernel_iters = iterations / u64::from(coarsening);
-    let stages = sched.max_stage();
-    let order = swp_sm_order(sched, num_sms, c.ig.len());
+    let Walk::Swp { capture, .. } = &prep.walk else {
+        unreachable!("run_swp runs software-pipelined schemes only")
+    };
+    let stages = c.schedule.max_stage();
+    let kernel_iters = prep.launch_count(c, iterations) - stages;
 
     // The steady window [stages, kernel_iters) is the only region where
     // every instance's staging predicate holds, i.e. where launches are a
@@ -987,10 +1192,9 @@ fn run_swp(
     // fault overhead) and replay it; fill and drain stay host-launched.
     let graph = graph_dispatch && kernel_iters > stages;
     if graph {
-        let cap = codegen::capture_graph(&c.ig, sched, coarsening);
         let cost = gpu
             .timing()
-            .graph_capture_cycles(cap.node_count(), cap.edge_count());
+            .graph_capture_cycles(capture.node_count(), capture.edge_count());
         totals.graph_captures += 1;
         totals.graph_capture_cycles += cost;
         totals.cycles += cost;
@@ -1004,14 +1208,7 @@ fn run_swp(
         }
     };
 
-    let build = |r: u64| -> Result<Launch<'_>> {
-        Ok(Launch {
-            threads_per_block: c.exec_cfg.threads_per_block,
-            regs_per_thread: c.exec_cfg.regs_per_thread,
-            blocks: swp_blocks(c, buffers, &order, r, coarsening, kernel_iters, staged)?,
-            sm_offset,
-        })
-    };
+    let build = |r: u64| prep.launch(c, buffers, r, iterations, sm_offset);
     let mut window = CommitWindow::new(interval);
     let mut tuner = WatchdogTuner::new(watchdog_margin, gpu.watchdog_budget());
     let mut run_one = |r: u64,
@@ -1070,15 +1267,17 @@ fn run_swp(
 }
 
 /// The serial SAS scheme: per batch, one launch per node in topological
-/// order, instances distributed round-robin over all blocks.
+/// order, instances distributed round-robin over all blocks. It has no
+/// fixed steady-state graph to capture, so graph dispatch is ignored.
 #[allow(clippy::too_many_arguments)]
 fn run_serial(
+    prep: &Prepared,
     c: &Compiled,
     buffers: &ProgramBuffers,
-    batch: u32,
     iterations: u64,
     scaled: bool,
     sm_offset: u32,
+    _graph_dispatch: bool,
     gpu: &mut Gpu,
     totals: &mut LaunchStats,
     launches: &mut u64,
@@ -1089,20 +1288,13 @@ fn run_serial(
     watchdog_margin: u64,
     trace: &mut Vec<f64>,
 ) -> Result<()> {
-    let topo = c.graph.topo_order()?;
-    let batches = iterations / u64::from(batch);
+    let Walk::Serial { topo } = &prep.walk else {
+        unreachable!("run_serial runs the serial scheme only")
+    };
+    let batches = prep.launch_count(c, iterations) / topo.len() as u64;
     // The serial scheme's launch ordinal enumerates (batch, node) pairs
     // in issue order, so a replay window can rebuild any launch.
-    let build = |ordinal: u64| -> Result<Launch<'_>> {
-        let batch_no = ordinal / topo.len() as u64;
-        let node = topo[(ordinal % topo.len() as u64) as usize];
-        Ok(Launch {
-            threads_per_block: c.exec_cfg.threads[node.0 as usize],
-            regs_per_thread: c.exec_cfg.regs_per_thread,
-            blocks: serial_blocks(c, buffers, node, batch, batch_no)?,
-            sm_offset,
-        })
-    };
+    let build = |ordinal: u64| prep.launch(c, buffers, ordinal, iterations, sm_offset);
     let mut window = CommitWindow::new(interval);
     let mut tuner = WatchdogTuner::new(watchdog_margin, gpu.watchdog_budget());
     // Every batch is counter-identical (one kernel per filter over the
@@ -1143,126 +1335,6 @@ fn run_serial(
         *launches *= batches;
     }
     Ok(())
-}
-
-/// Per-SM instance order for the software-pipelined kernel: by offset,
-/// ties by instance id (the paper: "ties are broken arbitrarily").
-/// Shared by the executor and the static verifier so both enumerate
-/// identical launches.
-pub(crate) fn swp_sm_order(sched: &Schedule, num_sms: u32, n: usize) -> Vec<Vec<usize>> {
-    let mut order: Vec<Vec<usize>> = vec![Vec::new(); num_sms as usize];
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by_key(|&i| (sched.offset[i], i));
-    for i in idx {
-        order[sched.sm_of[i] as usize].push(i);
-    }
-    order
-}
-
-/// The block list of software-pipelined kernel iteration `r`: per-SM
-/// instance lists with the fill/drain staging predicate applied and one
-/// [`InstanceExec`] per coarsened sub-iteration.
-pub(crate) fn swp_blocks<'a>(
-    c: &'a Compiled,
-    buffers: &ProgramBuffers,
-    order: &[Vec<usize>],
-    r: u64,
-    coarsening: u32,
-    kernel_iters: u64,
-    staged: bool,
-) -> Result<Vec<BlockWork<'a>>> {
-    let sched = &c.schedule;
-    let mut blocks = Vec::with_capacity(order.len());
-    for sm_items in order {
-        let mut items = Vec::new();
-        for &i in sm_items {
-            let f = sched.stage[i];
-            if r < f || r - f >= kernel_iters {
-                continue; // staging predicate: filling or draining
-            }
-            let (v, k) = c.ig.list[i];
-            for sub in 0..u64::from(coarsening) {
-                let b = (r - f) * u64::from(coarsening) + sub;
-                items.push(instance_exec(c, buffers, v, k, b, staged)?);
-            }
-        }
-        blocks.push(BlockWork { items });
-    }
-    Ok(blocks)
-}
-
-/// The block list of one serial (SAS) kernel: every instance of `node`
-/// over one batch, distributed round-robin over the SMs. The serial
-/// baseline is coalesced too (paper Sec. V): fitting working sets stage
-/// through shared memory.
-pub(crate) fn serial_blocks<'a>(
-    c: &'a Compiled,
-    buffers: &ProgramBuffers,
-    node: NodeId,
-    batch: u32,
-    batch_no: u64,
-) -> Result<Vec<BlockWork<'a>>> {
-    let num_sms = c.device.num_sms as usize;
-    let kv = c.ig.reps[node.0 as usize];
-    let mut blocks: Vec<BlockWork> = (0..num_sms).map(|_| BlockWork::default()).collect();
-    let mut slot = 0usize;
-    for sub in 0..u64::from(batch) {
-        let b = batch_no * u64::from(batch) + sub;
-        for k in 0..kv {
-            blocks[slot % num_sms]
-                .items
-                .push(instance_exec(c, buffers, node, k, b, true)?);
-            slot += 1;
-        }
-    }
-    Ok(blocks)
-}
-
-/// Builds one instance execution: bindings for every port at basic
-/// iteration `b`.
-pub(crate) fn instance_exec<'a>(
-    c: &'a Compiled,
-    buffers: &ProgramBuffers,
-    node: NodeId,
-    k: u32,
-    b: u64,
-    staged: bool,
-) -> Result<InstanceExec<'a>> {
-    let work = &c.graph.node(node).work;
-    let mut inputs = vec![None; work.input_ports().len()];
-    for e in c.graph.in_edges(node) {
-        let edge = c.graph.edge(e);
-        inputs[edge.dst_port as usize] = Some(buffers.consumer_binding(&c.ig, e.0 as usize, b, k));
-    }
-    let mut outputs = vec![None; work.output_ports().len()];
-    for e in c.graph.out_edges(node) {
-        let edge = c.graph.edge(e);
-        outputs[edge.src_port as usize] = Some(buffers.producer_binding(&c.ig, e.0 as usize, b, k));
-    }
-    if c.graph.input() == Some(node) {
-        inputs[0] = Some(buffers.input_binding(b, k));
-    }
-    if c.graph.output() == Some(node) {
-        outputs[0] = Some(buffers.output_binding(b, k));
-    }
-    let inputs: Vec<_> = inputs
-        .into_iter()
-        .map(|b| b.ok_or_else(|| Error::Api("unbound input port".into())))
-        .collect::<Result<_>>()?;
-    let outputs: Vec<_> = outputs
-        .into_iter()
-        .map(|b| b.ok_or_else(|| Error::Api("unbound output port".into())))
-        .collect::<Result<_>>()?;
-    let threads = c.exec_cfg.threads[node.0 as usize];
-    Ok(InstanceExec {
-        work,
-        active_threads: threads,
-        inputs,
-        outputs,
-        shared_staging: staged && staging_fits(work, threads, &c.device),
-        state_base: buffers.state_base[node.0 as usize],
-        label: Some(format!("{}[{k}]@{b}", c.graph.node(node).name)),
-    })
 }
 
 fn collect_output(

@@ -42,6 +42,7 @@ pub use store::{ArtifactStore, Fetch, StoreStats};
 pub use storm::{FleetStorm, RackBrownout};
 
 use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::Arc;
 
 use serde::Serialize;
 
@@ -301,7 +302,7 @@ struct Running {
     trace_base: usize,
     key: u64,
     state_words: u64,
-    artifact: ResilientCompiled,
+    artifact: Arc<ResilientCompiled>,
     run: GpuRun,
     fetch: Fetch,
     rerouted: bool,
@@ -452,7 +453,7 @@ impl FleetEngine {
                 .max_by_key(|&&d| (router::score(key, d), std::cmp::Reverse(d)))
                 .ok_or_else(|| Error::Api("no usable device to warm".into()))?;
             let artifact = ResilientPipeline::new(popts).compile(graph)?;
-            store.insert(key, artifact, DeviceId(*home), &usable);
+            store.insert(key, Arc::new(artifact), DeviceId(*home), &usable);
             Ok(false)
         })
     }
@@ -692,9 +693,9 @@ impl FleetEngine {
         let artifact = match fetched {
             Some(a) => a,
             None => {
-                let a = ResilientPipeline::new(popts).compile(&job.graph)?;
+                let a = Arc::new(ResilientPipeline::new(popts).compile(&job.graph)?);
                 self.devices[dev.0 as usize].search_invocations += a.report.search_invocations();
-                self.store.insert(key, a.clone(), dev, &usable);
+                self.store.insert(key, Arc::clone(&a), dev, &usable);
                 a
             }
         };
@@ -919,7 +920,7 @@ impl FleetEngine {
                 // recompile and restore the store from the job's own
                 // copy of the artifact.
                 self.store
-                    .insert(r.key, r.artifact.clone(), target, &usable);
+                    .insert(r.key, Arc::clone(&r.artifact), target, &usable);
             }
             let fetch_cost = self.fetch_cost(fetch);
 

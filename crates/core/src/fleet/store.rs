@@ -25,6 +25,7 @@
 //!   static verifier, exactly like a single-device cache hit.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use serde::Serialize;
 
@@ -90,7 +91,9 @@ impl StoreStats {
 }
 
 struct Entry {
-    artifact: ResilientCompiled,
+    /// Shared with every job fetched from this entry (and with its
+    /// prepared execution form): replicas model placement, not copies.
+    artifact: Arc<ResilientCompiled>,
     replicas: BTreeSet<u32>,
 }
 
@@ -152,7 +155,7 @@ impl ArtifactStore {
         key: u64,
         device: DeviceId,
         usable: &[u32],
-    ) -> Result<(Fetch, Option<ResilientCompiled>)> {
+    ) -> Result<(Fetch, Option<Arc<ResilientCompiled>>)> {
         self.stats.lookups += 1;
         let replication = self.replication;
         let Some(entry) = self.entries.get_mut(&key) else {
@@ -197,7 +200,7 @@ impl ArtifactStore {
             self.stats.read_repairs += 1;
         }
         verify_artifact(&entry.artifact)?;
-        Ok((outcome, Some(entry.artifact.clone())))
+        Ok((outcome, Some(Arc::clone(&entry.artifact))))
     }
 
     /// Inserts a freshly compiled artifact for `key`: the compiling
@@ -206,7 +209,7 @@ impl ArtifactStore {
     pub fn insert(
         &mut self,
         key: u64,
-        artifact: ResilientCompiled,
+        artifact: Arc<ResilientCompiled>,
         device: DeviceId,
         usable: &[u32],
     ) {
@@ -250,7 +253,7 @@ mod tests {
     use streamir::graph::{FilterSpec, StreamSpec};
     use streamir::ir::{ElemTy, Expr, FnBuilder};
 
-    fn artifact() -> (u64, ResilientCompiled) {
+    fn artifact() -> (u64, Arc<ResilientCompiled>) {
         let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
         let x = b.local(ElemTy::I32);
         b.pop_into(0, x);
@@ -266,7 +269,7 @@ mod tests {
         let a = ResilientPipeline::new(opts)
             .compile(&graph)
             .expect("compiles");
-        (key, a)
+        (key, Arc::new(a))
     }
 
     #[test]

@@ -1,15 +1,9 @@
-//! Seedless FNV-1a hashing, shared by content addressing and routing.
-//!
-//! One construction, three consumers: the compilation cache keys
-//! artifacts by graph + options ([`crate::serve::cache_key`]), the fleet
-//! router rendezvous-hashes tenants onto devices, and the isolation
-//! verifier digests the proved memory footprint into its certificate.
-//! Keeping them on one implementation means a certificate key is
-//! comparable across all three layers and a constant typo cannot split
-//! the address spaces.
+//! Seedless hashing, shared by content addressing and routing: the
+//! FNV-1a construction of [`streamir::hash`] (which also memoises each
+//! graph's content hash, so it lives with the graph) and the splitmix64
+//! mixer the fleet router decorrelates it with.
 
-const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const PRIME: u64 = 0x0000_0100_0000_01b3;
+pub use streamir::hash::{fnv1a, Fnv};
 
 /// The splitmix64 state increment (the 64-bit golden ratio).
 pub const SPLITMIX_GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -28,91 +22,9 @@ pub fn splitmix64(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a byte slice.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// An incremental FNV-1a hasher for structured keys.
-#[derive(Debug, Clone)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv::new()
-    }
-}
-
-impl Fnv {
-    /// A fresh hasher at the FNV offset basis.
-    #[must_use]
-    pub fn new() -> Fnv {
-        Fnv(OFFSET)
-    }
-
-    /// Absorbs raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(PRIME);
-        }
-    }
-
-    /// Absorbs a string with a `0xff` separator so adjacent fields
-    /// cannot collide by concatenation.
-    pub fn str(&mut self, s: &str) {
-        self.write(s.as_bytes());
-        self.write(&[0xff]);
-    }
-
-    /// Absorbs a `u64` in little-endian byte order.
-    pub fn u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The current digest.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn incremental_matches_one_shot() {
-        let mut h = Fnv::new();
-        h.write(b"abc");
-        h.write(b"def");
-        assert_eq!(h.finish(), fnv1a(b"abcdef"));
-    }
-
-    #[test]
-    fn separator_prevents_concatenation_collisions() {
-        let mut a = Fnv::new();
-        a.str("ab");
-        a.str("c");
-        let mut b = Fnv::new();
-        b.str("a");
-        b.str("bc");
-        assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn known_vectors_are_stable() {
-        // The canonical FNV-1a test vectors; these pin the constants the
-        // cache keys and router placement depend on.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
 
     #[test]
     fn splitmix_known_vectors_are_stable() {

@@ -36,13 +36,15 @@
 //! log) can state exactly which rung produced each number.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use gpusim::FaultPlan;
 use serde::Serialize;
 use streamir::graph::FlatGraph;
+use streamir::ir::Scalar;
 
-use crate::exec::{compile_front, CompileOptions, Compiled, RunOptions, Scheme};
+use crate::exec::{compile_front, CompileOptions, Compiled, GpuRun, Prepared, RunOptions, Scheme};
 use crate::plan::{self, CheckpointPlan, LayoutKind};
 use crate::profile::TIME_UNIT_CYCLES;
 use crate::schedule::{self, Schedule, SchedulerKind, SearchOptions, SearchReport};
@@ -281,6 +283,31 @@ pub struct ResilientCompiled {
     /// any SM placement. `None` when the proof failed — the serving
     /// layer refuses to dispatch such an artifact onto a shared device.
     pub isolation: Option<verify::IsolationCertificate>,
+    /// The artifact prepared for execution under its scheme, built by the
+    /// first [`ResilientCompiled::execute`] and shared by every clone.
+    pub(crate) prepared: OnceLock<Arc<Prepared>>,
+}
+
+impl ResilientCompiled {
+    /// Executes `iterations` basic steady iterations under the artifact's
+    /// own scheme: [`crate::exec::execute_with`] over a prepared form that
+    /// is built once and reused by every later call, from any thread.
+    /// Pass [`ResilientCompiled::run_options`] (or a variation of it) as
+    /// `opts`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`crate::exec::execute`].
+    pub fn execute(&self, iterations: u64, input: &[Scalar], opts: &RunOptions) -> Result<GpuRun> {
+        let prepared = match self.prepared.get() {
+            Some(p) => p,
+            None => {
+                let p = Arc::new(Prepared::new(&self.compiled, self.scheme)?);
+                self.prepared.get_or_init(|| p)
+            }
+        };
+        prepared.run(&self.compiled, iterations, input, false, opts)
+    }
 }
 
 /// The gracefully-degrading compilation driver. See the module docs for
@@ -708,6 +735,7 @@ fn assemble(
         scheme,
         run_options: run_options_for(policy, fault_plan, graph_dispatch),
         isolation,
+        prepared: OnceLock::new(),
     }
 }
 

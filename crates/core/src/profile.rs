@@ -8,7 +8,7 @@
 //! time the ILP will use as `d(v)`.
 
 use gpusim::{
-    BlockWork, BufferBinding, DeviceConfig, Gpu, InstanceExec, Launch, Layout, SimError,
+    BlockWork, BufferBinding, DeviceConfig, Gpu, InstanceExec, Kernel, Launch, Layout, SimError,
     TimingModel,
 };
 use streamir::graph::{FlatGraph, NodeId};
@@ -144,13 +144,15 @@ pub fn profile(
 ) -> Result<ProfileTable> {
     let mut times = Vec::with_capacity(graph.len());
     for node_idx in 0..graph.len() {
-        let node = NodeId(node_idx as u32);
+        let node = graph.node(NodeId(node_idx as u32));
+        // Loaded once per node, launched at every grid point.
+        let kernel = Kernel::load(&node.work);
         let mut per_reg = Vec::with_capacity(opts.reg_limits.len());
         for &regs in &opts.reg_limits {
             let mut per_thr = Vec::with_capacity(opts.thread_counts.len());
             for &threads in &opts.thread_counts {
                 per_thr.push(profile_one(
-                    graph, node, regs, threads, opts, device, timing,
+                    &node.name, &kernel, regs, threads, opts, device, timing,
                 )?);
             }
             per_reg.push(per_thr);
@@ -167,15 +169,15 @@ pub fn profile(
 /// One grid point: run a single instance (one thread-block-wide firing)
 /// and return its SM-busy cycles, or `None` when infeasible.
 fn profile_one(
-    graph: &FlatGraph,
-    node: NodeId,
+    name: &str,
+    kernel: &Kernel,
     regs: u32,
     threads: u32,
     opts: &ProfileOptions,
     device: &DeviceConfig,
     timing: &TimingModel,
 ) -> Result<Option<f64>> {
-    let work = &graph.node(node).work;
+    let work = kernel.work();
     let firings = if work.is_stateful() { 1 } else { threads };
     let in_tokens = |port: u8| {
         let (pop, peek) = (work.pop_rate(port), work.peek_rate(port));
@@ -252,7 +254,7 @@ fn profile_one(
         regs_per_thread: regs,
         blocks: vec![BlockWork {
             items: vec![InstanceExec {
-                work,
+                kernel,
                 active_threads: active,
                 inputs,
                 outputs,
@@ -270,10 +272,7 @@ fn profile_one(
         Err(SimError::LaunchConfig(_)) => Ok(None),
         Err(e) => Err(crate::Error::sim_while(
             e,
-            format!(
-                "profiling filter '{}' at {regs} regs x {threads} threads",
-                graph.node(node).name
-            ),
+            format!("profiling filter '{name}' at {regs} regs x {threads} threads"),
         )),
     }
 }

@@ -52,6 +52,7 @@
 //! intervals — and a queue-wait p99 per tenant.
 
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use serde::Serialize;
@@ -174,8 +175,9 @@ struct RunState {
     /// Cache-miss jobs awaiting completion, FIFO per tenant.
     tenant_queue: BTreeMap<String, VecDeque<usize>>,
     job_meta: HashMap<usize, PendingJob>,
-    /// Artifacts already joined and fulfilled, by cache key.
-    ready: HashMap<u64, ResilientCompiled>,
+    /// Artifacts already joined and fulfilled, by cache key: the very
+    /// values the cache slots hold.
+    ready: HashMap<u64, Arc<ResilientCompiled>>,
     /// Sequence counter for events scheduled after the arrival block.
     aux_seq: u64,
 }
@@ -490,7 +492,7 @@ impl EventEngine {
         let popts = pipeline_options_for(&self.core.opts, slice.num_sms, pressure, policy);
         let graph = &run.jobs[i].graph;
         let (artifact, outcome) = match self.core.cache.lookup_or_reserve(graph, &popts)? {
-            Lookup::Hit(artifact) => (*artifact, "hit"),
+            Lookup::Hit(artifact) => (artifact, "hit"),
             Lookup::PendingHit(key) => {
                 // Another dispatch reserved this key; the eager path
                 // would have had the artifact by now. Join it (the
@@ -553,6 +555,7 @@ impl EventEngine {
         let key = p.key;
         match p.join() {
             Ok(artifact) => {
+                let artifact = Arc::new(artifact);
                 self.core.cache.fulfill(key, &artifact);
                 run.ready.insert(key, artifact);
                 Ok(())
@@ -565,9 +568,9 @@ impl EventEngine {
     }
 
     /// The artifact for a reserved key: already joined, or joined now.
-    fn artifact_for(&mut self, run: &mut RunState, key: u64) -> Result<ResilientCompiled> {
+    fn artifact_for(&mut self, run: &mut RunState, key: u64) -> Result<Arc<ResilientCompiled>> {
         if let Some(a) = run.ready.get(&key) {
-            return Ok(a.clone());
+            return Ok(Arc::clone(a));
         }
         let pos = run
             .pending
@@ -576,7 +579,7 @@ impl EventEngine {
             .ok_or_else(|| Error::Api(format!("no compile in flight for cache key {key:016x}")))?;
         let p = run.pending.remove(pos);
         self.join_and_fulfill(run, p)?;
-        Ok(run.ready[&key].clone())
+        Ok(Arc::clone(&run.ready[&key]))
     }
 
     /// Completes every pending cache-miss job of `tenant`, oldest

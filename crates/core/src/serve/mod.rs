@@ -49,7 +49,7 @@ use gpusim::{DeviceConfig, FaultPlan, TimingModel};
 use streamir::graph::FlatGraph;
 use streamir::ir::Scalar;
 
-use crate::exec::{execute_with, required_input, CompileOptions, GpuRun, RunOptions, SmPlacement};
+use crate::exec::{required_input, CompileOptions, GpuRun, RunOptions, SmPlacement};
 use crate::pipeline::{FaultPolicy, LadderRung, PipelineOptions, ResilientCompiled, StageBudgets};
 use crate::profile::ProfileOptions;
 use crate::schedule::{SchedulerKind, SearchOptions};
@@ -291,13 +291,7 @@ pub(crate) fn run_artifact(
     if let Some(attempts) = max_attempts {
         run_opts.retry.max_attempts = attempts.max(1);
     }
-    execute_with(
-        &artifact.compiled,
-        artifact.scheme,
-        job.iterations,
-        &input,
-        &run_opts,
-    )
+    artifact.execute(job.iterations, &input, &run_opts)
 }
 
 /// The eager differential oracle: the same device core the event engine

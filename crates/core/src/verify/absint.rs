@@ -173,7 +173,7 @@ struct WarpAbs<'a, S: AccessSink> {
 
 impl<S: AccessSink> WarpAbs<'_, S> {
     fn array_in_local_memory(&self) -> bool {
-        self.ctx.inst.work.info().local_array_words > REG_ARRAY_WORDS
+        self.ctx.inst.kernel.work().info().local_array_words > REG_ARRAY_WORDS
     }
 
     /// A statement-level expression evaluation — the granularity at which
@@ -225,7 +225,7 @@ impl<S: AccessSink> WarpAbs<'_, S> {
             Expr::LoadTable { table, index } => {
                 let i = self.eval(index);
                 match i.as_const_i32().and_then(|i| usize::try_from(i).ok()) {
-                    Some(i) => self.ctx.inst.work.tables()[table.0 as usize]
+                    Some(i) => self.ctx.inst.kernel.work().tables()[table.0 as usize]
                         .values
                         .get(i)
                         .map_or(AbsVal::Varying, |&v| AbsVal::Uniform(v)),
@@ -357,30 +357,32 @@ pub(crate) fn analyze_instance<S: AccessSink>(
             },
             site_map,
             locals: inst
-                .work
+                .kernel
+                .work()
                 .locals()
                 .iter()
                 .map(|&ty| AbsVal::Uniform(Scalar::zero(ty)))
                 .collect(),
             arrays: inst
-                .work
+                .kernel
+                .work()
                 .arrays()
                 .iter()
                 .map(|&(ty, len)| vec![AbsVal::Uniform(Scalar::zero(ty)); len as usize])
                 .collect(),
-            pops: vec![0; inst.work.input_ports().len()],
-            pushes: vec![0; inst.work.output_ports().len()],
+            pops: vec![0; inst.kernel.work().input_ports().len()],
+            pushes: vec![0; inst.kernel.work().output_ports().len()],
             peek_hwm: 0,
             peek_count: 0,
             sink: &mut *sink,
         };
-        wa.block(inst.work.body());
+        wa.block(inst.kernel.work().body());
     }
     if inst.shared_staging {
         // One coalesced bulk copy each way: window tokens in, pushes
         // out; each warp-wide step is one access and two transactions.
         let t = u64::from(inst.active_threads);
-        let wf = inst.work;
+        let wf = inst.kernel.work();
         let in_tokens: u64 = (0..wf.input_ports().len() as u8)
             .map(|p| t * u64::from(wf.peek_rate(p)))
             .sum();

@@ -45,9 +45,9 @@ use streamir::graph::NodeId;
 use streamir::ir::{AccessKind, AccessSite};
 
 use crate::codegen;
-use crate::exec::{scheme_shape, serial_blocks, swp_blocks, swp_sm_order, Compiled, Scheme};
+use crate::exec::{scheme_shape, Compiled, Prepared, Scheme};
 use crate::instances;
-use crate::plan::{self, BufferPlan};
+use crate::plan::BufferPlan;
 use crate::verify::absint::{self, AccessSink, SiteMap, WarpCtx};
 use crate::verify::diag::{Code, Diagnostic};
 use crate::{Error, Result};
@@ -280,13 +280,8 @@ fn classify_groups(
 /// The same shape errors as [`crate::exec::execute`] (iteration granule,
 /// coarsening constraints), plus allocation failures.
 pub fn predict(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<Prediction> {
-    let (granule, kind) = scheme_shape(scheme);
-    let sched = match scheme {
-        Scheme::Serial { .. } => None,
-        _ => Some(&c.schedule),
-    };
-    let plan = plan::plan(&c.graph, &c.ig, sched, granule, kind);
-    predict_with_plan(c, scheme, iterations, &plan)
+    let prepared = Prepared::new(c, scheme)?;
+    predict_prepared(c, &prepared, iterations, prepared.plan())
 }
 
 /// [`predict`] over an explicit buffer plan. Exposed so tests can verify
@@ -301,6 +296,18 @@ pub fn predict_with_plan(
     iterations: u64,
     plan: &BufferPlan,
 ) -> Result<Prediction> {
+    predict_prepared(c, &Prepared::new(c, scheme)?, iterations, plan)
+}
+
+/// The analysis proper, over the prepared form whose launch enumeration
+/// the executor itself runs: same code, not a re-implementation.
+fn predict_prepared(
+    c: &Compiled,
+    prepared: &Prepared,
+    iterations: u64,
+    plan: &BufferPlan,
+) -> Result<Prediction> {
+    let scheme = prepared.scheme();
     let (granule, _) = scheme_shape(scheme);
     if iterations == 0 || !iterations.is_multiple_of(u64::from(granule)) {
         return Err(Error::Api(format!(
@@ -321,54 +328,19 @@ pub fn predict_with_plan(
     let mut gpu = Gpu::with_timing(c.device.clone(), c.timing.clone());
     let buffers = codegen::allocate(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, plan, iterations)?;
 
-    let node_of: HashMap<usize, u32> = c
-        .graph
-        .nodes()
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (std::ptr::from_ref(&n.work) as usize, i as u32))
+    let site_maps: Vec<SiteMap> = (prepared.kernels())
+        .map(|k| absint::build_site_map(k.work()))
         .collect();
-    let mut site_maps: HashMap<u32, SiteMap> = HashMap::new();
     let mut acc = Acc {
         exact: true,
         ..Acc::default()
     };
-    let mut launches = 0u64;
-    {
-        let mut analyze_blocks = |blocks: &[gpusim::BlockWork<'_>], acc: &mut Acc| {
-            for block in blocks {
-                for inst in &block.items {
-                    let node = node_of[&(std::ptr::from_ref(inst.work) as usize)];
-                    let sm = site_maps
-                        .entry(node)
-                        .or_insert_with(|| absint::build_site_map(inst.work));
-                    absint::analyze_instance(inst, node, &c.device, sm, acc);
-                }
-            }
-        };
-        match scheme {
-            Scheme::Swp { .. } | Scheme::SwpNc { .. } | Scheme::SwpRaw { .. } => {
-                let staged = !matches!(scheme, Scheme::SwpRaw { .. });
-                let order = swp_sm_order(&c.schedule, c.device.num_sms, c.ig.len());
-                let kernel_iters = iterations / u64::from(granule);
-                let stages = c.schedule.max_stage();
-                for r in 0..kernel_iters + stages {
-                    let blocks = swp_blocks(c, &buffers, &order, r, granule, kernel_iters, staged)?;
-                    launches += 1;
-                    analyze_blocks(&blocks, &mut acc);
-                }
-            }
-            Scheme::Serial { .. } => {
-                let topo = c.graph.topo_order()?;
-                for batch_no in 0..iterations / u64::from(granule) {
-                    for &node in &topo {
-                        let blocks = serial_blocks(c, &buffers, node, granule, batch_no)?;
-                        launches += 1;
-                        analyze_blocks(&blocks, &mut acc);
-                    }
-                }
-            }
-        }
+    let launches = prepared.launch_count(c, iterations);
+    for ordinal in 0..launches {
+        prepared.for_each_instance(c, &buffers, ordinal, iterations, |_, node, inst| {
+            let sm = &site_maps[node.0 as usize];
+            absint::analyze_instance(&inst, node.0, &c.device, sm, &mut acc);
+        });
     }
 
     let mut diagnostics = Vec::new();
@@ -379,7 +351,7 @@ pub fn predict_with_plan(
         let t = acc.tallies[&key];
         let (node, ord) = key;
         let name = c.graph.nodes()[node as usize].name.clone();
-        let site = site_maps[&node].sites[ord as usize];
+        let site = site_maps[node as usize].sites[ord as usize];
         let locate = |d: Diagnostic| {
             let d = d.at_filter(&name, node).at_site(site);
             match edge_of(c, node, site) {
@@ -497,6 +469,7 @@ fn edge_of(c: &Compiled, node: u32, site: AccessSite) -> Option<u32> {
 mod tests {
     use super::*;
     use crate::exec::{compile, execute, required_input, CompileOptions};
+    use crate::plan;
     use streamir::graph::{FilterSpec, StreamSpec};
     use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
 

@@ -37,15 +37,15 @@
 //! the proof on every cache hit, and refuses to dispatch uncertified
 //! artifacts onto shared devices.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use gpusim::{BufferBinding, Gpu, InstanceExec};
 use serde::Serialize;
-use streamir::graph::NodeId;
+use streamir::graph::{EdgeId, NodeId};
 use streamir::ir::AccessKind;
 
 use crate::codegen::{self, ProgramBuffers};
-use crate::exec::{scheme_shape, serial_blocks, swp_blocks, swp_sm_order, Compiled, Scheme};
+use crate::exec::{scheme_shape, Compiled, Prepared, Scheme};
 use crate::hash::Fnv;
 use crate::instances;
 use crate::plan::{self, BufferPlan};
@@ -541,13 +541,8 @@ fn validate_shape(c: &Compiled, scheme: Scheme, granule: u32, iterations: u64) -
 /// The same shape errors as [`crate::exec::execute`], plus allocation
 /// failures while reconstructing the launch sequence.
 pub fn prove(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<Isolation> {
-    let (granule, kind) = scheme_shape(scheme);
-    let sched = match scheme {
-        Scheme::Serial { .. } => None,
-        _ => Some(&c.schedule),
-    };
-    let plan = plan::plan(&c.graph, &c.ig, sched, granule, kind);
-    prove_with_plan(c, scheme, iterations, &plan)
+    let prepared = Prepared::new(c, scheme)?;
+    prove_prepared(c, &prepared, iterations, prepared.plan())
 }
 
 /// [`prove`] over an explicit buffer plan. Exposed so tests can verify
@@ -562,49 +557,35 @@ pub fn prove_with_plan(
     iterations: u64,
     plan: &BufferPlan,
 ) -> Result<Isolation> {
+    prove_prepared(c, &Prepared::new(c, scheme)?, iterations, plan)
+}
+
+fn prove_prepared(
+    c: &Compiled,
+    prepared: &Prepared,
+    iterations: u64,
+    plan: &BufferPlan,
+) -> Result<Isolation> {
+    let scheme = prepared.scheme();
     let (granule, _) = scheme_shape(scheme);
     validate_shape(c, scheme, granule, iterations)?;
     let (buffers, map, targets) = arena(c, plan, iterations)?;
 
-    let node_of: HashMap<usize, u32> = c
-        .graph
-        .nodes()
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (std::ptr::from_ref(&n.work) as usize, i as u32))
-        .collect();
-    let site_maps: Vec<SiteMap> = c
-        .graph
-        .nodes()
-        .iter()
-        .map(|n| absint::build_site_map(&n.work))
+    let site_maps: Vec<SiteMap> = (prepared.kernels())
+        .map(|k| absint::build_site_map(k.work()))
         .collect();
     let names: Vec<String> = c.graph.nodes().iter().map(|n| n.name.clone()).collect();
-    let mut in_owners = Vec::with_capacity(c.graph.len());
-    let mut out_owners = Vec::with_capacity(c.graph.len());
-    for (v, node) in c.graph.nodes().iter().enumerate() {
-        let nid = NodeId(v as u32);
-        let ins: Vec<RegionOwner> = (0..node.work.input_ports().len())
-            .map(|p| {
-                c.graph
-                    .in_edges(nid)
-                    .into_iter()
-                    .find(|&e| usize::from(c.graph.edge(e).dst_port) == p)
-                    .map_or(RegionOwner::Input, |e| RegionOwner::Channel(e.0))
-            })
-            .collect();
-        let outs: Vec<RegionOwner> = (0..node.work.output_ports().len())
-            .map(|p| {
-                c.graph
-                    .out_edges(nid)
-                    .into_iter()
-                    .find(|&e| usize::from(c.graph.edge(e).src_port) == p)
-                    .map_or(RegionOwner::Output, |e| RegionOwner::Channel(e.0))
-            })
-            .collect();
-        in_owners.push(ins);
-        out_owners.push(outs);
-    }
+    let owners = |wiring: Vec<Option<EdgeId>>, external: RegionOwner| -> Vec<RegionOwner> {
+        let owner = |e: Option<EdgeId>| e.map_or(external, |e| RegionOwner::Channel(e.0));
+        wiring.into_iter().map(owner).collect()
+    };
+    let node_ids = || (0..c.graph.len() as u32).map(NodeId);
+    let in_owners: Vec<_> = node_ids()
+        .map(|v| owners(c.graph.input_wiring(v), RegionOwner::Input))
+        .collect();
+    let out_owners: Vec<_> = node_ids()
+        .map(|v| owners(c.graph.output_wiring(v), RegionOwner::Output))
+        .collect();
 
     let mut sink = TaintSink {
         map: &map,
@@ -617,45 +598,12 @@ pub fn prove_with_plan(
         accesses_checked: 0,
         exact: true,
     };
-    let mut launches = 0u64;
-    {
-        let analyze_blocks = |blocks: &[gpusim::BlockWork<'_>], sink: &mut TaintSink<'_>| {
-            for block in blocks {
-                for inst in &block.items {
-                    let node = node_of[&(std::ptr::from_ref(inst.work) as usize)];
-                    absint::analyze_instance(
-                        inst,
-                        node,
-                        &c.device,
-                        &site_maps[node as usize],
-                        sink,
-                    );
-                }
-            }
-        };
-        match scheme {
-            Scheme::Swp { .. } | Scheme::SwpNc { .. } | Scheme::SwpRaw { .. } => {
-                let staged = !matches!(scheme, Scheme::SwpRaw { .. });
-                let order = swp_sm_order(&c.schedule, c.device.num_sms, c.ig.len());
-                let kernel_iters = iterations / u64::from(granule);
-                let stages = c.schedule.max_stage();
-                for r in 0..kernel_iters + stages {
-                    let blocks = swp_blocks(c, &buffers, &order, r, granule, kernel_iters, staged)?;
-                    launches += 1;
-                    analyze_blocks(&blocks, &mut sink);
-                }
-            }
-            Scheme::Serial { .. } => {
-                let topo = c.graph.topo_order()?;
-                for batch_no in 0..iterations / u64::from(granule) {
-                    for &node in &topo {
-                        let blocks = serial_blocks(c, &buffers, node, granule, batch_no)?;
-                        launches += 1;
-                        analyze_blocks(&blocks, &mut sink);
-                    }
-                }
-            }
-        }
+    let launches = prepared.launch_count(c, iterations);
+    for ordinal in 0..launches {
+        prepared.for_each_instance(c, &buffers, ordinal, iterations, |_, node, inst| {
+            let sm = &site_maps[node.0 as usize];
+            absint::analyze_instance(&inst, node.0, &c.device, sm, &mut sink);
+        });
     }
     let mut diagnostics = sink.diagnostics;
     let accesses_checked = sink.accesses_checked;

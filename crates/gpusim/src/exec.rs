@@ -8,10 +8,11 @@
 //! diverge. Every device-memory access gathers the active lanes' addresses
 //! and runs them through the coalescing analyzer.
 //!
-//! A work function is decoded once per launch ([`Program::decode`]) into
-//! flat, statically typed register ops, and each op then executes across
-//! the whole warp on structure-of-arrays registers (one `[u32; 32]` of raw
-//! bits per local or temporary). Ops that cannot trap run unmasked over
+//! A work function is decoded once, when it is loaded as a
+//! [`crate::Kernel`] ([`Program::decode`]), into flat, statically typed
+//! register ops, and each op then executes across the whole warp on
+//! structure-of-arrays registers (one `[u32; 32]` of raw bits per local
+//! or temporary). Ops that cannot trap run unmasked over
 //! the warp's lanes — a masked-off lane computes a value nobody reads;
 //! integer `Div`/`Rem`, array and table indexing, peeks and every memory
 //! access touch active lanes only. Expressions are pure and have no lazy
@@ -1015,7 +1016,8 @@ mod tests {
 
     use crate::mem::count_transactions;
     use crate::{
-        BlockWork, BufferBinding, DeviceConfig, Gpu, InstanceExec, LaunchStats, Layout, SimError,
+        BlockWork, BufferBinding, DeviceConfig, Gpu, InstanceExec, Kernel, LaunchStats, Layout,
+        SimError,
     };
 
     /// One `i32 -> i32` instance of `threads` lanes over `input`: the
@@ -1040,12 +1042,13 @@ mod tests {
                 .unwrap();
         }
         let binding = BufferBinding::whole(inp, in_tokens, ElemTy::I32, layout, pop);
+        let kernel = Kernel::load(wf);
         let launch = crate::Launch {
             threads_per_block: threads,
             regs_per_thread: 32,
             blocks: vec![BlockWork {
                 items: vec![InstanceExec {
-                    work: wf,
+                    kernel: &kernel,
                     active_threads: threads,
                     inputs: vec![binding.clone()],
                     outputs: vec![BufferBinding::whole(

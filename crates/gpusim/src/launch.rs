@@ -1,7 +1,5 @@
 //! Kernel launches and the top-level [`Gpu`] handle.
 
-use std::collections::HashMap;
-
 use streamir::ir::WorkFunction;
 
 use crate::config::DeviceConfig;
@@ -13,13 +11,39 @@ use crate::stats::{InstanceStats, LaunchStats};
 use crate::timing::TimingModel;
 use crate::{Result, SimError};
 
+/// A work function loaded for the device: the kernel IR paired with the
+/// warp program it decodes to. Load it once per compiled artifact and
+/// launch it as often as needed — [`Gpu::run`] never decodes.
+#[derive(Debug)]
+pub struct Kernel {
+    work: WorkFunction,
+    program: Program,
+}
+
+impl Kernel {
+    /// Decodes `work` for warp-wide execution.
+    #[must_use]
+    pub fn load(work: &WorkFunction) -> Kernel {
+        Kernel {
+            program: Program::decode(work),
+            work: work.clone(),
+        }
+    }
+
+    /// The work function this kernel fires.
+    #[must_use]
+    pub fn work(&self) -> &WorkFunction {
+        &self.work
+    }
+}
+
 /// One filter-instance execution inside a block: `active_threads` lanes of
-/// the block each perform one firing of `work`, reading and writing device
-/// buffers through the given bindings.
+/// the block each perform one firing of `kernel`, reading and writing
+/// device buffers through the given bindings.
 #[derive(Debug, Clone)]
 pub struct InstanceExec<'a> {
-    /// The work function to fire.
-    pub work: &'a WorkFunction,
+    /// The loaded work function to fire.
+    pub kernel: &'a Kernel,
     /// Firings executed in parallel (threads `0..active_threads` of the
     /// block participate; the rest idle, as with the paper's staging
     /// predicates).
@@ -35,8 +59,8 @@ pub struct InstanceExec<'a> {
     /// Device word address of the filter's persistent state. Required for
     /// stateful work functions, which must run with one active thread.
     pub state_base: Option<u32>,
-    /// Diagnostic label shown in traces.
-    pub label: Option<String>,
+    /// Diagnostic label shown in launch-configuration errors.
+    pub label: Option<&'a str>,
 }
 
 /// The instance sequence one thread block executes (the body of one arm of
@@ -297,18 +321,12 @@ impl Gpu {
             ..LaunchStats::default()
         };
         let mut total_transactions = 0u64;
-        // Each work function is decoded once per launch; the launch's
-        // borrows keep the addresses the cache keys on distinct and alive.
-        let mut programs: HashMap<*const WorkFunction, Program> = HashMap::new();
         let mut warp_state = WarpState::default();
 
         for (b, block) in launch.blocks.iter().enumerate() {
             let sm = (b + launch.sm_offset as usize) % self.config.num_sms as usize;
             for inst in &block.items {
-                let prog = programs
-                    .entry(std::ptr::from_ref(inst.work))
-                    .or_insert_with(|| Program::decode(inst.work));
-                let stats = self.run_instance(launch, inst, prog, &mut warp_state, &mut limits)?;
+                let stats = self.run_instance(launch, inst, &mut warp_state, &mut limits)?;
                 per_sm[sm] += self.timing.instance_cycles(&stats);
                 total_transactions += stats.mem_transactions + stats.spill_transactions;
                 totals.warp_instructions += stats.warp_instructions;
@@ -390,15 +408,16 @@ impl Gpu {
                         inst.label, inst.active_threads, launch.threads_per_block
                     )));
                 }
-                if inst.inputs.len() != inst.work.input_ports().len()
-                    || inst.outputs.len() != inst.work.output_ports().len()
+                let work = inst.kernel.work();
+                if inst.inputs.len() != work.input_ports().len()
+                    || inst.outputs.len() != work.output_ports().len()
                 {
                     return Err(SimError::LaunchConfig(format!(
                         "instance {:?} binding arity mismatch",
                         inst.label
                     )));
                 }
-                if inst.work.is_stateful() {
+                if work.is_stateful() {
                     if inst.state_base.is_none() {
                         return Err(SimError::LaunchConfig(format!(
                             "stateful instance {:?} has no state buffer",
@@ -430,7 +449,6 @@ impl Gpu {
         &mut self,
         launch: &Launch<'_>,
         inst: &InstanceExec<'_>,
-        prog: &Program,
         warp_state: &mut WarpState,
         limits: &mut ExecLimits,
     ) -> Result<InstanceStats> {
@@ -445,7 +463,7 @@ impl Gpu {
             let lane0 = w * warp;
             let active = warp.min(inst.active_threads - lane0);
             let ctx = WarpCtx {
-                prog,
+                prog: &inst.kernel.program,
                 lane0_tid: lane0,
                 active,
                 inputs: &inst.inputs,
@@ -472,7 +490,8 @@ impl Gpu {
         // Register spills: every firing reloads/spills the excess live
         // values from per-thread local memory (coalesced).
         let spilled = u64::from(
-            inst.work
+            inst.kernel
+                .work()
                 .info()
                 .reg_estimate
                 .saturating_sub(launch.regs_per_thread),
@@ -491,7 +510,7 @@ impl Gpu {
 /// peek windows plus all output push windows.
 fn staging_bytes(inst: &InstanceExec<'_>) -> u64 {
     let t = u64::from(inst.active_threads);
-    let wf = inst.work;
+    let wf = inst.kernel.work();
     let in_tokens: u64 = (0..wf.input_ports().len() as u8)
         .map(|p| t * u64::from(wf.peek_rate(p)))
         .sum();
@@ -507,16 +526,16 @@ mod tests {
     use crate::layout::Layout;
     use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
 
-    fn doubler() -> WorkFunction {
+    fn doubler() -> Kernel {
         let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
         let x = f.local(ElemTy::I32);
         f.pop_into(0, x);
         f.push(0, Expr::local(x).mul(Expr::i32(2)));
-        f.build().unwrap()
+        Kernel::load(&f.build().unwrap())
     }
 
     fn simple_launch<'a>(
-        work: &'a WorkFunction,
+        kernel: &'a Kernel,
         inp: u32,
         out: u32,
         n: u32,
@@ -527,7 +546,7 @@ mod tests {
             regs_per_thread: 16,
             blocks: vec![BlockWork {
                 items: vec![InstanceExec {
-                    work,
+                    kernel,
                     active_threads: n,
                     inputs: vec![BufferBinding::whole(inp, n, ElemTy::I32, layout, 1)],
                     outputs: vec![BufferBinding::whole(out, n, ElemTy::I32, layout, 1)],
@@ -576,7 +595,7 @@ mod tests {
         assert_eq!(stats.mem_access_insts, 4);
     }
 
-    fn quad_popper() -> WorkFunction {
+    fn quad_popper() -> Kernel {
         // pop 4, push their sum: sequential layout strides by 4.
         let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
         let acc = f.local(ElemTy::I32);
@@ -587,7 +606,7 @@ mod tests {
             f.assign(acc, Expr::local(acc).add(Expr::local(x)));
         }
         f.push(0, Expr::local(acc));
-        f.build().unwrap()
+        Kernel::load(&f.build().unwrap())
     }
 
     #[test]
@@ -609,7 +628,7 @@ mod tests {
                 regs_per_thread: 16,
                 blocks: vec![BlockWork {
                     items: vec![InstanceExec {
-                        work: &work,
+                        kernel: &work,
                         active_threads: n,
                         inputs: vec![BufferBinding {
                             base_word: inp,
@@ -671,7 +690,7 @@ mod tests {
     #[test]
     fn spills_are_billed_when_registers_are_scarce() {
         let work = quad_popper();
-        let reg_need = work.info().reg_estimate;
+        let reg_need = work.work().info().reg_estimate;
         let mut gpu = Gpu::new(DeviceConfig::small_test());
         let inp = gpu.alloc_tokens(128);
         let out = gpu.alloc_tokens(32);
@@ -700,7 +719,7 @@ mod tests {
             vec![streamir::ir::Stmt::Assign(y, Expr::i32(0))],
         );
         f.push(0, Expr::local(y));
-        let work = f.build().unwrap();
+        let work = Kernel::load(&f.build().unwrap());
         let mut gpu = Gpu::new(DeviceConfig::small_test());
         let n = 32;
         let inp = gpu.alloc_tokens(n);
@@ -753,7 +772,7 @@ mod tests {
         }
         f.pop_into(0, x);
         f.push(0, Expr::local(x));
-        let work = f.build().unwrap();
+        let work = Kernel::load(&f.build().unwrap());
         let mut gpu = Gpu::new(DeviceConfig::small_test());
         let inp = gpu.alloc_tokens(64 * 512);
         let out = gpu.alloc_tokens(512);
@@ -773,7 +792,7 @@ mod tests {
         f.pop_into(0, x);
         f.push(0, Expr::state(st).add(Expr::local(x)));
         f.store_state(st, Expr::state(st).add(Expr::i32(1)));
-        let work = f.build().unwrap();
+        let work = Kernel::load(&f.build().unwrap());
 
         let mut gpu = Gpu::new(DeviceConfig::small_test());
         let inp = gpu.alloc_tokens(4);
@@ -783,7 +802,7 @@ mod tests {
                 .write_token(inp + i, Scalar::I32(10 * i as i32));
         }
         let item = |abs: u64, active: u32, state_base: Option<u32>| InstanceExec {
-            work: &work,
+            kernel: &work,
             active_threads: active,
             inputs: vec![BufferBinding {
                 base_word: inp,
@@ -859,7 +878,7 @@ mod tests {
             blocks: (0..blocks)
                 .map(|b| BlockWork {
                     items: vec![InstanceExec {
-                        work: &work,
+                        kernel: &work,
                         active_threads: n,
                         inputs: vec![BufferBinding {
                             base_word: inp,
@@ -928,7 +947,7 @@ mod tests {
         assert!(shifted.per_sm_cycles[2] > 0.0 && shifted.per_sm_cycles[0] == 0.0);
     }
 
-    fn faultable_setup() -> (Gpu, WorkFunction, u32, u32, u32) {
+    fn faultable_setup() -> (Gpu, Kernel, u32, u32, u32) {
         let work = doubler();
         let mut gpu = Gpu::new(DeviceConfig::small_test());
         let n = 64u32;

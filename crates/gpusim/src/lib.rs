@@ -29,8 +29,8 @@
 //! # Example: run one data-parallel filter over device memory
 //!
 //! ```
-//! use gpusim::{BufferBinding, DeviceConfig, Gpu, InstanceExec, Launch,
-//!              Layout, BlockWork};
+//! use gpusim::{BufferBinding, DeviceConfig, Gpu, InstanceExec, Kernel,
+//!              Launch, Layout, BlockWork};
 //! use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
 //!
 //! // doubler: pop 1 i32, push it times two.
@@ -38,7 +38,7 @@
 //! let x = f.local(ElemTy::I32);
 //! f.pop_into(0, x);
 //! f.push(0, Expr::local(x).mul(Expr::i32(2)));
-//! let work = f.build()?;
+//! let doubler = Kernel::load(&f.build()?);
 //!
 //! let mut gpu = Gpu::new(DeviceConfig::gts512());
 //! let n = 64u32;
@@ -52,7 +52,7 @@
 //!     regs_per_thread: 16,
 //!     blocks: vec![BlockWork {
 //!         items: vec![InstanceExec {
-//!             work: &work,
+//!             kernel: &doubler,
 //!             active_threads: 64,
 //!             inputs: vec![BufferBinding::whole(inp, n, ElemTy::I32, Layout::Sequential, 1)],
 //!             outputs: vec![BufferBinding::whole(out, n, ElemTy::I32, Layout::Sequential, 1)],
@@ -83,7 +83,7 @@ pub mod occupancy;
 pub use config::{Device, DeviceConfig, DeviceId};
 pub use exec::{REG_ARRAY_WORDS, SHARED_BANKS};
 pub use fault::{DeviceFaultEvent, DeviceFaultKind, DeviceFaultPlan, FaultKind, FaultPlan};
-pub use launch::{BlockWork, Dispatch, Gpu, InstanceExec, Launch};
+pub use launch::{BlockWork, Dispatch, Gpu, InstanceExec, Kernel, Launch};
 pub use layout::{BufferBinding, Layout, WarpAddrs, WARP_LANES};
 pub use mem::{bank_conflict_degree, count_transactions, Allocator, DeviceMemory};
 pub use stats::{InstanceStats, LaunchStats};

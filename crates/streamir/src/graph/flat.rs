@@ -1,7 +1,10 @@
 //! The flattened stream graph.
 
 use std::collections::VecDeque;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
+use crate::hash::Fnv;
 use crate::ir::{ElemTy, Scalar, WorkFunction};
 use crate::{Error, Result};
 
@@ -61,20 +64,81 @@ pub struct Edge {
 ///
 /// Construct via [`crate::graph::StreamSpec::flatten`]; a `FlatGraph` value
 /// satisfies the structural invariants (all internal ports connected exactly
-/// once, matching element types).
-#[derive(Debug, Clone)]
-pub struct FlatGraph {
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) edges: Vec<Edge>,
-    pub(crate) input: Option<NodeId>,
-    pub(crate) output: Option<NodeId>,
+/// once, matching element types). It is immutable from then on, so a
+/// clone shares the nodes, the channels and the memoised
+/// [`FlatGraph::content_hash`] instead of copying them.
+#[derive(Clone)]
+pub struct FlatGraph(Arc<Shared>);
+
+struct Shared {
+    nodes: Vec<Node>,
+    edges: Vec<Edge>,
+    input: Option<NodeId>,
+    output: Option<NodeId>,
+    content_hash: OnceLock<u64>,
+}
+
+/// Prints exactly what `#[derive(Debug)]` printed when the four fields
+/// sat directly in the struct (the memo is not content).
+impl fmt::Debug for FlatGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FlatGraph")
+            .field("nodes", &self.0.nodes)
+            .field("edges", &self.0.edges)
+            .field("input", &self.0.input)
+            .field("output", &self.0.output)
+            .finish()
+    }
 }
 
 impl FlatGraph {
+    pub(crate) fn new(
+        nodes: Vec<Node>,
+        edges: Vec<Edge>,
+        input: Option<NodeId>,
+        output: Option<NodeId>,
+    ) -> FlatGraph {
+        FlatGraph(Arc::new(Shared {
+            nodes,
+            edges,
+            input,
+            output,
+            content_hash: OnceLock::new(),
+        }))
+    }
+
+    /// The FNV-1a state ([`Fnv::finish`]) after absorbing the graph's
+    /// canonical encoding: every node's name, role and pretty-printed
+    /// work function, every channel's endpoints, type and initial
+    /// tokens, and the external ports. Computed on first use and shared
+    /// by every clone; a pure function of content, so two graphs
+    /// flattened separately from equal specs agree. Content-addressed
+    /// stores [`Fnv::resume`] from it to key `graph + options` without
+    /// re-encoding the graph on every lookup.
+    #[must_use]
+    pub fn content_hash(&self) -> u64 {
+        *self.0.content_hash.get_or_init(|| {
+            let mut h = Fnv::new();
+            for node in self.nodes() {
+                h.str(&node.name);
+                h.str(&format!("{:?}", node.role));
+                h.str(&node.work.to_pretty());
+            }
+            for edge in self.edges() {
+                h.str(&format!(
+                    "{}:{}->{}:{} {:?} {:?}",
+                    edge.src.0, edge.src_port, edge.dst.0, edge.dst_port, edge.elem, edge.initial
+                ));
+            }
+            h.str(&format!("{:?}/{:?}", self.input(), self.output()));
+            h.finish()
+        })
+    }
+
     /// All nodes, indexable by [`NodeId`].
     #[must_use]
     pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+        &self.0.nodes
     }
 
     /// The node with the given id.
@@ -84,13 +148,13 @@ impl FlatGraph {
     /// Panics if `id` is out of range for this graph.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.0 as usize]
+        &self.0.nodes[id.0 as usize]
     }
 
     /// All channels, indexable by [`EdgeId`].
     #[must_use]
     pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        &self.0.edges
     }
 
     /// The channel with the given id.
@@ -100,39 +164,62 @@ impl FlatGraph {
     /// Panics if `id` is out of range for this graph.
     #[must_use]
     pub fn edge(&self, id: EdgeId) -> &Edge {
-        &self.edges[id.0 as usize]
+        &self.0.edges[id.0 as usize]
     }
 
     /// The node whose input port 0 is fed externally, if any.
     #[must_use]
     pub fn input(&self) -> Option<NodeId> {
-        self.input
+        self.0.input
     }
 
     /// The node whose output port 0 is collected externally, if any.
     #[must_use]
     pub fn output(&self) -> Option<NodeId> {
-        self.output
+        self.0.output
     }
 
     /// Ids of channels entering `node`, ordered by destination port.
     pub fn in_edges(&self, node: NodeId) -> Vec<EdgeId> {
-        let mut v: Vec<EdgeId> = (0..self.edges.len() as u32)
+        let mut v: Vec<EdgeId> = (0..self.0.edges.len() as u32)
             .map(EdgeId)
-            .filter(|&e| self.edges[e.0 as usize].dst == node)
+            .filter(|&e| self.0.edges[e.0 as usize].dst == node)
             .collect();
-        v.sort_by_key(|&e| self.edges[e.0 as usize].dst_port);
+        v.sort_by_key(|&e| self.0.edges[e.0 as usize].dst_port);
         v
     }
 
     /// Ids of channels leaving `node`, ordered by source port.
     pub fn out_edges(&self, node: NodeId) -> Vec<EdgeId> {
-        let mut v: Vec<EdgeId> = (0..self.edges.len() as u32)
+        let mut v: Vec<EdgeId> = (0..self.0.edges.len() as u32)
             .map(EdgeId)
-            .filter(|&e| self.edges[e.0 as usize].src == node)
+            .filter(|&e| self.0.edges[e.0 as usize].src == node)
             .collect();
-        v.sort_by_key(|&e| self.edges[e.0 as usize].src_port);
+        v.sort_by_key(|&e| self.0.edges[e.0 as usize].src_port);
         v
+    }
+
+    /// The channel feeding each input port of `node`, in port order. Every
+    /// port is wired exactly once, so `None` can only be port 0 of the
+    /// graph's external input.
+    #[must_use]
+    pub fn input_wiring(&self, node: NodeId) -> Vec<Option<EdgeId>> {
+        let mut ports = vec![None; self.node(node).work.input_ports().len()];
+        for e in self.in_edges(node) {
+            ports[usize::from(self.edge(e).dst_port)] = Some(e);
+        }
+        ports
+    }
+
+    /// The channel fed by each output port of `node`, in port order;
+    /// `None` is the graph's external output.
+    #[must_use]
+    pub fn output_wiring(&self, node: NodeId) -> Vec<Option<EdgeId>> {
+        let mut ports = vec![None; self.node(node).work.output_ports().len()];
+        for e in self.out_edges(node) {
+            ports[usize::from(self.edge(e).src_port)] = Some(e);
+        }
+        ports
     }
 
     /// Tokens the producer pushes on this channel per firing.
@@ -160,20 +247,21 @@ impl FlatGraph {
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.0.nodes.len()
     }
 
     /// `true` for a graph with no nodes (never produced by flattening).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.0.nodes.is_empty()
     }
 
     /// Count of user filters whose work function peeks beyond what it pops
     /// (the "Peeking Filters" column of Table I).
     #[must_use]
     pub fn peeking_filter_count(&self) -> usize {
-        self.nodes
+        self.0
+            .nodes
             .iter()
             .filter(|n| n.role == Role::Filter && n.work.is_peeking())
             .count()
@@ -187,9 +275,9 @@ impl FlatGraph {
     /// Returns [`Error::InvalidGraph`] if a cycle exists with no initial
     /// tokens anywhere on it — such a graph can never fire.
     pub fn topo_order(&self) -> Result<Vec<NodeId>> {
-        let n = self.nodes.len();
+        let n = self.0.nodes.len();
         let mut indeg = vec![0usize; n];
-        for e in &self.edges {
+        for e in &self.0.edges {
             if e.initial.is_empty() {
                 indeg[e.dst.0 as usize] += 1;
             }
@@ -198,7 +286,7 @@ impl FlatGraph {
         let mut order = Vec::with_capacity(n);
         while let Some(i) = queue.pop_front() {
             order.push(NodeId(i as u32));
-            for e in &self.edges {
+            for e in &self.0.edges {
                 if e.src.0 as usize == i && e.initial.is_empty() {
                     let d = e.dst.0 as usize;
                     indeg[d] -= 1;
@@ -214,5 +302,79 @@ impl FlatGraph {
             ));
         }
         Ok(order)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::{FilterSpec, SplitterKind, StreamSpec};
+    use crate::ir::{Expr, FnBuilder};
+
+    fn scale(name: &str, k: i32) -> StreamSpec {
+        let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+        let x = b.local(ElemTy::I32);
+        b.pop_into(0, x);
+        b.push(0, Expr::local(x).mul(Expr::i32(k)));
+        StreamSpec::filter(FilterSpec::new(name, b.build().unwrap()))
+    }
+
+    fn spec() -> StreamSpec {
+        StreamSpec::pipeline(vec![
+            scale("head", 3),
+            StreamSpec::split_join(
+                SplitterKind::Duplicate,
+                vec![scale("left", 5), scale("right", 7)],
+                vec![1, 1],
+            ),
+        ])
+    }
+
+    /// The field-for-field mirror `#[derive(Debug)]` saw before the graph
+    /// became a shared value: same struct name, same field names.
+    mod derived {
+        use super::super::{Edge, Node, NodeId};
+
+        #[derive(Debug)]
+        #[allow(dead_code)] // read by the derived `Debug` only
+        pub(super) struct FlatGraph<'a> {
+            pub nodes: &'a [Node],
+            pub edges: &'a [Edge],
+            pub input: Option<NodeId>,
+            pub output: Option<NodeId>,
+        }
+    }
+
+    #[test]
+    fn debug_output_is_the_derived_four_field_form() {
+        let g = spec().flatten().unwrap();
+        let _ = g.content_hash(); // a filled memo must not show either
+        let mirror = derived::FlatGraph {
+            nodes: g.nodes(),
+            edges: g.edges(),
+            input: g.input(),
+            output: g.output(),
+        };
+        assert_eq!(format!("{g:?}"), format!("{mirror:?}"));
+        assert_eq!(format!("{g:#?}"), format!("{mirror:#?}"));
+    }
+
+    #[test]
+    fn content_hash_is_content_addressed_and_clones_share_the_memo() {
+        let (a, b) = (spec().flatten().unwrap(), spec().flatten().unwrap());
+        assert!(!Arc::ptr_eq(&a.0, &b.0), "two flattenings, two allocations");
+        assert_eq!(a.content_hash(), b.content_hash());
+
+        let fresh = spec().flatten().unwrap();
+        let clone = fresh.clone();
+        assert!(Arc::ptr_eq(&fresh.0, &clone.0));
+        assert!(clone.0.content_hash.get().is_none());
+        let hashed = fresh.content_hash();
+        assert_eq!(clone.0.content_hash.get(), Some(&hashed));
+
+        let other = StreamSpec::pipeline(vec![scale("head", 3), scale("tail", 4)])
+            .flatten()
+            .unwrap();
+        assert_ne!(other.content_hash(), hashed);
     }
 }

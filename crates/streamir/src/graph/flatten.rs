@@ -27,12 +27,12 @@ pub fn flatten(spec: &StreamSpec) -> Result<FlatGraph> {
         name_counts: HashMap::new(),
     };
     let (entry, exit) = f.spec(spec)?;
-    let graph = FlatGraph {
-        nodes: f.nodes,
-        edges: f.edges,
-        input: entry.map(|(n, _)| n),
-        output: exit.map(|(n, _)| n),
-    };
+    let graph = FlatGraph::new(
+        f.nodes,
+        f.edges,
+        entry.map(|(n, _)| n),
+        exit.map(|(n, _)| n),
+    );
     check_wiring(&graph)?;
     Ok(graph)
 }
@@ -276,15 +276,15 @@ fn joiner_work(weights: &[u32], ty: ElemTy) -> Result<WorkFunction> {
 /// Verifies that every internal port is wired exactly once and external
 /// ports match the recorded graph input/output.
 fn check_wiring(g: &FlatGraph) -> Result<()> {
-    for (i, node) in g.nodes.iter().enumerate() {
+    for (i, node) in g.nodes().iter().enumerate() {
         let id = NodeId(i as u32);
         for port in 0..node.work.input_ports().len() as u8 {
             let count = g
-                .edges
+                .edges()
                 .iter()
                 .filter(|e| e.dst == id && e.dst_port == port)
                 .count();
-            let is_graph_input = g.input == Some(id) && port == 0;
+            let is_graph_input = g.input() == Some(id) && port == 0;
             if is_graph_input {
                 if count != 0 {
                     return Err(bad(format!(
@@ -301,11 +301,11 @@ fn check_wiring(g: &FlatGraph) -> Result<()> {
         }
         for port in 0..node.work.output_ports().len() as u8 {
             let count = g
-                .edges
+                .edges()
                 .iter()
                 .filter(|e| e.src == id && e.src_port == port)
                 .count();
-            let is_graph_output = g.output == Some(id) && port == 0;
+            let is_graph_output = g.output() == Some(id) && port == 0;
             if is_graph_output {
                 if count != 0 {
                     return Err(bad(format!(

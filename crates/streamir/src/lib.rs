@@ -40,6 +40,7 @@
 pub mod channel;
 pub mod cpu;
 pub mod graph;
+pub mod hash;
 pub mod ir;
 pub mod sdf;
 

@@ -128,7 +128,7 @@ proptest! {
         taps in 0i32..6,
     ) {
         use gpusim::{BlockWork, BufferBinding, DeviceConfig, Gpu, InstanceExec,
-                     Launch, Layout};
+                     Kernel, Launch, Layout};
         use streamir::ir::interp::{self, VecChannels};
         use streamir::ir::OpCensus;
 
@@ -188,12 +188,13 @@ proptest! {
         for (i, &v) in inputs.iter().enumerate() {
             gpu.memory_mut().write_token(inp + i as u32, v);
         }
+        let kernel = Kernel::load(&wf);
         let launch = Launch {
             threads_per_block: threads,
             regs_per_thread: 32,
             blocks: vec![BlockWork {
                 items: vec![InstanceExec {
-                    work: &wf,
+                    kernel: &kernel,
                     active_threads: threads,
                     inputs: vec![BufferBinding::whole(inp, in_tokens, ElemTy::I32, Layout::Sequential, pop)],
                     outputs: vec![BufferBinding::whole(out, out_tokens, ElemTy::I32, Layout::Sequential, push)],
@@ -426,6 +427,139 @@ fn every_scheme_matches_the_cpu_and_the_verifier_on_suite_and_random_graphs() {
     }
 }
 
+/// Field-for-field equality of two executions, errors compared by message.
+fn assert_same_run(a: &swpipe::Result<exec::GpuRun>, b: &swpipe::Result<exec::GpuRun>, ctx: &str) {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.outputs, b.outputs, "{ctx}: outputs");
+            assert_eq!(a.stats, b.stats, "{ctx}: launch statistics");
+            assert_eq!(a.launch_cycles, b.launch_cycles, "{ctx}: per-launch cycles");
+            assert_eq!(a.time_secs, b.time_secs, "{ctx}: modeled time");
+            assert_eq!((a.launches, a.retries), (b.launches, b.retries), "{ctx}");
+            assert_eq!(a.buffer_bytes, b.buffer_bytes, "{ctx}: buffer plan");
+            assert_eq!(a.checkpoint_mode, b.checkpoint_mode, "{ctx}");
+            assert_eq!(a.checkpoint_interval, b.checkpoint_interval, "{ctx}");
+        }
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{ctx}: errors"),
+        (a, b) => panic!("{ctx}: one path failed and the other did not: {a:?} vs {b:?}"),
+    }
+}
+
+/// Prepare once, serve many: every dispatch of an artifact through its
+/// one shared prepared form — consecutive ones, and two racing to build
+/// it from two threads — equals a fresh `execute_with` field for field,
+/// fault-free and under launch failures (a relaunch reuses the prepared
+/// launch shape), k-launch checkpointing (the commit window's replay
+/// rebuilds any ordinal) and hangs under the adaptive watchdog.
+#[test]
+fn prepared_dispatches_equal_fresh_executions_under_every_fault_regime() {
+    use gpusim::FaultPlan;
+    use swpipe::exec::{RetryPolicy, RunOptions};
+    use swpipe::pipeline::{PipelineOptions, ResilientPipeline, StageBudgets};
+
+    // The serving path's ladder: no budget for the ILP rungs.
+    let pipeline = ResilientPipeline::new(PipelineOptions {
+        compile: CompileOptions::small_test(),
+        budgets: StageBudgets {
+            exact_ilp: std::time::Duration::ZERO,
+            relaxed_ilp: std::time::Duration::ZERO,
+            ..StageBudgets::default()
+        },
+        ..PipelineOptions::default()
+    });
+    let faulty =
+        |plan: FaultPlan, checkpoint_interval: u32, watchdog_margin: Option<u32>| RunOptions {
+            fault_plan: Some(plan),
+            retry: RetryPolicy { max_attempts: 6 },
+            checkpoint_interval,
+            watchdog_margin,
+            graph_dispatch: true,
+            ..RunOptions::default()
+        };
+    let regimes = [
+        ("fault-free", RunOptions::default()),
+        (
+            "launch failures",
+            faulty(FaultPlan::new(7).with_launch_failures(30), 1, None),
+        ),
+        (
+            "k-launch checkpoints",
+            faulty(FaultPlan::new(11).with_launch_failures(30), 3, None),
+        ),
+        // Commit interval 1: with a wider window, a replayed launch's
+        // success re-tightens the watchdog budget a false kill just
+        // doubled, and a launch bigger than margin x its predecessors
+        // never gets through (ROADMAP 4g; the parent commit does the same).
+        (
+            "hangs",
+            faulty(FaultPlan::new(13).with_hangs(30), 1, Some(4)),
+        ),
+    ];
+    let iters = 4u64;
+    let mut retries = [0u64; 4];
+    for s in &stream_gpu::learn_gen::suite_sources() {
+        let artifact = pipeline.compile(&s.graph).expect("suite graph compiles");
+        let input = (s.input)(exec::required_input(&artifact.compiled, iters) as usize);
+        let fresh = |opts: &RunOptions| {
+            exec::execute_with(&artifact.compiled, artifact.scheme, iters, &input, opts)
+        };
+
+        // Two threads meet at the barrier before the prepared form exists.
+        let barrier = std::sync::Barrier::new(2);
+        let racer = || {
+            barrier.wait();
+            artifact.execute(iters, &input, &regimes[0].1)
+        };
+        let (left, right) = std::thread::scope(|scope| {
+            let other = scope.spawn(racer);
+            (racer(), other.join().expect("dispatch thread ran"))
+        });
+        let reference = fresh(&regimes[0].1);
+        assert!(reference.is_ok(), "{}: {reference:?}", s.name);
+        assert_same_run(&left, &reference, &format!("{}: racing dispatch", s.name));
+        assert_same_run(&right, &reference, &format!("{}: racing dispatch", s.name));
+
+        for (r, (regime, opts)) in regimes.iter().enumerate() {
+            let reference = fresh(opts);
+            retries[r] += reference.as_ref().map_or(0, |run| run.retries);
+            for n in 0..3 {
+                let ctx = format!("{} under {regime}, dispatch {n}", s.name);
+                assert_same_run(&artifact.execute(iters, &input, opts), &reference, &ctx);
+            }
+        }
+    }
+
+    assert_eq!(retries[0], 0);
+    assert!(
+        retries[1..].iter().all(|&n| n > 0),
+        "every faulty regime must exercise recovery: {retries:?}"
+    );
+
+    // A trapping work function reports the same trap with the same context.
+    let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+    let x = f.local(ElemTy::I32);
+    f.pop_into(0, x);
+    f.push(0, Expr::i32(100).div(Expr::local(x)));
+    let graph = StreamSpec::filter(FilterSpec::new("reciprocal", f.build().expect("valid")))
+        .flatten()
+        .expect("flattens");
+    let artifact = pipeline
+        .compile(&graph)
+        .expect("profiles on non-zero tokens");
+    let zeros = vec![Scalar::I32(0); exec::required_input(&artifact.compiled, 1) as usize];
+    let opts = RunOptions::default();
+    let fresh = exec::execute_with(&artifact.compiled, artifact.scheme, 1, &zeros, &opts);
+    let message = fresh
+        .as_ref()
+        .expect_err("dividing by a zero token traps")
+        .to_string();
+    assert!(
+        message.contains("work function trapped: integer division by zero"),
+        "{message}"
+    );
+    assert_same_run(&artifact.execute(1, &zeros, &opts), &fresh, "trap");
+}
+
 /// Fault semantics as known answers, captured from the lane-by-lane
 /// evaluator this simulator core replaced: where an injected memory
 /// corruption is detected, what an injected hang reports, and exactly
@@ -435,8 +569,8 @@ fn every_scheme_matches_the_cpu_and_the_verifier_on_suite_and_random_graphs() {
 #[test]
 fn fault_trip_sites_and_partial_writes_are_pinned() {
     use gpusim::{
-        BlockWork, BufferBinding, DeviceConfig, FaultKind, FaultPlan, Gpu, InstanceExec, Launch,
-        Layout, SimError,
+        BlockWork, BufferBinding, DeviceConfig, FaultKind, FaultPlan, Gpu, InstanceExec, Kernel,
+        Launch, Layout, SimError,
     };
     use swpipe::hash::Fnv;
 
@@ -481,12 +615,13 @@ fn fault_trip_sites_and_partial_writes_are_pinned() {
             .at_launch(0, FaultKind::MemCorruption)
             .at_launch(1, FaultKind::Hang),
     );
+    let kernel = Kernel::load(&wf);
     let launch = Launch {
         threads_per_block: threads,
         regs_per_thread: 32,
         blocks: vec![BlockWork {
             items: vec![InstanceExec {
-                work: &wf,
+                kernel: &kernel,
                 active_threads: threads,
                 inputs: vec![BufferBinding::whole(inp, in_tokens, ElemTy::I32, layout, 2)],
                 outputs: vec![BufferBinding::whole(

@@ -254,6 +254,70 @@ fn cache_key_is_construction_independent() {
     }
 }
 
+/// The cache key, encoded from scratch: the graph's canonical form, then
+/// every option, through one hasher with nothing memoised. `cache_key`
+/// resumes from the graph's memoised hash state instead; this reference
+/// pins that the two agree, so keys (and with them disk-tier file names
+/// and fleet replica placement) survive the memoisation bit for bit.
+fn reference_key(graph: &streamir::graph::FlatGraph, opts: &PipelineOptions) -> u64 {
+    let mut h = swpipe::hash::Fnv::new();
+    for node in graph.nodes() {
+        h.str(&node.name);
+        h.str(&format!("{:?}", node.role));
+        h.str(&node.work.to_pretty());
+    }
+    for edge in graph.edges() {
+        h.str(&format!(
+            "{}:{}->{}:{} {:?} {:?}",
+            edge.src.0, edge.src_port, edge.dst.0, edge.dst_port, edge.elem, edge.initial
+        ));
+    }
+    h.str(&format!("{:?}/{:?}", graph.input(), graph.output()));
+    let c = &opts.compile;
+    h.str(&format!("{:?}", c.device));
+    h.str(&format!("{:?}", c.timing));
+    h.str(&format!("{:?}", c.profile));
+    h.str(&format!("{:?}", c.search));
+    h.str(&format!("{:?}", opts.budgets));
+    h.str(&format!("{:?}", opts.policy));
+    h.str(&format!("{:?}", opts.fault_plan));
+    h.str(&format!("graph_dispatch={}", opts.graph_dispatch));
+    h.finish()
+}
+
+/// Satellite: over the suite × slice widths × both fault policies ×
+/// both dispatch modes, the memoised key equals the from-scratch
+/// encoding — on the first lookup of a graph (memo empty), on later
+/// ones (memo filled), through a clone (memo shared) and on a second
+/// flattening of the same spec (content-addressed, never
+/// pointer-addressed).
+#[test]
+fn memoised_cache_key_equals_the_from_scratch_encoding() {
+    let mut keys = std::collections::BTreeSet::new();
+    for b in streambench::suite() {
+        let graph = b.spec.flatten().expect("benchmark flattens");
+        let clone = graph.clone();
+        let again = b.spec.flatten().expect("benchmark flattens");
+        for width in [1, 2, 4, 16] {
+            for qos in [QosClass::Batch, QosClass::Interactive] {
+                for graph_dispatch in [false, true] {
+                    let opts = PipelineOptions {
+                        graph_dispatch,
+                        ..solo_options(width, qos)
+                    };
+                    let expect = reference_key(&graph, &opts);
+                    let ctx = format!("{} w{width} {qos:?} graph={graph_dispatch}", b.name);
+                    assert_eq!(cache_key(&graph, &opts), expect, "{ctx}");
+                    assert_eq!(cache_key(&clone, &opts), expect, "{ctx}: clone");
+                    assert_eq!(cache_key(&again, &opts), expect, "{ctx}: re-flattened");
+                    keys.insert(expect);
+                }
+            }
+        }
+    }
+    assert_eq!(keys.len(), 8 * 4 * 2 * 2, "every configuration keys apart");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -279,9 +343,7 @@ proptest! {
         let fresh_run =
             exec::execute_with(&fresh.compiled, fresh.scheme, iters, &input, &fresh.run_options)
                 .unwrap();
-        let hit_run =
-            exec::execute_with(&hit.compiled, hit.scheme, iters, &input, &hit.run_options)
-                .unwrap();
+        let hit_run = hit.execute(iters, &input, &hit.run_options).unwrap();
         prop_assert_eq!(
             &fresh_run.outputs, &hit_run.outputs,
             "{}: cache-hit output diverged from fresh compile", b.name
