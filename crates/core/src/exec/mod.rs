@@ -13,6 +13,8 @@
 //!   schedule, fully data-parallel within the filter, coalesced layout,
 //!   buffers constrained to a single batch in flight.
 
+use std::ops::Range;
+
 use gpusim::{
     BlockWork, CheckpointMode, DeviceConfig, Dispatch, FaultPlan, Gpu, InstanceExec, Kernel,
     Launch, LaunchStats, TimingModel,
@@ -27,6 +29,10 @@ use crate::plan::{self, BufferPlan, LayoutKind};
 use crate::profile::{self, staging_fits, ProfileOptions};
 use crate::schedule::{self, Schedule, SearchOptions, SearchReport};
 use crate::{Error, Result};
+
+mod recovery;
+
+use recovery::{Checkpointer, Sequencer};
 
 /// Everything [`compile`] needs to know.
 #[derive(Debug, Clone)]
@@ -423,6 +429,12 @@ enum Walk {
     Serial { topo: Vec<NodeId> },
 }
 
+/// The `(node, batch)` a serial launch ordinal stands for.
+fn serial_step(topo: &[NodeId], ordinal: u64) -> (NodeId, u64) {
+    let nodes = topo.len() as u64;
+    (topo[(ordinal % nodes) as usize], ordinal / nodes)
+}
+
 /// Everything about running one artifact under one scheme that is a pure
 /// function of the artifact: loaded kernels, the port wiring and staging
 /// decision of every node, the launch enumeration, the captured steady
@@ -545,8 +557,7 @@ impl Prepared {
             // Every instance of the node over one batch, round-robin over
             // the SMs.
             Walk::Serial { topo } => {
-                let node = topo[(ordinal % topo.len() as u64) as usize];
-                let batch_no = ordinal / topo.len() as u64;
+                let (node, batch_no) = serial_step(topo, ordinal);
                 let num_sms = c.device.num_sms as usize;
                 let mut slot = 0usize;
                 for sub in 0..granule {
@@ -604,15 +615,68 @@ impl Prepared {
         });
         let threads_per_block = match &self.walk {
             Walk::Swp { .. } => c.exec_cfg.threads_per_block,
-            Walk::Serial { topo } => {
-                c.exec_cfg.threads[topo[(ordinal % topo.len() as u64) as usize].0 as usize]
-            }
+            Walk::Serial { topo } => c.exec_cfg.threads[serial_step(topo, ordinal).0 .0 as usize],
         };
         Launch {
             threads_per_block,
             regs_per_thread: c.exec_cfg.regs_per_thread,
             blocks,
             sm_offset,
+        }
+    }
+
+    /// The launch ordinals of an `iterations`-long run in which every
+    /// instance's staging predicate holds, i.e. whose launches are one
+    /// fixed graph. Empty for the serial scheme, which has no fixed
+    /// steady-state graph to capture, so graph dispatch is ignored there.
+    fn steady_window(&self, c: &Compiled, iterations: u64) -> Range<u64> {
+        match &self.walk {
+            // From the last stage filling to the first one draining.
+            Walk::Swp { .. } => {
+                c.schedule.max_stage()..iterations / u64::from(scheme_shape(self.scheme).0)
+            }
+            Walk::Serial { .. } => 0..0,
+        }
+    }
+
+    /// How a scaled measurement ([`measure`]) shortens an `iterations`-long
+    /// run, as `(sample, skipped)`: it skips a stretch of launches whose
+    /// counters repeat, counting each `sample`-long group of them as the
+    /// merged stats of the `sample` ordinals it simulated earlier. Launches
+    /// between `sample` and `skipped` are simulated to verify that claim.
+    /// `None` when every launch is simulated anyway.
+    fn extrapolation(&self, c: &Compiled, iterations: u64) -> Option<(Range<u64>, Range<u64>)> {
+        match &self.walk {
+            // Fill exactly, two steady launches (the second verifies the
+            // first), the rest of the steady window by scaling, drain
+            // exactly. A run inside the window scaled mode allocates
+            // buffers for (`max_stage + 4` kernel iterations) is simulated
+            // whole.
+            Walk::Swp { .. } => {
+                let steady = self.steady_window(c, iterations);
+                let (first, rest) = (steady.start..steady.start + 1, steady.start + 2..steady.end);
+                (steady.end > steady.start + 4).then_some((first, rest))
+            }
+            // Every batch is counter-identical (one kernel per filter over
+            // the same shapes): simulate the first and scale.
+            Walk::Serial { topo } => {
+                let (batch, launches) = (topo.len() as u64, self.launch_count(c, iterations));
+                (launches > batch).then_some((0..batch, batch..launches))
+            }
+        }
+    }
+
+    /// What launch `ordinal` was doing, for an error it raised.
+    fn context(&self, c: &Compiled, ordinal: u64) -> String {
+        match &self.walk {
+            Walk::Swp { .. } => format!("software-pipelined kernel iteration {ordinal}"),
+            Walk::Serial { topo } => {
+                let (node, batch_no) = serial_step(topo, ordinal);
+                format!(
+                    "serial kernel for filter '{}' (batch {batch_no})",
+                    c.graph.node(node).name
+                )
+            }
         }
     }
 
@@ -645,7 +709,8 @@ impl Prepared {
         // k-launch checkpointing only matters (and is only billed) under an
         // armed fault plan; scaled measurement extrapolates merged steady
         // launches, so it always commits per launch over canonical buffers.
-        let interval = if opts.fault_plan.is_some() && !scaled {
+        let armed = opts.fault_plan.is_some();
+        let interval = if armed && !scaled {
             opts.checkpoint_interval.max(1)
         } else {
             1
@@ -654,7 +719,7 @@ impl Prepared {
         // byte- and cycle-identical across all settings, and scaled
         // measurement merges steady launches into outsized composites the
         // tightened budget would wrongly kill.
-        let watchdog_margin = if opts.fault_plan.is_some() && !scaled {
+        let watchdog_margin = if armed && !scaled {
             u64::from(opts.watchdog_margin.unwrap_or(0))
         } else {
             0
@@ -707,38 +772,79 @@ impl Prepared {
             CheckpointSpec::Auto => ckpt_plan.mode,
             CheckpointSpec::Force(m) => m,
         };
-        let mut ckpt = Checkpointer::new(&mut gpu, c, &buffers, mode, opts.fault_plan.is_some())?;
+        let state = (c.graph.nodes().iter().zip(&buffers.state_base))
+            .filter_map(|(node, base)| Some(((*base)?, node.work.states().len().max(1) as u32)))
+            .collect();
+        let checkpoint = Checkpointer::new(&mut gpu, state, mode, armed)?;
 
-        let mut totals = LaunchStats::default();
-        let mut launches = 0u64;
-        let mut retries = 0u64;
-        let mut trace = Vec::new();
-        let run_scheme = if serial { run_serial } else { run_swp };
-        run_scheme(
-            self,
-            c,
-            &buffers,
-            iterations,
-            scaled,
-            sm_offset,
-            opts.graph_dispatch,
+        // The steady window is the only region where launches are a fixed
+        // graph. Capture it once (billed as productive cycles, not fault
+        // overhead) and replay it; fill and drain stay host-launched.
+        let replayed = if opts.graph_dispatch {
+            self.steady_window(c, iterations)
+        } else {
+            0..0
+        };
+        let mut billed = LaunchStats::default();
+        match &self.walk {
+            Walk::Swp { capture, .. } if !replayed.is_empty() => {
+                let cost = gpu
+                    .timing()
+                    .graph_capture_cycles(capture.node_count(), capture.edge_count());
+                billed.graph_captures += 1;
+                billed.graph_capture_cycles += cost;
+                billed.cycles += cost;
+                billed.time_secs += gpu.timing().secs(cost);
+            }
+            _ => {}
+        }
+        let build = |r: u64| {
+            let dispatch = if replayed.contains(&r) {
+                Dispatch::GraphReplay
+            } else {
+                Dispatch::HostLaunch
+            };
+            (self.launch(c, &buffers, r, iterations, sm_offset), dispatch)
+        };
+        let mut seq = Sequencer::new(
             &mut gpu,
-            &mut totals,
-            &mut launches,
+            build,
+            checkpoint,
             opts.retry,
-            &mut retries,
-            &mut ckpt,
             interval,
             watchdog_margin,
-            &mut trace,
-        )?;
+            billed,
+        );
 
-        // The simulated-retry counter is exact even in scaled mode (where
-        // merged steady-window stats are extrapolated, not re-simulated).
-        totals.retries = retries;
-        // Fault billing must account: the disjoint overhead components sum
-        // to the fault overhead, which never exceeds the wall cycles.
-        totals.assert_billing();
+        // The one launch loop: every ordinal of the run in issue order,
+        // simulated unless the plan extrapolates it from its sample.
+        let launches = self.launch_count(c, iterations);
+        let (sampled, skipped) = (scaled.then(|| self.extrapolation(c, iterations)))
+            .flatten()
+            .unwrap_or((launches..launches, launches..launches));
+        let mut sample = LaunchStats::default();
+        let mut ordinal = 0;
+        while ordinal < launches {
+            if skipped.contains(&ordinal) {
+                let span = sampled.end - sampled.start;
+                seq.extrapolate(&sample, span);
+                ordinal += span;
+                continue;
+            }
+            let stats = seq
+                .issue(ordinal)
+                .map_err(|e| e.in_context(self.context(c, ordinal)))?;
+            if sampled.contains(&ordinal) {
+                sample.merge(&stats);
+            } else if (sampled.end..skipped.start).contains(&ordinal) {
+                debug_assert_eq!(
+                    stats.warp_instructions, sample.warp_instructions,
+                    "steady launches must be counter-identical (data-independent control flow)"
+                );
+            }
+            ordinal += 1;
+        }
+        let (totals, launches, trace) = seq.finish();
 
         let outputs = if scaled {
             Vec::new()
@@ -749,7 +855,7 @@ impl Prepared {
             outputs,
             time_secs: totals.time_secs,
             launches,
-            retries,
+            retries: totals.retries,
             buffer_bytes: plan.total_bytes(),
             checkpoint_mode: mode,
             checkpoint_interval: interval,
@@ -781,13 +887,7 @@ pub fn measure(c: &Compiled, scheme: Scheme, iterations: u64, input: &[Scalar]) 
 /// plus the simulated window (fill + verification launches).
 #[must_use]
 pub fn measure_input(c: &Compiled, scheme: Scheme) -> u64 {
-    let granule = match scheme {
-        Scheme::Swp { coarsening }
-        | Scheme::SwpNc { coarsening }
-        | Scheme::SwpRaw { coarsening } => coarsening.max(1),
-        Scheme::Serial { batch } => batch.max(1),
-    };
-    let window = (c.schedule.max_stage() + 4) * u64::from(granule);
+    let window = (c.schedule.max_stage() + 4) * u64::from(scheme_shape(scheme).0);
     required_input(c, window)
 }
 
@@ -802,537 +902,6 @@ fn check_input_len(buffers: &ProgramBuffers, input: &[Scalar]) -> Result<()> {
                 got: input.len(),
             }));
         }
-    }
-    Ok(())
-}
-
-/// The retry protocol's checkpoint of the only device state a launch
-/// mutates *in place*: the stateful filters' state words. Every other
-/// word a launch writes (channel tokens, outputs) is a deterministic
-/// function of inputs the launch does not overwrite — and within one
-/// launch each block's producer→consumer instance order re-runs
-/// identically — so relaunching after a partial execution recomputes
-/// those words bit-identically. Restoring the committed snapshot
-/// therefore returns the device to the last consistent buffer state.
-///
-/// Two protocols, priced by the timing model's checkpoint cost model:
-///
-/// * [`CheckpointMode::HostRoundTrip`] — capture copies the state words
-///   to the host before each launch; a restore copies them back. Both
-///   directions pay the host-transfer latency plus per-word cost.
-/// * [`CheckpointMode::DeviceDoubleBuffered`] — the state words are
-///   additionally mirrored into one of two on-device shadow buffers
-///   (alternating per launch); commit and restore are device-to-device
-///   copies at the much cheaper per-word commit cost, with no host
-///   latency. A host mirror is still kept so recovery can be *validated*
-///   bit-identical against the committed snapshot — the mirror is a
-///   correctness check, not a billed mechanism.
-///
-/// When no fault plan is armed the protocol is unbilled and the shadow
-/// buffers are never allocated, so fault-free runs are byte-identical to
-/// the pre-checkpointing executor.
-struct Checkpointer {
-    /// `(live state base, word count)` per stateful filter.
-    regions: Vec<(u32, u32)>,
-    /// Host copy of the last committed snapshot, regions concatenated.
-    committed: Vec<u32>,
-    mode: CheckpointMode,
-    /// The two on-device shadow buffers (double-buffered mode, armed).
-    shadow: Option<[u32; 2]>,
-    /// Which shadow buffer holds the last committed snapshot.
-    current: usize,
-    /// Whether a fault plan is armed (enables billing + shadow writes).
-    armed: bool,
-}
-
-impl Checkpointer {
-    fn new(
-        gpu: &mut Gpu,
-        c: &Compiled,
-        buffers: &ProgramBuffers,
-        mode: CheckpointMode,
-        armed: bool,
-    ) -> Result<Checkpointer> {
-        let mut regions = Vec::new();
-        for (node, base) in c.graph.nodes().iter().zip(&buffers.state_base) {
-            if let Some(base) = *base {
-                regions.push((base, node.work.states().len().max(1) as u32));
-            }
-        }
-        let words: u32 = regions.iter().map(|&(_, len)| len).sum();
-        let shadow = if armed && mode == CheckpointMode::DeviceDoubleBuffered && words > 0 {
-            Some([gpu.try_alloc_tokens(words)?, gpu.try_alloc_tokens(words)?])
-        } else {
-            None
-        };
-        Ok(Checkpointer {
-            regions,
-            committed: Vec::new(),
-            mode,
-            shadow,
-            current: 0,
-            armed,
-        })
-    }
-
-    fn words(&self) -> u64 {
-        self.regions.iter().map(|&(_, len)| u64::from(len)).sum()
-    }
-
-    /// Snapshots the live state words before a launch. Returns the billed
-    /// checkpoint cycles (0 when unarmed or stateless).
-    fn commit(&mut self, gpu: &mut Gpu) -> Result<f64> {
-        let mut snap = Vec::with_capacity(self.committed.len());
-        for &(base, len) in &self.regions {
-            for i in 0..len {
-                snap.push(gpu.memory().read(u64::from(base + i))?);
-            }
-        }
-        self.committed = snap;
-        let words = self.words();
-        if !self.armed || words == 0 {
-            return Ok(0.0);
-        }
-        match self.mode {
-            CheckpointMode::HostRoundTrip => Ok(gpu.timing().checkpoint_capture_cycles(words)),
-            CheckpointMode::DeviceDoubleBuffered => {
-                // One extra on-device state write per launch: mirror the
-                // snapshot into the alternate shadow buffer and flip.
-                let cost = gpu.timing().state_copy_cycles(words);
-                let next = 1 - self.current;
-                if let Some(shadow) = self.shadow {
-                    for (i, &w) in self.committed.iter().enumerate() {
-                        gpu.memory_mut()
-                            .write(u64::from(shadow[next]) + i as u64, w)?;
-                    }
-                }
-                self.current = next;
-                Ok(cost)
-            }
-        }
-    }
-
-    /// Restores the last committed snapshot after a transient fault.
-    /// Returns the billed restore cycles (0 when unarmed or stateless).
-    fn restore(&self, gpu: &mut Gpu) -> Result<f64> {
-        let words = self.words();
-        let mut cost = 0.0;
-        if self.armed && words > 0 {
-            cost = match self.mode {
-                CheckpointMode::HostRoundTrip => gpu.timing().checkpoint_restore_cycles(words),
-                CheckpointMode::DeviceDoubleBuffered => gpu.timing().state_copy_cycles(words),
-            };
-        }
-        // Double-buffered recovery reads the committed on-device shadow;
-        // validate it bit-identical against the host mirror before
-        // trusting it.
-        if let Some(shadow) = self.shadow {
-            for (i, &expect) in self.committed.iter().enumerate() {
-                let got = gpu
-                    .memory()
-                    .read(u64::from(shadow[self.current]) + i as u64)?;
-                if got != expect {
-                    return Err(Error::Api(format!(
-                        "double-buffered checkpoint corrupt: shadow word {i} \
-                         is {got:#x}, committed mirror says {expect:#x}"
-                    )));
-                }
-            }
-        }
-        let mut it = self.committed.iter();
-        for &(base, len) in &self.regions {
-            for i in 0..len {
-                let w = *it.next().expect("committed snapshot covers all regions");
-                gpu.memory_mut().write(u64::from(base + i), w)?;
-            }
-        }
-        Ok(cost)
-    }
-}
-
-/// The adaptive hang-detection tuner behind
-/// [`RunOptions::watchdog_margin`]: tracks the largest instruction count
-/// any successful launch has issued and keeps the device's watchdog
-/// budget at `margin ×` that evidence. Inert at margin 0.
-struct WatchdogTuner {
-    /// Tightening factor (0 = disabled, the device default stands).
-    margin: u64,
-    /// The device's true (display-interval) watchdog budget.
-    default_budget: u64,
-    /// Largest warp-instruction count a successful launch has issued.
-    max_insts: u64,
-}
-
-impl WatchdogTuner {
-    fn new(margin: u64, default_budget: u64) -> WatchdogTuner {
-        WatchdogTuner {
-            margin,
-            default_budget,
-            max_insts: 0,
-        }
-    }
-
-    /// Re-tightens the budget from a successful launch's true size.
-    fn observe_success(&mut self, gpu: &mut Gpu, stats: &LaunchStats) {
-        if self.margin == 0 {
-            return;
-        }
-        self.max_insts = self.max_insts.max(stats.warp_instructions);
-        let tight = self
-            .max_insts
-            .saturating_mul(self.margin)
-            .clamp(1, self.default_budget);
-        gpu.set_watchdog_budget(Some(tight));
-    }
-
-    /// Reacts to a transient fault. Returns whether the failure counts
-    /// against the retry budget: a watchdog kill at a *tightened* budget
-    /// may be the tuner's own false positive (a launch legitimately
-    /// bigger than `margin ×` everything seen so far), so the armed
-    /// budget doubles and the attempt is billed but not counted —
-    /// progress is guaranteed because the budget reaches the device
-    /// default after finitely many doublings, where kills count again.
-    fn absorb_fault(&mut self, gpu: &mut Gpu, err: &gpusim::SimError) -> bool {
-        if self.margin == 0 || !matches!(err, gpusim::SimError::WatchdogTimeout { .. }) {
-            return true;
-        }
-        let armed = gpu.watchdog_budget();
-        if armed >= self.default_budget {
-            return true;
-        }
-        gpu.set_watchdog_budget(Some(armed.saturating_mul(2).min(self.default_budget)));
-        false
-    }
-}
-
-/// The k-launch commit window: which launch ordinals have completed since
-/// the last checkpoint commit. At `interval == 1` the window drains after
-/// every launch and the sequencer degenerates exactly to per-launch
-/// commit-and-retry; at `interval == k > 1` the checkpoint commits every
-/// k launches and recovery replays the window.
-struct CommitWindow {
-    interval: u32,
-    pending: Vec<u64>,
-}
-
-impl CommitWindow {
-    fn new(interval: u32) -> CommitWindow {
-        CommitWindow {
-            interval: interval.max(1),
-            pending: Vec::new(),
-        }
-    }
-}
-
-/// Runs one launch with bounded retry-with-replay: on a transient fault
-/// ([`gpusim::SimError::is_transient`]) the stateful-state checkpoint is
-/// restored, the failed attempt's true cost is accumulated (billed via
-/// [`TimingModel::failed_attempt_cycles`] into the successful attempt's
-/// stats), every launch completed since the last commit is *replayed*
-/// from its (still-live, replay-slack-planned) inputs, and the faulted
-/// launch is re-run. The fault plan draws per lifetime attempt ordinal,
-/// so every retry and every replay gets a fresh, independent draw; a
-/// fault during replay restarts the window replay under the same bounded
-/// attempts budget.
-///
-/// Billing is truthful and disjoint: failed attempts into
-/// [`LaunchStats::failed_attempt_cycles`], commit/restore copies into
-/// [`LaunchStats::checkpoint_cycles`], replayed launches' full cost into
-/// [`LaunchStats::replay_cycles`] — all folded into
-/// `fault_overhead_cycles` and the wall cycles.
-#[allow(clippy::too_many_arguments)] // one internal dispatch point
-fn run_launch_windowed<'a, F, D>(
-    gpu: &mut Gpu,
-    ordinal: u64,
-    build: &F,
-    dispatch_of: &D,
-    retry: RetryPolicy,
-    retries: &mut u64,
-    ckpt: &mut Checkpointer,
-    window: &mut CommitWindow,
-    tuner: &mut WatchdogTuner,
-) -> Result<LaunchStats>
-where
-    F: Fn(u64) -> Launch<'a>,
-    D: Fn(u64) -> Dispatch,
-{
-    // A faulted attempt's sunk cost depends on the path it took: a
-    // rejected replay burned a doorbell, not a host launch.
-    let failed_cycles = |gpu: &Gpu, ordinal: u64, e: &gpusim::SimError| match dispatch_of(ordinal) {
-        Dispatch::HostLaunch => gpu.timing().failed_attempt_cycles(e),
-        Dispatch::GraphReplay => gpu.timing().failed_replay_attempt_cycles(e),
-    };
-    // The checkpoint commits only at window boundaries: every k-th
-    // launch opens a fresh window over a just-committed snapshot.
-    let mut ckpt_cycles = if window.pending.is_empty() {
-        ckpt.commit(gpu)?
-    } else {
-        0.0
-    };
-    let mut fault_cycles = 0.0f64;
-    let mut replay_cycles = 0.0f64;
-    // Attempts counted against the retry budget; kills at a tightened
-    // watchdog budget retry for free (see [`WatchdogTuner`]) but still
-    // show up in `tries` (and the retry counters and the billing).
-    let mut attempt = 0u32;
-    let mut tries = 0u64;
-    let max_attempts = retry.max_attempts.max(1);
-    let launch = build(ordinal);
-    let give_up = |e: gpusim::SimError, attempts: u32| {
-        Error::sim_while(
-            e,
-            format!(
-                "relaunching a faulted steady-state launch \
-                 (gave up after {attempts} attempts)"
-            ),
-        )
-    };
-    loop {
-        match gpu.run_dispatched(&launch, dispatch_of(ordinal)) {
-            Ok(mut stats) => {
-                tuner.observe_success(gpu, &stats);
-                stats.retries = tries;
-                let overhead = fault_cycles + ckpt_cycles + replay_cycles;
-                if overhead > 0.0 {
-                    stats.fault_overhead_cycles += overhead;
-                    stats.failed_attempt_cycles += fault_cycles;
-                    stats.checkpoint_cycles += ckpt_cycles;
-                    stats.replay_cycles += replay_cycles;
-                    stats.cycles += overhead;
-                    stats.time_secs = gpu.timing().secs(stats.cycles);
-                }
-                window.pending.push(ordinal);
-                if window.pending.len() >= window.interval as usize {
-                    window.pending.clear();
-                }
-                return Ok(stats);
-            }
-            Err(e) if e.is_transient() => {
-                let counted = tuner.absorb_fault(gpu, &e);
-                if counted && attempt + 1 >= max_attempts {
-                    return Err(give_up(e, attempt + 1));
-                }
-                if counted {
-                    attempt += 1;
-                }
-                tries += 1;
-                *retries += 1;
-                fault_cycles += failed_cycles(gpu, ordinal, &e);
-                ckpt_cycles += ckpt.restore(gpu)?;
-                // Replay the window from the restored snapshot before
-                // retrying the faulted launch. A replay that itself
-                // faults restores again and restarts the whole window,
-                // spending the same bounded attempts budget. Window
-                // entries re-enter the captured graph when their ordinal
-                // was graph-dispatched: recovery replays the same path
-                // the original launch took, at the same cost.
-                let mut i = 0usize;
-                while i < window.pending.len() {
-                    let replay = build(window.pending[i]);
-                    match gpu.run_dispatched(&replay, dispatch_of(window.pending[i])) {
-                        Ok(s) => {
-                            tuner.observe_success(gpu, &s);
-                            replay_cycles += s.cycles;
-                            i += 1;
-                        }
-                        Err(e2) if e2.is_transient() => {
-                            let counted = tuner.absorb_fault(gpu, &e2);
-                            if counted && attempt + 1 >= max_attempts {
-                                return Err(give_up(e2, attempt + 1));
-                            }
-                            if counted {
-                                attempt += 1;
-                            }
-                            tries += 1;
-                            *retries += 1;
-                            fault_cycles += failed_cycles(gpu, window.pending[i], &e2);
-                            ckpt_cycles += ckpt.restore(gpu)?;
-                            i = 0;
-                        }
-                        Err(e2) => return Err(e2.into()),
-                    }
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-}
-
-/// The software-pipelined kernel: one launch per coarsened iteration,
-/// per-SM instance lists ordered by offset, staging predicates for fill
-/// and drain.
-#[allow(clippy::too_many_arguments)]
-fn run_swp(
-    prep: &Prepared,
-    c: &Compiled,
-    buffers: &ProgramBuffers,
-    iterations: u64,
-    scaled: bool,
-    sm_offset: u32,
-    graph_dispatch: bool,
-    gpu: &mut Gpu,
-    totals: &mut LaunchStats,
-    launches: &mut u64,
-    retry: RetryPolicy,
-    retries: &mut u64,
-    ckpt: &mut Checkpointer,
-    interval: u32,
-    watchdog_margin: u64,
-    trace: &mut Vec<f64>,
-) -> Result<()> {
-    let Walk::Swp { capture, .. } = &prep.walk else {
-        unreachable!("run_swp runs software-pipelined schemes only")
-    };
-    let stages = c.schedule.max_stage();
-    let kernel_iters = prep.launch_count(c, iterations) - stages;
-
-    // The steady window [stages, kernel_iters) is the only region where
-    // every instance's staging predicate holds, i.e. where launches are a
-    // fixed graph. Capture it once (billed as productive cycles, not
-    // fault overhead) and replay it; fill and drain stay host-launched.
-    let graph = graph_dispatch && kernel_iters > stages;
-    if graph {
-        let cost = gpu
-            .timing()
-            .graph_capture_cycles(capture.node_count(), capture.edge_count());
-        totals.graph_captures += 1;
-        totals.graph_capture_cycles += cost;
-        totals.cycles += cost;
-        totals.time_secs += gpu.timing().secs(cost);
-    }
-    let dispatch_of = move |r: u64| -> Dispatch {
-        if graph && r >= stages && r < kernel_iters {
-            Dispatch::GraphReplay
-        } else {
-            Dispatch::HostLaunch
-        }
-    };
-
-    let build = |r: u64| prep.launch(c, buffers, r, iterations, sm_offset);
-    let mut window = CommitWindow::new(interval);
-    let mut tuner = WatchdogTuner::new(watchdog_margin, gpu.watchdog_budget());
-    let mut run_one = |r: u64,
-                       gpu: &mut Gpu,
-                       retries: &mut u64,
-                       ckpt: &mut Checkpointer|
-     -> Result<LaunchStats> {
-        run_launch_windowed(
-            gpu,
-            r,
-            &build,
-            &dispatch_of,
-            retry,
-            retries,
-            ckpt,
-            &mut window,
-            &mut tuner,
-        )
-        .map_err(|e| e.in_context(format!("software-pipelined kernel iteration {r}")))
-    };
-
-    if !scaled || kernel_iters <= stages + 4 {
-        for r in 0..kernel_iters + stages {
-            let stats = run_one(r, gpu, retries, ckpt)?;
-            trace.push(stats.cycles);
-            totals.merge(&stats);
-            *launches += 1;
-        }
-        return Ok(());
-    }
-
-    // Scaled measurement: fill exactly, two steady launches (verified
-    // identical), the rest of the steady window by scaling, drain exactly.
-    for r in 0..stages {
-        let stats = run_one(r, gpu, retries, ckpt)?;
-        totals.merge(&stats);
-    }
-    let steady1 = run_one(stages, gpu, retries, ckpt)?;
-    let steady2 = run_one(stages + 1, gpu, retries, ckpt)?;
-    debug_assert_eq!(
-        steady1.warp_instructions, steady2.warp_instructions,
-        "steady launches must be counter-identical (data-independent control flow)"
-    );
-    totals.merge(&steady1);
-    totals.merge(&steady2);
-    let steady_count = kernel_iters - stages; // launches in the steady window
-    for _ in 2..steady_count {
-        totals.merge(&steady1);
-    }
-    for r in kernel_iters..kernel_iters + stages {
-        let stats = run_one(r, gpu, retries, ckpt)?;
-        totals.merge(&stats);
-    }
-    *launches += kernel_iters + stages;
-    Ok(())
-}
-
-/// The serial SAS scheme: per batch, one launch per node in topological
-/// order, instances distributed round-robin over all blocks. It has no
-/// fixed steady-state graph to capture, so graph dispatch is ignored.
-#[allow(clippy::too_many_arguments)]
-fn run_serial(
-    prep: &Prepared,
-    c: &Compiled,
-    buffers: &ProgramBuffers,
-    iterations: u64,
-    scaled: bool,
-    sm_offset: u32,
-    _graph_dispatch: bool,
-    gpu: &mut Gpu,
-    totals: &mut LaunchStats,
-    launches: &mut u64,
-    retry: RetryPolicy,
-    retries: &mut u64,
-    ckpt: &mut Checkpointer,
-    interval: u32,
-    watchdog_margin: u64,
-    trace: &mut Vec<f64>,
-) -> Result<()> {
-    let Walk::Serial { topo } = &prep.walk else {
-        unreachable!("run_serial runs the serial scheme only")
-    };
-    let batches = prep.launch_count(c, iterations) / topo.len() as u64;
-    // The serial scheme's launch ordinal enumerates (batch, node) pairs
-    // in issue order, so a replay window can rebuild any launch.
-    let build = |ordinal: u64| prep.launch(c, buffers, ordinal, iterations, sm_offset);
-    let mut window = CommitWindow::new(interval);
-    let mut tuner = WatchdogTuner::new(watchdog_margin, gpu.watchdog_budget());
-    // Every batch is counter-identical (one kernel per filter over the
-    // same shapes); in scaled mode simulate the first and scale.
-    let sim_batches = if scaled { batches.min(1) } else { batches };
-    for batch_no in 0..sim_batches {
-        for (step, &node) in topo.iter().enumerate() {
-            let ordinal = batch_no * topo.len() as u64 + step as u64;
-            let stats = run_launch_windowed(
-                gpu,
-                ordinal,
-                &build,
-                &|_| Dispatch::HostLaunch,
-                retry,
-                retries,
-                ckpt,
-                &mut window,
-                &mut tuner,
-            )
-            .map_err(|e| {
-                e.in_context(format!(
-                    "serial kernel for filter '{}' (batch {batch_no})",
-                    c.graph.node(node).name
-                ))
-            })?;
-            if !scaled {
-                trace.push(stats.cycles);
-            }
-            totals.merge(&stats);
-            *launches += 1;
-        }
-    }
-    if scaled && batches > 1 {
-        let snapshot = totals.clone();
-        for _ in 1..batches {
-            totals.merge(&snapshot);
-        }
-        *launches *= batches;
     }
     Ok(())
 }
@@ -1616,6 +1185,32 @@ mod tests {
         assert!(matches!(e, Error::Api(_)));
     }
 
+    #[test]
+    fn a_trap_names_the_launch_it_happened_in() {
+        let spec = StreamSpec::pipeline(vec![
+            map_filter("pre", |x| x.sub(Expr::i32(3))),
+            map_filter("reciprocal", |x| Expr::i32(100).div(x)),
+        ]);
+        let c = compile(&spec.flatten().unwrap(), &CompileOptions::small_test()).unwrap();
+        // Every token is 3, so `reciprocal` divides by zero as soon as the
+        // pipeline has filled (SWP) or its kernel runs (serial).
+        let threes = vec![Scalar::I32(3); required_input(&c, 2) as usize];
+        let trap = |scheme| execute(&c, scheme, 2, &threes).unwrap_err().to_string();
+        let stage = c.schedule.stage[c.ig.len() - 1];
+        assert_eq!(
+            trap(Scheme::Swp { coarsening: 1 }),
+            format!(
+                "simulator error: device trap: work function trapped: integer division by \
+                 zero (while software-pipelined kernel iteration {stage})"
+            )
+        );
+        assert_eq!(
+            trap(Scheme::Serial { batch: 1 }),
+            "simulator error: device trap: work function trapped: integer division by zero \
+             (while serial kernel for filter 'reciprocal' (batch 0))"
+        );
+    }
+
     fn compiled_three_stage() -> (Compiled, Vec<Scalar>, u64) {
         let spec = StreamSpec::pipeline(vec![
             map_filter("dbl", |x| x.mul(Expr::i32(2))),
@@ -1765,6 +1360,11 @@ mod tests {
             graph_dispatch: false,
         };
         let e = execute_with(&c, Scheme::Swp { coarsening: 1 }, iters, &input, &opts).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "simulator error: launch attempt 2 failed before device work (injected fault) \
+             (while relaunching a faulted steady-state launch (gave up after 3 attempts))"
+        );
         match e {
             Error::Sim { source, .. } => assert!(source.is_transient()),
             other => panic!("expected a simulator error, got {other}"),
@@ -1866,61 +1466,6 @@ mod tests {
             "the pinned failure must be billed as a failed attempt"
         );
         run.stats.assert_billing();
-    }
-
-    #[test]
-    fn watchdog_tuner_tightens_doubles_on_false_kill_and_saturates() {
-        let (c, _, _) = compiled_three_stage();
-        let mut gpu = Gpu::with_timing(c.device.clone(), c.timing.clone());
-        let default = gpu.watchdog_budget();
-        let mut tuner = WatchdogTuner::new(4, default);
-
-        // A success with 100 warp instructions tightens the budget to
-        // margin × max observed.
-        let stats = gpusim::LaunchStats {
-            warp_instructions: 100,
-            ..gpusim::LaunchStats::default()
-        };
-        tuner.observe_success(&mut gpu, &stats);
-        assert_eq!(gpu.watchdog_budget(), 400);
-
-        // A larger success re-tightens upward; a smaller one does not
-        // loosen (max is sticky).
-        let bigger = gpusim::LaunchStats {
-            warp_instructions: 150,
-            ..gpusim::LaunchStats::default()
-        };
-        tuner.observe_success(&mut gpu, &bigger);
-        assert_eq!(gpu.watchdog_budget(), 600);
-        tuner.observe_success(&mut gpu, &stats);
-        assert_eq!(gpu.watchdog_budget(), 600);
-
-        // A watchdog kill below the default budget may be a false
-        // positive: the attempt is uncounted and the budget doubles.
-        let kill = gpusim::SimError::WatchdogTimeout {
-            budget: 600,
-            launch: 0,
-        };
-        assert!(!tuner.absorb_fault(&mut gpu, &kill));
-        assert_eq!(gpu.watchdog_budget(), 1200);
-
-        // Doubling saturates at the default budget, where kills count
-        // against the retry bound again — guaranteed progress.
-        for _ in 0..64 {
-            tuner.absorb_fault(&mut gpu, &kill);
-        }
-        assert_eq!(gpu.watchdog_budget(), default);
-        assert!(tuner.absorb_fault(&mut gpu, &kill));
-
-        // Non-watchdog transients always count.
-        assert!(tuner.absorb_fault(&mut gpu, &gpusim::SimError::LaunchFailed { launch: 0 }));
-
-        // A disarmed tuner (margin 0) never touches the budget.
-        gpu.set_watchdog_budget(None);
-        let mut off = WatchdogTuner::new(0, gpu.watchdog_budget());
-        off.observe_success(&mut gpu, &stats);
-        assert_eq!(gpu.watchdog_budget(), default);
-        assert!(off.absorb_fault(&mut gpu, &kill));
     }
 
     #[test]

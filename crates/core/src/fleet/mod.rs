@@ -15,7 +15,7 @@
 //!   reachable replica already holds.
 //! * **Checkpoint-shipping failover**: when a device dies mid-run, each
 //!   in-flight job resumes on a healthy replica from its last k-launch
-//!   commit — the `CommitWindow` state words ship through the router at
+//!   commit — the commit window's state words ship through the router at
 //!   modeled host-transfer cost, the launches past the commit replay,
 //!   and the overhead is billed truthfully into the disjoint
 //!   [`gpusim::LaunchStats::failover_cycles`] component. Outputs are

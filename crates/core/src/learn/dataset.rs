@@ -204,14 +204,13 @@ pub fn generate(sources: &[Source], opts: &GenOptions) -> Result<Dataset> {
             let selection = config::select(&src.graph, &table)?;
             let cfg = selection.exec.clone();
             let ig = instances::build(&src.graph, &cfg)?;
-            let lower = ig
-                .res_mii(&cfg, sms)
-                .max(ig.rec_mii(&cfg))
-                .max(max_delay(&ig, &cfg))
-                .max(1);
+            let lower = schedule::lower_bound(&ig, &cfg, sms, 0);
             let mut seen: Vec<(Vec<u32>, u64)> = Vec::new();
             for sm_of in schedule::beam::assignments(&ig, &cfg, sms) {
-                let floor = assignment_floor(&ig, &cfg, sms, &sm_of, lower);
+                // The floor the beam would use: the search bound (which
+                // covers the longest single instance) or this assignment's
+                // own max-SM load.
+                let floor = lower.max(schedule::heuristic::makespan(&ig, &cfg, &sm_of, sms));
                 for &mult in &opts.ii_multipliers {
                     let ii = ((floor as f64 * mult).ceil() as u64).max(floor);
                     // Nearby multipliers can round onto the same point.
@@ -219,7 +218,10 @@ pub fn generate(sources: &[Source], opts: &GenOptions) -> Result<Dataset> {
                         continue;
                     }
                     seen.push((sm_of.clone(), ii));
-                    let Some(sched) = construct(&ig, &cfg, &sm_of, ii, copts.search.coarsening_max)
+                    // Built exactly as the beam builds its candidates.
+                    let coarsening_max = copts.search.coarsening_max;
+                    let Some(sched) =
+                        schedule::heuristic::realize(&ig, &cfg, &sm_of, ii, coarsening_max)
                     else {
                         continue;
                     };
@@ -258,52 +260,6 @@ pub fn generate(sources: &[Source], opts: &GenOptions) -> Result<Dataset> {
     })
 }
 
-fn max_delay(ig: &instances::InstanceGraph, cfg: &instances::ExecConfig) -> u64 {
-    ig.list
-        .iter()
-        .map(|&(v, _)| cfg.delay[v.0 as usize])
-        .max()
-        .unwrap_or(1)
-}
-
-/// The smallest II an assignment can possibly meet: the global lower
-/// bound, its own max-SM load, and the longest single instance.
-fn assignment_floor(
-    ig: &instances::InstanceGraph,
-    cfg: &instances::ExecConfig,
-    sms: u32,
-    sm_of: &[u32],
-    lower: u64,
-) -> u64 {
-    let mut load = vec![0u64; sms as usize];
-    for (i, &(v, _)) in ig.list.iter().enumerate() {
-        load[sm_of[i] as usize] += cfg.delay[v.0 as usize];
-    }
-    lower
-        .max(load.iter().copied().max().unwrap_or(0))
-        .max(max_delay(ig, cfg))
-}
-
-/// Builds the candidate schedule exactly as the beam does: monotone
-/// relaxation to fixpoint, then stage/offset decomposition.
-fn construct(
-    ig: &instances::InstanceGraph,
-    cfg: &instances::ExecConfig,
-    sm_of: &[u32],
-    ii: u64,
-    coarsening_max: u32,
-) -> Option<Schedule> {
-    let starts = schedule::heuristic::relax(ig, cfg, sm_of, ii, coarsening_max)?;
-    let mut sched = Schedule {
-        ii,
-        sm_of: sm_of.to_vec(),
-        offset: starts.iter().map(|&s| s % ii).collect(),
-        stage: starts.iter().map(|&s| s / ii).collect(),
-    };
-    sched.normalize();
-    Some(sched)
-}
-
 /// Assembles an executable [`Compiled`] around a candidate schedule so
 /// the simulator can label it.
 fn synthesize(
@@ -322,18 +278,7 @@ fn synthesize(
         selection: selection.clone(),
         ig: ig.clone(),
         schedule: sched,
-        report: SearchReport {
-            lower_bound: lower,
-            final_ii,
-            nominal_ii: final_ii,
-            fault_reserve: 0,
-            relaxation_pct: 100.0 * (final_ii as f64 / lower as f64 - 1.0),
-            attempts: 1,
-            solve_time: std::time::Duration::ZERO,
-            used_ilp: false,
-            ilp_vars: 0,
-            ilp_constraints: 0,
-        },
+        report: SearchReport::new(lower, final_ii, 0, 1, std::time::Instant::now()),
         device: copts.device.clone(),
         timing: copts.timing.clone(),
     })

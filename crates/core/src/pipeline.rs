@@ -166,11 +166,10 @@ impl DegradationReport {
 
     /// Scheduler runs this compilation actually spent: one per rung
     /// that ran (shipped or failed); budget-skipped rungs cost nothing.
-    /// The per-artifact, attributable cousin of the process-wide
-    /// [`crate::schedule::search_invocations`] counter — the serving
-    /// reports aggregate this per tenant to make cache warming
-    /// observable as scheduler work saved, not just as hit rate. A
-    /// disk-rebuilt artifact has no attempt records and reports zero,
+    /// The only search counter there is — per artifact, so attributable —
+    /// and the serving reports aggregate it per tenant to make cache
+    /// warming observable as scheduler work saved, not just as hit rate.
+    /// A disk-rebuilt artifact has no attempt records and reports zero,
     /// which is exact: its compilation cost nothing this process.
     #[must_use]
     pub fn search_invocations(&self) -> u64 {
@@ -347,165 +346,89 @@ impl ResilientPipeline {
     /// it, the whole compilation fails ([`Error::Verification`] in the
     /// latter case) instead of shipping an unchecked artifact.
     pub fn compile(&self, graph: &FlatGraph) -> Result<ResilientCompiled> {
-        let opts = &self.opts.compile;
-        let fe = compile_front(graph, opts)?;
-        let num_sms = opts.device.num_sms;
+        let opts = &self.opts;
+        let timing = &opts.compile.timing;
+        let fe = compile_front(graph, &opts.compile)?;
+        let num_sms = opts.compile.device.num_sms;
         let mut attempts = Vec::new();
 
         // Expected per-launch retry overhead of the fault plan, in
         // schedule time units. Under TailLatency it becomes the
         // scheduler's fault reserve (ResMII inflation); under Throughput
         // it only feeds the fault-adjusted II accounting.
-        let reserve_units = self.opts.fault_plan.as_ref().map_or(0, |fp| {
-            let cycles =
-                fp.expected_retry_cycles(&opts.timing, opts.timing.watchdog_budget_insts());
+        let reserve_units = opts.fault_plan.as_ref().map_or(0, |fp| {
+            let cycles = fp.expected_retry_cycles(timing, timing.watchdog_budget_insts());
             (cycles / TIME_UNIT_CYCLES).ceil() as u64
         });
-        let sched_reserve = match self.opts.policy {
+        let sched_reserve = match opts.policy {
             FaultPolicy::Throughput => 0,
             FaultPolicy::TailLatency => reserve_units,
         };
-        let checkpoint = plan::checkpoint_plan(graph, &opts.timing, self.opts.fault_plan.as_ref());
+        let checkpoint = plan::checkpoint_plan(graph, timing, opts.fault_plan.as_ref());
 
-        // Rung 0: model-guided beam — only when a cost model is
-        // installed. One scheduler entry instead of the exact ladder's
-        // several; `find_beam` never falls through to the exact path, so
-        // a `Beam`-labeled artifact really came from the beam.
-        if fe.search.cost_model.is_some() {
-            let beam = SearchOptions {
-                fault_reserve: sched_reserve,
-                ..fe.search.clone()
-            };
-            if let Some(r) = try_rung(
-                LadderRung::Beam,
-                self.opts.budgets.beam,
-                reserve_units,
-                &fe.search.interrupt,
-                &mut attempts,
-                || {
-                    let found = schedule::find_beam(&fe.ig, &fe.exec_cfg, num_sms, &beam)?;
-                    verify_rung(graph, &fe, num_sms, &found.0, false)?;
-                    Ok(found)
-                },
-            ) {
-                return Ok(assemble(
-                    graph,
-                    opts,
-                    fe,
-                    r,
-                    LadderRung::Beam,
-                    attempts,
-                    self.opts.policy,
-                    checkpoint,
-                    self.opts.fault_plan.clone(),
-                    self.opts.graph_dispatch,
-                ));
-            }
-        }
-
-        // Rung 1: exact ILP — one candidate II, the (fault-adjusted)
-        // lower bound.
-        let exact = SearchOptions {
-            scheduler: SchedulerKind::Ilp,
-            max_attempts: 1,
-            ilp_budget: self.opts.budgets.exact_ilp,
+        let budgets = &opts.budgets;
+        let base = SearchOptions {
             fault_reserve: sched_reserve,
             ..fe.search.clone()
         };
-        if let Some(r) = try_rung(
-            LadderRung::ExactIlp,
-            self.opts.budgets.exact_ilp,
-            reserve_units,
-            &fe.search.interrupt,
-            &mut attempts,
-            || {
-                let found = schedule::find(&fe.ig, &fe.exec_cfg, num_sms, &exact)?;
-                verify_rung(graph, &fe, num_sms, &found.0, false)?;
-                Ok(found)
-            },
-        ) {
-            return Ok(assemble(
-                graph,
-                opts,
-                fe,
-                r,
+        let ilp = SearchOptions {
+            scheduler: SchedulerKind::Ilp,
+            ..base.clone()
+        };
+        let ladder = [
+            // Rung 0: model-guided beam — only when a cost model is
+            // installed. One scheduler entry instead of the exact ladder's
+            // several; `find_beam` never falls through to the exact path, so
+            // a `Beam`-labeled artifact really came from the beam.
+            (LadderRung::Beam, budgets.beam, base.clone()),
+            // Rung 1: exact ILP — one candidate II, the (fault-adjusted)
+            // lower bound.
+            (
                 LadderRung::ExactIlp,
-                attempts,
-                self.opts.policy,
-                checkpoint,
-                self.opts.fault_plan.clone(),
-                self.opts.graph_dispatch,
-            ));
-        }
-
-        // Rung 2: the II-relaxation loop.
-        let relaxed = SearchOptions {
-            scheduler: SchedulerKind::Ilp,
-            ilp_budget: self
-                .opts
-                .budgets
-                .relaxed_ilp
-                .min(fe.search.ilp_budget)
-                .max(Duration::from_millis(1)),
-            fault_reserve: sched_reserve,
-            ..fe.search.clone()
-        };
-        if let Some(r) = try_rung(
-            LadderRung::RelaxedIlp,
-            self.opts.budgets.relaxed_ilp,
-            reserve_units,
-            &fe.search.interrupt,
-            &mut attempts,
-            || {
-                let found = schedule::find(&fe.ig, &fe.exec_cfg, num_sms, &relaxed)?;
-                verify_rung(graph, &fe, num_sms, &found.0, false)?;
-                Ok(found)
-            },
-        ) {
-            return Ok(assemble(
-                graph,
-                opts,
-                fe,
-                r,
+                budgets.exact_ilp,
+                SearchOptions {
+                    max_attempts: 1,
+                    ilp_budget: budgets.exact_ilp,
+                    ..ilp.clone()
+                },
+            ),
+            // Rung 2: the II-relaxation loop.
+            (
                 LadderRung::RelaxedIlp,
-                attempts,
-                self.opts.policy,
-                checkpoint,
-                self.opts.fault_plan.clone(),
-                self.opts.graph_dispatch,
-            ));
-        }
-
-        // Rung 3: the decomposed heuristic.
-        let heur = SearchOptions {
-            scheduler: SchedulerKind::Heuristic,
-            fault_reserve: sched_reserve,
-            ..fe.search.clone()
-        };
-        if let Some(r) = try_rung(
-            LadderRung::Heuristic,
-            self.opts.budgets.heuristic,
-            reserve_units,
-            &fe.search.interrupt,
-            &mut attempts,
-            || {
-                let found = schedule::find(&fe.ig, &fe.exec_cfg, num_sms, &heur)?;
+                budgets.relaxed_ilp,
+                SearchOptions {
+                    ilp_budget: (budgets.relaxed_ilp)
+                        .min(fe.search.ilp_budget)
+                        .max(Duration::from_millis(1)),
+                    ..ilp
+                },
+            ),
+            // Rung 3: the decomposed heuristic.
+            (
+                LadderRung::Heuristic,
+                budgets.heuristic,
+                SearchOptions {
+                    scheduler: SchedulerKind::Heuristic,
+                    ..base
+                },
+            ),
+        ];
+        for (rung, budget, search) in ladder {
+            let find = match rung {
+                LadderRung::Beam if search.cost_model.is_none() => continue,
+                LadderRung::Beam => schedule::find_beam,
+                _ => schedule::find,
+            };
+            let interrupt = &fe.search.interrupt;
+            let run = || {
+                let found = find(&fe.ig, &fe.exec_cfg, num_sms, &search)?;
                 verify_rung(graph, &fe, num_sms, &found.0, false)?;
                 Ok(found)
-            },
-        ) {
-            return Ok(assemble(
-                graph,
-                opts,
-                fe,
-                r,
-                LadderRung::Heuristic,
-                attempts,
-                self.opts.policy,
-                checkpoint,
-                self.opts.fault_plan.clone(),
-                self.opts.graph_dispatch,
-            ));
+            };
+            let found = try_rung(rung, budget, reserve_units, interrupt, &mut attempts, run);
+            if let Some(found) = found {
+                return Ok(assemble(graph, opts, fe, found, rung, attempts, checkpoint));
+            }
         }
 
         // Rung 4: serialized SAS — a real, validated single-SM schedule
@@ -513,54 +436,48 @@ impl ResilientPipeline {
         // gated by the same verifier as every other rung. No further
         // fallback: a rejected schedule fails the compilation rather
         // than shipping unchecked.
+        let rung = LadderRung::SerialSas;
         let started = Instant::now();
         let schedule = match serial_sas_schedule(&fe, sched_reserve)
             .and_then(|s| verify_rung(graph, &fe, 1, &s, true).map(|()| s))
         {
             Ok(s) => s,
             Err(e) => {
-                attempts.push(RungAttempt {
-                    rung: LadderRung::SerialSas,
-                    outcome: RungOutcome::Failed(e.to_string()),
-                    elapsed: started.elapsed(),
-                    nominal_ii: None,
-                    fault_adjusted_ii: None,
-                });
+                let failed = RungOutcome::Failed(e.to_string());
+                attempts.push(RungAttempt::new(rung, failed, started.elapsed(), None, 0));
                 return Err(e);
             }
         };
-        let reserve_in_sched = sched_reserve;
-        let report = SearchReport {
-            lower_bound: schedule.ii,
-            final_ii: schedule.ii,
-            nominal_ii: schedule.ii - reserve_in_sched,
-            fault_reserve: reserve_in_sched,
-            relaxation_pct: 0.0,
-            attempts: 0,
-            solve_time: started.elapsed(),
-            used_ilp: false,
-            ilp_vars: 0,
-            ilp_constraints: 0,
-        };
-        attempts.push(RungAttempt {
-            rung: LadderRung::SerialSas,
-            outcome: RungOutcome::Shipped,
-            elapsed: started.elapsed(),
-            nominal_ii: Some(report.nominal_ii),
-            fault_adjusted_ii: Some(report.nominal_ii + reserve_units),
-        });
-        Ok(assemble(
-            graph,
-            opts,
-            fe,
-            (schedule, report),
-            LadderRung::SerialSas,
-            attempts,
-            self.opts.policy,
-            checkpoint,
-            self.opts.fault_plan.clone(),
-            self.opts.graph_dispatch,
-        ))
+        let report = SearchReport::new(schedule.ii, schedule.ii, sched_reserve, 0, started);
+        attempts.push(RungAttempt::new(
+            rung,
+            RungOutcome::Shipped,
+            started.elapsed(),
+            Some(report.nominal_ii),
+            reserve_units,
+        ));
+        let found = (schedule, report);
+        Ok(assemble(graph, opts, fe, found, rung, attempts, checkpoint))
+    }
+}
+
+impl RungAttempt {
+    /// `nominal_ii` is that of the schedule the rung produced, if any;
+    /// `reserve_units` the fault plan's expected per-launch retry overhead.
+    fn new(
+        rung: LadderRung,
+        outcome: RungOutcome,
+        elapsed: Duration,
+        nominal_ii: Option<u64>,
+        reserve_units: u64,
+    ) -> RungAttempt {
+        RungAttempt {
+            rung,
+            outcome,
+            elapsed,
+            nominal_ii,
+            fault_adjusted_ii: nominal_ii.map(|ii| ii + reserve_units),
+        }
     }
 }
 
@@ -582,29 +499,23 @@ fn try_rung(
     attempts: &mut Vec<RungAttempt>,
     run: impl FnOnce() -> Result<(Schedule, SearchReport)>,
 ) -> Option<(Schedule, SearchReport)> {
-    if budget.is_zero() {
-        attempts.push(RungAttempt {
+    let mut record = |outcome, elapsed, nominal_ii| {
+        attempts.push(RungAttempt::new(
             rung,
-            outcome: RungOutcome::SkippedBudget,
-            elapsed: Duration::ZERO,
-            nominal_ii: None,
-            fault_adjusted_ii: None,
-        });
+            outcome,
+            elapsed,
+            nominal_ii,
+            reserve_units,
+        ));
+    };
+    if budget.is_zero() {
+        record(RungOutcome::SkippedBudget, Duration::ZERO, None);
         return None;
     }
     if interrupt.is_raised() {
-        attempts.push(RungAttempt {
-            rung,
-            outcome: RungOutcome::Failed(
-                Error::Preempted {
-                    phase: format!("{rung} rung"),
-                }
-                .to_string(),
-            ),
-            elapsed: Duration::ZERO,
-            nominal_ii: None,
-            fault_adjusted_ii: None,
-        });
+        let phase = format!("{rung} rung");
+        let preempted = Error::Preempted { phase }.to_string();
+        record(RungOutcome::Failed(preempted), Duration::ZERO, None);
         return None;
     }
     let started = Instant::now();
@@ -612,35 +523,16 @@ fn try_rung(
     let elapsed = started.elapsed();
     match result {
         Ok(ok) if elapsed <= budget => {
-            attempts.push(RungAttempt {
-                rung,
-                outcome: RungOutcome::Shipped,
-                elapsed,
-                nominal_ii: Some(ok.1.nominal_ii),
-                fault_adjusted_ii: Some(ok.1.nominal_ii + reserve_units),
-            });
+            record(RungOutcome::Shipped, elapsed, Some(ok.1.nominal_ii));
             Some(ok)
         }
         Ok((_, report)) => {
-            attempts.push(RungAttempt {
-                rung,
-                outcome: RungOutcome::Failed(format!(
-                    "finished after the {budget:?} budget elapsed"
-                )),
-                elapsed,
-                nominal_ii: Some(report.nominal_ii),
-                fault_adjusted_ii: Some(report.nominal_ii + reserve_units),
-            });
+            let late = format!("finished after the {budget:?} budget elapsed");
+            record(RungOutcome::Failed(late), elapsed, Some(report.nominal_ii));
             None
         }
         Err(e) => {
-            attempts.push(RungAttempt {
-                rung,
-                outcome: RungOutcome::Failed(e.to_string()),
-                elapsed,
-                nominal_ii: None,
-                fault_adjusted_ii: None,
-            });
+            record(RungOutcome::Failed(e.to_string()), elapsed, None);
             None
         }
     }
@@ -691,18 +583,14 @@ fn verify_rung(
     }
 }
 
-#[allow(clippy::too_many_arguments)] // one internal assembly point
 fn assemble(
     graph: &FlatGraph,
-    opts: &CompileOptions,
+    opts: &PipelineOptions,
     fe: crate::exec::FrontEnd,
     (schedule, report): (Schedule, SearchReport),
     shipped: LadderRung,
     attempts: Vec<RungAttempt>,
-    policy: FaultPolicy,
     checkpoint: CheckpointPlan,
-    fault_plan: Option<FaultPlan>,
-    graph_dispatch: bool,
 ) -> ResilientCompiled {
     let scheme = match shipped {
         LadderRung::SerialSas => Scheme::Serial { batch: 1 },
@@ -715,8 +603,8 @@ fn assemble(
         ig: fe.ig,
         schedule,
         report,
-        device: opts.device.clone(),
-        timing: opts.timing.clone(),
+        device: opts.compile.device.clone(),
+        timing: opts.compile.timing.clone(),
     };
     // Run the tenant-isolation prover at the scheme's canonical granule.
     // A failed or errored proof ships `None`: the artifact still runs on
@@ -729,11 +617,11 @@ fn assemble(
         report: DegradationReport {
             shipped,
             attempts,
-            policy,
+            policy: opts.policy,
             checkpoint,
         },
         scheme,
-        run_options: run_options_for(policy, fault_plan, graph_dispatch),
+        run_options: run_options_for(opts.policy, opts.fault_plan.clone(), opts.graph_dispatch),
         isolation,
         prepared: OnceLock::new(),
     }

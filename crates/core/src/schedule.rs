@@ -1,6 +1,6 @@
 //! Schedules, validation, the heuristic scheduler, and the II search loop.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -8,22 +8,6 @@ use serde::Serialize;
 
 use crate::instances::{ExecConfig, InstanceGraph};
 use crate::{Error, Result};
-
-/// Process-wide count of scheduler entries ([`find`] calls and direct
-/// [`heuristic::schedule`] calls). The compilation cache's tests assert
-/// this stays flat across a cache hit — the observable proof that a hit
-/// served a stored schedule instead of re-running the search.
-static SEARCH_INVOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-fn note_search_invocation() {
-    SEARCH_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Scheduler entries since process start (monotone; never reset).
-#[must_use]
-pub fn search_invocations() -> u64 {
-    SEARCH_INVOCATIONS.load(Ordering::Relaxed)
-}
 
 /// A software-pipelined schedule: for every instance, its SM assignment
 /// (`w`), its offset within the kernel (`o`), and its pipeline stage (`f`)
@@ -188,47 +172,15 @@ pub mod heuristic {
         coarsening_max: u32,
         fault_reserve: u64,
     ) -> Result<Schedule> {
-        super::note_search_invocation();
-        let n = ig.len();
-        // --- Assignment: longest-processing-time greedy over groups. ---
-        // Instances on a dependence cycle (stateful chains with their
-        // iteration wrap, feedback loops) must share an SM: every cross-SM
-        // hop demands an extra pipeline stage, so a cycle with any
-        // cross-SM edge needs its own stage budget back — impossible.
-        // Group by strongly connected components of the dependence graph.
-        let comp = scc_components(n, &ig.deps);
-        let mut by_comp: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, &c) in comp.iter().enumerate() {
-            by_comp.entry(c).or_default().push(i);
-        }
-        let mut groups: Vec<Vec<usize>> = by_comp.into_values().collect();
-        groups.sort_by_key(|g| g.first().copied());
-        let weight = |g: &[usize]| -> u64 {
-            g.iter()
-                .map(|&i| config.delay[ig.list[i].0 .0 as usize])
-                .sum()
-        };
-        groups.sort_by_key(|g| std::cmp::Reverse(weight(g)));
         if num_sms == 0 {
             return Err(Error::Api("scheduling requires at least one SM".into()));
         }
-        let mut load = vec![0u64; num_sms as usize];
-        let mut sm_of = vec![0u32; n];
-        for g in &groups {
-            let p = (0..num_sms as usize).min_by_key(|&p| load[p]).unwrap_or(0);
-            for &i in g {
-                sm_of[i] = p as u32;
-            }
-            load[p] += weight(g);
-        }
-        let makespan = load.iter().copied().max().unwrap_or(0);
-        let max_d = ig
-            .list
-            .iter()
-            .map(|&(v, _)| config.delay[v.0 as usize])
-            .max()
-            .unwrap_or(1);
+        // --- Assignment: longest-processing-time greedy over groups. ---
+        let groups = SmGroups::of(ig, config);
+        let all = (0..groups.members.len()).collect();
+        let sm_of = groups.pack_min_load(&groups.heaviest_first(all), num_sms);
+        let makespan = makespan(ig, config, &sm_of, num_sms);
+        let max_d = super::max_delay(ig, config);
         // Fault headroom raises the II floor above both the makespan and
         // the longest single delay, so every SM keeps `fault_reserve`
         // idle units per interval for retries.
@@ -239,16 +191,7 @@ pub mod heuristic {
 
         // --- Stages and offsets: monotone relaxation to a fixpoint. ---
         for _attempt in 0..8 {
-            if let Some(s) = relax(ig, config, &sm_of, ii, coarsening_max) {
-                let stage: Vec<u64> = s.iter().map(|&x| x / ii).collect();
-                let offset: Vec<u64> = s.iter().map(|&x| x % ii).collect();
-                let mut sched = Schedule {
-                    ii,
-                    sm_of: sm_of.clone(),
-                    offset,
-                    stage,
-                };
-                sched.normalize();
+            if let Some(sched) = realize(ig, config, &sm_of, ii, coarsening_max) {
                 validate(ig, config, &sched, num_sms, coarsening_max)?;
                 return Ok(sched);
             }
@@ -258,12 +201,95 @@ pub mod heuristic {
         Err(Error::ScheduleNotFound { last_ii: ii })
     }
 
+    /// The instances in groups that must share an SM, each with its total
+    /// delay. Instances on a dependence cycle (stateful chains with their
+    /// iteration wrap, feedback loops) must: every cross-SM hop demands an
+    /// extra pipeline stage, so a cycle with any cross-SM edge needs its
+    /// own stage budget back — impossible. Groups are the strongly
+    /// connected components of the dependence graph, in first-instance
+    /// order.
+    pub(crate) struct SmGroups {
+        pub(crate) members: Vec<Vec<usize>>,
+        weight: Vec<u64>,
+    }
+
+    impl SmGroups {
+        pub(crate) fn of(ig: &InstanceGraph, config: &ExecConfig) -> SmGroups {
+            let comp = scc_components(ig.len(), &ig.deps);
+            let mut by_comp: std::collections::HashMap<usize, Vec<usize>> =
+                std::collections::HashMap::new();
+            for (i, &c) in comp.iter().enumerate() {
+                by_comp.entry(c).or_default().push(i);
+            }
+            let mut members: Vec<Vec<usize>> = by_comp.into_values().collect();
+            members.sort_by_key(|g| g.first().copied());
+            let delay = |&i: &usize| config.delay[ig.list[i].0 .0 as usize];
+            let weight = members.iter().map(|g| g.iter().map(delay).sum()).collect();
+            SmGroups { members, weight }
+        }
+
+        /// `order` with the heaviest groups first, ties as they were.
+        pub(crate) fn heaviest_first(&self, mut order: Vec<usize>) -> Vec<usize> {
+            order.sort_by_key(|&g| std::cmp::Reverse(self.weight[g]));
+            order
+        }
+
+        /// Greedy packing: each group of `order` in turn onto the SM least
+        /// loaded so far.
+        pub(crate) fn pack_min_load(&self, order: &[usize], num_sms: u32) -> Vec<u32> {
+            let mut load = vec![0u64; num_sms as usize];
+            let mut sm_of = vec![0u32; self.members.iter().map(Vec::len).sum()];
+            for &g in order {
+                let p = (0..num_sms as usize).min_by_key(|&p| load[p]).unwrap_or(0);
+                for &i in &self.members[g] {
+                    sm_of[i] = p as u32;
+                }
+                load[p] += self.weight[g];
+            }
+            sm_of
+        }
+    }
+
+    /// The heaviest per-SM load of an assignment.
+    pub(crate) fn makespan(
+        ig: &InstanceGraph,
+        config: &ExecConfig,
+        sm_of: &[u32],
+        num_sms: u32,
+    ) -> u64 {
+        let mut load = vec![0u64; num_sms as usize];
+        for (i, &(v, _)) in ig.list.iter().enumerate() {
+            load[sm_of[i] as usize] += config.delay[v.0 as usize];
+        }
+        load.iter().copied().max().unwrap_or(0)
+    }
+
+    /// The schedule pinning `sm_of` at `ii`, stages normalized, or `None`
+    /// if the relaxation diverges there. Callers [`validate`] it.
+    pub(crate) fn realize(
+        ig: &InstanceGraph,
+        config: &ExecConfig,
+        sm_of: &[u32],
+        ii: u64,
+        coarsening_max: u32,
+    ) -> Option<Schedule> {
+        let starts = relax(ig, config, sm_of, ii, coarsening_max)?;
+        let mut sched = Schedule {
+            ii,
+            sm_of: sm_of.to_vec(),
+            offset: starts.iter().map(|&x| x % ii).collect(),
+            stage: starts.iter().map(|&x| x / ii).collect(),
+        };
+        sched.normalize();
+        Some(sched)
+    }
+
     /// Computes absolute start times satisfying every dependence and the
     /// wraparound rule, or `None` if the relaxation diverges at this II.
     /// Also the beam search's candidate constructor ([`super::beam`]):
     /// a candidate is a pinned (assignment, II) pair and this monotone
     /// relaxation either realizes it or rejects it.
-    pub(crate) fn relax(
+    fn relax(
         ig: &InstanceGraph,
         config: &ExecConfig,
         sm_of: &[u32],
@@ -564,6 +590,49 @@ pub struct SearchReport {
     pub ilp_constraints: usize,
 }
 
+impl SearchReport {
+    /// The report of a search started at `started` that shipped
+    /// `final_ii` without the ILP; an ILP path adds its own fields.
+    pub(crate) fn new(
+        lower_bound: u64,
+        final_ii: u64,
+        fault_reserve: u64,
+        attempts: u32,
+        started: Instant,
+    ) -> SearchReport {
+        SearchReport {
+            lower_bound,
+            final_ii,
+            nominal_ii: final_ii - fault_reserve,
+            fault_reserve,
+            relaxation_pct: 100.0 * (final_ii as f64 / lower_bound as f64 - 1.0),
+            attempts,
+            solve_time: started.elapsed(),
+            used_ilp: false,
+            ilp_vars: 0,
+            ilp_constraints: 0,
+        }
+    }
+}
+
+/// Where every II search starts: `max(ResMII, RecMII, max d)`, at least
+/// 1, plus the fault reserve.
+pub(crate) fn lower_bound(
+    ig: &InstanceGraph,
+    config: &ExecConfig,
+    num_sms: u32,
+    reserve: u64,
+) -> u64 {
+    let work = ig.res_mii(config, num_sms).max(ig.rec_mii(config));
+    work.max(max_delay(ig, config)).max(1) + reserve
+}
+
+/// The longest single instance.
+fn max_delay(ig: &InstanceGraph, config: &ExecConfig) -> u64 {
+    let delays = ig.list.iter().map(|&(v, _)| config.delay[v.0 as usize]);
+    delays.max().unwrap_or(1)
+}
+
 /// Searches for a schedule: start at `max(ResMII, RecMII)`, try the ILP
 /// under its budget, relax the II by [`SearchOptions::relax_factor`] on
 /// failure — the exact loop of Section V — falling back to the heuristic
@@ -583,18 +652,9 @@ pub fn find(
     num_sms: u32,
     opts: &SearchOptions,
 ) -> Result<(Schedule, SearchReport)> {
-    note_search_invocation();
     let start = Instant::now();
-    let res_mii = ig.res_mii(config, num_sms);
-    let rec_mii = ig.rec_mii(config);
-    let max_d = ig
-        .list
-        .iter()
-        .map(|&(v, _)| config.delay[v.0 as usize])
-        .max()
-        .unwrap_or(1);
     let reserve = opts.fault_reserve;
-    let lower = res_mii.max(rec_mii).max(max_d).max(1) + reserve;
+    let lower = lower_bound(ig, config, num_sms, reserve);
 
     // Model-guided beam search: when a cost model is installed and the
     // scheduler is not pinned to an exact path, rank candidate
@@ -647,16 +707,10 @@ pub fn find(
                     sched.normalize();
                     validate(ig, config, &sched, num_sms, opts.coarsening_max)?;
                     let report = SearchReport {
-                        lower_bound: lower,
-                        final_ii: ii,
-                        nominal_ii: ii - reserve,
-                        fault_reserve: reserve,
-                        relaxation_pct: 100.0 * (ii as f64 / lower as f64 - 1.0),
-                        attempts: attempt,
-                        solve_time: start.elapsed(),
                         used_ilp: true,
                         ilp_vars: vars,
                         ilp_constraints: cons,
+                        ..SearchReport::new(lower, ii, reserve, attempt, start)
                     };
                     return Ok((sched, report));
                 }
@@ -672,39 +726,17 @@ pub fn find(
         // Auto: fall through to the heuristic with everything we learned.
         opts.interrupt.check("heuristic fallback")?;
         let sched = heuristic::schedule(ig, config, num_sms, lower, opts.coarsening_max, reserve)?;
-        let final_ii = sched.ii;
-        return Ok((
-            sched,
-            SearchReport {
-                lower_bound: lower,
-                final_ii,
-                nominal_ii: final_ii - reserve,
-                fault_reserve: reserve,
-                relaxation_pct: 100.0 * (final_ii as f64 / lower as f64 - 1.0),
-                attempts: opts.max_attempts,
-                solve_time: start.elapsed(),
-                used_ilp: false,
-                ilp_vars: vars,
-                ilp_constraints: cons,
-            },
-        ));
+        let report = SearchReport {
+            ilp_vars: vars,
+            ilp_constraints: cons,
+            ..SearchReport::new(lower, sched.ii, reserve, opts.max_attempts, start)
+        };
+        return Ok((sched, report));
     }
 
     opts.interrupt.check("heuristic scheduling")?;
     let sched = heuristic::schedule(ig, config, num_sms, lower, opts.coarsening_max, reserve)?;
-    let final_ii = sched.ii;
-    let report = SearchReport {
-        lower_bound: lower,
-        final_ii,
-        nominal_ii: final_ii - reserve,
-        fault_reserve: reserve,
-        relaxation_pct: 100.0 * (final_ii as f64 / lower as f64 - 1.0),
-        attempts: 1,
-        solve_time: start.elapsed(),
-        used_ilp: false,
-        ilp_vars: 0,
-        ilp_constraints: 0,
-    };
+    let report = SearchReport::new(lower, sched.ii, reserve, 1, start);
     Ok((sched, report))
 }
 
@@ -726,22 +758,13 @@ pub fn find_beam(
     num_sms: u32,
     opts: &SearchOptions,
 ) -> Result<(Schedule, SearchReport)> {
-    note_search_invocation();
     let start = Instant::now();
     let Some(model) = &opts.cost_model else {
         return Err(Error::Api(
             "beam search requires SearchOptions::cost_model".into(),
         ));
     };
-    let res_mii = ig.res_mii(config, num_sms);
-    let rec_mii = ig.rec_mii(config);
-    let max_d = ig
-        .list
-        .iter()
-        .map(|&(v, _)| config.delay[v.0 as usize])
-        .max()
-        .unwrap_or(1);
-    let lower = res_mii.max(rec_mii).max(max_d).max(1) + opts.fault_reserve;
+    let lower = lower_bound(ig, config, num_sms, opts.fault_reserve);
     beam::search(ig, config, num_sms, opts, lower, model, start)?
         .ok_or(Error::ScheduleNotFound { last_ii: lower })
 }
@@ -775,52 +798,23 @@ pub(crate) mod beam {
         config: &ExecConfig,
         num_sms: u32,
     ) -> Vec<Vec<u32>> {
-        let n = ig.len();
-        let comp = heuristic::scc_components(n, &ig.deps);
-        let mut by_comp: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, &c) in comp.iter().enumerate() {
-            by_comp.entry(c).or_default().push(i);
-        }
-        let mut groups: Vec<Vec<usize>> = by_comp.into_values().collect();
-        groups.sort_by_key(|g| g.first().copied());
-        let weight = |g: &[usize]| -> u64 {
-            g.iter()
-                .map(|&i| config.delay[ig.list[i].0 .0 as usize])
-                .sum()
-        };
-        let pack_min_load = |order: &[usize]| -> Vec<u32> {
-            let mut load = vec![0u64; num_sms as usize];
-            let mut sm_of = vec![0u32; n];
-            for &gi in order {
-                let g = &groups[gi];
-                let p = (0..num_sms as usize).min_by_key(|&p| load[p]).unwrap_or(0);
-                for &i in g {
-                    sm_of[i] = p as u32;
-                }
-                load[p] += weight(g);
-            }
-            sm_of
-        };
-        let by_weight_desc = |mut idx: Vec<usize>| -> Vec<usize> {
-            idx.sort_by_key(|&gi| std::cmp::Reverse(weight(&groups[gi])));
-            idx
-        };
-        let all: Vec<usize> = (0..groups.len()).collect();
+        let groups = heuristic::SmGroups::of(ig, config);
+        let all: Vec<usize> = (0..groups.members.len()).collect();
+        let lpt = |order: Vec<usize>| groups.pack_min_load(&groups.heaviest_first(order), num_sms);
 
         let mut out = Vec::new();
         // Anchor: LPT, identical to heuristic::schedule's assignment.
-        out.push(pack_min_load(&by_weight_desc(all.clone())));
+        out.push(lpt(all.clone()));
         // First-index order, round-robin across SMs.
-        let mut rr = vec![0u32; n];
-        for (k, &gi) in all.iter().enumerate() {
-            for &i in &groups[gi] {
+        let mut rr = vec![0u32; ig.len()];
+        for (k, g) in groups.members.iter().enumerate() {
+            for &i in g {
                 rr[i] = (k as u32) % num_sms;
             }
         }
         out.push(rr);
         // First-index order, min-load packing.
-        out.push(pack_min_load(&all));
+        out.push(groups.pack_min_load(&all, num_sms));
         // Seeded LPT shuffles: deterministic splitmix64 Fisher–Yates
         // over the group order before greedy packing.
         for seed in [1u64, 2] {
@@ -830,13 +824,12 @@ pub(crate) mod beam {
                 state = crate::hash::splitmix64(state);
                 order.swap(i, (state % (i as u64 + 1)) as usize);
             }
-            out.push(pack_min_load(&by_weight_desc(order)));
+            out.push(lpt(order));
         }
         out.dedup();
         out
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn search(
         ig: &InstanceGraph,
         config: &ExecConfig,
@@ -850,22 +843,13 @@ pub(crate) mod beam {
             return Ok(None);
         }
         let reserve = opts.fault_reserve;
-        let max_d = ig
-            .list
-            .iter()
-            .map(|&(v, _)| config.delay[v.0 as usize])
-            .max()
-            .unwrap_or(1);
         // Candidate universe: every assignment at a short ladder of IIs
         // above its own load floor.
         let mut points = Vec::new();
         for sm_of in assignments(ig, config, num_sms) {
-            let mut load = vec![0u64; num_sms as usize];
-            for (i, &(v, _)) in ig.list.iter().enumerate() {
-                load[sm_of[i] as usize] += config.delay[v.0 as usize];
-            }
-            let makespan = load.iter().copied().max().unwrap_or(0);
-            let floor = lower.max(makespan + reserve).max(max_d + reserve);
+            let makespan = heuristic::makespan(ig, config, &sm_of, num_sms);
+            // `lower` already covers the longest single delay.
+            let floor = lower.max(makespan + reserve);
             for mult in [1.0f64, 1.02, 1.05] {
                 let ii = ((floor as f64 * mult).ceil() as u64).max(floor);
                 if points
@@ -904,19 +888,10 @@ pub(crate) mod beam {
         for idx in chosen {
             opts.interrupt.check("beam candidate construction")?;
             let p = &points[idx];
-            let Some(starts) = heuristic::relax(ig, config, &p.sm_of, p.ii, opts.coarsening_max)
+            let Some(sched) = heuristic::realize(ig, config, &p.sm_of, p.ii, opts.coarsening_max)
             else {
                 continue;
             };
-            let stage: Vec<u64> = starts.iter().map(|&x| x / p.ii).collect();
-            let offset: Vec<u64> = starts.iter().map(|&x| x % p.ii).collect();
-            let mut sched = Schedule {
-                ii: p.ii,
-                sm_of: p.sm_of.clone(),
-                offset,
-                stage,
-            };
-            sched.normalize();
             if validate(ig, config, &sched, num_sms, opts.coarsening_max).is_err() {
                 continue;
             }
@@ -937,19 +912,7 @@ pub(crate) mod beam {
             }
         }
         Ok(best.map(|(sched, _)| {
-            let final_ii = sched.ii;
-            let report = SearchReport {
-                lower_bound: lower,
-                final_ii,
-                nominal_ii: final_ii - reserve,
-                fault_reserve: reserve,
-                relaxation_pct: 100.0 * (final_ii as f64 / lower as f64 - 1.0),
-                attempts: constructed,
-                solve_time: start.elapsed(),
-                used_ilp: false,
-                ilp_vars: 0,
-                ilp_constraints: 0,
-            };
+            let report = SearchReport::new(lower, sched.ii, reserve, constructed, start);
             (sched, report)
         }))
     }

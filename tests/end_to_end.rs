@@ -127,32 +127,58 @@ fn measure_matches_execute_when_window_covers_run() {
 }
 
 /// The scaled measurement path (fill + verified steady window + drain,
-/// scaled) must agree *exactly* with full simulation whenever control flow
-/// is data-independent — same cycles, same transaction totals.
+/// scaled; or the first serial batch, scaled) must agree *exactly* with
+/// full simulation whenever control flow is data-independent: one launch
+/// loop serves both, so the launch count, every counter and every bit of
+/// the modeled cycles are the same, on the whole suite under every scheme.
 #[test]
 fn scaled_measurement_equals_full_simulation() {
-    let b = streambench::by_name("FFT").unwrap();
-    let graph = b.spec.flatten().unwrap();
-    let compiled = exec::compile(&graph, &CompileOptions::small_test()).unwrap();
-    // Choose iterations large enough to trigger scaling (kernel_iters >
-    // stages + 4) but small enough to fully simulate.
-    let stages = compiled.schedule.max_stage();
-    let iters = (stages + 16).next_multiple_of(2);
-    let n_input = exec::required_input(&compiled, iters);
-    let input = (b.input)(n_input as usize);
-    let full = exec::execute(&compiled, Scheme::Swp { coarsening: 1 }, iters, &input).unwrap();
-    let meas = exec::measure(&compiled, Scheme::Swp { coarsening: 1 }, iters, &input).unwrap();
-    assert!(meas.outputs.is_empty(), "measure skips output assembly");
-    assert_eq!(full.launches, meas.launches);
-    assert_eq!(full.stats.warp_instructions, meas.stats.warp_instructions);
-    assert_eq!(full.stats.mem_transactions, meas.stats.mem_transactions);
-    let rel = (full.time_secs - meas.time_secs).abs() / full.time_secs;
-    assert!(
-        rel < 1e-9,
-        "times must agree: {} vs {}",
-        full.time_secs,
-        meas.time_secs
-    );
+    for b in streambench::suite() {
+        let graph = b.spec.flatten().unwrap();
+        let compiled = exec::compile(&graph, &CompileOptions::small_test()).unwrap();
+        let mut schemes = vec![
+            Scheme::Swp { coarsening: 1 },
+            Scheme::SwpNc { coarsening: 1 },
+            Scheme::Serial { batch: 1 },
+        ];
+        if !swpipe::instances::requires_serial_iterations(&graph) {
+            schemes.push(Scheme::Swp { coarsening: 2 });
+        }
+        // Long enough to trigger scaling (kernel_iters > stages + 4, more
+        // than one batch) but small enough to fully simulate.
+        let iters = 2 * (compiled.schedule.max_stage() + 6);
+        let input = (b.input)(exec::required_input(&compiled, iters) as usize);
+        for scheme in schemes {
+            let ctx = format!("{} under {scheme:?}", b.name);
+            let full = exec::execute(&compiled, scheme, iters, &input).expect(&ctx);
+            let meas = exec::measure(&compiled, scheme, iters, &input).expect(&ctx);
+            assert!(
+                meas.outputs.is_empty(),
+                "{ctx}: measure skips output assembly"
+            );
+            assert!(meas.launch_cycles.is_empty(), "{ctx}: and the launch trace");
+            assert_eq!(full.launches, meas.launches, "{ctx}");
+            assert_eq!(
+                full.stats.cycles.to_bits(),
+                meas.stats.cycles.to_bits(),
+                "{ctx}"
+            );
+            // Seconds are summed per launch in one run and per batch in the
+            // other; only they may differ, and only in rounding.
+            let rel = (full.time_secs - meas.time_secs).abs() / full.time_secs;
+            assert!(
+                rel < 1e-9,
+                "{ctx}: {} vs {}",
+                full.time_secs,
+                meas.time_secs
+            );
+            let counters = |run: &exec::GpuRun| gpusim::LaunchStats {
+                time_secs: 0.0,
+                ..run.stats.clone()
+            };
+            assert_eq!(counters(&full), counters(&meas), "{ctx}");
+        }
+    }
 }
 
 /// Buffer requirements (Table II machinery) must grow with coarsening and

@@ -450,7 +450,8 @@ fn assert_same_run(a: &swpipe::Result<exec::GpuRun>, b: &swpipe::Result<exec::Gp
 /// it from two threads — equals a fresh `execute_with` field for field,
 /// fault-free and under launch failures (a relaunch reuses the prepared
 /// launch shape), k-launch checkpointing (the commit window's replay
-/// rebuilds any ordinal) and hangs under the adaptive watchdog.
+/// rebuilds any ordinal) and hangs under the adaptive watchdog over that
+/// same window.
 #[test]
 fn prepared_dispatches_equal_fresh_executions_under_every_fault_regime() {
     use gpusim::FaultPlan;
@@ -486,13 +487,9 @@ fn prepared_dispatches_equal_fresh_executions_under_every_fault_regime() {
             "k-launch checkpoints",
             faulty(FaultPlan::new(11).with_launch_failures(30), 3, None),
         ),
-        // Commit interval 1: with a wider window, a replayed launch's
-        // success re-tightens the watchdog budget a false kill just
-        // doubled, and a launch bigger than margin x its predecessors
-        // never gets through (ROADMAP 4g; the parent commit does the same).
         (
             "hangs",
-            faulty(FaultPlan::new(13).with_hangs(30), 1, Some(4)),
+            faulty(FaultPlan::new(13).with_hangs(30), 3, Some(4)),
         ),
     ];
     let iters = 4u64;

@@ -301,6 +301,51 @@ proptest! {
     }
 }
 
+/// ROADMAP 4(g): the adaptive watchdog over a commit window used to
+/// livelock. DCT's third launch is legitimately bigger than 4 x its
+/// predecessors, so the tightened budget kills it and doubles; the window
+/// replay that follows re-ran a small launch, and observing *its* success
+/// re-tightened the budget the kill had just raised — forever. A replay is
+/// no new evidence: the run now returns, with the CPU reference's stream
+/// and exact billing.
+#[test]
+fn adaptive_watchdog_over_a_commit_window_terminates_on_dct() {
+    let b = streambench::by_name("DCT").expect("suite benchmark");
+    let graph = b.spec.flatten().unwrap();
+    let compiled = exec::compile(&graph, &CompileOptions::small_test()).unwrap();
+    let iters = 4u64;
+    let steady = streamir::sdf::solve(&graph).unwrap();
+    let n_input = exec::required_input(&compiled, iters);
+    let cpu_per_iter = steady.input_tokens_per_iteration(&graph).max(1);
+    let input = (b.input)((n_input + 2 * cpu_per_iter + 64) as usize);
+    let opts = RunOptions {
+        fault_plan: Some(FaultPlan::new(13).with_hangs(30)),
+        retry: RetryPolicy { max_attempts: 6 },
+        checkpoint_interval: 2,
+        watchdog_margin: Some(4),
+        ..RunOptions::default()
+    };
+    let scheme = Scheme::Swp { coarsening: 1 };
+    let gpu = exec::execute_with(&compiled, scheme, iters, &input[..n_input as usize], &opts)
+        .expect("a false kill retries for free until the budget fits the launch");
+    assert!(gpu.retries > 0, "the tightened watchdog must have killed");
+    assert!(gpu.stats.replay_cycles > 0.0, "with a launch to replay");
+    gpu.stats.assert_billing();
+
+    let cpu_init = steady.input_tokens_for_init(&graph);
+    let cpu_iters = (n_input.saturating_sub(cpu_init)).div_ceil(cpu_per_iter) + 1;
+    let cpu = streamir::cpu::run(
+        &graph,
+        &steady,
+        cpu_iters,
+        &input,
+        &streamir::cpu::CpuCostModel::default(),
+    )
+    .unwrap();
+    assert!(!gpu.outputs.is_empty());
+    assert_eq!(gpu.outputs[..], cpu.outputs[..gpu.outputs.len()]);
+}
+
 // ---------------------------------------------------------------------
 // Fault-aware scheduling: the reserve, the two policies, and the
 // checkpoint protocol that backs recovery.

@@ -18,23 +18,15 @@
 //!   recording fix);
 //! * the `SWPIPE_FAULT_MATRIX` kinds stay differentially identical.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
 use gpusim::FaultPlan;
 use proptest::prelude::*;
 use streamir::graph::{FilterSpec, FlatGraph, StreamSpec};
 use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
-use swpipe::schedule;
 use swpipe::serve::{EventEngine, Job, QosClass, ServeOptions, ServeReport, Server, Verdict};
 
-/// [`schedule::search_invocations`] is process-global and the engine's
-/// compile workers increment it from their own threads, so every test
-/// that counts scheduler invocations (or compiles at all) serializes on
-/// this lock.
-static COMPILE_LOCK: Mutex<()> = Mutex::new(());
-
-fn guard() -> MutexGuard<'static, ()> {
-    COMPILE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+/// Scheduler searches a served trace paid for, over all its tenants.
+fn searches(report: &ServeReport) -> u64 {
+    report.tenants.iter().map(|t| t.search_invocations).sum()
 }
 
 fn map_filter(name: &str, k: i32) -> StreamSpec {
@@ -165,21 +157,16 @@ fn report_sans_overlap(report: &ServeReport) -> serde_json::Value {
 /// this cold-cache multi-tenant trace.
 #[test]
 fn differential_all_benchmarks_byte_identical() {
-    let _g = guard();
     let opts = ServeOptions {
         fault_plan: Some(FaultPlan::new(0x5EB7E).with_launch_failures(30)),
         ..ServeOptions::default()
     };
     let trace = bench_trace(2, 1);
 
-    let before = schedule::search_invocations();
     let (eager_v, eager_r) = serve_eager(opts.clone(), &trace);
-    let eager_searches = schedule::search_invocations() - before;
 
     let mut engine = EventEngine::new(opts).with_workers(3);
-    let before = schedule::search_invocations();
     let engine_v = engine.serve_trace(&trace).unwrap();
-    let engine_searches = schedule::search_invocations() - before;
     let engine_r = engine.report();
 
     assert_eq!(eager_v.len(), engine_v.len());
@@ -191,9 +178,12 @@ fn differential_all_benchmarks_byte_identical() {
         report_sans_overlap(&engine_r),
         "reports diverge beyond the overlap observables"
     );
+    assert!(searches(&eager_r) > 0, "a cold trace pays for its searches");
     assert!(
-        engine_searches <= eager_searches,
-        "engine ran {engine_searches} searches, eager only {eager_searches}"
+        searches(&engine_r) <= searches(&eager_r),
+        "engine paid for {} searches, eager only {}",
+        searches(&engine_r),
+        searches(&eager_r)
     );
     assert!(
         eager_r.compile_overlap_secs == 0.0,
@@ -220,8 +210,7 @@ proptest! {
     fn random_traces_serve_deterministically(
         picks in prop::collection::vec((0u8..3, 0u32..15), 1..8),
     ) {
-        let _g = guard();
-        let mut now = 0.0;
+            let mut now = 0.0;
         let mut trace: Vec<(Job, f64)> = Vec::new();
         for &(tenant_sel, gap) in &picks {
             now += 0.07 * f64::from(gap + 1);
@@ -232,10 +221,9 @@ proptest! {
         // are out of order, which the event queue must absorb.
         trace.reverse();
 
-        let before = schedule::search_invocations();
         let mut e1 = EventEngine::new(ServeOptions::default());
         let v1 = e1.serve_trace(&trace).unwrap();
-        let engine_searches = schedule::search_invocations() - before;
+        let engine_searches = searches(&e1.report());
 
         let mut e2 = EventEngine::new(ServeOptions::default());
         let v2 = e2.serve_trace(&trace).unwrap();
@@ -249,9 +237,7 @@ proptest! {
 
         let mut sorted = trace.clone();
         sorted.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let before = schedule::search_invocations();
-        let _ = serve_eager(ServeOptions::default(), &sorted);
-        let eager_searches = schedule::search_invocations() - before;
+        let eager_searches = searches(&serve_eager(ServeOptions::default(), &sorted).1);
         prop_assert!(
             engine_searches <= eager_searches,
             "engine {} searches vs eager {}",
@@ -267,7 +253,6 @@ proptest! {
 /// overlapped with the hot tenant's execution.
 #[test]
 fn cold_compile_overlaps_without_delaying_hot_tenant() {
-    let _g = guard();
     // Baseline: hot floods (every 0.1 s for 5 s); cold is admitted at
     // t=0.05 and submits one *cache-hit* job (same graph, no compile
     // penalty) at t=5.03 mid-flood.
@@ -387,7 +372,6 @@ fn cold_compile_overlaps_without_delaying_hot_tenant() {
 /// the partitioner's `recut_log` unit test for the divergence).
 #[test]
 fn out_of_order_submission_equals_sorted_trace() {
-    let _g = guard();
     let sorted: Vec<(Job, f64)> = (0..8)
         .map(|i| {
             let (name, k) = if i % 2 == 0 { ("a", 3) } else { ("b", 11) };
@@ -424,7 +408,6 @@ fn out_of_order_submission_equals_sorted_trace() {
 /// `SWPIPE_FAULT_MATRIX` selects it, all three otherwise.
 #[test]
 fn fault_matrix_differential_byte_identical() {
-    let _g = guard();
     let matrix = std::env::var("SWPIPE_FAULT_MATRIX").ok();
     let kinds: Vec<(&str, FaultPlan)> = vec![
         (

@@ -218,3 +218,80 @@ fn feedback_loop_runs_on_gpu() {
     let cpu = cpu::run(&graph, &steady, iters, &input, &CpuCostModel::default()).unwrap();
     assert_eq!(gpu.outputs[..], cpu.outputs[..gpu.outputs.len()]);
 }
+
+/// Recovery as a known answer, captured before the executor's launch loops
+/// were merged into one: a stateful pipeline under a 3 % launch-failure
+/// plan, a 3-launch commit window and graph dispatch. Seed 34 faults three
+/// graph replays (launches 7, 14 and 22, with one, two and one completed
+/// launches in the window), so the numbers below pin what each launch is
+/// billed, the order stats merge in, and that recovery re-enters the
+/// captured graph: every failed attempt and every replay costs a doorbell,
+/// not a host launch.
+#[test]
+fn stateful_recovery_reproduces_the_known_run() {
+    use gpusim::{CheckpointMode, FaultPlan, LaunchStats};
+    use swpipe::exec::{RetryPolicy, RunOptions};
+
+    let spec = StreamSpec::pipeline(vec![
+        stateless_map("pre", 3),
+        iir("iir"),
+        stateless_map("post", 2),
+    ]);
+    let graph = spec.flatten().unwrap();
+    let compiled = exec::compile(&graph, &CompileOptions::small_test()).unwrap();
+    let (scheme, iters) = (Scheme::Swp { coarsening: 1 }, 24);
+    let input: Vec<Scalar> = (0..exec::required_input(&compiled, iters))
+        .map(|i| Scalar::I32(i as i32 % 50 - 25))
+        .collect();
+    let opts = RunOptions {
+        fault_plan: Some(FaultPlan::new(34).with_launch_failures(30)),
+        retry: RetryPolicy { max_attempts: 6 },
+        checkpoint_interval: 3,
+        graph_dispatch: true,
+        ..RunOptions::default()
+    };
+    let run = exec::execute_with(&compiled, scheme, iters, &input, &opts).unwrap();
+
+    let clean = exec::execute(&compiled, scheme, iters, &input).unwrap();
+    assert_eq!(run.outputs, clean.outputs);
+    assert_eq!(
+        run.stats,
+        LaunchStats {
+            per_sm_cycles: vec![0.0, 565.0, 0.0, 0.0],
+            cycles: 866250.0,
+            time_secs: 0.000533076923076923,
+            launches: 26,
+            warp_instructions: 8832,
+            mem_access_insts: 3168,
+            mem_transactions: 4032,
+            shared_accesses: 1632,
+            bank_conflict_passes: 96,
+            divergent_branches: 0,
+            spill_transactions: 0,
+            fault_overhead_cycles: 107728.0,
+            checkpoint_cycles: 96.0,
+            failed_attempt_cycles: 1200.0,
+            replay_cycles: 106432.0,
+            spike_cycles: 0.0,
+            failover_cycles: 0.0,
+            hedge_cycles: 0.0,
+            retries: 3,
+            graph_replays: 22,
+            graph_captures: 1,
+            graph_capture_cycles: 54000.0,
+            launch_path_cycles: 72800.0,
+        }
+    );
+    assert_eq!(
+        run.launch_cycles,
+        [
+            17373.0, 42208.0, 26608.0, 26616.0, 26608.0, 26608.0, 26616.0, 53624.0, 26608.0,
+            26616.0, 26608.0, 26608.0, 26616.0, 26608.0, 80232.0, 26616.0, 26608.0, 26608.0,
+            26616.0, 26608.0, 26608.0, 26616.0, 53624.0, 26608.0, 42216.0, 17365.0
+        ]
+    );
+    assert_eq!((run.launches, run.retries, run.buffer_bytes), (26, 3, 1024));
+    assert_eq!(run.time_secs, run.stats.time_secs);
+    assert_eq!(run.checkpoint_mode, CheckpointMode::DeviceDoubleBuffered);
+    assert_eq!(run.checkpoint_interval, 3);
+}
