@@ -77,8 +77,7 @@ fn main() {
             let mut o = opts.clone();
             o.compile.timing.launch_overhead_cycles = 16_000.0 * mult;
             let c = exec::compile(&graph, &o.compile).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let input =
-                (b.input)(exec::measure_input(&c, Scheme::Serial { batch: 8 }) as usize);
+            let input = (b.input)(exec::measure_input(&c, Scheme::Serial { batch: 8 }) as usize);
             let swp = exec::measure(&c, Scheme::Swp { coarsening: 8 }, o.iterations, &input)
                 .unwrap_or_else(|e| panic!("{name}: {e}"))
                 .time_secs;

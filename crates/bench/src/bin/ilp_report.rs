@@ -52,16 +52,9 @@ fn main() {
             .res_mii(&compiled.exec_cfg, 16)
             .max(ig.rec_mii(&compiled.exec_cfg))
             .max(1)
-            .max(
-                compiled
-                    .exec_cfg
-                    .delay
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(1),
-            );
-        let (model16, _) = swpipe::formulate::build_model(&ig, &compiled.exec_cfg, 16, lower16, 16, 0);
+            .max(compiled.exec_cfg.delay.iter().copied().max().unwrap_or(1));
+        let (model16, _) =
+            swpipe::formulate::build_model(&ig, &compiled.exec_cfg, 16, lower16, 16, 0);
 
         // Exact solve at P=4.
         let search = SearchOptions {

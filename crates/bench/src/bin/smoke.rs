@@ -15,7 +15,11 @@ fn main() {
         r.search.final_ii,
         r.search.lower_bound,
         r.search.relaxation_pct,
-        if r.search.used_ilp { "ILP" } else { "heuristic" },
+        if r.search.used_ilp {
+            "ILP"
+        } else {
+            "heuristic"
+        },
         r.cpu_secs_per_token,
     );
     for (c, s) in &r.swp {

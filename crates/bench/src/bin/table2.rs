@@ -24,8 +24,8 @@ fn main() {
     );
     for b in streambench::suite() {
         let graph = b.spec.flatten().expect("flattens");
-        let compiled =
-            swpipe::exec::compile(&graph, &opts.compile).unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        let compiled = swpipe::exec::compile(&graph, &opts.compile)
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         let bytes = plan::plan(
             &compiled.graph,
             &compiled.ig,

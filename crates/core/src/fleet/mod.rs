@@ -1,48 +1,52 @@
-//! Fault-tolerant fleet serving: N simulated devices behind one
-//! deterministic router in a single discrete-event loop.
+//! The one serving loop: N simulated devices behind one deterministic
+//! router in a single discrete-event loop.
 //!
-//! The single-device serving stack ([`crate::serve`]) treats its device
-//! as a value ([`gpusim::Device`]); this module stamps out N of them and
-//! coordinates:
+//! [`FleetEngine`] holds one device core per device (partitioner,
+//! admission, controller, busy horizons, metrics) and one
+//! [`ArtifactStore`], and coordinates:
 //!
 //! * **Routing** ([`router`]): rendezvous-hashed tenant homes, health
 //!   bookkeeping (loss is permanent, partitions heal), and an
 //!   append-only decision log that same-seed runs reproduce
 //!   byte-identically.
-//! * **Replicated artifacts** ([`store`]): the content-addressed disk
-//!   tier generalised to a fleet-wide store with replication factor R
-//!   and lazy read-repair, so failover never recompiles what any
-//!   reachable replica already holds.
-//! * **Checkpoint-shipping failover**: when a device dies mid-run, each
-//!   in-flight job resumes on a healthy replica from its last k-launch
-//!   commit — the commit window's state words ship through the router at
-//!   modeled host-transfer cost, the launches past the commit replay,
-//!   and the overhead is billed truthfully into the disjoint
-//!   [`gpusim::LaunchStats::failover_cycles`] component. Outputs are
-//!   byte-identical to an undisturbed run by construction of the
-//!   commit-window protocol.
-//! * **Hedged dispatch**: Interactive (TailLatency) jobs whose primary
-//!   is projected past the tenant's p99 get a backup launch on a second
-//!   device; the first finisher wins and the loser's burn is billed
-//!   into the winner's [`gpusim::LaunchStats::hedge_cycles`].
-//! * **Chaos** ([`storm`]): seeded rolling device kills, correlated
-//!   rack brownouts, and partition trains, expressed as a
-//!   [`gpusim::DeviceFaultPlan`].
+//! * **Replicated artifacts**: the store at replication factor R with
+//!   lazy read-repair, so failover never recompiles what any reachable
+//!   replica already holds.
+//! * **Checkpoint-shipping failover**: when a device dies, each in-flight
+//!   job resumes on a healthy replica from its last k-launch commit —
+//!   the commit's state words ship at modeled host-transfer cost, the
+//!   launches past it replay, and the overhead is billed into the
+//!   disjoint [`gpusim::LaunchStats::failover_cycles`]. Outputs are
+//!   byte-identical to an undisturbed run.
+//! * **Hedged dispatch**: Interactive jobs whose primary is projected
+//!   past the tenant's p99 get a backup on a second device; the first
+//!   finisher wins and the loser's burn is billed into the winner's
+//!   [`gpusim::LaunchStats::hedge_cycles`].
+//! * **Chaos** ([`storm`]): seeded rolling kills, rack brownouts and
+//!   partition trains, expressed as a [`gpusim::DeviceFaultPlan`].
 //!
-//! Everything runs in virtual time. Events are totally ordered by
-//! `(virtual_time, device, tenant, seq)`, so a fleet trace replays
-//! bit-identically: same seed, same router log, same counters.
+//! [`crate::serve::EventEngine`] is this loop over one device, whose
+//! store is its own LRU/disk cache at R = 1: routing always lands home,
+//! and a loss or a hedge has no second device, so all three are no-ops.
+//!
+//! Events are totally ordered by `(virtual_time, device, tenant, seq)`,
+//! so a replay is bit-identical. A store miss compiles on a bounded
+//! worker pool while the loop keeps serving, and resolves before
+//! anything reads its job's window — the tenant's next dispatch, a
+//! device loss's failover sweep, a hedge decision, or the end-of-trace
+//! drain. A job leaves the live set once its finish is behind the clock;
+//! completed jobs are totalled in admission order.
 
 pub mod router;
-pub mod store;
 pub mod storm;
 
+pub use crate::serve::cache::{ArtifactStore, Fetch, StoreStats};
 pub use router::{Health, Router, RouterDecision};
-pub use store::{ArtifactStore, Fetch, StoreStats};
 pub use storm::{FleetStorm, RackBrownout};
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use serde::Serialize;
 
@@ -51,12 +55,14 @@ use streamir::graph::FlatGraph;
 use streamir::ir::Scalar;
 
 use crate::exec::GpuRun;
-use crate::pipeline::{ResilientCompiled, ResilientPipeline};
+use crate::pipeline::{PipelineOptions, ResilientCompiled, ResilientPipeline};
+use crate::schedule::SearchInterrupt;
+use crate::serve::cache::{verify_artifact, Lookup};
+use crate::serve::device_core::{DeviceCore, Placement};
 use crate::serve::metrics::percentile_of;
-use crate::serve::warm;
 use crate::serve::{
-    cache_key, pipeline_options_for, run_artifact, AdmissionController, Decision, Event, Job,
-    Partitioner, QosClass, RouteDecision, ServeOptions, WarmReport,
+    pipeline_options_for, warm, Decision, Event, EventKind, Job, JobResult, Pressure, QosClass,
+    RouteDecision, ServeOptions, ServeReport, Slice, TraceEvent, Verdict, WarmReport,
 };
 use crate::{Error, Result};
 
@@ -259,62 +265,117 @@ pub struct FleetReport {
     pub per_device: Vec<DeviceReport>,
 }
 
-/// One fleet member's mutable state.
-struct DeviceState {
-    device: Device,
-    /// The device's own demand partitioner. It keeps running even after
-    /// the device dies: home-slice *widths* are read off it so a
-    /// tenant's compile width is a pure function of the arrival trace,
-    /// independent of where the job physically runs — the property the
-    /// differential failover test leans on.
-    partitioner: Partitioner,
-    alive: bool,
-    /// Per-tenant busy horizon on this device.
-    busy: BTreeMap<String, f64>,
-    jobs_completed: u64,
-    busy_secs: f64,
-    /// Scheduler searches this device paid for on its serving path
-    /// (summed [`DegradationReport::search_invocations`] over its
-    /// store-miss compiles; warming compiles are offline and excluded).
-    ///
-    /// [`DegradationReport::search_invocations`]:
-    /// crate::pipeline::DegradationReport::search_invocations
-    search_invocations: u64,
+/// What admission decided for one job: where it runs and what it
+/// compiles.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placed {
+    /// Position in admission order.
+    ordinal: usize,
+    device: u32,
+    /// The tenant's static home device.
+    home: u32,
+    /// The width the job compiles at and the base SM it is placed at
+    /// (SM 0 for a guest: placement is semantics-preserving).
+    slice: Slice,
+    arrival: f64,
+    rerouted: bool,
+    key: u64,
 }
 
-/// One in-flight (already simulated, not yet finished in virtual time)
-/// job. Failover rewrites `device`, the time fields, and the billed
-/// stats; the outputs never change.
-struct Running {
-    job_idx: usize,
-    tenant: String,
-    qos: QosClass,
+/// One settled job. Failover and hedging rewrite `device`, the window
+/// and the billed stats; the outputs never change.
+pub(crate) struct Running {
+    placed: Placed,
     device: u32,
-    home: u32,
-    arrival: f64,
-    /// When execution proper began (after queueing and fetch/compile).
+    /// Service start (queueing over, fetch or compile begins).
+    start: f64,
+    /// When execution proper began on the device that holds the job.
     exec_start: f64,
     finish: f64,
-    /// The undisturbed modeled execution time.
-    base_exec_secs: f64,
     /// Absolute launch index the current execution started from (0
     /// originally; the committed index after a failover).
     trace_base: usize,
-    key: u64,
-    state_words: u64,
     artifact: Arc<ResilientCompiled>,
     run: GpuRun,
     fetch: Fetch,
-    rerouted: bool,
     failed_over: u32,
     hedged: bool,
     hedge_won: bool,
+}
+
+/// Where one job of the trace stands.
+pub(crate) enum Slot {
+    /// Not dispatched yet.
+    Open,
+    /// A store miss waiting for its compile.
+    Waiting(Placed),
+    /// Settled: in flight until its finish, completed after.
+    Settled(Box<Running>),
+    /// Rejected by admission, or abandoned with no usable failover
+    /// target.
+    Rejected { retry_after_secs: f64 },
+}
+
+impl Slot {
+    /// The single-device verdict: `start_secs` is the service start.
+    pub(crate) fn into_verdict(self) -> Verdict {
+        match self {
+            Slot::Settled(r) => Verdict::Completed(Box::new(JobResult {
+                arrival_secs: r.placed.arrival,
+                start_secs: r.start,
+                finish_secs: r.finish,
+                latency_secs: r.finish - r.placed.arrival,
+                exec_secs: r.run.time_secs,
+                cache_hit: r.fetch != Fetch::Miss,
+                shipped: r.artifact.report.shipped,
+                slice: r.placed.slice,
+                retries: r.run.retries,
+                outputs: r.run.outputs,
+            })),
+            Slot::Rejected { retry_after_secs } => Verdict::Rejected { retry_after_secs },
+            Slot::Open | Slot::Waiting(_) => unreachable!("every job completes or is rejected"),
+        }
+    }
+
+    /// The fleet verdict: `start_secs` is when execution began on the
+    /// device that finished the job.
+    fn into_fleet_verdict(self, tenant: &str) -> FleetVerdict {
+        match self {
+            Slot::Settled(r) => FleetVerdict::Completed(Box::new(FleetJobResult {
+                tenant: tenant.to_string(),
+                arrival_secs: r.placed.arrival,
+                start_secs: r.exec_start,
+                finish_secs: r.finish,
+                latency_secs: r.finish - r.placed.arrival,
+                home: r.placed.home,
+                device: r.device,
+                rerouted: r.placed.rerouted,
+                failed_over: r.failed_over,
+                hedged: r.hedged,
+                hedge_won: r.hedge_won,
+                fetch: r.fetch,
+                outputs: r.run.outputs,
+                stats: r.run.stats,
+            })),
+            Slot::Rejected { retry_after_secs } => FleetVerdict::Rejected { retry_after_secs },
+            Slot::Open | Slot::Waiting(_) => unreachable!("every job completes or is rejected"),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
 enum EvKind {
     /// Job `trace[i]` arrives.
     Arrival(usize),
+    /// A store-miss compile's virtual penalty window closed.
+    CompileFinish,
+    /// A job's service finished (virtual time).
+    LaunchFinish,
+    /// A periodic observability tick.
+    Checkpoint,
+    /// The controller switched the policy of the tenant of `trace[i]`,
+    /// whose graph is recompiled under the new policy.
+    PolicySwitch(usize),
     /// Device fault `plan.events()[i]` strikes.
     Fault(usize),
     /// A link partition heals.
@@ -323,9 +384,43 @@ enum EvKind {
     BrownoutHeal { restore_sms: u32 },
 }
 
-/// The shared serving event, here with a real `device` key component so
-/// the loop pops in a replayable `(time, device, tenant, seq)` order.
 type Ev = Event<EvKind>;
+
+/// A ladder compile in flight on the worker pool.
+struct PendingCompile {
+    key: u64,
+    interrupt: SearchInterrupt,
+    handle: JoinHandle<Result<ResilientCompiled>>,
+}
+
+impl PendingCompile {
+    fn join(self) -> Result<ResilientCompiled> {
+        self.handle
+            .join()
+            .unwrap_or_else(|_| Err(Error::Api("compile worker panicked".into())))
+    }
+}
+
+/// What the served runs add up to.
+#[derive(Default)]
+struct Totals {
+    submitted: u64,
+    completed: u64,
+    rejected: u64,
+    tokens_out: u64,
+    latencies: Vec<f64>,
+    /// Every completed job's billed stats, merged in admission order.
+    stats: LaunchStats,
+    /// Per device: jobs finished there and their execution seconds.
+    per_device: Vec<(u64, f64)>,
+    /// Per-tenant completed-latency history, feeding hedge delays.
+    history: BTreeMap<String, Vec<f64>>,
+    failover_latencies: Vec<f64>,
+    hedges: u64,
+    hedge_wins: u64,
+    first_arrival: Option<f64>,
+    last_finish: f64,
+}
 
 /// Bills `cycles` of fleet-level overhead into a job's stats: total and
 /// fault-overhead cycles plus the one disjoint component `bucket`
@@ -337,83 +432,89 @@ fn bill_overhead(stats: &mut LaunchStats, cycles: f64, bucket: fn(&mut LaunchSta
     stats.assert_billing();
 }
 
-/// The fleet discrete-event engine.
+/// The discrete-event serving loop over N devices.
 pub struct FleetEngine {
-    opts: FleetOptions,
+    pub(crate) opts: FleetOptions,
     router: Router,
     store: ArtifactStore,
-    admission: AdmissionController,
-    devices: Vec<DeviceState>,
-    /// Per-tenant completed-latency history, feeding hedge delays.
-    history: BTreeMap<String, Vec<f64>>,
-    inflight: Vec<Running>,
-    failover_latencies: Vec<f64>,
-    hedges: u64,
-    hedge_wins: u64,
-    seq: u64,
-    first_arrival: Option<f64>,
-    last_finish: f64,
-    // Aggregates filled in when `run` finalizes.
-    jobs_submitted: u64,
-    jobs_completed: u64,
-    jobs_rejected: u64,
-    tokens_out: u64,
-    latencies: Vec<f64>,
-    /// Every completed job's billed stats, merged in completion order.
-    total: LaunchStats,
-    /// Artifacts dispatched, and the subset carrying a verified
-    /// isolation certificate (see [`crate::serve::run_artifact`]).
-    artifacts: u64,
-    certified: u64,
+    pub(crate) devices: Vec<DeviceCore>,
+    /// Bound on concurrent ladder compiles; spawning past it joins the
+    /// *oldest* one — deterministic, unlike waiting on whichever thread
+    /// finishes first.
+    pub(crate) workers: usize,
+    /// Virtual seconds between observability checkpoints (0 = none).
+    pub(crate) checkpoint_period_secs: f64,
+    /// Every processed event, in processing order.
+    pub(crate) trace: Vec<TraceEvent>,
+    totals: Totals,
+    // The run in progress.
+    heap: BinaryHeap<Ev>,
+    next_seq: u64,
+    clock: f64,
+    slots: Vec<Slot>,
+    /// Job indices in admission order.
+    admitted: Vec<usize>,
+    /// Admission ordinals of settled jobs not yet finished at the clock.
+    live: BTreeSet<usize>,
+    /// Store-miss jobs awaiting their compile, FIFO per tenant.
+    waiting: BTreeMap<String, VecDeque<usize>>,
+    /// Compiles in flight, in spawn order.
+    pending: Vec<PendingCompile>,
+    /// Artifacts already joined and fulfilled, by key.
+    ready: HashMap<u64, Arc<ResilientCompiled>>,
 }
 
 impl FleetEngine {
-    /// A fresh fleet of `opts.devices` identical devices.
+    /// A fresh fleet of `opts.devices` identical devices sharing an
+    /// R-replicated store.
     #[must_use]
     pub fn new(opts: FleetOptions) -> FleetEngine {
         let n = opts.devices.max(1);
         let devices = (0..n)
             .map(|d| {
-                let device = Device::new(
-                    DeviceId(d),
-                    opts.base.device.clone(),
-                    opts.base.timing.clone(),
-                );
-                let partitioner = Partitioner::new(device.config.num_sms, opts.base.rate_alpha);
-                DeviceState {
-                    device,
-                    partitioner,
-                    alive: true,
-                    busy: BTreeMap::new(),
-                    jobs_completed: 0,
-                    busy_secs: 0.0,
-                    search_invocations: 0,
-                }
+                let (config, timing) = (opts.base.device.clone(), opts.base.timing.clone());
+                DeviceCore::new(Device::new(DeviceId(d), config, timing), &opts.base)
             })
             .collect();
         FleetEngine {
             router: Router::new(n),
-            store: ArtifactStore::new(opts.replication),
-            admission: AdmissionController::new(opts.base.max_queue),
+            store: ArtifactStore::replicated(opts.replication),
             devices,
-            history: BTreeMap::new(),
-            inflight: Vec::new(),
-            failover_latencies: Vec::new(),
-            hedges: 0,
-            hedge_wins: 0,
-            seq: 0,
-            first_arrival: None,
-            last_finish: 0.0,
-            jobs_submitted: 0,
-            jobs_completed: 0,
-            jobs_rejected: 0,
-            tokens_out: 0,
-            latencies: Vec::new(),
-            total: LaunchStats::default(),
-            artifacts: 0,
-            certified: 0,
+            workers: 4,
+            checkpoint_period_secs: 0.0,
+            trace: Vec::new(),
+            totals: Totals::default(),
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            clock: f64::NEG_INFINITY,
+            slots: Vec::new(),
+            admitted: Vec::new(),
+            live: BTreeSet::new(),
+            waiting: BTreeMap::new(),
+            pending: Vec::new(),
+            ready: HashMap::new(),
             opts,
         }
+    }
+
+    /// The single-device loop: one device whose store is its own LRU/disk
+    /// cache (R = 1), committing every launch unless the controller
+    /// chooses otherwise, with nothing to route to or hedge with.
+    pub(crate) fn solo(base: ServeOptions) -> FleetEngine {
+        let cache = ArtifactStore::new(base.cache.clone());
+        let mut solo = FleetEngine::new(FleetOptions {
+            devices: 1,
+            base,
+            replication: 1,
+            checkpoint_interval: 1,
+            hedge: HedgeOptions {
+                enabled: false,
+                ..HedgeOptions::default()
+            },
+            ..FleetOptions::default()
+        });
+        solo.store = cache;
+        solo
     }
 
     /// The router's append-only decision log — the determinism witness
@@ -429,53 +530,355 @@ impl FleetEngine {
         self.store.stats()
     }
 
-    /// Pre-compiles `graphs` into the artifact store over the same
-    /// graphs × plausible widths × both-policies sweep as
-    /// [`crate::serve::warm_cache`], for up to `max_tenants` tenants
-    /// per device. Each warmed artifact is inserted as if compiled on
-    /// its top rendezvous-scored usable device, so replica placement
-    /// matches what an organic miss would produce. Warming is offline:
-    /// it charges no device's `search_invocations`, and the store's
-    /// lookup counters are left untouched
-    /// ([`ArtifactStore::contains`] does not count). The store is
-    /// unbounded (replication, not LRU, governs residency), so fleet
-    /// warming can never evict itself.
+    /// Pre-compiles `graphs` into the store over graphs × plausible
+    /// widths for up to `max_tenants` tenants per device × both policies
+    /// (see `serve::warm`). Warming is offline: it charges no device's
+    /// `search_invocations` and leaves the store's counters untouched.
     pub fn warm(&mut self, graphs: &[FlatGraph], max_tenants: usize) -> WarmReport {
-        let (store, router) = (&mut self.store, &self.router);
-        warm::sweep(&self.opts.base, graphs, max_tenants, |graph, popts| {
-            let key = cache_key(graph, &popts);
-            if store.contains(key) {
-                return Ok(true);
-            }
-            let usable = router.usable_devices();
-            let home = usable
-                .iter()
-                .max_by_key(|&&d| (router::score(key, d), std::cmp::Reverse(d)))
-                .ok_or_else(|| Error::Api("no usable device to warm".into()))?;
-            let artifact = ResilientPipeline::new(popts).compile(graph)?;
-            store.insert(key, Arc::new(artifact), DeviceId(*home), &usable);
-            Ok(false)
-        })
+        let usable = self.router.usable_devices();
+        warm::sweep(
+            &mut self.store,
+            &usable,
+            &self.opts.base,
+            graphs,
+            max_tenants,
+        )
     }
 
-    /// Queues `kind` for `device` at `time` under the next sequence
-    /// number.
-    fn schedule(
-        &mut self,
-        heap: &mut BinaryHeap<Ev>,
-        time: f64,
-        device: DeviceId,
-        tenant: &str,
-        kind: EvKind,
-    ) {
-        self.seq += 1;
-        heap.push(Ev {
+    /// Serves an arrival trace to completion and returns one verdict per
+    /// job, in submission order. Every job completes or is rejected —
+    /// never silently lost — no matter what the device-fault plan does.
+    ///
+    /// # Errors
+    ///
+    /// Compilation or execution errors, and [`crate::Error::Api`] when a
+    /// home device's tenant population would exceed one tenant per SM.
+    pub fn run(&mut self, trace: &[(Job, f64)]) -> Result<Vec<FleetVerdict>> {
+        let slots = self.serve(trace)?;
+        Ok(slots
+            .into_iter()
+            .zip(trace)
+            .map(|(slot, (job, _))| slot.into_fleet_verdict(&job.tenant))
+            .collect())
+    }
+
+    /// Runs the loop over `trace` and returns every job's final slot. On
+    /// error, in-flight compiles are interrupted (collapsing them to the
+    /// serial rung), joined, and their reservations abandoned, so the
+    /// store never dangles a pending entry.
+    pub(crate) fn serve(&mut self, trace: &[(Job, f64)]) -> Result<Vec<Slot>> {
+        self.begin(trace);
+        if let Err(e) = self.drive(trace) {
+            for p in &self.pending {
+                p.interrupt.raise();
+            }
+            for p in std::mem::take(&mut self.pending) {
+                let key = p.key;
+                let _ = p.join();
+                self.store.abandon(key);
+            }
+            return Err(e);
+        }
+        self.total_up();
+        Ok(std::mem::take(&mut self.slots))
+    }
+
+    fn begin(&mut self, trace: &[(Job, f64)]) {
+        self.heap.clear();
+        self.next_seq = 0;
+        self.clock = f64::NEG_INFINITY;
+        self.waiting.clear();
+        self.ready.clear();
+        self.admitted.clear();
+        self.live.clear();
+        self.slots = trace.iter().map(|_| Slot::Open).collect();
+        self.totals.submitted += trace.len() as u64;
+        // Arrivals first, so arrival `i` takes sequence number `i`.
+        for (i, (job, at)) in trace.iter().enumerate() {
+            let home = self.router.home(&job.tenant).0;
+            self.schedule(*at, home, &job.tenant, EvKind::Arrival(i));
+        }
+        let faults = self.opts.device_faults.clone();
+        for (i, fault) in faults.events().iter().enumerate() {
+            self.schedule(fault.at_secs, fault.device.0, "", EvKind::Fault(i));
+        }
+        if self.checkpoint_period_secs > 0.0 {
+            if let Some(first) = trace.iter().map(|(_, t)| *t).min_by(f64::total_cmp) {
+                let at = first + self.checkpoint_period_secs;
+                self.schedule(at, 0, "", EvKind::Checkpoint);
+            }
+        }
+    }
+
+    /// Drains the queue, then resolves leftover pending compiles in
+    /// tenant-name order (which schedules more events), until both are
+    /// empty.
+    fn drive(&mut self, trace: &[(Job, f64)]) -> Result<()> {
+        loop {
+            while let Some(ev) = self.heap.pop() {
+                self.clock = self.clock.max(ev.time);
+                let (slots, admitted, clock) = (&self.slots, &self.admitted, self.clock);
+                self.live.retain(
+                    |&o| matches!(&slots[admitted[o]], Slot::Settled(r) if r.finish > clock),
+                );
+                self.handle(trace, ev)?;
+            }
+            if self.waiting.values().all(VecDeque::is_empty) {
+                // Pre-spawned policy-switch recompiles may outlive every
+                // dispatch; join them so their reservations are
+                // fulfilled before the trace returns.
+                while !self.pending.is_empty() {
+                    let oldest = self.pending.remove(0);
+                    self.join_and_fulfill(oldest)?;
+                }
+                return Ok(());
+            }
+            self.resolve_all(trace)?;
+        }
+    }
+
+    /// Queues `kind` under the next sequence number.
+    fn schedule(&mut self, time: f64, device: u32, tenant: &str, kind: EvKind) {
+        self.heap.push(Ev {
             time,
-            device: device.0,
+            device,
             tenant: tenant.to_string(),
-            seq: self.seq,
+            seq: self.next_seq,
             kind,
         });
+        self.next_seq += 1;
+    }
+
+    fn log(&mut self, ev: &Ev, kind: EventKind, detail: String) {
+        self.trace.push(TraceEvent {
+            time_secs: ev.time,
+            tenant: ev.tenant.clone(),
+            seq: ev.seq,
+            kind,
+            detail,
+        });
+    }
+
+    fn handle(&mut self, trace: &[(Job, f64)], ev: Ev) -> Result<()> {
+        match ev.kind {
+            EvKind::Arrival(i) => self.dispatch(trace, &ev, i)?,
+            EvKind::CompileFinish => self.log(&ev, EventKind::CompileFinish, String::new()),
+            EvKind::LaunchFinish => self.log(&ev, EventKind::LaunchFinish, String::new()),
+            EvKind::Checkpoint => {
+                let done = (self.slots.iter())
+                    .filter(|s| matches!(s, Slot::Settled(_) | Slot::Rejected { .. }))
+                    .count();
+                self.log(&ev, EventKind::Checkpoint, format!("jobs_done={done}"));
+                if !self.heap.is_empty() {
+                    let next = ev.time + self.checkpoint_period_secs;
+                    self.schedule(next, 0, "", EvKind::Checkpoint);
+                }
+            }
+            EvKind::PolicySwitch(i) => self.policy_switch(trace, &ev, i)?,
+            EvKind::Fault(i) => self.fault(trace, &ev, i)?,
+            EvKind::PartitionHeal => {
+                let (t, d) = (ev.time, DeviceId(ev.device));
+                self.router.heal(d);
+                let detail = String::new();
+                self.router
+                    .log_decision(t, "", None, "partition-heal", Some(d), detail);
+            }
+            EvKind::BrownoutHeal { restore_sms } => {
+                let d = DeviceId(ev.device);
+                if self.router.alive(d) {
+                    let p = &mut self.devices[ev.device as usize].partitioner;
+                    let floor = (p.slices().len() as u32).max(1);
+                    p.set_capacity(restore_sms.max(floor), ev.time)?;
+                    let detail = format!("restored to {restore_sms} SMs");
+                    self.router
+                        .log_decision(ev.time, "", None, "brownout-heal", Some(d), detail);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Every tenant's slice width on `device`, `name:width` comma-joined
+    /// in name order — the trace detail of a recut.
+    fn slice_widths(&self, device: u32) -> String {
+        let slices = self.devices[device as usize].partitioner.slices();
+        let widths: Vec<String> = (slices.iter())
+            .map(|(t, s)| format!("{t}:{}", s.num_sms))
+            .collect();
+        widths.join(",")
+    }
+
+    /// One arrival: the home partitioner observes the demand at its true
+    /// time (and recuts when it drifted), the tenant's pending compiles
+    /// settle, admission places the job, and the store serves a hit now
+    /// or starts a miss compiling.
+    fn dispatch(&mut self, trace: &[(Job, f64)], ev: &Ev, i: usize) -> Result<()> {
+        let job = &trace[i].0;
+        let (t, home) = (ev.time, ev.device);
+        self.totals.first_arrival.get_or_insert(t);
+        // The home partitioner observes every arrival — dead or alive —
+        // so slice widths are a pure function of the trace.
+        let recut = self.devices[home as usize]
+            .partitioner
+            .record_arrival(&job.tenant, t)?;
+        self.log(ev, EventKind::Arrival, format!("job={i}"));
+        if recut {
+            self.devices[home as usize].partitioner.recut_at(t);
+            self.log(ev, EventKind::Rebalance, self.slice_widths(home));
+        }
+        let slice = self.devices[home as usize]
+            .partitioner
+            .slice(&job.tenant)
+            .expect("observed tenant has a slice");
+        self.resolve(trace, &job.tenant)?;
+        let Some((device, slice, pressure, rerouted)) = self.admit(trace, ev, i, slice) else {
+            self.log(ev, EventKind::Dispatch, format!("job={i} rejected"));
+            return Ok(());
+        };
+
+        // The compile policy is the controller's effective choice: the
+        // job's own QoS policy unless an adaptive switch is in force.
+        let policy = self.devices[device as usize]
+            .controller
+            .policy_for(&job.tenant, job.qos.policy());
+        let popts = pipeline_options_for(&self.opts.base, slice.num_sms, pressure, policy);
+        let usable = self.router.usable_devices();
+        let (key, lookup) =
+            self.store
+                .lookup_or_reserve(&job.graph, &popts, DeviceId(device), &usable)?;
+        let placed = Placed {
+            ordinal: self.admitted.len(),
+            device,
+            home,
+            slice,
+            arrival: t,
+            rerouted,
+            key,
+        };
+        self.admitted.push(i);
+        let outcome = match lookup {
+            Lookup::Hit(artifact, fetch) => {
+                self.settle(trace, i, placed, artifact, fetch)?;
+                "hit"
+            }
+            Lookup::PendingHit(fetch) => {
+                // Another dispatch reserved this key and the artifact is
+                // deterministic: join its compile and serve it verified,
+                // like any other hit.
+                let artifact = self.artifact_for(key)?;
+                verify_artifact(&artifact)?;
+                self.settle(trace, i, placed, artifact, fetch)?;
+                "pending-hit"
+            }
+            Lookup::Miss => {
+                self.spawn_compile(key, &job.graph, popts)?;
+                self.slots[i] = Slot::Waiting(placed);
+                self.waiting
+                    .entry(job.tenant.clone())
+                    .or_default()
+                    .push_back(i);
+                if self.arms_hedge(job) {
+                    // A hedge decision reads the primary's window.
+                    self.resolve(trace, &job.tenant)?;
+                }
+                "miss"
+            }
+        };
+        self.log(ev, EventKind::Dispatch, format!("job={i} {outcome}"));
+        Ok(())
+    }
+
+    /// Admission at the tenant's home, rerouted to the best usable
+    /// alternate when home is down or full. Returns the serving device,
+    /// the slice to compile at and place on, the compile pressure and
+    /// whether the job was rerouted — or `None` once a rejection is
+    /// recorded.
+    fn admit(
+        &mut self,
+        trace: &[(Job, f64)],
+        ev: &Ev,
+        i: usize,
+        slice: Slice,
+    ) -> Option<(u32, Slice, Pressure, bool)> {
+        let (job, t, home) = (&trace[i].0, ev.time, DeviceId(ev.device));
+        let tenant = job.tenant.as_str();
+        let home_finishes = self.backlog(trace, tenant, home.0, t);
+        let alternates = (self.router.usable_devices().iter())
+            .filter(|&&d| d != home.0)
+            .count();
+        let routed = self.devices[home.0 as usize].admission.decide_routed(
+            self.router.usable(home),
+            &home_finishes,
+            t,
+            alternates,
+            self.router.heal_hint_secs(t),
+        );
+        let (device, retry_after_secs, detail) = match routed {
+            RouteDecision::Admit(p) => {
+                self.router
+                    .log_decision(t, tenant, Some(i), "home", Some(home), String::new());
+                return Some((home.0, slice, p, false));
+            }
+            RouteDecision::Reject { retry_after_secs } => (
+                home,
+                retry_after_secs,
+                format!("retry after {retry_after_secs:.3}s"),
+            ),
+            RouteDecision::Reroute => {
+                let target = (self.router.route(tenant, Some(home)))
+                    .expect("Reroute implies a usable alternate");
+                let finishes = self.backlog(trace, tenant, target.0, t);
+                let admission = &self.devices[target.0 as usize].admission;
+                match admission.decide_event(&finishes, t) {
+                    Decision::Admit(p) => {
+                        let detail = format!("home dev{} unusable or full", home.0);
+                        self.router.log_decision(
+                            t,
+                            tenant,
+                            Some(i),
+                            "reroute",
+                            Some(target),
+                            detail,
+                        );
+                        let guest = Slice {
+                            base_sm: 0,
+                            num_sms: slice.num_sms,
+                        };
+                        return Some((target.0, guest, p, true));
+                    }
+                    Decision::Reject { retry_after_secs } => (
+                        target,
+                        retry_after_secs,
+                        "alternate also saturated".to_string(),
+                    ),
+                }
+            }
+        };
+        self.router
+            .log_decision(t, tenant, Some(i), "reject", Some(device), detail);
+        self.devices[device.0 as usize].reject(tenant, job.qos);
+        self.slots[i] = Slot::Rejected { retry_after_secs };
+        self.totals.rejected += 1;
+        None
+    }
+
+    /// Finish times of the tenant's live jobs on `device` after `now` —
+    /// admission's per-(tenant, device) backlog.
+    fn backlog(&self, trace: &[(Job, f64)], tenant: &str, device: u32, now: f64) -> Vec<f64> {
+        (self.live.iter().map(|&o| self.admitted[o]))
+            .filter_map(|j| match &self.slots[j] {
+                Slot::Settled(r) if r.device == device && trace[j].0.tenant == tenant => {
+                    Some(r.finish)
+                }
+                _ => None,
+            })
+            .filter(|&f| f > now)
+            .collect()
+    }
+
+    /// Whether the job's class gets a hedge decision.
+    fn arms_hedge(&self, job: &Job) -> bool {
+        self.opts.hedge.enabled && job.qos == QosClass::Interactive
     }
 
     /// Virtual seconds a dispatch pays to obtain its artifact, by how
@@ -489,267 +892,63 @@ impl FleetEngine {
         }
     }
 
-    /// The tenant's busy horizon on `device` (0 when it never ran there).
-    fn busy_until(&self, device: DeviceId, tenant: &str) -> f64 {
-        let busy = &self.devices[device.0 as usize].busy;
-        busy.get(tenant).copied().unwrap_or(0.0)
-    }
-
     /// Moves the tenant's busy horizon on `device` to `until`.
-    fn occupy(&mut self, device: DeviceId, tenant: &str, until: f64) {
-        let busy = &mut self.devices[device.0 as usize].busy;
-        busy.insert(tenant.to_string(), until);
+    fn occupy(&mut self, device: u32, tenant: &str, until: f64) {
+        self.devices[device as usize].tenant(tenant).busy_until = until;
     }
 
-    /// Serves an arrival trace to completion and returns one verdict per
-    /// job, in submission order. Every job completes or is rejected —
-    /// never silently lost — no matter what the device-fault plan does.
-    ///
-    /// # Errors
-    ///
-    /// Compilation or execution errors, and [`crate::Error::Api`] when a
-    /// home device's tenant population would exceed one tenant per SM.
-    pub fn run(&mut self, trace: &[(Job, f64)]) -> Result<Vec<FleetVerdict>> {
-        let mut heap = BinaryHeap::new();
-        for (i, (job, at)) in trace.iter().enumerate() {
-            let home = self.router.home(&job.tenant);
-            self.schedule(&mut heap, *at, home, &job.tenant, EvKind::Arrival(i));
-        }
-        let faults = self.opts.device_faults.clone();
-        for (i, ev) in faults.events().iter().enumerate() {
-            self.schedule(&mut heap, ev.at_secs, ev.device, "", EvKind::Fault(i));
-        }
-
-        let mut verdicts: Vec<Option<FleetVerdict>> = Vec::new();
-        verdicts.resize_with(trace.len(), || None);
-        self.jobs_submitted = trace.len() as u64;
-
-        while let Some(ev) = heap.pop() {
-            match ev.kind {
-                EvKind::Arrival(i) => {
-                    let (job, at) = &trace[i];
-                    if let Some(v) = self.on_arrival(i, job, (*at).max(ev.time))? {
-                        verdicts[i] = Some(v);
-                    }
-                }
-                EvKind::Fault(i) => {
-                    let fault = faults.events()[i].clone();
-                    self.on_fault(&fault, &mut heap, &mut verdicts);
-                }
-                EvKind::PartitionHeal => {
-                    self.router.heal(DeviceId(ev.device));
-                    self.router.log_decision(
-                        ev.time,
-                        "",
-                        None,
-                        "partition-heal",
-                        Some(DeviceId(ev.device)),
-                        String::new(),
-                    );
-                }
-                EvKind::BrownoutHeal { restore_sms } => {
-                    if self.devices[ev.device as usize].alive {
-                        let d = &mut self.devices[ev.device as usize];
-                        let floor = (d.partitioner.slices().len() as u32).max(1);
-                        d.partitioner
-                            .set_capacity(restore_sms.max(floor), ev.time)?;
-                        self.router.log_decision(
-                            ev.time,
-                            "",
-                            None,
-                            "brownout-heal",
-                            Some(DeviceId(ev.device)),
-                            format!("restored to {restore_sms} SMs"),
-                        );
-                    }
-                }
-            }
-        }
-
-        // Finalize: everything still in flight has (virtually) finished.
-        for r in self.inflight.drain(..) {
-            self.jobs_completed += 1;
-            self.tokens_out += r.run.outputs.len() as u64;
-            self.latencies.push(r.finish - r.arrival);
-            self.total.merge(&r.run.stats);
-            let d = &mut self.devices[r.device as usize];
-            d.jobs_completed += 1;
-            d.busy_secs += r.finish - r.exec_start;
-            verdicts[r.job_idx] = Some(FleetVerdict::Completed(Box::new(FleetJobResult {
-                outputs: r.run.outputs,
-                tenant: r.tenant,
-                arrival_secs: r.arrival,
-                start_secs: r.exec_start,
-                finish_secs: r.finish,
-                latency_secs: r.finish - r.arrival,
-                home: r.home,
-                device: r.device,
-                rerouted: r.rerouted,
-                failed_over: r.failed_over,
-                hedged: r.hedged,
-                hedge_won: r.hedge_won,
-                fetch: r.fetch,
-                stats: r.run.stats,
-            })));
-        }
-
-        Ok(verdicts
-            .into_iter()
-            .map(|v| v.expect("every job completes or is rejected"))
-            .collect())
-    }
-
-    /// Handles one arrival: admission (reject vs reroute), home or
-    /// guest dispatch, then optionally a hedge.
-    fn on_arrival(&mut self, i: usize, job: &Job, t: f64) -> Result<Option<FleetVerdict>> {
-        self.first_arrival.get_or_insert(t);
-        let tenant = job.tenant.clone();
-        let home = self.router.home(&tenant);
-
-        // The home partitioner observes every arrival — dead or alive —
-        // so slice widths are a pure function of the trace.
-        self.devices[home.0 as usize]
-            .partitioner
-            .observe(&tenant, t)?;
-        let slice = self.devices[home.0 as usize]
-            .partitioner
-            .slice(&tenant)
-            .expect("observed tenant has a slice");
-
-        let home_usable = self.router.usable(home);
-        let home_finishes = self.tenant_finishes(&tenant, home.0, t);
-        let alternates = self
-            .router
-            .usable_devices()
-            .iter()
-            .filter(|&&d| d != home.0)
-            .count();
-        let heal_hint = self.router.heal_hint_secs(t);
-
-        let routed =
-            self.admission
-                .decide_routed(home_usable, &home_finishes, t, alternates, heal_hint);
-        let (dev, base_sm, pressure, rerouted) = match routed {
-            RouteDecision::Admit(p) => {
-                self.router
-                    .log_decision(t, &tenant, Some(i), "home", Some(home), String::new());
-                (home, slice.base_sm, p, false)
-            }
-            RouteDecision::Reject { retry_after_secs } => {
-                self.jobs_rejected += 1;
-                self.router.log_decision(
-                    t,
-                    &tenant,
-                    Some(i),
-                    "reject",
-                    Some(home),
-                    format!("retry after {retry_after_secs:.3}s"),
-                );
-                return Ok(Some(FleetVerdict::Rejected { retry_after_secs }));
-            }
-            RouteDecision::Reroute => {
-                let target = self
-                    .router
-                    .route(&tenant, Some(home))
-                    .expect("Reroute implies a usable alternate");
-                let finishes = self.tenant_finishes(&tenant, target.0, t);
-                match self.admission.decide_event(&finishes, t) {
-                    Decision::Admit(p) => {
-                        self.router.log_decision(
-                            t,
-                            &tenant,
-                            Some(i),
-                            "reroute",
-                            Some(target),
-                            format!("home dev{} unusable or full", home.0),
-                        );
-                        // Guests run at the home width from base SM 0:
-                        // placement is semantics-preserving, so the
-                        // artifact and outputs match the home run.
-                        (target, 0, p, true)
-                    }
-                    Decision::Reject { retry_after_secs } => {
-                        self.jobs_rejected += 1;
-                        self.router.log_decision(
-                            t,
-                            &tenant,
-                            Some(i),
-                            "reject",
-                            Some(target),
-                            "alternate also saturated".to_string(),
-                        );
-                        return Ok(Some(FleetVerdict::Rejected { retry_after_secs }));
-                    }
-                }
-            }
-        };
-
-        let popts =
-            pipeline_options_for(&self.opts.base, slice.num_sms, pressure, job.qos.policy());
-        let key = cache_key(&job.graph, &popts);
-        let usable = self.router.usable_devices();
-        let (fetch, fetched) = self.store.fetch(key, dev, &usable)?;
-        let fetch_cost = self.fetch_cost(fetch);
-        let artifact = match fetched {
-            Some(a) => a,
-            None => {
-                let a = Arc::new(ResilientPipeline::new(popts).compile(&job.graph)?);
-                self.devices[dev.0 as usize].search_invocations += a.report.search_invocations();
-                self.store.insert(key, Arc::clone(&a), dev, &usable);
-                a
-            }
-        };
-        self.artifacts += 1;
-        if artifact.isolation.is_some() {
-            self.certified += 1;
-        }
-        let run = run_artifact(
-            &artifact,
-            job,
-            &self.devices[dev.0 as usize].device.config,
-            base_sm,
-            self.opts.checkpoint_interval,
-            None,
-        )?;
-
-        let exec_start = t.max(self.busy_until(dev, &tenant)) + fetch_cost;
-        let finish = exec_start + run.time_secs;
-        self.occupy(dev, &tenant, finish);
-
-        let state_words = artifact.report.checkpoint.state_words;
-        let mut rec = Running {
-            job_idx: i,
-            tenant: tenant.clone(),
-            qos: job.qos,
-            device: dev.0,
-            home: home.0,
-            arrival: t,
-            exec_start,
-            finish,
-            base_exec_secs: run.time_secs,
-            trace_base: 0,
-            key,
-            state_words,
-            artifact,
-            run,
+    /// Settles job `i` on its device's core, hedges it when its class
+    /// asks for one, and schedules what follows from its window.
+    fn settle(
+        &mut self,
+        trace: &[(Job, f64)],
+        i: usize,
+        placed: Placed,
+        artifact: Arc<ResilientCompiled>,
+        fetch: Fetch,
+    ) -> Result<()> {
+        let job = &trace[i].0;
+        let head_secs = self.fetch_cost(fetch);
+        let at = Placement {
+            slice: placed.slice,
+            arrival: placed.arrival,
             fetch,
-            rerouted,
+            head_secs,
+        };
+        let interval = self.opts.checkpoint_interval;
+        let s = self.devices[placed.device as usize].settle(job, &artifact, &at, interval)?;
+        let mut rec = Running {
+            placed,
+            device: placed.device,
+            start: s.start,
+            exec_start: s.exec_start,
+            finish: s.finish,
+            trace_base: 0,
+            artifact,
+            run: s.run,
+            fetch,
             failed_over: 0,
             hedged: false,
             hedge_won: false,
         };
-
-        if self.opts.hedge.enabled && rec.qos == QosClass::Interactive {
-            self.maybe_hedge(&mut rec, t, fetch_cost)?;
+        if self.arms_hedge(job) {
+            self.maybe_hedge(i, &job.tenant, &mut rec, head_secs)?;
         }
-
-        self.last_finish = self.last_finish.max(rec.finish);
-        self.history
-            .entry(tenant)
-            .or_default()
-            .push(rec.finish - rec.arrival);
-        self.inflight.push(rec);
-        Ok(None)
+        self.totals.last_finish = self.totals.last_finish.max(rec.finish);
+        let history = self.totals.history.entry(job.tenant.clone()).or_default();
+        history.push(rec.finish - placed.arrival);
+        // A controller switch becomes an event at the finish, so its
+        // recompile is pre-spawned in deterministic event order.
+        if s.switched {
+            self.schedule(rec.finish, rec.device, &job.tenant, EvKind::PolicySwitch(i));
+        }
+        if fetch == Fetch::Miss {
+            self.schedule(s.exec_start, rec.device, &job.tenant, EvKind::CompileFinish);
+        }
+        self.schedule(rec.finish, rec.device, &job.tenant, EvKind::LaunchFinish);
+        self.live.insert(placed.ordinal);
+        self.slots[i] = Slot::Settled(Box::new(rec));
+        Ok(())
     }
 
     /// Launches a hedge backup when the primary is projected past the
@@ -757,11 +956,16 @@ impl FleetEngine {
     /// finish wins, and everything the loser burned — fetch or compile
     /// time included, measured from its service start to the cancel —
     /// is billed into the winner's disjoint `hedge_cycles`.
-    fn maybe_hedge(&mut self, rec: &mut Running, t: f64, primary_fetch_cost: f64) -> Result<()> {
-        let Some(backup) = self.router.route(&rec.tenant, Some(DeviceId(rec.device))) else {
+    fn maybe_hedge(&mut self, i: usize, tenant: &str, rec: &mut Running, head: f64) -> Result<()> {
+        let t = rec.placed.arrival;
+        let Some(backup) = self.router.route(tenant, Some(DeviceId(rec.device))) else {
             return Ok(());
         };
-        let samples = self.history.get(&rec.tenant).map_or(&[][..], Vec::as_slice);
+        let samples = self
+            .totals
+            .history
+            .get(tenant)
+            .map_or(&[][..], Vec::as_slice);
         let delay =
             percentile_of(samples, self.opts.hedge.percentile).max(self.opts.hedge.min_delay_secs);
         if rec.finish <= t + delay {
@@ -772,112 +976,205 @@ impl FleetEngine {
         // a replica by now, so this is at worst a remote hit) and runs
         // the same deterministic execution.
         let usable = self.router.usable_devices();
-        let (bfetch, _) = self.store.fetch(rec.key, backup, &usable)?;
+        let bfetch = self.store.fetch(rec.placed.key, backup, &usable)?;
         let bcost = self.fetch_cost(bfetch);
-        let bstart = (t + delay).max(self.busy_until(backup, &rec.tenant)) + bcost;
-        let bfinish = bstart + rec.base_exec_secs;
+        let busy = self.devices[backup.0 as usize].busy_until(tenant);
+        let bstart = (t + delay).max(busy) + bcost;
+        let bfinish = bstart + rec.run.time_secs;
 
-        self.hedges += 1;
+        self.totals.hedges += 1;
         rec.hedged = true;
-        self.router.log_decision(
-            t,
-            &rec.tenant,
-            Some(rec.job_idx),
-            "hedge",
-            Some(backup),
-            format!("delay {delay:.3}s, primary dev{}", rec.device),
-        );
+        let detail = format!("delay {delay:.3}s, primary dev{}", rec.device);
+        self.router
+            .log_decision(t, tenant, Some(i), "hedge", Some(backup), detail);
 
         let clock = self.opts.base.timing.clock_hz;
         if bfinish < rec.finish {
             // Backup wins. The primary burned from its service start
             // (compile/fetch included) until the cancel at the
             // backup's finish.
-            self.hedge_wins += 1;
-            let service_start = rec.exec_start - primary_fetch_cost;
-            let burn_secs =
-                (bfinish - service_start).clamp(0.0, primary_fetch_cost + rec.base_exec_secs);
+            self.totals.hedge_wins += 1;
+            let service_start = rec.exec_start - head;
+            let burn_secs = (bfinish - service_start).clamp(0.0, head + rec.run.time_secs);
             let burn = burn_secs * clock;
             bill_overhead(&mut rec.run.stats, burn, |s| &mut s.hedge_cycles);
-            self.occupy(DeviceId(rec.device), &rec.tenant, bfinish.min(rec.finish));
+            self.occupy(rec.device, tenant, bfinish.min(rec.finish));
             rec.device = backup.0;
             rec.exec_start = bstart;
             rec.finish = bfinish;
             rec.hedge_won = true;
-            self.occupy(backup, &rec.tenant, bfinish);
+            self.occupy(backup.0, tenant, bfinish);
         } else {
             // Primary wins. The backup burned from its service start
             // (if it started at all) until the primary's finish
             // cancelled it.
-            let burn_secs = (rec.finish - (bstart - bcost)).clamp(0.0, bcost + rec.base_exec_secs);
+            let burn_secs = (rec.finish - (bstart - bcost)).clamp(0.0, bcost + rec.run.time_secs);
             if burn_secs > 0.0 {
                 let burn = burn_secs * clock;
                 bill_overhead(&mut rec.run.stats, burn, |s| &mut s.hedge_cycles);
-                self.occupy(backup, &rec.tenant, rec.finish.min(bfinish));
+                self.occupy(backup.0, tenant, rec.finish.min(bfinish));
             }
         }
         Ok(())
     }
 
-    /// Applies one device-grain fault event.
-    fn on_fault(
+    /// Settles every pending store-miss job of `tenant`, oldest first.
+    /// Runs before anything reads those jobs' windows, so per-tenant
+    /// completion order is arrival order.
+    fn resolve(&mut self, trace: &[(Job, f64)], tenant: &str) -> Result<()> {
+        while let Some(i) = self.waiting.get_mut(tenant).and_then(VecDeque::pop_front) {
+            let Slot::Waiting(placed) = self.slots[i] else {
+                unreachable!("a queued job is waiting");
+            };
+            let artifact = self.artifact_for(placed.key)?;
+            self.settle(trace, i, placed, artifact, Fetch::Miss)?;
+        }
+        Ok(())
+    }
+
+    /// [`FleetEngine::resolve`] for every tenant, in name order.
+    fn resolve_all(&mut self, trace: &[(Job, f64)]) -> Result<()> {
+        let tenants: Vec<String> = self.waiting.keys().cloned().collect();
+        for tenant in tenants {
+            self.resolve(trace, &tenant)?;
+        }
+        Ok(())
+    }
+
+    /// Hands a ladder compile to the worker pool, joining the oldest
+    /// in-flight compile first when the pool is at its bound.
+    fn spawn_compile(
         &mut self,
-        fault: &gpusim::DeviceFaultEvent,
-        heap: &mut BinaryHeap<Ev>,
-        verdicts: &mut [Option<FleetVerdict>],
-    ) {
-        let d = fault.device;
-        let t = fault.at_secs;
+        key: u64,
+        graph: &FlatGraph,
+        mut opts: PipelineOptions,
+    ) -> Result<()> {
+        while self.pending.len() >= self.workers {
+            let oldest = self.pending.remove(0);
+            self.join_and_fulfill(oldest)?;
+        }
+        let interrupt = SearchInterrupt::armed();
+        opts.compile.search.interrupt = interrupt.clone();
+        let graph = graph.clone();
+        let handle = std::thread::spawn(move || ResilientPipeline::new(opts).compile(&graph));
+        self.pending.push(PendingCompile {
+            key,
+            interrupt,
+            handle,
+        });
+        Ok(())
+    }
+
+    fn join_and_fulfill(&mut self, p: PendingCompile) -> Result<()> {
+        let key = p.key;
+        match p.join() {
+            Ok(artifact) => {
+                let artifact = Arc::new(artifact);
+                self.store.fulfill(key, &artifact);
+                self.ready.insert(key, artifact);
+                Ok(())
+            }
+            Err(e) => {
+                self.store.abandon(key);
+                Err(e)
+            }
+        }
+    }
+
+    /// The artifact for a reserved key: already joined, or joined now.
+    fn artifact_for(&mut self, key: u64) -> Result<Arc<ResilientCompiled>> {
+        if let Some(a) = self.ready.get(&key) {
+            return Ok(Arc::clone(a));
+        }
+        let pos = (self.pending.iter().position(|p| p.key == key))
+            .ok_or_else(|| Error::Api(format!("no compile in flight for cache key {key:016x}")))?;
+        let p = self.pending.remove(pos);
+        self.join_and_fulfill(p)?;
+        Ok(Arc::clone(&self.ready[&key]))
+    }
+
+    /// Applies a controller-ordered policy switch: re-addresses the
+    /// triggering job's graph under the new policy and, on a miss,
+    /// pre-spawns the recompile so the artifact is (being) built before
+    /// the tenant's next dispatch asks for it. Pre-warming uses nominal
+    /// budgets; a dispatch under elevated pressure addresses a different
+    /// key and simply compiles then.
+    fn policy_switch(&mut self, trace: &[(Job, f64)], ev: &Ev, i: usize) -> Result<()> {
+        let job = &trace[i].0;
+        let home = self.router.home(&job.tenant).0 as usize;
+        let Some(slice) = self.devices[home].partitioner.slice(&job.tenant) else {
+            self.log(ev, EventKind::PolicySwitch, format!("job={i} no-slice"));
+            return Ok(());
+        };
+        let policy = self.devices[ev.device as usize]
+            .controller
+            .policy_for(&job.tenant, job.qos.policy());
+        let popts = pipeline_options_for(&self.opts.base, slice.num_sms, Pressure::Nominal, policy);
+        let usable = self.router.usable_devices();
+        let device = DeviceId(ev.device);
+        let outcome = match self
+            .store
+            .lookup_or_reserve(&job.graph, &popts, device, &usable)?
+        {
+            (_, Lookup::Hit(..)) => "cached",
+            (_, Lookup::PendingHit(_)) => "compiling",
+            (key, Lookup::Miss) => {
+                self.spawn_compile(key, &job.graph, popts)?;
+                "recompile"
+            }
+        };
+        let detail = format!("job={i} policy={policy} {outcome}");
+        self.log(ev, EventKind::PolicySwitch, detail);
+        Ok(())
+    }
+
+    /// Applies one device-grain fault event.
+    fn fault(&mut self, trace: &[(Job, f64)], ev: &Ev, i: usize) -> Result<()> {
+        let fault = self.opts.device_faults.events()[i].clone();
+        let (d, t) = (fault.device, fault.at_secs);
         if !self.router.alive(d) {
-            return;
+            return Ok(());
         }
         match fault.kind {
             DeviceFaultKind::Loss => {
+                // Pending compiles resolve before the sweep reads their
+                // windows.
+                self.resolve_all(trace)?;
                 self.router.mark_dead(d);
-                self.devices[d.0 as usize].alive = false;
                 self.store.drop_device(d);
                 self.router
                     .log_decision(t, "", None, "kill", Some(d), String::new());
-                self.failover_sweep(d, t, verdicts);
+                self.failover_sweep(trace, d, t);
             }
             DeviceFaultKind::Brownout {
                 total_sms,
                 heal_secs,
             } => {
-                let ds = &mut self.devices[d.0 as usize];
-                let restore_sms = ds.partitioner.capacity();
-                let floor = (ds.partitioner.slices().len() as u32).max(1);
-                let target = total_sms.max(floor);
+                let p = &mut self.devices[d.0 as usize].partitioner;
+                let restore_sms = p.capacity();
+                let target = total_sms.max((p.slices().len() as u32).max(1));
                 // Capacity changes can only fail when shrinking below
                 // one SM per tenant, which the floor prevents.
-                ds.partitioner
-                    .set_capacity(target, t)
+                p.set_capacity(target, t)
                     .expect("brownout capacity floored at tenant count");
-                self.router.log_decision(
-                    t,
-                    "",
-                    None,
-                    "brownout",
-                    Some(d),
-                    format!("{restore_sms} -> {target} SMs"),
-                );
+                let detail = format!("{restore_sms} -> {target} SMs");
+                self.router
+                    .log_decision(t, "", None, "brownout", Some(d), detail);
+                let detail = format!("sms={target} {}", self.slice_widths(d.0));
+                self.log(ev, EventKind::Brownout, detail);
                 if let Some(heal) = heal_secs {
-                    self.schedule(heap, t + heal, d, "", EvKind::BrownoutHeal { restore_sms });
+                    self.schedule(t + heal, d.0, "", EvKind::BrownoutHeal { restore_sms });
                 }
             }
             DeviceFaultKind::LinkPartition { heal_secs } => {
                 self.router.mark_partitioned(d, t + heal_secs);
-                self.router.log_decision(
-                    t,
-                    "",
-                    None,
-                    "partition",
-                    Some(d),
-                    format!("heals at {:.3}s", t + heal_secs),
-                );
-                self.schedule(heap, t + heal_secs, d, "", EvKind::PartitionHeal);
+                let detail = format!("heals at {:.3}s", t + heal_secs);
+                self.router
+                    .log_decision(t, "", None, "partition", Some(d), detail);
+                self.schedule(t + heal_secs, d.0, "", EvKind::PartitionHeal);
             }
         }
+        Ok(())
     }
 
     /// Fails every job in flight on a lost device over to a healthy
@@ -885,47 +1182,44 @@ impl FleetEngine {
     /// launches past the commit, bill the overhead into the disjoint
     /// `failover_cycles` component. Jobs with no usable target are
     /// rejected (never lost).
-    fn failover_sweep(&mut self, dead: DeviceId, t: f64, verdicts: &mut [Option<FleetVerdict>]) {
+    fn failover_sweep(&mut self, trace: &[(Job, f64)], dead: DeviceId, t: f64) {
         let timing = self.opts.base.timing.clone();
-        let mut survivors = Vec::with_capacity(self.inflight.len());
-        for mut r in std::mem::take(&mut self.inflight) {
+        for o in self.live.clone() {
+            let j = self.admitted[o];
+            let Slot::Settled(mut r) = std::mem::replace(&mut self.slots[j], Slot::Open) else {
+                unreachable!("live jobs are settled");
+            };
+            let tenant = trace[j].0.tenant.as_str();
             if r.device != dead.0 || r.finish <= t {
-                survivors.push(r);
+                self.slots[j] = Slot::Settled(r);
                 continue;
             }
-            let Some(target) = self.router.route(&r.tenant, None) else {
-                self.jobs_rejected += 1;
-                let hint = self.router.heal_hint_secs(t);
-                self.router.log_decision(
-                    t,
-                    &r.tenant,
-                    Some(r.job_idx),
-                    "abandon",
-                    None,
-                    "no usable device to fail over to".to_string(),
-                );
-                verdicts[r.job_idx] = Some(FleetVerdict::Rejected {
-                    retry_after_secs: hint,
-                });
+            let Some(target) = self.router.route(tenant, None) else {
+                let retry_after_secs = self.router.heal_hint_secs(t);
+                let detail = "no usable device to fail over to".to_string();
+                self.router
+                    .log_decision(t, tenant, Some(j), "abandon", None, detail);
+                self.slots[j] = Slot::Rejected { retry_after_secs };
+                self.totals.rejected += 1;
+                self.live.remove(&o);
                 continue;
             };
 
             let usable = self.router.usable_devices();
-            let (fetch, _) = self
-                .store
-                .fetch(r.key, target, &usable)
-                .expect("artifact verified at insert");
+            let key = r.placed.key;
+            let fetch =
+                (self.store.fetch(key, target, &usable)).expect("artifact verified at insert");
             if fetch == Fetch::Miss {
                 // Every replica died with the fleet's losses: pay a
                 // recompile and restore the store from the job's own
                 // copy of the artifact.
                 self.store
-                    .insert(r.key, Arc::clone(&r.artifact), target, &usable);
+                    .insert(key, Arc::clone(&r.artifact), target, &usable);
             }
             let fetch_cost = self.fetch_cost(fetch);
 
             let old_finish = r.finish;
-            let tbusy = self.busy_until(target, &r.tenant);
+            let tbusy = self.devices[target.0 as usize].busy_until(tenant);
 
             // Cycles to ship the last commit's state and to replay the
             // launches past it, and the launch execution resumes from.
@@ -948,8 +1242,9 @@ impl FleetEngine {
                 }
                 let committed = r.trace_base.max(completed - completed % k);
                 let replay: f64 = r.run.launch_cycles[committed..completed].iter().sum();
+                let state_words = r.artifact.report.checkpoint.state_words;
                 let ship = timing.host_transfer_latency_cycles
-                    + r.state_words as f64 * timing.host_transfer_cycles_per_word;
+                    + state_words as f64 * timing.host_transfer_cycles_per_word;
                 // A graph-dispatched run re-enters its captured graph at
                 // the committed node, but the capture itself was
                 // device-resident state the dead device took with it:
@@ -969,88 +1264,104 @@ impl FleetEngine {
                 (ship, replay, committed)
             };
             let prefix: f64 = r.run.launch_cycles[..committed].iter().sum();
-            let remaining = r.base_exec_secs - timing.secs(prefix);
+            let remaining = r.run.time_secs - timing.secs(prefix);
             r.exec_start = t.max(tbusy) + fetch_cost + timing.secs(ship);
             r.finish = r.exec_start + timing.secs(replay) + remaining;
             r.trace_base = committed;
 
-            self.occupy(target, &r.tenant, r.finish);
+            self.occupy(target.0, tenant, r.finish);
             r.device = target.0;
             r.failed_over += 1;
-            self.failover_latencies
+            let totals = &mut self.totals;
+            totals
+                .failover_latencies
                 .push((r.finish - old_finish).max(0.0));
-            self.last_finish = self.last_finish.max(r.finish);
-            self.router.log_decision(
-                t,
-                &r.tenant,
-                Some(r.job_idx),
-                "failover",
-                Some(target),
-                format!("{fetch:?} fetch, resumed from launch {}", r.trace_base),
-            );
-            survivors.push(r);
+            totals.last_finish = totals.last_finish.max(r.finish);
+            let detail = format!("{fetch:?} fetch, resumed from launch {}", r.trace_base);
+            self.router
+                .log_decision(t, tenant, Some(j), "failover", Some(target), detail);
+            self.slots[j] = Slot::Settled(r);
         }
-        self.inflight = survivors;
     }
 
-    /// Finish times of the tenant's jobs in flight on `device` after
-    /// `now` — the admission controller's per-(tenant, device) backlog.
-    fn tenant_finishes(&self, tenant: &str, device: u32, now: f64) -> Vec<f64> {
-        self.inflight
-            .iter()
-            .filter(|r| r.tenant == tenant && r.device == device && r.finish > now)
-            .map(|r| r.finish)
-            .collect()
+    /// Totals the drained run's completed jobs in admission order.
+    fn total_up(&mut self) {
+        let t = &mut self.totals;
+        t.per_device.resize(self.devices.len(), (0, 0.0));
+        for &j in &self.admitted {
+            if let Slot::Settled(r) = &self.slots[j] {
+                t.completed += 1;
+                t.tokens_out += r.run.outputs.len() as u64;
+                t.latencies.push(r.finish - r.placed.arrival);
+                t.stats.merge(&r.run.stats);
+                let d = &mut t.per_device[r.device as usize];
+                d.0 += 1;
+                d.1 += r.finish - r.exec_start;
+            }
+        }
+    }
+
+    fn makespan(&self) -> f64 {
+        (self.totals.last_finish - self.totals.first_arrival.unwrap_or(0.0)).max(0.0)
+    }
+
+    /// Device 0's serving report — the single-device view of a run.
+    pub(crate) fn serve_report(&self) -> ServeReport {
+        let cache = self.store.cache_stats();
+        self.devices[0].report(&self.opts.base, self.makespan(), cache)
     }
 
     /// Snapshots the run into a serializable report. Call after
     /// [`FleetEngine::run`].
     #[must_use]
     pub fn report(&self) -> FleetReport {
-        let makespan = (self.last_finish - self.first_arrival.unwrap_or(0.0)).max(0.0);
+        let (t, devices) = (&self.totals, &self.devices);
+        let makespan = self.makespan();
+        let alive = |d: usize| self.router.alive(DeviceId(d as u32));
         FleetReport {
-            devices: self.opts.devices.max(1),
-            devices_alive: self.devices.iter().filter(|d| d.alive).count() as u32,
+            devices: devices.len() as u32,
+            devices_alive: (0..devices.len()).filter(|&d| alive(d)).count() as u32,
             makespan_secs: makespan,
-            jobs_submitted: self.jobs_submitted,
-            jobs_completed: self.jobs_completed,
-            jobs_rejected: self.jobs_rejected,
-            jobs_lost: self.jobs_submitted - self.jobs_completed - self.jobs_rejected,
+            jobs_submitted: t.submitted,
+            jobs_completed: t.completed,
+            jobs_rejected: t.rejected,
+            jobs_lost: t.submitted - t.completed - t.rejected,
             throughput_tokens_per_sec: if makespan > 0.0 {
-                self.tokens_out as f64 / makespan
+                t.tokens_out as f64 / makespan
             } else {
                 0.0
             },
-            p50_latency_secs: percentile_of(&self.latencies, 0.50),
-            p99_latency_secs: percentile_of(&self.latencies, 0.99),
-            failovers: self.failover_latencies.len() as u64,
-            failover_p50_secs: percentile_of(&self.failover_latencies, 0.50),
-            failover_p99_secs: percentile_of(&self.failover_latencies, 0.99),
-            hedges: self.hedges,
-            hedge_wins: self.hedge_wins,
-            cycles: self.total.cycles.round() as u64,
-            fault_overhead_cycles: self.total.fault_overhead_cycles.round() as u64,
-            failover_cycles: self.total.failover_cycles.round() as u64,
-            hedge_cycles: self.total.hedge_cycles.round() as u64,
-            launch_path_cycles: self.total.launch_path_cycles.round() as u64,
-            graph_replays: self.total.graph_replays,
-            graph_captures: self.total.graph_captures,
-            graph_capture_cycles: self.total.graph_capture_cycles.round() as u64,
-            artifacts: self.artifacts,
-            certified: self.certified,
-            search_invocations: self.devices.iter().map(|d| d.search_invocations).sum(),
+            p50_latency_secs: percentile_of(&t.latencies, 0.50),
+            p99_latency_secs: percentile_of(&t.latencies, 0.99),
+            failovers: t.failover_latencies.len() as u64,
+            failover_p50_secs: percentile_of(&t.failover_latencies, 0.50),
+            failover_p99_secs: percentile_of(&t.failover_latencies, 0.99),
+            hedges: t.hedges,
+            hedge_wins: t.hedge_wins,
+            cycles: t.stats.cycles.round() as u64,
+            fault_overhead_cycles: t.stats.fault_overhead_cycles.round() as u64,
+            failover_cycles: t.stats.failover_cycles.round() as u64,
+            hedge_cycles: t.stats.hedge_cycles.round() as u64,
+            launch_path_cycles: t.stats.launch_path_cycles.round() as u64,
+            graph_replays: t.stats.graph_replays,
+            graph_captures: t.stats.graph_captures,
+            graph_capture_cycles: t.stats.graph_capture_cycles.round() as u64,
+            artifacts: devices.iter().map(|d| d.artifacts).sum(),
+            certified: devices.iter().map(|d| d.certified).sum(),
+            search_invocations: devices.iter().map(DeviceCore::search_invocations).sum(),
             store: self.store.stats().clone(),
             router_decisions: self.router.log().len() as u64,
-            per_device: self
-                .devices
-                .iter()
-                .enumerate()
-                .map(|(d, s)| DeviceReport {
-                    device: d as u32,
-                    alive: s.alive,
-                    jobs_completed: s.jobs_completed,
-                    busy_secs: s.busy_secs,
-                    search_invocations: s.search_invocations,
+            per_device: (devices.iter().enumerate())
+                .map(|(d, core)| {
+                    let (jobs_completed, busy_secs) =
+                        t.per_device.get(d).copied().unwrap_or_default();
+                    DeviceReport {
+                        device: d as u32,
+                        alive: alive(d),
+                        jobs_completed,
+                        busy_secs,
+                        search_invocations: core.search_invocations(),
+                    }
                 })
                 .collect(),
         }

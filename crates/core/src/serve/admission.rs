@@ -96,11 +96,9 @@ impl AdmissionController {
 
     /// Decides one arrival event directly from the tenant's in-flight
     /// finish times: jobs still unfinished at `now` form the backlog,
-    /// and the earliest of them supplies the reject hint. Both serving
-    /// paths (the eager server's inline call and the event engine's
-    /// arrival handler) route through this, so an admission decision is
-    /// a pure function of `(finish set, now)` — the event-sourced form
-    /// of [`AdmissionController::decide`].
+    /// and the earliest of them supplies the reject hint, so an
+    /// admission decision is a pure function of `(finish set, now)` —
+    /// the event-sourced form of [`AdmissionController::decide`].
     #[must_use]
     pub fn decide_event(&self, inflight_finishes: &[f64], now: f64) -> Decision {
         let backlog = inflight_finishes.iter().filter(|&&f| f > now).count();

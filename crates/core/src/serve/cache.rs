@@ -1,36 +1,49 @@
-//! Content-addressed compilation cache.
+//! The one content-addressed artifact store.
 //!
 //! A cache key is a seedless FNV-1a hash over everything that determines
-//! the compiled artifact: the canonical encoding of the stream graph
-//! (names, roles, pretty-printed work functions, edge topology with
-//! initial tokens — hashed once per graph and memoised on it,
-//! [`FlatGraph::content_hash`]), the device shape, the timing
+//! the compiled artifact: the graph's canonical encoding (memoised on the
+//! graph, [`FlatGraph::content_hash`]), the device shape, the timing
 //! calibration, the profiling grid, the search options, the ladder
-//! budgets, and the fault policy/plan. Seedless hashing makes keys stable
-//! across processes, so a disk-persisted entry written by one serving
-//! process is a valid hit for any other.
+//! budgets, and the fault policy/plan. Keys are stable across processes,
+//! so a disk entry written by one serving process is a hit for any other.
 //!
-//! Hits never invoke the scheduler ([`crate::schedule::find`] /
-//! [`crate::schedule::heuristic::schedule`]) and never copy the artifact
-//! — slots hold it behind an [`Arc`], so every job served from one slot
-//! shares one artifact and its prepared execution form; they re-run the
-//! *static verifier* instead, so a served artifact is checked on every
-//! hit, not just when first compiled. Disk entries store the execution
-//! configuration and the schedule; reload rebuilds the instance graph
-//! from the stored configuration and passes the same verifier before the
-//! entry is trusted.
+//! [`ArtifactStore`] is the only store: one device's compilation cache is
+//! the store at replication R = 1 with an LRU bound and an optional JSON
+//! disk tier ([`ArtifactStore::new`]); a fleet's is the same type at R
+//! replicas, unbounded and memory-only ([`ArtifactStore::replicated`]).
+//!
+//! * **Reservations** — a miss claims the key, its LRU slot and its
+//!   replica set at once; the caller compiles and then fulfills (or
+//!   abandons). A lookup landing on a reservation is a hit
+//!   ([`Lookup::PendingHit`]): the artifact is deterministic, only its
+//!   wall-clock availability lags.
+//! * **Replication** — an entry lives on the device that missed plus the
+//!   top `R − 1` other usable devices by rendezvous score of
+//!   `(key, device)`. A hit tops a shrunken replica set back up to R and
+//!   a remote hit installs on the requester (read-repair); device loss
+//!   only shrinks replica sets, and an entry whose last replica dies is
+//!   gone (`entries_lost`) — its next lookup is an honest miss.
+//! * **Verification on hit** — hits never invoke the scheduler and never
+//!   copy the artifact (slots hold an [`Arc`]); they re-run the static
+//!   verifier. Disk entries store the execution configuration and the
+//!   schedule; a reload rebuilds the rest and passes the same verifier.
+//!
+//! One set of counters backs both published views: [`StoreStats`]
+//! (`BENCH_fleet.json`) and [`CacheStats`] (`BENCH_serve.json`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use gpusim::DeviceId;
 use serde::Serialize;
 use serde_json::Value;
 use streamir::graph::FlatGraph;
 
 use crate::config::Selection;
 use crate::exec::{CompileOptions, Compiled, Scheme};
+use crate::fleet::router::score;
 use crate::hash::Fnv;
 use crate::instances::{self, ExecConfig};
 use crate::pipeline::{
@@ -79,7 +92,7 @@ pub fn cache_key(graph: &FlatGraph, opts: &PipelineOptions) -> u64 {
     h.finish()
 }
 
-/// Cache sizing and persistence options.
+/// Single-device cache sizing and persistence options.
 #[derive(Debug, Clone)]
 pub struct CacheOptions {
     /// In-memory entries kept; the least-recently-used entry is evicted
@@ -99,7 +112,8 @@ impl Default for CacheOptions {
     }
 }
 
-/// Hit/miss/eviction counters.
+/// Hit/miss/eviction counters — the single-device view of the store's
+/// counters ([`ArtifactStore::cache_stats`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Lookups served from memory or disk without invoking the scheduler.
@@ -125,12 +139,71 @@ impl CacheStats {
     }
 }
 
-/// What an in-memory cache slot holds. `Reserved` is the asynchronous
-/// compile protocol's placeholder: the key has been claimed by a compile
-/// in flight (the event engine's worker pool), it participates in LRU
-/// accounting exactly as a ready entry would, and a lookup that lands on
-/// it is a *hit* — the artifact is deterministic, only its wall-clock
-/// availability lags.
+/// How a lookup was served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum Fetch {
+    /// The requesting device already holds a replica.
+    LocalHit,
+    /// Another usable device holds a replica; the artifact is shipped
+    /// over and (read-repair) installed on the requester.
+    RemoteHit,
+    /// No usable device holds the artifact.
+    Miss,
+}
+
+/// Replicated-store counters — the fleet view of the store's counters
+/// ([`ArtifactStore::stats`]).
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct StoreStats {
+    /// Total lookups.
+    pub lookups: u64,
+    /// Lookups served by a replica on the requesting device.
+    pub local_hits: u64,
+    /// Lookups served by a replica on another device.
+    pub remote_hits: u64,
+    /// Lookups no usable replica could serve.
+    pub misses: u64,
+    /// Lookups that triggered a read-repair (replica set below R, or a
+    /// remote hit installing on the requester).
+    pub read_repairs: u64,
+    /// Entries whose last replica died (the artifact is gone).
+    pub entries_lost: u64,
+}
+
+impl StoreStats {
+    /// Fraction of lookups any replica served (local or remote).
+    #[must_use]
+    pub fn hit_rate(&self) -> f64 {
+        if self.lookups == 0 {
+            0.0
+        } else {
+            (self.local_hits + self.remote_hits) as f64 / self.lookups as f64
+        }
+    }
+
+    /// Fraction of lookups served *across* devices — the replication
+    /// dividend a solo disk tier cannot earn.
+    #[must_use]
+    pub fn remote_hit_rate(&self) -> f64 {
+        if self.lookups == 0 {
+            0.0
+        } else {
+            self.remote_hits as f64 / self.lookups as f64
+        }
+    }
+}
+
+/// Every counter the store keeps; [`StoreStats`] and [`CacheStats`] are
+/// views of it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Counters {
+    store: StoreStats,
+    evictions: u64,
+    disk_loads: u64,
+}
+
+/// What a slot holds: a servable artifact, or a reservation claimed by a
+/// compile still in flight.
 enum Slot {
     Ready(Arc<ResilientCompiled>),
     Reserved,
@@ -138,166 +211,201 @@ enum Slot {
 
 struct Entry {
     slot: Slot,
+    replicas: BTreeSet<u32>,
     last_used: u64,
 }
 
-/// The outcome of [`CompilationCache::lookup_or_reserve`].
+/// The outcome of [`ArtifactStore::lookup_or_reserve`].
 pub enum Lookup {
     /// A ready artifact, already re-verified — serve it. Shared with the
-    /// cache slot, not copied out of it.
-    Hit(Arc<ResilientCompiled>),
+    /// store's slot, not copied out of it.
+    Hit(Arc<ResilientCompiled>, Fetch),
     /// The key is reserved by a compile still in flight: a hit for
-    /// accounting purposes, but the caller must wait for the compile it
-    /// (or another tenant) dispatched earlier and re-verify the artifact
-    /// before serving it.
-    PendingHit(u64),
+    /// accounting purposes, but the caller must wait for that compile and
+    /// re-verify the artifact before serving it.
+    PendingHit(Fetch),
     /// A miss. The key is now reserved: the caller must compile and then
-    /// [`CompilationCache::fulfill`] (or [`CompilationCache::abandon`]
-    /// on failure).
-    Miss(u64),
+    /// [`ArtifactStore::fulfill`] (or [`ArtifactStore::abandon`] on
+    /// failure).
+    Miss,
 }
 
-/// The content-addressed, LRU-bounded compilation cache.
-pub struct CompilationCache {
-    opts: CacheOptions,
-    entries: HashMap<u64, Entry>,
+/// The content-addressed artifact store (see the module docs).
+pub struct ArtifactStore {
+    replication: usize,
+    /// LRU bound on resident entries; `None` is unbounded.
+    capacity: Option<usize>,
+    disk_dir: Option<PathBuf>,
+    entries: BTreeMap<u64, Entry>,
     tick: u64,
-    stats: CacheStats,
+    counters: Counters,
 }
 
-impl CompilationCache {
-    /// An empty cache.
+impl ArtifactStore {
+    /// One device's compilation cache: R = 1, LRU-bounded at
+    /// `opts.capacity`, persisted under `opts.disk_dir` when set.
     #[must_use]
-    pub fn new(opts: CacheOptions) -> CompilationCache {
-        CompilationCache {
-            opts,
-            entries: HashMap::new(),
+    pub fn new(opts: CacheOptions) -> ArtifactStore {
+        ArtifactStore::with(1, Some(opts.capacity), opts.disk_dir)
+    }
+
+    /// A fleet-wide store with replication factor `r` (floored at 1):
+    /// unbounded and memory-only.
+    #[must_use]
+    pub fn replicated(r: u32) -> ArtifactStore {
+        ArtifactStore::with(r.max(1) as usize, None, None)
+    }
+
+    fn with(replication: usize, capacity: Option<usize>, disk_dir: Option<PathBuf>) -> Self {
+        ArtifactStore {
+            replication,
+            capacity,
+            disk_dir,
+            entries: BTreeMap::new(),
             tick: 0,
-            stats: CacheStats::default(),
+            counters: Counters::default(),
         }
     }
 
-    /// Counters so far.
+    /// The replicated-store view of the counters.
     #[must_use]
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
+    pub fn stats(&self) -> &StoreStats {
+        &self.counters.store
     }
 
-    /// Zeroes the hit/miss/eviction counters while keeping every entry
-    /// resident. Cache warming uses this so its own deliberate misses do
-    /// not pollute the serving-phase hit rate the reports publish.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    /// In-memory entries currently resident.
+    /// The single-device view of the counters: every local or remote hit
+    /// is a hit.
     #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    pub fn cache_stats(&self) -> CacheStats {
+        let s = &self.counters.store;
+        CacheStats {
+            hits: s.local_hits + s.remote_hits,
+            misses: s.misses,
+            evictions: self.counters.evictions,
+            disk_loads: self.counters.disk_loads,
+        }
     }
 
-    /// `true` when no entries are resident.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    pub(crate) fn counters(&self) -> Counters {
+        self.counters.clone()
     }
 
-    /// Whether the key is resident in memory (does not touch LRU order
-    /// or counters).
+    /// Puts the counters back to a [`ArtifactStore::counters`] snapshot
+    /// (warming is offline and must not show in serving statistics),
+    /// returning the evictions that happened since.
+    pub(crate) fn restore(&mut self, snapshot: Counters) -> u64 {
+        let evicted = self.counters.evictions - snapshot.evictions;
+        self.counters = snapshot;
+        evicted
+    }
+
+    /// Whether an entry for `key` is resident (does not touch LRU order,
+    /// replicas or counters).
     #[must_use]
     pub fn contains(&self, key: u64) -> bool {
         self.entries.contains_key(&key)
     }
 
-    /// Returns the artifact for `graph` under `opts`, compiling on a
-    /// miss. The `bool` is `true` for a cache hit (memory or disk). Every
-    /// hit re-runs the static verifier on the stored schedule before the
-    /// artifact is served; the scheduler itself is never invoked on a
-    /// hit.
-    ///
-    /// # Errors
-    ///
-    /// Compilation errors on a miss; [`Error::Verification`] when a
-    /// stored artifact no longer passes the verifier.
-    pub fn get_or_compile(
-        &mut self,
-        graph: &FlatGraph,
-        opts: &PipelineOptions,
-    ) -> Result<(Arc<ResilientCompiled>, bool)> {
-        match self.lookup_or_reserve(graph, opts)? {
-            Lookup::Hit(artifact) => Ok((artifact, true)),
-            Lookup::PendingHit(key) => Err(Error::Api(format!(
-                "cache entry {key:016x} is reserved by an in-flight compile; \
-                 synchronous get_or_compile cannot wait on it"
-            ))),
-            Lookup::Miss(key) => {
-                let artifact = match ResilientPipeline::new(opts.clone()).compile(graph) {
-                    Ok(a) => Arc::new(a),
-                    Err(e) => {
-                        self.abandon(key);
-                        return Err(e);
-                    }
-                };
-                self.fulfill(key, &artifact);
-                Ok((artifact, false))
-            }
-        }
+    /// The live replica set of `key` (empty when absent).
+    #[must_use]
+    pub fn replicas(&self, key: u64) -> Vec<u32> {
+        self.entries
+            .get(&key)
+            .map(|e| e.replicas.iter().copied().collect())
+            .unwrap_or_default()
     }
 
-    /// One cache transaction of the asynchronous compile protocol: a
-    /// ready entry (memory or disk) is returned verified; a reserved
-    /// entry reports a pending hit; a miss reserves the key — claiming
-    /// its LRU slot *now*, so the eviction sequence is identical to the
-    /// synchronous path's — and obliges the caller to compile and
-    /// [`CompilationCache::fulfill`].
-    ///
-    /// Hit/miss counters are charged here (a miss at reservation time,
-    /// not at compile completion), which is what makes the event-driven
-    /// engine's cache statistics bit-identical to the eager server's.
+    /// One transaction of the reservation protocol for `device`, given the
+    /// devices currently usable: returns the request's key and a verified
+    /// hit, a pending hit, or — after consulting the disk tier — a miss
+    /// that has reserved the key. Counters are charged here (a miss at
+    /// reservation time, not at compile completion).
     ///
     /// # Errors
     ///
     /// [`Error::Verification`] when a stored artifact no longer passes
-    /// the verifier; corrupt disk entries as for `get_or_compile`.
+    /// the verifier; corrupt disk entries.
     pub fn lookup_or_reserve(
         &mut self,
         graph: &FlatGraph,
         opts: &PipelineOptions,
-    ) -> Result<Lookup> {
+        device: DeviceId,
+        usable: &[u32],
+    ) -> Result<(u64, Lookup)> {
         let key = cache_key(graph, opts);
-        self.tick += 1;
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.last_used = self.tick;
-            match &e.slot {
-                Slot::Ready(artifact) => {
-                    verify_artifact(artifact)?;
-                    self.stats.hits += 1;
-                    return Ok(Lookup::Hit(Arc::clone(artifact)));
-                }
-                Slot::Reserved => {
-                    self.stats.hits += 1;
-                    return Ok(Lookup::PendingHit(key));
-                }
-            }
+        if let Some(found) = self.probe(key, device, usable)? {
+            return Ok((key, found));
         }
         if let Some(artifact) = self.try_disk_load(key, graph, opts)? {
             verify_artifact(&artifact)?;
-            self.stats.hits += 1;
-            self.stats.disk_loads += 1;
+            self.count(Fetch::LocalHit);
+            self.counters.disk_loads += 1;
             let artifact = Arc::new(artifact);
-            self.insert(key, Slot::Ready(Arc::clone(&artifact)));
-            return Ok(Lookup::Hit(artifact));
+            self.place(key, Slot::Ready(Arc::clone(&artifact)), device, usable);
+            return Ok((key, Lookup::Hit(artifact, Fetch::LocalHit)));
         }
-        self.stats.misses += 1;
-        self.insert(key, Slot::Reserved);
-        Ok(Lookup::Miss(key))
+        self.count(Fetch::Miss);
+        self.place(key, Slot::Reserved, device, usable);
+        Ok((key, Lookup::Miss))
+    }
+
+    /// Looks `key` up for `device` like [`ArtifactStore::lookup_or_reserve`]
+    /// — counted, read-repaired, verified — but a miss reserves nothing:
+    /// the caller already holds the artifact (a hedge backup, a failover).
+    ///
+    /// # Errors
+    ///
+    /// Verification errors on a corrupt artifact.
+    pub fn fetch(&mut self, key: u64, device: DeviceId, usable: &[u32]) -> Result<Fetch> {
+        Ok(match self.probe(key, device, usable)? {
+            Some(Lookup::Hit(_, fetch) | Lookup::PendingHit(fetch)) => fetch,
+            _ => {
+                self.count(Fetch::Miss);
+                Fetch::Miss
+            }
+        })
+    }
+
+    /// Returns the artifact for `graph` under `opts` on `device`,
+    /// compiling synchronously on a miss. The `bool` is `true` for a hit
+    /// (memory or disk).
+    ///
+    /// # Errors
+    ///
+    /// Compilation errors on a miss; [`Error::Verification`] when a
+    /// stored artifact no longer passes the verifier; [`Error::Api`] when
+    /// the key is reserved by a compile this call cannot wait on.
+    pub fn get_or_compile(
+        &mut self,
+        graph: &FlatGraph,
+        opts: &PipelineOptions,
+        device: DeviceId,
+        usable: &[u32],
+    ) -> Result<(Arc<ResilientCompiled>, bool)> {
+        match self.lookup_or_reserve(graph, opts, device, usable)? {
+            (_, Lookup::Hit(artifact, _)) => Ok((artifact, true)),
+            (key, Lookup::PendingHit(_)) => Err(Error::Api(format!(
+                "store entry {key:016x} is reserved by an in-flight compile; \
+                 synchronous get_or_compile cannot wait on it"
+            ))),
+            (key, Lookup::Miss) => match ResilientPipeline::new(opts.clone()).compile(graph) {
+                Ok(a) => {
+                    let artifact = Arc::new(a);
+                    self.fulfill(key, &artifact);
+                    Ok((artifact, false))
+                }
+                Err(e) => {
+                    self.abandon(key);
+                    Err(e)
+                }
+            },
+        }
     }
 
     /// Completes a reservation: persists the artifact to the disk tier
-    /// and makes the slot servable. A reservation that was evicted in
-    /// the meantime still persists (matching the synchronous path, which
-    /// wrote the disk entry before the eviction could have happened) but
-    /// is not re-inserted.
+    /// and makes the slot servable. A reservation that was evicted (or
+    /// lost with its devices) in the meantime still persists but is not
+    /// re-inserted.
     pub fn fulfill(&mut self, key: u64, artifact: &Arc<ResilientCompiled>) {
         self.persist(key, artifact);
         if let Some(e) = self.entries.get_mut(&key) {
@@ -310,42 +418,114 @@ impl CompilationCache {
     /// Drops a reservation whose compile failed, so the key misses (and
     /// recompiles) instead of dangling as a permanent pending hit.
     pub fn abandon(&mut self, key: u64) {
-        if let Some(e) = self.entries.get(&key) {
-            if matches!(e.slot, Slot::Reserved) {
-                self.entries.remove(&key);
-            }
+        if matches!(self.entries.get(&key), Some(e) if matches!(e.slot, Slot::Reserved)) {
+            self.entries.remove(&key);
         }
     }
 
-    fn insert(&mut self, key: u64, slot: Slot) {
-        if self.opts.capacity == 0 {
-            return;
+    /// Installs an artifact the caller already holds on `device` plus
+    /// `R − 1` usable replicas — how a failover restores an entry whose
+    /// every replica died.
+    pub fn insert(
+        &mut self,
+        key: u64,
+        artifact: Arc<ResilientCompiled>,
+        device: DeviceId,
+        usable: &[u32],
+    ) {
+        self.place(key, Slot::Ready(artifact), device, usable);
+    }
+
+    /// Removes a dead device from every replica set; entries whose last
+    /// replica died are dropped (and counted lost). Repair of surviving
+    /// under-replicated entries is deferred to read-repair.
+    pub fn drop_device(&mut self, device: DeviceId) {
+        let before = self.entries.len();
+        self.entries.retain(|_, e| {
+            e.replicas.remove(&device.0);
+            !e.replicas.is_empty()
+        });
+        self.counters.store.entries_lost += (before - self.entries.len()) as u64;
+    }
+
+    /// The in-memory half of a lookup: `None` when no entry is reachable
+    /// from `device` (absent, or every replica unusable). A hit touches
+    /// the LRU order, is read-repaired and verified, and is counted.
+    fn probe(&mut self, key: u64, device: DeviceId, usable: &[u32]) -> Result<Option<Lookup>> {
+        self.tick += 1;
+        let Some(entry) = self.entries.get_mut(&key) else {
+            return Ok(None);
+        };
+        let fetch = if entry.replicas.contains(&device.0) {
+            Fetch::LocalHit
+        } else if entry.replicas.iter().any(|d| usable.contains(d)) {
+            Fetch::RemoteHit
+        } else {
+            return Ok(None);
+        };
+        entry.last_used = self.tick;
+        let before = entry.replicas.len();
+        if fetch == Fetch::RemoteHit {
+            entry.replicas.insert(device.0);
         }
-        while self.entries.len() >= self.opts.capacity {
-            if let Some(&lru) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
-            {
+        top_up(&mut entry.replicas, key, usable, self.replication);
+        let repaired = entry.replicas.len() != before;
+        let found = match &entry.slot {
+            Slot::Ready(artifact) => {
+                verify_artifact(artifact)?;
+                Lookup::Hit(Arc::clone(artifact), fetch)
+            }
+            Slot::Reserved => Lookup::PendingHit(fetch),
+        };
+        self.counters.store.read_repairs += u64::from(repaired);
+        self.count(fetch);
+        Ok(Some(found))
+    }
+
+    fn count(&mut self, fetch: Fetch) {
+        let s = &mut self.counters.store;
+        s.lookups += 1;
+        match fetch {
+            Fetch::LocalHit => s.local_hits += 1,
+            Fetch::RemoteHit => s.remote_hits += 1,
+            Fetch::Miss => s.misses += 1,
+        }
+    }
+
+    /// Writes `slot` under `key` on `device` plus the top `R − 1` other
+    /// usable devices, evicting least-recently-used entries first when a
+    /// new key would exceed the LRU bound (a zero bound stores nothing).
+    fn place(&mut self, key: u64, slot: Slot, device: DeviceId, usable: &[u32]) {
+        if !self.entries.contains_key(&key) {
+            if self.capacity == Some(0) {
+                return;
+            }
+            while self.capacity.is_some_and(|c| self.entries.len() >= c) {
+                let lru = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, e)| e.last_used)
+                    .map(|(&k, _)| k)
+                    .expect("a full store has entries");
                 self.entries.remove(&lru);
-                self.stats.evictions += 1;
-            } else {
-                break;
+                self.counters.evictions += 1;
             }
         }
+        let mut replicas = BTreeSet::from([device.0]);
+        top_up(&mut replicas, key, usable, self.replication);
+        let last_used = self.tick;
         self.entries.insert(
             key,
             Entry {
                 slot,
-                last_used: self.tick,
+                replicas,
+                last_used,
             },
         );
     }
 
     fn disk_path(&self, key: u64) -> Option<PathBuf> {
-        self.opts
-            .disk_dir
+        self.disk_dir
             .as_ref()
             .map(|d| d.join(format!("{key:016x}.json")))
     }
@@ -383,11 +563,27 @@ impl CompilationCache {
     }
 }
 
+/// Adds the highest-scoring usable devices for `key` to `replicas` until
+/// it holds `r` of them (or no usable device is left).
+fn top_up(replicas: &mut BTreeSet<u32>, key: u64, usable: &[u32], r: usize) {
+    let mut candidates: Vec<u32> = usable
+        .iter()
+        .copied()
+        .filter(|d| !replicas.contains(d))
+        .collect();
+    candidates.sort_by_key(|&d| std::cmp::Reverse(score(key, d)));
+    for d in candidates {
+        if replicas.len() >= r {
+            break;
+        }
+        replicas.insert(d);
+    }
+}
+
 /// The acceptance gate a cached artifact must clear before it is served:
 /// the same schedule- and plan-level static checks the pipeline runs on
-/// a freshly compiled rung. The event engine also runs it on artifacts
-/// joined from pending reservations, so a hit is verified-on-serve on
-/// both serving paths.
+/// a freshly compiled rung. The serving loop also runs it on artifacts
+/// joined from pending reservations, so every hit is verified on serve.
 pub(crate) fn verify_artifact(artifact: &ResilientCompiled) -> Result<()> {
     let c = &artifact.compiled;
     let serial = matches!(artifact.scheme, Scheme::Serial { .. });
@@ -438,52 +634,17 @@ impl DiskEntry {
     }
 }
 
-fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value> {
+/// Field `key` of a disk entry, read by `read`.
+fn get<'v, T>(v: &'v Value, key: &str, read: impl Fn(&'v Value) -> Option<T>) -> Result<T> {
     v.get(key)
-        .ok_or_else(|| Error::Api(format!("cache entry missing field '{key}'")))
+        .and_then(read)
+        .ok_or_else(|| Error::Api(format!("cache entry field '{key}' is missing or mistyped")))
 }
 
-fn u64_field(v: &Value, key: &str) -> Result<u64> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| Error::Api(format!("cache entry field '{key}' is not an integer")))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| Error::Api(format!("cache entry field '{key}' is not a number")))
-}
-
-fn u64_list(v: &Value, key: &str) -> Result<Vec<u64>> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| Error::Api(format!("cache entry field '{key}' is not an array")))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .ok_or_else(|| Error::Api(format!("non-integer in cache field '{key}'")))
-        })
-        .collect()
-}
-
-fn duration_field(v: &Value, key: &str) -> Result<Duration> {
-    let d = field(v, key)?;
-    Ok(Duration::new(
-        u64_field(d, "secs")?,
-        u64_field(d, "nanos")? as u32,
-    ))
-}
-
-fn rung_from_str(s: &str) -> Result<LadderRung> {
-    match s {
-        "Beam" => Ok(LadderRung::Beam),
-        "ExactIlp" => Ok(LadderRung::ExactIlp),
-        "RelaxedIlp" => Ok(LadderRung::RelaxedIlp),
-        "Heuristic" => Ok(LadderRung::Heuristic),
-        "SerialSas" => Ok(LadderRung::SerialSas),
-        other => Err(Error::Api(format!("unknown ladder rung '{other}'"))),
-    }
+fn u64s(v: &Value, key: &str) -> Result<Vec<u64>> {
+    get(v, key, |x| {
+        x.as_array()?.iter().map(Value::as_u64).collect()
+    })
 }
 
 /// Rebuilds a full artifact from a disk entry: instance graph from the
@@ -491,39 +652,44 @@ fn rung_from_str(s: &str) -> Result<LadderRung> {
 /// fault assumptions, schedule and reports verbatim. The caller verifies
 /// the result before serving it.
 fn rebuild(value: &Value, graph: &FlatGraph, opts: &PipelineOptions) -> Result<ResilientCompiled> {
-    let ec = field(value, "exec_cfg")?;
+    let int = Value::as_u64;
+    let ec = get(value, "exec_cfg", Some)?;
     let exec_cfg = ExecConfig {
-        regs_per_thread: u64_field(ec, "regs_per_thread")? as u32,
-        threads_per_block: u64_field(ec, "threads_per_block")? as u32,
-        threads: u64_list(ec, "threads")?.iter().map(|&t| t as u32).collect(),
-        delay: u64_list(ec, "delay")?,
+        regs_per_thread: get(ec, "regs_per_thread", int)? as u32,
+        threads_per_block: get(ec, "threads_per_block", int)? as u32,
+        threads: u64s(ec, "threads")?.iter().map(|&t| t as u32).collect(),
+        delay: u64s(ec, "delay")?,
     };
-    let sc = field(value, "schedule")?;
+    let sc = get(value, "schedule", Some)?;
     let schedule = Schedule {
-        ii: u64_field(sc, "ii")?,
-        sm_of: u64_list(sc, "sm_of")?.iter().map(|&s| s as u32).collect(),
-        offset: u64_list(sc, "offset")?,
-        stage: u64_list(sc, "stage")?,
+        ii: get(sc, "ii", int)?,
+        sm_of: u64s(sc, "sm_of")?.iter().map(|&s| s as u32).collect(),
+        offset: u64s(sc, "offset")?,
+        stage: u64s(sc, "stage")?,
     };
-    let rp = field(value, "report")?;
+    let rp = get(value, "report", Some)?;
+    let solve_time = get(rp, "solve_time", Some)?;
     let report = SearchReport {
-        lower_bound: u64_field(rp, "lower_bound")?,
-        final_ii: u64_field(rp, "final_ii")?,
-        nominal_ii: u64_field(rp, "nominal_ii")?,
-        fault_reserve: u64_field(rp, "fault_reserve")?,
-        relaxation_pct: f64_field(rp, "relaxation_pct")?,
-        attempts: u64_field(rp, "attempts")? as u32,
-        solve_time: duration_field(rp, "solve_time")?,
-        used_ilp: matches!(field(rp, "used_ilp")?, Value::Bool(true)),
-        ilp_vars: u64_field(rp, "ilp_vars")? as usize,
-        ilp_constraints: u64_field(rp, "ilp_constraints")? as usize,
+        lower_bound: get(rp, "lower_bound", int)?,
+        final_ii: get(rp, "final_ii", int)?,
+        nominal_ii: get(rp, "nominal_ii", int)?,
+        fault_reserve: get(rp, "fault_reserve", int)?,
+        relaxation_pct: get(rp, "relaxation_pct", Value::as_f64)?,
+        attempts: get(rp, "attempts", int)? as u32,
+        solve_time: Duration::new(
+            get(solve_time, "secs", int)?,
+            get(solve_time, "nanos", int)? as u32,
+        ),
+        used_ilp: matches!(get(rp, "used_ilp", Some)?, Value::Bool(true)),
+        ilp_vars: get(rp, "ilp_vars", int)? as usize,
+        ilp_constraints: get(rp, "ilp_constraints", int)? as usize,
     };
-    let shipped = rung_from_str(
-        field(value, "shipped")?
-            .as_str()
-            .ok_or_else(|| Error::Api("cache entry 'shipped' is not a string".into()))?,
-    )?;
-    let normalized_ii = f64_field(value, "normalized_ii")?;
+    let rung = get(value, "shipped", Value::as_str)?;
+    use LadderRung::{Beam, ExactIlp, Heuristic, RelaxedIlp, SerialSas};
+    let shipped = ([Beam, ExactIlp, RelaxedIlp, Heuristic, SerialSas].into_iter())
+        .find(|r| format!("{r:?}") == rung)
+        .ok_or_else(|| Error::Api(format!("unknown ladder rung '{rung}'")))?;
+    let normalized_ii = get(value, "normalized_ii", Value::as_f64)?;
 
     let ig = instances::build(graph, &exec_cfg)?;
     let scheme = match shipped {
@@ -578,6 +744,8 @@ mod tests {
     use streamir::graph::{FilterSpec, StreamSpec};
     use streamir::ir::{ElemTy, Expr, FnBuilder};
 
+    const SOLO: DeviceId = DeviceId(0);
+
     fn map_filter(name: &str, k: i32) -> StreamSpec {
         let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
         let x = b.local(ElemTy::I32);
@@ -602,6 +770,21 @@ mod tests {
             compile: CompileOptions::small_test(),
             ..PipelineOptions::default()
         }
+    }
+
+    fn solo(cache: &mut ArtifactStore, g: &FlatGraph) -> (Arc<ResilientCompiled>, bool) {
+        cache.get_or_compile(g, &small_opts(), SOLO, &[0]).unwrap()
+    }
+
+    /// A compiled one-filter artifact and its key, for the replica tests.
+    fn artifact() -> (u64, Arc<ResilientCompiled>) {
+        let graph = chain(&[("triple", 3)]);
+        let opts = small_opts();
+        let key = cache_key(&graph, &opts);
+        let a = ResilientPipeline::new(opts)
+            .compile(&graph)
+            .expect("compiles");
+        (key, Arc::new(a))
     }
 
     #[test]
@@ -640,41 +823,39 @@ mod tests {
     #[test]
     fn hit_skips_the_scheduler_and_matches_the_fresh_artifact() {
         let g = chain(&[("a", 2), ("b", 3)]);
-        let opts = small_opts();
-        let mut cache = CompilationCache::new(CacheOptions::default());
-        let (fresh, hit) = cache.get_or_compile(&g, &opts).unwrap();
+        let mut cache = ArtifactStore::new(CacheOptions::default());
+        let (fresh, hit) = solo(&mut cache, &g);
         assert!(!hit);
         assert!(fresh.report.search_invocations() > 0);
-        let (cached, hit) = cache.get_or_compile(&g, &opts).unwrap();
+        let (cached, hit) = solo(&mut cache, &g);
         assert!(hit);
-        // Observed on what this test owns, not on the process-wide search
-        // counter sibling tests bump concurrently: the hit hands back the
-        // very artifact the miss compiled, and the cache compiled once.
+        // Observed on what this test owns: the hit hands back the very
+        // artifact the miss compiled, and the store compiled once.
         assert!(
             Arc::ptr_eq(&cached, &fresh),
             "a cache hit must share the stored artifact, not recompile or copy it"
         );
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.cache_stats().hits, 1);
+        assert_eq!(cache.cache_stats().misses, 1);
+        // Both views count the same lookups.
+        assert_eq!(cache.stats().lookups, 2);
+        assert_eq!(cache.stats().local_hits, 1);
     }
 
     #[test]
     fn lru_evicts_the_least_recently_used_entry() {
-        let g1 = chain(&[("a", 2)]);
-        let g2 = chain(&[("b", 3)]);
-        let g3 = chain(&[("c", 5)]);
+        let (g1, g2, g3) = (chain(&[("a", 2)]), chain(&[("b", 3)]), chain(&[("c", 5)]));
         let opts = small_opts();
-        let mut cache = CompilationCache::new(CacheOptions {
+        let mut cache = ArtifactStore::new(CacheOptions {
             capacity: 2,
             disk_dir: None,
         });
-        cache.get_or_compile(&g1, &opts).unwrap();
-        cache.get_or_compile(&g2, &opts).unwrap();
+        solo(&mut cache, &g1);
+        solo(&mut cache, &g2);
         // Touch g1 so g2 becomes least recently used.
-        cache.get_or_compile(&g1, &opts).unwrap();
-        cache.get_or_compile(&g3, &opts).unwrap();
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.len(), 2);
+        solo(&mut cache, &g1);
+        solo(&mut cache, &g3);
+        assert_eq!(cache.cache_stats().evictions, 1);
         assert!(cache.contains(cache_key(&g1, &opts)));
         assert!(!cache.contains(cache_key(&g2, &opts)));
         assert!(cache.contains(cache_key(&g3, &opts)));
@@ -684,46 +865,44 @@ mod tests {
     fn reservation_protocol_mirrors_the_synchronous_path() {
         let g = chain(&[("a", 2), ("b", 3)]);
         let opts = small_opts();
-        let mut cache = CompilationCache::new(CacheOptions::default());
+        let mut cache = ArtifactStore::new(CacheOptions::default());
+        let lookup = |cache: &mut ArtifactStore, g: &FlatGraph| {
+            cache.lookup_or_reserve(g, &opts, SOLO, &[0]).unwrap()
+        };
 
         // First lookup misses and reserves the key.
-        let key = match cache.lookup_or_reserve(&g, &opts).unwrap() {
-            Lookup::Miss(k) => k,
-            _ => panic!("fresh cache must miss"),
-        };
-        assert_eq!(cache.stats().misses, 1);
+        let (key, first) = lookup(&mut cache, &g);
+        assert!(matches!(first, Lookup::Miss), "fresh cache must miss");
+        assert_eq!(cache.cache_stats().misses, 1);
         assert!(cache.contains(key), "reservation claims the slot");
 
         // A second lookup before the compile lands is a pending hit —
         // the artifact is deterministic, only wall-clock availability
         // lags — and is charged as a hit.
         assert!(matches!(
-            cache.lookup_or_reserve(&g, &opts).unwrap(),
-            Lookup::PendingHit(k) if k == key
+            lookup(&mut cache, &g),
+            (k, Lookup::PendingHit(Fetch::LocalHit)) if k == key
         ));
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.cache_stats().hits, 1);
 
         // Fulfilling makes the slot servable.
         let artifact = Arc::new(ResilientPipeline::new(opts.clone()).compile(&g).unwrap());
         cache.fulfill(key, &artifact);
-        match cache.lookup_or_reserve(&g, &opts).unwrap() {
-            Lookup::Hit(got) => assert_eq!(got.compiled.schedule, artifact.compiled.schedule),
+        match lookup(&mut cache, &g) {
+            (_, Lookup::Hit(got, _)) => {
+                assert_eq!(got.compiled.schedule, artifact.compiled.schedule);
+            }
             _ => panic!("fulfilled reservation must hit"),
         }
 
         // An abandoned reservation misses (and re-reserves) instead of
         // dangling as a permanent pending hit.
         let g2 = chain(&[("c", 5)]);
-        let key2 = match cache.lookup_or_reserve(&g2, &opts).unwrap() {
-            Lookup::Miss(k) => k,
-            _ => panic!("new graph must miss"),
-        };
+        let (key2, second) = lookup(&mut cache, &g2);
+        assert!(matches!(second, Lookup::Miss), "new graph must miss");
         cache.abandon(key2);
         assert!(!cache.contains(key2));
-        assert!(matches!(
-            cache.lookup_or_reserve(&g2, &opts).unwrap(),
-            Lookup::Miss(k) if k == key2
-        ));
+        assert!(matches!(lookup(&mut cache, &g2), (k, Lookup::Miss) if k == key2));
     }
 
     #[test]
@@ -732,28 +911,143 @@ mod tests {
             std::env::temp_dir().join(format!("swpipe-serve-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let g = chain(&[("a", 2), ("b", 3)]);
-        let opts = small_opts();
         let copts = CacheOptions {
             capacity: 8,
             disk_dir: Some(dir.clone()),
         };
-        let mut first = CompilationCache::new(copts.clone());
-        let (fresh, hit) = first.get_or_compile(&g, &opts).unwrap();
+        let mut first = ArtifactStore::new(copts.clone());
+        let (fresh, hit) = solo(&mut first, &g);
         assert!(!hit);
         // A brand-new cache (fresh process, in effect) must hit via disk
         // without invoking the scheduler.
-        let mut second = CompilationCache::new(copts);
-        let (reloaded, hit) = second.get_or_compile(&g, &opts).unwrap();
+        let mut second = ArtifactStore::new(copts);
+        let (reloaded, hit) = solo(&mut second, &g);
         assert!(hit, "disk entry must be a hit");
         // A rebuilt artifact carries no ladder attempts: no search ran
-        // for it in this cache (the process-wide counter would also see
-        // sibling tests' compiles).
+        // for it in this cache.
         assert_eq!(reloaded.report.search_invocations(), 0);
-        assert_eq!(second.stats().misses, 0);
-        assert_eq!(second.stats().disk_loads, 1);
+        assert_eq!(second.cache_stats().misses, 0);
+        assert_eq!(second.cache_stats().disk_loads, 1);
         assert_eq!(reloaded.compiled.schedule, fresh.compiled.schedule);
         assert_eq!(reloaded.compiled.exec_cfg, fresh.compiled.exec_cfg);
         assert_eq!(reloaded.report.shipped, fresh.report.shipped);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn insert_replicates_to_r_and_fetch_hits_locally_and_remotely() {
+        let (key, a) = artifact();
+        let mut s = ArtifactStore::replicated(2);
+        let usable = vec![0, 1, 2, 3];
+        s.insert(key, a, DeviceId(1), &usable);
+        assert_eq!(s.replicas(key).len(), 2);
+        assert!(s.replicas(key).contains(&1));
+
+        assert_eq!(s.fetch(key, DeviceId(1), &usable).unwrap(), Fetch::LocalHit);
+        let outsider = DeviceId(
+            (0..4u32)
+                .find(|d| !s.replicas(key).contains(d))
+                .expect("some non-replica"),
+        );
+        assert_eq!(
+            s.fetch(key, outsider, &usable).unwrap(),
+            Fetch::RemoteHit,
+            "non-replica device fetches remotely"
+        );
+        assert!(
+            s.replicas(key).contains(&outsider.0),
+            "remote hit read-repairs onto the requester"
+        );
+        assert_eq!(s.stats().local_hits, 1);
+        assert_eq!(s.stats().remote_hits, 1);
+        assert!(s.stats().read_repairs >= 1);
+    }
+
+    #[test]
+    fn read_repair_restores_replication_after_device_loss() {
+        let (key, a) = artifact();
+        let mut s = ArtifactStore::replicated(2);
+        s.insert(key, a, DeviceId(0), &[0, 1, 2, 3]);
+        let victim = *s.replicas(key).iter().find(|&&d| d != 0).unwrap_or(&0);
+        s.drop_device(DeviceId(victim));
+        assert_eq!(s.replicas(key).len(), 1, "one replica survives the loss");
+
+        // Next fetch (from any device) repairs back up to R = 2 among
+        // the survivors.
+        let survivors: Vec<u32> = (0..4u32).filter(|&d| d != victim).collect();
+        let f = s.fetch(key, DeviceId(survivors[0]), &survivors).unwrap();
+        assert_ne!(f, Fetch::Miss);
+        assert_eq!(s.replicas(key).len(), 2, "read-repair restored R");
+        assert!(s.stats().read_repairs >= 1);
+    }
+
+    #[test]
+    fn losing_every_replica_loses_the_entry() {
+        let (key, a) = artifact();
+        let mut s = ArtifactStore::replicated(2);
+        s.insert(key, a, DeviceId(0), &[0, 1]);
+        s.drop_device(DeviceId(0));
+        s.drop_device(DeviceId(1));
+        assert!(!s.contains(key));
+        assert_eq!(s.stats().entries_lost, 1);
+        assert_eq!(s.fetch(key, DeviceId(2), &[2, 3]).unwrap(), Fetch::Miss);
+    }
+
+    /// Cross-module agreement: the replica set the store picks for a
+    /// *real* cache key must equal the top-`R` devices by rendezvous
+    /// score, with the score recomputed here from first principles —
+    /// `splitmix64(key · GOLDEN + device)` over the [`crate::hash`]
+    /// primitives. A drift in either the cache-key hash or the router's
+    /// score function shows up as a placement disagreement.
+    #[test]
+    fn replica_placement_agrees_with_splitmix_scores_of_the_cache_key() {
+        let (key, a) = artifact();
+        let usable: Vec<u32> = (0..8).collect();
+        let mut s = ArtifactStore::replicated(3);
+        s.insert(key, a, DeviceId(3), &usable);
+
+        let score_of = |d: u32| {
+            crate::hash::splitmix64(
+                key.wrapping_mul(crate::hash::SPLITMIX_GOLDEN)
+                    .wrapping_add(u64::from(d)),
+            )
+        };
+        let mut others: Vec<u32> = usable.iter().copied().filter(|&d| d != 3).collect();
+        others.sort_by_key(|&d| std::cmp::Reverse(score_of(d)));
+        let mut expected = vec![3u32];
+        expected.extend(&others[..2]);
+        expected.sort_unstable();
+
+        assert_eq!(
+            s.replicas(key),
+            expected,
+            "store placement must follow the splitmix rendezvous scores \
+             of the cache key"
+        );
+        // And the router's own score function is that same expression.
+        for &d in &usable {
+            assert_eq!(score(key, d), score_of(d));
+        }
+    }
+
+    /// Device 0 holds the only replica but is partitioned (not in the
+    /// usable list): a fetch must miss rather than hit through a severed
+    /// link, and a lookup must reserve the key afresh on the requester.
+    #[test]
+    fn unreachable_replicas_are_an_honest_miss() {
+        let g = chain(&[("triple", 3)]);
+        let opts = small_opts();
+        let (key, a) = artifact();
+        let mut s = ArtifactStore::replicated(1);
+        s.insert(key, a, DeviceId(0), &[0, 1]);
+        assert_eq!(s.fetch(key, DeviceId(1), &[1]).unwrap(), Fetch::Miss);
+        let (k, outcome) = s.lookup_or_reserve(&g, &opts, DeviceId(1), &[1]).unwrap();
+        assert_eq!(k, key);
+        assert!(matches!(outcome, Lookup::Miss));
+        assert_eq!(
+            s.replicas(key),
+            vec![1],
+            "the reservation moved to the requester"
+        );
     }
 }

@@ -1,82 +1,81 @@
 //! The one device-serving core.
 //!
-//! [`DeviceCore`] owns everything a single device's serving run
-//! accumulates — the [`Device`] value, cache, partitioner, admission,
-//! fault-rate controller, per-tenant horizons and metrics, clock and
-//! makespan bounds — and the per-job lifecycle over it:
-//! [`DeviceCore::admit`], [`DeviceCore::settle`] (run the artifact,
-//! place its service window, roll it into [`ServeMetrics`], build the
-//! [`JobResult`]) and [`DeviceCore::report`].
-//!
-//! [`super::EventEngine`] drives one from an event loop with overlapped
-//! compiles; the eager [`super::Server`] oracle drives one inline. The
-//! window formulas and the roll-up exist once, so the two cannot drift
-//! apart in bookkeeping; what `tests/serve_engine.rs` still has to
-//! prove is that the engine's *control flow* feeds the core the same
-//! sequence.
+//! [`DeviceCore`] owns everything one device's serving run accumulates —
+//! the [`Device`] value, its partitioner, admission, fault-rate
+//! controller, per-tenant busy horizons and metrics, and the service
+//! windows it placed — and the per-job lifecycle over it:
+//! [`DeviceCore::settle`] (run the artifact, place its service window,
+//! roll it into [`ServeMetrics`]) and [`DeviceCore::report`]. The serving
+//! loop ([`crate::fleet::FleetEngine`]) holds one core per device.
 
 use std::collections::BTreeMap;
 
 use gpusim::Device;
 
 use super::{
-    run_artifact, AdmissionController, CompilationCache, Decision, FaultController, Job, JobResult,
-    Partitioner, Pressure, QosClass, ServeMetrics, ServeOptions, ServeReport, Slice, TenantReport,
-    Verdict,
+    AdmissionController, CacheStats, FaultController, Fetch, Job, Partitioner, QosClass,
+    ServeMetrics, ServeOptions, ServeReport, Slice, TenantReport,
 };
+use crate::exec::{required_input, GpuRun, RunOptions, SmPlacement};
 use crate::pipeline::{FaultPolicy, ResilientCompiled};
 use crate::Result;
 
 #[derive(Debug, Default)]
-struct TenantState {
+pub(crate) struct TenantState {
     metrics: ServeMetrics,
-    busy_until: f64,
-    /// Finish times of admitted jobs, pruned at each dispatch.
-    inflight: Vec<f64>,
+    pub(crate) busy_until: f64,
     qos: Option<QosClass>,
 }
 
-/// One settled job: its public record plus what the event engine needs
-/// to schedule the follow-up events.
+/// Where and when one admitted job is served on a core: on `slice` (its
+/// base SM), no earlier than `arrival`, with `head_secs` of fetch or
+/// compile (`fetch`) at the head of its service window.
+pub(crate) struct Placement {
+    pub(crate) slice: Slice,
+    pub(crate) arrival: f64,
+    pub(crate) fetch: Fetch,
+    pub(crate) head_secs: f64,
+}
+
+/// One settled job's run and service window `[start, exec_start =
+/// start + head, finish)`, and whether its retry rate made the
+/// controller switch the tenant's fault policy.
 pub(crate) struct Settled {
-    pub(crate) result: JobResult,
-    /// Virtual seconds of compile penalty at the head of the service
-    /// window (zero on a cache hit).
-    pub(crate) compile_cost: f64,
-    /// Whether this job's observed retry rate made the controller switch
-    /// the tenant's fault policy.
+    pub(crate) run: GpuRun,
+    pub(crate) start: f64,
+    pub(crate) exec_start: f64,
+    pub(crate) finish: f64,
     pub(crate) switched: bool,
+}
+
+/// One placed service window, for compile-overlap accounting.
+struct Window {
+    tenant: String,
+    start: f64,
+    head_secs: f64,
+    finish: f64,
 }
 
 /// The serving state of one device and the job lifecycle over it.
 pub(crate) struct DeviceCore {
-    pub(crate) opts: ServeOptions,
-    /// The configured hardware as a *value* with the solo identity
-    /// (id 0); the fleet stamps out one per member with distinct ids.
-    /// Reaching hardware through a `Device` value rather than ambient
-    /// `device`/`timing` fields is what lets N of them coexist in one
-    /// event loop.
+    /// The configured hardware as a *value* with a fleet-unique id, so N
+    /// of them coexist in one event loop.
     device: Device,
-    pub(crate) cache: CompilationCache,
     pub(crate) partitioner: Partitioner,
-    admission: AdmissionController,
+    pub(crate) admission: AdmissionController,
     pub(crate) controller: FaultController,
     tenants: BTreeMap<String, TenantState>,
-    now: f64,
-    first_arrival: Option<f64>,
-    last_finish: f64,
+    windows: Vec<Window>,
     /// Artifacts dispatched, and the subset carrying a verified
-    /// isolation certificate. `run_artifact` refuses uncertified
-    /// dispatches, so a healthy run keeps these equal.
-    artifacts: u64,
-    certified: u64,
+    /// isolation certificate. Dispatch refuses uncertified artifacts, so
+    /// a healthy run keeps these equal.
+    pub(crate) artifacts: u64,
+    pub(crate) certified: u64,
 }
 
 impl DeviceCore {
-    pub(crate) fn new(opts: ServeOptions) -> DeviceCore {
-        let device = Device::solo(opts.device.clone(), opts.timing.clone());
+    pub(crate) fn new(device: Device, opts: &ServeOptions) -> DeviceCore {
         DeviceCore {
-            cache: CompilationCache::new(opts.cache.clone()),
             partitioner: Partitioner::new(device.config.num_sms, opts.rate_alpha),
             admission: AdmissionController::new(opts.max_queue),
             controller: FaultController::new(
@@ -85,103 +84,96 @@ impl DeviceCore {
                 opts.retry_warn_threshold,
             ),
             tenants: BTreeMap::new(),
-            now: 0.0,
-            first_arrival: None,
-            last_finish: 0.0,
+            windows: Vec::new(),
             artifacts: 0,
             certified: 0,
             device,
-            opts,
         }
     }
 
-    /// Advances the monotone clock to `t` (never backwards) and returns it.
-    pub(crate) fn tick(&mut self, t: f64) -> f64 {
-        self.now = self.now.max(t);
-        self.now
+    /// The tenant's state on this core, registered on first use.
+    pub(crate) fn tenant(&mut self, tenant: &str) -> &mut TenantState {
+        self.tenants.entry(tenant.to_string()).or_default()
     }
 
-    /// [`DeviceCore::tick`] for a job arrival: the first one opens the
-    /// makespan.
-    pub(crate) fn arrive(&mut self, t: f64) -> f64 {
-        let now = self.tick(t);
-        self.first_arrival.get_or_insert(now);
-        now
+    /// The tenant's busy horizon here (0 when it never ran here).
+    pub(crate) fn busy_until(&self, tenant: &str) -> f64 {
+        self.tenants.get(tenant).map_or(0.0, |t| t.busy_until)
     }
 
-    /// Admission for one dispatch of `tenant` at `now`: prunes the
-    /// tenant's finished in-flight jobs and decides on what remains.
-    /// Admitted jobs get the tenant's current slice and the queue
-    /// pressure to compile under; a rejection is counted and returned as
-    /// the job's verdict.
-    pub(crate) fn admit(
-        &mut self,
-        tenant: &str,
-        qos: QosClass,
-        now: f64,
-    ) -> std::result::Result<(Slice, Pressure), Verdict> {
-        let slice = self
-            .partitioner
-            .slice(tenant)
-            .expect("observed tenant has a slice");
-        let state = self.tenants.entry(tenant.to_string()).or_default();
+    /// Counts one admission rejection of a `qos` job of `tenant`.
+    pub(crate) fn reject(&mut self, tenant: &str, qos: QosClass) {
+        let state = self.tenant(tenant);
         state.qos = Some(qos);
-        state.inflight.retain(|&f| f > now);
-        match self.admission.decide_event(&state.inflight, now) {
-            Decision::Admit(pressure) => Ok((slice, pressure)),
-            Decision::Reject { retry_after_secs } => {
-                state.metrics.jobs_rejected += 1;
-                Err(Verdict::Rejected { retry_after_secs })
-            }
-        }
+        state.metrics.jobs_rejected += 1;
     }
 
-    /// Executes one admitted job on `slice` and settles it: the service
-    /// window is placed against the job's own `arrival` instant and the
-    /// tenant's busy horizon, the run is rolled into the tenant's
-    /// metrics, and its retry rate is fed to the controller at the
-    /// finish instant. All accumulation is order-insensitive (sums, plus
-    /// percentiles over sorted copies), so a caller may settle jobs of
-    /// different tenants in any order.
+    /// Scheduler searches this core's store-miss compiles paid for.
+    pub(crate) fn search_invocations(&self) -> u64 {
+        self.tenants
+            .values()
+            .map(|t| t.metrics.search_invocations)
+            .sum()
+    }
+
+    /// Executes one admitted job at `at` and settles it: the service
+    /// window `[start, finish)` with `start = max(arrival, busy_until)`
+    /// and `finish = start + head + exec` is placed against the tenant's
+    /// busy horizon, the run is rolled into the tenant's metrics, and its
+    /// retry rate is fed to the controller at the finish instant. The run
+    /// commits every `interval` launches unless the enabled controller
+    /// chose otherwise.
+    ///
+    /// Serving shares one device across tenants, so an artifact is
+    /// refused here unless it carries a tenant-isolation certificate
+    /// ([`crate::verify::isolate`]) proving its accesses stay inside its
+    /// own arena under any placement.
     pub(crate) fn settle(
         &mut self,
         job: &Job,
         artifact: &ResilientCompiled,
-        cache_hit: bool,
-        slice: Slice,
-        arrival: f64,
+        at: &Placement,
+        interval: u32,
     ) -> Result<Settled> {
         self.artifacts += 1;
-        if artifact.isolation.is_some() {
-            self.certified += 1;
+        if artifact.isolation.is_none() {
+            return Err(crate::Error::Api(format!(
+                "tenant '{}': artifact carries no tenant-isolation certificate; \
+                 refusing to dispatch it onto a shared device",
+                job.tenant
+            )));
         }
-        let run = run_artifact(
-            artifact,
-            job,
-            &self.device.config,
-            slice.base_sm,
-            self.controller.interval_for(&job.tenant),
-            self.controller.max_attempts_override(),
-        )?;
-        let compile_cost = if cache_hit {
-            0.0
-        } else {
-            self.opts.compile_penalty_secs
+        self.certified += 1;
+        let needed = required_input(&artifact.compiled, job.iterations);
+        let input = (job.input)(needed as usize);
+        let mut run_opts = RunOptions {
+            placement: Some(SmPlacement {
+                device: self.device.config.clone(),
+                base_sm: at.slice.base_sm,
+            }),
+            checkpoint_interval: if self.controller.enabled() {
+                self.controller.interval_for(&job.tenant)
+            } else {
+                interval
+            },
+            ..artifact.run_options.clone()
         };
-        let state = self
-            .tenants
-            .get_mut(&job.tenant)
-            .expect("admitted tenant has state");
-        let start = arrival.max(state.busy_until);
-        let finish = start + compile_cost + run.time_secs;
+        if let Some(attempts) = self.controller.max_attempts_override() {
+            run_opts.retry.max_attempts = attempts.max(1);
+        }
+        let run = artifact.execute(job.iterations, &input, &run_opts)?;
+
+        let state = self.tenant(&job.tenant);
+        state.qos = Some(job.qos);
+        let start = at.arrival.max(state.busy_until);
+        let exec_start = start + at.head_secs;
+        let finish = exec_start + run.time_secs;
         state.busy_until = finish;
-        state.inflight.push(finish);
-        self.last_finish = self.last_finish.max(finish);
 
         let m = &mut state.metrics;
         m.jobs_accepted += 1;
         m.tokens_out += run.outputs.len() as u64;
-        m.busy_secs += compile_cost + run.time_secs;
+        m.busy_secs += at.head_secs + run.time_secs;
         m.launches += run.launches;
         m.retries += run.retries;
         m.cycles += run.stats.cycles.round() as u64;
@@ -190,14 +182,20 @@ impl DeviceCore {
         m.graph_replays += run.stats.graph_replays;
         m.graph_captures += run.stats.graph_captures;
         m.graph_capture_cycles += run.stats.graph_capture_cycles.round() as u64;
-        m.latencies.push(finish - arrival);
-        m.queue_waits.push(start - arrival);
-        if cache_hit {
-            m.compile_hits += 1;
-        } else {
+        m.latencies.push(finish - at.arrival);
+        m.queue_waits.push(start - at.arrival);
+        if at.fetch == Fetch::Miss {
             m.compile_misses += 1;
             m.search_invocations += artifact.report.search_invocations();
+        } else {
+            m.compile_hits += 1;
         }
+        self.windows.push(Window {
+            tenant: job.tenant.clone(),
+            start,
+            head_secs: at.head_secs,
+            finish,
+        });
 
         let switched = self
             .controller
@@ -212,28 +210,53 @@ impl DeviceCore {
             )
             .is_some();
         Ok(Settled {
-            result: JobResult {
-                outputs: run.outputs,
-                arrival_secs: arrival,
-                start_secs: start,
-                finish_secs: finish,
-                latency_secs: finish - arrival,
-                exec_secs: run.time_secs,
-                cache_hit,
-                shipped: artifact.report.shipped,
-                slice,
-                retries: run.retries,
-            },
-            compile_cost,
+            run,
+            start,
+            exec_start,
+            finish,
             switched,
         })
     }
 
-    /// Snapshots the run into a serializable report. `overlaps` carries
-    /// the per-tenant compile-overlap seconds only an event loop can
-    /// observe (empty for the eager oracle, which pays compiles inline).
-    pub(crate) fn report(&self, overlaps: &BTreeMap<String, f64>) -> ServeReport {
-        let makespan = (self.last_finish - self.first_arrival.unwrap_or(0.0)).max(0.0);
+    /// Virtual seconds of `[w0, w1)` covered by the union of *other*
+    /// tenants' execution intervals.
+    fn overlap_with_others(&self, tenant: &str, w0: f64, w1: f64) -> f64 {
+        let mut clipped: Vec<(f64, f64)> = self
+            .windows
+            .iter()
+            .filter(|c| c.tenant != tenant)
+            .map(|c| (c.start + c.head_secs, c.finish))
+            .filter(|&(s, e)| e > w0 && s < w1)
+            .map(|(s, e)| (s.max(w0), e.min(w1)))
+            .collect();
+        clipped.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut covered = 0.0;
+        let mut cursor = w0;
+        for (s, e) in clipped {
+            let s = s.max(cursor);
+            if e > s {
+                covered += e - s;
+                cursor = e;
+            }
+        }
+        covered
+    }
+
+    /// Snapshots the core into a serializable report over `makespan`
+    /// virtual seconds, with `cache` the store's counters. Each window
+    /// that paid a head (a compile) is credited with the seconds of it
+    /// other tenants' execution covered.
+    pub(crate) fn report(
+        &self,
+        opts: &ServeOptions,
+        makespan: f64,
+        cache: CacheStats,
+    ) -> ServeReport {
+        let mut overlaps: BTreeMap<&str, f64> = BTreeMap::new();
+        for w in self.windows.iter().filter(|w| w.head_secs > 0.0) {
+            let covered = self.overlap_with_others(&w.tenant, w.start, w.start + w.head_secs);
+            *overlaps.entry(&w.tenant).or_insert(0.0) += covered;
+        }
         let tenants: Vec<TenantReport> = self
             .tenants
             .iter()
@@ -248,14 +271,14 @@ impl DeviceCore {
                 let default = state.qos.map_or(FaultPolicy::Throughput, QosClass::policy);
                 let policy = self.controller.policy_for(name, default);
                 let mut metrics = state.metrics.clone();
-                metrics.compile_overlap_secs = overlaps.get(name).copied().unwrap_or(0.0);
+                metrics.compile_overlap_secs = overlaps.get(name.as_str()).copied().unwrap_or(0.0);
                 let mut row = TenantReport::of(
                     name,
                     &metrics,
                     slice,
                     makespan,
                     policy,
-                    self.opts.retry_warn_threshold,
+                    opts.retry_warn_threshold,
                 );
                 row.policy_switches = self.controller.switches_for(name);
                 row.checkpoint_interval = self.controller.interval_for(name);
@@ -264,8 +287,8 @@ impl DeviceCore {
             .collect();
         ServeReport {
             makespan_secs: makespan,
-            cache: self.cache.stats().clone(),
-            cache_hit_rate: self.cache.stats().hit_rate(),
+            cache_hit_rate: cache.hit_rate(),
+            cache,
             rebalances: self.partitioner.rebalances,
             policy_switches: tenants.iter().map(|t| t.policy_switches).sum(),
             artifacts: self.artifacts,
@@ -275,5 +298,35 @@ impl DeviceCore {
             graph_replays: tenants.iter().map(|t| t.graph_replays).sum(),
             tenants,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn overlap_union_does_not_double_count() {
+        let opts = ServeOptions::default();
+        let mut core = DeviceCore::new(
+            Device::solo(opts.device.clone(), opts.timing.clone()),
+            &opts,
+        );
+        let window = |tenant: &str, start, finish| Window {
+            tenant: tenant.into(),
+            start,
+            head_secs: 0.0,
+            finish,
+        };
+        core.windows = vec![
+            window("other", 0.0, 0.4),
+            window("other2", 0.2, 0.6),
+            window("me", 0.0, 10.0),
+        ];
+        // Window [0.1, 0.7): covered by the union [0.0,0.6) → 0.5, not
+        // the 0.3+0.4 a per-interval sum would claim; "me"'s own run is
+        // excluded.
+        let overlap = core.overlap_with_others("me", 0.1, 0.7);
+        assert!((overlap - 0.5).abs() < 1e-12, "overlap = {overlap}");
     }
 }

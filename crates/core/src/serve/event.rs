@@ -1,17 +1,16 @@
-//! The one serving-event type.
+//! The serving-event type.
 //!
-//! Both event loops — [`super::EventEngine`] and
-//! [`crate::fleet::FleetEngine`] — queue [`Event`]s in a
-//! [`std::collections::BinaryHeap`] and pop them in ascending
+//! The serving loop ([`crate::fleet::FleetEngine`]) queues [`Event`]s in
+//! a [`std::collections::BinaryHeap`] and pops them in ascending
 //! `(virtual_time, device, tenant, seq)` order, so two runs over the
 //! same trace process events identically and the whole run is
-//! bit-reproducible. A solo engine is device 0 throughout, which
-//! degenerates the key to `(time, tenant, seq)`.
+//! bit-reproducible. A single-device engine is device 0 throughout,
+//! which degenerates the key to `(time, tenant, seq)`.
 
 use std::cmp::Ordering;
 
-/// One queued event. `kind` is the owning loop's payload; it takes no
-/// part in ordering *or* equality — two events are equal exactly when
+/// One queued event. `kind` is the loop's payload; it takes no part in
+/// ordering *or* equality — two events are equal exactly when
 /// their keys are, so `Eq` and `Ord` cannot disagree.
 #[derive(Debug, Clone)]
 pub(crate) struct Event<K> {
@@ -46,7 +45,7 @@ impl<K> PartialOrd for Event<K> {
     }
 }
 impl<K> Ord for Event<K> {
-    // Reversed: BinaryHeap is a max-heap and the loops pop the smallest key.
+    // Reversed: BinaryHeap is a max-heap and the loop pops the smallest key.
     fn cmp(&self, other: &Self) -> Ordering {
         other.key_cmp(self)
     }

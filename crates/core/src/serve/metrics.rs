@@ -46,11 +46,10 @@ pub struct ServeMetrics {
     /// much scheduler work the misses that remained actually cost.
     pub search_invocations: u64,
     /// Virtual seconds of this tenant's compile penalty that overlapped
-    /// other tenants' execution. The eager server pays every compile
-    /// inline, so it always reports zero; the event engine credits the
-    /// intersection of each cache-miss compile window with the union of
-    /// every *other* tenant's service intervals — the virtual-time
-    /// measure of compilation hidden behind execution.
+    /// other tenants' execution: the intersection of each cache-miss
+    /// compile window with the union of every *other* tenant's service
+    /// intervals — the virtual-time measure of compilation hidden behind
+    /// execution.
     pub compile_overlap_secs: f64,
     /// Cycles spent on the launch path across completed jobs: full host
     /// launch overhead for host-launched rounds, the doorbell cost for
@@ -102,8 +101,8 @@ impl ServeMetrics {
 }
 
 /// The `p`-quantile of `samples` by nearest-rank on a sorted copy
-/// (0.0 when empty). Order-insensitive, so both serving paths can push
-/// samples in whatever order their clocks produce them.
+/// (0.0 when empty). Order-insensitive, so callers can push samples in
+/// whatever order their clocks produce them.
 #[must_use]
 pub fn percentile_of(samples: &[f64], p: f64) -> f64 {
     if samples.is_empty() {
@@ -168,7 +167,7 @@ pub struct TenantReport {
     /// controller already acted on disappears from the report.
     pub recommendation: Option<String>,
     /// Fault-policy switches the resilience controller performed for
-    /// this tenant (0 under the eager server or a disabled controller).
+    /// this tenant (0 under a disabled controller).
     pub policy_switches: u64,
     /// The checkpoint commit interval the tenant currently runs at —
     /// the controller's observed-rate cost-model choice, or 1.
@@ -199,8 +198,8 @@ pub struct ServeReport {
     pub certified: u64,
     /// Total compile penalty hidden behind execution across all tenants
     /// (sum of the per-tenant [`TenantReport::compile_overlap_secs`]).
-    /// Zero under the eager server; positive whenever the event engine
-    /// overlapped a cache-miss compile with another tenant's run.
+    /// Positive whenever the engine overlapped a cache-miss compile with
+    /// another tenant's run.
     pub compile_overlap_secs: f64,
     /// Total launch-path cycles across all tenants (sum of the
     /// per-tenant [`TenantReport::launch_path_cycles`]).

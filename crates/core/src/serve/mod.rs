@@ -4,10 +4,10 @@
 //! class — from named tenants and runs them on spatially-partitioned
 //! slices of one simulated device:
 //!
-//! * **Compilation cache** ([`cache`]): content-addressed by a stable
-//!   hash of the graph and every compile option; hits re-run the static
-//!   verifier but never the scheduler; LRU-bounded in memory with an
-//!   optional JSON disk tier.
+//! * **Compilation cache** ([`cache`]): the one artifact store,
+//!   content-addressed by a stable hash of the graph and every compile
+//!   option; hits re-run the static verifier but never the scheduler; for
+//!   one device, LRU-bounded in memory with an optional JSON disk tier.
 //! * **SM partitioning** ([`partition`]): disjoint contiguous slices per
 //!   tenant, demand-rebalanced from EWMA arrival-rate estimates. Slice
 //!   placement is semantics-preserving: a tenant on a `k`-SM slice gets
@@ -21,13 +21,12 @@
 //!   cache hit rate, slice utilization, retry rate and fault-overhead
 //!   share, exported as a serializable [`ServeReport`].
 //!
-//! All of that state, and the per-job lifecycle over it (admit → run →
-//! place the service window → roll up metrics → report), lives once in
-//! the crate-private device core (`device_core.rs`). The engine drives it from
-//! a discrete-event loop that overlaps cache-miss compiles with other
-//! tenants' execution; [`Server`] drives the same core eagerly, one job
-//! at a time, and exists only as the differential oracle the engine is
-//! tested against — it is not a serving path.
+//! A device's state and the per-job lifecycle over it (run → place the
+//! service window → roll up metrics → report) live once, in the
+//! crate-private device core. The one discrete-event serving loop,
+//! [`crate::fleet::FleetEngine`], drives N cores over one store;
+//! [`EventEngine`] is that loop at N = 1. Cache-miss compiles overlap
+//! other tenants' execution on a bounded worker pool.
 //!
 //! Time is virtual: each job is simulated and its modeled service time
 //! advances a per-tenant busy horizon, so a whole arrival trace can be
@@ -35,7 +34,7 @@
 
 pub mod admission;
 pub mod cache;
-mod device_core;
+pub(crate) mod device_core;
 pub mod engine;
 mod event;
 pub mod metrics;
@@ -43,20 +42,17 @@ pub mod partition;
 pub mod resilience;
 pub mod warm;
 
-use std::collections::BTreeMap;
-
 use gpusim::{DeviceConfig, FaultPlan, TimingModel};
 use streamir::graph::FlatGraph;
 use streamir::ir::Scalar;
 
-use crate::exec::{required_input, CompileOptions, GpuRun, RunOptions, SmPlacement};
-use crate::pipeline::{FaultPolicy, LadderRung, PipelineOptions, ResilientCompiled, StageBudgets};
+use crate::exec::CompileOptions;
+use crate::pipeline::{FaultPolicy, LadderRung, PipelineOptions, StageBudgets};
 use crate::profile::ProfileOptions;
 use crate::schedule::{SchedulerKind, SearchOptions};
-use crate::Result;
 
 pub use admission::{budgets_for, AdmissionController, Decision, Pressure, RouteDecision};
-pub use cache::{cache_key, CacheOptions, CacheStats, CompilationCache, Lookup};
+pub use cache::{cache_key, ArtifactStore, CacheOptions, CacheStats, Fetch, Lookup, StoreStats};
 pub use engine::{EventEngine, EventKind, TraceEvent};
 pub(crate) use event::Event;
 pub use metrics::{ServeMetrics, ServeReport, TenantReport};
@@ -64,7 +60,7 @@ pub use partition::{placement_universe, Partitioner, RateEstimator, RecutRecord,
 pub use resilience::{
     BrownoutSpec, ChaosStorm, ControllerDecision, FaultController, ResilienceOptions,
 };
-pub use warm::{warm_cache, WarmReport};
+pub use warm::WarmReport;
 
 /// The quality-of-service class a tenant submits under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +100,7 @@ pub struct Job {
     pub qos: QosClass,
 }
 
-/// Server configuration.
+/// Serving configuration (per device, in a fleet).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// The physical device all tenants share.
@@ -126,7 +122,8 @@ pub struct ServeOptions {
     pub fault_plan: Option<FaultPlan>,
     /// Per-tenant in-flight job bound for admission control.
     pub max_queue: usize,
-    /// Compilation-cache sizing and persistence.
+    /// Compilation-cache sizing and persistence of a single device (a
+    /// fleet's replicated store is unbounded and memory-only).
     pub cache: CacheOptions,
     /// Virtual seconds charged for a cache-miss compilation (models the
     /// compile latency a real deployment would pay on the serving path).
@@ -138,9 +135,9 @@ pub struct ServeOptions {
     pub retry_warn_threshold: f64,
     /// EWMA weight for arrival-rate estimation.
     pub rate_alpha: f64,
-    /// Online fault-rate controller configuration (event engine only;
-    /// disabled by default, in which case the engine is byte- and
-    /// cycle-identical to one without a controller).
+    /// Online fault-rate controller configuration (disabled by default,
+    /// in which case serving is byte- and cycle-identical to serving
+    /// without a controller).
     pub resilience: ResilienceOptions,
     /// Compile every tenant's artifact for captured-graph steady-state
     /// dispatch ([`crate::exec::RunOptions::graph_dispatch`]): one
@@ -220,8 +217,8 @@ pub struct JobResult {
 
 /// The exact compile configuration one job compiles under on a slice of
 /// `slice_sms` SMs at queue `pressure` with fault policy `policy`. Every
-/// path that compiles — the event engine's compile tasks, the fleet,
-/// the warm sweep, the eager oracle — builds its options here, so a given
+/// path that compiles — the serving loop's compile tasks and the warm
+/// sweep — builds its options here, so a given
 /// `(job, slice, pressure, policy)` is content-addressed identically by
 /// the cache no matter which path compiles it. The policy is explicit
 /// (rather than read off the job's QoS class) because the resilience
@@ -247,105 +244,5 @@ pub(crate) fn pipeline_options_for(
         fault_plan: opts.fault_plan.clone(),
         policy,
         graph_dispatch: opts.graph_dispatch,
-    }
-}
-
-/// Runs one job's artifact on its slice: generates exactly the input the
-/// compiled program needs, places it at `base_sm` on the shared device,
-/// and executes under the artifact's own run options (fault plan,
-/// retry, checkpoint) with the caller's commit interval and optional
-/// retry-budget override layered on top. Shared by the device core and
-/// the fleet so per-job results are byte-identical by construction; the
-/// core passes its controller's choices (`(1, None)` when disabled, as
-/// in the eager oracle), the fleet its fixed commit interval.
-///
-/// Serving shares one device across tenants, so an artifact is refused
-/// here unless it carries a tenant-isolation certificate
-/// ([`crate::verify::isolate`]) proving its accesses stay inside its own
-/// arena under any placement.
-pub(crate) fn run_artifact(
-    artifact: &ResilientCompiled,
-    job: &Job,
-    device: &DeviceConfig,
-    base_sm: u32,
-    checkpoint_interval: u32,
-    max_attempts: Option<u32>,
-) -> Result<GpuRun> {
-    if artifact.isolation.is_none() {
-        return Err(crate::Error::Api(format!(
-            "tenant '{}': artifact carries no tenant-isolation certificate; \
-             refusing to dispatch it onto a shared device",
-            job.tenant
-        )));
-    }
-    let needed = required_input(&artifact.compiled, job.iterations);
-    let input = (job.input)(needed as usize);
-    let mut run_opts = RunOptions {
-        placement: Some(SmPlacement {
-            device: device.clone(),
-            base_sm,
-        }),
-        checkpoint_interval,
-        ..artifact.run_options.clone()
-    };
-    if let Some(attempts) = max_attempts {
-        run_opts.retry.max_attempts = attempts.max(1);
-    }
-    artifact.execute(job.iterations, &input, &run_opts)
-}
-
-/// The eager differential oracle: the same device core the event engine
-/// holds, driven one job at a time with every compile paid inline. Not a
-/// serving path — `tests/serve_engine.rs` replays traces through both and
-/// requires byte-identical per-job results.
-pub struct Server {
-    core: device_core::DeviceCore,
-}
-
-impl Server {
-    /// A fresh oracle over `opts.device`. It never adapts: the online
-    /// controller is forced off, so every job runs at commit interval 1
-    /// under its own QoS policy with the artifact's own retry budget.
-    #[must_use]
-    pub fn new(mut opts: ServeOptions) -> Server {
-        opts.resilience.enabled = false;
-        Server {
-            core: device_core::DeviceCore::new(opts),
-        }
-    }
-
-    /// Submits a job arriving at virtual time `arrival_secs` (arrivals
-    /// must be non-decreasing; earlier instants are clamped to the
-    /// current clock). The job is simulated eagerly; the verdict carries
-    /// either the completed result or the admission rejection.
-    ///
-    /// # Errors
-    ///
-    /// Compilation or execution errors, and [`crate::Error::Api`] when
-    /// the tenant population would exceed one tenant per SM.
-    pub fn submit(&mut self, job: &Job, arrival_secs: f64) -> Result<Verdict> {
-        let now = self.core.arrive(arrival_secs);
-        self.core.partitioner.observe(&job.tenant, now)?;
-        let (slice, pressure) = match self.core.admit(&job.tenant, job.qos, now) {
-            Ok(admitted) => admitted,
-            Err(rejected) => return Ok(rejected),
-        };
-        let popts =
-            pipeline_options_for(&self.core.opts, slice.num_sms, pressure, job.qos.policy());
-        let (artifact, cache_hit) = self.core.cache.get_or_compile(&job.graph, &popts)?;
-        let settled = self.core.settle(job, &artifact, cache_hit, slice, now)?;
-        Ok(Verdict::Completed(Box::new(settled.result)))
-    }
-
-    /// Compilation-cache counters.
-    #[must_use]
-    pub fn cache_stats(&self) -> &CacheStats {
-        self.core.cache.stats()
-    }
-
-    /// Snapshots the serving run into a serializable report.
-    #[must_use]
-    pub fn report(&self) -> ServeReport {
-        self.core.report(&BTreeMap::new())
     }
 }

@@ -155,34 +155,14 @@ impl Partitioner {
         }
     }
 
-    /// Records an arrival for `tenant` at virtual time `now`, admitting
-    /// the tenant to the partition if new, and recuts the partition when
-    /// the demand estimate has drifted past the hysteresis band.
-    ///
-    /// The eager server calls this inline from `submit` — which records
-    /// the EWMA observation at *simulation* time (arrivals clamped to
-    /// the server's monotone clock). The event engine instead calls
-    /// [`Partitioner::record_arrival`] at arrival-event dequeue and
-    /// [`Partitioner::recut_at`] from the rebalance event, so demand is
-    /// always observed in true arrival order at true arrival times.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Api`] when admitting the tenant would exceed one tenant
-    /// per SM.
-    pub fn observe(&mut self, tenant: &str, now: f64) -> Result<()> {
-        if self.record_arrival(tenant, now)? {
-            self.recut_at(now);
-        }
-        Ok(())
-    }
-
-    /// The arrival-recording half of [`Partitioner::observe`]: feeds the
+    /// Records an arrival for `tenant` at virtual time `now`: feeds the
     /// tenant's EWMA estimator (admitting the tenant if new) and reports
     /// whether the partition needs a recut — either the tenant has no
     /// slice yet or some tenant's ideal quota has drifted more than one
-    /// full SM from its allocation. The caller decides *when* the recut
-    /// event runs; [`Partitioner::recut_at`] performs it.
+    /// full SM from its allocation (the hysteresis band);
+    /// [`Partitioner::recut_at`] performs it. The serving loop calls both
+    /// at each arrival's dequeue, so demand is observed in true arrival
+    /// order at true arrival times.
     ///
     /// # Errors
     ///
@@ -337,11 +317,20 @@ impl Partitioner {
 mod tests {
     use super::*;
 
+    /// One arrival as the serving loop records it: demand observed, the
+    /// partition recut when it drifted.
+    fn observe(p: &mut Partitioner, tenant: &str, now: f64) -> Result<()> {
+        if p.record_arrival(tenant, now)? {
+            p.recut_at(now);
+        }
+        Ok(())
+    }
+
     #[test]
     fn slices_are_disjoint_and_cover_at_most_the_device() {
         let mut p = Partitioner::new(16, 0.3);
         for (i, t) in ["a", "b", "c"].iter().enumerate() {
-            p.observe(t, i as f64).unwrap();
+            observe(&mut p, t, i as f64).unwrap();
         }
         let slices = p.slices();
         assert_eq!(slices.len(), 3);
@@ -361,7 +350,7 @@ mod tests {
     fn brownout_recuts_into_the_shrunk_device_and_rejects_impossible_sizes() {
         let mut p = Partitioner::new(16, 0.3);
         for (i, t) in ["a", "b", "c"].iter().enumerate() {
-            p.observe(t, i as f64).unwrap();
+            observe(&mut p, t, i as f64).unwrap();
         }
         let recuts_before = p.recut_log.len();
         p.set_capacity(6, 10.0).unwrap();
@@ -387,17 +376,17 @@ mod tests {
         // "hot" arrives every 0.1s, "cold" every 10s.
         let mut now = 0.0;
         for _ in 0..50 {
-            p.observe("hot", now).unwrap();
+            observe(&mut p, "hot", now).unwrap();
             now += 0.1;
         }
         let mut cold_now = 0.0;
         for _ in 0..4 {
-            p.observe("cold", cold_now).unwrap();
+            observe(&mut p, "cold", cold_now).unwrap();
             cold_now += 10.0;
         }
         // Interleave more hot arrivals so the estimator sees both.
         for _ in 0..50 {
-            p.observe("hot", now).unwrap();
+            observe(&mut p, "hot", now).unwrap();
             now += 0.1;
         }
         let hot = p.slice("hot").unwrap();
@@ -422,30 +411,30 @@ mod tests {
         };
         let mut in_order = Partitioner::new(16, 0.5);
         for &(tenant, at) in &trace {
-            in_order.observe(tenant, at).unwrap();
+            observe(&mut in_order, tenant, at).unwrap();
         }
-        // The same arrivals replayed at *simulation* time — the eager
-        // server's clamping: "cold"'s early arrival is recorded late, at
+        // The same arrivals replayed at *simulation* time, clamped to a
+        // monotone clock: "cold"'s early arrival is recorded late, at
         // whatever the clock had advanced to (here: after the whole hot
         // burst). The estimators see a different demand history, so the
-        // recut sequence differs — the bug the event engine fixes by
-        // recording at arrival-event dequeue.
+        // recut sequence differs — why the serving loop records at
+        // arrival-event dequeue.
         let mut clamped = Partitioner::new(16, 0.5);
         let mut clock = 0.0f64;
         for &(tenant, at) in trace.iter().filter(|(t, _)| *t == "hot") {
             clock = clock.max(at);
-            clamped.observe(tenant, clock).unwrap();
+            observe(&mut clamped, tenant, clock).unwrap();
         }
         for &(tenant, at) in trace.iter().filter(|(t, _)| *t == "cold") {
             clock = clock.max(at);
-            clamped.observe(tenant, clock).unwrap();
+            observe(&mut clamped, tenant, clock).unwrap();
         }
 
         // Replaying the true-order trace is bit-reproducible: the log
         // locks both the times and the widths of every cut.
         let mut replay = Partitioner::new(16, 0.5);
         for &(tenant, at) in &trace {
-            replay.observe(tenant, at).unwrap();
+            observe(&mut replay, tenant, at).unwrap();
         }
         assert_eq!(in_order.recut_log, replay.recut_log);
         assert!(
@@ -475,7 +464,7 @@ mod tests {
         // Every slice the partitioner cuts has its base in the universe.
         let mut p = Partitioner::new(16, 0.5);
         for (i, t) in ["a", "b", "c"].iter().enumerate() {
-            p.observe(t, i as f64).unwrap();
+            observe(&mut p, t, i as f64).unwrap();
         }
         for (_, s) in p.slices() {
             assert!(placement_universe(16, s.num_sms).contains(&s.base_sm));
@@ -485,9 +474,9 @@ mod tests {
     #[test]
     fn admission_is_bounded_by_sm_count() {
         let mut p = Partitioner::new(2, 0.3);
-        p.observe("a", 0.0).unwrap();
-        p.observe("b", 0.0).unwrap();
-        assert!(p.observe("c", 0.0).is_err());
+        observe(&mut p, "a", 0.0).unwrap();
+        observe(&mut p, "b", 0.0).unwrap();
+        assert!(observe(&mut p, "c", 0.0).is_err());
     }
 
     #[test]
@@ -495,14 +484,14 @@ mod tests {
         let mut p = Partitioner::new(16, 0.3);
         let mut now = 0.0;
         for _ in 0..10 {
-            p.observe("a", now).unwrap();
-            p.observe("b", now + 0.01).unwrap();
+            observe(&mut p, "a", now).unwrap();
+            observe(&mut p, "b", now + 0.01).unwrap();
             now += 1.0;
         }
         let after_warmup = p.rebalances;
         for _ in 0..100 {
-            p.observe("a", now).unwrap();
-            p.observe("b", now + 0.01).unwrap();
+            observe(&mut p, "a", now).unwrap();
+            observe(&mut p, "b", now + 0.01).unwrap();
             now += 1.0;
         }
         assert_eq!(

@@ -1,38 +1,31 @@
 //! Persistent cache warming.
 //!
 //! A serving deployment pays its worst compile latencies on *fresh*
-//! graphs: the first tenant to submit a program on a given slice width
-//! eats a full degradation-ladder compile on the serving path. Warming
-//! moves that cost offline. [`warm_cache`] pre-compiles every provided
-//! graph at every plausible slice width × [`FaultPolicy`], routing each
-//! compile through [`super::pipeline_options_for`] at
-//! [`Pressure::Nominal`] — the *same* options constructor both serving
-//! paths use — so the warmed entries are content-addressed identically
-//! to the keys the serving path will later look up. With a disk tier
-//! configured ([`crate::serve::CacheOptions`]), the warmed artifacts
-//! persist across server restarts.
+//! graphs: the first tenant to submit a program at a given slice width
+//! eats a full degradation-ladder compile on the serving path. `sweep`
+//! moves that cost offline, compiling every graph at every plausible
+//! slice width × [`FaultPolicy`] through the *same* options constructor
+//! the serving loop uses (`pipeline_options_for` at
+//! [`Pressure::Nominal`]), so warmed entries are content-addressed
+//! exactly as the serving path will look them up; with a disk tier
+//! ([`crate::serve::CacheOptions`]) they persist across restarts.
 //!
-//! Warming compiles are *not* serving traffic: after the sweep the
-//! cache's hit/miss statistics are reset so a subsequent serving run
-//! reports its own hit rate, not the warmer's misses.
-//!
-//! Warming interacts with the cache's LRU bound: a sweep larger than
-//! [`crate::serve::CacheOptions::capacity`] evicts its own earliest
-//! points as it goes, and a warm start that has forgotten its entries
-//! behaves exactly like a cold one. [`WarmReport::evictions`] makes
-//! that visible; size the capacity to the sweep when full residency is
-//! the point.
+//! Warming is not serving traffic: the store's counters are restored
+//! afterwards. A sweep larger than a single device's LRU bound evicts
+//! its own earliest points — warming that did not happen — which
+//! [`WarmReport::evictions`] makes visible.
 
+use gpusim::DeviceId;
+use serde::Serialize;
 use streamir::graph::FlatGraph;
 
-use serde::Serialize;
+use super::{cache_key, pipeline_options_for, ArtifactStore, Pressure, ServeOptions};
+use crate::fleet::router::score;
+use crate::pipeline::FaultPolicy;
+use crate::Error;
 
-use super::{pipeline_options_for, CompilationCache, Pressure, ServeOptions};
-use crate::pipeline::{FaultPolicy, PipelineOptions};
-use crate::Result;
-
-/// What a warming sweep did, per [`warm_cache`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// What a warming sweep did.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct WarmReport {
     /// Slice widths swept (one compile per graph × width × policy).
     pub widths: Vec<u32>,
@@ -62,60 +55,47 @@ impl WarmReport {
     }
 }
 
-/// The one warming sweep: visits graphs × plausible slice widths for up
-/// to `max_tenants` tenants × both [`FaultPolicy`]s, handing `visit` the
-/// exact [`PipelineOptions`] the serving path will later address
-/// ([`pipeline_options_for`] at [`Pressure::Nominal`]), and tallies what
-/// it reports — like [`CompilationCache::get_or_compile`], `Ok(true)`
-/// for a point already present, `Ok(false)` for one compiled now, and
-/// an error (counted, not fatal) for one that failed. [`warm_cache`]
-/// visits a [`CompilationCache`]; [`crate::fleet::FleetEngine::warm`]
-/// visits the replicated store.
+/// The one warming sweep: pre-compiles `graphs` into `store` at every
+/// plausible slice width for up to `max_tenants` tenants × both
+/// [`FaultPolicy`]s. Each point is looked up on its top rendezvous-scored
+/// `usable` device, so replica placement matches what an organic miss
+/// would produce, and compiled synchronously on a miss. No device is
+/// charged a search, and the store's counters are restored afterwards.
 pub(crate) fn sweep(
+    store: &mut ArtifactStore,
+    usable: &[u32],
     opts: &ServeOptions,
     graphs: &[FlatGraph],
     max_tenants: usize,
-    mut visit: impl FnMut(&FlatGraph, PipelineOptions) -> Result<bool>,
 ) -> WarmReport {
+    let counters = store.counters();
     let widths = super::partition::plausible_widths(opts.device.num_sms, max_tenants);
     let mut report = WarmReport {
         widths: widths.clone(),
-        compiled: 0,
-        already_cached: 0,
-        failed: 0,
-        evictions: 0,
+        ..WarmReport::default()
     };
     for graph in graphs {
         for &width in &widths {
             for policy in [FaultPolicy::Throughput, FaultPolicy::TailLatency] {
                 let popts = pipeline_options_for(opts, width, Pressure::Nominal, policy);
-                match visit(graph, popts) {
-                    Ok(true) => report.already_cached += 1,
-                    Ok(false) => report.compiled += 1,
+                let key = cache_key(graph, &popts);
+                let home = usable
+                    .iter()
+                    .copied()
+                    .max_by_key(|&d| (score(key, d), std::cmp::Reverse(d)));
+                let outcome = match home {
+                    Some(d) => store.get_or_compile(graph, &popts, DeviceId(d), usable),
+                    None => Err(Error::Api("no usable device to warm".into())),
+                };
+                match outcome {
+                    Ok((_, true)) => report.already_cached += 1,
+                    Ok((_, false)) => report.compiled += 1,
                     Err(_) => report.failed += 1,
                 }
             }
         }
     }
-    report
-}
-
-/// Pre-compiles `graphs` at every plausible slice width for a server
-/// expecting up to `max_tenants` concurrent tenants, under both fault
-/// policies, into `cache`. See the module docs for key-identity and
-/// statistics semantics.
-pub fn warm_cache(
-    cache: &mut CompilationCache,
-    opts: &ServeOptions,
-    graphs: &[FlatGraph],
-    max_tenants: usize,
-) -> WarmReport {
-    let evictions_before = cache.stats().evictions;
-    let mut report = sweep(opts, graphs, max_tenants, |graph, popts| {
-        cache.get_or_compile(graph, &popts).map(|(_, hit)| hit)
-    });
-    report.evictions = cache.stats().evictions - evictions_before;
-    cache.reset_stats();
+    report.evictions = store.restore(counters);
     report
 }
 
@@ -136,7 +116,7 @@ mod tests {
     }
 
     #[test]
-    fn warming_fills_the_cache_and_resets_stats() {
+    fn warming_fills_the_cache_and_restores_stats() {
         let opts = ServeOptions {
             device: gpusim::DeviceConfig {
                 num_sms: 4,
@@ -144,9 +124,9 @@ mod tests {
             },
             ..ServeOptions::default()
         };
-        let mut cache = CompilationCache::new(opts.cache.clone());
+        let mut cache = ArtifactStore::new(opts.cache.clone());
         let graphs = [tiny_graph()];
-        let report = warm_cache(&mut cache, &opts, &graphs, 2);
+        let report = sweep(&mut cache, &[0], &opts, &graphs, 2);
         let widths = crate::serve::partition::plausible_widths(opts.device.num_sms, 2);
         assert_eq!(report.widths, widths);
         assert_eq!(report.points(), 2 * widths.len() as u64);
@@ -154,11 +134,10 @@ mod tests {
         assert_eq!(report.evictions, 0);
         assert!(report.compiled > 0);
         // Warming misses must not pollute serving statistics.
-        assert_eq!(cache.stats().misses, 0);
-        assert_eq!(cache.stats().hits, 0);
+        assert_eq!(cache.cache_stats(), crate::serve::CacheStats::default());
 
         // A second sweep finds every point already cached.
-        let again = warm_cache(&mut cache, &opts, &graphs, 2);
+        let again = sweep(&mut cache, &[0], &opts, &graphs, 2);
         assert_eq!(again.compiled, 0);
         assert_eq!(again.already_cached, report.points());
     }

@@ -7,12 +7,11 @@
 //! widths, then repeat rounds that should hit the compilation cache. A
 //! mild fault plan keeps the retry-rate metric exercised.
 //!
-//! The event engine overlaps cache-miss compilations with other
-//! tenants' execution on a bounded worker pool; per-job results stay
-//! byte-identical to the eager [`swpipe::serve::Server`] (the
-//! `serve_engine` differential suite proves it), and the report gains
-//! the overlap observables: `compile_overlap_secs` per tenant and in
-//! total, plus a queue-wait p99.
+//! The engine overlaps cache-miss compilations with other tenants'
+//! execution on a bounded worker pool (per-job results are pinned by the
+//! `serve_engine` known-answer suite), and the report carries the
+//! overlap observables: `compile_overlap_secs` per tenant and in total,
+//! plus a queue-wait p99.
 //!
 //! Writes `BENCH_serve.json` — per-benchmark throughput, p99 latency,
 //! cache hit rate, and compile overlap — for the CI artifact upload.

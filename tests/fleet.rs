@@ -18,16 +18,19 @@
 //!   rate beats a solo device's disk tier on the same trace.
 //! * **Solo is a fleet of one** — a 1-device, replication-1, hedge-off
 //!   fleet serves the suite trace bit-identically to the solo
-//!   `EventEngine`.
+//!   `EventEngine`, with and without faults and the controller;
+//! * **Hedging's causality gap** — a backup runs an artifact before its
+//!   primary's compile finishes in virtual time, pinned at today's
+//!   numbers.
 
 use proptest::prelude::*;
 use streamir::graph::{FilterSpec, FlatGraph, StreamSpec};
 use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
 
-use gpusim::{DeviceFaultPlan, DeviceId};
+use gpusim::{DeviceFaultPlan, DeviceId, FaultPlan};
 use stream_gpu::fleet_bench;
 use swpipe::fleet::{FleetEngine, FleetOptions, FleetStorm, FleetVerdict, HedgeOptions, Router};
-use swpipe::serve::{EventEngine, Job, QosClass, ServeOptions, Verdict};
+use swpipe::serve::{EventEngine, Job, QosClass, ResilienceOptions, ServeOptions, Verdict};
 
 fn map_filter(name: &str, k: i32) -> StreamSpec {
     let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
@@ -89,50 +92,69 @@ fn outputs_of(v: &FleetVerdict) -> &[Scalar] {
     }
 }
 
-/// "Solo is a fleet of one": routing, replication and hedging are
-/// no-ops at N = 1, so the fleet loop must reproduce the solo event
-/// engine bit for bit — per-job outputs and virtual instants, the
-/// makespan, and the miss count. The invariant a later merge of the two
-/// event loops leans on.
+/// "Solo is a fleet of one": [`EventEngine`] is the fleet loop at
+/// N = 1, where routing, replication and hedging are no-ops, so a
+/// 1-device, R = 1, hedge-off fleet must reproduce it bit for bit —
+/// per-job outputs and virtual instants, the makespan, and the store
+/// counters — with and without launch faults and the online controller
+/// (whose commit interval then replaces the configured one: 1 for the
+/// engine, `FleetOptions::checkpoint_interval` for the fleet).
 #[test]
 fn one_device_fleet_serves_bit_identically_to_the_solo_engine() {
     let trace = stream_gpu::suite_trace(2, 2);
+    let stormy = ServeOptions {
+        fault_plan: Some(FaultPlan::new(0x5EB7E).with_launch_failures(30)),
+        resilience: ResilienceOptions {
+            enabled: true,
+            ..ResilienceOptions::default()
+        },
+        ..fleet_bench::base_serve_options()
+    };
+    for (name, base) in [
+        ("fault-free", fleet_bench::base_serve_options()),
+        ("stormy", stormy),
+    ] {
+        let penalty = base.compile_penalty_secs;
+        let mut solo = EventEngine::new(base.clone());
+        let solo_verdicts = solo.serve_trace(&trace).expect("solo trace serves");
+        let solo_report = solo.report();
 
-    let mut solo = EventEngine::new(fleet_bench::base_serve_options());
-    let solo_verdicts = solo.serve_trace(&trace).expect("solo trace serves");
-    let solo_report = solo.report();
+        let opts = FleetOptions {
+            base,
+            ..fleet_bench::solo_options()
+        };
+        let (fleet_report, _, fleet_verdicts) = fleet_bench::run_fleet(opts, &trace);
 
-    let (fleet_report, _, fleet_verdicts) =
-        fleet_bench::run_fleet(fleet_bench::solo_options(), &trace);
-
-    assert_eq!(solo_verdicts.len(), fleet_verdicts.len());
-    for (i, (s, f)) in solo_verdicts.iter().zip(&fleet_verdicts).enumerate() {
-        match (s, f) {
-            (Verdict::Completed(s), FleetVerdict::Completed(f)) => {
-                assert_eq!(s.outputs, f.outputs, "job {i}: outputs diverge");
+        assert_eq!(solo_verdicts.len(), fleet_verdicts.len());
+        for (i, (s, f)) in solo_verdicts.iter().zip(&fleet_verdicts).enumerate() {
+            let (Verdict::Completed(s), FleetVerdict::Completed(f)) = (s, f) else {
+                panic!("{name} job {i}: completion pattern diverged");
+            };
+            assert_eq!(s.outputs, f.outputs, "{name} job {i}: outputs diverge");
+            // The fleet reports when execution began: after the compile
+            // head of a miss.
+            let exec_start = s.start_secs + if s.cache_hit { 0.0 } else { penalty };
+            for (field, l, r) in [
+                ("finish", s.finish_secs, f.finish_secs),
+                ("latency", s.latency_secs, f.latency_secs),
+                ("exec start", exec_start, f.start_secs),
+            ] {
                 assert_eq!(
-                    s.finish_secs.to_bits(),
-                    f.finish_secs.to_bits(),
-                    "job {i}: finish {} vs {}",
-                    s.finish_secs,
-                    f.finish_secs
-                );
-                assert_eq!(
-                    s.latency_secs.to_bits(),
-                    f.latency_secs.to_bits(),
-                    "job {i}: latency {} vs {}",
-                    s.latency_secs,
-                    f.latency_secs
+                    l.to_bits(),
+                    r.to_bits(),
+                    "{name} job {i}: {field} {l} vs {r}"
                 );
             }
-            _ => panic!("job {i}: completion pattern diverged between solo and 1-device fleet"),
+            assert_eq!(s.retries, f.stats.retries, "{name} job {i}: retries");
         }
+        assert_eq!(
+            solo_report.makespan_secs.to_bits(),
+            fleet_report.makespan_secs.to_bits()
+        );
+        assert_eq!(solo_report.cache.misses, fleet_report.store.misses);
+        assert_eq!(solo_report.cache.hits, fleet_report.store.local_hits);
+        assert_eq!(solo_report.artifacts, fleet_report.artifacts);
     }
-    assert_eq!(
-        solo_report.makespan_secs.to_bits(),
-        fleet_report.makespan_secs.to_bits()
-    );
-    assert_eq!(solo_report.cache.misses, fleet_report.store.misses);
 }
 
 /// ISSUE 7 acceptance: for the full benchmark suite, a mid-run device
@@ -265,6 +287,63 @@ fn hedged_dispatch_bills_loser_burn_into_winner() {
         }
     }
     assert!(saw_winning_hedge);
+}
+
+/// The virtual-time causality gap of hedging, pinned as it stands: a
+/// backup fires at arrival + `min_delay_secs` and fetches the artifact
+/// its primary is still compiling — that compile only lands at arrival +
+/// `compile_penalty_secs` — so the backup runs an artifact that does not
+/// exist yet in virtual time, wins, and its whole window (delay, fetch
+/// and execution) is billed as the primary's hedge burn. The committed
+/// fleet leg of `BENCH_fleet.json` is exactly this mechanism.
+#[test]
+fn hedge_backup_fetches_an_artifact_before_its_compile_finishes() {
+    let opts = FleetOptions {
+        devices: 2,
+        replication: 1,
+        ..FleetOptions::default()
+    };
+    let trace = [(tiny_job("hot", 5, 2, QosClass::Interactive), 0.0)];
+    let (report, _, verdicts) = fleet_bench::run_fleet(opts.clone(), &trace);
+    let FleetVerdict::Completed(d) = &verdicts[0] else {
+        panic!("the hedged job completes");
+    };
+    assert!(d.hedged && d.hedge_won, "the backup wins the race");
+    assert_eq!(report.store.remote_hits, 1, "the backup fetched remotely");
+
+    let compiled_at = d.arrival_secs + opts.base.compile_penalty_secs;
+    let backup_start = d.arrival_secs + opts.hedge.min_delay_secs + opts.fetch_penalty_secs;
+    assert_eq!(d.start_secs.to_bits(), backup_start.to_bits());
+    assert!(
+        d.start_secs < compiled_at,
+        "the backup executes at {} an artifact compiled only at {compiled_at}",
+        d.start_secs
+    );
+    let clock = opts.base.timing.clock_hz;
+    assert_eq!(
+        d.stats.hedge_cycles.to_bits(),
+        ((d.finish_secs - d.arrival_secs) * clock).to_bits(),
+        "the burn is the backup's whole window"
+    );
+
+    // The committed fleet leg: 4 hedges, all won, each burning 0.25 s of
+    // delay + 0.05 s of fetch + ≈ 1.2 ms of execution at 1.625 GHz — 97 %
+    // of the leg's billed cycles.
+    let text = std::fs::read_to_string("BENCH_fleet.json").expect("committed fleet bench");
+    let bench: serde_json::Value = serde_json::from_str(&text).expect("parses");
+    let leg = bench.get("fleet").expect("fleet leg");
+    let get = |k: &str| leg.get(k).and_then(serde_json::Value::as_u64).expect(k);
+    let burn = get("hedge_cycles");
+    assert_eq!(
+        (get("hedges"), get("hedge_wins"), burn),
+        (4, 4, 1_957_619_764)
+    );
+    let per_hedge_secs = burn as f64 / 4.0 / clock;
+    assert!(
+        (0.30..0.302).contains(&per_hedge_secs),
+        "{per_hedge_secs} s per hedge"
+    );
+    assert!(burn as f64 / get("cycles") as f64 > 0.97);
 }
 
 /// Rolling device kills never lose a job: every submission completes

@@ -8,10 +8,11 @@ use streamir::ir::Scalar;
 use swpipe::exec::{self, required_input, CompileOptions};
 use swpipe::pipeline::{PipelineOptions, ResilientPipeline};
 use swpipe::serve::{
-    cache_key, CacheOptions, CompilationCache, Job, QosClass, ServeOptions, Server, Verdict,
+    cache_key, ArtifactStore, CacheOptions, EventEngine, Job, QosClass, ServeOptions, ServeReport,
+    Verdict,
 };
 
-/// The pipeline options the server compiles a tenant's job under, for
+/// The pipeline options a tenant's job compiles under, for
 /// solo reference compilations: same device family at the slice width,
 /// same profile grid, search options, budgets, and policy.
 fn solo_options(num_sms: u32, qos: QosClass) -> PipelineOptions {
@@ -53,6 +54,18 @@ fn completed(v: Verdict) -> swpipe::serve::JobResult {
     }
 }
 
+/// Serves `trace` through a fresh engine over `opts`.
+fn serve(opts: ServeOptions, trace: &[(Job, f64)]) -> (Vec<Verdict>, ServeReport) {
+    let mut engine = EventEngine::new(opts);
+    let verdicts = engine.serve_trace(trace).expect("trace serves");
+    (verdicts, engine.report())
+}
+
+/// Scheduler searches a served trace paid for, over all its tenants.
+fn searches(report: &ServeReport) -> u64 {
+    report.tenants.iter().map(|t| t.search_invocations).sum()
+}
+
 /// Acceptance (a): two tenants co-scheduled on disjoint SM slices get
 /// byte-identical outputs — and, for the cache-hit job whose latency is
 /// pure execution time, cycle-identical times — to solo runs on a
@@ -60,16 +73,23 @@ fn completed(v: Verdict) -> swpipe::serve::JobResult {
 #[test]
 fn sliced_tenants_match_solo_runs() {
     let iters = 3;
-    let mut server = Server::new(ServeOptions::default());
     let bitonic = bench_job("Bitonic", iters);
     let fft = bench_job("FFT", iters);
 
-    // Admit both tenants (the partition recuts as each joins), then
-    // measure at the settled widths.
-    completed(server.submit(&bitonic, 0.0).unwrap());
-    completed(server.submit(&fft, 0.1).unwrap());
-    let a = completed(server.submit(&bitonic, 1.0).unwrap());
-    let b = completed(server.submit(&fft, 1.1).unwrap());
+    // Admit both tenants (the partition recuts as each joins), measure
+    // at the settled widths, then repeat on the same arrival cadence (an
+    // out-of-cadence gap would legitimately shift the rate estimate and
+    // recut the partition): same width, same options — a cache hit with
+    // no compile penalty.
+    let trace: Vec<(Job, f64)> = [0.0, 1.0, 2.0]
+        .into_iter()
+        .flat_map(|t| [(bitonic.clone(), t), (fft.clone(), t + 0.1)])
+        .collect();
+    let results: Vec<_> = (serve(ServeOptions::default(), &trace).0)
+        .into_iter()
+        .map(completed)
+        .collect();
+    let (a, b, a_hit, b_hit) = (&results[2], &results[3], &results[4], &results[5]);
 
     // The slices are disjoint and cover distinct SM ranges.
     let (sa, sb) = (a.slice, b.slice);
@@ -80,15 +100,8 @@ fn sliced_tenants_match_solo_runs() {
         "slices overlap: {sa:?} vs {sb:?}"
     );
 
-    // Repeat jobs on the same arrival cadence (an out-of-cadence gap
-    // would legitimately shift the rate estimate and recut the
-    // partition): same width, same options — a cache hit with no
-    // compile penalty.
-    let a_hit = completed(server.submit(&bitonic, 2.0).unwrap());
-    let b_hit = completed(server.submit(&fft, 2.1).unwrap());
-
     // Solo references at each tenant's slice width.
-    for (job, result, hit) in [(&bitonic, &a, &a_hit), (&fft, &b, &b_hit)] {
+    for (job, result, hit) in [(&bitonic, a, a_hit), (&fft, b, b_hit)] {
         let opts = solo_options(result.slice.num_sms, job.qos);
         let rc = ResilientPipeline::new(opts).compile(&job.graph).unwrap();
         let input: Vec<Scalar> = (job.input)(required_input(&rc.compiled, iters) as usize);
@@ -119,28 +132,27 @@ fn sliced_tenants_match_solo_runs() {
 /// single scheduler invocation.
 #[test]
 fn cache_hit_serves_without_invoking_the_scheduler() {
-    let mut server = Server::new(ServeOptions::default());
     let job = bench_job("DCT", 2);
-    let first = completed(server.submit(&job, 0.0).unwrap());
-    assert!(!first.cache_hit);
+    let (_, first_report) = serve(ServeOptions::default(), &[(job.clone(), 0.0)]);
+    let (both, report) = serve(ServeOptions::default(), &[(job.clone(), 0.0), (job, 5.0)]);
+    let mut both = both.into_iter().map(completed);
+    let (miss, hit) = (both.next().unwrap(), both.next().unwrap());
+    assert!(!miss.cache_hit);
+    assert!(hit.cache_hit);
 
-    // Scheduler searches the server has paid for, over all its tenants.
-    let searches = |server: &Server| -> u64 {
-        let tenants = server.report().tenants;
-        tenants.iter().map(|t| t.search_invocations).sum()
-    };
-    let before = searches(&server);
-    assert!(before > 0, "the miss paid for its schedule search");
-    let second = completed(server.submit(&job, 5.0).unwrap());
-    assert!(second.cache_hit);
+    // Scheduler searches paid for: the miss paid, and the hit added none.
+    assert!(
+        searches(&first_report) > 0,
+        "the miss paid for its schedule search"
+    );
     assert_eq!(
-        searches(&server),
-        before,
+        searches(&report),
+        searches(&first_report),
         "a cache hit must not invoke the scheduler"
     );
-    assert_eq!(second.outputs, first.outputs);
-    assert_eq!(server.cache_stats().hits, 1);
-    assert_eq!(server.cache_stats().misses, 1);
+    assert_eq!(hit.outputs, miss.outputs);
+    assert_eq!(report.cache.hits, 1);
+    assert_eq!(report.cache.misses, 1);
 }
 
 /// Acceptance (c): under saturating arrivals the queue stays bounded —
@@ -148,18 +160,20 @@ fn cache_hit_serves_without_invoking_the_scheduler() {
 /// accepted jobs' tail latency stays finite.
 #[test]
 fn admission_bounds_the_queue_under_saturation() {
-    let mut server = Server::new(ServeOptions {
+    let job = bench_job("Bitonic", 2);
+    // Fifty simultaneous arrivals: none of the admitted jobs can finish
+    // before the whole burst has been decided.
+    let trace: Vec<(Job, f64)> = (0..50).map(|_| (job.clone(), 0.0)).collect();
+    let opts = ServeOptions {
         max_queue: 4,
         ..ServeOptions::default()
-    });
-    let job = bench_job("Bitonic", 2);
+    };
+    let (verdicts, report) = serve(opts, &trace);
 
     let mut accepted = 0u64;
     let mut rejected = 0u64;
-    // Fifty simultaneous arrivals: none of the admitted jobs can finish
-    // before the whole burst has been decided.
-    for _ in 0..50 {
-        match server.submit(&job, 0.0).unwrap() {
+    for v in verdicts {
+        match v {
             Verdict::Completed(_) => accepted += 1,
             Verdict::Rejected { retry_after_secs } => {
                 assert!(
@@ -176,7 +190,6 @@ fn admission_bounds_the_queue_under_saturation() {
     );
     assert_eq!(rejected, 46);
 
-    let report = server.report();
     let t = &report.tenants[0];
     assert_eq!(t.jobs_accepted, 4);
     assert_eq!(t.jobs_rejected, 46);
@@ -318,10 +331,11 @@ proptest! {
         let opts = solo_options(4, QosClass::Batch);
 
         let fresh = ResilientPipeline::new(opts.clone()).compile(&graph).unwrap();
-        let mut cache = CompilationCache::new(CacheOptions::default());
-        let (_, miss_hit) = cache.get_or_compile(&graph, &opts).unwrap();
+        let mut cache = ArtifactStore::new(CacheOptions::default());
+        let solo = gpusim::DeviceId(0);
+        let (_, miss_hit) = cache.get_or_compile(&graph, &opts, solo, &[0]).unwrap();
         prop_assert!(!miss_hit);
-        let (hit, was_hit) = cache.get_or_compile(&graph, &opts).unwrap();
+        let (hit, was_hit) = cache.get_or_compile(&graph, &opts, solo, &[0]).unwrap();
         prop_assert!(was_hit);
 
         let input: Vec<Scalar> =
