@@ -10,7 +10,7 @@ use gpusim::{BufferBinding, Gpu, Layout};
 use streamir::channel::Fifo;
 use streamir::graph::{EdgeId, FlatGraph, NodeId};
 use streamir::ir::interp::{self, Channels};
-use streamir::ir::{OpCensus, Scalar};
+use streamir::ir::{ElemTy, OpCensus, Scalar};
 
 use crate::instances::{ExecConfig, InstanceGraph};
 use crate::plan::BufferPlan;
@@ -165,17 +165,32 @@ impl IoBuffer {
             abs_start,
         }
     }
+}
 
-    /// Device word address of stream token `i`. Indices past the buffer
-    /// wrap into it, mirroring [`BufferBinding::addr`]: scaled
-    /// measurement allocates only the simulated window, and far-future
-    /// tokens alias early slots harmlessly (their values are never
-    /// observed).
-    #[must_use]
-    pub fn slot_addr(&self, i: u64) -> u32 {
-        let region = self.tokens.max(1);
-        self.base_word + self.layout.slot(i % region, self.rate.max(1), region) as u32
+/// Host → device: writes `tokens` where lanes `0..` of `binding` (an
+/// endpoint of rate 1, so lane `i` is stream token `abs_start + i`) touch
+/// their token 0, one run at a time.
+fn write_stream(gpu: &mut Gpu, binding: &BufferBinding, tokens: &[Scalar]) {
+    let words: Vec<u32> = tokens.iter().map(|t| t.to_bits()).collect();
+    let lanes = u32::try_from(words.len()).expect("a stream fits in device words");
+    for run in binding.runs(0, 0..lanes, 0) {
+        (gpu.memory_mut().write_run(&run, &words[run.lane_range()]))
+            .expect("a binding addresses only its own buffer");
     }
+}
+
+/// Device → host: the `count` tokens [`write_stream`] would write.
+fn read_stream(gpu: &Gpu, binding: &BufferBinding, count: u64, ty: ElemTy) -> Vec<Scalar> {
+    let lanes = u32::try_from(count).expect("a stream fits in device words");
+    let mut words = vec![0; lanes as usize];
+    for run in binding.runs(0, 0..lanes, 0) {
+        (gpu.memory().read_run(&run, &mut words[run.lane_range()]))
+            .expect("a binding addresses only its own buffer");
+    }
+    words
+        .into_iter()
+        .map(|w| Scalar::from_bits(ty, w))
+        .collect()
 }
 
 /// Allocates every buffer for `basic_iters` steady iterations.
@@ -360,15 +375,17 @@ impl ProgramBuffers {
 
     /// Writes the whole input stream into the input buffer (host → device
     /// transfer; the "very first input buffer" shuffle of eq. (9)).
+    /// Tokens past the buffer wrap into it, as [`BufferBinding::addr`]
+    /// does: scaled measurement allocates only the simulated window, and
+    /// far-future tokens alias early slots harmlessly (their values are
+    /// never observed).
     ///
     /// # Panics
     ///
     /// Panics if the graph has no input buffer.
     pub fn write_input(&self, gpu: &mut Gpu, tokens: &[Scalar]) {
         let io = self.input.as_ref().expect("graph has an input buffer");
-        for (i, &tok) in tokens.iter().enumerate() {
-            gpu.memory_mut().write_token(io.slot_addr(i as u64), tok);
-        }
+        write_stream(gpu, &io.binding(1, 0), tokens);
     }
 
     /// Reads `count` output-stream tokens starting at stream index
@@ -382,9 +399,7 @@ impl ProgramBuffers {
         let io = self.output.as_ref().expect("graph has an output buffer");
         let exit = graph.output().expect("graph has an output");
         let ty = graph.node(exit).work.output_ports()[0];
-        (0..count)
-            .map(|i| gpu.memory().read_token(io.slot_addr(start + i), ty))
-            .collect()
+        read_stream(gpu, &io.binding(1, start), count, ty)
     }
 
     /// Runs the initialization phase on the host CPU and seeds the device
@@ -412,26 +427,19 @@ impl ProgramBuffers {
                 }
             }
         }
+        // Resident tokens are what the first steady consumer instance
+        // pops first.
         for (edge_idx, tokens) in leftover.iter().enumerate() {
-            let et = &ig.edges[edge_idx];
-            let ep = &self.plan.edges[edge_idx];
-            let base = self.edge_base[edge_idx];
-            for (j, &tok) in tokens.iter().enumerate() {
-                let abs = et.init_cons + j as u64;
-                let region = (abs / ep.region_tokens) % u64::from(ep.regions);
-                let off =
-                    ep.layout
-                        .slot(abs % ep.region_tokens, ep.consumer_rate, ep.region_tokens);
-                let addr = base + (region * ep.region_tokens + off) as u32;
-                gpu.memory_mut().write_token(addr, tok);
-            }
+            let binding = BufferBinding {
+                endpoint_rate: 1,
+                ..self.consumer_binding(ig, edge_idx, 0, 0)
+            };
+            write_stream(gpu, &binding, tokens);
         }
         // Init output also lands in the output buffer's prefix so stream
         // indices stay uniform.
         if let Some(io) = &self.output {
-            for (i, &tok) in init_out.iter().enumerate() {
-                gpu.memory_mut().write_token(io.slot_addr(i as u64), tok);
-            }
+            write_stream(gpu, &io.binding(1, 0), &init_out);
         }
         Ok(init_out)
     }

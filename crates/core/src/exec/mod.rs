@@ -836,11 +836,14 @@ impl Prepared {
                 .map_err(|e| e.in_context(self.context(c, ordinal)))?;
             if sampled.contains(&ordinal) {
                 sample.merge(&stats);
-            } else if (sampled.end..skipped.start).contains(&ordinal) {
-                debug_assert_eq!(
-                    stats.warp_instructions, sample.warp_instructions,
-                    "steady launches must be counter-identical (data-independent control flow)"
-                );
+            } else if (sampled.end..skipped.start).contains(&ordinal) && !identical(&stats, &sample)
+            {
+                return Err(Error::Api(format!(
+                    "scaled measurement needs counter-identical steady launches \
+                     (data-independent control flow), but launch {ordinal} differs \
+                     from sampled launch {}",
+                    sampled.start
+                )));
             }
             ordinal += 1;
         }
@@ -889,6 +892,16 @@ pub fn measure(c: &Compiled, scheme: Scheme, iterations: u64, input: &[Scalar]) 
 pub fn measure_input(c: &Compiled, scheme: Scheme) -> u64 {
     let window = (c.schedule.max_stage() + 4) * u64::from(scheme_shape(scheme).0);
     required_input(c, window)
+}
+
+/// Two launches' stats agree in every counter, and in their cycles bit
+/// for bit.
+fn identical(a: &LaunchStats, b: &LaunchStats) -> bool {
+    let bits = |s: &LaunchStats| {
+        let per_sm = s.per_sm_cycles.iter().map(|c| c.to_bits());
+        (s.cycles.to_bits(), per_sm.collect::<Vec<_>>())
+    };
+    a == b && bits(a) == bits(b)
 }
 
 fn check_input_len(buffers: &ProgramBuffers, input: &[Scalar]) -> Result<()> {
@@ -1209,6 +1222,34 @@ mod tests {
             "simulator error: device trap: work function trapped: integer division by zero \
              (while serial kernel for filter 'reciprocal' (batch 0))"
         );
+    }
+
+    #[test]
+    fn scaled_measurement_rejects_steady_launches_that_differ() {
+        // `gate` only multiplies nonzero tokens. Iteration 0 (the sampled
+        // launch) pops zeros, iteration 1 (the launch simulated to verify
+        // it) pops ones, so the branch diverges only in the second.
+        let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+        let x = b.local(ElemTy::I32);
+        b.pop_into(0, x);
+        let triple = streamir::ir::Stmt::Assign(x, Expr::local(x).mul(Expr::i32(3)));
+        b.if_else(Expr::local(x).ne(Expr::i32(0)), vec![triple], vec![]);
+        b.push(0, Expr::local(x));
+        let spec = StreamSpec::filter(FilterSpec::new("gate", b.build().unwrap()));
+        let c = compile(&spec.flatten().unwrap(), &CompileOptions::small_test()).unwrap();
+        let scheme = Scheme::Swp { coarsening: 1 };
+        let first = required_input(&c, 1);
+        let input: Vec<Scalar> = (0..measure_input(&c, scheme))
+            .map(|i| Scalar::I32(i32::from(i >= first)))
+            .collect();
+        let e = measure(&c, scheme, 64, &input).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "api misuse: scaled measurement needs counter-identical steady launches \
+             (data-independent control flow), but launch 1 differs from sampled launch 0"
+        );
+        let zeros = vec![Scalar::I32(0); input.len()];
+        assert!(measure(&c, scheme, 64, &zeros).is_ok());
     }
 
     fn compiled_three_stage() -> (Compiled, Vec<Scalar>, u64) {

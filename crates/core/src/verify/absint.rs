@@ -5,7 +5,7 @@
 //! machine: walk every warp of every instance the executor would
 //! launch, abstractly interpreting the work function with lane-uniform
 //! constant folding ([`AbsVal`]), and resolve every channel access
-//! through [`BufferBinding::warp_addrs`] — the same lowering the simulator
+//! through [`BufferBinding::warp_access`] — the same lowering the simulator
 //! executes. This module owns that machine; the analyses differ only in
 //! their [`AccessSink`], which receives every address-relevant event in
 //! the exact order the simulator would bill it.
@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use gpusim::{BufferBinding, DeviceConfig, InstanceExec, WarpAddrs, REG_ARRAY_WORDS};
+use gpusim::{BufferBinding, DeviceConfig, InstanceExec, WarpAccess, REG_ARRAY_WORDS};
 use streamir::ir::{access_sites, interp, AccessSite, Expr, Scalar, Stmt, WorkFunction};
 
 /// An abstract per-lane value: either provably identical across all
@@ -115,10 +115,11 @@ pub(crate) struct WarpCtx<'a> {
 }
 
 impl WarpCtx<'_> {
-    /// The per-lane device addresses of one warp-wide channel access at
-    /// uniform token position `pos` — the resolution every sink shares.
-    pub(crate) fn lane_addrs(&self, binding: &BufferBinding, pos: u64) -> WarpAddrs {
-        binding.warp_addrs(self.lane0, pos, u32::MAX >> (32 - self.active))
+    /// Refills `out` with the device addresses of one warp-wide channel
+    /// access at uniform token position `pos` — the resolution every sink
+    /// shares.
+    pub(crate) fn lane_access(&self, binding: &BufferBinding, pos: u64, out: &mut WarpAccess) {
+        binding.warp_access(self.lane0, pos, u32::MAX >> (32 - self.active), out);
     }
 }
 

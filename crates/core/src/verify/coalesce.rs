@@ -8,8 +8,8 @@
 //! abstractly interprets the work function through the shared
 //! interpreter in [`super::absint`] (also the engine behind the
 //! tenant-isolation prover). Channel addresses are evaluated through
-//! [`BufferBinding::addr`] — the same lowering the simulator executes —
-//! and classified with [`count_transactions`] /
+//! [`BufferBinding::warp_access`] — the same lowering the simulator
+//! executes — and classified with [`count_transactions`] /
 //! [`bank_conflict_degree`] — the same analyzers the simulator bills
 //! with. Billing only depends on values through `if` conditions and
 //! peek depths, so whenever those fold the prediction is *exact*: the
@@ -38,8 +38,8 @@
 use std::collections::{BTreeSet, HashMap};
 
 use gpusim::{
-    bank_conflict_degree, count_transactions, BufferBinding, Gpu, InstanceExec, LaunchStats,
-    Layout, SHARED_BANKS,
+    bank_conflict_degree, count_transactions, half_warps, AffineRun, BufferBinding, Gpu,
+    InstanceExec, LaunchStats, Layout, WarpAccess, SHARED_BANKS,
 };
 use streamir::graph::NodeId;
 use streamir::ir::{AccessKind, AccessSite};
@@ -143,14 +143,17 @@ struct Acc {
     exact: bool,
     tallies: HashMap<(u32, u32), SiteTally>,
     varying_branch: BTreeSet<u32>,
+    /// The access being billed; each one refills it.
+    access: WarpAccess,
 }
 
 impl AccessSink for Acc {
     fn channel(&mut self, ctx: &WarpCtx<'_>, binding: &BufferBinding, pos: u64, ord: u32) {
-        let addrs = ctx.lane_addrs(binding, pos);
+        ctx.lane_access(binding, pos, &mut self.access);
+        let addrs = &self.access;
         let transposed = matches!(binding.layout, Layout::Transposed { .. });
         if ctx.inst.shared_staging {
-            let passes = bank_conflict_degree(&addrs, SHARED_BANKS);
+            let passes = bank_conflict_degree(addrs, SHARED_BANKS);
             self.counters.shared_accesses += 1;
             self.counters.bank_conflict_passes += passes;
             let t = self.tallies.entry((ctx.node, ord)).or_default();
@@ -158,7 +161,7 @@ impl AccessSink for Acc {
             t.shared_accesses += 1;
             t.bank_conflict_passes += passes;
         } else {
-            let txns = count_transactions(&addrs, ctx.half_warp, ctx.txn_words);
+            let txns = count_transactions(addrs, ctx.half_warp, ctx.txn_words);
             self.counters.mem_access_insts += 1;
             self.counters.mem_transactions += txns;
             let t = self.tallies.entry((ctx.node, ord)).or_default();
@@ -166,7 +169,7 @@ impl AccessSink for Acc {
             t.accesses += 1;
             t.transactions += txns;
             classify_groups(
-                &addrs,
+                addrs,
                 binding,
                 pos,
                 ctx.lane0,
@@ -217,10 +220,10 @@ impl AccessSink for Acc {
     }
 }
 
-/// Classifies every uncoalesced half-warp group of one warp-wide access,
-/// mirroring [`count_transactions`]'s grouping and coalescing test.
+/// Classifies every uncoalesced half-warp group of one warp-wide access
+/// by the verdicts [`count_transactions`] sums.
 fn classify_groups(
-    addrs: &[(u32, u64)],
+    runs: &[AffineRun],
     binding: &BufferBinding,
     pos: u64,
     lane0_tid: u32,
@@ -232,44 +235,29 @@ fn classify_groups(
     let logical = |l: u32| {
         binding.abs_start + u64::from(lane0_tid + l) * u64::from(binding.endpoint_rate) + pos
     };
-    let mut i = 0;
-    while i < addrs.len() {
-        let g = addrs[i].0 / half_warp;
-        let mut j = i + 1;
-        while j < addrs.len() && addrs[j].0 / half_warp == g {
-            j += 1;
+    half_warps(runs, half_warp, txn_words, |group| {
+        if group.mask.count_ones() <= 1 || group.coalesced() {
+            return;
         }
-        let group = &addrs[i..j];
-        i = j;
-        if group.len() <= 1 {
-            continue;
-        }
-        let base = group[0].1.wrapping_sub(u64::from(group[0].0 % half_warp));
-        let aligned = base % txn_words == 0;
-        let in_pattern = group
-            .iter()
-            .all(|&(l, a)| a == base + u64::from(l % half_warp));
-        if aligned && in_pattern {
-            continue;
-        }
-        let r0 = logical(group[0].0) / rt;
-        let crosses = group.iter().any(|&(l, _)| logical(l) / rt != r0);
+        let mut lanes = (0..32).filter(|l| group.mask & (1 << l) != 0);
+        let r0 = logical(group.mask.trailing_zeros()) / rt;
+        let crosses = lanes.clone().any(|l| logical(l) / rt != r0);
         let tail = match binding.layout {
             Layout::Transposed { .. } => {
                 let o = u64::from(binding.consumer_rate.max(1));
                 let f_full = rt / o;
-                group.iter().any(|&(l, _)| (logical(l) % rt) / o >= f_full)
+                lanes.any(|l| (logical(l) % rt) / o >= f_full)
             }
             Layout::Sequential => false,
         };
         if crosses || tail {
             t.boundary_groups += 1;
-        } else if !in_pattern {
+        } else if !group.in_pattern {
             t.scattered_groups += 1;
         } else {
             t.misaligned_groups += 1;
         }
-    }
+    });
 }
 
 /// Predicts the memory counters of `execute(c, scheme, iterations)` with

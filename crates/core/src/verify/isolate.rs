@@ -39,7 +39,7 @@
 
 use std::collections::BTreeSet;
 
-use gpusim::{BufferBinding, Gpu, InstanceExec};
+use gpusim::{BufferBinding, Gpu, InstanceExec, WarpAccess};
 use serde::Serialize;
 use streamir::graph::{EdgeId, NodeId};
 use streamir::ir::AccessKind;
@@ -326,9 +326,12 @@ impl AccessSink for TaintSink<'_> {
             // Per-access spot check: every concrete lane address of this
             // walked access must land where the span theorem says.
             debug_assert!(
-                ctx.lane_addrs(binding, pos)
-                    .iter()
-                    .all(|&(_, a)| a >= r.base && a < r.base + r.words),
+                {
+                    let mut access = WarpAccess::default();
+                    ctx.lane_access(binding, pos, &mut access);
+                    (access.iter())
+                        .all(|run| run.addr >= r.base && run.last_addr() < r.base + r.words)
+                },
                 "span theorem violated at {site} of node {}",
                 ctx.node
             );

@@ -30,7 +30,7 @@ use streamir::ir::{
     interp, ArrayId, BinOp, ElemTy, Expr, LocalId, Scalar, Stmt, UnOp, WorkFunction,
 };
 
-use crate::layout::{BufferBinding, WarpAddrs, WARP_LANES};
+use crate::layout::{AffineRun, BufferBinding, WarpAccess, WARP_LANES};
 use crate::mem::{bank_conflict_degree, count_transactions, DeviceMemory};
 use crate::stats::InstanceStats;
 use crate::{Result, SimError};
@@ -498,8 +498,10 @@ pub(crate) struct WarpState {
     regs: Vec<Lanes>,
     arrays: Vec<Lanes>,
     /// Tokens each lane has popped (pushed) so far, per port.
-    pops: Vec<Lanes>,
-    pushes: Vec<Lanes>,
+    pops: Vec<PortCounts>,
+    pushes: Vec<PortCounts>,
+    /// The channel access being executed; each one refills it.
+    access: WarpAccess,
 }
 
 impl WarpState {
@@ -507,13 +509,52 @@ impl WarpState {
         for (v, len) in [
             (&mut self.regs, prog.regs),
             (&mut self.arrays, prog.array_rows),
-            (&mut self.pops, prog.inputs),
-            (&mut self.pushes, prog.outputs),
         ] {
             v.clear();
             v.resize(len, [0; WARP_LANES]);
         }
+        for (v, len) in [
+            (&mut self.pops, prog.inputs),
+            (&mut self.pushes, prog.outputs),
+        ] {
+            v.clear();
+            v.resize(len, PortCounts::ZERO);
+        }
     }
+}
+
+/// Tokens each lane has moved through one port so far.
+#[derive(Clone, Copy)]
+struct PortCounts {
+    lanes: Lanes,
+    /// Every lane of the warp holds the same count: no pop or push has
+    /// run on the port under a partial mask. Lanes that catch up again
+    /// stay flagged as disagreeing, which only costs the bulk addresses.
+    agree: bool,
+}
+
+impl PortCounts {
+    const ZERO: PortCounts = PortCounts {
+        lanes: [0; WARP_LANES],
+        agree: true,
+    };
+
+    /// One more token in each lane of `mask`; `all` is the warp's lanes.
+    fn advance(&mut self, mask: Mask, all: Mask) {
+        if mask == all {
+            self.lanes.iter_mut().for_each(|c| *c += 1);
+        } else {
+            self.agree = false;
+            lanes(mask).for_each(|l| self.lanes[l] += 1);
+        }
+    }
+}
+
+/// A work function's input or output port.
+#[derive(Clone, Copy)]
+enum Port {
+    In(usize),
+    Out(usize),
 }
 
 struct Exec<'a> {
@@ -746,49 +787,51 @@ impl Exec<'_> {
         self.limits.remaining = self.limits.remaining.saturating_sub(n);
     }
 
-    /// The active lanes' addresses for one channel access where lane `l`
-    /// touches token ordinal `counts[l]` (`+ depth[l]` for a peek) of its
-    /// firing: generated in bulk when the warp agrees on the ordinal, per
-    /// lane from [`BufferBinding::addr`] when it does not — inside a
-    /// divergent arm, where the lanes of the other arm are ahead or behind.
-    fn gather(
-        &self,
-        binding: &BufferBinding,
-        mask: Mask,
-        counts: &Lanes,
-        depth: Option<&Lanes>,
-    ) -> WarpAddrs {
-        let tid0 = self.ctx.lane0_tid;
-        let first = mask.trailing_zeros() as usize;
-        let ordinal = |l: usize| u64::from(counts[l]) + depth.map_or(0, |d| u64::from(d[l]));
-        let uniform = counts[..self.n].iter().all(|&c| c == counts[0])
-            && depth.is_none_or(|d| lanes(mask).all(|l| d[l] == d[first]));
-        if uniform {
-            return binding.warp_addrs(tid0, ordinal(first), mask);
+    /// Gathers one warp-wide channel access into the warp state's
+    /// [`WarpAccess`], bills it, and records its last address as the
+    /// fault-detection site. Recorded *before* the access commits, so a
+    /// tripped launch never writes the word it reports.
+    ///
+    /// Lane `l` touches token ordinal `counts[l]` (`+ depth[l]` for a
+    /// peek) of its firing. The addresses come in runs when the warp
+    /// agrees on the ordinal, one lane at a time from
+    /// [`BufferBinding::addr`] when it does not — inside a divergent arm,
+    /// where the lanes of the other arm are ahead or behind.
+    fn channel_access(&mut self, port: Port, mask: Mask, depth: Option<Reg>) {
+        let st = &mut *self.st;
+        let (binding, counts) = match port {
+            Port::In(p) => (&self.ctx.inputs[p], &st.pops[p]),
+            Port::Out(p) => (&self.ctx.outputs[p], &st.pushes[p]),
+        };
+        let depth = depth.map(|r| &st.regs[r as usize]);
+        let (tid0, first) = (self.ctx.lane0_tid, mask.trailing_zeros() as usize);
+        let ordinal = |l: usize| u64::from(counts.lanes[l]) + depth.map_or(0, |d| u64::from(d[l]));
+        if counts.agree && depth.is_none_or(|d| lanes(mask).all(|l| d[l] == d[first])) {
+            binding.warp_access(tid0, ordinal(first), mask, &mut st.access);
+        } else {
+            st.access.clear();
+            for l in lanes(mask) {
+                let addr = binding.addr(tid0 + l as u32, ordinal(l));
+                st.access.push(AffineRun {
+                    lane: l as u32,
+                    lanes: 1,
+                    addr,
+                    stride: 0,
+                });
+            }
         }
-        let mut addrs = WarpAddrs::new();
-        for l in lanes(mask) {
-            addrs.push(l as u32, binding.addr(tid0 + l as u32, ordinal(l)));
-        }
-        addrs
-    }
-
-    /// Bills one warp-wide channel access at the given per-lane addresses
-    /// and records its last address as the fault-detection site. Recorded
-    /// *before* the access commits, so a tripped launch never writes the
-    /// word it reports.
-    fn channel_access(&mut self, addrs: &WarpAddrs) {
         self.issue(1);
+        let access = &self.st.access;
         if self.ctx.shared_staging {
             self.stats.shared_accesses += 1;
-            self.stats.bank_conflict_passes += bank_conflict_degree(addrs, SHARED_BANKS);
+            self.stats.bank_conflict_passes += bank_conflict_degree(access, SHARED_BANKS);
         } else {
             self.stats.mem_access_insts += 1;
             self.stats.mem_transactions +=
-                count_transactions(addrs, self.ctx.half_warp, self.ctx.txn_words);
+                count_transactions(access, self.ctx.half_warp, self.ctx.txn_words);
         }
-        if let Some(&(_, addr)) = addrs.last() {
-            self.limits.last_addr = addr;
+        if let Some(run) = access.last() {
+            self.limits.last_addr = run.last_addr();
         }
     }
 
@@ -847,16 +890,15 @@ impl Exec<'_> {
             }
             Op::Binary { op, ty, dst, a, b } => binary(&mut self.st.regs, n, op, ty, dst, a, b),
             Op::Peek { dst, port, depth } => {
-                let p = usize::from(port);
-                let (depth, pops) = (self.st.regs[depth as usize], self.st.pops[p]);
-                if let Some(l) = lanes(mask).find(|&l| (depth[l] as i32) < 0) {
-                    return Err(trap(format!("negative peek depth {}", depth[l] as i32)));
+                let d = &self.st.regs[depth as usize];
+                if let Some(l) = lanes(mask).find(|&l| (d[l] as i32) < 0) {
+                    return Err(trap(format!("negative peek depth {}", d[l] as i32)));
                 }
-                let addrs = self.gather(&self.ctx.inputs[p], mask, &pops, Some(&depth));
-                self.channel_access(&addrs);
-                let d = &mut self.st.regs[dst as usize];
-                for &(l, addr) in addrs.iter() {
-                    d[l as usize] = self.mem.read(addr)?;
+                self.channel_access(Port::In(usize::from(port)), mask, Some(depth));
+                let st = &mut *self.st;
+                for run in st.access.iter() {
+                    self.mem
+                        .read_run(run, &mut st.regs[dst as usize][run.lane_range()])?;
                 }
             }
             Op::LoadArr {
@@ -957,29 +999,30 @@ impl Exec<'_> {
             }
             DStmt::Pop { port, dst } => {
                 let p = usize::from(*port);
-                let pops = self.st.pops[p];
-                let addrs = self.gather(&self.ctx.inputs[p], mask, &pops, None);
                 self.issue(1); // address arithmetic
-                self.channel_access(&addrs);
-                for &(l, addr) in addrs.iter() {
-                    let bits = self.mem.read(addr)?;
-                    self.st.pops[p][l as usize] += 1;
-                    if let Some(dst) = dst {
-                        self.st.regs[*dst as usize][l as usize] = bits;
+                self.channel_access(Port::In(p), mask, None);
+                let st = &mut *self.st;
+                for run in st.access.iter() {
+                    match dst {
+                        Some(d) => self
+                            .mem
+                            .read_run(run, &mut st.regs[*d as usize][run.lane_range()])?,
+                        None => self.mem.check_run(run)?,
                     }
                 }
+                st.pops[p].advance(mask, self.all);
             }
             DStmt::Push { port, value } => {
                 let v = self.eval(value, mask)?;
                 let p = usize::from(*port);
-                let pushes = self.st.pushes[p];
-                let addrs = self.gather(&self.ctx.outputs[p], mask, &pushes, None);
                 self.issue(1);
-                self.channel_access(&addrs);
-                for &(l, addr) in addrs.iter() {
-                    self.mem.write(addr, self.st.regs[v as usize][l as usize])?;
-                    self.st.pushes[p][l as usize] += 1;
+                self.channel_access(Port::Out(p), mask, None);
+                let st = &mut *self.st;
+                for run in st.access.iter() {
+                    self.mem
+                        .write_run(run, &st.regs[v as usize][run.lane_range()])?;
                 }
+                st.pushes[p].advance(mask, self.all);
             }
             DStmt::For { var, lo, hi, body } => {
                 for i in *lo..*hi {
@@ -1016,8 +1059,8 @@ mod tests {
 
     use crate::mem::count_transactions;
     use crate::{
-        BlockWork, BufferBinding, DeviceConfig, Gpu, InstanceExec, Kernel, LaunchStats, Layout,
-        SimError,
+        AffineRun, BlockWork, BufferBinding, DeviceConfig, Gpu, InstanceExec, Kernel, LaunchStats,
+        Layout, SimError,
     };
 
     /// One `i32 -> i32` instance of `threads` lanes over `input`: the
@@ -1234,8 +1277,15 @@ mod tests {
         }
         // One peek by all lanes, then each arm's two pops by its half.
         let access = |lanes: &[u32], n: u64| {
-            let addrs: Vec<_> = lanes.iter().map(|&l| (l, r.input.addr(l, n))).collect();
-            count_transactions(&addrs, 16, 16)
+            let runs: Vec<_> = (lanes.iter())
+                .map(|&l| AffineRun {
+                    lane: l,
+                    lanes: 1,
+                    addr: r.input.addr(l, n),
+                    stride: 0,
+                })
+                .collect();
+            count_transactions(&runs, 16, 16)
         };
         let all: Vec<u32> = (0..32).collect();
         let even: Vec<u32> = (0..32).step_by(2).collect();

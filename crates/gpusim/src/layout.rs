@@ -70,40 +70,156 @@ impl Layout {
             }
         }
     }
+
+    /// [`Layout::slot`] of `idx`, and how the slots go on as `idx`
+    /// advances by `rate` per lane: `(slot, stride, lanes)`, where the
+    /// next `lanes` lanes (at least 1) sit at `slot + i·stride`. The run
+    /// ends where a lane would leave the region, the partial tail or a
+    /// transposed chunk, or where a token position inside a firing
+    /// carries into the next firing.
+    fn run(self, idx: u64, rate: u64, consumer_rate: u32, region_tokens: u64) -> (u64, u64, u64) {
+        // How many lanes, stepping `step` from `at`, stay below `end`.
+        let below = |at: u64, end: u64, step: u64| match step {
+            0 => u64::MAX,
+            _ => (end - at).div_ceil(step),
+        };
+        let natural = (idx, rate, below(idx, region_tokens, rate));
+        match self {
+            Layout::Sequential => natural,
+            Layout::Transposed { group } => {
+                let (g, o) = (u64::from(group), u64::from(consumer_rate.max(1)));
+                let f_full = region_tokens / o;
+                let firing = idx / o;
+                if firing >= f_full {
+                    return natural;
+                }
+                let (k, chunk, in_chunk) = (idx % o, firing / g, firing % g);
+                let width = g.min(f_full - chunk * g);
+                let (step_firings, step_k) = (rate / o, rate % o);
+                let lanes = below(k, o, step_k).min(below(in_chunk, width, step_firings));
+                let slot = chunk * g * o + k * width + in_chunk;
+                (slot, step_k * width + step_firings, lanes)
+            }
+        }
+    }
 }
 
 /// Lanes of a warp on every modeled device; active-lane masks are `u32`.
 pub const WARP_LANES: usize = 32;
 
-/// The `(lane, address)` pairs of one warp-wide access, lanes ascending:
-/// what [`crate::count_transactions`] and [`crate::bank_conflict_degree`]
-/// classify. Lives on the stack; derefs to the pair slice.
-#[derive(Debug, Clone, Copy)]
-pub struct WarpAddrs {
-    pairs: [(u32, u64); WARP_LANES],
-    len: usize,
+/// Lanes `lane .. lane + lanes` of an access, lane `lane + i` at device
+/// word address `addr + i·stride`. Strides are never negative, so a
+/// run's addresses never descend as its lanes ascend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AffineRun {
+    /// First lane.
+    pub lane: u32,
+    /// Number of lanes (at least 1).
+    pub lanes: u32,
+    /// Address of the first lane.
+    pub addr: u64,
+    /// Address step from one lane to the next.
+    pub stride: u64,
 }
 
-impl WarpAddrs {
-    pub(crate) fn new() -> WarpAddrs {
-        WarpAddrs {
-            pairs: [(0, 0); WARP_LANES],
-            len: 0,
+impl AffineRun {
+    /// The run's lanes, as indices into a lane array.
+    #[must_use]
+    pub fn lane_range(&self) -> std::ops::Range<usize> {
+        self.lane as usize..(self.lane + self.lanes) as usize
+    }
+
+    /// Address of the run's last lane.
+    #[must_use]
+    pub fn last_addr(&self) -> u64 {
+        self.addr + u64::from(self.lanes - 1) * self.stride
+    }
+
+    /// The run expanded into `(lane, address)` pairs.
+    #[cfg(test)]
+    pub(crate) fn pairs(self) -> impl Iterator<Item = (u32, u64)> {
+        (0..self.lanes).map(move |i| (self.lane + i, self.addr + u64::from(i) * self.stride))
+    }
+}
+
+/// One warp-wide access: its active lanes as [`AffineRun`]s, lanes
+/// ascending. What [`crate::count_transactions`],
+/// [`crate::bank_conflict_degree`] and [`crate::DeviceMemory::read_run`]
+/// / [`crate::DeviceMemory::write_run`] consume; derefs to the runs.
+///
+/// A buffer meant to be refilled access after access: it is written only
+/// as far as an access uses it, and never shrinks.
+#[derive(Debug, Clone, Default)]
+pub struct WarpAccess {
+    runs: Vec<AffineRun>,
+}
+
+impl WarpAccess {
+    pub(crate) fn clear(&mut self) {
+        self.runs.clear();
+    }
+
+    /// Appends `run`, which must start past every lane already held; a
+    /// run that continues the last one affinely extends it instead.
+    pub(crate) fn push(&mut self, run: AffineRun) {
+        if let Some(last) = self.runs.last_mut() {
+            // The step from `last`'s final lane to `run`'s first must be
+            // the stride of both (a one-lane run takes any stride).
+            let step = run.addr.checked_sub(last.last_addr());
+            let fits = |lanes: u32, stride: u64| lanes == 1 || Some(stride) == step;
+            if last.lane + last.lanes == run.lane
+                && fits(last.lanes, last.stride)
+                && fits(run.lanes, run.stride)
+            {
+                if let Some(step) = step {
+                    last.lanes += run.lanes;
+                    last.stride = step;
+                    return;
+                }
+            }
+        }
+        self.runs.push(run);
+    }
+
+    /// Appends the lanes of `run` that are set in `mask`.
+    pub(crate) fn push_masked(&mut self, mask: u32, run: AffineRun) {
+        let span = lane_bits(run.lane, run.lanes);
+        let mut set = mask & span;
+        if set == span {
+            return self.push(run);
+        }
+        while set != 0 {
+            let lane = set.trailing_zeros();
+            let lanes = (set >> lane).trailing_ones();
+            let addr = run.addr + u64::from(lane - run.lane) * run.stride;
+            self.push(AffineRun {
+                lane,
+                lanes,
+                addr,
+                stride: run.stride,
+            });
+            set &= !lane_bits(lane, lanes);
         }
     }
 
-    pub(crate) fn push(&mut self, lane: u32, addr: u64) {
-        self.pairs[self.len] = (lane, addr);
-        self.len += 1;
+    /// Every `(lane, address)` pair of the access, lanes ascending.
+    #[cfg(test)]
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.runs.iter().flat_map(|run| run.pairs())
     }
 }
 
-impl std::ops::Deref for WarpAddrs {
-    type Target = [(u32, u64)];
+impl std::ops::Deref for WarpAccess {
+    type Target = [AffineRun];
 
-    fn deref(&self) -> &[(u32, u64)] {
-        &self.pairs[..self.len]
+    fn deref(&self) -> &[AffineRun] {
+        &self.runs
     }
+}
+
+/// The mask of lanes `lane .. lane + lanes` (`lanes >= 1`).
+pub(crate) fn lane_bits(lane: u32, lanes: u32) -> u32 {
+    (u32::MAX >> (32 - lanes)) << lane
 }
 
 /// Binds one work-function port to a device buffer for an instance
@@ -172,117 +288,51 @@ impl BufferBinding {
         u64::from(self.base_word) + region * self.region_tokens + offset
     }
 
-    /// The `(lane, address)` pairs of one warp-wide access in which every
-    /// lane of `mask` touches the same token ordinal `n` of its own
-    /// firing: `(l, self.addr(lane0_tid + l, n))` for each set bit `l`.
+    /// The addresses of lanes `lanes`, lane `l` touching token `n` of the
+    /// firing of thread `tid0 + l`, as [`AffineRun`]s, lanes ascending.
     ///
     /// This is the bulk form of [`BufferBinding::addr`], which stays the
-    /// definition: the divisions are done once for the lowest lane and
-    /// region, firing and offset are then carried across consecutive
-    /// lanes with additions and compares only.
-    #[must_use]
-    pub fn warp_addrs(&self, lane0_tid: u32, n: u64, mask: u32) -> WarpAddrs {
-        let mut out = WarpAddrs::new();
-        if mask == 0 {
-            return out;
-        }
-        // Every lane from the lowest set bit to the highest, then drop
-        // the masked-off ones in between (there are none unless the warp
-        // has diverged).
-        let lo = mask.trailing_zeros();
-        out.len = (32 - mask.leading_zeros() - lo) as usize;
-        self.fill_addrs(lo, lane0_tid + lo, n, &mut out.pairs[..out.len]);
-        if mask.count_ones() as usize != out.len {
-            let mut kept = 0;
-            for i in 0..out.len {
-                let pair = out.pairs[i];
-                if mask & (1 << pair.0) != 0 {
-                    out.pairs[kept] = pair;
-                    kept += 1;
-                }
-            }
-            out.len = kept;
-        }
-        out
+    /// definition: the divisions happen once per run, and a run ends only
+    /// where a lane crosses a region, chunk or partial-tail boundary or a
+    /// token position carries into the next firing ([`Layout`]).
+    pub fn runs(
+        &self,
+        tid0: u32,
+        lanes: std::ops::Range<u32>,
+        n: u64,
+    ) -> impl Iterator<Item = AffineRun> + '_ {
+        let (rate, rt) = (u64::from(self.endpoint_rate), self.region_tokens);
+        let regions = u64::from(self.regions);
+        let j = self.abs_start + u64::from(tid0 + lanes.start) * rate + n;
+        let (mut region, mut idx) = ((j / rt) % regions, j % rt);
+        let mut lane = lanes.start;
+        std::iter::from_fn(move || {
+            (lane < lanes.end).then(|| {
+                let (slot, stride, fit) = self.layout.run(idx, rate, self.consumer_rate, rt);
+                let run = AffineRun {
+                    lane,
+                    lanes: fit.min(u64::from(lanes.end - lane)) as u32,
+                    addr: u64::from(self.base_word) + region * rt + slot,
+                    stride,
+                };
+                lane += run.lanes;
+                idx += u64::from(run.lanes) * rate;
+                region = (region + idx / rt) % regions;
+                idx %= rt;
+                run
+            })
+        })
     }
 
-    /// `out[i] = (lane + i, self.addr(tid + i, n))`.
-    fn fill_addrs(&self, lane: u32, tid: u32, n: u64, out: &mut [(u32, u64)]) {
-        let rate = u64::from(self.endpoint_rate);
-        let rt = self.region_tokens;
-        let out = out.iter_mut().zip(lane..);
-        if rate >= rt {
-            // A lane step would cross more than one region boundary;
-            // no geometry the planner emits does, so keep it simple.
-            for (pair, l) in out {
-                *pair = (l, self.addr(tid + (l - lane), n));
-            }
-            return;
-        }
-        let base = u64::from(self.base_word);
-        let regions = u64::from(self.regions);
-        let j = self.abs_start + u64::from(tid) * rate + n;
-        let mut region_base = base + (j / rt) % regions * rt;
-        let mut idx = j % rt;
-        let end = base + regions * rt;
-        match self.layout {
-            Layout::Sequential => {
-                for (pair, l) in out {
-                    *pair = (l, region_base + idx);
-                    idx += rate;
-                    if idx >= rt {
-                        idx -= rt;
-                        region_base += rt;
-                        if region_base == end {
-                            region_base = base;
-                        }
-                    }
-                }
-            }
-            Layout::Transposed { group } => {
-                // `Layout::slot`'s coordinates, stepped instead of
-                // re-derived: `firing = chunk·g + in_chunk`, `k` the
-                // token's position inside its firing, and per chunk its
-                // first slot and how many firings wide it is.
-                let g = u64::from(group);
-                let o = u64::from(self.consumer_rate.max(1));
-                let f_full = rt / o;
-                let (step_firings, step_k) = (rate / o, rate % o);
-                let geometry =
-                    |chunk: u64| (chunk * g * o, g.min(f_full.saturating_sub(chunk * g)));
-                let (mut firing, mut k) = (idx / o, idx % o);
-                let (mut chunk, mut in_chunk) = (firing / g, firing % g);
-                let (mut chunk_base, mut width) = geometry(chunk);
-                for (pair, l) in out {
-                    let slot = if firing >= f_full {
-                        idx
-                    } else {
-                        chunk_base + k * width + in_chunk
-                    };
-                    *pair = (l, region_base + slot);
-                    idx += rate;
-                    if idx >= rt {
-                        idx -= rt;
-                        region_base += rt;
-                        if region_base == end {
-                            region_base = base;
-                        }
-                        (firing, k) = (idx / o, idx % o);
-                        (chunk, in_chunk) = (firing / g, firing % g);
-                        (chunk_base, width) = geometry(chunk);
-                        continue;
-                    }
-                    k += step_k;
-                    let carry = u64::from(k >= o);
-                    k -= carry * o;
-                    firing += step_firings + carry;
-                    in_chunk += step_firings + carry;
-                    while in_chunk >= g {
-                        in_chunk -= g;
-                        chunk += 1;
-                        (chunk_base, width) = geometry(chunk);
-                    }
-                }
+    /// Refills `out` with one warp-wide access in which every lane of
+    /// `mask` touches the same token ordinal `n` of its own firing: lane
+    /// `l` at `self.addr(lane0_tid + l, n)`.
+    pub fn warp_access(&self, lane0_tid: u32, n: u64, mask: u32, out: &mut WarpAccess) {
+        out.clear();
+        if mask != 0 {
+            let lanes = mask.trailing_zeros()..32 - mask.leading_zeros();
+            for run in self.runs(lane0_tid, lanes, n) {
+                out.push_masked(mask, run);
             }
         }
     }
@@ -496,16 +546,17 @@ mod tests {
     }
 
     #[test]
-    fn warp_addrs_equal_per_lane_addr() {
-        // Every way the stepped coordinates can go wrong: chunk and
-        // region boundaries inside a warp, partial tails, producer and
-        // consumer disagreeing on the rate, a lane step longer than a
-        // region, and sparse masks.
+    fn warp_access_runs_equal_per_lane_addr() {
+        // Every way a run can end in the wrong place: chunk and region
+        // boundaries inside a warp, partial tails, producer and consumer
+        // disagreeing on the rate (a carry into the next firing), a lane
+        // step longer than a region, and sparse masks.
         let layouts = [
             Layout::Sequential,
             Layout::Transposed { group: 4 },
             Layout::Transposed { group: 128 },
         ];
+        let mut access = WarpAccess::default();
         for layout in layouts {
             for (region_tokens, consumer_rate, endpoint_rate) in [
                 (384u64, 3u32, 3u32), // whole firings, rates agree
@@ -529,15 +580,24 @@ mod tests {
                         for lane0 in [0u32, 32, 96] {
                             for n in [0u64, 1, 5, 40] {
                                 for mask in [u32::MAX, 0x0000_ffff, 0x7fff_ffff, 1, 0xaaaa_0000] {
-                                    let got = b.warp_addrs(lane0, n, mask);
+                                    b.warp_access(lane0, n, mask, &mut access);
+                                    let got: Vec<_> = access.pairs().collect();
                                     let want: Vec<_> = (0..32)
                                         .filter(|l| mask & (1 << l) != 0)
                                         .map(|l| (l, b.addr(lane0 + l, n)))
                                         .collect();
-                                    assert_eq!(&got[..], &want[..], "{b:?} lane0={lane0} n={n}");
+                                    assert_eq!(got, want, "{b:?} lane0={lane0} n={n}");
+                                    for pair in access.windows(2) {
+                                        let [a, b] = pair else { unreachable!() };
+                                        assert!(a.lanes > 0 && a.lane + a.lanes <= b.lane);
+                                    }
                                 }
                             }
                         }
+                        // A host transfer: far more lanes than a warp.
+                        let got: Vec<_> = b.runs(0, 3..700, 0).flat_map(|r| r.pairs()).collect();
+                        let want: Vec<_> = (3..700).map(|l| (l, b.addr(l, 0))).collect();
+                        assert_eq!(got, want, "{b:?}");
                     }
                 }
             }

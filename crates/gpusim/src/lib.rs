@@ -84,8 +84,10 @@ pub use config::{Device, DeviceConfig, DeviceId};
 pub use exec::{REG_ARRAY_WORDS, SHARED_BANKS};
 pub use fault::{DeviceFaultEvent, DeviceFaultKind, DeviceFaultPlan, FaultKind, FaultPlan};
 pub use launch::{BlockWork, Dispatch, Gpu, InstanceExec, Kernel, Launch};
-pub use layout::{BufferBinding, Layout, WarpAddrs, WARP_LANES};
-pub use mem::{bank_conflict_degree, count_transactions, Allocator, DeviceMemory};
+pub use layout::{AffineRun, BufferBinding, Layout, WarpAccess, WARP_LANES};
+pub use mem::{
+    bank_conflict_degree, count_transactions, half_warps, Allocator, DeviceMemory, HalfWarp,
+};
 pub use stats::{InstanceStats, LaunchStats};
 pub use timing::{CheckpointMode, TimingModel};
 

@@ -2,7 +2,7 @@
 
 use streamir::ir::{ElemTy, Scalar};
 
-use crate::layout::WARP_LANES;
+use crate::layout::{lane_bits, AffineRun, WARP_LANES};
 use crate::{Result, SimError};
 
 /// The simulated global device memory: a flat array of 32-bit words.
@@ -81,6 +81,73 @@ impl DeviceMemory {
     pub fn write_token(&mut self, addr: u32, value: Scalar) {
         self.words[addr as usize] = value.to_bits();
     }
+
+    /// How many leading lanes of `run` address memory, and the error of
+    /// the first lane that does not. One check for the whole run: its
+    /// addresses never descend, so when its last lane is in range, every
+    /// lane is.
+    fn in_range(&self, run: &AffineRun) -> (usize, Option<SimError>) {
+        let len = self.words.len() as u64;
+        if run.last_addr() < len {
+            return (run.lanes as usize, None);
+        }
+        let good = match len.checked_sub(run.addr) {
+            Some(room) if room > 0 => room.div_ceil(run.stride),
+            _ => 0,
+        };
+        let addr = run.addr + good * run.stride;
+        (good as usize, Some(SimError::BadAddress { addr }))
+    }
+
+    /// Checks every address of `run` without transferring a word.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadAddress`] at the run's lowest out-of-range lane.
+    pub(crate) fn check_run(&self, run: &AffineRun) -> Result<()> {
+        self.in_range(run).1.map_or(Ok(()), Err)
+    }
+
+    /// Reads the word of each lane of `run` into `dst` (`run.lanes` long),
+    /// lanes ascending.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadAddress`] at the run's lowest out-of-range lane; the
+    /// lanes before it are read.
+    pub fn read_run(&self, run: &AffineRun, dst: &mut [u32]) -> Result<()> {
+        let (good, fault) = self.in_range(run);
+        if good > 0 {
+            let (dst, words) = (&mut dst[..good], &self.words[run.addr as usize..]);
+            match run.stride {
+                0 => dst.fill(words[0]),
+                1 => dst.copy_from_slice(&words[..good]),
+                s => (dst.iter_mut().zip(words.iter().step_by(s as usize)))
+                    .for_each(|(d, w)| *d = *w),
+            }
+        }
+        fault.map_or(Ok(()), Err)
+    }
+
+    /// Writes `src` (`run.lanes` long) to the words of `run`, lanes
+    /// ascending: where lanes share a word, the last one's value stays.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadAddress`] at the run's lowest out-of-range lane; the
+    /// lanes before it are written.
+    pub fn write_run(&mut self, run: &AffineRun, src: &[u32]) -> Result<()> {
+        let (good, fault) = self.in_range(run);
+        if good > 0 {
+            let (src, words) = (&src[..good], &mut self.words[run.addr as usize..]);
+            match run.stride {
+                0 => words[0] = src[good - 1],
+                1 => words[..good].copy_from_slice(src),
+                s => (words.iter_mut().step_by(s as usize).zip(src)).for_each(|(w, v)| *w = *v),
+            }
+        }
+        fault.map_or(Ok(()), Err)
+    }
 }
 
 /// Bump allocator over device memory, returning 64-byte-aligned buffers
@@ -135,7 +202,39 @@ impl Allocator {
     }
 }
 
-/// Counts the 64-byte transactions needed by one warp-wide memory access.
+/// One half-warp group of a warp-wide access, as the coalescing rule
+/// sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HalfWarp {
+    /// The access's lanes in this group.
+    pub mask: u32,
+    /// Every one of them, lane `N`, addresses `base + N % half_warp` for
+    /// one `base`.
+    pub in_pattern: bool,
+    /// The `base` the group's lowest lane implies is transaction-aligned.
+    pub aligned: bool,
+}
+
+impl HalfWarp {
+    /// The group combines into one transaction.
+    #[must_use]
+    pub fn coalesced(&self) -> bool {
+        self.in_pattern && self.aligned
+    }
+
+    /// One transaction when coalesced, one per lane otherwise.
+    #[must_use]
+    pub fn transactions(&self) -> u64 {
+        if self.coalesced() {
+            1
+        } else {
+            u64::from(self.mask.count_ones())
+        }
+    }
+}
+
+/// Passes each half-warp group of one warp-wide access to `f`, in lane
+/// order: the verdicts [`count_transactions`] sums.
 ///
 /// G80 coalescing rule (per half-warp of 16 threads): the accesses combine
 /// into one transaction when thread `N` of the half-warp addresses
@@ -145,61 +244,97 @@ impl Allocator {
 /// hardware and applies equally to all schemes). Any other pattern
 /// serializes into one transaction per active thread.
 ///
-/// `addrs` holds the word address for each *active* lane as
-/// `(lane, addr)`, lanes ascending.
-#[must_use]
-pub fn count_transactions(addrs: &[(u32, u64)], half_warp: u32, transaction_words: u64) -> u64 {
-    let mut total = 0u64;
-    let mut rest = addrs;
-    while let Some(&(lane, _)) = rest.first() {
-        // Slice out one half-warp by lane index: one division per group,
-        // not one per lane.
-        let first_lane = lane / half_warp * half_warp;
-        let in_group = |&&(l, _): &&(u32, u64)| l.wrapping_sub(first_lane) < half_warp;
-        let (group, tail) = rest.split_at(rest.iter().take_while(in_group).count());
-        total += half_warp_transactions(group, first_lane, transaction_words);
-        rest = tail;
+/// Each run is cut at half-warp boundaries; a piece is in pattern when it
+/// has one lane or stride 1, and a group when all its pieces are and
+/// imply the same `base`.
+pub fn half_warps(
+    runs: &[AffineRun],
+    half_warp: u32,
+    transaction_words: u64,
+    mut f: impl FnMut(HalfWarp),
+) {
+    // The group being assembled: its index, its `base`, its verdict.
+    let mut open: Option<(u32, u64, HalfWarp)> = None;
+    for run in runs {
+        let (mut lane, end, mut addr) = (run.lane, run.lane + run.lanes, run.addr);
+        while lane < end {
+            let group = lane / half_warp;
+            let lanes = end.min((group + 1) * half_warp) - lane;
+            let base = addr.wrapping_sub(u64::from(lane % half_warp));
+            let affine = lanes == 1 || run.stride == 1;
+            match &mut open {
+                Some((g, b, verdict)) if *g == group => {
+                    verdict.mask |= lane_bits(lane, lanes);
+                    verdict.in_pattern &= affine && base == *b;
+                }
+                _ => {
+                    if let Some((_, _, verdict)) = open.take() {
+                        f(verdict);
+                    }
+                    let verdict = HalfWarp {
+                        mask: lane_bits(lane, lanes),
+                        in_pattern: affine,
+                        aligned: base % transaction_words == 0,
+                    };
+                    open = Some((group, base, verdict));
+                }
+            }
+            lane += lanes;
+            addr += u64::from(lanes) * run.stride;
+        }
     }
-    total
+    if let Some((_, _, verdict)) = open {
+        f(verdict);
+    }
 }
 
-fn half_warp_transactions(group: &[(u32, u64)], first_lane: u32, transaction_words: u64) -> u64 {
-    // Coalesced iff every active lane N accesses segment_base + (N % hw)
-    // with segment_base aligned to the transaction size.
-    let (lane0, addr0) = group[0];
-    let base = addr0.wrapping_sub(u64::from(lane0 - first_lane));
-    let aligned = base % transaction_words == 0;
-    let in_pattern = group
-        .iter()
-        .all(|&(lane, addr)| addr == base + u64::from(lane - first_lane));
-    if aligned && in_pattern {
-        1
-    } else {
-        group.len() as u64
-    }
+/// Counts the 64-byte transactions needed by one warp-wide memory access:
+/// the sum of its [`half_warps`] verdicts.
+#[must_use]
+pub fn count_transactions(runs: &[AffineRun], half_warp: u32, transaction_words: u64) -> u64 {
+    let mut total = 0;
+    half_warps(runs, half_warp, transaction_words, |group| {
+        total += group.transactions();
+    });
+    total
 }
 
 /// Counts extra serialization cycles from shared-memory bank conflicts for
 /// one warp-wide access: accesses proceed in as many passes as the most
 /// contended of the 16 banks, so the overhead is `passes - 1`.
 ///
+/// A run with stride `s` visits `banks / gcd(s, banks)` distinct banks in
+/// a cycle, so each bank's hits follow from the lane that first hits it.
+///
 /// # Panics
 ///
 /// Panics if `banks` exceeds [`WARP_LANES`]: the tally lives on the
 /// stack, and no modeled device has more banks than lanes.
 #[must_use]
-pub fn bank_conflict_degree(addrs: &[(u32, u64)], banks: u64) -> u64 {
+pub fn bank_conflict_degree(runs: &[AffineRun], banks: u64) -> u64 {
     let mut counts = [0u64; WARP_LANES];
     let counts = &mut counts[..banks as usize];
-    for &(_, addr) in addrs {
-        counts[(addr % banks) as usize] += 1;
+    for run in runs {
+        let lanes = u64::from(run.lanes);
+        let cycle = banks / gcd(run.stride % banks, banks);
+        for i in 0..cycle.min(lanes) {
+            counts[((run.addr + i * run.stride) % banks) as usize] += (lanes - i).div_ceil(cycle);
+        }
     }
     counts.iter().max().map_or(0, |&m| m.saturating_sub(1))
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while a != 0 {
+        (a, b) = (b % a, a);
+    }
+    b
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::WarpAccess;
 
     #[test]
     fn memory_round_trips() {
@@ -229,44 +364,153 @@ mod tests {
         assert!(a.alloc(100).is_err());
     }
 
+    /// Lanes `lane .. lane + lanes` at `addr + i·stride`.
+    fn run(lane: u32, lanes: u32, addr: u64, stride: u64) -> [AffineRun; 1] {
+        [AffineRun {
+            lane,
+            lanes,
+            addr,
+            stride,
+        }]
+    }
+
     #[test]
     fn contiguous_aligned_access_coalesces() {
-        let addrs: Vec<(u32, u64)> = (0..16).map(|l| (l, 64 + u64::from(l))).collect();
-        assert_eq!(count_transactions(&addrs, 16, 16), 1);
+        assert_eq!(count_transactions(&run(0, 16, 64, 1), 16, 16), 1);
     }
 
     #[test]
     fn strided_access_serializes() {
-        let addrs: Vec<(u32, u64)> = (0..16).map(|l| (l, u64::from(l) * 4)).collect();
-        assert_eq!(count_transactions(&addrs, 16, 16), 16);
+        assert_eq!(count_transactions(&run(0, 16, 0, 4), 16, 16), 16);
     }
 
     #[test]
     fn misaligned_contiguous_serializes() {
-        let addrs: Vec<(u32, u64)> = (0..16).map(|l| (l, 3 + u64::from(l))).collect();
-        assert_eq!(count_transactions(&addrs, 16, 16), 16);
+        assert_eq!(count_transactions(&run(0, 16, 3, 1), 16, 16), 16);
     }
 
     #[test]
     fn full_warp_counts_both_half_warps() {
-        let addrs: Vec<(u32, u64)> = (0..32).map(|l| (l, u64::from(l))).collect();
-        assert_eq!(count_transactions(&addrs, 16, 16), 2);
+        assert_eq!(count_transactions(&run(0, 32, 0, 1), 16, 16), 2);
     }
 
     #[test]
     fn partial_warp_in_pattern_coalesces() {
         // Only 8 active lanes, but each at base + lane: still one transaction.
-        let addrs: Vec<(u32, u64)> = (0..8).map(|l| (l, 128 + u64::from(l))).collect();
-        assert_eq!(count_transactions(&addrs, 16, 16), 1);
+        assert_eq!(count_transactions(&run(0, 8, 128, 1), 16, 16), 1);
     }
 
     #[test]
     fn bank_conflicts_counted() {
         // All 16 lanes hit bank 0: 15 extra passes.
-        let addrs: Vec<(u32, u64)> = (0..16).map(|l| (l, u64::from(l) * 16)).collect();
-        assert_eq!(bank_conflict_degree(&addrs, 16), 15);
+        assert_eq!(bank_conflict_degree(&run(0, 16, 0, 16), 16), 15);
         // Conflict-free: consecutive words.
-        let addrs: Vec<(u32, u64)> = (0..16).map(|l| (l, u64::from(l))).collect();
-        assert_eq!(bank_conflict_degree(&addrs, 16), 0);
+        assert_eq!(bank_conflict_degree(&run(0, 16, 0, 1), 16), 0);
+    }
+
+    /// The per-lane coalescing rule the run form replaced, kept as the
+    /// oracle: `addrs` holds `(lane, addr)` per active lane, ascending.
+    fn pair_transactions(addrs: &[(u32, u64)], half_warp: u32, transaction_words: u64) -> u64 {
+        let mut total = 0u64;
+        let mut rest = addrs;
+        while let Some(&(lane, _)) = rest.first() {
+            let first_lane = lane / half_warp * half_warp;
+            let in_group = |&&(l, _): &&(u32, u64)| l.wrapping_sub(first_lane) < half_warp;
+            let (group, tail) = rest.split_at(rest.iter().take_while(in_group).count());
+            let (lane0, addr0) = group[0];
+            let base = addr0.wrapping_sub(u64::from(lane0 - first_lane));
+            let aligned = base % transaction_words == 0;
+            let in_pattern = group
+                .iter()
+                .all(|&(lane, addr)| addr == base + u64::from(lane - first_lane));
+            total += if aligned && in_pattern {
+                1
+            } else {
+                group.len() as u64
+            };
+            rest = tail;
+        }
+        total
+    }
+
+    /// The per-lane bank tally the run form replaced, kept as the oracle.
+    fn pair_bank_conflicts(addrs: &[(u32, u64)], banks: u64) -> u64 {
+        let mut counts = [0u64; WARP_LANES];
+        for &(_, addr) in addrs {
+            counts[(addr % banks) as usize] += 1;
+        }
+        counts.iter().max().map_or(0, |&m| m.saturating_sub(1))
+    }
+
+    #[test]
+    fn run_rules_equal_the_pair_rules() {
+        // Every stride up to 40, every length, every alignment mod 16,
+        // runs ending at either edge of the warp, sparse masks, and a
+        // second run continuing elsewhere (a region wrap).
+        let mut access = WarpAccess::default();
+        for stride in 0..=40u64 {
+            for lanes in 1..=32u32 {
+                for align in 0..16u64 {
+                    for lane in [0, 32 - lanes] {
+                        for mask in [u32::MAX, 0xaaaa_aaaa, 0x0f0f_ff01, 0x8000_0001] {
+                            for wrap in [false, true] {
+                                access.clear();
+                                let addr = 1024 + align;
+                                let head = run(lane, lanes, addr, stride)[0];
+                                access.push_masked(mask, head);
+                                let end = lane + lanes;
+                                if wrap && end < 32 {
+                                    let tail = run(end, 32 - end, 4096 + align / 2, 1)[0];
+                                    access.push_masked(mask, tail);
+                                }
+                                let pairs: Vec<_> = access.pairs().collect();
+                                let case = format!("{access:?}");
+                                assert_eq!(
+                                    count_transactions(&access, 16, 16),
+                                    pair_transactions(&pairs, 16, 16),
+                                    "{case}"
+                                );
+                                assert_eq!(
+                                    bank_conflict_degree(&access, 16),
+                                    pair_bank_conflicts(&pairs, 16),
+                                    "{case}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_runs_fault_where_the_lane_loop_does() {
+        // The lowest offending lane's address is the error, and every
+        // lane before it is transferred.
+        let src: Vec<u32> = (100..132).collect();
+        for stride in [0u64, 1, 2, 7] {
+            for addr in [0u64, 20, 40, 63, 64, 90] {
+                for lanes in [1u32, 5, 32] {
+                    let r = run(0, lanes, addr, stride)[0];
+                    let mut fast = DeviceMemory::new(64);
+                    let mut slow = fast.clone();
+                    let got = fast.write_run(&r, &src[..lanes as usize]);
+                    let want = r
+                        .pairs()
+                        .try_for_each(|(l, a)| slow.write(a, src[l as usize]));
+                    assert_eq!(got, want, "{r:?}");
+                    assert_eq!(fast.words, slow.words, "{r:?}");
+
+                    let mut dst = [0u32; 32];
+                    let got = fast.read_run(&r, &mut dst[..lanes as usize]);
+                    let want = r.pairs().try_for_each(|(_, a)| slow.read(a).map(drop));
+                    assert_eq!(got, want, "{r:?}");
+                    assert_eq!(fast.check_run(&r), want, "{r:?}");
+                    for (l, a) in r.pairs().take_while(|&(_, a)| a < 64) {
+                        assert_eq!(dst[l as usize], slow.words[a as usize], "{r:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -16,10 +16,11 @@
 //! mode writes `FLEET_chaos.json` carrying the router's full decision
 //! log — the determinism witness the CI chaos job uploads.
 
+use gpusim::DeviceId;
 use serde::Serialize;
 use swpipe::fleet::{
-    FleetEngine, FleetOptions, FleetReport, FleetStorm, FleetVerdict, HedgeOptions, RackBrownout,
-    RouterDecision,
+    FleetEngine, FleetJobResult, FleetOptions, FleetReport, FleetStorm, FleetVerdict, HedgeOptions,
+    RackBrownout, RouterDecision,
 };
 use swpipe::serve::{Job, ServeOptions};
 
@@ -165,6 +166,32 @@ pub struct FleetBenchReport {
     pub fleet: FleetReport,
     /// Fleet under the storm.
     pub storm: FleetReport,
+}
+
+/// One device loss aimed from a dry run of `opts` without it: the
+/// longest unhedged job of the trace's last round (its final
+/// `round_len` jobs) loses its device at the midpoint of its execution
+/// window. The dry run and a run with the loss agree up to that instant,
+/// so the loss lands on a job in flight whatever the storm's seed does.
+///
+/// # Panics
+///
+/// Panics when the dry run completes no unhedged job in that round.
+#[must_use]
+pub fn aimed_loss(opts: &FleetOptions, trace: &[(Job, f64)], round_len: usize) -> (DeviceId, f64) {
+    let (_, _, verdicts) = run_fleet(opts.clone(), trace);
+    let span = |r: &FleetJobResult| r.finish_secs - r.start_secs;
+    let victim = (verdicts[trace.len() - round_len..].iter())
+        .filter_map(|v| match v {
+            FleetVerdict::Completed(r) if !r.hedged => Some(r),
+            _ => None,
+        })
+        .max_by(|a, b| span(a).total_cmp(&span(b)))
+        .expect("the last round completes an unhedged job");
+    (
+        DeviceId(victim.device),
+        (victim.start_secs + victim.finish_secs) / 2.0,
+    )
 }
 
 /// Runs all three configurations and checks the fleet acceptance
@@ -313,10 +340,20 @@ pub fn main() {
             iterations
         };
         let trace = suite_trace(rounds, iters);
+        // Where the seeded kills fall relative to the jobs depends on the
+        // seed; one more loss, aimed at a graph-dispatched job in flight,
+        // makes every seed exercise mid-replay failover.
+        let round_len = trace.len() / rounds.max(1);
+        let (victim, at) = aimed_loss(&chaos_options(devices, seed), &trace, round_len);
+        let with_loss = |mut opts: FleetOptions| {
+            opts.device_faults = opts.device_faults.with_loss(victim, at);
+            opts
+        };
         // The same storm host-launched: the launch-overhead baseline
         // and the byte-identity reference for the graph-dispatched run.
-        let (host, _, host_verdicts) = run_fleet(storm_options(devices, seed), &trace);
-        let (report, decisions, verdicts) = run_fleet(chaos_options(devices, seed), &trace);
+        let (host, _, host_verdicts) = run_fleet(with_loss(storm_options(devices, seed)), &trace);
+        let (report, decisions, verdicts) =
+            run_fleet(with_loss(chaos_options(devices, seed)), &trace);
         assert_eq!(host.jobs_lost, 0, "host-launched chaos run lost jobs");
         assert_eq!(report.jobs_lost, 0, "chaos run lost jobs");
         assert!(
