@@ -826,9 +826,8 @@ impl Prepared {
         let mut ordinal = 0;
         while ordinal < launches {
             if skipped.contains(&ordinal) {
-                let span = sampled.end - sampled.start;
-                seq.extrapolate(&sample, span);
-                ordinal += span;
+                seq.extrapolate(&sample);
+                ordinal += sampled.end - sampled.start;
                 continue;
             }
             let stats = seq
@@ -847,7 +846,7 @@ impl Prepared {
             }
             ordinal += 1;
         }
-        let (totals, launches, trace) = seq.finish();
+        let (totals, trace) = seq.finish();
 
         let outputs = if scaled {
             Vec::new()

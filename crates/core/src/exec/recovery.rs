@@ -234,7 +234,6 @@ pub(super) struct Sequencer<'g, B> {
     interval: usize,
     pending: Vec<u64>,
     totals: LaunchStats,
-    launches: u64,
     retries: u64,
     trace: Vec<f64>,
 }
@@ -260,7 +259,6 @@ impl<'g, 'p, B: Fn(u64) -> (Launch<'p>, Dispatch)> Sequencer<'g, B> {
             interval: interval.max(1) as usize,
             pending: Vec::new(),
             totals,
-            launches: 0,
             retries: 0,
             trace: Vec::new(),
         }
@@ -319,7 +317,6 @@ impl<'g, 'p, B: Fn(u64) -> (Launch<'p>, Dispatch)> Sequencer<'g, B> {
         }
         self.trace.push(stats.cycles);
         self.totals.merge(&stats);
-        self.launches += 1;
         Ok(stats)
     }
 
@@ -376,22 +373,22 @@ impl<'g, 'p, B: Fn(u64) -> (Launch<'p>, Dispatch)> Sequencer<'g, B> {
         }
     }
 
-    /// Counts `launches` more launches as `sample` without simulating
-    /// them (scaled measurement).
-    pub(super) fn extrapolate(&mut self, sample: &LaunchStats, launches: u64) {
+    /// Bills a span of launches as `sample`, the merged stats of an
+    /// equally long simulated span, without simulating them (scaled
+    /// measurement).
+    pub(super) fn extrapolate(&mut self, sample: &LaunchStats) {
         self.totals.merge(sample);
-        self.launches += launches;
     }
 
-    /// The run's merged stats, launch count and per-launch cycles.
-    pub(super) fn finish(mut self) -> (LaunchStats, u64, Vec<f64>) {
+    /// The run's merged stats and per-launch cycles.
+    pub(super) fn finish(mut self) -> (LaunchStats, Vec<f64>) {
         // The simulated-retry counter is exact even in scaled mode (where
         // merged steady-window stats are extrapolated, not re-simulated).
         self.totals.retries = self.retries;
         // Fault billing must account: the disjoint overhead components sum
         // to the fault overhead, which never exceeds the wall cycles.
         self.totals.assert_billing();
-        (self.totals, self.launches, self.trace)
+        (self.totals, self.trace)
     }
 }
 
@@ -502,10 +499,9 @@ mod tests {
                 LaunchStats::default(),
             );
             let stats: Result<Vec<_>> = (0..weights.len() as u64).map(|r| seq.issue(r)).collect();
-            let (_, launches, trace) = seq.finish();
-            assert_eq!(launches, trace.len() as u64);
+            let (_, trace) = seq.finish();
             if let Ok(stats) = &stats {
-                assert_eq!(launches, stats.len() as u64);
+                assert_eq!(trace.len(), stats.len());
             }
             let image = (0..2 * TOKENS + 1)
                 .map(|w| gpu.memory().read(u64::from(*inp + w)).expect("in range"))

@@ -5,10 +5,10 @@
 //! machine: walk every warp of every instance the executor would
 //! launch, abstractly interpreting the work function with lane-uniform
 //! constant folding ([`AbsVal`]), and resolve every channel access
-//! through [`BufferBinding::warp_access`] — the same lowering the simulator
-//! executes. This module owns that machine; the analyses differ only in
-//! their [`AccessSink`], which receives every address-relevant event in
-//! the exact order the simulator would bill it.
+//! through the warp's [`WarpGeometry`] for the port — the same lowering
+//! the simulator executes. This module owns that machine; the analyses
+//! differ only in their [`AccessSink`], which receives every
+//! address-relevant event in the exact order the simulator would bill it.
 //!
 //! The taint/abstract-domain structure follows the usual two-layer
 //! static-analysis split (abstract domain below, per-client transfer
@@ -18,8 +18,11 @@
 //! values through `if` conditions, array indices, and peek depths.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use gpusim::{BufferBinding, DeviceConfig, InstanceExec, WarpAccess, REG_ARRAY_WORDS};
+use gpusim::{
+    BufferBinding, DeviceConfig, InstanceExec, WarpAccess, WarpGeometry, REG_ARRAY_WORDS,
+};
 use streamir::ir::{access_sites, interp, AccessSite, Expr, Scalar, Stmt, WorkFunction};
 
 /// An abstract per-lane value: either provably identical across all
@@ -39,17 +42,49 @@ impl AbsVal {
     }
 }
 
+/// Hashes a site's address with one multiply. The keys are distinct
+/// node addresses the walker looks up on every abstract access, so
+/// SipHash's resistance to chosen keys buys nothing here.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("site maps are keyed by addresses")
+    }
+
+    fn write_usize(&mut self, addr: usize) {
+        let h = (addr as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        // Fold the well-mixed high half into the bucket bits.
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type SiteOrds = HashMap<usize, u32, BuildHasherDefault<AddrHasher>>;
+
 /// Pointer-keyed map from syntactic access sites to their canonical
 /// ordinal, mirroring [`access_sites`]'s walk exactly.
 pub(crate) struct SiteMap {
-    pub(crate) ord_of: HashMap<usize, u32>,
+    ord_of: SiteOrds,
     pub(crate) sites: Vec<AccessSite>,
+}
+
+impl SiteMap {
+    /// The ordinal of the site at `node` (a `Peek` expression, or a
+    /// `Pop` / `Push` statement).
+    fn ord<T>(&self, node: &T) -> u32 {
+        self.ord_of[&(std::ptr::from_ref(node) as usize)]
+    }
 }
 
 pub(crate) fn build_site_map(wf: &WorkFunction) -> SiteMap {
     let sites = access_sites(wf);
-    let mut ord_of = HashMap::new();
-    fn walk_expr(e: &Expr, ord_of: &mut HashMap<usize, u32>, next: &mut u32) {
+    let mut ord_of = SiteOrds::default();
+    fn walk_expr(e: &Expr, ord_of: &mut SiteOrds, next: &mut u32) {
         match e {
             Expr::Peek { depth, .. } => {
                 walk_expr(depth, ord_of, next);
@@ -67,7 +102,7 @@ pub(crate) fn build_site_map(wf: &WorkFunction) -> SiteMap {
             Expr::I32(_) | Expr::F32(_) | Expr::Local(_) | Expr::LoadState(_) => {}
         }
     }
-    fn walk_block(stmts: &[Stmt], ord_of: &mut HashMap<usize, u32>, next: &mut u32) {
+    fn walk_block(stmts: &[Stmt], ord_of: &mut SiteOrds, next: &mut u32) {
         for s in stmts {
             match s {
                 Stmt::Assign(_, e) | Stmt::StoreState(_, e) => walk_expr(e, ord_of, next),
@@ -116,11 +151,19 @@ pub(crate) struct WarpCtx<'a> {
 
 impl WarpCtx<'_> {
     /// Refills `out` with the device addresses of one warp-wide channel
-    /// access at uniform token position `pos` — the resolution every sink
-    /// shares.
-    pub(crate) fn lane_access(&self, binding: &BufferBinding, pos: u64, out: &mut WarpAccess) {
-        binding.warp_access(self.lane0, pos, u32::MAX >> (32 - self.active), out);
+    /// access at uniform token position `pos` through the warp's
+    /// `geometry` for the port — the resolution every sink shares.
+    pub(crate) fn lane_access(&self, geometry: &WarpGeometry, pos: u64, out: &mut WarpAccess) {
+        geometry.access(pos, u32::MAX >> (32 - self.active), out);
     }
+}
+
+/// One port as a warp sees it: the binding, and the warp's geometry for
+/// it ([`BufferBinding::geometry`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Port<'a> {
+    pub(crate) binding: &'a BufferBinding,
+    pub(crate) geometry: &'a WarpGeometry,
 }
 
 /// Receiver of every address-relevant event the walker encounters, in
@@ -129,8 +172,8 @@ impl WarpCtx<'_> {
 /// *when* events happen.
 pub(crate) trait AccessSink {
     /// One warp-wide channel access at uniform token position `pos`
-    /// through `binding`, at access site ordinal `ord`.
-    fn channel(&mut self, ctx: &WarpCtx<'_>, binding: &BufferBinding, pos: u64, ord: u32);
+    /// through `port`, at access site ordinal `ord`.
+    fn channel(&mut self, ctx: &WarpCtx<'_>, port: Port<'_>, pos: u64, ord: u32);
     /// One stale peek slot re-billed by a statement-level call: the
     /// simulator's per-warp peek vector keeps its length across calls
     /// (slots are cleared, not truncated), and an empty slot costs one
@@ -162,6 +205,10 @@ struct WarpAbs<'a, S: AccessSink> {
     site_map: &'a SiteMap,
     locals: Vec<AbsVal>,
     arrays: Vec<Vec<AbsVal>>,
+    /// Per input (output) port: the warp's geometry, and the token
+    /// position every lane has reached.
+    in_geometry: Vec<WarpGeometry>,
+    out_geometry: Vec<WarpGeometry>,
     pops: Vec<u64>,
     pushes: Vec<u64>,
     /// High-water mark of peek sites traversed in any single `eval` call
@@ -173,8 +220,44 @@ struct WarpAbs<'a, S: AccessSink> {
 }
 
 impl<S: AccessSink> WarpAbs<'_, S> {
+    /// Moves on to the warp of `active` lanes whose lane 0 is thread
+    /// `lane0` (at or after the current warp's), reusing every buffer and
+    /// stepping each port's geometry.
+    fn reset(&mut self, lane0: u32, active: u32) {
+        for geometry in self.in_geometry.iter_mut().chain(&mut self.out_geometry) {
+            geometry.next_warp(lane0 - self.ctx.lane0);
+        }
+        (self.ctx.lane0, self.ctx.active) = (lane0, active);
+        let wf = self.ctx.inst.kernel.work();
+        let zero = |ty| AbsVal::Uniform(Scalar::zero(ty));
+        self.locals.clear();
+        self.locals.extend(wf.locals().iter().map(|&ty| zero(ty)));
+        for (a, &(ty, _)) in self.arrays.iter_mut().zip(wf.arrays()) {
+            a.fill(zero(ty));
+        }
+        self.pops.fill(0);
+        self.pushes.fill(0);
+        (self.peek_hwm, self.peek_count) = (0, 0);
+    }
+
     fn array_in_local_memory(&self) -> bool {
         self.ctx.inst.kernel.work().info().local_array_words > REG_ARRAY_WORDS
+    }
+
+    /// One channel access through input port `p` (output port, when not
+    /// `input`) at token position `pos` and site ordinal `ord`.
+    fn channel(&mut self, input: bool, p: usize, pos: u64, ord: u32) {
+        let inst = self.ctx.inst;
+        let (bindings, geometry) = if input {
+            (&inst.inputs, &self.in_geometry)
+        } else {
+            (&inst.outputs, &self.out_geometry)
+        };
+        let port = Port {
+            binding: &bindings[p],
+            geometry: &geometry[p],
+        };
+        self.sink.channel(&self.ctx, port, pos, ord);
     }
 
     /// A statement-level expression evaluation — the granularity at which
@@ -199,13 +282,9 @@ impl<S: AccessSink> WarpAbs<'_, S> {
                 let d = self.eval(depth);
                 let p = *port as usize;
                 self.peek_count += 1;
-                let ord = self.site_map.ord_of[&(std::ptr::from_ref(e) as usize)];
+                let ord = self.site_map.ord(e);
                 match d.as_const_i32().and_then(|d| u64::try_from(d).ok()) {
-                    Some(d) => {
-                        let pos = self.pops[p] + d;
-                        self.sink
-                            .channel(&self.ctx, &self.ctx.inst.inputs[p], pos, ord);
-                    }
+                    Some(d) => self.channel(true, p, self.pops[p] + d, ord),
                     None => self.sink.varying_depth(&self.ctx, ord),
                 }
                 AbsVal::Varying
@@ -290,10 +369,7 @@ impl<S: AccessSink> WarpAbs<'_, S> {
             }
             Stmt::Pop { port, dst } => {
                 let p = *port as usize;
-                let ord = self.site_map.ord_of[&(std::ptr::from_ref(s) as usize)];
-                let pos = self.pops[p];
-                self.sink
-                    .channel(&self.ctx, &self.ctx.inst.inputs[p], pos, ord);
+                self.channel(true, p, self.pops[p], self.site_map.ord(s));
                 self.pops[p] += 1;
                 if let Some(dst) = dst {
                     self.locals[dst.0 as usize] = AbsVal::Varying;
@@ -302,10 +378,7 @@ impl<S: AccessSink> WarpAbs<'_, S> {
             Stmt::Push { port, value } => {
                 self.eval_call(value);
                 let p = *port as usize;
-                let ord = self.site_map.ord_of[&(std::ptr::from_ref(s) as usize)];
-                let pos = self.pushes[p];
-                self.sink
-                    .channel(&self.ctx, &self.ctx.inst.outputs[p], pos, ord);
+                self.channel(false, p, self.pushes[p], self.site_map.ord(s));
                 self.pushes[p] += 1;
             }
             Stmt::For { var, lo, hi, body } => {
@@ -343,47 +416,37 @@ pub(crate) fn analyze_instance<S: AccessSink>(
     sink: &mut S,
 ) {
     let warp = device.warp_size;
-    let warps = inst.active_threads.div_ceil(warp);
-    for w in 0..warps {
-        let lane0 = w * warp;
-        let active = warp.min(inst.active_threads - lane0);
-        let mut wa = WarpAbs {
-            ctx: WarpCtx {
-                inst,
-                node,
-                lane0,
-                active,
-                half_warp: warp / 2,
-                txn_words: u64::from(device.transaction_words()),
-            },
-            site_map,
-            locals: inst
-                .kernel
-                .work()
-                .locals()
-                .iter()
-                .map(|&ty| AbsVal::Uniform(Scalar::zero(ty)))
-                .collect(),
-            arrays: inst
-                .kernel
-                .work()
-                .arrays()
-                .iter()
-                .map(|&(ty, len)| vec![AbsVal::Uniform(Scalar::zero(ty)); len as usize])
-                .collect(),
-            pops: vec![0; inst.kernel.work().input_ports().len()],
-            pushes: vec![0; inst.kernel.work().output_ports().len()],
-            peek_hwm: 0,
-            peek_count: 0,
-            sink: &mut *sink,
-        };
-        wa.block(inst.kernel.work().body());
+    let wf = inst.kernel.work();
+    let mut wa = WarpAbs {
+        ctx: WarpCtx {
+            inst,
+            node,
+            lane0: 0,
+            active: 0,
+            half_warp: warp / 2,
+            txn_words: u64::from(device.transaction_words()),
+        },
+        site_map,
+        locals: Vec::new(),
+        arrays: (wf.arrays().iter())
+            .map(|&(_, len)| vec![AbsVal::Varying; len as usize])
+            .collect(),
+        in_geometry: inst.inputs.iter().map(|b| b.geometry(0)).collect(),
+        out_geometry: inst.outputs.iter().map(|b| b.geometry(0)).collect(),
+        pops: vec![0; wf.input_ports().len()],
+        pushes: vec![0; wf.output_ports().len()],
+        peek_hwm: 0,
+        peek_count: 0,
+        sink: &mut *sink,
+    };
+    for lane0 in (0..inst.active_threads).step_by(warp as usize) {
+        wa.reset(lane0, warp.min(inst.active_threads - lane0));
+        wa.block(wf.body());
     }
     if inst.shared_staging {
         // One coalesced bulk copy each way: window tokens in, pushes
         // out; each warp-wide step is one access and two transactions.
         let t = u64::from(inst.active_threads);
-        let wf = inst.kernel.work();
         let in_tokens: u64 = (0..wf.input_ports().len() as u8)
             .map(|p| t * u64::from(wf.peek_rate(p)))
             .sum();

@@ -8,10 +8,10 @@
 //! abstractly interprets the work function through the shared
 //! interpreter in [`super::absint`] (also the engine behind the
 //! tenant-isolation prover). Channel addresses are evaluated through
-//! [`BufferBinding::warp_access`] — the same lowering the simulator
-//! executes — and classified with [`count_transactions`] /
-//! [`bank_conflict_degree`] — the same analyzers the simulator bills
-//! with. Billing only depends on values through `if` conditions and
+//! each warp's [`gpusim::WarpGeometry`] — the same lowering the simulator
+//! executes — and classified with the [`half_warps`] verdicts
+//! [`gpusim::count_transactions`] sums and with [`bank_conflict_degree`]
+//! — the same analyzers the simulator bills with. Billing only depends on values through `if` conditions and
 //! peek depths, so whenever those fold the prediction is *exact*: the
 //! predicted counters equal the dynamic [`gpusim::LaunchStats`]
 //! bit-for-bit, and a cross-check test keeps the two from silently
@@ -35,11 +35,11 @@
 //! Uncoalesced traffic under the sequential layout is the behaviour the
 //! SWPNC baseline exists to measure: `V0203` (info).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use gpusim::{
-    bank_conflict_degree, count_transactions, half_warps, AffineRun, BufferBinding, Gpu,
-    InstanceExec, LaunchStats, Layout, WarpAccess, SHARED_BANKS,
+    bank_conflict_degree, half_warps, AffineRun, BufferBinding, Gpu, InstanceExec, LaunchStats,
+    Layout, WarpAccess,
 };
 use streamir::graph::NodeId;
 use streamir::ir::{AccessKind, AccessSite};
@@ -48,7 +48,7 @@ use crate::codegen;
 use crate::exec::{scheme_shape, Compiled, Prepared, Scheme};
 use crate::instances;
 use crate::plan::BufferPlan;
-use crate::verify::absint::{self, AccessSink, SiteMap, WarpCtx};
+use crate::verify::absint::{self, AccessSink, Port, SiteMap, WarpCtx};
 use crate::verify::diag::{Code, Diagnostic};
 use crate::{Error, Result};
 
@@ -137,46 +137,49 @@ pub struct Prediction {
 /// Whole-run accumulator shared by every analyzed warp: the coalescing
 /// analysis's [`AccessSink`], billing each event exactly as the
 /// simulator would.
-#[derive(Default)]
 struct Acc {
     counters: StaticCounters,
     exact: bool,
-    tallies: HashMap<(u32, u32), SiteTally>,
+    /// Per node, per site ordinal: the site's tally once it has one.
+    tallies: Vec<Vec<Option<SiteTally>>>,
     varying_branch: BTreeSet<u32>,
     /// The access being billed; each one refills it.
     access: WarpAccess,
 }
 
+/// The tally of site `ord` of `node`, opened on first use.
+fn tally(tallies: &mut [Vec<Option<SiteTally>>], node: u32, ord: u32) -> &mut SiteTally {
+    tallies[node as usize][ord as usize].get_or_insert_with(SiteTally::default)
+}
+
 impl AccessSink for Acc {
-    fn channel(&mut self, ctx: &WarpCtx<'_>, binding: &BufferBinding, pos: u64, ord: u32) {
-        ctx.lane_access(binding, pos, &mut self.access);
-        let addrs = &self.access;
-        let transposed = matches!(binding.layout, Layout::Transposed { .. });
+    fn channel(&mut self, ctx: &WarpCtx<'_>, port: Port<'_>, pos: u64, ord: u32) {
+        ctx.lane_access(port.geometry, pos, &mut self.access);
+        let transposed = matches!(port.binding.layout, Layout::Transposed { .. });
         if ctx.inst.shared_staging {
-            let passes = bank_conflict_degree(addrs, SHARED_BANKS);
+            let passes = bank_conflict_degree(&self.access);
             self.counters.shared_accesses += 1;
             self.counters.bank_conflict_passes += passes;
-            let t = self.tallies.entry((ctx.node, ord)).or_default();
+            let t = tally(&mut self.tallies, ctx.node, ord);
             t.transposed |= transposed;
             t.shared_accesses += 1;
             t.bank_conflict_passes += passes;
         } else {
-            let txns = count_transactions(addrs, ctx.half_warp, ctx.txn_words);
-            self.counters.mem_access_insts += 1;
-            self.counters.mem_transactions += txns;
-            let t = self.tallies.entry((ctx.node, ord)).or_default();
-            t.transposed |= transposed;
-            t.accesses += 1;
-            t.transactions += txns;
-            classify_groups(
-                addrs,
-                binding,
+            let t = tally(&mut self.tallies, ctx.node, ord);
+            let txns = classify_groups(
+                &self.access,
+                port.binding,
                 pos,
                 ctx.lane0,
                 ctx.half_warp,
                 ctx.txn_words,
                 t,
             );
+            self.counters.mem_access_insts += 1;
+            self.counters.mem_transactions += txns;
+            t.transposed |= transposed;
+            t.accesses += 1;
+            t.transactions += txns;
         }
     }
 
@@ -203,8 +206,7 @@ impl AccessSink for Acc {
 
     fn varying_depth(&mut self, ctx: &WarpCtx<'_>, ord: u32) {
         self.exact = false;
-        let t = self.tallies.entry((ctx.node, ord)).or_default();
-        t.varying_depth = true;
+        tally(&mut self.tallies, ctx.node, ord).varying_depth = true;
     }
 
     fn varying_branch(&mut self, ctx: &WarpCtx<'_>) {
@@ -221,7 +223,13 @@ impl AccessSink for Acc {
 }
 
 /// Classifies every uncoalesced half-warp group of one warp-wide access
-/// by the verdicts [`count_transactions`] sums.
+/// and returns the access's transactions: one pass over the verdicts
+/// [`gpusim::count_transactions`] sums.
+///
+/// A lane's logical index is monotone in the lane, so the group's first
+/// and last lanes decide both questions: the group straddles a region
+/// boundary when they sit in different regions, and otherwise touches
+/// the partial tail when the last lane does.
 fn classify_groups(
     runs: &[AffineRun],
     binding: &BufferBinding,
@@ -230,27 +238,28 @@ fn classify_groups(
     half_warp: u32,
     txn_words: u64,
     t: &mut SiteTally,
-) {
+) -> u64 {
     let rt = binding.region_tokens.max(1);
     let logical = |l: u32| {
         binding.abs_start + u64::from(lane0_tid + l) * u64::from(binding.endpoint_rate) + pos
     };
+    // Where the naturally ordered partial tail starts (never, sequential).
+    let tail_start = match binding.layout {
+        Layout::Transposed { .. } => {
+            let o = u64::from(binding.consumer_rate.max(1));
+            rt / o * o
+        }
+        Layout::Sequential => rt,
+    };
+    let mut txns = 0;
     half_warps(runs, half_warp, txn_words, |group| {
+        txns += group.transactions();
         if group.mask.count_ones() <= 1 || group.coalesced() {
             return;
         }
-        let mut lanes = (0..32).filter(|l| group.mask & (1 << l) != 0);
-        let r0 = logical(group.mask.trailing_zeros()) / rt;
-        let crosses = lanes.clone().any(|l| logical(l) / rt != r0);
-        let tail = match binding.layout {
-            Layout::Transposed { .. } => {
-                let o = u64::from(binding.consumer_rate.max(1));
-                let f_full = rt / o;
-                lanes.any(|l| (logical(l) % rt) / o >= f_full)
-            }
-            Layout::Sequential => false,
-        };
-        if crosses || tail {
+        let first = logical(group.mask.trailing_zeros());
+        let last = logical(31 - group.mask.leading_zeros());
+        if first / rt != last / rt || last % rt >= tail_start {
             t.boundary_groups += 1;
         } else if !group.in_pattern {
             t.scattered_groups += 1;
@@ -258,6 +267,7 @@ fn classify_groups(
             t.misaligned_groups += 1;
         }
     });
+    txns
 }
 
 /// Predicts the memory counters of `execute(c, scheme, iterations)` with
@@ -266,7 +276,9 @@ fn classify_groups(
 /// # Errors
 ///
 /// The same shape errors as [`crate::exec::execute`] (iteration granule,
-/// coarsening constraints), plus allocation failures.
+/// coarsening constraints, a device shape
+/// [`gpusim::DeviceConfig::check_shape`] rejects), plus allocation
+/// failures.
 pub fn predict(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<Prediction> {
     let prepared = Prepared::new(c, scheme)?;
     predict_prepared(c, &prepared, iterations, prepared.plan())
@@ -295,6 +307,8 @@ fn predict_prepared(
     iterations: u64,
     plan: &BufferPlan,
 ) -> Result<Prediction> {
+    // The half-warp verdicts assume the shape the simulator checks.
+    c.device.check_shape()?;
     let scheme = prepared.scheme();
     let (granule, _) = scheme_shape(scheme);
     if iterations == 0 || !iterations.is_multiple_of(u64::from(granule)) {
@@ -320,8 +334,13 @@ fn predict_prepared(
         .map(|k| absint::build_site_map(k.work()))
         .collect();
     let mut acc = Acc {
+        counters: StaticCounters::default(),
         exact: true,
-        ..Acc::default()
+        tallies: (site_maps.iter())
+            .map(|m| vec![None; m.sites.len()])
+            .collect(),
+        varying_branch: BTreeSet::new(),
+        access: WarpAccess::default(),
     };
     let launches = prepared.launch_count(c, iterations);
     for ordinal in 0..launches {
@@ -333,13 +352,13 @@ fn predict_prepared(
 
     let mut diagnostics = Vec::new();
     let mut sites = Vec::new();
-    let mut keys: Vec<_> = acc.tallies.keys().copied().collect();
-    keys.sort_unstable();
-    for key in keys {
-        let t = acc.tallies[&key];
-        let (node, ord) = key;
+    let tallies = acc.tallies.iter().enumerate().flat_map(|(node, sites)| {
+        let tallied = sites.iter().enumerate();
+        tallied.filter_map(move |(ord, t)| Some((node as u32, ord, (*t)?)))
+    });
+    for (node, ord, t) in tallies {
         let name = c.graph.nodes()[node as usize].name.clone();
-        let site = site_maps[node as usize].sites[ord as usize];
+        let site = site_maps[node as usize].sites[ord];
         let locate = |d: Diagnostic| {
             let d = d.at_filter(&name, node).at_site(site);
             match edge_of(c, node, site) {
@@ -601,6 +620,116 @@ mod tests {
                 .is_some_and(|s| s.starts_with("pop[in0]")),
             "{err:?}"
         );
+    }
+
+    /// The per-lane classification [`classify_groups`] replaced, kept as
+    /// the oracle: it places every lane of a group in its region and,
+    /// under the transposed layout, its firing.
+    fn classify_per_lane(
+        runs: &[AffineRun],
+        binding: &BufferBinding,
+        pos: u64,
+        lane0_tid: u32,
+        t: &mut SiteTally,
+    ) {
+        let rt = binding.region_tokens.max(1);
+        let logical = |l: u32| {
+            binding.abs_start + u64::from(lane0_tid + l) * u64::from(binding.endpoint_rate) + pos
+        };
+        half_warps(runs, 16, 16, |group| {
+            if group.mask.count_ones() <= 1 || group.coalesced() {
+                return;
+            }
+            let mut lanes = (0..32).filter(|l| group.mask & (1 << l) != 0);
+            let r0 = logical(group.mask.trailing_zeros()) / rt;
+            let crosses = lanes.clone().any(|l| logical(l) / rt != r0);
+            let tail = match binding.layout {
+                Layout::Transposed { .. } => {
+                    let o = u64::from(binding.consumer_rate.max(1));
+                    lanes.any(|l| (logical(l) % rt) / o >= rt / o)
+                }
+                Layout::Sequential => false,
+            };
+            if crosses || tail {
+                t.boundary_groups += 1;
+            } else if !group.in_pattern {
+                t.scattered_groups += 1;
+            } else {
+                t.misaligned_groups += 1;
+            }
+        });
+    }
+
+    #[test]
+    fn first_and_last_lane_classification_equals_the_per_lane_rule() {
+        // The address-generation grid of `gpusim`'s run tests: both
+        // layouts and three group sizes, partial tails, rate mismatch, a
+        // lane step spanning regions, regions crossed mid-warp, lane
+        // offsets, peek ordinals and sparse masks.
+        let layouts = [
+            Layout::Sequential,
+            Layout::Transposed { group: 4 },
+            Layout::Transposed { group: 6 },
+            Layout::Transposed { group: 128 },
+        ];
+        let (mut access, mut total) = (WarpAccess::default(), SiteTally::default());
+        for layout in layouts {
+            for (region_tokens, consumer_rate, endpoint_rate) in [
+                (384u64, 3u32, 3u32),
+                (100, 3, 3),
+                (130, 7, 2),
+                (96, 2, 5),
+                (64, 1, 0),
+                (10, 3, 24),
+                (40, 4, 4),
+            ] {
+                for regions in [1u32, 3] {
+                    for abs_start in [0u64, 17, 3 * region_tokens + 5] {
+                        let b = BufferBinding {
+                            base_word: 4096,
+                            region_tokens,
+                            regions,
+                            layout,
+                            consumer_rate,
+                            endpoint_rate,
+                            abs_start,
+                        };
+                        for lane0 in [0u32, 7, 32, 96] {
+                            for n in [0u64, 1, 5, 40] {
+                                for mask in [u32::MAX, 0x0000_ffff, 0x7fff_fffe, 0xaaaa_0000] {
+                                    b.warp_access(lane0, n, mask, &mut access);
+                                    let (mut got, mut want) =
+                                        (SiteTally::default(), SiteTally::default());
+                                    let txns =
+                                        classify_groups(&access, &b, n, lane0, 16, 16, &mut got);
+                                    assert_eq!(txns, gpusim::count_transactions(&access, 16, 16));
+                                    classify_per_lane(&access, &b, n, lane0, &mut want);
+                                    let groups = |t: &SiteTally| {
+                                        [t.boundary_groups, t.scattered_groups, t.misaligned_groups]
+                                    };
+                                    assert_eq!(groups(&got), groups(&want), "{b:?} {lane0} {n}");
+                                    total.boundary_groups += got.boundary_groups;
+                                    total.scattered_groups += got.scattered_groups;
+                                    total.misaligned_groups += got.misaligned_groups;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Every verdict is exercised.
+        assert!(total.boundary_groups > 0 && total.scattered_groups > 0);
+        assert!(total.misaligned_groups > 0, "{total:?}");
+    }
+
+    #[test]
+    fn predict_rejects_a_device_shape_the_verdicts_cannot_bill() {
+        let spec = StreamSpec::pipeline(vec![rate_filter("A", 1, 4), rate_filter("B", 4, 1)]);
+        let mut c = compiled(&spec);
+        c.device.warp_size = 24;
+        let err = predict(&c, Scheme::Swp { coarsening: 1 }, 4).unwrap_err();
+        assert!(err.to_string().contains("warp size 24"), "{err}");
     }
 
     #[test]

@@ -49,7 +49,7 @@ use crate::exec::{scheme_shape, Compiled, Prepared, Scheme};
 use crate::hash::Fnv;
 use crate::instances;
 use crate::plan::{self, BufferPlan};
-use crate::verify::absint::{self, AccessSink, SiteMap, WarpCtx};
+use crate::verify::absint::{self, AccessSink, Port, SiteMap, WarpCtx};
 use crate::verify::diag::{Code, Diagnostic, Severity};
 use crate::{Error, Result};
 
@@ -316,11 +316,11 @@ impl TaintSink<'_> {
 }
 
 impl AccessSink for TaintSink<'_> {
-    fn channel(&mut self, ctx: &WarpCtx<'_>, binding: &BufferBinding, pos: u64, ord: u32) {
+    fn channel(&mut self, ctx: &WarpCtx<'_>, port: Port<'_>, pos: u64, ord: u32) {
         let site = self.site_maps[ctx.node as usize].sites[ord as usize];
         let owner = self.owner_of(ctx.node, site.kind, site.port);
         self.accesses_checked += 1;
-        if let Some(d) = check_binding(self.map, binding, owner) {
+        if let Some(d) = check_binding(self.map, port.binding, owner) {
             self.flag(ctx.node, site.to_string(), d);
         } else if let Some(r) = self.map.region_of(owner) {
             // Per-access spot check: every concrete lane address of this
@@ -328,7 +328,7 @@ impl AccessSink for TaintSink<'_> {
             debug_assert!(
                 {
                     let mut access = WarpAccess::default();
-                    ctx.lane_access(binding, pos, &mut access);
+                    ctx.lane_access(port.geometry, pos, &mut access);
                     (access.iter())
                         .all(|run| run.addr >= r.base && run.last_addr() < r.base + r.words)
                 },

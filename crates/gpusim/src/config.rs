@@ -2,7 +2,9 @@
 
 use std::fmt;
 
+use crate::layout::WARP_LANES;
 use crate::timing::TimingModel;
+use crate::{Result, SimError};
 
 /// Identity of one simulated device in a fleet. Device 0 is the
 /// conventional identity of a solo device, so single-device code that
@@ -134,6 +136,35 @@ impl DeviceConfig {
     pub fn transaction_words(&self) -> u32 {
         self.transaction_bytes / 4
     }
+
+    /// Checks the shape the half-warp and transaction arithmetic relies
+    /// on ([`crate::half_warps`] groups lanes and aligns bases with shifts
+    /// and masks): a warp of 2 to [`WARP_LANES`] lanes and a transaction
+    /// of [`DeviceConfig::transaction_words`] words, both powers of two.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::LaunchConfig`] naming the offending dimension.
+    pub fn check_shape(&self) -> Result<()> {
+        let warp = self.warp_size;
+        if warp as usize > WARP_LANES {
+            return Err(SimError::LaunchConfig(format!(
+                "warp size {warp} exceeds the {WARP_LANES} lanes the simulator models"
+            )));
+        }
+        if warp < 2 || !warp.is_power_of_two() {
+            return Err(SimError::LaunchConfig(format!(
+                "warp size {warp} is not a power of two of at least 2"
+            )));
+        }
+        if !self.transaction_words().is_power_of_two() {
+            return Err(SimError::LaunchConfig(format!(
+                "a transaction of {} B is not a power-of-two number of words",
+                self.transaction_bytes
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl Default for DeviceConfig {
@@ -158,5 +189,31 @@ mod tests {
         assert_eq!(c.max_blocks_per_sm, 8);
         assert_eq!(c.warp_issue_cycles(), 4);
         assert_eq!(c.transaction_words(), 16);
+        assert_eq!(c.check_shape(), Ok(()));
+    }
+
+    #[test]
+    fn shapes_the_shift_arithmetic_cannot_bill_are_rejected() {
+        let bad = |c: DeviceConfig| matches!(c.check_shape(), Err(SimError::LaunchConfig(_)));
+        for warp_size in [0, 1, 24, 48, 64] {
+            assert!(bad(DeviceConfig {
+                warp_size,
+                ..DeviceConfig::gts512()
+            }));
+        }
+        for transaction_bytes in [0, 2, 48, 96] {
+            assert!(bad(DeviceConfig {
+                transaction_bytes,
+                ..DeviceConfig::gts512()
+            }));
+        }
+        for (warp_size, transaction_bytes) in [(2, 4), (16, 32), (32, 128)] {
+            let c = DeviceConfig {
+                warp_size,
+                transaction_bytes,
+                ..DeviceConfig::gts512()
+            };
+            assert_eq!(c.check_shape(), Ok(()));
+        }
     }
 }

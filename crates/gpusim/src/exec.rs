@@ -30,7 +30,7 @@ use streamir::ir::{
     interp, ArrayId, BinOp, ElemTy, Expr, LocalId, Scalar, Stmt, UnOp, WorkFunction,
 };
 
-use crate::layout::{AffineRun, BufferBinding, WarpAccess, WARP_LANES};
+use crate::layout::{AffineRun, BufferBinding, WarpAccess, WarpGeometry, WARP_LANES};
 use crate::mem::{bank_conflict_degree, count_transactions, DeviceMemory};
 use crate::stats::InstanceStats;
 use crate::{Result, SimError};
@@ -43,9 +43,6 @@ const TRANSCENDENTAL_ISSUE: u64 = 4;
 /// file; larger ones live in (coalesced, per-thread-interleaved) local
 /// memory, like nvcc places them.
 pub const REG_ARRAY_WORDS: u32 = 16;
-
-/// Shared-memory banks on the modeled device.
-pub const SHARED_BANKS: u64 = 16;
 
 /// One register (or per-lane counter, or scratch-array element) across
 /// the warp: raw 32-bit values, lane-indexed.
@@ -168,8 +165,6 @@ pub(crate) struct Program {
     arrays_in_local_memory: bool,
     /// Every table's contents as raw bits, back to back.
     table_words: Vec<u32>,
-    inputs: usize,
-    outputs: usize,
 }
 
 struct Decoder<'a> {
@@ -228,8 +223,6 @@ impl Program {
                 .iter()
                 .flat_map(|t| t.values.iter().map(|v| v.to_bits()))
                 .collect(),
-            inputs: wf.input_ports().len(),
-            outputs: wf.output_ports().len(),
         }
     }
 }
@@ -497,14 +490,34 @@ pub(crate) struct WarpCtx<'a> {
 pub(crate) struct WarpState {
     regs: Vec<Lanes>,
     arrays: Vec<Lanes>,
-    /// Tokens each lane has popped (pushed) so far, per port.
-    pops: Vec<PortCounts>,
-    pushes: Vec<PortCounts>,
+    /// Per input (output) port: its geometry and the tokens each lane
+    /// has popped (pushed) so far.
+    pops: Vec<PortState>,
+    pushes: Vec<PortState>,
     /// The channel access being executed; each one refills it.
     access: WarpAccess,
 }
 
 impl WarpState {
+    /// Points the ports at an instance's bindings, for its first warp.
+    pub(crate) fn bind(&mut self, inputs: &[BufferBinding], outputs: &[BufferBinding]) {
+        for (v, bindings) in [(&mut self.pops, inputs), (&mut self.pushes, outputs)] {
+            v.clear();
+            v.extend(bindings.iter().map(|b| PortState {
+                geometry: b.geometry(0),
+                counts: PortCounts::ZERO,
+            }));
+        }
+    }
+
+    /// Moves every port on to the instance's next warp, `lanes` threads
+    /// further.
+    pub(crate) fn next_warp(&mut self, lanes: u32) {
+        for port in self.pops.iter_mut().chain(&mut self.pushes) {
+            port.geometry.next_warp(lanes);
+        }
+    }
+
     fn reset(&mut self, prog: &Program) {
         for (v, len) in [
             (&mut self.regs, prog.regs),
@@ -513,14 +526,17 @@ impl WarpState {
             v.clear();
             v.resize(len, [0; WARP_LANES]);
         }
-        for (v, len) in [
-            (&mut self.pops, prog.inputs),
-            (&mut self.pushes, prog.outputs),
-        ] {
-            v.clear();
-            v.resize(len, PortCounts::ZERO);
+        for port in self.pops.iter_mut().chain(&mut self.pushes) {
+            port.counts = PortCounts::ZERO;
         }
     }
+}
+
+/// One port of the warp: where its lanes' tokens live, and how far each
+/// lane has got.
+struct PortState {
+    geometry: WarpGeometry,
+    counts: PortCounts,
 }
 
 /// Tokens each lane has moved through one port so far.
@@ -793,13 +809,14 @@ impl Exec<'_> {
     /// tripped launch never writes the word it reports.
     ///
     /// Lane `l` touches token ordinal `counts[l]` (`+ depth[l]` for a
-    /// peek) of its firing. The addresses come in runs when the warp
-    /// agrees on the ordinal, one lane at a time from
-    /// [`BufferBinding::addr`] when it does not — inside a divergent arm,
-    /// where the lanes of the other arm are ahead or behind.
+    /// peek) of its firing. The addresses come in runs from the port's
+    /// [`WarpGeometry`] when the warp agrees on the ordinal, one lane at a
+    /// time from [`BufferBinding::addr`] when it does not — inside a
+    /// divergent arm, where the lanes of the other arm are ahead or
+    /// behind.
     fn channel_access(&mut self, port: Port, mask: Mask, depth: Option<Reg>) {
         let st = &mut *self.st;
-        let (binding, counts) = match port {
+        let (binding, PortState { geometry, counts }) = match port {
             Port::In(p) => (&self.ctx.inputs[p], &st.pops[p]),
             Port::Out(p) => (&self.ctx.outputs[p], &st.pushes[p]),
         };
@@ -807,7 +824,7 @@ impl Exec<'_> {
         let (tid0, first) = (self.ctx.lane0_tid, mask.trailing_zeros() as usize);
         let ordinal = |l: usize| u64::from(counts.lanes[l]) + depth.map_or(0, |d| u64::from(d[l]));
         if counts.agree && depth.is_none_or(|d| lanes(mask).all(|l| d[l] == d[first])) {
-            binding.warp_access(tid0, ordinal(first), mask, &mut st.access);
+            geometry.access(ordinal(first), mask, &mut st.access);
         } else {
             st.access.clear();
             for l in lanes(mask) {
@@ -824,7 +841,7 @@ impl Exec<'_> {
         let access = &self.st.access;
         if self.ctx.shared_staging {
             self.stats.shared_accesses += 1;
-            self.stats.bank_conflict_passes += bank_conflict_degree(access, SHARED_BANKS);
+            self.stats.bank_conflict_passes += bank_conflict_degree(access);
         } else {
             self.stats.mem_access_insts += 1;
             self.stats.mem_transactions +=
@@ -1010,7 +1027,7 @@ impl Exec<'_> {
                         None => self.mem.check_run(run)?,
                     }
                 }
-                st.pops[p].advance(mask, self.all);
+                st.pops[p].counts.advance(mask, self.all);
             }
             DStmt::Push { port, value } => {
                 let v = self.eval(value, mask)?;
@@ -1022,7 +1039,7 @@ impl Exec<'_> {
                     self.mem
                         .write_run(run, &st.regs[v as usize][run.lane_range()])?;
                 }
-                st.pushes[p].advance(mask, self.all);
+                st.pushes[p].counts.advance(mask, self.all);
             }
             DStmt::For { var, lo, hi, body } => {
                 for i in *lo..*hi {

@@ -5,7 +5,7 @@ use streamir::ir::WorkFunction;
 use crate::config::DeviceConfig;
 use crate::exec::{run_warp, ExecLimits, Program, TripKind, WarpCtx, WarpState};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::layout::{BufferBinding, WARP_LANES};
+use crate::layout::BufferBinding;
 use crate::mem::{Allocator, DeviceMemory};
 use crate::stats::{InstanceStats, LaunchStats};
 use crate::timing::TimingModel;
@@ -379,12 +379,7 @@ impl Gpu {
 
     fn validate(&self, launch: &Launch<'_>) -> Result<()> {
         let cfg = &self.config;
-        if cfg.warp_size as usize > WARP_LANES {
-            return Err(SimError::LaunchConfig(format!(
-                "warp size {} exceeds the {WARP_LANES} lanes the simulator models",
-                cfg.warp_size
-            )));
-        }
+        cfg.check_shape()?;
         if launch.threads_per_block == 0 || launch.threads_per_block > cfg.max_threads_per_block {
             return Err(SimError::LaunchConfig(format!(
                 "threads per block {} outside 1..={}",
@@ -459,8 +454,12 @@ impl Gpu {
             ..InstanceStats::default()
         };
 
+        warp_state.bind(&inst.inputs, &inst.outputs);
         for w in 0..warps {
             let lane0 = w * warp;
+            if w > 0 {
+                warp_state.next_warp(warp);
+            }
             let active = warp.min(inst.active_threads - lane0);
             let ctx = WarpCtx {
                 prog: &inst.kernel.program,

@@ -70,38 +70,6 @@ impl Layout {
             }
         }
     }
-
-    /// [`Layout::slot`] of `idx`, and how the slots go on as `idx`
-    /// advances by `rate` per lane: `(slot, stride, lanes)`, where the
-    /// next `lanes` lanes (at least 1) sit at `slot + i·stride`. The run
-    /// ends where a lane would leave the region, the partial tail or a
-    /// transposed chunk, or where a token position inside a firing
-    /// carries into the next firing.
-    fn run(self, idx: u64, rate: u64, consumer_rate: u32, region_tokens: u64) -> (u64, u64, u64) {
-        // How many lanes, stepping `step` from `at`, stay below `end`.
-        let below = |at: u64, end: u64, step: u64| match step {
-            0 => u64::MAX,
-            _ => (end - at).div_ceil(step),
-        };
-        let natural = (idx, rate, below(idx, region_tokens, rate));
-        match self {
-            Layout::Sequential => natural,
-            Layout::Transposed { group } => {
-                let (g, o) = (u64::from(group), u64::from(consumer_rate.max(1)));
-                let f_full = region_tokens / o;
-                let firing = idx / o;
-                if firing >= f_full {
-                    return natural;
-                }
-                let (k, chunk, in_chunk) = (idx % o, firing / g, firing % g);
-                let width = g.min(f_full - chunk * g);
-                let (step_firings, step_k) = (rate / o, rate % o);
-                let lanes = below(k, o, step_k).min(below(in_chunk, width, step_firings));
-                let slot = chunk * g * o + k * width + in_chunk;
-                (slot, step_k * width + step_firings, lanes)
-            }
-        }
-    }
 }
 
 /// Lanes of a warp on every modeled device; active-lane masks are `u32`.
@@ -288,53 +256,56 @@ impl BufferBinding {
         u64::from(self.base_word) + region * self.region_tokens + offset
     }
 
+    /// The ordinal-independent half of [`BufferBinding::addr`] for the
+    /// warp whose lane 0 is thread `tid0`: what every access of that warp
+    /// through this binding shares.
+    #[must_use]
+    pub fn geometry(&self, tid0: u32) -> WarpGeometry {
+        let rt = self.region_tokens;
+        let (o, group, f_full) = match self.layout {
+            Layout::Sequential => (1, 1, 0),
+            Layout::Transposed { group } => {
+                let o = u64::from(self.consumer_rate.max(1));
+                (o, u64::from(group), rt / o)
+            }
+        };
+        let rate = u64::from(self.endpoint_rate);
+        let mut geometry = WarpGeometry {
+            base: u64::from(self.base_word),
+            region_tokens: rt,
+            regions: u64::from(self.regions),
+            rate,
+            group,
+            o,
+            f_full,
+            tail_start: f_full * o,
+            step_firings: rate / o,
+            step_k: rate % o,
+            lane0: Cursor::default(),
+        };
+        let j = self.abs_start + u64::from(tid0) * rate;
+        geometry.lane0 = geometry.cursor((j / rt) % geometry.regions, j % rt);
+        geometry
+    }
+
     /// The addresses of lanes `lanes`, lane `l` touching token `n` of the
-    /// firing of thread `tid0 + l`, as [`AffineRun`]s, lanes ascending.
-    ///
-    /// This is the bulk form of [`BufferBinding::addr`], which stays the
-    /// definition: the divisions happen once per run, and a run ends only
-    /// where a lane crosses a region, chunk or partial-tail boundary or a
-    /// token position carries into the next firing ([`Layout`]).
+    /// firing of thread `tid0 + l`, as [`AffineRun`]s, lanes ascending:
+    /// [`WarpGeometry::runs`] of `self.geometry(tid0)`.
     pub fn runs(
         &self,
         tid0: u32,
         lanes: std::ops::Range<u32>,
         n: u64,
-    ) -> impl Iterator<Item = AffineRun> + '_ {
-        let (rate, rt) = (u64::from(self.endpoint_rate), self.region_tokens);
-        let regions = u64::from(self.regions);
-        let j = self.abs_start + u64::from(tid0 + lanes.start) * rate + n;
-        let (mut region, mut idx) = ((j / rt) % regions, j % rt);
-        let mut lane = lanes.start;
-        std::iter::from_fn(move || {
-            (lane < lanes.end).then(|| {
-                let (slot, stride, fit) = self.layout.run(idx, rate, self.consumer_rate, rt);
-                let run = AffineRun {
-                    lane,
-                    lanes: fit.min(u64::from(lanes.end - lane)) as u32,
-                    addr: u64::from(self.base_word) + region * rt + slot,
-                    stride,
-                };
-                lane += run.lanes;
-                idx += u64::from(run.lanes) * rate;
-                region = (region + idx / rt) % regions;
-                idx %= rt;
-                run
-            })
-        })
+    ) -> impl Iterator<Item = AffineRun> {
+        self.geometry(tid0).runs(lanes, n)
     }
 
     /// Refills `out` with one warp-wide access in which every lane of
     /// `mask` touches the same token ordinal `n` of its own firing: lane
-    /// `l` at `self.addr(lane0_tid + l, n)`.
+    /// `l` at `self.addr(lane0_tid + l, n)`. [`WarpGeometry::access`] of
+    /// `self.geometry(lane0_tid)`.
     pub fn warp_access(&self, lane0_tid: u32, n: u64, mask: u32, out: &mut WarpAccess) {
-        out.clear();
-        if mask != 0 {
-            let lanes = mask.trailing_zeros()..32 - mask.leading_zeros();
-            for run in self.runs(lane0_tid, lanes, n) {
-                out.push_masked(mask, run);
-            }
-        }
+        self.geometry(lane0_tid).access(n, mask, out);
     }
 
     /// Total words the buffer occupies (`regions × region_tokens`).
@@ -356,6 +327,179 @@ impl BufferBinding {
     #[must_use]
     pub fn span(&self) -> (u64, u64) {
         (u64::from(self.base_word), self.size_words())
+    }
+}
+
+/// One warp's view of a [`BufferBinding`]: the binding's constants and
+/// lane 0's logical index split into region, in-region index and (under
+/// the transposed layout) token, firing and chunk. Built once per port
+/// ([`BufferBinding::geometry`]) and stepped from warp to warp
+/// ([`WarpGeometry::next_warp`]), it resolves every ordinal of a warp
+/// with additions, compares and multiplies; it divides only where an
+/// access crosses a region, firing or chunk boundary.
+#[derive(Debug, Clone, Copy)]
+pub struct WarpGeometry {
+    base: u64,
+    region_tokens: u64,
+    regions: u64,
+    /// Tokens per firing of the endpoint: the logical step per lane.
+    rate: u64,
+    /// Transposition group `g` and consumer rate `o` (1 and 1 under the
+    /// sequential layout).
+    group: u64,
+    o: u64,
+    /// Complete firings per region, and the in-region index where the
+    /// naturally ordered partial tail starts (0: all of it, sequential).
+    f_full: u64,
+    tail_start: u64,
+    /// `rate / o` and `rate % o`: how a lane step moves the firing and
+    /// the token inside it.
+    step_firings: u64,
+    step_k: u64,
+    lane0: Cursor,
+}
+
+/// A logical index, resolved as far as [`WarpGeometry::run`] needs it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    region: u64,
+    /// Device word address of the region's first word.
+    region_base: u64,
+    /// Index inside the region.
+    idx: u64,
+    /// Below `tail_start` only: the token inside the firing, the firing
+    /// inside its chunk, the chunk's width in firings and its first slot.
+    k: u64,
+    in_chunk: u64,
+    width: u64,
+    chunk_base: u64,
+}
+
+/// How many of `want` lanes, stepping `step` from `at` (below `end`),
+/// stay below `end`.
+fn fit(at: u64, end: u64, step: u64, want: u64) -> u64 {
+    if want.checked_mul(step).is_some_and(|span| span <= end - at) {
+        want
+    } else {
+        (end - at).div_ceil(step)
+    }
+}
+
+impl WarpGeometry {
+    /// Resolves in-region index `idx` of `region`, dividing.
+    fn cursor(&self, region: u64, idx: u64) -> Cursor {
+        let mut at = Cursor {
+            region,
+            region_base: self.base + region * self.region_tokens,
+            idx,
+            ..Cursor::default()
+        };
+        if idx < self.tail_start {
+            let (firing, g) = (idx / self.o, self.group);
+            let chunk = firing / g;
+            at.k = idx % self.o;
+            at.in_chunk = firing % g;
+            at.width = g.min(self.f_full - chunk * g);
+            at.chunk_base = chunk * g * self.o;
+        }
+        at
+    }
+
+    /// Moves `at` on by `lanes` lanes and `n` tokens. While it stays in
+    /// its region, firing and chunk that is additions and compares; a
+    /// region carry is one subtraction unless it skips a whole region.
+    fn advance(&self, at: &mut Cursor, lanes: u64, n: u64) {
+        let (rt, idx) = (self.region_tokens, at.idx + lanes * self.rate + n);
+        if idx >= rt {
+            let (carry, idx) = match idx - rt {
+                rest if rest < rt => (1, rest),
+                _ => (idx / rt, idx % rt),
+            };
+            let region = match at.region + carry {
+                r if r < self.regions => r,
+                r => r % self.regions,
+            };
+            *at = self.cursor(region, idx);
+        } else if idx < self.tail_start {
+            let k = at.k + lanes * self.step_k + n;
+            let in_chunk = at.in_chunk + lanes * self.step_firings;
+            if k < self.o && in_chunk < at.width {
+                (at.idx, at.k, at.in_chunk) = (idx, k, in_chunk);
+            } else {
+                *at = self.cursor(at.region, idx);
+            }
+        } else {
+            at.idx = idx;
+        }
+    }
+
+    /// The run starting at `at`, at most `want` lanes long: `(addr,
+    /// stride, lanes)`. It ends where a lane would leave the region, the
+    /// partial tail or a transposed chunk, or where the token position
+    /// inside a firing carries into the next firing.
+    fn run(&self, at: &Cursor, want: u64) -> (u64, u64, u64) {
+        if at.idx >= self.tail_start {
+            let lanes = fit(at.idx, self.region_tokens, self.rate, want);
+            return (at.region_base + at.idx, self.rate, lanes);
+        }
+        let lanes = fit(at.k, self.o, self.step_k, want).min(fit(
+            at.in_chunk,
+            at.width,
+            self.step_firings,
+            want,
+        ));
+        let slot = at.chunk_base + at.k * at.width + at.in_chunk;
+        let stride = self.step_k * at.width + self.step_firings;
+        (at.region_base + slot, stride, lanes)
+    }
+
+    /// Moves the geometry on to the warp whose lane 0 is `lanes` threads
+    /// further: what [`BufferBinding::geometry`] of that thread returns,
+    /// dividing only where lane 0 crosses a region, firing or chunk.
+    pub fn next_warp(&mut self, lanes: u32) {
+        let mut lane0 = self.lane0;
+        self.advance(&mut lane0, u64::from(lanes), 0);
+        self.lane0 = lane0;
+    }
+
+    /// The addresses of lanes `lanes`, lane `l` touching token `n` of its
+    /// firing, as [`AffineRun`]s, lanes ascending.
+    ///
+    /// This is the bulk form of [`BufferBinding::addr`], which stays the
+    /// definition: a run ends only where a lane crosses a region, chunk
+    /// or partial-tail boundary or a token position carries into the
+    /// next firing ([`Layout`]).
+    pub fn runs(self, lanes: std::ops::Range<u32>, n: u64) -> impl Iterator<Item = AffineRun> {
+        let mut at = self.lane0;
+        self.advance(&mut at, u64::from(lanes.start), n);
+        let mut lane = lanes.start;
+        std::iter::from_fn(move || {
+            (lane < lanes.end).then(|| {
+                let (addr, stride, fit) = self.run(&at, u64::from(lanes.end - lane));
+                let run = AffineRun {
+                    lane,
+                    lanes: fit as u32,
+                    addr,
+                    stride,
+                };
+                lane += run.lanes;
+                if lane < lanes.end {
+                    self.advance(&mut at, fit, 0);
+                }
+                run
+            })
+        })
+    }
+
+    /// Refills `out` with one warp-wide access in which every lane of
+    /// `mask` touches token ordinal `n` of its own firing.
+    pub fn access(&self, n: u64, mask: u32, out: &mut WarpAccess) {
+        out.clear();
+        if mask != 0 {
+            for run in self.runs(mask.trailing_zeros()..32 - mask.leading_zeros(), n) {
+                out.push_masked(mask, run);
+            }
+        }
     }
 }
 
@@ -550,10 +694,14 @@ mod tests {
         // Every way a run can end in the wrong place: chunk and region
         // boundaries inside a warp, partial tails, producer and consumer
         // disagreeing on the rate (a carry into the next firing), a lane
-        // step longer than a region, and sparse masks.
+        // step longer than a region, chunk widths that do not divide the
+        // firings (group 6), peeks past the firing and sparse masks. As
+        // the simulator does, one geometry per port is stepped from warp
+        // to warp and reused for every ordinal of a warp.
         let layouts = [
             Layout::Sequential,
             Layout::Transposed { group: 4 },
+            Layout::Transposed { group: 6 },
             Layout::Transposed { group: 128 },
         ];
         let mut access = WarpAccess::default();
@@ -565,6 +713,7 @@ mod tests {
                 (96, 2, 5),
                 (64, 1, 0),  // a port only ever peeked
                 (10, 3, 24), // one lane step spans regions
+                (40, 4, 4),  // regions crossed mid-warp
             ] {
                 for regions in [1u32, 3] {
                     for abs_start in [0u64, 17, 3 * region_tokens + 5] {
@@ -577,10 +726,17 @@ mod tests {
                             endpoint_rate,
                             abs_start,
                         };
-                        for lane0 in [0u32, 32, 96] {
-                            for n in [0u64, 1, 5, 40] {
-                                for mask in [u32::MAX, 0x0000_ffff, 0x7fff_ffff, 1, 0xaaaa_0000] {
-                                    b.warp_access(lane0, n, mask, &mut access);
+                        // Four warps from thread 0 (even lane 0s) and four
+                        // from thread 7 (odd ones).
+                        let mut geometries = [b.geometry(0), b.geometry(7)];
+                        for lane0 in [0u32, 7, 32, 39, 64, 71, 96, 103] {
+                            let geometry = &mut geometries[lane0 as usize % 2];
+                            if lane0 >= 32 {
+                                geometry.next_warp(32);
+                            }
+                            for n in (0..=9).chain([13, 24, 40, 95]) {
+                                for mask in [u32::MAX, 0x0000_ffff, 0x7fff_fffe, 1, 0xaaaa_0000] {
+                                    geometry.access(n, mask, &mut access);
                                     let got: Vec<_> = access.pairs().collect();
                                     let want: Vec<_> = (0..32)
                                         .filter(|l| mask & (1 << l) != 0)

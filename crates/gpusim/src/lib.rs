@@ -81,12 +81,13 @@ mod timing;
 pub mod occupancy;
 
 pub use config::{Device, DeviceConfig, DeviceId};
-pub use exec::{REG_ARRAY_WORDS, SHARED_BANKS};
+pub use exec::REG_ARRAY_WORDS;
 pub use fault::{DeviceFaultEvent, DeviceFaultKind, DeviceFaultPlan, FaultKind, FaultPlan};
 pub use launch::{BlockWork, Dispatch, Gpu, InstanceExec, Kernel, Launch};
-pub use layout::{AffineRun, BufferBinding, Layout, WarpAccess, WARP_LANES};
+pub use layout::{AffineRun, BufferBinding, Layout, WarpAccess, WarpGeometry, WARP_LANES};
 pub use mem::{
     bank_conflict_degree, count_transactions, half_warps, Allocator, DeviceMemory, HalfWarp,
+    SHARED_BANKS,
 };
 pub use stats::{InstanceStats, LaunchStats};
 pub use timing::{CheckpointMode, TimingModel};

@@ -2,7 +2,7 @@
 
 use streamir::ir::{ElemTy, Scalar};
 
-use crate::layout::{lane_bits, AffineRun, WARP_LANES};
+use crate::layout::{lane_bits, AffineRun};
 use crate::{Result, SimError};
 
 /// The simulated global device memory: a flat array of 32-bit words.
@@ -119,11 +119,15 @@ impl DeviceMemory {
         let (good, fault) = self.in_range(run);
         if good > 0 {
             let (dst, words) = (&mut dst[..good], &self.words[run.addr as usize..]);
-            match run.stride {
+            match run.stride as usize {
                 0 => dst.fill(words[0]),
                 1 => dst.copy_from_slice(&words[..good]),
-                s => (dst.iter_mut().zip(words.iter().step_by(s as usize)))
-                    .for_each(|(d, w)| *d = *w),
+                s => {
+                    let words = &words[..=(good - 1) * s];
+                    for (i, d) in dst.iter_mut().enumerate() {
+                        *d = words[i * s];
+                    }
+                }
             }
         }
         fault.map_or(Ok(()), Err)
@@ -140,10 +144,15 @@ impl DeviceMemory {
         let (good, fault) = self.in_range(run);
         if good > 0 {
             let (src, words) = (&src[..good], &mut self.words[run.addr as usize..]);
-            match run.stride {
+            match run.stride as usize {
                 0 => words[0] = src[good - 1],
                 1 => words[..good].copy_from_slice(src),
-                s => (words.iter_mut().step_by(s as usize).zip(src)).for_each(|(w, v)| *w = *v),
+                s => {
+                    let words = &mut words[..=(good - 1) * s];
+                    for (i, &v) in src.iter().enumerate() {
+                        words[i * s] = v;
+                    }
+                }
             }
         }
         fault.map_or(Ok(()), Err)
@@ -247,20 +256,26 @@ impl HalfWarp {
 /// Each run is cut at half-warp boundaries; a piece is in pattern when it
 /// has one lane or stride 1, and a group when all its pieces are and
 /// imply the same `base`.
+///
+/// `half_warp` and `transaction_words` are powers of two
+/// ([`crate::DeviceConfig::check_shape`]): groups and alignment are
+/// shifts and masks.
 pub fn half_warps(
     runs: &[AffineRun],
     half_warp: u32,
     transaction_words: u64,
     mut f: impl FnMut(HalfWarp),
 ) {
+    debug_assert!(half_warp.is_power_of_two() && transaction_words.is_power_of_two());
+    let (shift, misaligned) = (half_warp.trailing_zeros(), transaction_words - 1);
     // The group being assembled: its index, its `base`, its verdict.
     let mut open: Option<(u32, u64, HalfWarp)> = None;
     for run in runs {
         let (mut lane, end, mut addr) = (run.lane, run.lane + run.lanes, run.addr);
         while lane < end {
-            let group = lane / half_warp;
-            let lanes = end.min((group + 1) * half_warp) - lane;
-            let base = addr.wrapping_sub(u64::from(lane % half_warp));
+            let group = lane >> shift;
+            let lanes = end.min((group + 1) << shift) - lane;
+            let base = addr.wrapping_sub(u64::from(lane & (half_warp - 1)));
             let affine = lanes == 1 || run.stride == 1;
             match &mut open {
                 Some((g, b, verdict)) if *g == group => {
@@ -274,7 +289,7 @@ pub fn half_warps(
                     let verdict = HalfWarp {
                         mask: lane_bits(lane, lanes),
                         in_pattern: affine,
-                        aligned: base % transaction_words == 0,
+                        aligned: base & misaligned == 0,
                     };
                     open = Some((group, base, verdict));
                 }
@@ -299,36 +314,37 @@ pub fn count_transactions(runs: &[AffineRun], half_warp: u32, transaction_words:
     total
 }
 
+/// Shared-memory banks on the modeled device.
+pub const SHARED_BANKS: u64 = 16;
+
 /// Counts extra serialization cycles from shared-memory bank conflicts for
 /// one warp-wide access: accesses proceed in as many passes as the most
-/// contended of the 16 banks, so the overhead is `passes - 1`.
+/// contended of the [`SHARED_BANKS`] banks, so the overhead is
+/// `passes - 1`.
 ///
-/// A run with stride `s` visits `banks / gcd(s, banks)` distinct banks in
-/// a cycle, so each bank's hits follow from the lane that first hits it.
-///
-/// # Panics
-///
-/// Panics if `banks` exceeds [`WARP_LANES`]: the tally lives on the
-/// stack, and no modeled device has more banks than lanes.
+/// A run of stride `s` cycles through `c = 16 >> min(tz(s), 4)` banks
+/// (one when `s` is a multiple of 16), so of its `lanes` lanes the `i`-th
+/// bank of the cycle takes `⌊lanes / c⌋ + (i < lanes mod c)`, and a lone
+/// run's degree is `⌈lanes / c⌉ − 1`.
 #[must_use]
-pub fn bank_conflict_degree(runs: &[AffineRun], banks: u64) -> u64 {
-    let mut counts = [0u64; WARP_LANES];
-    let counts = &mut counts[..banks as usize];
+pub fn bank_conflict_degree(runs: &[AffineRun]) -> u64 {
+    const BANK_BITS: u32 = SHARED_BANKS.trailing_zeros();
+    // log2 of the run's bank cycle.
+    let cycle_bits = |run: &AffineRun| BANK_BITS - run.stride.trailing_zeros().min(BANK_BITS);
+    if let [run] = runs {
+        let bits = cycle_bits(run);
+        return ((u64::from(run.lanes) + (1 << bits) - 1) >> bits).saturating_sub(1);
+    }
+    let mut counts = [0u64; SHARED_BANKS as usize];
     for run in runs {
-        let lanes = u64::from(run.lanes);
-        let cycle = banks / gcd(run.stride % banks, banks);
-        for i in 0..cycle.min(lanes) {
-            counts[((run.addr + i * run.stride) % banks) as usize] += (lanes - i).div_ceil(cycle);
+        let (bits, lanes) = (cycle_bits(run), u64::from(run.lanes));
+        let (laps, rest) = (lanes >> bits, lanes & ((1 << bits) - 1));
+        for i in 0..lanes.min(1 << bits) {
+            let bank = (run.addr + i * run.stride) & (SHARED_BANKS - 1);
+            counts[bank as usize] += laps + u64::from(i < rest);
         }
     }
     counts.iter().max().map_or(0, |&m| m.saturating_sub(1))
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while a != 0 {
-        (a, b) = (b % a, a);
-    }
-    b
 }
 
 #[cfg(test)]
@@ -403,9 +419,9 @@ mod tests {
     #[test]
     fn bank_conflicts_counted() {
         // All 16 lanes hit bank 0: 15 extra passes.
-        assert_eq!(bank_conflict_degree(&run(0, 16, 0, 16), 16), 15);
+        assert_eq!(bank_conflict_degree(&run(0, 16, 0, 16)), 15);
         // Conflict-free: consecutive words.
-        assert_eq!(bank_conflict_degree(&run(0, 16, 0, 1), 16), 0);
+        assert_eq!(bank_conflict_degree(&run(0, 16, 0, 1)), 0);
     }
 
     /// The per-lane coalescing rule the run form replaced, kept as the
@@ -434,46 +450,46 @@ mod tests {
     }
 
     /// The per-lane bank tally the run form replaced, kept as the oracle.
-    fn pair_bank_conflicts(addrs: &[(u32, u64)], banks: u64) -> u64 {
-        let mut counts = [0u64; WARP_LANES];
+    fn pair_bank_conflicts(addrs: &[(u32, u64)]) -> u64 {
+        let mut counts = [0u64; SHARED_BANKS as usize];
         for &(_, addr) in addrs {
-            counts[(addr % banks) as usize] += 1;
+            counts[(addr % SHARED_BANKS) as usize] += 1;
         }
         counts.iter().max().map_or(0, |&m| m.saturating_sub(1))
     }
 
     #[test]
     fn run_rules_equal_the_pair_rules() {
-        // Every stride up to 40, every length, every alignment mod 16,
-        // runs ending at either edge of the warp, sparse masks, and a
-        // second run continuing elsewhere (a region wrap).
+        // Every stride up to 64, every length, every alignment mod 16,
+        // runs ending at either edge of the warp, sparse masks, and no
+        // second run, a contiguous one continuing elsewhere (a region
+        // wrap) or one of another stride.
         let mut access = WarpAccess::default();
-        for stride in 0..=40u64 {
+        for stride in 0..=64u64 {
             for lanes in 1..=32u32 {
                 for align in 0..16u64 {
                     for lane in [0, 32 - lanes] {
                         for mask in [u32::MAX, 0xaaaa_aaaa, 0x0f0f_ff01, 0x8000_0001] {
-                            for wrap in [false, true] {
+                            for tail_stride in [None, Some(1), Some((stride * 7 + align) % 65)] {
                                 access.clear();
                                 let addr = 1024 + align;
                                 let head = run(lane, lanes, addr, stride)[0];
                                 access.push_masked(mask, head);
                                 let end = lane + lanes;
-                                if wrap && end < 32 {
-                                    let tail = run(end, 32 - end, 4096 + align / 2, 1)[0];
+                                if let Some(s) = tail_stride.filter(|_| end < 32) {
+                                    let tail = run(end, 32 - end, 4096 + align / 2, s)[0];
                                     access.push_masked(mask, tail);
                                 }
                                 let pairs: Vec<_> = access.pairs().collect();
-                                let case = format!("{access:?}");
                                 assert_eq!(
                                     count_transactions(&access, 16, 16),
                                     pair_transactions(&pairs, 16, 16),
-                                    "{case}"
+                                    "{access:?}"
                                 );
                                 assert_eq!(
-                                    bank_conflict_degree(&access, 16),
-                                    pair_bank_conflicts(&pairs, 16),
-                                    "{case}"
+                                    bank_conflict_degree(&access),
+                                    pair_bank_conflicts(&pairs),
+                                    "{access:?}"
                                 );
                             }
                         }
