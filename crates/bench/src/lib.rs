@@ -21,8 +21,8 @@ use swpipe::profile::ProfileOptions;
 
 /// Harness options honoring the scale environment variables:
 /// `SWP_BENCH_FAST=1` for a minimal grid (CI / integration tests),
-/// `SWP_BENCH_FULL=1` for the paper's complete profiling grid (what
-/// EXPERIMENTS.md reports), and the scaled paper setup otherwise.
+/// `SWP_BENCH_FULL=1` for the paper's complete profiling grid, and the
+/// scaled paper setup (what EXPERIMENTS.md reports) otherwise.
 #[must_use]
 pub fn options_from_env() -> HarnessOptions {
     let fast = std::env::var("SWP_BENCH_FAST").is_ok_and(|v| v != "0");

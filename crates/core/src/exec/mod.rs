@@ -397,6 +397,32 @@ pub(crate) fn scheme_shape(scheme: Scheme) -> (u32, LayoutKind) {
     }
 }
 
+/// Rejects an `iterations`-long run of `c` that `scheme` cannot issue:
+/// one that is not a whole number of the scheme's granules, or a
+/// coarsened one of a graph whose iterations must stay serial. The
+/// executor and the static verifier share it.
+pub(crate) fn check_iterations(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<()> {
+    let granule = scheme_shape(scheme).0;
+    if iterations == 0 || !iterations.is_multiple_of(u64::from(granule)) {
+        return Err(Error::Api(format!(
+            "iterations ({iterations}) must be a positive multiple of the \
+             coarsening/batch factor ({granule})"
+        )));
+    }
+    if granule > 1
+        && !matches!(scheme, Scheme::Serial { .. })
+        && instances::requires_serial_iterations(&c.graph)
+    {
+        return Err(Error::Api(
+            "stateful filters and feedback loops cannot be coarsened: \
+             sub-firing interleaving would break their cross-iteration \
+             serial order (run with coarsening 1)"
+                .into(),
+        ));
+    }
+    Ok(())
+}
+
 /// What every instance of one node launches with.
 #[derive(Debug)]
 struct NodeLaunch {
@@ -690,22 +716,9 @@ impl Prepared {
         scaled: bool,
         opts: &RunOptions,
     ) -> Result<GpuRun> {
+        check_iterations(c, self.scheme, iterations)?;
         let (granule, kind) = scheme_shape(self.scheme);
         let serial = matches!(self.walk, Walk::Serial { .. });
-        if iterations == 0 || !iterations.is_multiple_of(u64::from(granule)) {
-            return Err(Error::Api(format!(
-                "iterations ({iterations}) must be a positive multiple of the \
-                 coarsening/batch factor ({granule})"
-            )));
-        }
-        if granule > 1 && !serial && instances::requires_serial_iterations(&c.graph) {
-            return Err(Error::Api(
-                "stateful filters and feedback loops cannot be coarsened: \
-                 sub-firing interleaving would break their cross-iteration \
-                 serial order (run with coarsening 1)"
-                    .into(),
-            ));
-        }
         // k-launch checkpointing only matters (and is only billed) under an
         // armed fault plan; scaled measurement extrapolates merged steady
         // launches, so it always commits per launch over canonical buffers.

@@ -144,7 +144,7 @@ mod tests {
                 let x = f.local(ElemTy::I32);
                 f.pop_into(0, x);
                 f.push(0, Expr::local(x));
-                StreamSpec::filter(FilterSpec::new(&format!("s{i}"), f.build().unwrap()))
+                StreamSpec::filter(FilterSpec::new(format!("s{i}"), f.build().unwrap()))
             })
             .collect();
         let g = StreamSpec::pipeline(stages).flatten().unwrap();

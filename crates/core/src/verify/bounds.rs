@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn shrunken_rotation_is_rejected() {
         let (g, ig, sched, mut p) = fixture();
-        p.edges[0].regions = p.edges[0].regions.saturating_sub(1).max(0);
+        p.edges[0].regions = p.edges[0].regions.saturating_sub(1);
         let diags = check_plan(&g, &ig, Some(&sched), &p);
         assert!(
             diags.iter().any(|d| d.code == Code::BufferUnderCapacity),

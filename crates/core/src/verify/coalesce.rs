@@ -3,16 +3,16 @@
 //! counters without executing a single token.
 //!
 //! The analysis walks the exact launch sequence the executor builds
-//! ([`crate::exec`]'s `swp_blocks` / `serial_blocks` — the same
-//! functions, not a re-implementation) and, per warp of each instance,
-//! abstractly interprets the work function through the shared
-//! interpreter in [`super::absint`] (also the engine behind the
-//! tenant-isolation prover). Channel addresses are evaluated through
-//! each warp's [`gpusim::WarpGeometry`] — the same lowering the simulator
-//! executes — and classified with the [`half_warps`] verdicts
-//! [`gpusim::count_transactions`] sums and with [`bank_conflict_degree`]
-//! — the same analyzers the simulator bills with. Billing only depends on values through `if` conditions and
-//! peek depths, so whenever those fold the prediction is *exact*: the
+//! (`Prepared::for_each_instance` — the same function, not a
+//! re-implementation) and, per warp of each instance, walks the kernel's
+//! decoded program abstractly ([`gpusim::InstanceExec::analyze`], also
+//! the engine behind the tenant-isolation prover). Channel addresses are
+//! evaluated through each warp's [`gpusim::WarpGeometry`] — the same
+//! lowering the simulator executes — and classified with the
+//! [`half_warps`] verdicts [`gpusim::count_transactions`] sums and with
+//! [`bank_conflict_degree`] — the same analyzers the simulator bills
+//! with. Billing only depends on values through `if` conditions and peek
+//! depths, so whenever those fold the prediction is *exact*: the
 //! predicted counters equal the dynamic [`gpusim::LaunchStats`]
 //! bit-for-bit, and a cross-check test keeps the two from silently
 //! diverging.
@@ -38,19 +38,18 @@
 use std::collections::BTreeSet;
 
 use gpusim::{
-    bank_conflict_degree, half_warps, AffineRun, BufferBinding, Gpu, InstanceExec, LaunchStats,
-    Layout, WarpAccess,
+    bank_conflict_degree, half_warps, AbstractWarp, AccessSink, AffineRun, BufferBinding, Channel,
+    Gpu, InstanceExec, Kernel, LaunchStats, Layout, WarpAccess,
 };
 use streamir::graph::NodeId;
 use streamir::ir::{AccessKind, AccessSite};
 
 use crate::codegen;
-use crate::exec::{scheme_shape, Compiled, Prepared, Scheme};
-use crate::instances;
+use crate::exec::{check_iterations, Compiled, Prepared, Scheme};
 use crate::plan::BufferPlan;
-use crate::verify::absint::{self, AccessSink, Port, SiteMap, WarpCtx};
+use crate::verify::analyze_launches;
 use crate::verify::diag::{Code, Diagnostic};
-use crate::{Error, Result};
+use crate::Result;
 
 /// The device-memory and shared-memory counters the analysis predicts —
 /// the subset of [`LaunchStats`] that is a pure function of addresses.
@@ -140,6 +139,8 @@ pub struct Prediction {
 struct Acc {
     counters: StaticCounters,
     exact: bool,
+    /// The node whose instance is being walked.
+    node: u32,
     /// Per node, per site ordinal: the site's tally once it has one.
     tallies: Vec<Vec<Option<SiteTally>>>,
     varying_branch: BTreeSet<u32>,
@@ -153,70 +154,67 @@ fn tally(tallies: &mut [Vec<Option<SiteTally>>], node: u32, ord: u32) -> &mut Si
 }
 
 impl AccessSink for Acc {
-    fn channel(&mut self, ctx: &WarpCtx<'_>, port: Port<'_>, pos: u64, ord: u32) {
-        ctx.lane_access(port.geometry, pos, &mut self.access);
-        let transposed = matches!(port.binding.layout, Layout::Transposed { .. });
-        if ctx.inst.shared_staging {
+    fn channel(&mut self, warp: &AbstractWarp<'_>, access: &Channel<'_>) {
+        warp.addresses(access, &mut self.access);
+        let t = tally(&mut self.tallies, self.node, access.site);
+        t.transposed |= matches!(access.binding.layout, Layout::Transposed { .. });
+        if warp.inst.shared_staging {
             let passes = bank_conflict_degree(&self.access);
             self.counters.shared_accesses += 1;
             self.counters.bank_conflict_passes += passes;
-            let t = tally(&mut self.tallies, ctx.node, ord);
-            t.transposed |= transposed;
             t.shared_accesses += 1;
             t.bank_conflict_passes += passes;
         } else {
-            let t = tally(&mut self.tallies, ctx.node, ord);
             let txns = classify_groups(
                 &self.access,
-                port.binding,
-                pos,
-                ctx.lane0,
-                ctx.half_warp,
-                ctx.txn_words,
+                access.binding,
+                access.pos,
+                warp.lane0,
+                warp.half_warp,
+                warp.txn_words,
                 t,
             );
             self.counters.mem_access_insts += 1;
             self.counters.mem_transactions += txns;
-            t.transposed |= transposed;
             t.accesses += 1;
             t.transactions += txns;
         }
     }
 
-    fn stale_peek(&mut self, ctx: &WarpCtx<'_>) {
-        // An empty peek slot: one access instruction, zero transactions.
-        if ctx.inst.shared_staging {
-            self.counters.shared_accesses += 1;
+    fn stale_peeks(&mut self, warp: &AbstractWarp<'_>, n: u32) {
+        // Empty peek slots: an access instruction each, zero transactions.
+        if warp.inst.shared_staging {
+            self.counters.shared_accesses += u64::from(n);
         } else {
-            self.counters.mem_access_insts += 1;
+            self.counters.mem_access_insts += u64::from(n);
         }
     }
 
-    fn state(&mut self, _ctx: &WarpCtx<'_>, _store: bool) {
+    fn state(&mut self) {
         // State lives in device memory: one lane, one line, billed to
         // the device counters even under staging.
         self.counters.mem_access_insts += 1;
         self.counters.mem_transactions += 1;
     }
 
-    fn local_array(&mut self, _ctx: &WarpCtx<'_>) {
+    fn local_array(&mut self) {
         self.counters.mem_access_insts += 1;
         self.counters.mem_transactions += 2;
     }
 
-    fn varying_depth(&mut self, ctx: &WarpCtx<'_>, ord: u32) {
+    fn varying_depth(&mut self, _warp: &AbstractWarp<'_>, site: u32) {
         self.exact = false;
-        tally(&mut self.tallies, ctx.node, ord).varying_depth = true;
+        tally(&mut self.tallies, self.node, site).varying_depth = true;
     }
 
-    fn varying_branch(&mut self, ctx: &WarpCtx<'_>) {
+    fn varying_branch(&mut self) {
         // Which lanes take which arm is unknown; the counters are
         // approximate from here on.
         self.exact = false;
-        self.varying_branch.insert(ctx.node);
+        self.varying_branch.insert(self.node);
     }
 
-    fn staging_copy(&mut self, _inst: &InstanceExec<'_>, _node: u32, steps: u64) {
+    fn staging_copy(&mut self, _inst: &InstanceExec<'_>, steps: u64) {
         self.counters.mem_access_insts += steps;
         self.counters.mem_transactions += steps * 2;
     }
@@ -309,46 +307,25 @@ fn predict_prepared(
 ) -> Result<Prediction> {
     // The half-warp verdicts assume the shape the simulator checks.
     c.device.check_shape()?;
-    let scheme = prepared.scheme();
-    let (granule, _) = scheme_shape(scheme);
-    if iterations == 0 || !iterations.is_multiple_of(u64::from(granule)) {
-        return Err(Error::Api(format!(
-            "iterations ({iterations}) must be a positive multiple of the \
-             coarsening/batch factor ({granule})"
-        )));
-    }
-    if granule > 1
-        && !matches!(scheme, Scheme::Serial { .. })
-        && instances::requires_serial_iterations(&c.graph)
-    {
-        return Err(Error::Api(
-            "stateful filters and feedback loops cannot be coarsened".into(),
-        ));
-    }
+    check_iterations(c, prepared.scheme(), iterations)?;
     // A fresh device makes codegen's allocation deterministic, so the
     // analyzed bindings are address-identical to the executed ones.
     let mut gpu = Gpu::with_timing(c.device.clone(), c.timing.clone());
     let buffers = codegen::allocate(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, plan, iterations)?;
 
-    let site_maps: Vec<SiteMap> = (prepared.kernels())
-        .map(|k| absint::build_site_map(k.work()))
-        .collect();
+    let kernels: Vec<&Kernel> = prepared.kernels().collect();
     let mut acc = Acc {
         counters: StaticCounters::default(),
         exact: true,
-        tallies: (site_maps.iter())
-            .map(|m| vec![None; m.sites.len()])
+        node: 0,
+        tallies: (kernels.iter())
+            .map(|k| vec![None; k.sites().len()])
             .collect(),
         varying_branch: BTreeSet::new(),
         access: WarpAccess::default(),
     };
-    let launches = prepared.launch_count(c, iterations);
-    for ordinal in 0..launches {
-        prepared.for_each_instance(c, &buffers, ordinal, iterations, |_, node, inst| {
-            let sm = &site_maps[node.0 as usize];
-            absint::analyze_instance(&inst, node.0, &c.device, sm, &mut acc);
-        });
-    }
+    let at_node = |acc: &mut Acc, node| acc.node = node;
+    let launches = analyze_launches(c, prepared, &buffers, iterations, &mut acc, at_node);
 
     let mut diagnostics = Vec::new();
     let mut sites = Vec::new();
@@ -358,7 +335,7 @@ fn predict_prepared(
     });
     for (node, ord, t) in tallies {
         let name = c.graph.nodes()[node as usize].name.clone();
-        let site = site_maps[node as usize].sites[ord];
+        let site = kernels[node as usize].sites()[ord];
         let locate = |d: Diagnostic| {
             let d = d.at_filter(&name, node).at_site(site);
             match edge_of(c, node, site) {

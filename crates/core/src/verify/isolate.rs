@@ -13,8 +13,8 @@
 //!    [`crate::codegen::allocate`]'s deterministic bump allocation plus
 //!    the checkpointer's shadow buffers, so it is the *actual* address
 //!    layout, not a model of one.
-//! 2. **Abstract interpretation** — the same per-warp walker the
-//!    coalescing analysis uses ([`super::absint`]) replays every launch
+//! 2. **Abstract interpretation** — the same per-warp walk the coalescing
+//!    analysis uses ([`gpusim::InstanceExec::analyze`]) replays every launch
 //!    the executor would issue; at every access event the binding's
 //!    whole address span ([`gpusim::BufferBinding::span`]) is checked
 //!    against the region its access site owns. Span containment is an
@@ -39,17 +39,16 @@
 
 use std::collections::BTreeSet;
 
-use gpusim::{BufferBinding, Gpu, InstanceExec, WarpAccess};
+use gpusim::{AbstractWarp, AccessSink, BufferBinding, Channel, Gpu, InstanceExec, WarpAccess};
 use serde::Serialize;
 use streamir::graph::{EdgeId, NodeId};
 use streamir::ir::AccessKind;
 
 use crate::codegen::{self, ProgramBuffers};
-use crate::exec::{scheme_shape, Compiled, Prepared, Scheme};
+use crate::exec::{check_iterations, scheme_shape, Compiled, Prepared, Scheme};
 use crate::hash::Fnv;
-use crate::instances;
 use crate::plan::{self, BufferPlan};
-use crate::verify::absint::{self, AccessSink, Port, SiteMap, WarpCtx};
+use crate::verify::analyze_launches;
 use crate::verify::diag::{Code, Diagnostic, Severity};
 use crate::{Error, Result};
 
@@ -283,7 +282,8 @@ pub fn check_ship_targets(map: &RegionMap, targets: &[(u64, u64)]) -> Vec<Diagno
 /// ownership map, deduplicating findings per `(node, site, code)`.
 struct TaintSink<'a> {
     map: &'a RegionMap,
-    site_maps: &'a [SiteMap],
+    /// The node whose instance is being walked.
+    node: u32,
     in_owners: &'a [Vec<RegionOwner>],
     out_owners: &'a [Vec<RegionOwner>],
     names: &'a [String],
@@ -294,91 +294,81 @@ struct TaintSink<'a> {
 }
 
 impl TaintSink<'_> {
-    fn owner_of(&self, node: u32, kind: AccessKind, port: u8) -> RegionOwner {
-        match kind {
-            AccessKind::Pop | AccessKind::Peek => self.in_owners[node as usize][port as usize],
-            AccessKind::Push => self.out_owners[node as usize][port as usize],
-        }
+    fn owner_of(&self, kind: AccessKind, port: u8) -> RegionOwner {
+        let owners = match kind {
+            AccessKind::Pop | AccessKind::Peek => self.in_owners,
+            AccessKind::Push => self.out_owners,
+        };
+        owners[self.node as usize][port as usize]
     }
 
-    fn flag(&mut self, node: u32, site: String, d: Diagnostic) {
+    fn flag(&mut self, site: String, d: Diagnostic) {
+        let node = self.node;
         if self.seen.insert((node, site.clone(), d.code.code())) {
             let d = d.at_filter(&self.names[node as usize], node).at_site(site);
             self.diagnostics.push(d);
         }
     }
-
-    fn check(&mut self, node: u32, site: String, binding: &BufferBinding, owner: RegionOwner) {
-        if let Some(d) = check_binding(self.map, binding, owner) {
-            self.flag(node, site, d);
-        }
-    }
 }
 
 impl AccessSink for TaintSink<'_> {
-    fn channel(&mut self, ctx: &WarpCtx<'_>, port: Port<'_>, pos: u64, ord: u32) {
-        let site = self.site_maps[ctx.node as usize].sites[ord as usize];
-        let owner = self.owner_of(ctx.node, site.kind, site.port);
+    fn channel(&mut self, warp: &AbstractWarp<'_>, access: &Channel<'_>) {
+        let owner = self.owner_of(access.kind, access.port);
+        let site = || warp.inst.kernel.sites()[access.site as usize];
         self.accesses_checked += 1;
-        if let Some(d) = check_binding(self.map, port.binding, owner) {
-            self.flag(ctx.node, site.to_string(), d);
+        if let Some(d) = check_binding(self.map, access.binding, owner) {
+            self.flag(site().to_string(), d);
         } else if let Some(r) = self.map.region_of(owner) {
             // Per-access spot check: every concrete lane address of this
             // walked access must land where the span theorem says.
             debug_assert!(
                 {
-                    let mut access = WarpAccess::default();
-                    ctx.lane_access(port.geometry, pos, &mut access);
-                    (access.iter())
+                    let mut lanes = WarpAccess::default();
+                    warp.addresses(access, &mut lanes);
+                    (lanes.iter())
                         .all(|run| run.addr >= r.base && run.last_addr() < r.base + r.words)
                 },
-                "span theorem violated at {site} of node {}",
-                ctx.node
+                "span theorem violated at {} of node {}",
+                site(),
+                self.node
             );
         }
     }
 
-    fn stale_peek(&mut self, _ctx: &WarpCtx<'_>) {
+    fn stale_peeks(&mut self, _warp: &AbstractWarp<'_>, _n: u32) {
         // An empty peek slot touches no address.
     }
 
-    fn state(&mut self, ctx: &WarpCtx<'_>, _store: bool) {
+    fn state(&mut self) {
         self.accesses_checked += 1;
-        if self.map.region_of(RegionOwner::State(ctx.node)).is_none() {
-            self.flag(
-                ctx.node,
-                "state".into(),
-                Diagnostic::new(
-                    Code::IsolationEscape,
-                    format!(
-                        "state words of filter #{} have no region in the tenant arena",
-                        ctx.node
-                    ),
-                ),
+        if self.map.region_of(RegionOwner::State(self.node)).is_none() {
+            let msg = format!(
+                "state words of filter #{} have no region in the tenant arena",
+                self.node
             );
+            self.flag("state".into(), Diagnostic::new(Code::IsolationEscape, msg));
         }
     }
 
-    fn local_array(&mut self, _ctx: &WarpCtx<'_>) {
+    fn local_array(&mut self) {
         // Per-thread local-memory scratch: interleaved in a dedicated
         // address space the binding math never reaches; not part of the
         // tenant arena.
     }
 
-    fn varying_depth(&mut self, ctx: &WarpCtx<'_>, ord: u32) {
+    fn varying_depth(&mut self, warp: &AbstractWarp<'_>, site: u32) {
         // The depth is data-dependent, so no concrete address witnesses
         // the access — but the binding's span bounds every address it
         // *can* produce. Contained span: provable anyway (inexactly).
         // Uncontained span: report the un-witnessable escape as its own
         // code rather than pointing at a fabricated address.
         self.exact = false;
-        let site = self.site_maps[ctx.node as usize].sites[ord as usize];
-        let owner = self.owner_of(ctx.node, site.kind, site.port);
-        let binding = &ctx.inst.inputs[site.port as usize];
+        let site = warp.inst.kernel.sites()[site as usize];
+        let owner = self.owner_of(site.kind, site.port);
+        let binding = &warp.inst.inputs[site.port as usize];
         self.accesses_checked += 1;
         if check_binding(self.map, binding, owner).is_some() {
             self.flag(
-                ctx.node,
                 site.to_string(),
                 Diagnostic::new(
                     Code::UnprovableTenantAccess,
@@ -392,23 +382,26 @@ impl AccessSink for TaintSink<'_> {
         }
     }
 
-    fn varying_branch(&mut self, _ctx: &WarpCtx<'_>) {
+    fn varying_branch(&mut self) {
         // Both arms are walked: the checked access set is a superset of
         // any dynamic execution's, so divergence never hides an access.
     }
 
-    fn staging_copy(&mut self, inst: &InstanceExec<'_>, node: u32, steps: u64) {
+    fn staging_copy(&mut self, inst: &InstanceExec<'_>, steps: u64) {
         // The staged bulk copy touches device memory through the same
         // bindings the (shared-memory) sites use; check them here, where
         // the device traffic actually happens.
         self.accesses_checked += steps;
-        for (p, b) in inst.inputs.iter().enumerate() {
-            let owner = self.in_owners[node as usize][p];
-            self.check(node, format!("staging[in{p}]"), b, owner);
-        }
-        for (p, b) in inst.outputs.iter().enumerate() {
-            let owner = self.out_owners[node as usize][p];
-            self.check(node, format!("staging[out{p}]"), b, owner);
+        let ports = [
+            (AccessKind::Pop, "in", &inst.inputs),
+            (AccessKind::Push, "out", &inst.outputs),
+        ];
+        for (kind, dir, bindings) in ports {
+            for (p, b) in bindings.iter().enumerate() {
+                if let Some(d) = check_binding(self.map, b, self.owner_of(kind, p as u8)) {
+                    self.flag(format!("staging[{dir}{p}]"), d);
+                }
+            }
         }
     }
 }
@@ -506,33 +499,15 @@ fn arena(c: &Compiled, plan: &BufferPlan, iterations: u64) -> Result<Arena> {
 ///
 /// The same shape errors as [`prove`].
 pub fn region_map(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<RegionMap> {
+    check_iterations(c, scheme, iterations)?;
     let (granule, kind) = scheme_shape(scheme);
     let sched = match scheme {
         Scheme::Serial { .. } => None,
         _ => Some(&c.schedule),
     };
-    validate_shape(c, scheme, granule, iterations)?;
     let plan = plan::plan(&c.graph, &c.ig, sched, granule, kind);
     let (_, map, _) = arena(c, &plan, iterations)?;
     Ok(map)
-}
-
-fn validate_shape(c: &Compiled, scheme: Scheme, granule: u32, iterations: u64) -> Result<()> {
-    if iterations == 0 || !iterations.is_multiple_of(u64::from(granule)) {
-        return Err(Error::Api(format!(
-            "iterations ({iterations}) must be a positive multiple of the \
-             coarsening/batch factor ({granule})"
-        )));
-    }
-    if granule > 1
-        && !matches!(scheme, Scheme::Serial { .. })
-        && instances::requires_serial_iterations(&c.graph)
-    {
-        return Err(Error::Api(
-            "stateful filters and feedback loops cannot be coarsened".into(),
-        ));
-    }
-    Ok(())
 }
 
 /// Proves tenant isolation of `(c, scheme)` over the canonical buffer
@@ -569,14 +544,9 @@ fn prove_prepared(
     iterations: u64,
     plan: &BufferPlan,
 ) -> Result<Isolation> {
-    let scheme = prepared.scheme();
-    let (granule, _) = scheme_shape(scheme);
-    validate_shape(c, scheme, granule, iterations)?;
+    check_iterations(c, prepared.scheme(), iterations)?;
     let (buffers, map, targets) = arena(c, plan, iterations)?;
 
-    let site_maps: Vec<SiteMap> = (prepared.kernels())
-        .map(|k| absint::build_site_map(k.work()))
-        .collect();
     let names: Vec<String> = c.graph.nodes().iter().map(|n| n.name.clone()).collect();
     let owners = |wiring: Vec<Option<EdgeId>>, external: RegionOwner| -> Vec<RegionOwner> {
         let owner = |e: Option<EdgeId>| e.map_or(external, |e| RegionOwner::Channel(e.0));
@@ -592,7 +562,7 @@ fn prove_prepared(
 
     let mut sink = TaintSink {
         map: &map,
-        site_maps: &site_maps,
+        node: 0,
         in_owners: &in_owners,
         out_owners: &out_owners,
         names: &names,
@@ -601,13 +571,8 @@ fn prove_prepared(
         accesses_checked: 0,
         exact: true,
     };
-    let launches = prepared.launch_count(c, iterations);
-    for ordinal in 0..launches {
-        prepared.for_each_instance(c, &buffers, ordinal, iterations, |_, node, inst| {
-            let sm = &site_maps[node.0 as usize];
-            absint::analyze_instance(&inst, node.0, &c.device, sm, &mut sink);
-        });
-    }
+    let at_node = |sink: &mut TaintSink<'_>, node| sink.node = node;
+    let launches = analyze_launches(c, prepared, &buffers, iterations, &mut sink, at_node);
     let mut diagnostics = sink.diagnostics;
     let accesses_checked = sink.accesses_checked;
     let exact = sink.exact;

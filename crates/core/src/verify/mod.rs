@@ -15,9 +15,9 @@
 //!   the simulator's memory counters exactly and classifying every
 //!   uncoalesced access site (`V02xx`).
 //! * [`isolate`] — tenant-isolation proof: the same abstract warp
-//!   interpretation (shared via [`absint`]), but checking that every
-//!   resolved address stays inside the region its access site owns,
-//!   under every placement the partitioner may assign (`V04xx`).
+//!   interpretation, but checking that every resolved address stays
+//!   inside the region its access site owns, under every placement the
+//!   partitioner may assign (`V04xx`).
 //!   Successful proofs are stamped into an
 //!   [`isolate::IsolationCertificate`] that serving re-verifies cheaply
 //!   instead of re-running the proof.
@@ -30,11 +30,15 @@
 //!   re-derived from channel geometry rather than trusted from the
 //!   emitter (`V05xx`).
 //!
+//! The abstract interpretation is `gpusim`'s own
+//! ([`gpusim::InstanceExec::analyze`]): a second walk over the decoded
+//! program the simulator executes. The coalescing and isolation analyses
+//! are its [`gpusim::AccessSink`]s, fed by [`analyze_launches`].
+//!
 //! The predicted counters are cross-checked against the simulator's
 //! dynamic counters in the test suite and by the `verify-all` binary, so
 //! the static model and the simulator can never silently diverge.
 
-pub(crate) mod absint;
 pub mod bounds;
 pub mod coalesce;
 pub mod deps;
@@ -49,7 +53,10 @@ pub use diag::{max_severity, passes, Code, Diagnostic, Severity};
 pub use events::check_capture;
 pub use isolate::{prove, verify_certificate, Isolation, IsolationCertificate};
 
-use crate::exec::{scheme_shape, Compiled, Scheme};
+use gpusim::AccessSink;
+
+use crate::codegen::ProgramBuffers;
+use crate::exec::{scheme_shape, Compiled, Prepared, Scheme};
 use crate::plan;
 use crate::Result;
 
@@ -123,4 +130,26 @@ pub fn verify(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<Verificat
         diagnostics,
         prediction,
     })
+}
+
+/// Walks every instance of every launch an `iterations`-long run of
+/// `prepared` issues over `buffers` abstractly into `sink` — the launches
+/// the executor enumerates, through the same function — telling it each
+/// instance's node first. Returns the number of launches.
+pub(crate) fn analyze_launches<S: AccessSink>(
+    c: &Compiled,
+    prepared: &Prepared,
+    buffers: &ProgramBuffers,
+    iterations: u64,
+    sink: &mut S,
+    at_node: fn(&mut S, u32),
+) -> u64 {
+    let launches = prepared.launch_count(c, iterations);
+    for ordinal in 0..launches {
+        prepared.for_each_instance(c, buffers, ordinal, iterations, |_, node, inst| {
+            at_node(sink, node.0);
+            inst.analyze(&c.device, sink);
+        });
+    }
+    launches
 }

@@ -1,0 +1,468 @@
+//! The abstract warp walk: a second interpretation of the decoded
+//! [`Program`] the simulator executes.
+//!
+//! The static verifier predicts the simulator's memory counters and proves
+//! tenant containment without executing a token. Both analyses walk every
+//! warp of every instance through the kernel's decoded ops and statements
+//! — the ones [`crate::exec`] runs, with the same site numbering, the same
+//! peek counts and the same stale-peek rule — over a two-point domain per
+//! register ([`AbsVal`]), and resolve every channel access through the
+//! warp's [`WarpGeometry`] for the port. An [`AccessSink`] receives every
+//! address-relevant event in the order the simulator bills it; the
+//! analyses differ only in their sink.
+//!
+//! Billing and addressing depend on values only through `if` conditions,
+//! array and table indices and peek depths, so the domain is tiny:
+//! constants fold with the simulator's own bit-level operators on one
+//! lane, and what folding cannot decide (a popped value, a trap) is
+//! varying. Where a static walk must, it departs from execution: a
+//! data-dependent `if` walks both arms, and a statement the simulator
+//! would trap on ([`DStmt::Invalid`]) emits nothing. It has no masks, no
+//! traps and no watchdog, so it is a separate walk over shared data rather
+//! than a generic interpreter both would branch inside.
+
+use streamir::ir::{AccessKind, BinOp, ElemTy};
+
+use crate::config::DeviceConfig;
+use crate::exec::{binary, int_div, stale_peeks, unary, DExpr, DStmt, Op, Program, Reg};
+use crate::launch::{staging_steps, InstanceExec};
+use crate::layout::{BufferBinding, WarpAccess, WarpGeometry};
+
+/// An abstract register: `Some(bits)` when every lane of the warp holds
+/// the same bits, `None` when they may differ.
+type AbsVal = Option<u32>;
+
+/// The value as a non-negative index, if every lane holds the same one.
+fn index(v: AbsVal) -> Option<usize> {
+    usize::try_from(v? as i32).ok()
+}
+
+/// One warp of an analyzed instance: what a sink needs to resolve an
+/// event's addresses.
+pub struct AbstractWarp<'a> {
+    /// The instance being walked.
+    pub inst: &'a InstanceExec<'a>,
+    /// Instance-local thread id of lane 0.
+    pub lane0: u32,
+    /// Active lanes in this warp (1..=32).
+    pub active: u32,
+    /// Half-warp size for coalescing.
+    pub half_warp: u32,
+    /// Words per transaction.
+    pub txn_words: u64,
+}
+
+impl AbstractWarp<'_> {
+    /// Refills `out` with the addresses of `access` in every active lane.
+    pub fn addresses(&self, access: &Channel<'_>, out: &mut WarpAccess) {
+        access
+            .geometry
+            .access(access.pos, u32::MAX >> (32 - self.active), out);
+    }
+}
+
+/// One warp-wide channel access at a token position all lanes share.
+pub struct Channel<'a> {
+    /// What the access does, and the input (pop, peek) or output (push)
+    /// port it goes through.
+    pub kind: AccessKind,
+    pub port: u8,
+    /// The access site: an index into [`crate::Kernel::sites`].
+    pub site: u32,
+    /// The token position every lane has reached, peek depth included.
+    pub pos: u64,
+    /// The port's binding, and the warp's geometry for it.
+    pub binding: &'a BufferBinding,
+    pub geometry: &'a WarpGeometry,
+}
+
+/// Receiver of every address-relevant event of an abstract walk, in the
+/// order the simulator bills them. The sink decides what an event means
+/// (tally transactions, check containment); the walk decides when events
+/// happen.
+pub trait AccessSink {
+    /// One warp-wide channel access.
+    fn channel(&mut self, warp: &AbstractWarp<'_>, access: &Channel<'_>);
+    /// `n` stale peek slots one evaluation re-bills: an access
+    /// instruction each, with no address.
+    fn stale_peeks(&mut self, warp: &AbstractWarp<'_>, n: u32);
+    /// One single-lane state-word load or store. State lives in device
+    /// memory even under staging.
+    fn state(&mut self);
+    /// One warp-wide local-memory scratch-array access (always coalesced:
+    /// per-thread interleaved).
+    fn local_array(&mut self);
+    /// A data-dependent peek depth at `site`: the access's address cannot
+    /// be resolved statically.
+    fn varying_depth(&mut self, warp: &AbstractWarp<'_>, site: u32);
+    /// A data-dependent branch; the walk takes both arms next, as the
+    /// simulator issues both under divergence.
+    fn varying_branch(&mut self);
+    /// The staged instance's coalesced bulk copy: `steps` warp-wide steps
+    /// covering the window in and the pushes out. Called once per staged
+    /// instance, after all its warps.
+    fn staging_copy(&mut self, inst: &InstanceExec<'_>, steps: u64);
+}
+
+/// One warp's abstract state, reused from warp to warp.
+struct Walk<'a, S> {
+    warp: AbstractWarp<'a>,
+    prog: &'a Program,
+    regs: Vec<AbsVal>,
+    arrays: Vec<AbsVal>,
+    /// Per input (output) port: the warp's geometry, and the tokens every
+    /// lane has popped (pushed).
+    ins: Vec<(WarpGeometry, u64)>,
+    outs: Vec<(WarpGeometry, u64)>,
+    /// The warp's peek-slot high-water mark ([`stale_peeks`]).
+    peek_slots: u32,
+    sink: &'a mut S,
+}
+
+impl InstanceExec<'_> {
+    /// Walks every warp of this instance abstractly into `sink`, then the
+    /// staging copy the simulator bills a staged instance.
+    pub fn analyze(&self, device: &DeviceConfig, sink: &mut impl AccessSink) {
+        let (warp, prog) = (device.warp_size, &self.kernel.program);
+        let ports =
+            |bindings: &[BufferBinding]| bindings.iter().map(|b| (b.geometry(0), 0)).collect();
+        let mut walk = Walk {
+            warp: AbstractWarp {
+                inst: self,
+                lane0: 0,
+                active: 0,
+                half_warp: warp / 2,
+                txn_words: u64::from(device.transaction_words()),
+            },
+            prog,
+            regs: Vec::new(),
+            arrays: Vec::new(),
+            ins: ports(&self.inputs),
+            outs: ports(&self.outputs),
+            peek_slots: 0,
+            sink,
+        };
+        for lane0 in (0..self.active_threads).step_by(warp as usize) {
+            if lane0 > 0 {
+                for (geometry, _) in walk.ins.iter_mut().chain(&mut walk.outs) {
+                    geometry.next_warp(warp);
+                }
+            }
+            walk.reset(lane0, warp.min(self.active_threads - lane0));
+            walk.block(&prog.body);
+        }
+        if self.shared_staging {
+            walk.sink.staging_copy(self, staging_steps(self, warp));
+        }
+    }
+}
+
+impl<S: AccessSink> Walk<'_, S> {
+    fn reset(&mut self, lane0: u32, active: u32) {
+        (self.warp.lane0, self.warp.active) = (lane0, active);
+        for (v, len) in [
+            (&mut self.regs, self.prog.regs),
+            (&mut self.arrays, self.prog.array_rows),
+        ] {
+            v.clear();
+            v.resize(len, Some(0));
+        }
+        for (_, tokens) in self.ins.iter_mut().chain(&mut self.outs) {
+            *tokens = 0;
+        }
+        self.peek_slots = 0;
+    }
+
+    /// One channel access at `ahead` tokens past the port's count.
+    fn channel(&mut self, kind: AccessKind, port: u8, site: u32, ahead: u64) {
+        let (inst, p) = (self.warp.inst, usize::from(port));
+        let ((geometry, tokens), binding) = match kind {
+            AccessKind::Push => (&self.outs[p], &inst.outputs[p]),
+            AccessKind::Pop | AccessKind::Peek => (&self.ins[p], &inst.inputs[p]),
+        };
+        let access = Channel {
+            kind,
+            port,
+            site,
+            pos: tokens + ahead,
+            binding,
+            geometry,
+        };
+        self.sink.channel(&self.warp, &access);
+    }
+
+    /// Evaluates `e`: its ops' events in order, then the stale peek slots.
+    fn eval(&mut self, e: &DExpr) -> AbsVal {
+        let prog = self.prog;
+        for op in &prog.ops[e.ops.start as usize..e.ops.end as usize] {
+            self.op(op);
+        }
+        let stale = stale_peeks(&mut self.peek_slots, e.peeks);
+        if stale > 0 {
+            self.sink.stale_peeks(&self.warp, stale);
+        }
+        self.regs[e.out as usize]
+    }
+
+    /// The constants in registers `a` and `b`, if both are uniform.
+    fn consts(&self, a: Reg, b: Reg) -> Option<(u32, u32)> {
+        Some((self.regs[a as usize]?, self.regs[b as usize]?))
+    }
+
+    fn op(&mut self, op: &Op) {
+        let (dst, v) = match *op {
+            Op::Const { dst, bits } => (dst, Some(bits)),
+            Op::Unary { op, ty, dst, a } => (
+                dst,
+                self.regs[a as usize].map(|x| {
+                    let mut lane = [[x], [0]];
+                    unary(&mut lane, 1, op, ty, 1, 0);
+                    lane[1][0]
+                }),
+            ),
+            Op::Binary {
+                op: op @ (BinOp::Div | BinOp::Rem),
+                ty: ElemTy::I32,
+                dst,
+                a,
+                b,
+            } => (
+                dst,
+                self.consts(a, b).and_then(|(x, y)| int_div(op, x, y).ok()),
+            ),
+            Op::Binary { op, ty, dst, a, b } => (
+                dst,
+                self.consts(a, b).map(|(x, y)| {
+                    let mut lane = [[x], [y], [0]];
+                    binary(&mut lane, 1, op, ty, 2, 0, 1);
+                    lane[2][0]
+                }),
+            ),
+            Op::Peek {
+                dst,
+                port,
+                depth,
+                site,
+            } => {
+                match index(self.regs[depth as usize]) {
+                    Some(d) => self.channel(AccessKind::Peek, port, site, d as u64),
+                    None => self.sink.varying_depth(&self.warp, site),
+                }
+                (dst, None)
+            }
+            Op::LoadArr {
+                dst,
+                ref rows,
+                index: i,
+            } => {
+                if self.prog.arrays_in_local_memory {
+                    self.sink.local_array();
+                }
+                let row = index(self.regs[i as usize]).filter(|&i| i < rows.len());
+                (dst, row.and_then(|i| self.arrays[rows.start as usize + i]))
+            }
+            Op::LoadTable {
+                dst,
+                ref words,
+                index: i,
+            } => {
+                let table = &self.prog.table_words[words.start as usize..words.end as usize];
+                (
+                    dst,
+                    index(self.regs[i as usize]).and_then(|i| table.get(i).copied()),
+                )
+            }
+            Op::LoadState { dst, .. } => {
+                self.sink.state();
+                (dst, None)
+            }
+        };
+        self.regs[dst as usize] = v;
+    }
+
+    fn block(&mut self, stmts: &[DStmt]) {
+        for s in stmts {
+            self.stmt(s);
+        }
+    }
+
+    fn stmt(&mut self, s: &DStmt) {
+        match s {
+            DStmt::Assign { dst, value } => self.regs[*dst as usize] = self.eval(value),
+            DStmt::StoreState { value, .. } => {
+                self.eval(value);
+                self.sink.state();
+            }
+            DStmt::Store {
+                rows,
+                index: i,
+                value,
+            } => {
+                let i = index(self.eval(i));
+                let v = self.eval(value);
+                if self.prog.arrays_in_local_memory {
+                    self.sink.local_array();
+                }
+                let cells = &mut self.arrays[rows.start as usize..rows.end as usize];
+                match i.filter(|&i| i < cells.len()) {
+                    Some(i) => cells[i] = v,
+                    // Unknown index: a weak update, every cell may change.
+                    None => cells.fill(None),
+                }
+            }
+            DStmt::Pop { port, dst, site } => {
+                self.channel(AccessKind::Pop, *port, *site, 0);
+                self.ins[usize::from(*port)].1 += 1;
+                if let Some(dst) = dst {
+                    self.regs[*dst as usize] = None;
+                }
+            }
+            DStmt::Push { port, value, site } => {
+                self.eval(value);
+                self.channel(AccessKind::Push, *port, *site, 0);
+                self.outs[usize::from(*port)].1 += 1;
+            }
+            DStmt::For { var, lo, hi, body } => {
+                for i in *lo..*hi {
+                    self.regs[*var as usize] = Some(i as u32);
+                    self.block(body);
+                }
+            }
+            DStmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => match self.eval(cond) {
+                Some(c) => self.block(if c != 0 { then_body } else { else_body }),
+                None => {
+                    self.sink.varying_branch();
+                    self.block(then_body);
+                    self.block(else_body);
+                }
+            },
+            // The simulator traps here: no access to report.
+            DStmt::Invalid(_) => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use streamir::ir::{access_sites, AccessSite, Expr, FnBuilder, WorkFunction};
+
+    use super::*;
+    use crate::{Kernel, Layout};
+
+    /// Records the site each channel event and unresolved peek names,
+    /// checking it against what the event does.
+    #[derive(Default)]
+    struct Sites {
+        named: Vec<AccessSite>,
+        varying_branches: u32,
+    }
+
+    impl AccessSink for Sites {
+        fn channel(&mut self, warp: &AbstractWarp<'_>, access: &Channel<'_>) {
+            let site = access_sites(warp.inst.kernel.work())[access.site as usize];
+            assert_eq!((site.kind, site.port), (access.kind, access.port));
+            self.named.push(site);
+        }
+        fn stale_peeks(&mut self, _: &AbstractWarp<'_>, _: u32) {}
+        fn state(&mut self) {}
+        fn local_array(&mut self) {}
+        fn varying_depth(&mut self, warp: &AbstractWarp<'_>, site: u32) {
+            let site = access_sites(warp.inst.kernel.work())[site as usize];
+            assert_eq!(site.kind, AccessKind::Peek);
+            self.named.push(site);
+        }
+        fn varying_branch(&mut self) {
+            self.varying_branches += 1;
+        }
+        fn staging_copy(&mut self, _: &InstanceExec<'_>, _: u64) {}
+    }
+
+    /// Walks one warp-wide instance of `wf` (one lane, when stateful) over
+    /// whole-buffer bindings.
+    fn walk(wf: &WorkFunction) -> Sites {
+        let kernel = Kernel::load(wf);
+        let binding = |rate: u32| {
+            let tokens = 1 << 16;
+            BufferBinding::whole(0, tokens, ElemTy::I32, Layout::Sequential, rate.max(1))
+        };
+        let inst = InstanceExec {
+            kernel: &kernel,
+            active_threads: if wf.is_stateful() { 1 } else { 32 },
+            inputs: (0..wf.input_ports().len() as u8)
+                .map(|p| binding(wf.pop_rate(p)))
+                .collect(),
+            outputs: (0..wf.output_ports().len() as u8)
+                .map(|p| binding(wf.push_rate(p)))
+                .collect(),
+            shared_staging: false,
+            state_base: Some(0),
+            label: None,
+        };
+        let mut sites = Sites::default();
+        inst.analyze(&DeviceConfig::small_test(), &mut sites);
+        sites
+    }
+
+    #[test]
+    fn decoded_sites_are_the_canonical_access_sites() {
+        let suite = streambench::suite()
+            .into_iter()
+            .map(|b| b.spec.flatten().unwrap());
+        let random =
+            (swpipe::learn::dataset::random_sources(6, 0x5eed).into_iter()).map(|s| s.graph);
+        let mut kernels = 0;
+        for graph in suite.chain(random) {
+            for node in graph.nodes() {
+                let sites = walk(&node.work).named;
+                // Every site is reached: the suite's control flow is
+                // data-independent and every arm is taken.
+                let mut unnamed = access_sites(&node.work);
+                unnamed.retain(|s| !sites.contains(s));
+                assert!(unnamed.is_empty(), "{}: {unnamed:?} never named", node.name);
+                kernels += 1;
+            }
+        }
+        assert!(kernels > 100, "{kernels}");
+    }
+
+    #[test]
+    fn an_undecodable_arm_emits_nothing_and_shifts_no_later_site() {
+        // The validator folds the condition by i64 intervals — 1 / 2^32 is
+        // 0, and 0 < 8 — and never type-checks the else arm. In i32 the
+        // divisor wraps to 0, so the walk's fold traps and it takes both
+        // arms; the else arm's push is ill-typed and decodes to
+        // `DStmt::Invalid`.
+        let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+        let x = f.local(ElemTy::I32);
+        f.pop_into(0, x);
+        let wrapped = Expr::i32(65536).mul(Expr::i32(65536));
+        f.if_else(
+            Expr::i32(1).div(wrapped).lt(Expr::i32(8)),
+            vec![streamir::ir::Stmt::Push {
+                port: 0,
+                value: Expr::local(x),
+            }],
+            vec![streamir::ir::Stmt::Push {
+                port: 0,
+                value: Expr::local(x).add(Expr::f32(1.0)),
+            }],
+        );
+        f.pop(0);
+        let wf = f.build().unwrap();
+        let program = &Kernel::load(&wf).program;
+        assert!(matches!(&program.body[1], DStmt::If { else_body, .. }
+            if matches!(else_body[..], [DStmt::Invalid(_)])));
+
+        let sites = walk(&wf);
+        assert_eq!(sites.varying_branches, 1);
+        let named: Vec<String> = sites.named.iter().map(ToString::to_string).collect();
+        // `push[out0]#1`, the invalid arm's, is never named; the later pop
+        // is still `pop[in0]#1`, site 3.
+        assert_eq!(named, ["pop[in0]#0", "push[out0]#0", "pop[in0]#1"]);
+        assert!(matches!(program.body[2], DStmt::Pop { site: 3, .. }));
+    }
+}

@@ -27,7 +27,8 @@
 use std::ops::Range;
 
 use streamir::ir::{
-    interp, ArrayId, BinOp, ElemTy, Expr, LocalId, Scalar, Stmt, UnOp, WorkFunction,
+    access_sites_in, interp, ArrayId, BinOp, ElemTy, Expr, LocalId, Scalar, Stmt, UnOp,
+    WorkFunction,
 };
 
 use crate::layout::{AffineRun, BufferBinding, WarpAccess, WarpGeometry, WARP_LANES};
@@ -49,14 +50,14 @@ pub const REG_ARRAY_WORDS: u32 = 16;
 type Lanes = [u32; WARP_LANES];
 
 /// Index into a warp's register file: locals first, then temporaries.
-type Reg = u32;
+pub(crate) type Reg = u32;
 
 type Mask = u32;
 
 /// One flat register op of a decoded expression. Operand types were
 /// resolved at decode time; `ty` is the *operand* type.
 #[derive(Debug)]
-enum Op {
+pub(crate) enum Op {
     Const {
         dst: Reg,
         bits: u32,
@@ -65,6 +66,7 @@ enum Op {
         dst: Reg,
         port: u8,
         depth: Reg,
+        site: u32,
     },
     LoadArr {
         dst: Reg,
@@ -98,9 +100,9 @@ enum Op {
 /// A decoded expression: a run of [`Program::ops`] leaving its value in
 /// `out`, and what one warp-wide evaluation bills besides its peeks.
 #[derive(Debug)]
-struct DExpr {
-    ops: Range<u32>,
-    out: Reg,
+pub(crate) struct DExpr {
+    pub(crate) ops: Range<u32>,
+    pub(crate) out: Reg,
     /// Issue slots of every node (literals, ALU and SFU ops, index and
     /// address arithmetic, state and local-array accesses).
     issue: u64,
@@ -109,11 +111,13 @@ struct DExpr {
     /// Their transactions (one line per state load, two per array access).
     transactions: u64,
     /// Peek sites: each bills one channel access when evaluated.
-    peeks: u32,
+    pub(crate) peeks: u32,
 }
 
+/// A decoded statement. `site` is the access site's index in
+/// [`streamir::ir::access_sites`] order.
 #[derive(Debug)]
-enum DStmt {
+pub(crate) enum DStmt {
     Assign {
         dst: Reg,
         value: DExpr,
@@ -130,10 +134,12 @@ enum DStmt {
     Pop {
         port: u8,
         dst: Option<Reg>,
+        site: u32,
     },
     Push {
         port: u8,
         value: DExpr,
+        site: u32,
     },
     For {
         var: Reg,
@@ -154,17 +160,17 @@ enum DStmt {
 /// A work function decoded for warp-wide execution.
 #[derive(Debug)]
 pub(crate) struct Program {
-    body: Vec<DStmt>,
-    ops: Vec<Op>,
+    pub(crate) body: Vec<DStmt>,
+    pub(crate) ops: Vec<Op>,
     /// Registers a warp needs: the locals plus the deepest temporary.
-    regs: usize,
+    pub(crate) regs: usize,
     /// Rows of per-lane scratch-array storage (one per array element).
-    array_rows: usize,
+    pub(crate) array_rows: usize,
     /// Scratch arrays exceed [`REG_ARRAY_WORDS`]: each access is also a
     /// local-memory access instruction.
-    arrays_in_local_memory: bool,
+    pub(crate) arrays_in_local_memory: bool,
     /// Every table's contents as raw bits, back to back.
-    table_words: Vec<u32>,
+    pub(crate) table_words: Vec<u32>,
 }
 
 struct Decoder<'a> {
@@ -174,6 +180,8 @@ struct Decoder<'a> {
     array_rows: Vec<Range<u32>>,
     table_words: Vec<Range<u32>>,
     arrays_in_local_memory: bool,
+    /// The next access site's index.
+    site: u32,
 }
 
 /// Why a statement could not be decoded (becomes [`DStmt::Invalid`]).
@@ -210,6 +218,7 @@ impl Program {
             array_rows,
             table_words,
             arrays_in_local_memory,
+            site: 0,
         };
         let body = d.block(wf.body());
         Program {
@@ -232,13 +241,21 @@ impl Decoder<'_> {
         stmts
             .iter()
             .map(|s| {
-                let mark = self.ops.len();
+                let (mark, site) = (self.ops.len(), self.site);
                 self.stmt(s).unwrap_or_else(|why| {
+                    // Later sites keep their index: skip this one's.
                     self.ops.truncate(mark);
+                    self.site = site + access_sites_in(std::slice::from_ref(s)).len() as u32;
                     DStmt::Invalid(why)
                 })
             })
             .collect()
+    }
+
+    /// Numbers the site being decoded.
+    fn next_site(&mut self) -> u32 {
+        self.site += 1;
+        self.site - 1
     }
 
     fn local(&self, l: LocalId) -> Decoded<(Reg, ElemTy)> {
@@ -283,15 +300,18 @@ impl Decoder<'_> {
                 DStmt::Pop {
                     port: *port,
                     dst: dst.map(|d| self.local(d).map(|(r, _)| r)).transpose()?,
+                    site: self.next_site(),
                 }
             }
             Stmt::Push { port, value } => {
                 if usize::from(*port) >= self.wf.output_ports().len() {
                     return Err(format!("undeclared output port {port}"));
                 }
+                let value = self.top(value, t0)?.0;
                 DStmt::Push {
                     port: *port,
-                    value: self.top(value, t0)?.0,
+                    value,
+                    site: self.next_site(),
                 }
             }
             Stmt::For { var, lo, hi, body } => DStmt::For {
@@ -368,6 +388,7 @@ impl Decoder<'_> {
                         dst: t,
                         port,
                         depth,
+                        site: self.next_site(),
                     },
                     ty,
                 )
@@ -583,12 +604,27 @@ struct Exec<'a> {
     n: usize,
     /// Those lanes as a mask: what `block` is entered with.
     all: Mask,
-    /// The most peek sites any one evaluation of this warp has gathered.
-    /// Known deviation (DESIGN.md §18): the gather slots are cleared, not
-    /// dropped, so every later evaluation re-bills the empty ones as
-    /// access instructions with no transactions. `verify::absint`
-    /// predicts the same.
+    /// The most peek sites any one evaluation of this warp has gathered
+    /// ([`stale_peeks`]).
     peek_slots: u32,
+}
+
+/// The stale-peek rule, a known deviation (DESIGN.md §18.5) that both
+/// walks bill by: a warp's peek gather slots are cleared, not dropped, so
+/// an evaluation of `peeks` sites re-bills the empty slots an earlier one
+/// left — one access instruction each, with no transactions. `slots` is
+/// the warp's high-water mark; returns the stale slots.
+pub(crate) fn stale_peeks(slots: &mut u32, peeks: u32) -> u32 {
+    let stale = slots.saturating_sub(peeks);
+    *slots = (*slots).max(peeks);
+    stale
+}
+
+/// Integer `Div` or `Rem` on raw bits: the reference interpreter's own
+/// scalar op, for its trap.
+pub(crate) fn int_div(op: BinOp, a: u32, b: u32) -> streamir::Result<u32> {
+    let (x, y) = (Scalar::I32(a as i32), Scalar::I32(b as i32));
+    interp::eval_binary(op, x, y).map(Scalar::to_bits)
 }
 
 fn trap(msg: impl Into<String>) -> SimError {
@@ -695,7 +731,7 @@ pub(crate) fn run_warp(
 
 /// `dst[l] = f(a[l])` over the first `n` lanes.
 #[inline(always)]
-fn map1(regs: &mut [Lanes], n: usize, dst: Reg, a: Reg, f: impl Fn(u32) -> u32) {
+fn map1<const L: usize>(regs: &mut [[u32; L]], n: usize, dst: Reg, a: Reg, f: impl Fn(u32) -> u32) {
     let a = regs[a as usize];
     for (d, &a) in regs[dst as usize][..n].iter_mut().zip(&a[..n]) {
         *d = f(a);
@@ -704,7 +740,14 @@ fn map1(regs: &mut [Lanes], n: usize, dst: Reg, a: Reg, f: impl Fn(u32) -> u32) 
 
 /// `dst[l] = f(a[l], b[l])` over the first `n` lanes.
 #[inline(always)]
-fn map2(regs: &mut [Lanes], n: usize, dst: Reg, a: Reg, b: Reg, f: impl Fn(u32, u32) -> u32) {
+fn map2<const L: usize>(
+    regs: &mut [[u32; L]],
+    n: usize,
+    dst: Reg,
+    a: Reg,
+    b: Reg,
+    f: impl Fn(u32, u32) -> u32,
+) {
     let (a, b) = (regs[a as usize], regs[b as usize]);
     let d = &mut regs[dst as usize][..n];
     for ((d, &a), &b) in d.iter_mut().zip(&a[..n]).zip(&b[..n]) {
@@ -717,8 +760,16 @@ fn float(bits: u32) -> f32 {
     f32::from_bits(bits)
 }
 
-/// Scalar semantics are `streamir::ir::interp::eval_unary`'s, on raw bits.
-fn unary(regs: &mut [Lanes], n: usize, op: UnOp, ty: ElemTy, dst: Reg, a: Reg) {
+/// Scalar semantics are `streamir::ir::interp::eval_unary`'s, on raw bits,
+/// over registers of `L` lanes (a warp's, or one constant's).
+pub(crate) fn unary<const L: usize>(
+    regs: &mut [[u32; L]],
+    n: usize,
+    op: UnOp,
+    ty: ElemTy,
+    dst: Reg,
+    a: Reg,
+) {
     use {ElemTy::*, UnOp::*};
     match (op, ty) {
         (Neg, I32) => map1(regs, n, dst, a, |v| (v as i32).wrapping_neg() as u32),
@@ -736,8 +787,16 @@ fn unary(regs: &mut [Lanes], n: usize, op: UnOp, ty: ElemTy, dst: Reg, a: Reg) {
 }
 
 /// Scalar semantics are `streamir::ir::interp::eval_binary`'s, on raw
-/// bits, for every operator that cannot trap.
-fn binary(regs: &mut [Lanes], n: usize, op: BinOp, ty: ElemTy, dst: Reg, a: Reg, b: Reg) {
+/// bits, for every operator that cannot trap ([`int_div`] has the rest).
+pub(crate) fn binary<const L: usize>(
+    regs: &mut [[u32; L]],
+    n: usize,
+    op: BinOp,
+    ty: ElemTy,
+    dst: Reg,
+    a: Reg,
+    b: Reg,
+) {
     use BinOp::*;
     macro_rules! int {
         (|$x:ident, $y:ident| $e:expr) => {
@@ -873,14 +932,13 @@ impl Exec<'_> {
         for op in &prog.ops[e.ops.start as usize..e.ops.end as usize] {
             self.op(op, mask)?;
         }
-        let stale = u64::from(self.peek_slots.saturating_sub(e.peeks));
+        let stale = u64::from(stale_peeks(&mut self.peek_slots, e.peeks));
         self.issue(stale);
         if self.ctx.shared_staging {
             self.stats.shared_accesses += stale;
         } else {
             self.stats.mem_access_insts += stale;
         }
-        self.peek_slots = self.peek_slots.max(e.peeks);
         Ok(e.out)
     }
 
@@ -896,17 +954,16 @@ impl Exec<'_> {
                 a,
                 b,
             } => {
-                // The reference interpreter's own scalar op, for its trap.
                 let (a, b) = (self.st.regs[a as usize], self.st.regs[b as usize]);
                 let d = &mut self.st.regs[dst as usize];
                 for l in lanes(mask) {
-                    let (x, y) = (Scalar::I32(a[l] as i32), Scalar::I32(b[l] as i32));
-                    let v = interp::eval_binary(op, x, y).map_err(|e| trap(e.to_string()))?;
-                    d[l] = v.to_bits();
+                    d[l] = int_div(op, a[l], b[l]).map_err(|e| trap(e.to_string()))?;
                 }
             }
             Op::Binary { op, ty, dst, a, b } => binary(&mut self.st.regs, n, op, ty, dst, a, b),
-            Op::Peek { dst, port, depth } => {
+            Op::Peek {
+                dst, port, depth, ..
+            } => {
                 let d = &self.st.regs[depth as usize];
                 if let Some(l) = lanes(mask).find(|&l| (d[l] as i32) < 0) {
                     return Err(trap(format!("negative peek depth {}", d[l] as i32)));
@@ -1014,7 +1071,7 @@ impl Exec<'_> {
                     self.st.arrays[row][l] = value[l];
                 }
             }
-            DStmt::Pop { port, dst } => {
+            DStmt::Pop { port, dst, .. } => {
                 let p = usize::from(*port);
                 self.issue(1); // address arithmetic
                 self.channel_access(Port::In(p), mask, None);
@@ -1029,7 +1086,7 @@ impl Exec<'_> {
                 }
                 st.pops[p].counts.advance(mask, self.all);
             }
-            DStmt::Push { port, value } => {
+            DStmt::Push { port, value, .. } => {
                 let v = self.eval(value, mask)?;
                 let p = usize::from(*port);
                 self.issue(1);

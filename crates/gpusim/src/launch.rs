@@ -1,6 +1,6 @@
 //! Kernel launches and the top-level [`Gpu`] handle.
 
-use streamir::ir::WorkFunction;
+use streamir::ir::{access_sites, AccessSite, WorkFunction};
 
 use crate::config::DeviceConfig;
 use crate::exec::{run_warp, ExecLimits, Program, TripKind, WarpCtx, WarpState};
@@ -13,11 +13,13 @@ use crate::{Result, SimError};
 
 /// A work function loaded for the device: the kernel IR paired with the
 /// warp program it decodes to. Load it once per compiled artifact and
-/// launch it as often as needed — [`Gpu::run`] never decodes.
+/// launch it as often as needed — [`Gpu::run`] never decodes — or walk it
+/// abstractly ([`InstanceExec::analyze`]).
 #[derive(Debug)]
 pub struct Kernel {
     work: WorkFunction,
-    program: Program,
+    pub(crate) program: Program,
+    sites: Vec<AccessSite>,
 }
 
 impl Kernel {
@@ -26,6 +28,7 @@ impl Kernel {
     pub fn load(work: &WorkFunction) -> Kernel {
         Kernel {
             program: Program::decode(work),
+            sites: access_sites(work),
             work: work.clone(),
         }
     }
@@ -34,6 +37,13 @@ impl Kernel {
     #[must_use]
     pub fn work(&self) -> &WorkFunction {
         &self.work
+    }
+
+    /// The work function's access sites ([`access_sites`]): what the site
+    /// index of a decoded peek, pop or push names.
+    #[must_use]
+    pub fn sites(&self) -> &[AccessSite] {
+        &self.sites
     }
 }
 
@@ -476,11 +486,9 @@ impl Gpu {
         }
 
         if inst.shared_staging {
-            // One coalesced bulk copy each way: in-window before, pushes
-            // after. Each warp-wide copy step moves 32 words in one access
-            // instruction and two 64-byte transactions.
-            let tokens = staging_bytes(inst) / 4;
-            let steps = tokens.div_ceil(u64::from(warp));
+            // Each warp-wide copy step is one access instruction and two
+            // 64-byte transactions.
+            let steps = staging_steps(inst, warp);
             stats.warp_instructions += steps;
             stats.mem_access_insts += steps;
             stats.mem_transactions += steps * 2;
@@ -503,6 +511,13 @@ impl Gpu {
         }
         Ok(stats)
     }
+}
+
+/// Warp-wide steps of a staged instance's coalesced bulk copy: one each
+/// way, the window in before its warps run and the pushes out after, a
+/// word per lane per step.
+pub(crate) fn staging_steps(inst: &InstanceExec<'_>, warp: u32) -> u64 {
+    (staging_bytes(inst) / 4).div_ceil(u64::from(warp))
 }
 
 /// Bytes of shared memory a staged instance's window occupies: all input

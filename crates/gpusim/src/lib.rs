@@ -69,6 +69,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+mod analyze;
 mod config;
 mod exec;
 mod fault;
@@ -80,6 +81,7 @@ mod timing;
 
 pub mod occupancy;
 
+pub use analyze::{AbstractWarp, AccessSink, Channel};
 pub use config::{Device, DeviceConfig, DeviceId};
 pub use exec::REG_ARRAY_WORDS;
 pub use fault::{DeviceFaultEvent, DeviceFaultKind, DeviceFaultPlan, FaultKind, FaultPlan};

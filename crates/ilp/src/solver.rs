@@ -372,68 +372,49 @@ mod tests {
         assert_eq!(s.value(y).round(), 3.0);
     }
 
-    #[test]
-    fn assignment_problem_3x3() {
-        // Costs; optimal assignment cost = 5 (1+3+1? compute: choose (0,1)=1,(1,0)=2,(2,2)=2 -> 5).
+    /// The 3x3 assignment problem, each row optionally declared an SOS1
+    /// group. Its optimum is 5: (0,1) = 1, (1,0) = 2, (2,2) = 2.
+    fn assignment_3x3(sos1: bool) -> Model {
         let cost = [[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]];
         let mut m = Model::new();
-        let mut x = vec![vec![VarId(0); 3]; 3];
-        for i in 0..3 {
-            for j in 0..3 {
-                x[i][j] = m.binary_var(format!("x{i}{j}"));
-            }
-        }
-        for i in 0..3 {
+        let x: Vec<Vec<VarId>> = (0..3)
+            .map(|i| (0..3).map(|j| m.binary_var(format!("x{i}{j}"))).collect())
+            .collect();
+        for (i, vars) in x.iter().enumerate() {
             let mut row = m.expr();
             let mut col = m.expr();
-            for j in 0..3 {
-                row = row.term(x[i][j], 1.0);
+            for (j, &v) in vars.iter().enumerate() {
+                row = row.term(v, 1.0);
                 col = col.term(x[j][i], 1.0);
             }
             m.constraint(row, Sense::Eq, 1.0);
             m.constraint(col, Sense::Eq, 1.0);
+            if sos1 {
+                m.sos1(vars.clone());
+            }
         }
         let mut obj = m.expr();
-        for i in 0..3 {
-            for j in 0..3 {
-                obj = obj.term(x[i][j], cost[i][j]);
+        for (vars, costs) in x.iter().zip(&cost) {
+            for (&v, &c) in vars.iter().zip(costs) {
+                obj = obj.term(v, c);
             }
         }
         m.minimize(obj);
+        m
+    }
+
+    #[test]
+    fn assignment_problem_3x3() {
+        let m = assignment_3x3(false);
         let s = expect_optimal(solve(&m, &SolveOptions::default()));
         assert!((s.objective - 5.0).abs() < 1e-6, "got {}", s.objective);
     }
 
     #[test]
     fn sos1_branching_solves_assignment() {
-        // Same 3x3 assignment as above, but with SOS1 groups declared on
-        // every row: group branching must reach the same optimum.
-        let cost = [[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]];
-        let mut m = Model::new();
-        let mut x = vec![vec![VarId(0); 3]; 3];
-        for i in 0..3 {
-            for j in 0..3 {
-                x[i][j] = m.binary_var(format!("x{i}{j}"));
-            }
-        }
-        for i in 0..3 {
-            let mut row = m.expr();
-            let mut col = m.expr();
-            for j in 0..3 {
-                row = row.term(x[i][j], 1.0);
-                col = col.term(x[j][i], 1.0);
-            }
-            m.constraint(row, Sense::Eq, 1.0);
-            m.constraint(col, Sense::Eq, 1.0);
-            m.sos1(x[i].clone());
-        }
-        let mut obj = m.expr();
-        for i in 0..3 {
-            for j in 0..3 {
-                obj = obj.term(x[i][j], cost[i][j]);
-            }
-        }
-        m.minimize(obj);
+        // The same assignment with SOS1 groups declared on every row:
+        // group branching must reach the same optimum.
+        let m = assignment_3x3(true);
         assert_eq!(m.sos1_groups().len(), 3);
         let (out, stats) = solve_with_stats(&m, &SolveOptions::default());
         let s = match out {

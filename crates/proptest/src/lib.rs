@@ -216,7 +216,10 @@ mod tests {
         }
         fn depth(t: &Tree) -> u32 {
             match t {
-                Tree::Leaf(_) => 0,
+                Tree::Leaf(v) => {
+                    assert!((0..10).contains(v), "leaf {v} outside its strategy");
+                    0
+                }
                 Tree::Node(c) => 1 + c.iter().map(depth).max().unwrap_or(0),
             }
         }

@@ -30,7 +30,9 @@ pub use expr::{BinOp, Expr, UnOp};
 pub use func::{identity, FnBuilder, StateDef, Table, WorkFunction};
 pub use stmt::Stmt;
 pub use ty::{ElemTy, Scalar};
-pub use validate::{access_sites, AccessKind, AccessSite, OpCensus, PortRates, WorkInfo};
+pub use validate::{
+    access_sites, access_sites_in, AccessKind, AccessSite, OpCensus, PortRates, WorkInfo,
+};
 
 /// Identifies a scalar local variable within one [`WorkFunction`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -148,6 +148,13 @@ impl std::fmt::Display for AccessSite {
 /// site, so consumers can zip their own identical walk against this list.
 #[must_use]
 pub fn access_sites(wf: &WorkFunction) -> Vec<AccessSite> {
+    access_sites_in(&wf.body)
+}
+
+/// [`access_sites`] of a statement list on its own, ordinals counted from
+/// zero.
+#[must_use]
+pub fn access_sites_in(stmts: &[Stmt]) -> Vec<AccessSite> {
     let mut sites = Vec::new();
     let mut counters: HashMap<(AccessKind, u8), u32> = HashMap::new();
     let mut emit = |sites: &mut Vec<AccessSite>, kind: AccessKind, port: u8| {
@@ -210,7 +217,7 @@ pub fn access_sites(wf: &WorkFunction) -> Vec<AccessSite> {
             }
         }
     }
-    walk_block(&wf.body, &mut sites, &mut emit);
+    walk_block(stmts, &mut sites, &mut emit);
     sites
 }
 
