@@ -18,24 +18,23 @@
 //!   launches past it replay, and the overhead is billed into the
 //!   disjoint [`gpusim::LaunchStats::failover_cycles`]. Outputs are
 //!   byte-identical to an undisturbed run.
-//! * **Hedged dispatch**: Interactive jobs whose primary is projected
-//!   past the tenant's p99 get a backup on a second device; the first
-//!   finisher wins and the loser's burn is billed into the winner's
-//!   [`gpusim::LaunchStats::hedge_cycles`].
 //! * **Chaos** ([`storm`]): seeded rolling kills, rack brownouts and
 //!   partition trains, expressed as a [`gpusim::DeviceFaultPlan`].
 //!
 //! [`crate::serve::EventEngine`] is this loop over one device, whose
 //! store is its own LRU/disk cache at R = 1: routing always lands home,
-//! and a loss or a hedge has no second device, so all three are no-ops.
+//! and a loss has no second device, so both are no-ops.
 //!
 //! Events are totally ordered by `(virtual_time, device, tenant, seq)`,
 //! so a replay is bit-identical. A store miss compiles on a bounded
 //! worker pool while the loop keeps serving, and resolves before
 //! anything reads its job's window — the tenant's next dispatch, a
-//! device loss's failover sweep, a hedge decision, or the end-of-trace
-//! drain. A job leaves the live set once its finish is behind the clock;
-//! completed jobs are totalled in admission order.
+//! dispatch that lands on its reservation, a device loss's failover
+//! sweep, or the end-of-trace drain. One causal clock governs artifacts:
+//! a key reserved this run exists from its compile's virtual finish, and
+//! no job — hit, pending hit, remote fetch, reroute or failover — starts
+//! executing it earlier. A job leaves the live set once its finish is
+//! behind the clock; completed jobs are totalled in admission order.
 
 pub mod router;
 pub mod storm;
@@ -61,33 +60,10 @@ use crate::serve::cache::{verify_artifact, Lookup};
 use crate::serve::device_core::{DeviceCore, Placement};
 use crate::serve::metrics::percentile_of;
 use crate::serve::{
-    pipeline_options_for, warm, Decision, Event, EventKind, Job, JobResult, Pressure, QosClass,
+    pipeline_options_for, warm, Decision, Event, EventKind, Job, JobResult, Pressure,
     RouteDecision, ServeOptions, ServeReport, Slice, TraceEvent, Verdict, WarmReport,
 };
 use crate::{Error, Result};
-
-/// Hedged-dispatch configuration (applies to Interactive jobs only).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HedgeOptions {
-    /// Whether hedging is on at all.
-    pub enabled: bool,
-    /// The latency quantile of the tenant's history that arms a hedge:
-    /// a primary projected to finish later than this gets a backup.
-    pub percentile: f64,
-    /// Floor on the hedge delay, so cold tenants (no history) don't
-    /// hedge instantly.
-    pub min_delay_secs: f64,
-}
-
-impl Default for HedgeOptions {
-    fn default() -> Self {
-        HedgeOptions {
-            enabled: true,
-            percentile: 0.99,
-            min_delay_secs: 0.25,
-        }
-    }
-}
 
 /// Fleet configuration.
 #[derive(Debug, Clone)]
@@ -100,13 +76,12 @@ pub struct FleetOptions {
     /// Artifact-store replication factor R.
     pub replication: u32,
     /// Virtual seconds to ship an artifact between devices on a remote
-    /// store hit (small next to a compile, which is the point).
+    /// store hit (small next to a compile, which is the point). The ship
+    /// starts once the artifact exists.
     pub fetch_penalty_secs: f64,
     /// Commit interval k for the k-launch checkpoint protocol; failover
     /// replays at most `k − 1` launches.
     pub checkpoint_interval: u32,
-    /// Hedged-dispatch policy.
-    pub hedge: HedgeOptions,
     /// Device-grain fault schedule.
     pub device_faults: DeviceFaultPlan,
 }
@@ -119,7 +94,6 @@ impl Default for FleetOptions {
             replication: 2,
             fetch_penalty_secs: 0.05,
             checkpoint_interval: 4,
-            hedge: HedgeOptions::default(),
             device_faults: DeviceFaultPlan::new(),
         }
     }
@@ -129,7 +103,7 @@ impl Default for FleetOptions {
 #[derive(Debug)]
 pub enum FleetVerdict {
     /// Admitted somewhere and executed to completion (possibly after
-    /// reroutes, failovers, or a hedge).
+    /// reroutes or failovers).
     Completed(Box<FleetJobResult>),
     /// Rejected — by admission control, or abandoned because no usable
     /// device remained to fail over to. Never silently lost.
@@ -151,6 +125,10 @@ pub struct FleetJobResult {
     pub arrival_secs: f64,
     /// When execution began on the device that ultimately finished it.
     pub start_secs: f64,
+    /// When the job's artifact came to exist in virtual time: its
+    /// compile's finish, or −∞ for one that existed before the run.
+    /// Never later than `start_secs`.
+    pub artifact_ready_secs: f64,
     /// When service finished.
     pub finish_secs: f64,
     /// `finish - arrival`.
@@ -163,16 +141,15 @@ pub struct FleetJobResult {
     pub rerouted: bool,
     /// Device losses this job survived via checkpoint-shipping.
     pub failed_over: u32,
-    /// Whether a hedge backup was launched.
+    /// Always `false`: hedged dispatch is deleted. Kept until the
+    /// benchmark stops reading it.
     pub hedged: bool,
-    /// Whether the hedge backup won.
-    pub hedge_won: bool,
     /// How the artifact store served the (final) dispatch.
     pub fetch: Fetch,
     /// Merged launch statistics, including the disjoint
-    /// `failover_cycles` / `hedge_cycles` components. The billing
-    /// invariant holds: overhead components sum exactly to
-    /// `fault_overhead_cycles ≤ cycles`.
+    /// `failover_cycles` component. The billing invariant holds:
+    /// overhead components sum exactly to `fault_overhead_cycles ≤
+    /// cycles`.
     pub stats: gpusim::LaunchStats,
 }
 
@@ -183,7 +160,7 @@ pub struct DeviceReport {
     pub device: u32,
     /// Whether it survived the run.
     pub alive: bool,
-    /// Jobs it finished (winner of record for hedges).
+    /// Jobs it finished.
     pub jobs_completed: u64,
     /// Virtual seconds of service it delivered.
     pub busy_secs: f64,
@@ -221,9 +198,10 @@ pub struct FleetReport {
     pub failover_p50_secs: f64,
     /// Tail added latency per failover.
     pub failover_p99_secs: f64,
-    /// Hedge backups launched.
+    /// Always 0: hedged dispatch is deleted. Kept, with `hedge_wins` and
+    /// `hedge_cycles`, until the benchmark stops reading them.
     pub hedges: u64,
-    /// Hedge backups that won.
+    /// Always 0 (see `hedges`).
     pub hedge_wins: u64,
     /// Total billed cycles.
     pub cycles: u64,
@@ -231,7 +209,7 @@ pub struct FleetReport {
     pub fault_overhead_cycles: u64,
     /// The failover share of the overhead.
     pub failover_cycles: u64,
-    /// The hedge share of the overhead.
+    /// Always 0 (see `hedges`).
     pub hedge_cycles: u64,
     /// Launch-path cycles across completed jobs: host launch overhead
     /// for host-launched rounds, replay doorbells for captured-graph
@@ -282,8 +260,8 @@ pub(crate) struct Placed {
     key: u64,
 }
 
-/// One settled job. Failover and hedging rewrite `device`, the window
-/// and the billed stats; the outputs never change.
+/// One settled job. Failover rewrites `device`, the window and the
+/// billed stats; the outputs never change.
 pub(crate) struct Running {
     placed: Placed,
     device: u32,
@@ -291,6 +269,8 @@ pub(crate) struct Running {
     start: f64,
     /// When execution proper began on the device that holds the job.
     exec_start: f64,
+    /// When its artifact came to exist ([`FleetEngine::ready_at`]).
+    artifact_ready: f64,
     finish: f64,
     /// Absolute launch index the current execution started from (0
     /// originally; the committed index after a failover).
@@ -299,8 +279,6 @@ pub(crate) struct Running {
     run: GpuRun,
     fetch: Fetch,
     failed_over: u32,
-    hedged: bool,
-    hedge_won: bool,
 }
 
 /// Where one job of the trace stands.
@@ -345,14 +323,14 @@ impl Slot {
                 tenant: tenant.to_string(),
                 arrival_secs: r.placed.arrival,
                 start_secs: r.exec_start,
+                artifact_ready_secs: r.artifact_ready,
                 finish_secs: r.finish,
                 latency_secs: r.finish - r.placed.arrival,
                 home: r.placed.home,
                 device: r.device,
                 rerouted: r.placed.rerouted,
                 failed_over: r.failed_over,
-                hedged: r.hedged,
-                hedge_won: r.hedge_won,
+                hedged: false,
                 fetch: r.fetch,
                 outputs: r.run.outputs,
                 stats: r.run.stats,
@@ -413,23 +391,9 @@ struct Totals {
     stats: LaunchStats,
     /// Per device: jobs finished there and their execution seconds.
     per_device: Vec<(u64, f64)>,
-    /// Per-tenant completed-latency history, feeding hedge delays.
-    history: BTreeMap<String, Vec<f64>>,
     failover_latencies: Vec<f64>,
-    hedges: u64,
-    hedge_wins: u64,
     first_arrival: Option<f64>,
     last_finish: f64,
-}
-
-/// Bills `cycles` of fleet-level overhead into a job's stats: total and
-/// fault-overhead cycles plus the one disjoint component `bucket`
-/// selects, keeping the billing invariant exact.
-fn bill_overhead(stats: &mut LaunchStats, cycles: f64, bucket: fn(&mut LaunchStats) -> &mut f64) {
-    stats.cycles += cycles;
-    stats.fault_overhead_cycles += cycles;
-    *bucket(stats) += cycles;
-    stats.assert_billing();
 }
 
 /// The discrete-event serving loop over N devices.
@@ -462,6 +426,9 @@ pub struct FleetEngine {
     pending: Vec<PendingCompile>,
     /// Artifacts already joined and fulfilled, by key.
     ready: HashMap<u64, Arc<ResilientCompiled>>,
+    /// The virtual instant each key compiled this run exists; a key
+    /// absent here existed before the run (disk, warm, an earlier run).
+    compiled_at: HashMap<u64, f64>,
 }
 
 impl FleetEngine {
@@ -493,13 +460,14 @@ impl FleetEngine {
             waiting: BTreeMap::new(),
             pending: Vec::new(),
             ready: HashMap::new(),
+            compiled_at: HashMap::new(),
             opts,
         }
     }
 
     /// The single-device loop: one device whose store is its own LRU/disk
     /// cache (R = 1), committing every launch unless the controller
-    /// chooses otherwise, with nothing to route to or hedge with.
+    /// chooses otherwise, with nothing to route to.
     pub(crate) fn solo(base: ServeOptions) -> FleetEngine {
         let cache = ArtifactStore::new(base.cache.clone());
         let mut solo = FleetEngine::new(FleetOptions {
@@ -507,10 +475,6 @@ impl FleetEngine {
             base,
             replication: 1,
             checkpoint_interval: 1,
-            hedge: HedgeOptions {
-                enabled: false,
-                ..HedgeOptions::default()
-            },
             ..FleetOptions::default()
         });
         solo.store = cache;
@@ -589,6 +553,7 @@ impl FleetEngine {
         self.clock = f64::NEG_INFINITY;
         self.waiting.clear();
         self.ready.clear();
+        self.compiled_at.clear();
         self.admitted.clear();
         self.live.clear();
         self.slots = trace.iter().map(|_| Slot::Open).collect();
@@ -777,10 +742,6 @@ impl FleetEngine {
                     .entry(job.tenant.clone())
                     .or_default()
                     .push_back(i);
-                if self.arms_hedge(job) {
-                    // A hedge decision reads the primary's window.
-                    self.resolve(trace, &job.tenant)?;
-                }
                 "miss"
             }
         };
@@ -856,7 +817,7 @@ impl FleetEngine {
         };
         self.router
             .log_decision(t, tenant, Some(i), "reject", Some(device), detail);
-        self.devices[device.0 as usize].reject(tenant, job.qos);
+        self.devices[device.0 as usize].reject(tenant);
         self.slots[i] = Slot::Rejected { retry_after_secs };
         self.totals.rejected += 1;
         None
@@ -876,11 +837,6 @@ impl FleetEngine {
             .collect()
     }
 
-    /// Whether the job's class gets a hedge decision.
-    fn arms_hedge(&self, job: &Job) -> bool {
-        self.opts.hedge.enabled && job.qos == QosClass::Interactive
-    }
-
     /// Virtual seconds a dispatch pays to obtain its artifact, by how
     /// the store served it: nothing locally, a ship across devices, or
     /// a full compile.
@@ -897,8 +853,9 @@ impl FleetEngine {
         self.devices[device as usize].tenant(tenant).busy_until = until;
     }
 
-    /// Settles job `i` on its device's core, hedges it when its class
-    /// asks for one, and schedules what follows from its window.
+    /// Settles job `i` on its device's core, no earlier than its artifact
+    /// exists, and schedules what follows from its window. A miss's own
+    /// window fixes when its artifact exists.
     fn settle(
         &mut self,
         trace: &[(Job, f64)],
@@ -909,40 +866,45 @@ impl FleetEngine {
     ) -> Result<()> {
         let job = &trace[i].0;
         let head_secs = self.fetch_cost(fetch);
+        let available_at = if fetch == Fetch::Miss {
+            f64::NEG_INFINITY
+        } else {
+            self.ready_at(trace, placed.key)?
+        };
         let at = Placement {
             slice: placed.slice,
             arrival: placed.arrival,
             fetch,
             head_secs,
+            available_at,
         };
         let interval = self.opts.checkpoint_interval;
         let s = self.devices[placed.device as usize].settle(job, &artifact, &at, interval)?;
-        let mut rec = Running {
+        let rec = Running {
             placed,
             device: placed.device,
             start: s.start,
             exec_start: s.exec_start,
+            artifact_ready: if fetch == Fetch::Miss {
+                s.exec_start
+            } else {
+                available_at
+            },
             finish: s.finish,
             trace_base: 0,
             artifact,
             run: s.run,
             fetch,
             failed_over: 0,
-            hedged: false,
-            hedge_won: false,
         };
-        if self.arms_hedge(job) {
-            self.maybe_hedge(i, &job.tenant, &mut rec, head_secs)?;
-        }
         self.totals.last_finish = self.totals.last_finish.max(rec.finish);
-        let history = self.totals.history.entry(job.tenant.clone()).or_default();
-        history.push(rec.finish - placed.arrival);
         // A controller switch becomes an event at the finish, so its
         // recompile is pre-spawned in deterministic event order.
         if s.switched {
             self.schedule(rec.finish, rec.device, &job.tenant, EvKind::PolicySwitch(i));
         }
         if fetch == Fetch::Miss {
+            self.compiled_at.insert(placed.key, s.exec_start);
             self.schedule(s.exec_start, rec.device, &job.tenant, EvKind::CompileFinish);
         }
         self.schedule(rec.finish, rec.device, &job.tenant, EvKind::LaunchFinish);
@@ -951,71 +913,28 @@ impl FleetEngine {
         Ok(())
     }
 
-    /// Launches a hedge backup when the primary is projected past the
-    /// tenant's p99, and resolves the race eagerly: the earlier virtual
-    /// finish wins, and everything the loser burned — fetch or compile
-    /// time included, measured from its service start to the cancel —
-    /// is billed into the winner's disjoint `hedge_cycles`.
-    fn maybe_hedge(&mut self, i: usize, tenant: &str, rec: &mut Running, head: f64) -> Result<()> {
-        let t = rec.placed.arrival;
-        let Some(backup) = self.router.route(tenant, Some(DeviceId(rec.device))) else {
-            return Ok(());
-        };
-        let samples = self
-            .totals
-            .history
-            .get(tenant)
-            .map_or(&[][..], Vec::as_slice);
-        let delay =
-            percentile_of(samples, self.opts.hedge.percentile).max(self.opts.hedge.min_delay_secs);
-        if rec.finish <= t + delay {
-            return Ok(());
+    /// When `key`'s artifact exists in virtual time: its compile's finish
+    /// for a key compiled this run, −∞ for one that existed before it. A
+    /// reservation whose owner still waits settles the owner's tenant
+    /// first, since the owner's window fixes the instant.
+    fn ready_at(&mut self, trace: &[(Job, f64)], key: u64) -> Result<f64> {
+        let owner = (self.waiting.iter())
+            .find(|(_, q)| {
+                (q.iter()).any(|&j| matches!(&self.slots[j], Slot::Waiting(p) if p.key == key))
+            })
+            .map(|(tenant, _)| tenant.clone());
+        if let Some(tenant) = owner {
+            self.resolve(trace, &tenant)?;
         }
+        Ok(self.compiled_at(key))
+    }
 
-        // The backup fetches from the store (the primary's device holds
-        // a replica by now, so this is at worst a remote hit) and runs
-        // the same deterministic execution.
-        let usable = self.router.usable_devices();
-        let bfetch = self.store.fetch(rec.placed.key, backup, &usable)?;
-        let bcost = self.fetch_cost(bfetch);
-        let busy = self.devices[backup.0 as usize].busy_until(tenant);
-        let bstart = (t + delay).max(busy) + bcost;
-        let bfinish = bstart + rec.run.time_secs;
-
-        self.totals.hedges += 1;
-        rec.hedged = true;
-        let detail = format!("delay {delay:.3}s, primary dev{}", rec.device);
-        self.router
-            .log_decision(t, tenant, Some(i), "hedge", Some(backup), detail);
-
-        let clock = self.opts.base.timing.clock_hz;
-        if bfinish < rec.finish {
-            // Backup wins. The primary burned from its service start
-            // (compile/fetch included) until the cancel at the
-            // backup's finish.
-            self.totals.hedge_wins += 1;
-            let service_start = rec.exec_start - head;
-            let burn_secs = (bfinish - service_start).clamp(0.0, head + rec.run.time_secs);
-            let burn = burn_secs * clock;
-            bill_overhead(&mut rec.run.stats, burn, |s| &mut s.hedge_cycles);
-            self.occupy(rec.device, tenant, bfinish.min(rec.finish));
-            rec.device = backup.0;
-            rec.exec_start = bstart;
-            rec.finish = bfinish;
-            rec.hedge_won = true;
-            self.occupy(backup.0, tenant, bfinish);
-        } else {
-            // Primary wins. The backup burned from its service start
-            // (if it started at all) until the primary's finish
-            // cancelled it.
-            let burn_secs = (rec.finish - (bstart - bcost)).clamp(0.0, bcost + rec.run.time_secs);
-            if burn_secs > 0.0 {
-                let burn = burn_secs * clock;
-                bill_overhead(&mut rec.run.stats, burn, |s| &mut s.hedge_cycles);
-                self.occupy(backup.0, tenant, rec.finish.min(bfinish));
-            }
-        }
-        Ok(())
+    /// [`FleetEngine::ready_at`] once no owner waits.
+    fn compiled_at(&self, key: u64) -> f64 {
+        self.compiled_at
+            .get(&key)
+            .copied()
+            .unwrap_or(f64::NEG_INFINITY)
     }
 
     /// Settles every pending store-miss job of `tenant`, oldest first.
@@ -1120,6 +1039,8 @@ impl FleetEngine {
             (_, Lookup::PendingHit(_)) => "compiling",
             (key, Lookup::Miss) => {
                 self.spawn_compile(key, &job.graph, popts)?;
+                let penalty = self.opts.base.compile_penalty_secs;
+                self.compiled_at.insert(key, ev.time + penalty);
                 "recompile"
             }
         };
@@ -1260,12 +1181,17 @@ impl FleetEngine {
                     0.0
                 };
                 let overhead = ship + replay + recapture;
-                bill_overhead(&mut r.run.stats, overhead, |s| &mut s.failover_cycles);
+                let stats = &mut r.run.stats;
+                stats.cycles += overhead;
+                stats.fault_overhead_cycles += overhead;
+                stats.failover_cycles += overhead;
+                stats.assert_billing();
                 (ship, replay, committed)
             };
             let prefix: f64 = r.run.launch_cycles[..committed].iter().sum();
             let remaining = r.run.time_secs - timing.secs(prefix);
-            r.exec_start = t.max(tbusy) + fetch_cost + timing.secs(ship);
+            let ready = t.max(tbusy).max(self.compiled_at(key));
+            r.exec_start = ready + fetch_cost + timing.secs(ship);
             r.finish = r.exec_start + timing.secs(replay) + remaining;
             r.trace_base = committed;
 
@@ -1308,7 +1234,7 @@ impl FleetEngine {
     /// Device 0's serving report — the single-device view of a run.
     pub(crate) fn serve_report(&self) -> ServeReport {
         let cache = self.store.cache_stats();
-        self.devices[0].report(&self.opts.base, self.makespan(), cache)
+        self.devices[0].report(self.makespan(), cache)
     }
 
     /// Snapshots the run into a serializable report. Call after
@@ -1336,12 +1262,12 @@ impl FleetEngine {
             failovers: t.failover_latencies.len() as u64,
             failover_p50_secs: percentile_of(&t.failover_latencies, 0.50),
             failover_p99_secs: percentile_of(&t.failover_latencies, 0.99),
-            hedges: t.hedges,
-            hedge_wins: t.hedge_wins,
+            hedges: 0,
+            hedge_wins: 0,
             cycles: t.stats.cycles.round() as u64,
             fault_overhead_cycles: t.stats.fault_overhead_cycles.round() as u64,
             failover_cycles: t.stats.failover_cycles.round() as u64,
-            hedge_cycles: t.stats.hedge_cycles.round() as u64,
+            hedge_cycles: 0,
             launch_path_cycles: t.stats.launch_path_cycles.round() as u64,
             graph_replays: t.stats.graph_replays,
             graph_captures: t.stats.graph_captures,

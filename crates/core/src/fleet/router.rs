@@ -48,8 +48,8 @@ pub struct RouterDecision {
     /// Input job index (`u64::MAX` for non-job events).
     pub job: u64,
     /// What happened: `home`, `reroute`, `reject`, `failover`,
-    /// `abandon`, `hedge`, `kill`, `brownout`, `brownout-heal`,
-    /// `partition`, `partition-heal`.
+    /// `abandon`, `kill`, `brownout`, `brownout-heal`, `partition`,
+    /// `partition-heal`.
     pub action: String,
     /// The device acted on (`u32::MAX` when none applies).
     pub device: u32,

@@ -351,7 +351,7 @@ impl ArtifactStore {
 
     /// Looks `key` up for `device` like [`ArtifactStore::lookup_or_reserve`]
     /// — counted, read-repaired, verified — but a miss reserves nothing:
-    /// the caller already holds the artifact (a hedge backup, a failover).
+    /// the caller already holds the artifact (a failover).
     ///
     /// # Errors
     ///

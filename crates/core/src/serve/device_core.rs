@@ -13,33 +13,34 @@ use std::collections::BTreeMap;
 use gpusim::Device;
 
 use super::{
-    AdmissionController, CacheStats, FaultController, Fetch, Job, Partitioner, QosClass,
-    ServeMetrics, ServeOptions, ServeReport, Slice, TenantReport,
+    AdmissionController, CacheStats, FaultController, Fetch, Job, Partitioner, ServeMetrics,
+    ServeOptions, ServeReport, Slice, TenantReport,
 };
 use crate::exec::{required_input, GpuRun, RunOptions, SmPlacement};
-use crate::pipeline::{FaultPolicy, ResilientCompiled};
+use crate::pipeline::ResilientCompiled;
 use crate::Result;
 
 #[derive(Debug, Default)]
 pub(crate) struct TenantState {
     metrics: ServeMetrics,
     pub(crate) busy_until: f64,
-    qos: Option<QosClass>,
 }
 
 /// Where and when one admitted job is served on a core: on `slice` (its
 /// base SM), no earlier than `arrival`, with `head_secs` of fetch or
-/// compile (`fetch`) at the head of its service window.
+/// compile (`fetch`) at the head of its execution, which cannot start
+/// before its artifact exists at `available_at`.
 pub(crate) struct Placement {
     pub(crate) slice: Slice,
     pub(crate) arrival: f64,
     pub(crate) fetch: Fetch,
     pub(crate) head_secs: f64,
+    pub(crate) available_at: f64,
 }
 
 /// One settled job's run and service window `[start, exec_start =
-/// start + head, finish)`, and whether its retry rate made the
-/// controller switch the tenant's fault policy.
+/// max(start, available_at) + head, finish)`, and whether its retry rate
+/// made the controller switch the tenant's fault policy.
 pub(crate) struct Settled {
     pub(crate) run: GpuRun,
     pub(crate) start: f64,
@@ -48,11 +49,13 @@ pub(crate) struct Settled {
     pub(crate) switched: bool,
 }
 
-/// One placed service window, for compile-overlap accounting.
+/// One placed service window, for compile-overlap accounting: its head
+/// (compile or fetch) spans `[head_start, exec_start)`, its execution
+/// `[exec_start, finish)`.
 struct Window {
     tenant: String,
-    start: f64,
-    head_secs: f64,
+    head_start: f64,
+    exec_start: f64,
     finish: f64,
 }
 
@@ -101,11 +104,9 @@ impl DeviceCore {
         self.tenants.get(tenant).map_or(0.0, |t| t.busy_until)
     }
 
-    /// Counts one admission rejection of a `qos` job of `tenant`.
-    pub(crate) fn reject(&mut self, tenant: &str, qos: QosClass) {
-        let state = self.tenant(tenant);
-        state.qos = Some(qos);
-        state.metrics.jobs_rejected += 1;
+    /// Counts one admission rejection of a job of `tenant`.
+    pub(crate) fn reject(&mut self, tenant: &str) {
+        self.tenant(tenant).metrics.jobs_rejected += 1;
     }
 
     /// Scheduler searches this core's store-miss compiles paid for.
@@ -118,11 +119,11 @@ impl DeviceCore {
 
     /// Executes one admitted job at `at` and settles it: the service
     /// window `[start, finish)` with `start = max(arrival, busy_until)`
-    /// and `finish = start + head + exec` is placed against the tenant's
-    /// busy horizon, the run is rolled into the tenant's metrics, and its
-    /// retry rate is fed to the controller at the finish instant. The run
-    /// commits every `interval` launches unless the enabled controller
-    /// chose otherwise.
+    /// and `finish = max(start, available_at) + head + exec` is placed
+    /// against the tenant's busy horizon, the run is rolled into the
+    /// tenant's metrics, and its retry rate is fed to the controller at
+    /// the finish instant. The run commits every `interval` launches
+    /// unless the enabled controller chose otherwise.
     ///
     /// Serving shares one device across tenants, so an artifact is
     /// refused here unless it carries a tenant-isolation certificate
@@ -164,9 +165,9 @@ impl DeviceCore {
         let run = artifact.execute(job.iterations, &input, &run_opts)?;
 
         let state = self.tenant(&job.tenant);
-        state.qos = Some(job.qos);
         let start = at.arrival.max(state.busy_until);
-        let exec_start = start + at.head_secs;
+        let head_start = start.max(at.available_at);
+        let exec_start = head_start + at.head_secs;
         let finish = exec_start + run.time_secs;
         state.busy_until = finish;
 
@@ -192,8 +193,8 @@ impl DeviceCore {
         }
         self.windows.push(Window {
             tenant: job.tenant.clone(),
-            start,
-            head_secs: at.head_secs,
+            head_start,
+            exec_start,
             finish,
         });
 
@@ -225,7 +226,7 @@ impl DeviceCore {
             .windows
             .iter()
             .filter(|c| c.tenant != tenant)
-            .map(|c| (c.start + c.head_secs, c.finish))
+            .map(|c| (c.exec_start, c.finish))
             .filter(|&(s, e)| e > w0 && s < w1)
             .map(|(s, e)| (s.max(w0), e.min(w1)))
             .collect();
@@ -246,15 +247,10 @@ impl DeviceCore {
     /// virtual seconds, with `cache` the store's counters. Each window
     /// that paid a head (a compile) is credited with the seconds of it
     /// other tenants' execution covered.
-    pub(crate) fn report(
-        &self,
-        opts: &ServeOptions,
-        makespan: f64,
-        cache: CacheStats,
-    ) -> ServeReport {
+    pub(crate) fn report(&self, makespan: f64, cache: CacheStats) -> ServeReport {
         let mut overlaps: BTreeMap<&str, f64> = BTreeMap::new();
-        for w in self.windows.iter().filter(|w| w.head_secs > 0.0) {
-            let covered = self.overlap_with_others(&w.tenant, w.start, w.start + w.head_secs);
+        for w in self.windows.iter().filter(|w| w.exec_start > w.head_start) {
+            let covered = self.overlap_with_others(&w.tenant, w.head_start, w.exec_start);
             *overlaps.entry(&w.tenant).or_insert(0.0) += covered;
         }
         let tenants: Vec<TenantReport> = self
@@ -265,21 +261,9 @@ impl DeviceCore {
                     base_sm: 0,
                     num_sms: 0,
                 });
-                // The row reports the controller's *effective* policy:
-                // a recommendation the controller already acted on is
-                // resolved, not re-issued.
-                let default = state.qos.map_or(FaultPolicy::Throughput, QosClass::policy);
-                let policy = self.controller.policy_for(name, default);
                 let mut metrics = state.metrics.clone();
                 metrics.compile_overlap_secs = overlaps.get(name.as_str()).copied().unwrap_or(0.0);
-                let mut row = TenantReport::of(
-                    name,
-                    &metrics,
-                    slice,
-                    makespan,
-                    policy,
-                    opts.retry_warn_threshold,
-                );
+                let mut row = TenantReport::of(name, &metrics, slice, makespan);
                 row.policy_switches = self.controller.switches_for(name);
                 row.checkpoint_interval = self.controller.interval_for(name);
                 row
@@ -312,10 +296,10 @@ mod tests {
             Device::solo(opts.device.clone(), opts.timing.clone()),
             &opts,
         );
-        let window = |tenant: &str, start, finish| Window {
+        let window = |tenant: &str, exec_start, finish| Window {
             tenant: tenant.into(),
-            start,
-            head_secs: 0.0,
+            head_start: exec_start,
+            exec_start,
             finish,
         };
         core.windows = vec![

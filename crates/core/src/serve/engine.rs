@@ -3,8 +3,8 @@
 //! [`EventEngine`] is the one serving loop ([`crate::fleet::FleetEngine`])
 //! over one device: R = 1 with the device's own LRU-bounded cache and
 //! optional disk tier, every launch committed unless the resilience
-//! controller chooses otherwise, and no second device to route to, fail
-//! over to or hedge with. What it adds is the single-device view of the
+//! controller chooses otherwise, and no second device to route to or
+//! fail over to. What it adds is the single-device view of the
 //! loop: verdicts carrying the job's service start and slice, the
 //! processed-event audit trace ([`EventEngine::trace`]), and a
 //! [`ServeReport`] whose `compile_overlap_secs` credits each compile

@@ -6,7 +6,6 @@
 
 use serde::Serialize;
 
-use crate::pipeline::FaultPolicy;
 use crate::serve::cache::CacheStats;
 use crate::serve::partition::Slice;
 
@@ -67,31 +66,14 @@ pub struct ServeMetrics {
 
 impl ServeMetrics {
     /// Observed retries per launch — the serving-time measurement of the
-    /// fault rate the compile-time [`FaultPolicy`] reasons about.
+    /// fault rate the compile-time [`crate::pipeline::FaultPolicy`]
+    /// reasons about.
     #[must_use]
     pub fn retry_rate(&self) -> f64 {
         if self.launches == 0 {
             0.0
         } else {
             self.retries as f64 / self.launches as f64
-        }
-    }
-
-    /// When the tenant compiles under [`FaultPolicy::Throughput`] but its
-    /// observed retry rate exceeds `threshold`, recommends switching to
-    /// [`FaultPolicy::TailLatency`] (recommendation only — nothing is
-    /// changed). Returns the human-readable recommendation.
-    #[must_use]
-    pub fn recommendation(&self, policy: FaultPolicy, threshold: f64) -> Option<String> {
-        if policy == FaultPolicy::Throughput && self.retry_rate() > threshold {
-            Some(format!(
-                "observed retry rate {:.3} retries/launch exceeds {threshold:.3}; \
-                 consider FaultPolicy::TailLatency so the schedule reserves \
-                 headroom for retries instead of taking latency spikes",
-                self.retry_rate()
-            ))
-        } else {
-            None
         }
     }
 
@@ -161,11 +143,6 @@ pub struct TenantReport {
     pub graph_captures: u64,
     /// Cycles spent on graph capture (amortized by the replays above).
     pub graph_capture_cycles: u64,
-    /// The fault-policy recommendation, when one fired. When the
-    /// resilience controller is enabled the row's `policy` is the
-    /// controller's *effective* policy, so a recommendation the
-    /// controller already acted on disappears from the report.
-    pub recommendation: Option<String>,
     /// Fault-policy switches the resilience controller performed for
     /// this tenant (0 under a disabled controller).
     pub policy_switches: u64,
@@ -218,8 +195,6 @@ impl TenantReport {
         metrics: &ServeMetrics,
         slice: Slice,
         makespan_secs: f64,
-        policy: FaultPolicy,
-        retry_warn_threshold: f64,
     ) -> TenantReport {
         let span = makespan_secs.max(f64::MIN_POSITIVE);
         TenantReport {
@@ -246,7 +221,6 @@ impl TenantReport {
             graph_replays: metrics.graph_replays,
             graph_captures: metrics.graph_captures,
             graph_capture_cycles: metrics.graph_capture_cycles,
-            recommendation: metrics.recommendation(policy, retry_warn_threshold),
             policy_switches: 0,
             checkpoint_interval: 1,
         }
@@ -295,17 +269,13 @@ mod tests {
     }
 
     #[test]
-    fn retry_rate_and_recommendation() {
+    fn retry_rate_is_retries_per_launch() {
         let mut m = ServeMetrics {
             launches: 100,
             retries: 7,
             ..ServeMetrics::default()
         };
         assert!((m.retry_rate() - 0.07).abs() < 1e-12);
-        assert!(m.recommendation(FaultPolicy::Throughput, 0.05).is_some());
-        assert!(m.recommendation(FaultPolicy::Throughput, 0.10).is_none());
-        // TailLatency already reserves headroom: never recommended again.
-        assert!(m.recommendation(FaultPolicy::TailLatency, 0.0).is_none());
         m.launches = 0;
         m.retries = 0;
         assert_eq!(m.retry_rate(), 0.0);
@@ -348,8 +318,6 @@ mod tests {
                 num_sms: 4,
             },
             10.0,
-            FaultPolicy::Throughput,
-            0.05,
         );
         assert!((row.queue_wait_p99_secs - 0.9).abs() < 1e-12);
         assert!((row.compile_overlap_secs - 1.25).abs() < 1e-12);

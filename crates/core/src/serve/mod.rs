@@ -128,10 +128,9 @@ pub struct ServeOptions {
     /// Virtual seconds charged for a cache-miss compilation (models the
     /// compile latency a real deployment would pay on the serving path).
     pub compile_penalty_secs: f64,
-    /// Retry-rate threshold above which a Throughput tenant gets a
-    /// TailLatency recommendation — and, when the resilience controller
-    /// is enabled, the controller's upper hysteresis band, so the
-    /// recommendation and the actual decision share one threshold.
+    /// Retry-rate threshold above which the resilience controller, when
+    /// enabled, switches a Throughput tenant to TailLatency (its upper
+    /// hysteresis band).
     pub retry_warn_threshold: f64,
     /// EWMA weight for arrival-rate estimation.
     pub rate_alpha: f64,

@@ -1,15 +1,13 @@
 //! Online adaptive resilience: the fault-rate controller and the chaos
 //! storm generator.
 //!
-//! [`FaultController`] closes the loop the metrics layer only hinted at:
-//! [`super::metrics::ServeMetrics::recommendation`] *suggested* switching
-//! a noisy Throughput tenant to [`FaultPolicy::TailLatency`]; the
-//! controller *does* it. Each completed job feeds a per-tenant EWMA of
-//! the observed retry rate (retries per launch — the serving-time
-//! measurement of the fault rate the compile-time policy reasons
-//! about). When the EWMA crosses the upper hysteresis band — the same
-//! `retry_warn_threshold` the recommendation fires on, so advice and
-//! action can never disagree — the tenant is switched to TailLatency;
+//! [`FaultController`] closes the fault loop at run time: it switches a
+//! noisy Throughput tenant to [`FaultPolicy::TailLatency`]. Each
+//! completed job feeds a per-tenant EWMA of the observed retry rate
+//! (retries per launch — the serving-time measurement of the fault rate
+//! the compile-time policy reasons about). When the EWMA crosses the
+//! upper hysteresis band — the serve options' `retry_warn_threshold` —
+//! the tenant is switched to TailLatency;
 //! when it falls below the lower band (a configurable fraction of the
 //! upper), it switches back. A dwell of `dwell_jobs` observations
 //! between switches keeps a noisy tenant from thrashing the compile
@@ -126,9 +124,7 @@ struct TenantControl {
 pub struct FaultController {
     opts: ResilienceOptions,
     timing: TimingModel,
-    /// Upper hysteresis band — the serve options' warn threshold, so
-    /// the metric layer's recommendation and the controller's action
-    /// share one definition of "too many retries".
+    /// Upper hysteresis band — the serve options' warn threshold.
     upper_band: f64,
     tenants: BTreeMap<String, TenantControl>,
     decisions: Vec<ControllerDecision>,

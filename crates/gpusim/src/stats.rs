@@ -105,13 +105,6 @@ pub struct LaunchStats {
     /// re-executes. Zero without device-grain faults. Disjoint from the
     /// other components.
     pub failover_cycles: f64,
-    /// The hedged-dispatch share of
-    /// [`LaunchStats::fault_overhead_cycles`]: cycles a cancelled hedge
-    /// runner burned on another device before the winning runner
-    /// finished. Billed onto the winning run so tenants see the true
-    /// fleet cost of their tail-latency insurance. Disjoint from the
-    /// other components.
-    pub hedge_cycles: f64,
     /// Launch attempts that faulted and were re-issued by a retrying
     /// executor. Zero when no fault plan is armed or every attempt
     /// succeeded first try.
@@ -153,7 +146,6 @@ impl LaunchStats {
         self.replay_cycles += other.replay_cycles;
         self.spike_cycles += other.spike_cycles;
         self.failover_cycles += other.failover_cycles;
-        self.hedge_cycles += other.hedge_cycles;
         self.retries += other.retries;
         self.graph_replays += other.graph_replays;
         self.graph_captures += other.graph_captures;
@@ -175,8 +167,8 @@ impl LaunchStats {
     /// Checks the fault-billing accounting invariant:
     ///
     /// * the disjoint components — failed attempts, checkpoint protocol,
-    ///   replayed launches, overhead spikes, device failovers, hedged
-    ///   dispatch — sum exactly to
+    ///   replayed launches, overhead spikes, device failovers — sum
+    ///   exactly to
     ///   [`LaunchStats::fault_overhead_cycles`];
     /// * fault overhead never exceeds total wall cycles (productive
     ///   cycles are non-negative).
@@ -193,19 +185,17 @@ impl LaunchStats {
             + self.checkpoint_cycles
             + self.replay_cycles
             + self.spike_cycles
-            + self.failover_cycles
-            + self.hedge_cycles;
+            + self.failover_cycles;
         let tol = 1e-6 * (1.0 + self.cycles.abs() + parts.abs());
         if (parts - self.fault_overhead_cycles).abs() > tol {
             return Err(format!(
                 "fault-overhead components (failed {} + checkpoint {} + replay {} + spike {} + \
-                 failover {} + hedge {} = {parts}) do not sum to fault_overhead_cycles {}",
+                 failover {} = {parts}) do not sum to fault_overhead_cycles {}",
                 self.failed_attempt_cycles,
                 self.checkpoint_cycles,
                 self.replay_cycles,
                 self.spike_cycles,
                 self.failover_cycles,
-                self.hedge_cycles,
                 self.fault_overhead_cycles
             ));
         }
@@ -263,9 +253,8 @@ mod tests {
             launches: 2,
             warp_instructions: 5,
             mem_transactions: 2,
-            fault_overhead_cycles: 12.0,
+            fault_overhead_cycles: 8.0,
             failover_cycles: 8.0,
-            hedge_cycles: 4.0,
             ..LaunchStats::default()
         };
         a.merge(&b);
@@ -274,7 +263,6 @@ mod tests {
         assert_eq!(a.warp_instructions, 15);
         assert_eq!(a.mem_transactions, 6);
         assert_eq!(a.failover_cycles, 8.0);
-        assert_eq!(a.hedge_cycles, 4.0);
         a.assert_billing();
     }
 
@@ -287,8 +275,7 @@ mod tests {
             checkpoint_cycles: 90.0,
             replay_cycles: 40.0,
             spike_cycles: 30.0,
-            failover_cycles: 25.0,
-            hedge_cycles: 15.0,
+            failover_cycles: 40.0,
             ..LaunchStats::default()
         };
         good.assert_billing();

@@ -3,14 +3,16 @@
 //! Serves the eight StreamIt benchmarks as eight tenants of a
 //! [`swpipe::fleet::FleetEngine`] under three configurations:
 //!
-//! 1. **solo** — one device, hedging off, replication 1: the
-//!    single-device disk-tier baseline the fleet's cross-device hit
-//!    rate is judged against;
-//! 2. **fleet** — N devices, hedging on, replication 2, no faults:
-//!    the nominal fleet;
+//! 1. **solo** — one device, replication 1: the single-device
+//!    disk-tier baseline the fleet's cross-device hit rate is judged
+//!    against;
+//! 2. **fleet** — N devices, replication 2, no faults: the nominal
+//!    fleet;
 //! 3. **storm** — the same fleet under a seeded [`FleetStorm`]
-//!    (rolling device kills, a rack brownout, a partition train),
-//!    proving completion-or-rejection: zero jobs lost.
+//!    (rolling device kills, a rack brownout, a partition train) plus
+//!    one loss aimed at a job mid-execution ([`aimed_loss`]), proving
+//!    completion-or-rejection — zero jobs lost — and that checkpoint
+//!    shipping ran.
 //!
 //! Writes `BENCH_fleet.json` with all three reports, and in `--chaos`
 //! mode writes `FLEET_chaos.json` carrying the router's full decision
@@ -19,8 +21,8 @@
 use gpusim::DeviceId;
 use serde::Serialize;
 use swpipe::fleet::{
-    FleetEngine, FleetJobResult, FleetOptions, FleetReport, FleetStorm, FleetVerdict, HedgeOptions,
-    RackBrownout, RouterDecision,
+    FleetEngine, FleetJobResult, FleetOptions, FleetReport, FleetStorm, FleetVerdict, RackBrownout,
+    RouterDecision,
 };
 use swpipe::serve::{Job, ServeOptions};
 
@@ -56,23 +58,18 @@ pub fn base_serve_options() -> ServeOptions {
     ServeOptions::default()
 }
 
-/// The single-device baseline: no replication to lean on, no second
-/// device to hedge to.
+/// The single-device baseline: no replication to lean on.
 #[must_use]
 pub fn solo_options() -> FleetOptions {
     FleetOptions {
         devices: 1,
         base: base_serve_options(),
         replication: 1,
-        hedge: HedgeOptions {
-            enabled: false,
-            ..HedgeOptions::default()
-        },
         ..FleetOptions::default()
     }
 }
 
-/// The nominal fleet: `devices` members, replication 2, hedging on.
+/// The nominal fleet: `devices` members, replication 2.
 #[must_use]
 pub fn fleet_options(devices: u32) -> FleetOptions {
     FleetOptions {
@@ -169,29 +166,35 @@ pub struct FleetBenchReport {
 }
 
 /// One device loss aimed from a dry run of `opts` without it: the
-/// longest unhedged job of the trace's last round (its final
-/// `round_len` jobs) loses its device at the midpoint of its execution
-/// window. The dry run and a run with the loss agree up to that instant,
-/// so the loss lands on a job in flight whatever the storm's seed does.
+/// longest job of the trace's last round (its final `round_len` jobs)
+/// loses its device at the midpoint of its execution window. The dry
+/// run and a run with the loss agree up to that instant, so the loss
+/// lands on a job in flight whatever the storm's seed does.
 ///
 /// # Panics
 ///
-/// Panics when the dry run completes no unhedged job in that round.
+/// Panics when the dry run completes no job in that round.
 #[must_use]
 pub fn aimed_loss(opts: &FleetOptions, trace: &[(Job, f64)], round_len: usize) -> (DeviceId, f64) {
     let (_, _, verdicts) = run_fleet(opts.clone(), trace);
     let span = |r: &FleetJobResult| r.finish_secs - r.start_secs;
     let victim = (verdicts[trace.len() - round_len..].iter())
         .filter_map(|v| match v {
-            FleetVerdict::Completed(r) if !r.hedged => Some(r),
-            _ => None,
+            FleetVerdict::Completed(r) => Some(r),
+            FleetVerdict::Rejected { .. } => None,
         })
         .max_by(|a, b| span(a).total_cmp(&span(b)))
-        .expect("the last round completes an unhedged job");
+        .expect("the last round completes a job");
     (
         DeviceId(victim.device),
         (victim.start_secs + victim.finish_secs) / 2.0,
     )
+}
+
+/// `opts` with one more device loss at `(device, at)`.
+fn with_loss(mut opts: FleetOptions, (device, at): (DeviceId, f64)) -> FleetOptions {
+    opts.device_faults = opts.device_faults.with_loss(device, at);
+    opts
 }
 
 /// Runs all three configurations and checks the fleet acceptance
@@ -200,14 +203,18 @@ pub fn aimed_loss(opts: &FleetOptions, trace: &[(Job, f64)], round_len: usize) -
 /// # Panics
 ///
 /// Panics when the fleet's cross-device artifact-store hit rate fails
-/// to beat the solo disk-tier hit rate, or when the storm loses a job.
+/// to beat the solo disk-tier hit rate, when the storm loses a job, or
+/// when it ships no checkpoint state.
 #[must_use]
 pub fn run_bench(rounds: usize, iterations: u64, devices: u32, seed: u64) -> FleetBenchReport {
     let trace = suite_trace(rounds, iterations);
+    let round_len = trace.len() / rounds.max(1);
 
     let (solo, _, _) = run_fleet(solo_options(), &trace);
     let (fleet, _, _) = run_fleet(fleet_options(devices), &trace);
-    let (storm, _, _) = run_fleet(storm_options(devices, seed), &trace);
+    let storm_opts = storm_options(devices, seed);
+    let loss = aimed_loss(&storm_opts, &trace, round_len);
+    let (storm, _, _) = run_fleet(with_loss(storm_opts, loss), &trace);
 
     assert!(
         fleet.store.hit_rate() > solo.store.hit_rate(),
@@ -222,6 +229,10 @@ pub fn run_bench(rounds: usize, iterations: u64, devices: u32, seed: u64) -> Fle
     assert!(
         storm.failovers > 0,
         "the storm must catch at least one in-flight job (failover path unexercised)"
+    );
+    assert!(
+        storm.failover_cycles > 0,
+        "the storm's failovers shipped no checkpoint state (the loss missed every execution window)"
     );
     for (name, r) in [("solo", &solo), ("fleet", &fleet), ("storm", &storm)] {
         assert!(r.artifacts > 0, "{name}: no artifacts dispatched");
@@ -271,7 +282,7 @@ fn print_report(name: &str, r: &FleetReport) {
     println!(
         "{name:>6}: {} dev ({} alive)  {} done / {} rejected / {} lost  \
          {:>8.1} tok/s  p99 {:.4}s  store hit {:.3} (remote {:.3})  \
-         failovers {} (p99 +{:.4}s)  hedges {}/{}",
+         failovers {} (p99 +{:.4}s)",
         r.devices,
         r.devices_alive,
         r.jobs_completed,
@@ -283,8 +294,6 @@ fn print_report(name: &str, r: &FleetReport) {
         r.store.remote_hit_rate(),
         r.failovers,
         r.failover_p99_secs,
-        r.hedge_wins,
-        r.hedges,
     );
 }
 
@@ -344,16 +353,13 @@ pub fn main() {
         // seed; one more loss, aimed at a graph-dispatched job in flight,
         // makes every seed exercise mid-replay failover.
         let round_len = trace.len() / rounds.max(1);
-        let (victim, at) = aimed_loss(&chaos_options(devices, seed), &trace, round_len);
-        let with_loss = |mut opts: FleetOptions| {
-            opts.device_faults = opts.device_faults.with_loss(victim, at);
-            opts
-        };
+        let loss = aimed_loss(&chaos_options(devices, seed), &trace, round_len);
         // The same storm host-launched: the launch-overhead baseline
         // and the byte-identity reference for the graph-dispatched run.
-        let (host, _, host_verdicts) = run_fleet(with_loss(storm_options(devices, seed)), &trace);
+        let (host, _, host_verdicts) =
+            run_fleet(with_loss(storm_options(devices, seed), loss), &trace);
         let (report, decisions, verdicts) =
-            run_fleet(with_loss(chaos_options(devices, seed)), &trace);
+            run_fleet(with_loss(chaos_options(devices, seed), loss), &trace);
         assert_eq!(host.jobs_lost, 0, "host-launched chaos run lost jobs");
         assert_eq!(report.jobs_lost, 0, "chaos run lost jobs");
         assert!(
@@ -463,9 +469,9 @@ mod tests {
 
         // Overhead buckets are gated like the job counters.
         let mut burned = report.clone();
-        burned.storm.hedge_cycles += 1;
+        burned.storm.failover_cycles += 1;
         let drift = check_drift(&burned, &json).unwrap_err();
-        assert!(drift.contains("hedge_cycles"), "{drift}");
+        assert!(drift.contains("failover_cycles"), "{drift}");
 
         assert!(check_drift(&report, "{not json").is_err());
     }

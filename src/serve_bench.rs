@@ -407,9 +407,6 @@ pub fn main() {
             t.checkpoint_interval,
             t.policy_switches,
         );
-        if let Some(rec) = &t.recommendation {
-            println!("{:>18}  note: {rec}", "");
-        }
     }
     println!(
         "cache: {} hits / {} misses / {} evictions (hit rate {:.2})",

@@ -5,23 +5,20 @@
 //!   to a fault-free single-device reference, with the failover
 //!   overhead billed into the disjoint `failover_cycles` component and
 //!   the billing invariant intact;
-//! * **Hedged dispatch** — a hedge backup that wins bills the loser's
-//!   burn into the winner's disjoint `hedge_cycles` without changing a
-//!   single output byte;
 //! * **Completion-or-rejection** — rolling kill storms lose no jobs:
 //!   every submission completes or is rejected, even when no usable
 //!   failover target remains;
 //! * **Determinism** — same-seed fleet chaos replays to identical
 //!   router decision logs, reports, and output bytes, property-tested
-//!   over random traces × device counts ∈ {2, 4, 8};
+//!   over random traces × device counts ∈ {2, 4, 8}, and no job ever
+//!   executes before its artifact's compile finishes;
 //! * **Replication dividend** — the cross-device artifact store's hit
 //!   rate beats a solo device's disk tier on the same trace.
-//! * **Solo is a fleet of one** — a 1-device, replication-1, hedge-off
-//!   fleet serves the suite trace bit-identically to the solo
-//!   `EventEngine`, with and without faults and the controller;
-//! * **Hedging's causality gap** — a backup runs an artifact before its
-//!   primary's compile finishes in virtual time, pinned at today's
-//!   numbers.
+//! * **Solo is a fleet of one** — a 1-device, replication-1 fleet
+//!   serves the suite trace bit-identically to the solo `EventEngine`,
+//!   with and without faults and the controller;
+//! * **One causal clock** — a rerouted remote hit starts executing at
+//!   its artifact's compile finish plus the fetch, pinned bit for bit.
 
 use proptest::prelude::*;
 use streamir::graph::{FilterSpec, FlatGraph, StreamSpec};
@@ -29,7 +26,7 @@ use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
 
 use gpusim::{DeviceFaultPlan, DeviceId, FaultPlan};
 use stream_gpu::fleet_bench;
-use swpipe::fleet::{FleetEngine, FleetOptions, FleetStorm, FleetVerdict, HedgeOptions, Router};
+use swpipe::fleet::{Fetch, FleetEngine, FleetOptions, FleetStorm, FleetVerdict, Router};
 use swpipe::serve::{EventEngine, Job, QosClass, ResilienceOptions, ServeOptions, Verdict};
 
 fn map_filter(name: &str, k: i32) -> StreamSpec {
@@ -75,16 +72,6 @@ fn tiny_trace(jobs: usize, iterations: u64) -> Vec<(Job, f64)> {
         .collect()
 }
 
-fn no_hedge(opts: FleetOptions) -> FleetOptions {
-    FleetOptions {
-        hedge: HedgeOptions {
-            enabled: false,
-            ..HedgeOptions::default()
-        },
-        ..opts
-    }
-}
-
 fn outputs_of(v: &FleetVerdict) -> &[Scalar] {
     match v {
         FleetVerdict::Completed(r) => &r.outputs,
@@ -93,8 +80,8 @@ fn outputs_of(v: &FleetVerdict) -> &[Scalar] {
 }
 
 /// "Solo is a fleet of one": [`EventEngine`] is the fleet loop at
-/// N = 1, where routing, replication and hedging are no-ops, so a
-/// 1-device, R = 1, hedge-off fleet must reproduce it bit for bit —
+/// N = 1, where routing and replication are no-ops, so a 1-device,
+/// R = 1 fleet must reproduce it bit for bit —
 /// per-job outputs and virtual instants, the makespan, and the store
 /// counters — with and without launch faults and the online controller
 /// (whose commit interval then replaces the configured one: 1 for the
@@ -166,12 +153,12 @@ fn device_loss_failover_matches_fault_free_reference_on_the_suite() {
     let trace = stream_gpu::suite_trace(1, 4);
 
     // Fault-free single-device reference.
-    let (_, _, reference) = fleet_bench::run_fleet(no_hedge(fleet_bench::solo_options()), &trace);
+    let (_, _, reference) = fleet_bench::run_fleet(fleet_bench::solo_options(), &trace);
 
     // Probe a fault-free 4-device fleet to find a job's execution
     // window, then kill its device mid-execution so the failover has
     // real state to ship and launches to replay.
-    let probe_opts = no_hedge(fleet_bench::fleet_options(4));
+    let probe_opts = fleet_bench::fleet_options(4);
     let (_, _, probe) = fleet_bench::run_fleet(probe_opts.clone(), &trace);
     let (victim_idx, victim_dev, kill_at) = probe
         .iter()
@@ -235,115 +222,50 @@ fn device_loss_failover_matches_fault_free_reference_on_the_suite() {
     );
 }
 
-/// A hedge backup that wins bills the loser's burned cycles into the
-/// winner's disjoint `hedge_cycles` — and changes no output byte
-/// relative to an unhedged run.
+/// The causal clock across devices, as a known answer: a tenant's
+/// second job finds its home full (one in-flight job allowed), is
+/// rerouted to the other device and fetches the artifact its first job
+/// is still compiling at home. The fetch starts once that compile
+/// finishes, so execution starts at compile finish + fetch, never
+/// earlier.
 #[test]
-fn hedged_dispatch_bills_loser_burn_into_winner() {
-    // One Interactive tenant, two devices: the first job pays the
-    // 0.5 s compile penalty, so the p99-derived hedge delay (floored at
-    // 0.25 s) arms a backup that fetches from the store and wins.
-    let trace: Vec<(Job, f64)> = (0..3)
-        .map(|i| {
-            (
-                tiny_job("hot", 5, 2, QosClass::Interactive),
-                2.0 * f64::from(i),
-            )
-        })
-        .collect();
-    let base = FleetOptions {
-        devices: 2,
-        base: ServeOptions::default(),
-        replication: 2,
-        ..FleetOptions::default()
-    };
-
-    let (unhedged_report, _, unhedged) = fleet_bench::run_fleet(no_hedge(base.clone()), &trace);
-    assert_eq!(unhedged_report.hedges, 0);
-
-    let mut engine = FleetEngine::new(base);
-    let verdicts = engine.run(&trace).expect("hedged trace serves");
-    let report = engine.report();
-
-    assert!(report.hedges >= 1, "the cold compile must arm a hedge");
-    assert!(
-        report.hedge_wins >= 1,
-        "the backup skips the compile and wins"
-    );
-    assert!(report.hedge_cycles > 0, "the loser's burn is billed");
-
-    let mut saw_winning_hedge = false;
-    for (i, (v, r)) in verdicts.iter().zip(&unhedged).enumerate() {
-        let FleetVerdict::Completed(d) = v else {
-            panic!("job {i}: completes");
-        };
-        assert_eq!(d.outputs, outputs_of(r), "job {i}: hedging changed outputs");
-        d.stats
-            .check_billing()
-            .unwrap_or_else(|e| panic!("job {i}: {e}"));
-        if d.hedged && d.hedge_won {
-            saw_winning_hedge = true;
-            assert!(d.stats.hedge_cycles > 0.0, "job {i}: winner bills the burn");
-        }
-    }
-    assert!(saw_winning_hedge);
-}
-
-/// The virtual-time causality gap of hedging, pinned as it stands: a
-/// backup fires at arrival + `min_delay_secs` and fetches the artifact
-/// its primary is still compiling — that compile only lands at arrival +
-/// `compile_penalty_secs` — so the backup runs an artifact that does not
-/// exist yet in virtual time, wins, and its whole window (delay, fetch
-/// and execution) is billed as the primary's hedge burn. The committed
-/// fleet leg of `BENCH_fleet.json` is exactly this mechanism.
-#[test]
-fn hedge_backup_fetches_an_artifact_before_its_compile_finishes() {
+fn rerouted_remote_hit_starts_after_the_compile_and_the_fetch() {
+    let tenant = "hot";
+    let home = Router::new(2).home(tenant).index();
     let opts = FleetOptions {
         devices: 2,
         replication: 1,
+        base: ServeOptions {
+            max_queue: 1,
+            ..ServeOptions::default()
+        },
         ..FleetOptions::default()
     };
-    let trace = [(tiny_job("hot", 5, 2, QosClass::Interactive), 0.0)];
+    let trace = [
+        (tiny_job(tenant, 5, 2, QosClass::Batch), 0.0),
+        (tiny_job(tenant, 5, 2, QosClass::Batch), 0.1),
+    ];
     let (report, _, verdicts) = fleet_bench::run_fleet(opts.clone(), &trace);
-    let FleetVerdict::Completed(d) = &verdicts[0] else {
-        panic!("the hedged job completes");
+    let (FleetVerdict::Completed(owner), FleetVerdict::Completed(guest)) =
+        (&verdicts[0], &verdicts[1])
+    else {
+        panic!("both jobs complete");
     };
-    assert!(d.hedged && d.hedge_won, "the backup wins the race");
-    assert_eq!(report.store.remote_hits, 1, "the backup fetched remotely");
+    assert_eq!((owner.fetch, owner.device), (Fetch::Miss, home));
+    assert!(guest.rerouted, "home is full, so the job was rerouted");
+    assert_eq!(guest.fetch, Fetch::RemoteHit);
+    assert_eq!(report.store.remote_hits, 1);
 
-    let compiled_at = d.arrival_secs + opts.base.compile_penalty_secs;
-    let backup_start = d.arrival_secs + opts.hedge.min_delay_secs + opts.fetch_penalty_secs;
-    assert_eq!(d.start_secs.to_bits(), backup_start.to_bits());
-    assert!(
-        d.start_secs < compiled_at,
-        "the backup executes at {} an artifact compiled only at {compiled_at}",
-        d.start_secs
-    );
-    let clock = opts.base.timing.clock_hz;
+    let compiled_at = owner.arrival_secs + opts.base.compile_penalty_secs;
+    assert_eq!(owner.start_secs.to_bits(), compiled_at.to_bits());
     assert_eq!(
-        d.stats.hedge_cycles.to_bits(),
-        ((d.finish_secs - d.arrival_secs) * clock).to_bits(),
-        "the burn is the backup's whole window"
+        guest.start_secs.to_bits(),
+        (compiled_at + opts.fetch_penalty_secs).to_bits(),
+        "the fetch waits for the compile: execution starts at {}",
+        guest.start_secs
     );
-
-    // The committed fleet leg: 4 hedges, all won, each burning 0.25 s of
-    // delay + 0.05 s of fetch + ≈ 1.2 ms of execution at 1.625 GHz — 97 %
-    // of the leg's billed cycles.
-    let text = std::fs::read_to_string("BENCH_fleet.json").expect("committed fleet bench");
-    let bench: serde_json::Value = serde_json::from_str(&text).expect("parses");
-    let leg = bench.get("fleet").expect("fleet leg");
-    let get = |k: &str| leg.get(k).and_then(serde_json::Value::as_u64).expect(k);
-    let burn = get("hedge_cycles");
-    assert_eq!(
-        (get("hedges"), get("hedge_wins"), burn),
-        (4, 4, 1_957_619_764)
-    );
-    let per_hedge_secs = burn as f64 / 4.0 / clock;
-    assert!(
-        (0.30..0.302).contains(&per_hedge_secs),
-        "{per_hedge_secs} s per hedge"
-    );
-    assert!(burn as f64 / get("cycles") as f64 > 0.97);
+    assert_eq!(guest.artifact_ready_secs.to_bits(), compiled_at.to_bits());
+    assert_eq!(report.fault_overhead_cycles, 0, "waiting is not billed");
 }
 
 /// Rolling device kills never lose a job: every submission completes
@@ -396,11 +318,11 @@ fn loss_with_no_usable_target_rejects_instead_of_losing() {
     let plan = DeviceFaultPlan::new()
         .with_partition(DeviceId(other), 0.1, 60.0)
         .with_loss(DeviceId(home), 0.2);
-    let opts = no_hedge(FleetOptions {
+    let opts = FleetOptions {
         devices: 2,
         device_faults: plan,
         ..FleetOptions::default()
-    });
+    };
     let mut engine = FleetEngine::new(opts);
     let verdicts = engine.run(&trace).expect("trace serves");
     let report = engine.report();
@@ -439,12 +361,12 @@ fn replication_turns_post_kill_reroutes_into_hits() {
     let plan = DeviceFaultPlan::new().with_loss(DeviceId(home), 1.0);
 
     let run = |replication: u32| {
-        let opts = no_hedge(FleetOptions {
+        let opts = FleetOptions {
             devices: 2,
             replication,
             device_faults: plan.clone(),
             ..FleetOptions::default()
-        });
+        };
         fleet_bench::run_fleet(opts, &trace)
     };
     let (r1, _, _) = run(1);
@@ -474,7 +396,10 @@ proptest! {
     /// Same seed, same storm, same fleet: two runs replay to identical
     /// router decision logs, identical serialized reports, and
     /// identical output bytes — across random traces and device counts
-    /// ∈ {2, 4, 8}.
+    /// ∈ {2, 4, 8}. And whatever the storm does, every completed job's
+    /// execution starts no earlier than its key's compile finishes (a
+    /// miss that never failed over starts exactly then), and a fresh
+    /// fleet runs no artifact it did not compile.
     #[test]
     fn same_seed_fleet_chaos_replays_identically(
         seed in 0u64..1_000_000,
@@ -515,6 +440,22 @@ proptest! {
             match (x, y) {
                 (FleetVerdict::Completed(l), FleetVerdict::Completed(r)) => {
                     prop_assert_eq!(&l.outputs, &r.outputs, "job {} outputs diverge", i);
+                    prop_assert!(l.artifact_ready_secs.is_finite(), "job {} compiled nowhere", i);
+                    prop_assert!(
+                        l.start_secs >= l.artifact_ready_secs,
+                        "job {} executes at {} an artifact compiled at {}",
+                        i,
+                        l.start_secs,
+                        l.artifact_ready_secs
+                    );
+                    if l.fetch == Fetch::Miss && l.failed_over == 0 {
+                        prop_assert_eq!(
+                            l.start_secs.to_bits(),
+                            l.artifact_ready_secs.to_bits(),
+                            "job {} compile finish",
+                            i
+                        );
+                    }
                     prop_assert_eq!(
                         l.finish_secs.to_bits(),
                         r.finish_secs.to_bits(),

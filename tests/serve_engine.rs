@@ -17,7 +17,8 @@
 //! * out-of-order submission equals the sorted trace (the EWMA
 //!   recording fix);
 //! * the `SWPIPE_FAULT_MATRIX` kinds serve CPU-identical outputs;
-//! * the virtual-time causality gap of a pending hit, pinned as it is.
+//! * the causal clock: a pending hit executes from its owner's compile
+//!   finish, pinned bit for bit.
 
 use std::collections::BTreeSet;
 
@@ -533,13 +534,12 @@ fn fault_matrix_differential_byte_identical() {
     assert!(ran >= 1, "SWPIPE_FAULT_MATRIX selected no known fault kind");
 }
 
-/// The virtual-time causality gap, pinned as it stands today: a second
-/// tenant whose dispatch lands on a key another tenant reserved is a
-/// pending hit, served at compile cost 0 — so it finishes before the
-/// owner's compile window closes, running an artifact that in virtual
-/// time does not exist yet.
+/// The causal clock, as a known answer: a second tenant whose dispatch
+/// lands on a key another tenant reserved is a pending hit, and it
+/// starts executing when the owner's compile finishes — not at its own
+/// arrival, before the artifact exists.
 #[test]
-fn pending_hit_is_served_before_the_owners_compile_window_closes() {
+fn pending_hit_waits_for_the_owners_compile_to_finish() {
     // Two tenants settle into equal slices on their own graphs, then
     // both submit the same new graph: the owner at t = 2.0 (a miss, its
     // compile window [2.0, 2.5)) and the joiner at t = 2.05.
@@ -564,6 +564,7 @@ fn pending_hit_is_served_before_the_owners_compile_window_closes() {
 
     let penalty = ServeOptions::default().compile_penalty_secs;
     let compiled_at = owner.start_secs + penalty;
+    assert_eq!(compiled_at, 2.5);
     assert_eq!(
         owner.finish_secs.to_bits(),
         (compiled_at + owner.exec_secs).to_bits()
@@ -575,13 +576,8 @@ fn pending_hit_is_served_before_the_owners_compile_window_closes() {
     );
     assert_eq!(
         joiner.finish_secs.to_bits(),
-        (2.05 + joiner.exec_secs).to_bits(),
-        "served at compile cost 0"
-    );
-    assert!(
-        joiner.finish_secs < compiled_at,
-        "the joiner finishes at {} before the artifact exists at {compiled_at}",
-        joiner.finish_secs
+        (compiled_at + joiner.exec_secs).to_bits(),
+        "executes from the compile's finish"
     );
     let report = engine.report();
     assert_eq!((report.cache.misses, report.cache.hits), (4, 2));

@@ -274,7 +274,6 @@ fn stateful_recovery_reproduces_the_known_run() {
             replay_cycles: 106432.0,
             spike_cycles: 0.0,
             failover_cycles: 0.0,
-            hedge_cycles: 0.0,
             retries: 3,
             graph_replays: 22,
             graph_captures: 1,
