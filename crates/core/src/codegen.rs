@@ -1,5 +1,6 @@
 //! Code generation support: device buffer allocation, endpoint bindings,
-//! host↔device token transfer, and the CPU-side initialization run.
+//! host↔device token transfer, and seeding the device with what the
+//! initialization phase left.
 //!
 //! The generated "kernel" is a [`gpusim::Launch`] whose blocks mirror the
 //! paper's `switch (blockIdx.x)` arms; this module provides the address
@@ -7,11 +8,10 @@
 //! [`BufferBinding`] over the planned buffers.
 
 use gpusim::{BufferBinding, Gpu, Layout};
-use streamir::channel::Fifo;
-use streamir::graph::{EdgeId, FlatGraph, NodeId};
-use streamir::ir::interp::{self, Channels};
-use streamir::ir::{ElemTy, OpCensus, Scalar};
+use streamir::graph::FlatGraph;
+use streamir::ir::{ElemTy, Scalar};
 
+use crate::exec::InitState;
 use crate::instances::{ExecConfig, InstanceGraph};
 use crate::plan::BufferPlan;
 use crate::schedule::Schedule;
@@ -402,26 +402,18 @@ impl ProgramBuffers {
         read_stream(gpu, &io.binding(1, start), count, ty)
     }
 
-    /// Runs the initialization phase on the host CPU and seeds the device
-    /// buffers with the resulting resident tokens, consuming a prefix of
-    /// `input`. Returns the tokens the init phase pushed to the graph
-    /// output (they precede the steady-phase output in the stream).
-    ///
-    /// # Errors
-    ///
-    /// Propagates work-function traps; reports insufficient input.
+    /// Seeds the device buffers with what the initialization phase left:
+    /// node states, resident channel tokens and the init output. Returns
+    /// the init output (it precedes the steady-phase output in the
+    /// stream).
     pub fn seed_init_state(
         &self,
         gpu: &mut Gpu,
-        graph: &FlatGraph,
         ig: &InstanceGraph,
-        config: &ExecConfig,
-        input: &[Scalar],
-    ) -> Result<Vec<Scalar>> {
-        let (leftover, init_out, _consumed, node_states) =
-            run_init_on_cpu(graph, ig, config, input)?;
-        for (v, states) in node_states.iter().enumerate() {
-            if let Some(base) = self.state_base[v] {
+        init: InitState,
+    ) -> Vec<Scalar> {
+        for (base, states) in self.state_base.iter().zip(&init.states) {
+            if let Some(base) = *base {
                 for (i, &tok) in states.iter().enumerate() {
                     gpu.memory_mut().write_token(base + i as u32, tok);
                 }
@@ -429,7 +421,7 @@ impl ProgramBuffers {
         }
         // Resident tokens are what the first steady consumer instance
         // pops first.
-        for (edge_idx, tokens) in leftover.iter().enumerate() {
+        for (edge_idx, tokens) in init.leftover.iter().enumerate() {
             let binding = BufferBinding {
                 endpoint_rate: 1,
                 ..self.consumer_binding(ig, edge_idx, 0, 0)
@@ -439,9 +431,9 @@ impl ProgramBuffers {
         // Init output also lands in the output buffer's prefix so stream
         // indices stay uniform.
         if let Some(io) = &self.output {
-            write_stream(gpu, &io.binding(1, 0), &init_out);
+            write_stream(gpu, &io.binding(1, 0), &init.output);
         }
-        Ok(init_out)
+        init.output
     }
 }
 
@@ -452,138 +444,5 @@ fn reps_of(_ig: &InstanceGraph, et: &crate::instances::EdgeTokens, consumer: boo
         (et.tokens_per_iter / et.i_per_inst.max(1)) as u32
     } else {
         (et.tokens_per_iter / et.o_per_inst.max(1)) as u32
-    }
-}
-
-/// The result of running the initialization schedule on the host:
-/// per-edge leftover tokens (FIFO order), the init-phase graph output,
-/// input tokens consumed, and each node's post-init persistent state.
-pub type InitState = (Vec<Vec<Scalar>>, Vec<Scalar>, usize, Vec<Vec<Scalar>>);
-
-/// Executes the initialization schedule with the reference interpreter.
-pub fn run_init_on_cpu(
-    graph: &FlatGraph,
-    ig: &InstanceGraph,
-    config: &ExecConfig,
-    input: &[Scalar],
-) -> Result<InitState> {
-    let n = graph.len();
-    let mut fifos: Vec<Fifo> = graph
-        .edges()
-        .iter()
-        .map(|e| {
-            let mut f = Fifo::new(e.elem);
-            f.extend(e.initial.iter().copied());
-            f
-        })
-        .collect();
-    // Remaining basic firings per node: init instances x threads.
-    let mut remaining: Vec<u64> = (0..n)
-        .map(|v| u64::from(ig.init[v]) * u64::from(config.threads[v]))
-        .collect();
-    let needed_input: u64 = graph.input().map_or(0, |e| {
-        remaining[e.0 as usize] * u64::from(graph.node(e).work.pop_rate(0))
-    });
-    if (input.len() as u64) < needed_input {
-        return Err(Error::Stream(streamir::Error::InsufficientInput {
-            needed: needed_input as usize,
-            got: input.len(),
-        }));
-    }
-
-    let mut cursor = 0usize;
-    let mut init_out = Vec::new();
-    let mut counts = OpCensus::default();
-    let mut node_states: Vec<Vec<Scalar>> = graph
-        .nodes()
-        .iter()
-        .map(|node| node.work.initial_state())
-        .collect();
-    // Port wiring is resolved once per node, not once per basic firing.
-    let wiring: Vec<_> = (0..n as u32)
-        .map(|v| {
-            (
-                graph.input_wiring(NodeId(v)),
-                graph.output_wiring(NodeId(v)),
-            )
-        })
-        .collect();
-
-    let mut progress = true;
-    while progress {
-        progress = false;
-        for v in 0..n {
-            let (in_ports, out_ports) = &wiring[v];
-            while remaining[v] > 0 && fireable(graph, in_ports, &fifos) {
-                remaining[v] -= 1;
-                let mut ch = InitChannels {
-                    in_ports,
-                    out_ports,
-                    fifos: &mut fifos,
-                    input,
-                    cursor: &mut cursor,
-                    outputs: &mut init_out,
-                };
-                let work = &graph.node(NodeId(v as u32)).work;
-                interp::execute_stateful(work, &mut ch, &mut node_states[v], &mut counts)
-                    .map_err(Error::Stream)?;
-                progress = true;
-            }
-        }
-    }
-    if remaining.iter().any(|&r| r > 0) {
-        return Err(Error::Stream(streamir::Error::Deadlock {
-            stalled: remaining
-                .iter()
-                .enumerate()
-                .filter(|&(_, &r)| r > 0)
-                .map(|(v, &r)| format!("{}:{r}", graph.node(NodeId(v as u32)).name))
-                .collect(),
-        }));
-    }
-    let leftover: Vec<Vec<Scalar>> = fifos.iter_mut().map(Fifo::drain_all).collect();
-    Ok((leftover, init_out, cursor, node_states))
-}
-
-fn fireable(graph: &FlatGraph, in_ports: &[Option<EdgeId>], fifos: &[Fifo]) -> bool {
-    in_ports
-        .iter()
-        .flatten()
-        .all(|&e| fifos[e.0 as usize].len() as u64 >= u64::from(graph.peek_rate(e)))
-}
-
-/// The init phase's view of a node's ports: `None` is the graph's
-/// external input (output) stream.
-struct InitChannels<'a> {
-    in_ports: &'a [Option<EdgeId>],
-    out_ports: &'a [Option<EdgeId>],
-    fifos: &'a mut [Fifo],
-    input: &'a [Scalar],
-    cursor: &'a mut usize,
-    outputs: &'a mut Vec<Scalar>,
-}
-
-impl Channels for InitChannels<'_> {
-    fn pop(&mut self, port: u8) -> Scalar {
-        match self.in_ports[port as usize] {
-            Some(e) => self.fifos[e.0 as usize].pop().expect("firing rule"),
-            None => {
-                let v = self.input[*self.cursor];
-                *self.cursor += 1;
-                v
-            }
-        }
-    }
-    fn peek(&self, port: u8, depth: u32) -> Scalar {
-        match self.in_ports[port as usize] {
-            Some(e) => self.fifos[e.0 as usize].peek(depth).expect("firing rule"),
-            None => self.input[*self.cursor + depth as usize],
-        }
-    }
-    fn push(&mut self, port: u8, value: Scalar) {
-        match self.out_ports[port as usize] {
-            Some(e) => self.fifos[e.0 as usize].push(value),
-            None => self.outputs.push(value),
-        }
     }
 }

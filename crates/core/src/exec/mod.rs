@@ -14,6 +14,7 @@
 //!   buffers constrained to a single batch in flight.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use gpusim::{
     BlockWork, CheckpointMode, DeviceConfig, Dispatch, FaultPlan, Gpu, InstanceExec, Kernel,
@@ -30,8 +31,11 @@ use crate::profile::{self, staging_fits, ProfileOptions};
 use crate::schedule::{self, Schedule, SearchOptions, SearchReport};
 use crate::{Error, Result};
 
+mod init;
 mod recovery;
 
+use init::InitPlan;
+pub use init::InitState;
 use recovery::{Checkpointer, Sequencer};
 
 /// Everything [`compile`] needs to know.
@@ -477,6 +481,9 @@ pub(crate) struct Prepared {
     nodes: Vec<NodeLaunch>,
     walk: Walk,
     plan: BufferPlan,
+    /// Derived by the first run: the verifier prepares artifacts too and
+    /// never fires their init phase.
+    init: OnceLock<InitPlan>,
 }
 
 impl Prepared {
@@ -522,7 +529,13 @@ impl Prepared {
             nodes,
             walk,
             plan: plan::plan(&c.graph, &c.ig, sched, granule, kind),
+            init: OnceLock::new(),
         })
+    }
+
+    /// The artifact's initialization schedule.
+    fn init_plan(&self, c: &Compiled) -> &InitPlan {
+        (self.init).get_or_init(|| InitPlan::new(&c.graph, &c.ig, &c.exec_cfg))
     }
 
     pub(crate) fn scheme(&self) -> Scheme {
@@ -775,7 +788,8 @@ impl Prepared {
         }
         let buffers = codegen::allocate(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, plan, alloc_iters)?;
         check_input_len(&buffers, input)?;
-        let init_out = buffers.seed_init_state(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, input)?;
+        let init = (self.init_plan(c)).run(&c.graph, |v| &self.nodes[v].kernel, input)?;
+        let init_out = buffers.seed_init_state(&mut gpu, &c.ig, init);
         if buffers.input.is_some() {
             buffers.write_input(&mut gpu, input);
         }

@@ -78,17 +78,17 @@ pub fn cache_key(graph: &FlatGraph, opts: &PipelineOptions) -> u64 {
         policy,
         graph_dispatch,
     } = opts;
-    h.str(&format!("{device:?}"));
-    h.str(&format!("{timing:?}"));
-    h.str(&format!("{profile:?}"));
-    h.str(&format!("{search:?}"));
-    h.str(&format!("{budgets:?}"));
-    h.str(&format!("{policy:?}"));
-    h.str(&format!("{fault_plan:?}"));
+    h.str_args(format_args!("{device:?}"));
+    h.str_args(format_args!("{timing:?}"));
+    h.str_args(format_args!("{profile:?}"));
+    h.str_args(format_args!("{search:?}"));
+    h.str_args(format_args!("{budgets:?}"));
+    h.str_args(format_args!("{policy:?}"));
+    h.str_args(format_args!("{fault_plan:?}"));
     // Dispatch mode is part of the artifact's identity: its run options
     // differ, so graph-dispatched and host-launched artifacts of the same
     // program must occupy distinct cache slots.
-    h.str(&format!("graph_dispatch={graph_dispatch}"));
+    h.str_args(format_args!("graph_dispatch={graph_dispatch}"));
     h.finish()
 }
 

@@ -5,7 +5,7 @@ use streamir::ir::{access_sites, AccessSite, WorkFunction};
 use crate::config::DeviceConfig;
 use crate::exec::{run_warp, ExecLimits, Program, TripKind, WarpCtx, WarpState};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::layout::BufferBinding;
+use crate::layout::{BufferBinding, WARP_LANES};
 use crate::mem::{Allocator, DeviceMemory};
 use crate::stats::{InstanceStats, LaunchStats};
 use crate::timing::TimingModel;
@@ -463,27 +463,9 @@ impl Gpu {
             warps,
             ..InstanceStats::default()
         };
-
-        warp_state.bind(&inst.inputs, &inst.outputs);
-        for w in 0..warps {
-            let lane0 = w * warp;
-            if w > 0 {
-                warp_state.next_warp(warp);
-            }
-            let active = warp.min(inst.active_threads - lane0);
-            let ctx = WarpCtx {
-                prog: &inst.kernel.program,
-                lane0_tid: lane0,
-                active,
-                inputs: &inst.inputs,
-                outputs: &inst.outputs,
-                shared_staging: inst.shared_staging,
-                half_warp: self.config.warp_size / 2,
-                txn_words: u64::from(self.config.transaction_words()),
-                state_base: inst.state_base,
-            };
-            run_warp(&ctx, warp_state, &mut self.memory, &mut stats, limits)?;
-        }
+        let txn_words = self.config.transaction_words();
+        let mem = &mut self.memory;
+        inst.run_warps(mem, (warp, txn_words), warp_state, &mut stats, limits)?;
 
         if inst.shared_staging {
             // Each warp-wide copy step is one access instruction and two
@@ -510,6 +492,58 @@ impl Gpu {
             stats.warp_instructions += spill_accesses;
         }
         Ok(stats)
+    }
+}
+
+impl InstanceExec<'_> {
+    /// Fires this instance over `memory` and nothing else: every read and
+    /// write lands exactly as under [`Gpu::run`], but nothing is billed,
+    /// and no launch ordinal, fault draw or watchdog budget exists to be
+    /// touched. The caller vouches for the shape [`Gpu::run`] validates
+    /// (arity, one lane for a stateful work function). Warps are the
+    /// simulator's full [`WARP_LANES`]: how lanes group never changes
+    /// what a firing computes.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Trap`] / [`SimError::BadAddress`] if a firing faults.
+    pub fn execute(&self, memory: &mut DeviceMemory) -> Result<()> {
+        let mut limits = ExecLimits::new(u64::MAX, 0);
+        let (mut state, mut stats) = (WarpState::default(), InstanceStats::default());
+        // The transaction size only shapes counters nobody reads.
+        let shape = (WARP_LANES as u32, 16);
+        self.run_warps(memory, shape, &mut state, &mut stats, &mut limits)
+    }
+
+    /// Runs every warp of the instance through [`run_warp`] on a device
+    /// of `(warp size, transaction words)`, tallying into `stats`.
+    fn run_warps(
+        &self,
+        memory: &mut DeviceMemory,
+        (warp, txn_words): (u32, u32),
+        warp_state: &mut WarpState,
+        stats: &mut InstanceStats,
+        limits: &mut ExecLimits,
+    ) -> Result<()> {
+        warp_state.bind(&self.inputs, &self.outputs);
+        for lane0 in (0..self.active_threads).step_by(warp as usize) {
+            if lane0 > 0 {
+                warp_state.next_warp(warp);
+            }
+            let ctx = WarpCtx {
+                prog: &self.kernel.program,
+                lane0_tid: lane0,
+                active: warp.min(self.active_threads - lane0),
+                inputs: &self.inputs,
+                outputs: &self.outputs,
+                shared_staging: self.shared_staging,
+                half_warp: warp / 2,
+                txn_words: u64::from(txn_words),
+                state_base: self.state_base,
+            };
+            run_warp(&ctx, warp_state, memory, stats, limits)?;
+        }
+        Ok(())
     }
 }
 
@@ -591,6 +625,33 @@ mod tests {
                 Scalar::I32(2 * i as i32)
             );
         }
+    }
+
+    /// The functional entry point writes what a launch writes and leaves
+    /// the device's launch state alone: a budget the firings far exceed
+    /// kills nothing, and the next launch is still attempt 0, drawing
+    /// attempt 0's fault.
+    #[test]
+    fn execute_fires_like_a_launch_and_bills_nothing() {
+        let work = doubler();
+        let mut gpu = Gpu::new(DeviceConfig::small_test());
+        gpu.inject_faults(FaultPlan::new(7).with_launch_failures(1000));
+        gpu.set_watchdog_budget(Some(3));
+        let n = 40; // a full warp and a partial one
+        let inp = gpu.alloc_tokens(n);
+        let out = gpu.alloc_tokens(n);
+        for i in 0..n {
+            gpu.memory_mut()
+                .write_token(inp + i, Scalar::I32(i as i32 - 7));
+        }
+        let launch = simple_launch(&work, inp, out, n, Layout::Sequential);
+        launch.blocks[0].items[0].execute(gpu.memory_mut()).unwrap();
+        for i in 0..n {
+            let doubled = Scalar::I32(2 * (i as i32 - 7));
+            assert_eq!(gpu.memory().read_token(out + i, ElemTy::I32), doubled);
+        }
+        assert_eq!((gpu.launches_attempted(), gpu.watchdog_budget()), (0, 3));
+        assert_eq!(gpu.run(&launch), Err(SimError::LaunchFailed { launch: 0 }));
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! `suffix` from the state `prefix` left behind. [`Fnv::resume`] is that
 //! second half: a memoised prefix state never changes a digest.
 
+use std::fmt;
+
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -65,6 +67,19 @@ impl Fnv {
         self.write(&[0xff]);
     }
 
+    /// Absorbs `args` rendered, then the separator [`Fnv::str`] writes:
+    /// the digest of `self.str(&args.to_string())` without building the
+    /// string.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a formatting trait implementation returns an error, as
+    /// `format!` does.
+    pub fn str_args(&mut self, args: fmt::Arguments<'_>) {
+        fmt::Write::write_fmt(self, args).expect("a formatting trait implementation failed");
+        self.write(&[0xff]);
+    }
+
     /// Absorbs a `u64` in little-endian byte order.
     pub fn u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
@@ -74,6 +89,14 @@ impl Fnv {
     #[must_use]
     pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+/// Renderings stream into the hash piece by piece ([`Fnv::str_args`]).
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -99,6 +122,18 @@ mod tests {
         whole.str("graph");
         whole.str("options");
         assert_eq!(resumed.finish(), whole.finish());
+    }
+
+    #[test]
+    fn streamed_renderings_hash_like_their_strings() {
+        let v = ("gts512", vec![16u32, 4], 0.5f64, Some(-3i64));
+        let mut streamed = Fnv::new();
+        streamed.str_args(format_args!("{v:?}"));
+        streamed.str_args(format_args!("flag={}", true));
+        let mut built = Fnv::new();
+        built.str(&format!("{v:?}"));
+        built.str(&format!("flag={}", true));
+        assert_eq!(streamed.finish(), built.finish());
     }
 
     #[test]

@@ -784,3 +784,77 @@ proptest! {
             .expect("fault-reserved schedule must validate");
     }
 }
+
+/// The initialization phase is host work: it draws no fault, consumes no
+/// launch ordinal and spends no watchdog budget. A known answer captured
+/// when the init phase still ran on the reference interpreter: a stateful
+/// filter priming a peeking window (so the init phase fires both), under
+/// launch failures and hangs with a 2-launch commit window, reproduces the
+/// same per-launch cycles, retries and output to the bit.
+#[test]
+fn init_firings_leave_the_fault_draws_and_billing_of_a_run_unchanged() {
+    let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+    let y = f.state(ElemTy::I32, Scalar::I32(3));
+    let x = f.local(ElemTy::I32);
+    f.pop_into(0, x);
+    f.store_state(y, Expr::state(y).div(Expr::i32(2)).add(Expr::local(x)));
+    f.push(0, Expr::state(y));
+    let iir = StreamSpec::filter(FilterSpec::new("iir", f.build().unwrap()));
+    let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+    f.push(
+        0,
+        Expr::peek(0, Expr::i32(0)).add(Expr::peek(0, Expr::i32(3))),
+    );
+    f.pop(0);
+    let window = StreamSpec::filter(FilterSpec::new("window", f.build().unwrap()));
+    let graph = StreamSpec::pipeline(vec![
+        map_filter("pre", |x| x.mul(Expr::i32(3))),
+        iir,
+        window,
+    ])
+    .flatten()
+    .unwrap();
+    let c = exec::compile(&graph, &CompileOptions::small_test()).unwrap();
+    assert!(
+        c.ig.init.iter().filter(|&&i| i > 0).count() >= 2,
+        "{:?}",
+        c.ig.init
+    );
+    let (scheme, iters) = (Scheme::Swp { coarsening: 1 }, 12);
+    let input: Vec<Scalar> = (0..exec::required_input(&c, iters))
+        .map(|i| Scalar::I32(i as i32 % 37 - 18))
+        .collect();
+    let opts = RunOptions {
+        fault_plan: Some(FaultPlan::new(11).with_launch_failures(60).with_hangs(40)),
+        retry: RetryPolicy { max_attempts: 8 },
+        checkpoint_interval: 2,
+        ..RunOptions::default()
+    };
+    let run = exec::execute_with(&c, scheme, iters, &input, &opts).unwrap();
+    let clean = exec::execute(&c, scheme, iters, &input).unwrap();
+    assert_eq!(run.outputs, clean.outputs);
+    assert_eq!(
+        run.launch_cycles,
+        [
+            39834.0,
+            42208.0,
+            42216.0,
+            42208.0,
+            42216.0,
+            42208.0,
+            42216.0,
+            42208.0,
+            42216.0,
+            42208.0,
+            3250074232.0,
+            42208.0,
+            19190.0,
+            17742.5
+        ]
+    );
+    assert_eq!((run.retries, run.stats.cycles), (2, 3250573110.5));
+    let head: Vec<i32> = run.outputs[..6].iter().map(|v| v.as_i32()).collect();
+    let sum: i64 = run.outputs.iter().map(|v| i64::from(v.as_i32())).sum();
+    assert_eq!((run.outputs.len(), sum), (384, -1433));
+    assert_eq!(head, [-141, -163, -168, -165, -157, -147]);
+}
