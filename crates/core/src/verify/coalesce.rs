@@ -568,6 +568,31 @@ mod tests {
     }
 
     #[test]
+    fn literal_arithmetic_depths_and_indices_stay_uniform() {
+        // `3 - 1` and `2 * 1` decode to one op each with both literals
+        // folded in as immediates; to the walk they are still a uniform
+        // peek depth and a uniform array row.
+        let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+        let a = f.array(ElemTy::I32, 4);
+        let row = || Expr::i32(2).mul(Expr::i32(1));
+        f.store(a, row(), Expr::peek(0, Expr::i32(3).sub(Expr::i32(1))));
+        f.push(0, Expr::load(a, row()).add(Expr::peek(0, Expr::i32(0))));
+        f.pop(0);
+        let spec = StreamSpec::pipeline(vec![
+            rate_filter("gen", 1, 1),
+            StreamSpec::filter(FilterSpec::new("lit", f.build().unwrap())),
+        ]);
+        let c = compiled(&spec);
+        for scheme in [
+            Scheme::Swp { coarsening: 1 },
+            Scheme::SwpNc { coarsening: 1 },
+        ] {
+            let pred = assert_prediction_exact(&c, scheme, 4);
+            assert!(pred.sites.iter().all(|s| !s.tally.varying_depth));
+        }
+    }
+
+    #[test]
     fn skewed_transpose_rate_is_a_coalescing_error() {
         // Consumer pops 4 per firing; re-plan the channel as if it popped
         // 2: consumer reads scatter within regions -> V0201 at the site.

@@ -14,17 +14,18 @@
 //! Billing and addressing depend on values only through `if` conditions,
 //! array and table indices and peek depths, so the domain is tiny:
 //! constants fold with the simulator's own bit-level operators on one
-//! lane, and what folding cannot decide (a popped value, a trap) is
-//! varying. Where a static walk must, it departs from execution: a
-//! data-dependent `if` walks both arms, and a statement the simulator
-//! would trap on ([`DStmt::Invalid`]) emits nothing. It has no masks, no
-//! traps and no watchdog, so it is a separate walk over shared data rather
-//! than a generic interpreter both would branch inside.
+//! lane, an immediate operand is a uniform constant, and what folding
+//! cannot decide (a popped value, a trap) is varying. Where a static walk
+//! must, it departs from execution: a data-dependent `if` walks both arms,
+//! and a statement the simulator would trap on ([`DStmt::Invalid`]) emits
+//! nothing. It has no masks, no traps and no watchdog, so it is a separate
+//! walk over shared data rather than a generic interpreter both would
+//! branch inside.
 
-use streamir::ir::{AccessKind, BinOp, ElemTy};
+use streamir::ir::AccessKind;
 
 use crate::config::DeviceConfig;
-use crate::exec::{binary, int_div, stale_peeks, unary, DExpr, DStmt, Op, Program, Reg};
+use crate::exec::{binary, int_div, stale_peeks, unary, DExpr, DStmt, Op, Program, Src};
 use crate::launch::{staging_steps, InstanceExec};
 use crate::layout::{BufferBinding, WarpAccess, WarpGeometry};
 
@@ -204,39 +205,42 @@ impl<S: AccessSink> Walk<'_, S> {
         self.regs[e.out as usize]
     }
 
-    /// The constants in registers `a` and `b`, if both are uniform.
-    fn consts(&self, a: Reg, b: Reg) -> Option<(u32, u32)> {
-        Some((self.regs[a as usize]?, self.regs[b as usize]?))
+    /// An operand's bits, if every lane holds the same: an immediate
+    /// always does.
+    fn value(&self, s: Src) -> AbsVal {
+        match s {
+            Src::Reg(r) => self.regs[r as usize],
+            Src::Imm(bits) => Some(bits),
+        }
+    }
+
+    /// The constants `a` and `b` hold, if both are uniform.
+    fn consts(&self, a: Src, b: Src) -> Option<(u32, u32)> {
+        Some((self.value(a)?, self.value(b)?))
     }
 
     fn op(&mut self, op: &Op) {
         let (dst, v) = match *op {
             Op::Const { dst, bits } => (dst, Some(bits)),
-            Op::Unary { op, ty, dst, a } => (
+            Op::Unary { op, dst, a } => (
                 dst,
                 self.regs[a as usize].map(|x| {
                     let mut lane = [[x], [0]];
-                    unary(&mut lane, 1, op, ty, 1, 0);
+                    unary(&mut lane, 1, op, 1, 0);
                     lane[1][0]
                 }),
             ),
-            Op::Binary {
-                op: op @ (BinOp::Div | BinOp::Rem),
-                ty: ElemTy::I32,
-                dst,
-                a,
-                b,
-            } => (
-                dst,
-                self.consts(a, b).and_then(|(x, y)| int_div(op, x, y).ok()),
-            ),
-            Op::Binary { op, ty, dst, a, b } => (
+            Op::Binary { op, dst, a, b } => (
                 dst,
                 self.consts(a, b).map(|(x, y)| {
-                    let mut lane = [[x], [y], [0]];
-                    binary(&mut lane, 1, op, ty, 2, 0, 1);
-                    lane[2][0]
+                    let mut lane = [[0]];
+                    binary(&mut lane, 1, op, 0, Src::Imm(x), Src::Imm(y));
+                    lane[0][0]
                 }),
+            ),
+            Op::DivRem { op, dst, a, b } => (
+                dst,
+                self.consts(a, b).and_then(|(x, y)| int_div(op, x, y).ok()),
             ),
             Op::Peek {
                 dst,
@@ -348,7 +352,7 @@ impl<S: AccessSink> Walk<'_, S> {
 
 #[cfg(test)]
 mod tests {
-    use streamir::ir::{access_sites, AccessSite, Expr, FnBuilder, WorkFunction};
+    use streamir::ir::{access_sites, AccessSite, ElemTy, Expr, FnBuilder, WorkFunction};
 
     use super::*;
     use crate::{Kernel, Layout};

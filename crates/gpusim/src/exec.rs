@@ -9,10 +9,12 @@
 //! and runs them through the coalescing analyzer.
 //!
 //! A work function is decoded once, when it is loaded as a
-//! [`crate::Kernel`] ([`Program::decode`]), into flat, statically typed
-//! register ops, and each op then executes across the whole warp on
-//! structure-of-arrays registers (one `[u32; 32]` of raw bits per local
-//! or temporary). Ops that cannot trap run unmasked over
+//! [`crate::Kernel`] ([`Program::decode`]), into flat register ops whose
+//! operators are resolved against their operand types ([`Bin`], [`Un`])
+//! and whose literal operands are immediates ([`Src::Imm`]), and each op
+//! then executes across the whole warp on structure-of-arrays registers
+//! (one `[u32; 32]` of raw bits per local or temporary). Ops that cannot
+//! trap run unmasked over
 //! the warp's lanes — a masked-off lane computes a value nobody reads;
 //! integer `Div`/`Rem`, array and table indexing, peeks and every memory
 //! access touch active lanes only. Expressions are pure and have no lazy
@@ -54,8 +56,134 @@ pub(crate) type Reg = u32;
 
 type Mask = u32;
 
-/// One flat register op of a decoded expression. Operand types were
-/// resolved at decode time; `ty` is the *operand* type.
+/// A binary op's operand: a register, or an immediate — a literal folded
+/// into its consumer at decode, the same bits in every lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Src {
+    Reg(Reg),
+    Imm(u32),
+}
+
+/// A unary operator resolved against its operand type at decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Un {
+    INeg,
+    FNeg,
+    Not,
+    IAbs,
+    FAbs,
+    Sin,
+    Cos,
+    Sqrt,
+    Floor,
+    ToF32,
+    ToI32,
+}
+
+impl Un {
+    /// The opcode of `op` on a `ty` operand, and its result type.
+    fn of(op: UnOp, ty: ElemTy) -> Option<(Un, ElemTy)> {
+        use {ElemTy::*, UnOp::*};
+        Some(match (op, ty) {
+            (Neg, I32) => (Un::INeg, I32),
+            (Neg, F32) => (Un::FNeg, F32),
+            (Not, I32) => (Un::Not, I32),
+            (Abs, I32) => (Un::IAbs, I32),
+            (Abs, F32) => (Un::FAbs, F32),
+            (Sin, F32) => (Un::Sin, F32),
+            (Cos, F32) => (Un::Cos, F32),
+            (Sqrt, F32) => (Un::Sqrt, F32),
+            (Floor, F32) => (Un::Floor, F32),
+            (ToF32, I32) => (Un::ToF32, F32),
+            (ToI32, F32) => (Un::ToI32, I32),
+            _ => return None,
+        })
+    }
+}
+
+/// A binary operator resolved against its operand type at decode: 17
+/// integer and 12 float opcodes. Integer `Div` and `Rem`, the operators
+/// that trap, are [`Op::DivRem`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Bin {
+    IAdd,
+    ISub,
+    IMul,
+    IAnd,
+    IOr,
+    IXor,
+    IShl,
+    IShr,
+    IUshr,
+    IEq,
+    INe,
+    ILt,
+    ILe,
+    IGt,
+    IGe,
+    IMin,
+    IMax,
+    FAdd,
+    FSub,
+    FMul,
+    FDiv,
+    FEq,
+    FNe,
+    FLt,
+    FLe,
+    FGt,
+    FGe,
+    FMin,
+    FMax,
+}
+
+impl Bin {
+    /// The opcode of `op` on `ty` operands; `None` for integer `Div` and
+    /// `Rem` and for integer-only operators on `f32`.
+    fn of(op: BinOp, ty: ElemTy) -> Option<Bin> {
+        use BinOp::*;
+        Some(match ty {
+            ElemTy::I32 => match op {
+                Add => Bin::IAdd,
+                Sub => Bin::ISub,
+                Mul => Bin::IMul,
+                And => Bin::IAnd,
+                Or => Bin::IOr,
+                Xor => Bin::IXor,
+                Shl => Bin::IShl,
+                Shr => Bin::IShr,
+                Ushr => Bin::IUshr,
+                Eq => Bin::IEq,
+                Ne => Bin::INe,
+                Lt => Bin::ILt,
+                Le => Bin::ILe,
+                Gt => Bin::IGt,
+                Ge => Bin::IGe,
+                Min => Bin::IMin,
+                Max => Bin::IMax,
+                Div | Rem => return None,
+            },
+            ElemTy::F32 => match op {
+                Add => Bin::FAdd,
+                Sub => Bin::FSub,
+                Mul => Bin::FMul,
+                Div => Bin::FDiv,
+                Eq => Bin::FEq,
+                Ne => Bin::FNe,
+                Lt => Bin::FLt,
+                Le => Bin::FLe,
+                Gt => Bin::FGt,
+                Ge => Bin::FGe,
+                Min => Bin::FMin,
+                Max => Bin::FMax,
+                Rem | And | Or | Xor | Shl | Shr | Ushr => return None,
+            },
+        })
+    }
+}
+
+/// One flat register op of a decoded expression, its operator already
+/// resolved against its operand type.
 #[derive(Debug)]
 pub(crate) enum Op {
     Const {
@@ -83,17 +211,23 @@ pub(crate) enum Op {
         id: u32,
     },
     Unary {
-        op: UnOp,
-        ty: ElemTy,
+        op: Un,
         dst: Reg,
         a: Reg,
     },
     Binary {
-        op: BinOp,
-        ty: ElemTy,
+        op: Bin,
         dst: Reg,
-        a: Reg,
-        b: Reg,
+        a: Src,
+        b: Src,
+    },
+    /// Integer `Div` (`Rem`): executed under the mask, a zero divisor in
+    /// an active lane traps.
+    DivRem {
+        op: BinOp,
+        dst: Reg,
+        a: Src,
+        b: Src,
     },
 }
 
@@ -191,6 +325,15 @@ fn i32_only(ty: ElemTy, what: &str) -> Decoded<()> {
     match ty {
         ElemTy::I32 => Ok(()),
         ElemTy::F32 => Err(format!("{what} must be i32, found {ty}")),
+    }
+}
+
+/// A literal's bits and type.
+fn literal(e: &Expr) -> Option<(u32, ElemTy)> {
+    match *e {
+        Expr::I32(v) => Some((v as u32, ElemTy::I32)),
+        Expr::F32(v) => Some((v.to_bits(), ElemTy::F32)),
+        _ => None,
     }
 }
 
@@ -358,6 +501,19 @@ impl Decoder<'_> {
         Ok(d)
     }
 
+    /// Decodes an operand of a binary op. A literal becomes an immediate
+    /// and emits no op (its issue slot is still billed); anything else is
+    /// computed into a register, using temporaries from `t` up.
+    fn operand(&mut self, e: &Expr, t: Reg, cost: &mut DExpr) -> Decoded<(Src, ElemTy)> {
+        match literal(e) {
+            Some((bits, ty)) => {
+                cost.issue += 1;
+                Ok((Src::Imm(bits), ty))
+            }
+            None => self.expr(e, t, cost).map(|(r, ty)| (Src::Reg(r), ty)),
+        }
+    }
+
     /// Emits the ops computing `e`, using temporaries from `t` up, and
     /// returns the register holding the value (`t`, or a local's own
     /// register) with the value's type.
@@ -365,15 +521,10 @@ impl Decoder<'_> {
         self.regs = self.regs.max(t as usize + 1);
         let (op, ty) = match e {
             Expr::Local(l) => return self.local(*l),
-            Expr::I32(v) => {
+            Expr::I32(_) | Expr::F32(_) => {
+                let (bits, ty) = literal(e).expect("a literal");
                 cost.issue += 1;
-                let bits = *v as u32;
-                (Op::Const { dst: t, bits }, ElemTy::I32)
-            }
-            Expr::F32(v) => {
-                cost.issue += 1;
-                let bits = v.to_bits();
-                (Op::Const { dst: t, bits }, ElemTy::F32)
+                (Op::Const { dst: t, bits }, ty)
             }
             Expr::Peek { port, depth } => {
                 let (depth, depth_ty) = self.expr(depth, t, cost)?;
@@ -440,43 +591,36 @@ impl Decoder<'_> {
             }
             Expr::Unary(op, inner) => {
                 let (a, ty) = self.expr(inner, t, cost)?;
-                use {ElemTy::*, UnOp::*};
-                let out = match (op, ty) {
-                    (Neg | Abs, _) | (Not, I32) | (Sin | Cos | Sqrt | Floor, F32) => ty,
-                    (ToF32, I32) => F32,
-                    (ToI32, F32) => I32,
-                    _ => return Err(format!("unary {op:?} applied to {ty} operand")),
-                };
                 cost.issue += if op.is_transcendental() {
                     TRANSCENDENTAL_ISSUE
                 } else {
                     1
                 };
-                let op = *op;
-                (Op::Unary { op, ty, dst: t, a }, out)
+                let (op, out) = Un::of(*op, ty)
+                    .ok_or_else(|| format!("unary {op:?} applied to {ty} operand"))?;
+                (Op::Unary { op, dst: t, a }, out)
             }
             Expr::Binary(op, lhs, rhs) => {
-                let (a, ty) = self.expr(lhs, t, cost)?;
-                let (b, rty) = self.expr(rhs, if a == t { t + 1 } else { t }, cost)?;
+                let (a, ty) = self.operand(lhs, t, cost)?;
+                let b_at = if a == Src::Reg(t) { t + 1 } else { t };
+                let (b, rty) = self.operand(rhs, b_at, cost)?;
                 if ty != rty {
                     return Err(format!("binary {op:?} applied to mixed-type operands"));
                 }
-                if ty == ElemTy::F32 && op.is_integer_only() {
-                    return Err(format!("{op:?} applied to f32 operands"));
-                }
                 cost.issue += 1;
                 let out = if op.is_comparison() { ElemTy::I32 } else { ty };
-                let op = *op;
-                (
-                    Op::Binary {
-                        op,
-                        ty,
-                        dst: t,
+                let dst = t;
+                let op = match (*op, ty) {
+                    (op @ (BinOp::Div | BinOp::Rem), ElemTy::I32) => Op::DivRem { op, dst, a, b },
+                    (op, ty) => Op::Binary {
+                        op: Bin::of(op, ty)
+                            .ok_or_else(|| format!("{op:?} applied to f32 operands"))?,
+                        dst,
                         a,
                         b,
                     },
-                    out,
-                )
+                };
+                (op, out)
             }
         };
         self.ops.push(op);
@@ -729,29 +873,69 @@ pub(crate) fn run_warp(
     exec.block(&ctx.prog.body, mask)
 }
 
-/// `dst[l] = f(a[l])` over the first `n` lanes.
+/// Register `dst` for writing beside register `src` for reading; they
+/// must differ.
 #[inline(always)]
-fn map1<const L: usize>(regs: &mut [[u32; L]], n: usize, dst: Reg, a: Reg, f: impl Fn(u32) -> u32) {
-    let a = regs[a as usize];
-    for (d, &a) in regs[dst as usize][..n].iter_mut().zip(&a[..n]) {
-        *d = f(a);
+fn pair<const L: usize>(regs: &mut [[u32; L]], dst: Reg, src: Reg) -> (&mut [u32; L], &[u32; L]) {
+    let (dst, src) = (dst as usize, src as usize);
+    if dst < src {
+        let (lo, hi) = regs.split_at_mut(src);
+        (&mut lo[dst], &hi[0])
+    } else {
+        let (lo, hi) = regs.split_at_mut(dst);
+        (&mut hi[0], &lo[src])
     }
 }
 
-/// `dst[l] = f(a[l], b[l])` over the first `n` lanes.
+/// `dst[l] = f(a[l])` over the first `n` lanes, in place when `a` is
+/// `dst`.
+#[inline(always)]
+fn map1<const L: usize>(regs: &mut [[u32; L]], n: usize, dst: Reg, a: Reg, f: impl Fn(u32) -> u32) {
+    if a == dst {
+        regs[dst as usize][..n].iter_mut().for_each(|d| *d = f(*d));
+    } else {
+        let (d, a) = pair(regs, dst, a);
+        for (d, &a) in d[..n].iter_mut().zip(&a[..n]) {
+            *d = f(a);
+        }
+    }
+}
+
+/// `dst[l] = f(a[l], b[l])` over the first `n` lanes, an immediate
+/// operand holding its bits in every lane.
 #[inline(always)]
 fn map2<const L: usize>(
     regs: &mut [[u32; L]],
     n: usize,
     dst: Reg,
-    a: Reg,
-    b: Reg,
+    a: Src,
+    b: Src,
     f: impl Fn(u32, u32) -> u32,
 ) {
-    let (a, b) = (regs[a as usize], regs[b as usize]);
-    let d = &mut regs[dst as usize][..n];
-    for ((d, &a), &b) in d.iter_mut().zip(&a[..n]).zip(&b[..n]) {
-        *d = f(a, b);
+    match (a, b) {
+        (Src::Reg(a), Src::Imm(y)) => map1(regs, n, dst, a, |x| f(x, y)),
+        (Src::Imm(x), Src::Reg(b)) => map1(regs, n, dst, b, |y| f(x, y)),
+        (Src::Imm(x), Src::Imm(y)) => regs[dst as usize][..n].fill(f(x, y)),
+        // The decoder puts at most one operand in `dst`.
+        (Src::Reg(a), Src::Reg(b)) if a == dst => {
+            let (d, y) = pair(regs, dst, b);
+            for (d, &y) in d[..n].iter_mut().zip(&y[..n]) {
+                *d = f(*d, y);
+            }
+        }
+        (Src::Reg(a), Src::Reg(b)) if b == dst => {
+            let (d, x) = pair(regs, dst, a);
+            for (d, &x) in d[..n].iter_mut().zip(&x[..n]) {
+                *d = f(x, *d);
+            }
+        }
+        (Src::Reg(a), Src::Reg(b)) => {
+            let y = regs[b as usize];
+            let (d, x) = pair(regs, dst, a);
+            for ((d, &x), &y) in d[..n].iter_mut().zip(&x[..n]).zip(&y[..n]) {
+                *d = f(x, y);
+            }
+        }
     }
 }
 
@@ -762,42 +946,35 @@ fn float(bits: u32) -> f32 {
 
 /// Scalar semantics are `streamir::ir::interp::eval_unary`'s, on raw bits,
 /// over registers of `L` lanes (a warp's, or one constant's).
-pub(crate) fn unary<const L: usize>(
-    regs: &mut [[u32; L]],
-    n: usize,
-    op: UnOp,
-    ty: ElemTy,
-    dst: Reg,
-    a: Reg,
-) {
-    use {ElemTy::*, UnOp::*};
-    match (op, ty) {
-        (Neg, I32) => map1(regs, n, dst, a, |v| (v as i32).wrapping_neg() as u32),
-        (Neg, F32) => map1(regs, n, dst, a, |v| (-float(v)).to_bits()),
-        (Not, _) => map1(regs, n, dst, a, |v| !v),
-        (Abs, I32) => map1(regs, n, dst, a, |v| (v as i32).wrapping_abs() as u32),
-        (Abs, F32) => map1(regs, n, dst, a, |v| float(v).abs().to_bits()),
-        (Sin, _) => map1(regs, n, dst, a, |v| float(v).sin().to_bits()),
-        (Cos, _) => map1(regs, n, dst, a, |v| float(v).cos().to_bits()),
-        (Sqrt, _) => map1(regs, n, dst, a, |v| float(v).sqrt().to_bits()),
-        (Floor, _) => map1(regs, n, dst, a, |v| float(v).floor().to_bits()),
-        (ToF32, _) => map1(regs, n, dst, a, |v| (v as i32 as f32).to_bits()),
-        (ToI32, _) => map1(regs, n, dst, a, |v| (float(v) as i32) as u32),
+pub(crate) fn unary<const L: usize>(regs: &mut [[u32; L]], n: usize, op: Un, dst: Reg, a: Reg) {
+    use Un::*;
+    match op {
+        INeg => map1(regs, n, dst, a, |v| (v as i32).wrapping_neg() as u32),
+        FNeg => map1(regs, n, dst, a, |v| (-float(v)).to_bits()),
+        Not => map1(regs, n, dst, a, |v| !v),
+        IAbs => map1(regs, n, dst, a, |v| (v as i32).wrapping_abs() as u32),
+        FAbs => map1(regs, n, dst, a, |v| float(v).abs().to_bits()),
+        Sin => map1(regs, n, dst, a, |v| float(v).sin().to_bits()),
+        Cos => map1(regs, n, dst, a, |v| float(v).cos().to_bits()),
+        Sqrt => map1(regs, n, dst, a, |v| float(v).sqrt().to_bits()),
+        Floor => map1(regs, n, dst, a, |v| float(v).floor().to_bits()),
+        ToF32 => map1(regs, n, dst, a, |v| (v as i32 as f32).to_bits()),
+        ToI32 => map1(regs, n, dst, a, |v| (float(v) as i32) as u32),
     }
 }
 
 /// Scalar semantics are `streamir::ir::interp::eval_binary`'s, on raw
-/// bits, for every operator that cannot trap ([`int_div`] has the rest).
+/// bits, over registers of `L` lanes, for every opcode that cannot trap
+/// ([`int_div`] has the rest).
 pub(crate) fn binary<const L: usize>(
     regs: &mut [[u32; L]],
     n: usize,
-    op: BinOp,
-    ty: ElemTy,
+    op: Bin,
     dst: Reg,
-    a: Reg,
-    b: Reg,
+    a: Src,
+    b: Src,
 ) {
-    use BinOp::*;
+    use Bin::*;
     macro_rules! int {
         (|$x:ident, $y:ident| $e:expr) => {
             map2(regs, n, dst, a, b, |$x, $y| {
@@ -814,44 +991,36 @@ pub(crate) fn binary<const L: usize>(
             })
         };
     }
-    match ty {
-        ElemTy::I32 => match op {
-            Add => int!(|x, y| x.wrapping_add(y)),
-            Sub => int!(|x, y| x.wrapping_sub(y)),
-            Mul => int!(|x, y| x.wrapping_mul(y)),
-            And => int!(|x, y| x & y),
-            Or => int!(|x, y| x | y),
-            Xor => int!(|x, y| x ^ y),
-            Shl => int!(|x, y| x.wrapping_shl(y as u32)),
-            Shr => int!(|x, y| x.wrapping_shr(y as u32)),
-            Ushr => int!(|x, y| (x as u32).wrapping_shr(y as u32)),
-            Eq => int!(|x, y| x == y),
-            Ne => int!(|x, y| x != y),
-            Lt => int!(|x, y| x < y),
-            Le => int!(|x, y| x <= y),
-            Gt => int!(|x, y| x > y),
-            Ge => int!(|x, y| x >= y),
-            Min => int!(|x, y| x.min(y)),
-            Max => int!(|x, y| x.max(y)),
-            Div | Rem => unreachable!("integer division is executed under the mask"),
-        },
-        ElemTy::F32 => match op {
-            Add => flt!(|x, y| (x + y).to_bits()),
-            Sub => flt!(|x, y| (x - y).to_bits()),
-            Mul => flt!(|x, y| (x * y).to_bits()),
-            Div => flt!(|x, y| (x / y).to_bits()),
-            Eq => flt!(|x, y| u32::from(x == y)),
-            Ne => flt!(|x, y| u32::from(x != y)),
-            Lt => flt!(|x, y| u32::from(x < y)),
-            Le => flt!(|x, y| u32::from(x <= y)),
-            Gt => flt!(|x, y| u32::from(x > y)),
-            Ge => flt!(|x, y| u32::from(x >= y)),
-            Min => flt!(|x, y| x.min(y).to_bits()),
-            Max => flt!(|x, y| x.max(y).to_bits()),
-            Rem | And | Or | Xor | Shl | Shr | Ushr => {
-                unreachable!("the decoder rejects integer-only operators on f32")
-            }
-        },
+    match op {
+        IAdd => int!(|x, y| x.wrapping_add(y)),
+        ISub => int!(|x, y| x.wrapping_sub(y)),
+        IMul => int!(|x, y| x.wrapping_mul(y)),
+        IAnd => int!(|x, y| x & y),
+        IOr => int!(|x, y| x | y),
+        IXor => int!(|x, y| x ^ y),
+        IShl => int!(|x, y| x.wrapping_shl(y as u32)),
+        IShr => int!(|x, y| x.wrapping_shr(y as u32)),
+        IUshr => int!(|x, y| (x as u32).wrapping_shr(y as u32)),
+        IEq => int!(|x, y| x == y),
+        INe => int!(|x, y| x != y),
+        ILt => int!(|x, y| x < y),
+        ILe => int!(|x, y| x <= y),
+        IGt => int!(|x, y| x > y),
+        IGe => int!(|x, y| x >= y),
+        IMin => int!(|x, y| x.min(y)),
+        IMax => int!(|x, y| x.max(y)),
+        FAdd => flt!(|x, y| (x + y).to_bits()),
+        FSub => flt!(|x, y| (x - y).to_bits()),
+        FMul => flt!(|x, y| (x * y).to_bits()),
+        FDiv => flt!(|x, y| (x / y).to_bits()),
+        FEq => flt!(|x, y| u32::from(x == y)),
+        FNe => flt!(|x, y| u32::from(x != y)),
+        FLt => flt!(|x, y| u32::from(x < y)),
+        FLe => flt!(|x, y| u32::from(x <= y)),
+        FGt => flt!(|x, y| u32::from(x > y)),
+        FGe => flt!(|x, y| u32::from(x >= y)),
+        FMin => flt!(|x, y| x.min(y).to_bits()),
+        FMax => flt!(|x, y| x.max(y).to_bits()),
     }
 }
 
@@ -882,7 +1051,10 @@ impl Exec<'_> {
         let depth = depth.map(|r| &st.regs[r as usize]);
         let (tid0, first) = (self.ctx.lane0_tid, mask.trailing_zeros() as usize);
         let ordinal = |l: usize| u64::from(counts.lanes[l]) + depth.map_or(0, |d| u64::from(d[l]));
-        if counts.agree && depth.is_none_or(|d| lanes(mask).all(|l| d[l] == d[first])) {
+        // A depth that varies only in masked-off lanes takes the one-lane
+        // path, which is only a missed shortcut.
+        let n = self.n;
+        if counts.agree && depth.is_none_or(|d| d[..n].iter().all(|&v| v == d[0])) {
             geometry.access(ordinal(first), mask, &mut st.access);
         } else {
             st.access.clear();
@@ -942,31 +1114,43 @@ impl Exec<'_> {
         Ok(e.out)
     }
 
+    /// The lanes of an operand: a register's, or an immediate's bits in
+    /// every lane.
+    fn operand(&self, s: Src) -> Lanes {
+        match s {
+            Src::Reg(r) => self.st.regs[r as usize],
+            Src::Imm(bits) => [bits; WARP_LANES],
+        }
+    }
+
+    /// `index` holds one value in every lane the warp has: an indexed
+    /// load is one row move.
+    fn uniform(&self, index: &Lanes) -> bool {
+        index[..self.n].iter().all(|&i| i == index[0])
+    }
+
     fn op(&mut self, op: &Op, mask: Mask) -> Result<()> {
         let n = self.n;
         match *op {
             Op::Const { dst, bits } => self.st.regs[dst as usize][..n].fill(bits),
-            Op::Unary { op, ty, dst, a } => unary(&mut self.st.regs, n, op, ty, dst, a),
-            Op::Binary {
-                op: op @ (BinOp::Div | BinOp::Rem),
-                ty: ElemTy::I32,
-                dst,
-                a,
-                b,
-            } => {
-                let (a, b) = (self.st.regs[a as usize], self.st.regs[b as usize]);
+            Op::Unary { op, dst, a } => unary(&mut self.st.regs, n, op, dst, a),
+            Op::Binary { op, dst, a, b } => binary(&mut self.st.regs, n, op, dst, a, b),
+            Op::DivRem { op, dst, a, b } => {
+                let (a, b) = (self.operand(a), self.operand(b));
                 let d = &mut self.st.regs[dst as usize];
                 for l in lanes(mask) {
                     d[l] = int_div(op, a[l], b[l]).map_err(|e| trap(e.to_string()))?;
                 }
             }
-            Op::Binary { op, ty, dst, a, b } => binary(&mut self.st.regs, n, op, ty, dst, a, b),
             Op::Peek {
                 dst, port, depth, ..
             } => {
                 let d = &self.st.regs[depth as usize];
-                if let Some(l) = lanes(mask).find(|&l| (d[l] as i32) < 0) {
-                    return Err(trap(format!("negative peek depth {}", d[l] as i32)));
+                let negative = |v: u32| (v as i32) < 0;
+                if d[..n].iter().any(|&v| negative(v)) {
+                    if let Some(l) = lanes(mask).find(|&l| negative(d[l])) {
+                        return Err(trap(format!("negative peek depth {}", d[l] as i32)));
+                    }
                 }
                 self.channel_access(Port::In(usize::from(port)), mask, Some(depth));
                 let st = &mut *self.st;
@@ -981,9 +1165,16 @@ impl Exec<'_> {
                 index,
             } => {
                 let index = self.st.regs[index as usize];
-                for l in lanes(mask) {
-                    let row = array_row(rows, index[l], "load")?;
-                    self.st.regs[dst as usize][l] = self.st.arrays[row][l];
+                let uniform = self.uniform(&index);
+                let st = &mut *self.st;
+                if uniform {
+                    let row = array_row(rows, index[0], "load")?;
+                    st.regs[dst as usize][..n].copy_from_slice(&st.arrays[row][..n]);
+                } else {
+                    for l in lanes(mask) {
+                        let row = array_row(rows, index[l], "load")?;
+                        st.regs[dst as usize][l] = st.arrays[row][l];
+                    }
                 }
             }
             Op::LoadTable {
@@ -994,11 +1185,19 @@ impl Exec<'_> {
                 let table = &self.ctx.prog.table_words[words.start as usize..words.end as usize];
                 let index = self.st.regs[index as usize];
                 let d = &mut self.st.regs[dst as usize];
-                for l in lanes(mask) {
-                    let i = index[l] as i32;
-                    let word = usize::try_from(i).ok().and_then(|i| table.get(i));
-                    d[l] =
-                        *word.ok_or_else(|| trap(format!("table load index {i} out of bounds")))?;
+                // An index is in bounds iff it is below the length as an
+                // unsigned word: a negative one wraps far above it.
+                if index[..n].iter().all(|&i| (i as usize) < table.len()) {
+                    for (d, &i) in d[..n].iter_mut().zip(&index[..n]) {
+                        *d = table[i as usize];
+                    }
+                } else {
+                    for l in lanes(mask) {
+                        let i = index[l] as i32;
+                        let word = usize::try_from(i).ok().and_then(|i| table.get(i));
+                        d[l] = *word
+                            .ok_or_else(|| trap(format!("table load index {i} out of bounds")))?;
+                    }
                 }
             }
             Op::LoadState { dst, id } => {
@@ -1066,9 +1265,15 @@ impl Exec<'_> {
                     self.stats.mem_transactions += 2;
                 }
                 let (index, value) = (self.st.regs[index as usize], self.st.regs[value as usize]);
-                for l in lanes(mask) {
-                    let row = array_row(rows, index[l], "store")?;
-                    self.st.arrays[row][l] = value[l];
+                // A row move writes every lane: only under a full mask.
+                if mask == self.all && self.uniform(&index) {
+                    let row = array_row(rows, index[0], "store")?;
+                    self.st.arrays[row][..self.n].copy_from_slice(&value[..self.n]);
+                } else {
+                    for l in lanes(mask) {
+                        let row = array_row(rows, index[l], "store")?;
+                        self.st.arrays[row][l] = value[l];
+                    }
                 }
             }
             DStmt::Pop { port, dst, .. } => {
@@ -1113,7 +1318,9 @@ impl Exec<'_> {
                 let c = self.eval(cond, mask)?;
                 self.issue(1); // the branch itself
                 let c = &self.st.regs[c as usize];
-                let taken = lanes(mask).fold(0, |t, l| t | u32::from(c[l] != 0) << l);
+                let taken = (c[..self.n].iter().enumerate())
+                    .fold(0, |t, (l, &c)| t | u32::from(c != 0) << l)
+                    & mask;
                 let not_taken = mask & !taken;
                 if taken != 0 && not_taken != 0 {
                     self.stats.divergent_branches += 1;
@@ -1129,16 +1336,20 @@ impl Exec<'_> {
 
 #[cfg(test)]
 mod tests {
-    use streamir::ir::{BinOp, ElemTy, Expr, FnBuilder, Stmt, Table, WorkFunction};
+    use streamir::ir::{
+        interp, BinOp, ElemTy, Expr, FnBuilder, Scalar, Stmt, Table, UnOp, WorkFunction,
+    };
 
+    use super::{Bin, DExpr, DStmt, Op, Program, Src, Un};
     use crate::mem::count_transactions;
     use crate::{
         AffineRun, BlockWork, BufferBinding, DeviceConfig, Gpu, InstanceExec, Kernel, LaunchStats,
         Layout, SimError,
     };
 
-    /// One `i32 -> i32` instance of `threads` lanes over `input`: the
-    /// launch's result and the output buffer afterwards.
+    /// One single-port instance of `threads` lanes over `input`: the
+    /// launch's result and the output buffer afterwards. Tokens are raw
+    /// bits, read as `i32`.
     struct Run {
         result: crate::Result<LaunchStats>,
         out: Vec<i32>,
@@ -1158,7 +1369,7 @@ mod tests {
                 .write(u64::from(inp) + slot, v as u32)
                 .unwrap();
         }
-        let binding = BufferBinding::whole(inp, in_tokens, ElemTy::I32, layout, pop);
+        let binding = BufferBinding::whole(inp, in_tokens, wf.input_ports()[0], layout, pop);
         let kernel = Kernel::load(wf);
         let launch = crate::Launch {
             threads_per_block: threads,
@@ -1171,7 +1382,7 @@ mod tests {
                     outputs: vec![BufferBinding::whole(
                         out,
                         out_tokens,
-                        ElemTy::I32,
+                        wf.output_ports()[0],
                         Layout::Sequential,
                         wf.push_rate(0),
                     )],
@@ -1281,6 +1492,44 @@ mod tests {
         f.push(0, Expr::table(t, Expr::local(x)));
         let r = run(&f.build().unwrap(), 32, &input, Layout::Sequential, false);
         assert_eq!(trap_message(&r), "table load index 3 out of bounds");
+    }
+
+    #[test]
+    fn indices_out_of_bounds_in_lanes_that_sit_out_do_not_trap() {
+        // The lanes holding 3 or 4 sit the arm out, and their indices are
+        // out of bounds for the table (3) and the array (4). The slice
+        // checks see them, the masked fallback must not report them; the
+        // literal index is one row even under the partial mask.
+        let (mut f, x) = builder();
+        let y = f.local(ElemTy::I32);
+        let a = f.array(ElemTy::I32, 4);
+        let t = f.table(Table::i32(&[10, 20, 30]));
+        f.pop_into(0, x);
+        for k in 0..4 {
+            f.store(a, Expr::i32(k), Expr::i32(100 * k));
+        }
+        f.if_else(
+            Expr::local(x).lt(Expr::i32(3)),
+            vec![Stmt::Assign(
+                y,
+                Expr::table(t, Expr::local(x))
+                    .add(Expr::load(a, Expr::local(x)))
+                    .add(Expr::load(a, Expr::i32(1))),
+            )],
+            vec![Stmt::Assign(y, Expr::i32(-1))],
+        );
+        f.push(0, Expr::local(y));
+        let input: Vec<i32> = (0..32).map(|i| i % 5).collect();
+        let r = run(&f.build().unwrap(), 32, &input, Layout::Sequential, false);
+        assert_eq!(r.result.as_ref().unwrap().divergent_branches, 1);
+        for (i, &v) in input.iter().enumerate() {
+            let want = if v < 3 {
+                10 * (v + 1) + 100 * v + 100
+            } else {
+                -1
+            };
+            assert_eq!(r.out[i], want, "lane {i}");
+        }
     }
 
     #[test]
@@ -1428,6 +1677,297 @@ mod tests {
             };
             assert_eq!(accesses, 3 + 1 + 4);
             assert_eq!(r.out[5], 5 + 6 + 7);
+        }
+    }
+
+    /// Edge operands of each type, as raw bits.
+    fn edges(ty: ElemTy) -> Vec<u32> {
+        match ty {
+            ElemTy::I32 => [i32::MIN, -1, 0, 1, 31, 32, 33, i32::MAX]
+                .map(|v| v as u32)
+                .to_vec(),
+            ElemTy::F32 => [
+                f32::NAN,
+                0.0,
+                -0.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::from_bits(1), // the smallest subnormal
+                1.5,
+                -2.0,
+            ]
+            .map(f32::to_bits)
+            .to_vec(),
+        }
+    }
+
+    fn literal(ty: ElemTy, bits: u32) -> Expr {
+        match ty {
+            ElemTy::I32 => Expr::i32(bits as i32),
+            ElemTy::F32 => Expr::f32(f32::from_bits(bits)),
+        }
+    }
+
+    fn scalar(ty: ElemTy, bits: u32) -> Scalar {
+        match ty {
+            ElemTy::I32 => Scalar::I32(bits as i32),
+            ElemTy::F32 => Scalar::F32(f32::from_bits(bits)),
+        }
+    }
+
+    const BINARY: [BinOp; 19] = {
+        use BinOp::*;
+        [
+            Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Ushr, Eq, Ne, Lt, Le, Gt, Ge, Min, Max,
+        ]
+    };
+
+    /// Runs `results` (expressions over locals `x` and `y` popped per
+    /// lane) for each lane of `lanes` (`[x, y]` operand pairs), inside an
+    /// `if` taken by the lanes `sel` picks, and checks every pushed value
+    /// against `want` — 0 in the lanes that sat the arm out.
+    fn differential(
+        ty: ElemTy,
+        out_ty: ElemTy,
+        lanes: &[[u32; 2]],
+        sel: impl Fn(usize) -> bool,
+        results: impl Fn(Expr, Expr) -> Vec<Expr>,
+        want: impl Fn(usize, [u32; 2]) -> u32,
+    ) {
+        let mut f = FnBuilder::new(&[ty], &[out_ty]);
+        let (x, y, s) = (f.local(ty), f.local(ty), f.local(ty));
+        let exprs = results(Expr::local(x), Expr::local(y));
+        let outs: Vec<_> = exprs.iter().map(|_| f.local(out_ty)).collect();
+        for l in [x, y, s] {
+            f.pop_into(0, l);
+        }
+        let assigns = (outs.iter().zip(exprs))
+            .map(|(&o, e)| Stmt::Assign(o, e))
+            .collect();
+        f.if_else(Expr::local(s).ne(literal(ty, 0)), assigns, vec![]);
+        for &o in &outs {
+            f.push(0, Expr::local(o));
+        }
+        let wf = f.build().unwrap();
+        let one = match ty {
+            ElemTy::I32 => 1,
+            ElemTy::F32 => 1f32.to_bits(),
+        };
+        let input: Vec<i32> = (lanes.iter().enumerate())
+            .flat_map(|(l, &[a, b])| [a, b, if sel(l) { one } else { 0 }])
+            .map(|bits| bits as i32)
+            .collect();
+        let r = run(&wf, lanes.len() as u32, &input, Layout::Sequential, false);
+        if let Err(e) = &r.result {
+            panic!("{e}");
+        }
+        for (l, &pair) in lanes.iter().enumerate() {
+            for k in 0..outs.len() {
+                let got = r.out[l * outs.len() + k] as u32;
+                let want = if sel(l) { want(k, pair) } else { 0 };
+                assert_eq!(got, want, "lane {l} result {k} operands {pair:x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn flat_opcodes_match_the_reference_interpreter() {
+        // Every opcode in every operand form — register/register,
+        // register/immediate, immediate/register and immediate/immediate
+        // — under a full mask and a partial one, against the reference
+        // interpreter's scalar semantics.
+        let mut flat = Vec::new();
+        for ty in [ElemTy::I32, ElemTy::F32] {
+            for op in BINARY {
+                let division = ty == ElemTy::I32 && matches!(op, BinOp::Div | BinOp::Rem);
+                match Bin::of(op, ty) {
+                    Some(bin) => flat.push(bin),
+                    None if division => {}
+                    None => continue,
+                }
+                // No active lane may divide by zero.
+                let usable = |v: u32| !division || v != 0;
+                let imms: Vec<u32> = edges(ty).into_iter().filter(|&v| usable(v)).collect();
+                let pairs: Vec<[u32; 2]> = (edges(ty).into_iter())
+                    .flat_map(|a| edges(ty).into_iter().map(move |b| [a, b]))
+                    .collect();
+                let results = |x: Expr, y: Expr| {
+                    let mut v = vec![x.clone().binary(op, y.clone())];
+                    for &imm in &imms {
+                        let imm = literal(ty, imm);
+                        v.push(x.clone().binary(op, imm.clone()));
+                        v.push(imm.clone().binary(op, y.clone()));
+                        v.push(imm.clone().binary(op, imm));
+                    }
+                    v
+                };
+                let eval = |a, b| {
+                    let v = interp::eval_binary(op, scalar(ty, a), scalar(ty, b));
+                    v.unwrap().to_bits()
+                };
+                // Result 0 is `x op y`; then three per immediate, in the
+                // order `results` builds them.
+                let want = |k: usize, [a, b]: [u32; 2]| {
+                    if k == 0 {
+                        return eval(a, b);
+                    }
+                    let imm = imms[(k - 1) / 3];
+                    match (k - 1) % 3 {
+                        0 => eval(a, imm),
+                        1 => eval(imm, b),
+                        _ => eval(imm, imm),
+                    }
+                };
+                let out_ty = if op.is_comparison() { ElemTy::I32 } else { ty };
+                let full: Vec<_> = pairs.iter().copied().filter(|&[_, b]| usable(b)).collect();
+                differential(ty, out_ty, &full, |_| true, results, want);
+                let partial = |l: usize| l % 3 != 1 && usable(pairs[l][1]);
+                differential(ty, out_ty, &pairs, partial, results, want);
+            }
+        }
+        assert_eq!(flat.len(), 17 + 12);
+    }
+
+    #[test]
+    fn unary_opcodes_match_the_reference_interpreter() {
+        use UnOp::*;
+        let mut flat = Vec::new();
+        for ty in [ElemTy::I32, ElemTy::F32] {
+            for op in [Neg, Not, Sin, Cos, Sqrt, Abs, Floor, ToF32, ToI32] {
+                let Some((un, out_ty)) = Un::of(op, ty) else {
+                    continue;
+                };
+                flat.push(un);
+                let imms = edges(ty);
+                let lanes: Vec<[u32; 2]> = (0..4).flat_map(|_| edges(ty)).map(|v| [v, 0]).collect();
+                let results = |x: Expr, _| {
+                    let mut v = vec![x.unary(op)];
+                    v.extend(imms.iter().map(|&imm| literal(ty, imm).unary(op)));
+                    v
+                };
+                let eval = |a| interp::eval_unary(op, scalar(ty, a)).unwrap().to_bits();
+                let want = |k: usize, [a, _]: [u32; 2]| eval(if k == 0 { a } else { imms[k - 1] });
+                differential(ty, out_ty, &lanes, |_| true, results, want);
+                differential(ty, out_ty, &lanes, |l| l % 3 != 1, results, want);
+            }
+        }
+        assert_eq!(flat.len(), 11);
+    }
+
+    #[test]
+    fn a_literal_zero_divisor_traps_with_the_reference_message() {
+        for op in [BinOp::Div, BinOp::Rem] {
+            let reference = interp::eval_binary(op, Scalar::I32(7), Scalar::I32(0));
+            let (mut f, x) = builder();
+            f.pop_into(0, x);
+            f.push(0, Expr::local(x).binary(op, Expr::i32(0)));
+            let input: Vec<i32> = (1..=32).collect();
+            let r = run(&f.build().unwrap(), 32, &input, Layout::Sequential, false);
+            assert_eq!(trap_message(&r), reference.unwrap_err().to_string());
+        }
+    }
+
+    /// The ops of `value` in the first statement of `wf`'s body.
+    fn first_value_ops(wf: &WorkFunction) -> Vec<String> {
+        let program = Program::decode(wf);
+        let value = match &program.body[0] {
+            DStmt::Assign { value, .. } | DStmt::Push { value, .. } => value,
+            other => panic!("{other:?}"),
+        };
+        let ops = &program.ops[value.ops.start as usize..value.ops.end as usize];
+        ops.iter().map(|op| format!("{op:?}")).collect()
+    }
+
+    #[test]
+    fn a_literal_consumed_by_a_binary_op_emits_no_op() {
+        let (mut f, x) = builder();
+        f.push(0, Expr::local(x).shl(Expr::i32(3)).bitand(Expr::i32(255)));
+        let ops = first_value_ops(&f.build().unwrap());
+        assert_eq!(
+            ops,
+            [
+                "Binary { op: IShl, dst: 1, a: Reg(0), b: Imm(3) }",
+                "Binary { op: IAnd, dst: 1, a: Reg(1), b: Imm(255) }",
+            ]
+        );
+        // Literals on both sides fold into one op; a literal under a
+        // unary op stays a `Const`.
+        let (mut f, _) = builder();
+        f.push(0, Expr::i32(3).sub(Expr::i32(1)).add(Expr::i32(4).neg()));
+        let ops = first_value_ops(&f.build().unwrap());
+        assert_eq!(
+            ops,
+            [
+                "Binary { op: ISub, dst: 1, a: Imm(3), b: Imm(1) }",
+                "Const { dst: 2, bits: 4 }",
+                "Unary { op: INeg, dst: 2, a: 2 }",
+                "Binary { op: IAdd, dst: 1, a: Reg(1), b: Reg(2) }",
+            ]
+        );
+    }
+
+    /// The bills of every decoded expression in `body`: issue slots,
+    /// access instructions, transactions and peek sites.
+    fn bills(body: &[DStmt], sum: &mut [u64; 4]) {
+        fn add(sum: &mut [u64; 4], e: &DExpr) {
+            let bill = [e.issue, e.access_insts, e.transactions, u64::from(e.peeks)];
+            sum.iter_mut().zip(bill).for_each(|(s, b)| *s += b);
+        }
+        for s in body {
+            match s {
+                DStmt::Assign { value, .. }
+                | DStmt::StoreState { value, .. }
+                | DStmt::Push { value, .. } => add(sum, value),
+                DStmt::Store { index, value, .. } => {
+                    add(sum, index);
+                    add(sum, value);
+                }
+                DStmt::For { body, .. } => bills(body, sum),
+                DStmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
+                    add(sum, cond);
+                    bills(then_body, sum);
+                    bills(else_body, sum);
+                }
+                DStmt::Pop { .. } | DStmt::Invalid(_) => {}
+            }
+        }
+    }
+
+    #[test]
+    fn expression_bills_are_still_summed_from_the_tree() {
+        // Folding a literal removes its op, not its issue slot: the bills
+        // of every suite kernel, summed per graph, are the ones decoded
+        // before literals were folded.
+        let known: [(&str, [u64; 4]); 8] = [
+            ("Bitonic", [48, 0, 0, 0]),
+            ("BitonicRec", [48, 0, 0, 0]),
+            ("DCT", [128, 0, 0, 0]),
+            ("DES", [13076, 0, 0, 0]),
+            ("FFT", [1614, 12, 24, 12]),
+            ("Filterbank", [138, 0, 0, 16]),
+            ("FMRadio", [144, 0, 0, 23]),
+            ("MatrixMult", [40, 0, 0, 8]),
+        ];
+        let suite = streambench::suite();
+        assert_eq!(suite.len(), known.len());
+        for (b, (name, want)) in suite.iter().zip(known) {
+            assert_eq!(b.name, name);
+            let mut sum = [0; 4];
+            for node in b.spec.flatten().unwrap().nodes() {
+                let program = Program::decode(&node.work);
+                bills(&program.body, &mut sum);
+                // `map2` relies on it: at most one operand is the result.
+                let both_dst = |op: &Op| match *op {
+                    Op::Binary { dst, a, b, .. } => a == Src::Reg(dst) && b == Src::Reg(dst),
+                    _ => false,
+                };
+                assert!(!program.ops.iter().any(both_dst), "{name}");
+            }
+            assert_eq!(sum, want, "{name}");
         }
     }
 }
