@@ -13,7 +13,12 @@
 //! Scale control: `SWP_BENCH_FAST=1` shrinks the profiling grid and
 //! iteration count so a full suite pass completes quickly (used by CI and
 //! the integration tests); the default configuration is the scaled paper
-//! setup described in EXPERIMENTS.md.
+//! setup described in EXPERIMENTS.md, and `SWP_BENCH_FULL=1` runs the
+//! paper's full profiling grid. On a 2-core host `fig10` takes 5–7 s
+//! scaled and 9–13 s full (7–12 s and 16–19 s before one functional run
+//! per thread count priced every register limit and the profile and the
+//! schemes ran side by side). Every report uses all the cores the process
+//! may run on, and prints the same bytes on one.
 
 use streambench::Benchmark;
 use swpipe::harness::{self, BenchmarkResult, HarnessOptions};

@@ -401,11 +401,10 @@ pub(crate) fn scheme_shape(scheme: Scheme) -> (u32, LayoutKind) {
     }
 }
 
-/// Rejects an `iterations`-long run of `c` that `scheme` cannot issue:
-/// one that is not a whole number of the scheme's granules, or a
-/// coarsened one of a graph whose iterations must stay serial. The
-/// executor and the static verifier share it.
-pub(crate) fn check_iterations(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<()> {
+/// Rejects an `iterations`-long run that is not a whole number of
+/// `scheme`'s granules: the part of [`check_iterations`] that holds for
+/// every graph, so it can be checked before compiling.
+pub(crate) fn check_granule(scheme: Scheme, iterations: u64) -> Result<()> {
     let granule = scheme_shape(scheme).0;
     if iterations == 0 || !iterations.is_multiple_of(u64::from(granule)) {
         return Err(Error::Api(format!(
@@ -413,7 +412,16 @@ pub(crate) fn check_iterations(c: &Compiled, scheme: Scheme, iterations: u64) ->
              coarsening/batch factor ({granule})"
         )));
     }
-    if granule > 1
+    Ok(())
+}
+
+/// Rejects an `iterations`-long run of `c` that `scheme` cannot issue:
+/// one that is not a whole number of the scheme's granules, or a
+/// coarsened one of a graph whose iterations must stay serial. The
+/// executor and the static verifier share it.
+pub(crate) fn check_iterations(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<()> {
+    check_granule(scheme, iterations)?;
+    if scheme_shape(scheme).0 > 1
         && !matches!(scheme, Scheme::Serial { .. })
         && instances::requires_serial_iterations(&c.graph)
     {

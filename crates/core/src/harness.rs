@@ -15,7 +15,7 @@ use streamir::ir::Scalar;
 use crate::exec::{self, CompileOptions, Compiled, GpuRun, Scheme};
 use crate::plan::{self, LayoutKind};
 use crate::schedule::SearchReport;
-use crate::{Error, Result};
+use crate::{par, Result};
 
 /// Harness configuration.
 #[derive(Debug, Clone)]
@@ -145,22 +145,35 @@ impl BenchmarkResult {
 ///
 /// # Errors
 ///
-/// Propagates compilation and execution failures; reports an
-/// [`Error::Api`] if `iterations` is incompatible with the requested
-/// coarsening factors.
+/// Propagates compilation and execution failures, the first in scheme
+/// order; reports an [`crate::Error::Api`] before compiling if
+/// `iterations` is not a positive multiple of every coarsening factor,
+/// of SWPNC's 8 and of an explicit serial batch.
 pub fn run(
     name: &str,
     graph: &FlatGraph,
     input_gen: &dyn Fn(usize) -> Vec<Scalar>,
     opts: &HarnessOptions,
 ) -> Result<BenchmarkResult> {
-    for &c in &opts.coarsenings {
-        if !opts.iterations.is_multiple_of(u64::from(c.max(1))) {
-            return Err(Error::Api(format!(
-                "iterations {} not a multiple of coarsening {c}",
-                opts.iterations
-            )));
-        }
+    // Every scheme measured, in row order: the SWP coarsenings, SWPNC,
+    // Serial. An automatic serial batch (0) is chosen after compiling and
+    // always divides the iteration count.
+    let mut schemes: Vec<(Scheme, String)> = opts
+        .coarsenings
+        .iter()
+        .map(|&c| (Scheme::Swp { coarsening: c }, format!("SWP{c}")))
+        .chain([
+            (Scheme::SwpNc { coarsening: 8 }, "SWPNC".to_owned()),
+            (
+                Scheme::Serial {
+                    batch: opts.serial_batch,
+                },
+                "Serial".to_owned(),
+            ),
+        ])
+        .collect();
+    for (scheme, _) in &schemes {
+        exec::check_granule(*scheme, opts.iterations)?;
     }
     let compiled = exec::compile(graph, &opts.compile)?;
 
@@ -189,9 +202,7 @@ pub fn run(
     // within the SWP8 budget (paper's fairness rule), kept a divisor of
     // the iteration count. Computed before input sizing: its simulated
     // window can exceed the SWP coarsening windows.
-    let serial_batch = if opts.serial_batch > 0 {
-        opts.serial_batch
-    } else {
+    if opts.serial_batch == 0 {
         let per_iter_bytes: u64 = compiled
             .ig
             .edges
@@ -204,26 +215,24 @@ pub fn run(
         while b * 2 <= max_batch && opts.iterations.is_multiple_of(b * 2) && b < 256 {
             b *= 2;
         }
-        b as u32
-    };
+        let serial = schemes.last_mut().expect("Serial is the last scheme");
+        serial.0 = Scheme::Serial { batch: b as u32 };
+    }
 
     // Scaled measurement: the simulated window needs only the
     // initialization phase plus a few pipeline rounds of input.
-    let max_need = opts
-        .coarsenings
+    let max_need = schemes
         .iter()
-        .map(|&c| exec::measure_input(&compiled, Scheme::Swp { coarsening: c }))
-        .chain([exec::measure_input(
-            &compiled,
-            Scheme::Serial {
-                batch: serial_batch,
-            },
-        )])
+        .map(|&(scheme, _)| exec::measure_input(&compiled, scheme))
         .max()
         .unwrap_or(0);
     let gpu_input = input_gen(max_need as usize);
-    let measure = |scheme: Scheme, label: &str| -> Result<SchemeResult> {
-        let run = exec::measure(&compiled, scheme, opts.iterations, &gpu_input)?;
+
+    // The schemes run side by side, each on its own `Gpu`, over the shared
+    // compiled program and input; rows and the first error keep scheme
+    // order.
+    let mut rows = par::map(&schemes, |(scheme, label)| {
+        let run = exec::measure(&compiled, *scheme, opts.iterations, &gpu_input)?;
         Ok(scheme_result(
             label,
             &compiled,
@@ -231,22 +240,12 @@ pub fn run(
             cpu_secs_per_token,
             opts,
         ))
-    };
-
-    let mut swp = Vec::new();
-    for &c in &opts.coarsenings {
-        swp.push((
-            c,
-            measure(Scheme::Swp { coarsening: c }, &format!("SWP{c}"))?,
-        ));
-    }
-    let swpnc = measure(Scheme::SwpNc { coarsening: 8 }, "SWPNC")?;
-    let serial = measure(
-        Scheme::Serial {
-            batch: serial_batch,
-        },
-        "Serial",
-    )?;
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
+    let serial = rows.pop().expect("Serial row");
+    let swpnc = rows.pop().expect("SWPNC row");
+    let swp = opts.coarsenings.iter().copied().zip(rows).collect();
 
     Ok(BenchmarkResult {
         name: name.to_owned(),
@@ -361,16 +360,88 @@ mod tests {
     #[test]
     fn iteration_mismatch_is_reported() {
         let g = small_graph();
-        let opts = HarnessOptions {
-            compile: CompileOptions::small_test(),
-            iterations: 6,
-            coarsenings: vec![4],
+        // A coarsening, SWPNC's fixed coarsening 8 and an explicit serial
+        // batch are each checked before anything compiles: under an empty
+        // profiling grid, compiling fails with another error.
+        let mut compile = CompileOptions::small_test();
+        compile.profile.reg_limits.clear();
+        let opts = |iterations, coarsenings, serial_batch| HarnessOptions {
+            compile: compile.clone(),
+            iterations,
+            coarsenings,
+            serial_batch,
             ..HarnessOptions::default()
         };
-        assert!(matches!(
-            run("toy", &g, &int_input, &opts),
-            Err(Error::Api(_))
-        ));
+        let message = |o: &HarnessOptions| run("toy", &g, &int_input, o).unwrap_err().to_string();
+        let granule = |factor: u32| format!("coarsening/batch factor ({factor})");
+        assert!(!message(&opts(16, vec![4], 8)).contains("coarsening/batch"));
+        for (iterations, coarsenings, serial_batch, factor) in [
+            (6, vec![4], 0, 4),
+            (12, vec![4], 0, 8),
+            (12, vec![1], 8, 8),
+            (16, vec![4], 3, 3),
+        ] {
+            let m = message(&opts(iterations, coarsenings, serial_batch));
+            assert!(m.contains(&granule(factor)), "{m}");
+        }
+    }
+
+    #[test]
+    fn rows_equal_measuring_each_scheme_in_order() {
+        let g = small_graph();
+        let opts = HarnessOptions {
+            compile: CompileOptions::small_test(),
+            iterations: 16,
+            coarsenings: vec![1, 4, 8, 16],
+            serial_batch: 8,
+            ..HarnessOptions::default()
+        };
+        let r = run("toy", &g, &int_input, &opts).unwrap();
+        let compiled = exec::compile(&g, &opts.compile).unwrap();
+        let schemes = [
+            Scheme::Swp { coarsening: 1 },
+            Scheme::Swp { coarsening: 4 },
+            Scheme::Swp { coarsening: 8 },
+            Scheme::Swp { coarsening: 16 },
+            Scheme::SwpNc { coarsening: 8 },
+            Scheme::Serial { batch: 8 },
+        ];
+        let need = schemes
+            .iter()
+            .map(|&s| exec::measure_input(&compiled, s))
+            .max()
+            .unwrap();
+        let input = int_input(need as usize);
+        let rows: Vec<&SchemeResult> = r
+            .swp
+            .iter()
+            .map(|(_, s)| s)
+            .chain([&r.swpnc, &r.serial])
+            .collect();
+        let labels = ["SWP1", "SWP4", "SWP8", "SWP16", "SWPNC", "Serial"];
+        assert_eq!(
+            r.swp.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
+            [1, 4, 8, 16]
+        );
+        for ((scheme, label), row) in schemes.into_iter().zip(labels).zip(rows) {
+            let run = exec::measure(&compiled, scheme, opts.iterations, &input).unwrap();
+            let expected = scheme_result(label, &compiled, &run, r.cpu_secs_per_token, &opts);
+            assert_eq!(row.label, expected.label);
+            assert_eq!(
+                row.time_secs.to_bits(),
+                expected.time_secs.to_bits(),
+                "{label}"
+            );
+            assert_eq!(row.speedup.to_bits(), expected.speedup.to_bits(), "{label}");
+            assert_eq!(row.launches, expected.launches, "{label}");
+            assert_eq!(row.mem_transactions, expected.mem_transactions, "{label}");
+            assert_eq!(
+                row.transactions_per_access.map(f64::to_bits),
+                expected.transactions_per_access.map(f64::to_bits),
+                "{label}"
+            );
+            assert_eq!(row.buffer_bytes, expected.buffer_bytes, "{label}");
+        }
     }
 
     #[test]

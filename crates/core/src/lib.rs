@@ -40,6 +40,7 @@ pub mod harness;
 pub mod hash;
 pub mod instances;
 pub mod learn;
+pub mod par;
 pub mod pipeline;
 pub mod plan;
 pub mod profile;

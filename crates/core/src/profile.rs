@@ -1,20 +1,22 @@
 //! The profiling phase (Figure 6 of the paper).
 //!
-//! Every node of the flattened graph is executed standalone on the
-//! simulated GPU once per `(register limit, thread count)` grid point,
+//! Every node of the flattened graph is priced standalone on the
+//! simulated GPU at each `(register limit, thread count)` grid point,
 //! against synthetic channel buffers laid out exactly as the final code
-//! will lay them out. Infeasible points (register file exhausted) are
-//! recorded as such; feasible points record the per-instance execution
-//! time the ILP will use as `d(v)`.
+//! will lay them out. The register limit enters only the launch's
+//! feasibility check and the spill bill, so one functional run per
+//! thread count prices every limit ([`gpusim::Gpu::price_reg_limits`]).
+//! Infeasible points (register file exhausted) are recorded as such;
+//! feasible points record the per-instance execution time the ILP will
+//! use as `d(v)`.
 
 use gpusim::{
-    BlockWork, BufferBinding, DeviceConfig, Gpu, InstanceExec, Kernel, Launch, Layout, SimError,
-    TimingModel,
+    BlockWork, BufferBinding, DeviceConfig, Gpu, InstanceExec, Kernel, Launch, Layout, TimingModel,
 };
 use streamir::graph::{FlatGraph, NodeId};
 use streamir::ir::{ElemTy, Scalar};
 
-use crate::Result;
+use crate::{par, Result};
 
 /// Cycles per integer scheduling time unit: delays handed to the ILP are
 /// `ceil(cycles / TIME_UNIT_CYCLES)`, keeping II magnitudes tractable.
@@ -129,36 +131,45 @@ pub fn synthetic_token(ty: ElemTy, i: u64) -> Scalar {
 }
 
 /// Profiles every node of `graph` over the grid (the paper's Figure 6
-/// loop).
+/// loop). When a grid point simulates more than one warp, nodes are
+/// profiled side by side on the host's cores ([`crate::par::map`]); the
+/// table does not depend on how many.
 ///
 /// # Errors
 ///
 /// Propagates device traps (a filter faulting on synthetic data indicates
-/// a non-total work function). Infeasible launch configurations are *not*
-/// errors — they become `None` entries, as in the paper.
+/// a non-total work function), naming the first failing
+/// `(node, register limit, thread count)` in node, then register, then
+/// thread order. Infeasible launch configurations are *not* errors —
+/// they become `None` entries, as in the paper.
 pub fn profile(
     graph: &FlatGraph,
     opts: &ProfileOptions,
     device: &DeviceConfig,
     timing: &TimingModel,
 ) -> Result<ProfileTable> {
-    let mut times = Vec::with_capacity(graph.len());
-    for node_idx in 0..graph.len() {
-        let node = graph.node(NodeId(node_idx as u32));
-        // Loaded once per node, launched at every grid point.
-        let kernel = Kernel::load(&node.work);
-        let mut per_reg = Vec::with_capacity(opts.reg_limits.len());
-        for &regs in &opts.reg_limits {
-            let mut per_thr = Vec::with_capacity(opts.thread_counts.len());
-            for &threads in &opts.thread_counts {
-                per_thr.push(profile_one(
-                    &node.name, &kernel, regs, threads, opts, device, timing,
-                )?);
-            }
-            per_reg.push(per_thr);
-        }
-        times.push(per_reg);
-    }
+    // A one-warp point is mostly set-up: a whole serving-grid profile
+    // takes well under a millisecond, less than waking an idle core can
+    // cost, so only grids with larger points fan out.
+    let fan_out = opts.thread_counts.iter().any(|&t| t > device.warp_size);
+    let workers = if fan_out { par::cores() } else { 1 };
+    profile_on(workers, graph, opts, device, timing)
+}
+
+/// [`profile`] on at most `workers` host threads.
+pub(crate) fn profile_on(
+    workers: usize,
+    graph: &FlatGraph,
+    opts: &ProfileOptions,
+    device: &DeviceConfig,
+    timing: &TimingModel,
+) -> Result<ProfileTable> {
+    let nodes: Vec<NodeId> = (0..graph.len() as u32).map(NodeId).collect();
+    let times = par::map_on(workers, &nodes, |&node| {
+        profile_node(graph, node, opts, device, timing)
+    })
+    .into_iter()
+    .collect::<Result<_>>()?;
     Ok(ProfileTable {
         reg_limits: opts.reg_limits.clone(),
         thread_counts: opts.thread_counts.clone(),
@@ -166,17 +177,70 @@ pub fn profile(
     })
 }
 
-/// One grid point: run a single instance (one thread-block-wide firing)
-/// and return its SM-busy cycles, or `None` when infeasible.
-fn profile_one(
+/// One node's `times[r][t]`. A thread count's one functional run prices
+/// every register limit; the first error in register-major order wins,
+/// as when every grid point ran on its own.
+fn profile_node(
+    graph: &FlatGraph,
+    node: NodeId,
+    opts: &ProfileOptions,
+    device: &DeviceConfig,
+    timing: &TimingModel,
+) -> Result<Vec<Vec<Option<f64>>>> {
+    let node = graph.node(node);
+    let kernel = Kernel::load(&node.work);
+    let by_threads: Vec<Vec<Result<Option<f64>>>> = opts
+        .thread_counts
+        .iter()
+        .map(|&threads| {
+            profile_threads(&node.name, &kernel, threads, opts, device, timing)
+                // A set-up failure fails every limit, as it did each point.
+                .unwrap_or_else(|e| vec![Err(e); opts.reg_limits.len()])
+        })
+        .collect();
+    (0..opts.reg_limits.len())
+        .map(|r| by_threads.iter().map(|col| col[r].clone()).collect())
+        .collect()
+}
+
+/// One thread count: run a single instance (one thread-block-wide
+/// firing) and price it at every register limit — its SM-busy cycles, or
+/// `None` where infeasible.
+fn profile_threads(
     name: &str,
     kernel: &Kernel,
-    regs: u32,
     threads: u32,
     opts: &ProfileOptions,
     device: &DeviceConfig,
     timing: &TimingModel,
-) -> Result<Option<f64>> {
+) -> Result<Vec<Result<Option<f64>>>> {
+    let (mut gpu, launch) = instance_on_device(kernel, threads, opts, device, timing)?;
+    let priced = gpu.price_reg_limits(&launch, &opts.reg_limits);
+    Ok(priced
+        .into_iter()
+        .zip(&opts.reg_limits)
+        .map(|(cycles, &regs)| cycles.map_err(|e| while_profiling(e, name, regs, threads)))
+        .collect())
+}
+
+/// A device error at one grid point, named by filter, limit and threads.
+fn while_profiling(e: gpusim::SimError, name: &str, regs: u32, threads: u32) -> crate::Error {
+    crate::Error::sim_while(
+        e,
+        format!("profiling filter '{name}' at {regs} regs x {threads} threads"),
+    )
+}
+
+/// A fresh device holding exactly one instance of `kernel` at `threads`
+/// threads over synthetic input, and the launch that fires it. The
+/// launch's register limit is left at 0 for the caller to price.
+fn instance_on_device<'k>(
+    kernel: &'k Kernel,
+    threads: u32,
+    opts: &ProfileOptions,
+    device: &DeviceConfig,
+    timing: &TimingModel,
+) -> Result<(Gpu, Launch<'k>)> {
     let work = kernel.work();
     let firings = if work.is_stateful() { 1 } else { threads };
     let in_tokens = |port: u8| {
@@ -187,8 +251,8 @@ fn profile_one(
     let state_words = work.states().len().max(1) as u32;
 
     // The device holds exactly this instance's buffers (a fresh `Gpu`
-    // zeroes its whole memory, once per grid point): every allocation
-    // rounded up to the allocator's alignment.
+    // zeroes its whole memory, once per node and thread count): every
+    // allocation rounded up to the allocator's alignment.
     let mut config = device.clone();
     let align = config.transaction_words().max(1);
     config.device_mem_words = (0..work.input_ports().len() as u8)
@@ -251,7 +315,7 @@ fn profile_one(
     let staging = opts.shared_staging && staging_fits(work, active, device);
     let launch = Launch {
         threads_per_block: threads,
-        regs_per_thread: regs,
+        regs_per_thread: 0,
         blocks: vec![BlockWork {
             items: vec![InstanceExec {
                 kernel,
@@ -265,16 +329,7 @@ fn profile_one(
         }],
         sm_offset: 0,
     };
-    match gpu.run(&launch) {
-        Ok(stats) => Ok(Some(
-            stats.per_sm_cycles.iter().copied().fold(0.0f64, f64::max),
-        )),
-        Err(SimError::LaunchConfig(_)) => Ok(None),
-        Err(e) => Err(crate::Error::sim_while(
-            e,
-            format!("profiling filter '{name}' at {regs} regs x {threads} threads"),
-        )),
-    }
+    Ok((gpu, launch))
 }
 
 /// Whether a node's working set fits in shared memory at this thread
@@ -300,6 +355,13 @@ mod tests {
     use super::*;
     use streamir::graph::{FilterSpec, StreamSpec};
     use streamir::ir::{Expr, FnBuilder};
+
+    /// Error texts of the trapping graph's profile, as the per-grid-point
+    /// loop reported them.
+    const SERVING_TRAP: &str = "simulator error: device trap: work function trapped: integer \
+        division by zero (while profiling filter 'divide' at 16 regs x 16 threads)";
+    const INVERTED_TRAP: &str = "simulator error: device trap: work function trapped: integer \
+        division by zero (while profiling filter 'divide' at 64 regs x 128 threads)";
 
     fn simple_graph() -> FlatGraph {
         let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
@@ -363,6 +425,122 @@ mod tests {
         .unwrap();
         let best = table.best_thread_idx(NodeId(0), 0, 256).unwrap();
         assert!(table.thread_counts[best] <= 256);
+    }
+
+    /// The loop [`profile`] replaced: register-major over the grid, a
+    /// fresh device and one [`Gpu::run`] per grid point, stopping at the
+    /// first error.
+    fn oracle(
+        graph: &FlatGraph,
+        opts: &ProfileOptions,
+        device: &DeviceConfig,
+        timing: &TimingModel,
+    ) -> Result<ProfileTable> {
+        let mut times = Vec::new();
+        for node in graph.nodes() {
+            let kernel = Kernel::load(&node.work);
+            let mut per_reg = Vec::new();
+            for &regs in &opts.reg_limits {
+                let mut per_thr = Vec::new();
+                for &threads in &opts.thread_counts {
+                    let (mut gpu, mut launch) =
+                        instance_on_device(&kernel, threads, opts, device, timing)?;
+                    launch.regs_per_thread = regs;
+                    per_thr.push(match gpu.run(&launch) {
+                        Ok(stats) => Some(stats.per_sm_cycles.iter().copied().fold(0.0, f64::max)),
+                        Err(gpusim::SimError::LaunchConfig(_)) => None,
+                        Err(e) => return Err(while_profiling(e, &node.name, regs, threads)),
+                    });
+                }
+                per_reg.push(per_thr);
+            }
+            times.push(per_reg);
+        }
+        Ok(ProfileTable {
+            reg_limits: opts.reg_limits.clone(),
+            thread_counts: opts.thread_counts.clone(),
+            times,
+        })
+    }
+
+    fn bits(table: &ProfileTable) -> Vec<Vec<Vec<Option<u64>>>> {
+        table
+            .times
+            .iter()
+            .map(|node| {
+                node.iter()
+                    .map(|row| row.iter().map(|c| c.map(f64::to_bits)).collect())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn profile_equals_the_per_grid_point_loop_on_the_suite() {
+        let serving = crate::exec::CompileOptions::small_test();
+        let scaled = crate::harness::HarnessOptions::paper_scaled().compile;
+        for b in streambench::suite() {
+            let graph = b.spec.flatten().unwrap();
+            for c in [&serving, &scaled] {
+                let expected = oracle(&graph, &c.profile, &c.device, &c.timing).unwrap();
+                for workers in [1, 3] {
+                    let table =
+                        profile_on(workers, &graph, &c.profile, &c.device, &c.timing).unwrap();
+                    assert_eq!(table.reg_limits, expected.reg_limits);
+                    assert_eq!(table.thread_counts, expected.thread_counts);
+                    assert_eq!(bits(&table), bits(&expected), "{} on {workers}", b.name);
+                }
+            }
+        }
+    }
+
+    /// `keep -> divide -> divide_again`: both dividers compute
+    /// `1 / (x - 1)`, and the first synthetic token is 1.
+    fn trapping_graph() -> FlatGraph {
+        let stage = |name: &str, trap: bool| {
+            let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+            let x = f.local(ElemTy::I32);
+            f.pop_into(0, x);
+            let value = if trap {
+                Expr::i32(1).div(Expr::local(x).sub(Expr::i32(1)))
+            } else {
+                Expr::local(x)
+            };
+            f.push(0, value);
+            StreamSpec::filter(FilterSpec::new(name, f.build().unwrap()))
+        };
+        StreamSpec::pipeline(vec![
+            stage("keep", false),
+            stage("divide", true),
+            stage("divide_again", true),
+        ])
+        .flatten()
+        .unwrap()
+    }
+
+    #[test]
+    fn a_trap_names_the_first_grid_point_the_per_point_loop_reached() {
+        let g = trapping_graph();
+        let serving = crate::exec::CompileOptions::small_test();
+        // At 64 registers only 128 threads fit, so register-major order
+        // reaches (64, 128) before (16, 512), the first trap in its
+        // thread column.
+        let inverted = ProfileOptions {
+            reg_limits: vec![64, 16],
+            thread_counts: vec![512, 128],
+            ..ProfileOptions::paper()
+        };
+        for (opts, device, text) in [
+            (&serving.profile, &serving.device, SERVING_TRAP),
+            (&inverted, &DeviceConfig::gts512(), INVERTED_TRAP),
+        ] {
+            let expected = oracle(&g, opts, device, &serving.timing).unwrap_err();
+            assert_eq!(expected.to_string(), text);
+            for workers in [1, 3] {
+                let e = profile_on(workers, &g, opts, device, &serving.timing).unwrap_err();
+                assert_eq!(e, expected, "{workers} workers");
+            }
+        }
     }
 
     #[test]

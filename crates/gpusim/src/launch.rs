@@ -306,7 +306,7 @@ impl Gpu {
             // The driver loses the launch before any device work.
             return Err(SimError::LaunchFailed { launch: attempt });
         }
-        self.validate(launch)?;
+        self.validate(launch, launch.regs_per_thread)?;
 
         // The watchdog budget is shared by the whole launch. Injected
         // hangs and memory faults run on a small prefix budget so their
@@ -336,7 +336,8 @@ impl Gpu {
         for (b, block) in launch.blocks.iter().enumerate() {
             let sm = (b + launch.sm_offset as usize) % self.config.num_sms as usize;
             for inst in &block.items {
-                let stats = self.run_instance(launch, inst, &mut warp_state, &mut limits)?;
+                let base = self.run_instance(inst, &mut warp_state, &mut limits)?;
+                let stats = bill_spills(base, inst, launch.regs_per_thread);
                 per_sm[sm] += self.timing.instance_cycles(&stats);
                 total_transactions += stats.mem_transactions + stats.spill_transactions;
                 totals.warp_instructions += stats.warp_instructions;
@@ -387,7 +388,66 @@ impl Gpu {
         Ok(totals)
     }
 
-    fn validate(&self, launch: &Launch<'_>) -> Result<()> {
+    /// Prices `launch` at every register limit in `reg_limits` from one
+    /// functional run. Entry `i` is what [`Gpu::run`] reports for the
+    /// launch with `regs_per_thread = reg_limits[i]` (the launch's own
+    /// `regs_per_thread` is ignored): its slowest SM's cycles, `None`
+    /// where that run fails with [`SimError::LaunchConfig`], or the error
+    /// it fails with. The limit enters only [`Gpu::run`]'s register-file
+    /// check and the spill bill, so the warps run once, and only if some
+    /// limit is feasible. Like a launch, the run consumes one launch
+    /// ordinal and the watchdog budget; no fault plan is consulted.
+    pub fn price_reg_limits(
+        &mut self,
+        launch: &Launch<'_>,
+        reg_limits: &[u32],
+    ) -> Vec<Result<Option<f64>>> {
+        let checks: Vec<Result<()>> = reg_limits
+            .iter()
+            .map(|&regs| self.validate(launch, regs))
+            .collect();
+        // Every instance's counters before the spill bill, with its SM.
+        let mut runs = Vec::new();
+        let ran = if checks.iter().any(Result::is_ok) {
+            let attempt = self.launches_attempted;
+            self.launches_attempted += 1;
+            let mut limits = ExecLimits::new(self.watchdog_budget(), attempt);
+            let mut warp_state = WarpState::default();
+            let mut run = || -> Result<()> {
+                for (b, block) in launch.blocks.iter().enumerate() {
+                    let sm = (b + launch.sm_offset as usize) % self.config.num_sms as usize;
+                    for inst in &block.items {
+                        let base = self.run_instance(inst, &mut warp_state, &mut limits)?;
+                        runs.push((sm, inst, base));
+                    }
+                }
+                Ok(())
+            };
+            run()
+        } else {
+            Ok(())
+        };
+        checks
+            .into_iter()
+            .zip(reg_limits)
+            .map(|(check, &regs)| {
+                let priced = check.and_then(|()| ran.clone()).map(|()| {
+                    let mut per_sm = vec![0.0f64; self.config.num_sms as usize];
+                    for &(sm, inst, base) in &runs {
+                        per_sm[sm] += self.timing.instance_cycles(&bill_spills(base, inst, regs));
+                    }
+                    per_sm.into_iter().fold(0.0f64, f64::max)
+                });
+                match priced {
+                    Ok(cycles) => Ok(Some(cycles)),
+                    Err(SimError::LaunchConfig(_)) => Ok(None),
+                    Err(e) => Err(e),
+                }
+            })
+            .collect()
+    }
+
+    fn validate(&self, launch: &Launch<'_>, regs_per_thread: u32) -> Result<()> {
         let cfg = &self.config;
         cfg.check_shape()?;
         if launch.threads_per_block == 0 || launch.threads_per_block > cfg.max_threads_per_block {
@@ -396,13 +456,11 @@ impl Gpu {
                 launch.threads_per_block, cfg.max_threads_per_block
             )));
         }
-        let regs_needed = launch
-            .regs_per_thread
-            .saturating_mul(launch.threads_per_block);
+        let regs_needed = regs_per_thread.saturating_mul(launch.threads_per_block);
         if regs_needed > cfg.registers_per_sm {
             return Err(SimError::LaunchConfig(format!(
                 "register file exhausted: {} regs/thread x {} threads = {} > {}",
-                launch.regs_per_thread, launch.threads_per_block, regs_needed, cfg.registers_per_sm
+                regs_per_thread, launch.threads_per_block, regs_needed, cfg.registers_per_sm
             )));
         }
         for block in &launch.blocks {
@@ -450,9 +508,10 @@ impl Gpu {
         Ok(())
     }
 
+    /// Runs one instance's warps and bills its staging copies; the spill
+    /// bill is [`bill_spills`]'s, per register limit.
     fn run_instance(
         &mut self,
-        launch: &Launch<'_>,
         inst: &InstanceExec<'_>,
         warp_state: &mut WarpState,
         limits: &mut ExecLimits,
@@ -474,22 +533,6 @@ impl Gpu {
             stats.warp_instructions += steps;
             stats.mem_access_insts += steps;
             stats.mem_transactions += steps * 2;
-        }
-
-        // Register spills: every firing reloads/spills the excess live
-        // values from per-thread local memory (coalesced).
-        let spilled = u64::from(
-            inst.kernel
-                .work()
-                .info()
-                .reg_estimate
-                .saturating_sub(launch.regs_per_thread),
-        );
-        if spilled > 0 {
-            let spill_accesses = 2 * spilled * u64::from(warps);
-            stats.spill_access_insts += spill_accesses;
-            stats.spill_transactions += spill_accesses * 2;
-            stats.warp_instructions += spill_accesses;
         }
         Ok(stats)
     }
@@ -545,6 +588,30 @@ impl InstanceExec<'_> {
         }
         Ok(())
     }
+}
+
+/// `stats` with the register spills of running `inst` at
+/// `regs_per_thread` billed: every firing reloads and spills the excess
+/// live values from per-thread local memory (coalesced).
+fn bill_spills(
+    mut stats: InstanceStats,
+    inst: &InstanceExec<'_>,
+    regs_per_thread: u32,
+) -> InstanceStats {
+    let spilled = u64::from(
+        inst.kernel
+            .work()
+            .info()
+            .reg_estimate
+            .saturating_sub(regs_per_thread),
+    );
+    if spilled > 0 {
+        let spill_accesses = 2 * spilled * u64::from(stats.warps);
+        stats.spill_access_insts += spill_accesses;
+        stats.spill_transactions += spill_accesses * 2;
+        stats.warp_instructions += spill_accesses;
+    }
+    stats
 }
 
 /// Warp-wide steps of a staged instance's coalesced bulk copy: one each
@@ -1151,5 +1218,141 @@ mod tests {
         ));
         gpu.run(&launch).unwrap();
         assert_eq!(gpu.launches_attempted(), 3);
+    }
+
+    /// A fresh device holding one instance of `kernel` at `threads`
+    /// threads over synthetic input, as the profiler lays it out; the
+    /// launch's register limit is the caller's to set.
+    fn priced_instance(kernel: &Kernel, threads: u32, staged: bool) -> (Gpu, Launch<'_>) {
+        let work = kernel.work();
+        let stateful = work.is_stateful();
+        let active = if stateful { 1 } else { threads };
+        let mut gpu = Gpu::new(DeviceConfig {
+            device_mem_words: 1 << 20,
+            ..DeviceConfig::gts512()
+        });
+        let layout = Layout::Transposed { group: 128 };
+        let binding = |base, tokens: u32, rate: u32| BufferBinding {
+            base_word: base,
+            region_tokens: u64::from(tokens),
+            regions: 1,
+            layout,
+            consumer_rate: rate.max(1),
+            endpoint_rate: rate,
+            abs_start: 0,
+        };
+        let mut inputs = Vec::new();
+        for (port, &ty) in work.input_ports().iter().enumerate() {
+            let (pop, peek) = (work.pop_rate(port as u8), work.peek_rate(port as u8));
+            let tokens = (active * pop + (peek - pop)).max(1);
+            let b = binding(gpu.alloc_tokens(tokens), tokens, pop);
+            for i in 0..u64::from(tokens) {
+                let slot = layout.slot(i, pop.max(1), u64::from(tokens));
+                let v = (i % 17 + 1) as i32;
+                let token = match ty {
+                    ElemTy::I32 => Scalar::I32(v),
+                    ElemTy::F32 => Scalar::F32(v as f32 * 0.5),
+                };
+                gpu.memory_mut()
+                    .write_token(b.base_word + slot as u32, token);
+            }
+            inputs.push(b);
+        }
+        let outputs = (0..work.output_ports().len() as u8)
+            .map(|port| {
+                let push = work.push_rate(port);
+                let tokens = (active * push).max(1);
+                binding(gpu.alloc_tokens(tokens), tokens, push)
+            })
+            .collect();
+        let state_base = stateful.then(|| {
+            let base = gpu.alloc_tokens(work.states().len().max(1) as u32);
+            for (i, st) in work.states().iter().enumerate() {
+                gpu.memory_mut().write_token(base + i as u32, st.init);
+            }
+            base
+        });
+        let launch = Launch {
+            threads_per_block: threads,
+            regs_per_thread: 0,
+            blocks: vec![BlockWork {
+                items: vec![InstanceExec {
+                    kernel,
+                    active_threads: active,
+                    inputs,
+                    outputs,
+                    shared_staging: staged,
+                    state_base,
+                    label: None,
+                }],
+            }],
+            sm_offset: 0,
+        };
+        (gpu, launch)
+    }
+
+    #[test]
+    fn pricing_every_register_limit_equals_launching_at_each() {
+        let mut kernels: Vec<Kernel> = streambench::suite()
+            .iter()
+            .flat_map(|b| {
+                let graph = b.spec.flatten().unwrap();
+                graph
+                    .nodes()
+                    .iter()
+                    .map(|n| Kernel::load(&n.work))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+        let st = f.state(ElemTy::I32, Scalar::I32(5));
+        let x = f.local(ElemTy::I32);
+        f.pop_into(0, x);
+        f.push(0, Expr::state(st).add(Expr::local(x)));
+        f.store_state(st, Expr::state(st).add(Expr::i32(1)));
+        kernels.push(Kernel::load(&f.build().unwrap()));
+
+        let limits = [8, 16, 20, 32, 64];
+        let (mut spilled, mut infeasible, mut stateful, mut staged) = (0, 0, 0, 0);
+        for kernel in &kernels {
+            let estimate = kernel.work().info().reg_estimate;
+            for threads in [16, 32, 128, 256] {
+                // Staged at the larger thread counts where the window fits.
+                let stage = threads >= 128 && {
+                    let (_, launch) = priced_instance(kernel, threads, true);
+                    staging_bytes(&launch.blocks[0].items[0]) <= 16 * 1024
+                };
+                let (mut gpu, launch) = priced_instance(kernel, threads, stage);
+                let priced = gpu.price_reg_limits(&launch, &limits);
+                assert_eq!(priced.len(), limits.len());
+                for (&regs, priced) in limits.iter().zip(priced) {
+                    let (mut gpu, mut launch) = priced_instance(kernel, threads, stage);
+                    launch.regs_per_thread = regs;
+                    let launched = match gpu.run(&launch) {
+                        Ok(stats) => Ok(Some(
+                            stats.per_sm_cycles.iter().copied().fold(0.0f64, f64::max),
+                        )),
+                        Err(SimError::LaunchConfig(_)) => Ok(None),
+                        Err(e) => Err(e),
+                    };
+                    let bits = |r: &Result<Option<f64>>| r.clone().map(|c| c.map(f64::to_bits));
+                    assert_eq!(
+                        bits(&priced),
+                        bits(&launched),
+                        "{regs} regs x {threads} threads, reg estimate {estimate}"
+                    );
+                    match launched {
+                        Ok(None) => infeasible += 1,
+                        Ok(Some(_)) => {
+                            spilled += usize::from(regs < estimate);
+                            stateful += usize::from(kernel.work().is_stateful());
+                            staged += usize::from(stage);
+                        }
+                        Err(e) => panic!("synthetic input trapped: {e}"),
+                    }
+                }
+            }
+        }
+        assert!(spilled > 0 && infeasible > 0 && stateful > 0 && staged > 0);
     }
 }
