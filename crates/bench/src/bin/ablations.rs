@@ -22,15 +22,18 @@ fn main() {
 
     println!("Ablation (a): buffer layout at fixed schedule (speedup-proxy: 1/time)");
     let widths = [12, 14, 14, 14, 14];
-    swp_bench::row(
-        &[
-            "Benchmark".into(),
-            "SWP8 time".into(),
-            "SWPNC time".into(),
-            "SWP-raw time".into(),
-            "raw/opt".into(),
-        ],
-        &widths,
+    println!(
+        "{}",
+        swp_bench::row(
+            &[
+                "Benchmark".into(),
+                "SWP8 time".into(),
+                "SWPNC time".into(),
+                "SWP-raw time".into(),
+                "raw/opt".into(),
+            ],
+            &widths,
+        )
     );
     for name in ["DCT", "FFT", "MatrixMult"] {
         let b = by_name(name).expect("known benchmark");
@@ -45,30 +48,36 @@ fn main() {
         let opt = t(Scheme::Swp { coarsening: 8 });
         let nc = t(Scheme::SwpNc { coarsening: 8 });
         let raw = t(Scheme::SwpRaw { coarsening: 8 });
-        swp_bench::row(
-            &[
-                name.into(),
-                format!("{opt:.3e}"),
-                format!("{nc:.3e}"),
-                format!("{raw:.3e}"),
-                format!("{:.2}x", raw / opt),
-            ],
-            &widths,
+        println!(
+            "{}",
+            swp_bench::row(
+                &[
+                    name.into(),
+                    format!("{opt:.3e}"),
+                    format!("{nc:.3e}"),
+                    format!("{raw:.3e}"),
+                    format!("{:.2}x", raw / opt),
+                ],
+                &widths,
+            )
         );
     }
 
     println!();
     println!("Ablation (b): Serial vs SWP8 under varying launch overhead");
     let widths = [12, 12, 16, 16, 16];
-    swp_bench::row(
-        &[
-            "Benchmark".into(),
-            "overhead".into(),
-            "SWP8 time".into(),
-            "Serial time".into(),
-            "Serial/SWP8".into(),
-        ],
-        &widths,
+    println!(
+        "{}",
+        swp_bench::row(
+            &[
+                "Benchmark".into(),
+                "overhead".into(),
+                "SWP8 time".into(),
+                "Serial time".into(),
+                "Serial/SWP8".into(),
+            ],
+            &widths,
+        )
     );
     for name in ["DES", "FFT"] {
         let b = by_name(name).expect("known benchmark");
@@ -84,15 +93,18 @@ fn main() {
             let serial = exec::measure(&c, Scheme::Serial { batch: 8 }, o.iterations, &input)
                 .unwrap_or_else(|e| panic!("{name}: {e}"))
                 .time_secs;
-            swp_bench::row(
-                &[
-                    name.into(),
-                    format!("{:.0}x", mult),
-                    format!("{swp:.3e}"),
-                    format!("{serial:.3e}"),
-                    format!("{:.2}", serial / swp),
-                ],
-                &widths,
+            println!(
+                "{}",
+                swp_bench::row(
+                    &[
+                        name.into(),
+                        format!("{:.0}x", mult),
+                        format!("{swp:.3e}"),
+                        format!("{serial:.3e}"),
+                        format!("{:.2}", serial / swp),
+                    ],
+                    &widths,
+                )
             );
         }
     }
@@ -100,14 +112,17 @@ fn main() {
     println!();
     println!("Ablation (c): heuristic vs exact ILP initiation interval (P = 4)");
     let widths = [12, 10, 12, 12];
-    swp_bench::row(
-        &[
-            "Benchmark".into(),
-            "lower".into(),
-            "ILP II".into(),
-            "heur II".into(),
-        ],
-        &widths,
+    println!(
+        "{}",
+        swp_bench::row(
+            &[
+                "Benchmark".into(),
+                "lower".into(),
+                "ILP II".into(),
+                "heur II".into(),
+            ],
+            &widths,
+        )
     );
     for name in ["FFT", "DCT"] {
         let b = by_name(name).expect("known benchmark");
@@ -134,14 +149,17 @@ fn main() {
             },
         )
         .expect("heuristic always schedules");
-        swp_bench::row(
-            &[
-                name.into(),
-                heur.1.lower_bound.to_string(),
-                ilp.map_or("timeout".into(), |(s, _)| s.ii.to_string()),
-                heur.0.ii.to_string(),
-            ],
-            &widths,
+        println!(
+            "{}",
+            swp_bench::row(
+                &[
+                    name.into(),
+                    heur.1.lower_bound.to_string(),
+                    ilp.map_or("timeout".into(), |(s, _)| s.ii.to_string()),
+                    heur.0.ii.to_string(),
+                ],
+                &widths,
+            )
         );
     }
 }

@@ -27,18 +27,21 @@ fn main() {
     println!("(exact B&B at P=4 under a {budget}s/candidate budget; heuristic at P=16)");
     println!();
     let widths = [12, 8, 10, 12, 10, 12, 12, 12];
-    swp_bench::row(
-        &[
-            "Benchmark".into(),
-            "insts".into(),
-            "vars(P16)".into(),
-            "cons(P16)".into(),
-            "ILP II".into(),
-            "ILP time".into(),
-            "relax%".into(),
-            "heur II/lb".into(),
-        ],
-        &widths,
+    println!(
+        "{}",
+        swp_bench::row(
+            &[
+                "Benchmark".into(),
+                "insts".into(),
+                "vars(P16)".into(),
+                "cons(P16)".into(),
+                "ILP II".into(),
+                "ILP time".into(),
+                "relax%".into(),
+                "heur II/lb".into(),
+            ],
+            &widths,
+        )
     );
 
     for b in streambench::suite() {
@@ -85,18 +88,21 @@ fn main() {
             ),
             Err(_) => ("timeout".into(), format!(">{}s", budget * 12), "-".into()),
         };
-        swp_bench::row(
-            &[
-                b.name.into(),
-                ig.len().to_string(),
-                model16.num_vars().to_string(),
-                model16.num_constraints().to_string(),
-                ilp_ii,
-                ilp_time,
-                relax,
-                format!("{}/{}", heur.0.ii, heur.1.lower_bound),
-            ],
-            &widths,
+        println!(
+            "{}",
+            swp_bench::row(
+                &[
+                    b.name.into(),
+                    ig.len().to_string(),
+                    model16.num_vars().to_string(),
+                    model16.num_constraints().to_string(),
+                    ilp_ii,
+                    ilp_time,
+                    relax,
+                    format!("{}/{}", heur.0.ii, heur.1.lower_bound),
+                ],
+                &widths,
+            )
         );
     }
     println!();

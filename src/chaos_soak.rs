@@ -1,4 +1,4 @@
-//! The chaos soak harness behind `cargo run --bin chaos_soak`.
+//! The chaos soak harness behind `stream-gpu soak`.
 //!
 //! Serves the StreamIt benchmark suite through the event engine under a
 //! seeded fault storm ([`swpipe::serve::ChaosStorm`]): bursty hang
@@ -346,69 +346,30 @@ struct SoakSummary {
     decisions: Vec<ControllerDecision>,
 }
 
-fn parse_u64(s: &str) -> Option<u64> {
+/// Parses a storm seed, decimal or `0x` hex.
+#[must_use]
+pub fn parse_u64(s: &str) -> Option<u64> {
     s.strip_prefix("0x")
         .map_or_else(|| s.parse().ok(), |h| u64::from_str_radix(h, 16).ok())
 }
 
-/// Entry point for the `chaos_soak` binary: a storm matrix of seeds,
-/// each soaked and invariant-checked, with the last seed's decision
-/// log exported.
-///
-/// Flags — one invocation path for the CI matrix and local repro:
-/// `--seed N` (repeatable; decimal or `0x` hex), `--profile NAME`
-/// (see [`storm_profile`]), `--rounds N`, `--jobs N` (truncate the
-/// trace to the first N jobs), `--host-launch` (disable the default
-/// graph dispatch so the storm exercises pure host launches). Bare
-/// integer arguments are still accepted as seeds for back-compat with
-/// older scripts.
+/// A storm matrix of seeds (the `stream-gpu soak` command): each seed
+/// soaked under `base` and invariant-checked, with the last seed's
+/// decision log written to `CHAOS_soak.json`. An empty `seeds` soaks
+/// two default seeds.
 ///
 /// # Panics
 ///
-/// Panics on a malformed flag, an unknown profile, a violated soak
-/// invariant, or when the report cannot be written.
-pub fn main() {
-    let mut seeds: Vec<u64> = Vec::new();
-    let mut base = SoakConfig::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--seed" => {
-                let v = val("--seed");
-                seeds.push(parse_u64(&v).unwrap_or_else(|| panic!("bad --seed {v:?}")));
-            }
-            "--profile" => {
-                let name = val("--profile");
-                assert!(
-                    storm_profile(&name, 0).is_some(),
-                    "unknown storm profile {name:?} (try default, hangs, corruption, quiet)"
-                );
-                base.profile = name;
-            }
-            "--rounds" => {
-                let v = val("--rounds");
-                base.rounds = v.parse().unwrap_or_else(|_| panic!("bad --rounds {v:?}"));
-            }
-            "--jobs" => {
-                let v = val("--jobs");
-                base.jobs = Some(v.parse().unwrap_or_else(|_| panic!("bad --jobs {v:?}")));
-            }
-            "--host-launch" => base.graph = false,
-            other => match parse_u64(other) {
-                Some(seed) => seeds.push(seed),
-                None => panic!("unknown flag {other}"),
-            },
-        }
-    }
-    if seeds.is_empty() {
-        seeds = vec![0xC4A0_55EE, 0x0005_EED5];
-    }
+/// Panics on an unknown profile, a violated soak invariant, or when
+/// the report cannot be written.
+pub fn soak(seeds: &[u64], base: &SoakConfig) {
+    let seeds = if seeds.is_empty() {
+        &[0xC4A0_55EE, 0x0005_EED5][..]
+    } else {
+        seeds
+    };
     let mut last: Option<(u64, SoakRun)> = None;
-    for seed in seeds {
+    for &seed in seeds {
         let cfg = SoakConfig {
             seed,
             ..base.clone()
@@ -430,7 +391,7 @@ pub fn main() {
     let (seed, run) = last.expect("at least one seed soaked");
     let summary = SoakSummary {
         seed,
-        profile: base.profile,
+        profile: base.profile.clone(),
         jobs: run.outputs.len(),
         completed: run.outputs.iter().filter(|o| o.is_some()).count(),
         policy_switches: run.report.policy_switches,

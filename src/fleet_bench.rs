@@ -1,4 +1,5 @@
-//! The fleet serving benchmark behind `cargo run --bin fleet_bench`.
+//! The fleet serving benchmark behind `BENCH_fleet.json` (a
+//! `stream-gpu regen` entry) and `stream-gpu fleet-chaos`.
 //!
 //! Serves the eight StreamIt benchmarks as eight tenants of a
 //! [`swpipe::fleet::FleetEngine`] under three configurations:
@@ -14,9 +15,9 @@
 //!    completion-or-rejection — zero jobs lost — and that checkpoint
 //!    shipping ran.
 //!
-//! Writes `BENCH_fleet.json` with all three reports, and in `--chaos`
-//! mode writes `FLEET_chaos.json` carrying the router's full decision
-//! log — the determinism witness the CI chaos job uploads.
+//! [`run_bench`] renders `BENCH_fleet.json` with all three reports;
+//! [`chaos`] writes `FLEET_chaos.json` carrying the router's full
+//! decision log — the determinism witness the CI chaos job uploads.
 
 use gpusim::DeviceId;
 use serde::Serialize;
@@ -26,7 +27,7 @@ use swpipe::fleet::{
 };
 use swpipe::serve::{Job, ServeOptions};
 
-use crate::{check_committed, suite_trace, write_json};
+use crate::{suite_trace, write_json};
 
 /// Arrival rounds of the full benchmark (each round submits all eight
 /// benchmarks once).
@@ -39,11 +40,12 @@ pub const FULL_ITERATIONS: u64 = 4;
 /// fleets (more tenants per home) see more width churn from demand
 /// rebalancing and correspondingly more honest compile misses.
 pub const FULL_DEVICES: u32 = 8;
-/// Default storm seed. Chosen so the rolling kills land on devices
+/// Storm seed of the full benchmark and the default `fleet-chaos` seed.
+/// Chosen so the rolling kills land on devices
 /// with jobs in flight — the storm run must actually exercise
 /// checkpoint-shipping failover, not just kill idle fleet members.
 pub const FULL_SEED: u64 = 0xF1EE_700B;
-/// Default iterations per job in `--chaos` mode. Deeper than
+/// Iterations per job of a [`chaos`] run. Deeper than
 /// [`FULL_ITERATIONS`] so every benchmark's modulo schedule has a
 /// steady window to capture — the chaos run dispatches steady states
 /// as graph replays, and a device kill must be able to land mid-replay.
@@ -117,7 +119,7 @@ pub fn storm_options(devices: u32, seed: u64) -> FleetOptions {
     }
 }
 
-/// The `--chaos` configuration: the storm fleet with graph dispatch
+/// The [`chaos`] configuration: the storm fleet with graph dispatch
 /// on, so rolling kills and the brownout land on jobs whose steady
 /// states run as captured-graph replays — failover must re-enter the
 /// captured graph from the shipped checkpoint, with the re-capture
@@ -262,7 +264,7 @@ pub struct FleetChaosArtifact {
     /// Fleet size.
     pub devices: u32,
     /// Whether the storm run dispatched steady states as captured-graph
-    /// replays (the default for `--chaos`).
+    /// replays (always, for [`chaos`]).
     pub graph_dispatch: bool,
     /// Launch-path cycles of a host-launched run of the same storm —
     /// the baseline the graph run's `report.launch_path_cycles` is
@@ -297,131 +299,84 @@ fn print_report(name: &str, r: &FleetReport) {
     );
 }
 
-/// Entry point for the `fleet_bench` binary.
-///
-/// Flags: `--chaos` (write `FLEET_chaos.json` with the decision log),
-/// `--check <path>` (exit non-zero unless the committed artifact at
-/// `path` is byte-identical to a fresh run — the CI gate mirroring
-/// `serve_bench --check`, see [`crate::check_drift`]), `--seed N`,
-/// `--devices N`, `--rounds N`, `--iterations N`.
+/// One `fleet-chaos` cell: the storm at `seed` over a `devices`-device
+/// fleet, graph-dispatched, over the [`FULL_ROUNDS`]-round trace at
+/// [`CHAOS_ITERATIONS`], with one more loss aimed at a job in flight.
+/// Asserts zero lost jobs, real replays and failovers, a cheaper launch
+/// path than the host-launched twin and byte-identical per-job outputs
+/// across dispatch modes; prints the storm report and writes
+/// `FLEET_chaos.json`.
 ///
 /// # Panics
 ///
-/// Panics on malformed flags or when an acceptance assertion fails.
-pub fn main() {
-    let mut chaos = false;
-    let mut check: Option<String> = None;
-    let mut seed: u64 = FULL_SEED;
-    let mut devices = FULL_DEVICES;
-    let mut rounds = FULL_ROUNDS;
-    let mut iterations = FULL_ITERATIONS;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs a number"))
-        };
-        match a.as_str() {
-            "--chaos" => chaos = true,
-            "--check" => check = Some(args.next().expect("--check needs a path")),
-            "--seed" => seed = num("--seed"),
-            "--devices" => devices = num("--devices") as u32,
-            "--rounds" => rounds = num("--rounds") as usize,
-            "--iterations" => iterations = num("--iterations"),
-            other => panic!("unknown flag {other}"),
-        }
-    }
-
-    if let Some(path) = check {
-        let fresh = run_bench(rounds, iterations, devices, seed);
-        check_committed(&fresh, &path, "cargo run --release --bin fleet_bench");
-        return;
-    }
-
-    if chaos {
-        // Chaos runs default deeper than the bench trace so every
-        // benchmark has a steady window to capture; an explicit
-        // --iterations still overrides.
-        let iters = if iterations == FULL_ITERATIONS {
-            CHAOS_ITERATIONS
-        } else {
-            iterations
-        };
-        let trace = suite_trace(rounds, iters);
-        // Where the seeded kills fall relative to the jobs depends on the
-        // seed; one more loss, aimed at a graph-dispatched job in flight,
-        // makes every seed exercise mid-replay failover.
-        let round_len = trace.len() / rounds.max(1);
-        let loss = aimed_loss(&chaos_options(devices, seed), &trace, round_len);
-        // The same storm host-launched: the launch-overhead baseline
-        // and the byte-identity reference for the graph-dispatched run.
-        let (host, _, host_verdicts) =
-            run_fleet(with_loss(storm_options(devices, seed), loss), &trace);
-        let (report, decisions, verdicts) =
-            run_fleet(with_loss(chaos_options(devices, seed), loss), &trace);
-        assert_eq!(host.jobs_lost, 0, "host-launched chaos run lost jobs");
-        assert_eq!(report.jobs_lost, 0, "chaos run lost jobs");
-        assert!(
-            report.graph_replays > 0,
-            "the chaos fleet replayed nothing: graph dispatch was not exercised"
-        );
-        assert!(
-            report.failovers > 0,
-            "the storm must catch an in-flight graph-dispatched job \
-             (mid-replay failover unexercised)"
-        );
-        assert!(
-            report.launch_path_cycles < host.launch_path_cycles,
-            "graph dispatch must cut the storm's launch-path cycles ({} vs {})",
-            report.launch_path_cycles,
-            host.launch_path_cycles
-        );
-        // Dispatch mode may change when things finish, never what jobs
-        // compute: every job completed under both modes with
-        // byte-identical outputs.
-        for (i, (h, g)) in host_verdicts.iter().zip(&verdicts).enumerate() {
-            match (h, g) {
-                (FleetVerdict::Completed(h), FleetVerdict::Completed(g)) => {
-                    assert_eq!(
-                        h.outputs, g.outputs,
-                        "job {i}: graph-dispatched output diverged from host-launched"
-                    );
-                }
-                _ => panic!("job {i}: completion pattern diverged across dispatch modes"),
+/// Panics when an acceptance assertion fails or the file cannot be
+/// written.
+pub fn chaos(devices: u32, seed: u64) {
+    let rounds = FULL_ROUNDS;
+    let trace = suite_trace(rounds, CHAOS_ITERATIONS);
+    // Where the seeded kills fall relative to the jobs depends on the
+    // seed; one more loss, aimed at a graph-dispatched job in flight,
+    // makes every seed exercise mid-replay failover.
+    let round_len = trace.len() / rounds.max(1);
+    let loss = aimed_loss(&chaos_options(devices, seed), &trace, round_len);
+    // The same storm host-launched: the launch-overhead baseline
+    // and the byte-identity reference for the graph-dispatched run.
+    let (host, _, host_verdicts) = run_fleet(with_loss(storm_options(devices, seed), loss), &trace);
+    let (report, decisions, verdicts) =
+        run_fleet(with_loss(chaos_options(devices, seed), loss), &trace);
+    assert_eq!(host.jobs_lost, 0, "host-launched chaos run lost jobs");
+    assert_eq!(report.jobs_lost, 0, "chaos run lost jobs");
+    assert!(
+        report.graph_replays > 0,
+        "the chaos fleet replayed nothing: graph dispatch was not exercised"
+    );
+    assert!(
+        report.failovers > 0,
+        "the storm must catch an in-flight graph-dispatched job \
+         (mid-replay failover unexercised)"
+    );
+    assert!(
+        report.launch_path_cycles < host.launch_path_cycles,
+        "graph dispatch must cut the storm's launch-path cycles ({} vs {})",
+        report.launch_path_cycles,
+        host.launch_path_cycles
+    );
+    // Dispatch mode may change when things finish, never what jobs
+    // compute: every job completed under both modes with
+    // byte-identical outputs.
+    for (i, (h, g)) in host_verdicts.iter().zip(&verdicts).enumerate() {
+        match (h, g) {
+            (FleetVerdict::Completed(h), FleetVerdict::Completed(g)) => {
+                assert_eq!(
+                    h.outputs, g.outputs,
+                    "job {i}: graph-dispatched output diverged from host-launched"
+                );
             }
+            _ => panic!("job {i}: completion pattern diverged across dispatch modes"),
         }
-        print_report("storm", &report);
-        let artifact = FleetChaosArtifact {
-            seed,
-            devices,
-            graph_dispatch: true,
-            host_launch_path_cycles: host.launch_path_cycles,
-            saved_launch_cycles: host.launch_path_cycles - report.launch_path_cycles,
-            report,
-            decisions,
-        };
-        println!(
-            "graph dispatch under storm: launch path {} -> {} cycles ({} replays, {} failovers)",
-            artifact.host_launch_path_cycles,
-            artifact.report.launch_path_cycles,
-            artifact.report.graph_replays,
-            artifact.report.failovers,
-        );
-        write_json(&artifact, "FLEET_chaos.json");
-        println!(
-            "wrote FLEET_chaos.json ({} decisions)",
-            artifact.decisions.len()
-        );
-        return;
     }
-
-    let report = run_bench(rounds, iterations, devices, seed);
-    print_report("solo", &report.solo);
-    print_report("fleet", &report.fleet);
-    print_report("storm", &report.storm);
-    write_json(&report, "BENCH_fleet.json");
-    println!("wrote BENCH_fleet.json");
+    print_report("storm", &report);
+    let artifact = FleetChaosArtifact {
+        seed,
+        devices,
+        graph_dispatch: true,
+        host_launch_path_cycles: host.launch_path_cycles,
+        saved_launch_cycles: host.launch_path_cycles - report.launch_path_cycles,
+        report,
+        decisions,
+    };
+    println!(
+        "graph dispatch under storm: launch path {} -> {} cycles ({} replays, {} failovers)",
+        artifact.host_launch_path_cycles,
+        artifact.report.launch_path_cycles,
+        artifact.report.graph_replays,
+        artifact.report.failovers,
+    );
+    write_json(&artifact, "FLEET_chaos.json");
+    println!(
+        "wrote FLEET_chaos.json ({} decisions)",
+        artifact.decisions.len()
+    );
 }
 
 #[cfg(test)]
@@ -448,12 +403,13 @@ mod tests {
     #[test]
     fn drift_check_accepts_a_faithful_artifact_and_catches_drift() {
         use crate::check_drift;
+        use serde_json::to_string_pretty as render;
         let report = tiny_report();
-        let json = serde_json::to_string_pretty(&report);
-        assert_eq!(check_drift(&report, &json), Ok(()));
+        let json = render(&report);
+        assert_eq!(check_drift(&render(&report), &json), Ok(()));
 
         let renamed = json.replacen("\"search_invocations\"", "\"search_invocs\"", 1);
-        let drift = check_drift(&report, &renamed).unwrap_err();
+        let drift = check_drift(&json, &renamed).unwrap_err();
         assert!(
             drift.contains("search_invocs"),
             "renamed key must be shown on the differing line: {drift}"
@@ -461,7 +417,7 @@ mod tests {
 
         let mut stale = report.clone();
         stale.fleet.jobs_completed += 1;
-        let drift = check_drift(&stale, &json).unwrap_err();
+        let drift = check_drift(&render(&stale), &json).unwrap_err();
         assert!(
             drift.contains("jobs_completed"),
             "stale counter must be flagged: {drift}"
@@ -470,9 +426,9 @@ mod tests {
         // Overhead buckets are gated like the job counters.
         let mut burned = report.clone();
         burned.storm.failover_cycles += 1;
-        let drift = check_drift(&burned, &json).unwrap_err();
+        let drift = check_drift(&render(&burned), &json).unwrap_err();
         assert!(drift.contains("failover_cycles"), "{drift}");
 
-        assert!(check_drift(&report, "{not json").is_err());
+        assert!(check_drift(&json, "{not json").is_err());
     }
 }

@@ -1,15 +1,16 @@
-//! The cost-model dataset generator behind `cargo run --bin learn_gen`.
+//! The cost-model dataset generator behind `datasets/learn_small.json`
+//! (a `stream-gpu regen` entry).
 //!
 //! Enumerates candidate `(assignment, II)` schedule points — the same
 //! beam-strategy assignments and II grid the online search ranks — for
 //! the eight StreamIt benchmarks plus seeded random stream graphs,
 //! labels every point with simulated steady-state cycles/iteration, and
-//! writes a versioned [`swpipe::learn::Dataset`] JSON artifact.
+//! builds a versioned [`swpipe::learn::Dataset`].
 //!
 //! Generation is deterministic end to end (fixed seeds, fixed
-//! enumeration order, simulator labels), so the CI `learn` job can
-//! regenerate the small dataset from scratch and demand byte-identical
-//! output.
+//! enumeration order, simulator labels), so `stream-gpu regen --check`
+//! can regenerate the small dataset from scratch and demand
+//! byte-identical output.
 
 use swpipe::learn::dataset::{generate, random_sources, GenOptions};
 use swpipe::learn::{Dataset, Source};
@@ -18,12 +19,8 @@ use swpipe::learn::{Dataset, Source};
 pub const SEED: u64 = 0x5EED_DA7A;
 /// Random graphs in the full dataset (the suite rides along).
 pub const FULL_RANDOM: usize = 6;
-/// Random graphs in the small (CI) dataset.
+/// Random graphs in the small (committed) dataset.
 pub const SMALL_RANDOM: usize = 2;
-/// Default output path of the full dataset.
-pub const FULL_PATH: &str = "datasets/learn_full.json";
-/// Output path of the small (CI, committed) dataset.
-pub const SMALL_PATH: &str = "datasets/learn_small.json";
 
 /// The eight StreamIt benchmarks as labeling sources.
 ///
@@ -44,7 +41,7 @@ pub fn suite_sources() -> Vec<Source> {
 
 /// Generates the dataset. `small` restricts the sources (two random
 /// graphs plus the first three benchmarks) and the candidate grid so
-/// the CI job finishes in seconds; the full flavor covers the whole
+/// it generates in well under a second; the full flavor covers the whole
 /// suite plus [`FULL_RANDOM`] random graphs on the default grid.
 ///
 /// # Panics
@@ -68,47 +65,6 @@ pub fn gen(small: bool) -> Dataset {
         (sources, GenOptions::default())
     };
     generate(&sources, &opts).expect("dataset generation on known-good sources")
-}
-
-/// Entry point for the `learn_gen` binary.
-///
-/// Flags: `--small` (CI flavor: fewer sources, coarser grid, writes
-/// `datasets/learn_small.json`), `--out <path>` (override the output
-/// path).
-///
-/// # Panics
-///
-/// Panics on malformed flags or an unwritable output path.
-pub fn main() {
-    let mut small = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--small" => small = true,
-            "--out" => out = Some(args.next().expect("--out needs a path")),
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    let path = out.unwrap_or_else(|| {
-        if small {
-            SMALL_PATH.to_string()
-        } else {
-            FULL_PATH.to_string()
-        }
-    });
-    let dataset = gen(small);
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("mkdir {}: {e}", dir.display()));
-        }
-    }
-    std::fs::write(&path, dataset.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!(
-        "wrote {path}: {} points over {} features",
-        dataset.points.len(),
-        dataset.feature_names.len()
-    );
 }
 
 #[cfg(test)]

@@ -1,24 +1,21 @@
-//! The cost-model trainer behind `cargo run --bin learn_train`.
+//! The cost-model trainer behind `models/cost_model.json` (a
+//! `stream-gpu regen` entry).
 //!
-//! Loads a [`swpipe::learn::Dataset`] produced by `learn_gen`, fits the
-//! ridge-regression [`swpipe::learn::CostModel`] against the current
-//! feature schema, and writes the canonical JSON artifact the serving
-//! stack loads (`models/cost_model.json` by default).
+//! Fits the ridge-regression [`swpipe::learn::CostModel`] to a
+//! [`swpipe::learn::Dataset`] built by [`crate::learn_gen`], against the
+//! current feature schema; the model's canonical JSON is the artifact
+//! the serving stack loads.
 //!
 //! Training is deterministic — fixed accumulation order, partial-pivot
-//! elimination, canonical JSON — so `--check` can retrain from the
-//! committed dataset and demand a byte-identical committed model; that
-//! is the CI `learn` job's drift gate.
+//! elimination, canonical JSON — so `stream-gpu regen --check` can
+//! retrain on a fresh dataset and demand a byte-identical committed
+//! model.
 
 use swpipe::learn::features::FEATURE_NAMES;
 use swpipe::learn::{CostModel, Dataset};
 
 /// Ridge penalty of the committed model.
 pub const L2: f64 = 1e-3;
-/// Default input dataset.
-pub const DATA_PATH: &str = "datasets/learn_small.json";
-/// Default model artifact path.
-pub const MODEL_PATH: &str = "models/cost_model.json";
 
 /// Trains the canonical model from a dataset: schema-checks the
 /// dataset's feature names against the live extractor, then fits with
@@ -33,67 +30,12 @@ pub fn train_canonical(dataset: &Dataset) -> swpipe::Result<CostModel> {
     if dataset.feature_names != live {
         return Err(swpipe::Error::Api(format!(
             "dataset feature schema {:?} does not match the live extractor {FEATURE_NAMES:?}; \
-             regenerate with learn_gen",
+             regenerate with `stream-gpu regen datasets/learn_small.json`",
             dataset.feature_names
         )));
     }
     let (xs, ys) = dataset.xy();
     CostModel::train(FEATURE_NAMES, &xs, &ys, L2)
-}
-
-/// Entry point for the `learn_train` binary.
-///
-/// Flags: `--data <path>` (dataset, default `datasets/learn_small.json`),
-/// `--out <path>` (model artifact, default `models/cost_model.json`),
-/// `--check` (retrain and exit non-zero unless the artifact at `--out`
-/// is byte-identical — the CI drift gate).
-///
-/// # Panics
-///
-/// Panics on malformed flags, unreadable inputs, or training failure.
-pub fn main() {
-    let mut data = DATA_PATH.to_string();
-    let mut out = MODEL_PATH.to_string();
-    let mut check = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--data" => data = args.next().expect("--data needs a path"),
-            "--out" => out = args.next().expect("--out needs a path"),
-            "--check" => check = true,
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    let text = std::fs::read_to_string(&data).unwrap_or_else(|e| panic!("read {data}: {e}"));
-    let dataset = Dataset::from_json(&text).unwrap_or_else(|e| panic!("parse {data}: {e}"));
-    let model = train_canonical(&dataset).unwrap_or_else(|e| panic!("train: {e}"));
-    let (xs, ys) = dataset.xy();
-    println!(
-        "trained on {} points, mean |error| {:.2} cycles/iter, digest {:016x}",
-        model.train_points,
-        model.mean_abs_error(&xs, &ys),
-        model.digest()
-    );
-
-    let json = model.to_json();
-    if check {
-        let committed = std::fs::read_to_string(&out).unwrap_or_else(|e| panic!("read {out}: {e}"));
-        if committed == json {
-            println!("{out}: byte-identical to a fresh retrain");
-        } else {
-            eprintln!("{out} has drifted from a fresh retrain on {data}");
-            eprintln!("regenerate with: cargo run --release --bin learn_train");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("mkdir {}: {e}", dir.display()));
-        }
-    }
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    println!("wrote {out}");
 }
 
 #[cfg(test)]

@@ -18,7 +18,9 @@ pub mod chaos_soak;
 pub mod fleet_bench;
 pub mod learn_gen;
 pub mod learn_train;
+pub mod regen;
 pub mod serve_bench;
+pub mod verify_all;
 
 use serde::Serialize;
 use swpipe::serve::{Job, QosClass};
@@ -68,17 +70,16 @@ pub fn write_json<T: Serialize>(report: &T, path: &str) {
     std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
-/// The one drift gate behind every `--check`: the committed artifact
-/// must equal, byte for byte, the pretty JSON [`write_json`] would
-/// write for a `fresh` run. Every committed bench is deterministic in
-/// virtual time, so nothing short of identity is drift-free — a renamed
-/// key, a moved counter and a last-digit latency change all fail alike.
+/// The one drift gate behind `stream-gpu regen --check`: a committed
+/// artifact must equal, byte for byte, what its generator renders
+/// fresh. Every committed artifact is deterministic, so nothing short of
+/// identity is drift-free — a renamed key, a moved counter and a
+/// last-digit latency change all fail alike.
 ///
 /// # Errors
 ///
 /// Names the first differing line (1-based) with both versions of it.
-pub fn check_drift<T: Serialize>(fresh: &T, committed: &str) -> Result<(), String> {
-    let fresh = serde_json::to_string_pretty(fresh);
+pub fn check_drift(fresh: &str, committed: &str) -> Result<(), String> {
     if fresh == committed {
         return Ok(());
     }
@@ -95,27 +96,8 @@ pub fn check_drift<T: Serialize>(fresh: &T, committed: &str) -> Result<(), Strin
         "line {}: committed `{}` != fresh `{}`",
         same + 1,
         show(committed),
-        show(&fresh)
+        show(fresh)
     ))
-}
-
-/// `--check <path>` for a bench binary: reads the committed artifact
-/// and exits non-zero, printing [`check_drift`]'s differing line and
-/// the `regenerate` command, unless it matches `fresh` exactly.
-///
-/// # Panics
-///
-/// Panics when `path` cannot be read.
-pub fn check_committed<T: Serialize>(fresh: &T, path: &str, regenerate: &str) {
-    let committed = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    match check_drift(fresh, &committed) {
-        Ok(()) => println!("{path}: byte-identical to a fresh run"),
-        Err(drift) => {
-            eprintln!("{path} has drifted from a fresh run:\n  {drift}");
-            eprintln!("regenerate with: {regenerate}");
-            std::process::exit(1);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -134,13 +116,14 @@ mod tests {
             jobs: 48,
             p99_secs: 0.5012,
         };
-        let committed = serde_json::to_string_pretty(&report);
-        assert_eq!(check_drift(&report, &committed), Ok(()));
+        let fresh = serde_json::to_string_pretty(&report);
+        let committed = fresh.clone();
+        assert_eq!(check_drift(&fresh, &committed), Ok(()));
 
         // One corrupted digit, in any field, is drift — reported with
         // its line.
         let corrupted = committed.replacen("0.5012", "0.5013", 1);
-        let drift = check_drift(&report, &corrupted).unwrap_err();
+        let drift = check_drift(&fresh, &corrupted).unwrap_err();
         assert!(drift.starts_with("line 3:"), "{drift}");
         assert!(
             drift.contains("0.5013") && drift.contains("0.5012"),
@@ -148,9 +131,9 @@ mod tests {
         );
 
         // Whitespace and truncation are drift too: the gate is on bytes.
-        assert!(check_drift(&report, &format!("{committed}\n")).is_err());
+        assert!(check_drift(&fresh, &format!("{committed}\n")).is_err());
         let truncated = &committed[..committed.len() - 2];
-        let drift = check_drift(&report, truncated).unwrap_err();
+        let drift = check_drift(&fresh, truncated).unwrap_err();
         assert!(drift.contains("<end of file>"), "{drift}");
     }
 }

@@ -7,8 +7,15 @@
 //! stream-gpu ir <name> <filter>       # pretty-printed kernel IR of one filter
 //! stream-gpu compile <name>           # schedule + buffer plan + config report
 //! stream-gpu run <name> [iterations]  # execute on the simulated GPU vs CPU
+//! stream-gpu regen [--check] [paths]  # rewrite or byte-check committed artifacts
+//! stream-gpu verify-all [--dot <dir>] # static verification sweep
+//! stream-gpu soak [--seed S] [--profile P] ...  # one chaos soak cell
+//! stream-gpu fleet-chaos [--seed S] [--devices N]  # one fleet chaos cell
 //! ```
 
+use std::path::Path;
+
+use stream_gpu::{chaos_soak, fleet_bench, regen, verify_all};
 use streamir::cpu::{self, CpuCostModel};
 use swpipe::exec::{self, CompileOptions, Scheme};
 use swpipe::plan::{self, LayoutKind};
@@ -21,6 +28,10 @@ fn main() {
         Some("ir") => cmd_ir(&args),
         Some("compile") => with_benchmark(&args, 2, cmd_compile),
         Some("run") => with_benchmark(&args, 2, |b| cmd_run(b, &args)),
+        Some("regen") => cmd_regen(&args[1..]),
+        Some("verify-all") => cmd_verify_all(&args[1..]),
+        Some("soak") => cmd_soak(&args[1..]),
+        Some("fleet-chaos") => cmd_fleet_chaos(&args[1..]),
         _ => {
             eprint!("{}", USAGE);
             2
@@ -38,7 +49,130 @@ USAGE:
     stream-gpu ir <name> <filter>       pretty-print one filter's kernel IR
     stream-gpu compile <name>           schedule, buffer plan, configuration
     stream-gpu run <name> [iterations]  execute on the simulated GPU (default 8)
+    stream-gpu regen [--check] [path...]
+                                        regenerate the committed artifacts (all by
+                                        default); --check compares and writes nothing
+    stream-gpu verify-all [--dot <dir>] static verification sweep over the suite
+                                        (prints results/verify_all.txt)
+    stream-gpu soak [--seed S]... [--profile P] [--rounds N] [--jobs N] [--host-launch]
+                                        chaos soak, writes CHAOS_soak.json; seeds are
+                                        decimal or 0x hex, profiles default, hangs,
+                                        corruption or quiet
+    stream-gpu fleet-chaos [--seed S] [--devices N]
+                                        fleet storm, writes FLEET_chaos.json
 ";
+
+/// Prints `error` and the usage text; the exit code of a bad command line.
+fn usage_error(error: &str) -> i32 {
+    eprintln!("error: {error}");
+    eprint!("{USAGE}");
+    2
+}
+
+fn cmd_regen(args: &[String]) -> i32 {
+    let check = args.iter().any(|a| a == "--check");
+    let paths: Vec<String> = args.iter().filter(|a| *a != "--check").cloned().collect();
+    if let Some(flag) = paths.iter().find(|p| p.starts_with('-')) {
+        return usage_error(&format!("unknown regen flag {flag}"));
+    }
+    let entries = match regen::select(&paths) {
+        Ok(entries) => entries,
+        Err(e) => return usage_error(&e),
+    };
+    let drifted = match regen::run(Path::new("."), &entries, check) {
+        Ok(drifted) => drifted,
+        Err(e) => {
+            eprintln!("regen: {e}");
+            return 1;
+        }
+    };
+    if !check {
+        for d in &drifted {
+            println!("rewrote {} ({})", d.path, d.detail);
+        }
+        println!("regen: {} artifact(s) rewritten", drifted.len());
+        return 0;
+    }
+    if drifted.is_empty() {
+        println!("regen --check: every artifact is byte-identical to a fresh run");
+        return 0;
+    }
+    for d in &drifted {
+        eprintln!("{} has drifted from a fresh run:\n  {}", d.path, d.detail);
+    }
+    let listed: Vec<&str> = drifted.iter().map(|d| d.path).collect();
+    eprintln!(
+        "regenerate with: cargo run --release -- regen {}",
+        listed.join(" ")
+    );
+    1
+}
+
+fn cmd_verify_all(args: &[String]) -> i32 {
+    let dot_dir = match args {
+        [] => None,
+        [flag, dir] if flag == "--dot" => Some(Path::new(dir)),
+        _ => return usage_error("verify-all takes only --dot <dir>"),
+    };
+    let sweep = verify_all::sweep(dot_dir);
+    print!("{}", sweep.report);
+    if sweep.failures > 0 {
+        eprintln!("verify-all: {} failure(s)", sweep.failures);
+        return 1;
+    }
+    eprintln!(
+        "verify-all: ok — every prediction matched the simulator exactly \
+         and every artifact earned an isolation certificate"
+    );
+    0
+}
+
+fn cmd_soak(args: &[String]) -> i32 {
+    let mut seeds = Vec::new();
+    let mut base = chaos_soak::SoakConfig::default();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        if flag == "--host-launch" {
+            base.graph = false;
+            continue;
+        }
+        let value = args.next().map_or("", String::as_str);
+        let ok = match flag.as_str() {
+            "--seed" => chaos_soak::parse_u64(value)
+                .map(|seed| seeds.push(seed))
+                .is_some(),
+            "--profile" => chaos_soak::storm_profile(value, 0)
+                .map(|_| base.profile = value.to_string())
+                .is_some(),
+            "--rounds" => value.parse().map(|n| base.rounds = n).is_ok(),
+            "--jobs" => value.parse().map(|n| base.jobs = Some(n)).is_ok(),
+            _ => false,
+        };
+        if !ok {
+            return usage_error(&format!("bad soak argument {flag} {value:?}"));
+        }
+    }
+    chaos_soak::soak(&seeds, &base);
+    0
+}
+
+fn cmd_fleet_chaos(args: &[String]) -> i32 {
+    let mut seed = fleet_bench::FULL_SEED;
+    let mut devices = fleet_bench::FULL_DEVICES;
+    for pair in args.chunks(2) {
+        let value = pair.get(1).map_or("", String::as_str);
+        let ok = match pair[0].as_str() {
+            "--seed" => value.parse().map(|n| seed = n).is_ok(),
+            "--devices" => value.parse().map(|n| devices = n).is_ok(),
+            _ => false,
+        };
+        if !ok {
+            return usage_error(&format!("bad fleet-chaos argument {} {value:?}", pair[0]));
+        }
+    }
+    fleet_bench::chaos(devices, seed);
+    0
+}
 
 fn with_benchmark(
     args: &[String],

@@ -1,4 +1,5 @@
-//! The multi-tenant serving benchmark behind `cargo run --bin serve_bench`.
+//! The multi-tenant serving benchmarks behind `BENCH_serve.json` and
+//! `BENCH_serve_graph.json` (both `stream-gpu regen` entries).
 //!
 //! Serves the eight StreamIt benchmarks as eight tenants of one
 //! [`swpipe::serve::EventEngine`] over a deterministic arrival trace:
@@ -13,14 +14,16 @@
 //! overlap observables: `compile_overlap_secs` per tenant and in total,
 //! plus a queue-wait p99.
 //!
-//! Writes `BENCH_serve.json` — per-benchmark throughput, p99 latency,
-//! cache hit rate, and compile overlap — for the CI artifact upload.
+//! [`run_trace`] renders `BENCH_serve.json` — per-benchmark throughput,
+//! p99 latency, cache hit rate, and compile overlap;
+//! [`run_warm_differential`] gates that cold run against a warm-started
+//! one, and [`run_graph_differential`] renders `BENCH_serve_graph.json`.
 
 use gpusim::FaultPlan;
 use serde::Serialize;
 use swpipe::serve::{EventEngine, ResilienceOptions, ServeOptions, ServeReport, Verdict};
 
-use crate::{check_committed, suite_trace, write_json};
+use crate::suite_trace;
 
 /// Rounds the full benchmark runs: two cold rounds (tenant admission
 /// recuts the partition, then the settled widths compile once more) plus
@@ -28,7 +31,7 @@ use crate::{check_committed, suite_trace, write_json};
 pub const FULL_ROUNDS: usize = 6;
 /// Steady-state iterations per job in the full benchmark.
 pub const FULL_ITERATIONS: u64 = 4;
-/// Arrival rounds of the graph-dispatch differential (`--graph`).
+/// Arrival rounds of the graph-dispatch differential.
 pub const GRAPH_ROUNDS: usize = 2;
 /// Steady-state iterations per job in the graph-dispatch differential.
 /// Deliberately deeper than [`FULL_ITERATIONS`]: a modulo schedule only
@@ -60,8 +63,9 @@ pub fn run_trace(rounds: usize, iterations: u64) -> ServeReport {
 /// of per-round host launches. The trace, fault plan, and controller
 /// configuration are otherwise identical, so any two runs of the same
 /// `(rounds, iterations)` are directly comparable — and must be
-/// byte-identical in every job's output stream, which is how `--warm`
-/// and `--graph` prove their switch is semantics-neutral.
+/// byte-identical in every job's output stream, which is how
+/// [`run_warm_differential`] and [`run_graph_differential`] prove their
+/// switch is semantics-neutral.
 ///
 /// # Panics
 ///
@@ -85,7 +89,7 @@ pub fn run_trace_configured(
             enabled: true,
             ..ResilienceOptions::default()
         },
-        // Large enough to hold the full `--warm` sweep (8 graphs × 16
+        // Large enough to hold the full warm sweep (8 graphs × 16
         // widths × 2 policies = 256 points): at the default 32-entry
         // bound the sweep evicts its own earliest entries and the
         // serving path's reservations displace the rest before any
@@ -139,19 +143,23 @@ pub fn run_trace_configured(
     (report, outputs)
 }
 
-/// Runs the warm-started differential: the full trace cold, then the
-/// same trace on a cache pre-warmed across the whole suite
+/// Runs the warm-started differential against a cold run of the same
+/// trace (`cold` and its per-job `cold_outputs`, as
+/// [`run_trace_configured`] returned them): the same `(rounds,
+/// iterations)` trace on a cache pre-warmed across the whole suite
 /// ([`EventEngine::warm`]). Warming must be semantics-neutral (per-job
-/// outputs byte-identical) and must pay off (strictly higher hit rate
-/// than both the fresh cold run and the committed `baseline` artifact).
-/// Returns the warm report.
+/// outputs byte-identical) and must pay off (a strictly higher hit rate
+/// than the cold run).
 ///
 /// # Panics
 ///
 /// Panics when any of those acceptance properties fails.
-#[must_use]
-pub fn run_warm_differential(rounds: usize, iterations: u64, baseline: &str) -> ServeReport {
-    let (cold, cold_outputs) = run_trace_configured(rounds, iterations, false, false);
+pub fn run_warm_differential(
+    rounds: usize,
+    iterations: u64,
+    cold: &ServeReport,
+    cold_outputs: &[Vec<streamir::ir::Scalar>],
+) {
     let (warm, warm_outputs) = run_trace_configured(rounds, iterations, true, false);
     assert_eq!(
         cold_outputs, warm_outputs,
@@ -163,18 +171,6 @@ pub fn run_warm_differential(rounds: usize, iterations: u64, baseline: &str) -> 
         warm.cache_hit_rate,
         cold.cache_hit_rate
     );
-    let committed: serde_json::Value =
-        serde_json::from_str(baseline).expect("committed baseline parses as JSON");
-    let committed_rate = committed
-        .get("cache_hit_rate")
-        .and_then(serde_json::Value::as_f64)
-        .expect("committed baseline has cache_hit_rate");
-    assert!(
-        warm.cache_hit_rate > committed_rate,
-        "warm hit rate {:.3} must beat the committed baseline's {committed_rate:.3}",
-        warm.cache_hit_rate
-    );
-    warm
 }
 
 /// One benchmark's row of the graph-dispatch differential: the same
@@ -317,129 +313,26 @@ pub fn run_graph_differential(rounds: usize, iterations: u64) -> GraphBenchRepor
     }
 }
 
-/// Entry point for the `serve_bench` binary.
-///
-/// With no arguments, runs the full benchmark and writes
-/// `BENCH_serve.json`. With `--check <path>`, runs the same benchmark
-/// and exits non-zero unless the committed artifact at `path` is
-/// byte-identical to the fresh run (see [`crate::check_drift`]) — the
-/// CI gate that keeps the committed numbers honest. With
-/// `--warm [baseline]`, runs the warm-started differential against the
-/// committed baseline (default `BENCH_serve.json`; see
-/// [`run_warm_differential`]) and writes `BENCH_serve_warm.json`. With
-/// `--graph`, runs the graph-dispatch
-/// differential ([`run_graph_differential`]) and writes
-/// `BENCH_serve_graph.json`; `--graph --check <path>` drift-gates the
-/// committed artifact instead.
-pub fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--graph") {
-        let fresh = run_graph_differential(GRAPH_ROUNDS, GRAPH_ITERATIONS);
-        if args.get(1).map(String::as_str) == Some("--check") {
-            let path = args.get(2).expect("--graph --check needs a path");
-            let regenerate = "cargo run --release --bin serve_bench -- --graph";
-            check_committed(&fresh, path, regenerate);
-            return;
-        }
-        assert!(args.len() == 1, "unknown arguments {args:?}");
-        for t in &fresh.tenants {
-            println!(
-                "{:>18}  host {:>12} cy  graph {:>12} cy  capture {:>9} cy  \
-                 {:>4} replays  net saved {:>12} cy",
-                t.tenant,
-                t.host_launch_cycles,
-                t.graph_launch_cycles,
-                t.graph_capture_cycles,
-                t.graph_replays,
-                t.net_saved_cycles,
-            );
-        }
-        println!(
-            "launch path: {} -> {} cycles ({:.1}% cut, {} net after {} capture cycles)",
-            fresh.host_launch_cycles,
-            fresh.graph_launch_cycles,
-            fresh.saved_share * 100.0,
-            fresh.net_saved_cycles,
-            fresh.graph_capture_cycles,
-        );
-        write_json(&fresh, "BENCH_serve_graph.json");
-        println!("wrote BENCH_serve_graph.json");
-        return;
-    }
-    if args.first().map(String::as_str) == Some("--warm") {
-        let path = args.get(1).map_or("BENCH_serve.json", String::as_str);
-        let committed =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-        let warm = run_warm_differential(FULL_ROUNDS, FULL_ITERATIONS, &committed);
-        println!(
-            "warm-started: cache {} hits / {} misses (hit rate {:.3})",
-            warm.cache.hits, warm.cache.misses, warm.cache_hit_rate
-        );
-        write_json(&warm, "BENCH_serve_warm.json");
-        println!("wrote BENCH_serve_warm.json");
-        return;
-    }
-    if args.first().map(String::as_str) == Some("--check") {
-        let path = args.get(1).expect("--check needs a path");
-        let fresh = run_trace(FULL_ROUNDS, FULL_ITERATIONS);
-        check_committed(&fresh, path, "cargo run --release --bin serve_bench");
-        return;
-    }
-    assert!(args.is_empty(), "unknown arguments {args:?}");
-
-    let report = run_trace(FULL_ROUNDS, FULL_ITERATIONS);
-    for t in &report.tenants {
-        println!(
-            "{:>18}  slice [{:>2}+{:<2}]  {:>8.1} tok/s  p50 {:.4}s  p99 {:.4}s  \
-             qwait-p99 {:.4}s  overlap {:.3}s  retries/launch {:.4}  hits {}/{}  \
-             k={} switches={}",
-            t.tenant,
-            t.slice.base_sm,
-            t.slice.num_sms,
-            t.throughput_tokens_per_sec,
-            t.p50_latency_secs,
-            t.p99_latency_secs,
-            t.queue_wait_p99_secs,
-            t.compile_overlap_secs,
-            t.retry_rate,
-            t.compile_hits,
-            t.compile_hits + t.compile_misses,
-            t.checkpoint_interval,
-            t.policy_switches,
-        );
-    }
-    println!(
-        "cache: {} hits / {} misses / {} evictions (hit rate {:.2})",
-        report.cache.hits, report.cache.misses, report.cache.evictions, report.cache_hit_rate
-    );
-    println!(
-        "compile overlap hidden behind execution: {:.3}s",
-        report.compile_overlap_secs
-    );
-    println!("adaptive policy switches: {}", report.policy_switches);
-    write_json(&report, "BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::check_drift;
+    use serde_json::to_string_pretty as render;
 
     #[test]
     fn drift_check_accepts_a_faithful_artifact() {
         let report = run_trace(2, 1);
-        let json = serde_json::to_string_pretty(&report);
-        assert_eq!(check_drift(&report, &json), Ok(()));
+        let json = render(&report);
+        assert_eq!(check_drift(&render(&report), &json), Ok(()));
     }
 
     #[test]
     fn drift_check_catches_schema_and_counter_drift() {
         let report = run_trace(2, 1);
-        let json = serde_json::to_string_pretty(&report);
+        let json = render(&report);
 
         let renamed = json.replacen("\"hits\"", "\"hits_old\"", 1);
-        let drift = check_drift(&report, &renamed).unwrap_err();
+        let drift = check_drift(&json, &renamed).unwrap_err();
         assert!(
             drift.contains("hits_old"),
             "renamed key must be shown on the differing line: {drift}"
@@ -447,7 +340,7 @@ mod tests {
 
         let mut stale = report.clone();
         stale.cache.hits += 1;
-        let drift = check_drift(&stale, &json).unwrap_err();
+        let drift = check_drift(&render(&stale), &json).unwrap_err();
         assert!(
             drift.contains("\"hits\""),
             "stale counter must be flagged: {drift}"
@@ -457,14 +350,14 @@ mod tests {
         // digits is drift.
         let mut slower = report.clone();
         slower.tenants[0].p99_latency_secs += 1e-9;
-        let drift = check_drift(&slower, &json).unwrap_err();
+        let drift = check_drift(&render(&slower), &json).unwrap_err();
         assert!(drift.contains("p99_latency_secs"), "{drift}");
     }
 
     #[test]
     fn drift_check_rejects_garbage() {
         let report = run_trace(2, 1);
-        assert!(check_drift(&report, "{not json").is_err());
+        assert!(check_drift(&render(&report), "{not json").is_err());
     }
 
     /// The drift gate needs no serving run: it compares rendered JSON,
@@ -496,11 +389,11 @@ mod tests {
     #[test]
     fn graph_drift_check_accepts_faithful_and_catches_drift() {
         let report = tiny_graph_report();
-        let json = serde_json::to_string_pretty(&report);
-        assert_eq!(check_drift(&report, &json), Ok(()));
+        let json = render(&report);
+        assert_eq!(check_drift(&render(&report), &json), Ok(()));
 
         let renamed = json.replacen("\"graph_replays\"", "\"replays\"", 1);
-        let drift = check_drift(&report, &renamed).unwrap_err();
+        let drift = check_drift(&json, &renamed).unwrap_err();
         assert!(
             drift.contains("\"replays\""),
             "renamed key must be shown on the differing line: {drift}"
@@ -508,12 +401,12 @@ mod tests {
 
         let mut stale = report.clone();
         stale.graph_launch_cycles += 1;
-        let drift = check_drift(&stale, &json).unwrap_err();
+        let drift = check_drift(&render(&stale), &json).unwrap_err();
         assert!(
             drift.contains("graph_launch_cycles"),
             "stale counter must be flagged: {drift}"
         );
 
-        assert!(check_drift(&report, "{not json").is_err());
+        assert!(check_drift(&json, "{not json").is_err());
     }
 }

@@ -1,12 +1,10 @@
-//! `verify-all`: sweep the whole benchmark suite through the static
-//! verifier and cross-check its coalescing prediction against the
-//! simulator's dynamic memory counters.
+//! The static verification sweep behind `results/verify_all.txt` (a
+//! `stream-gpu regen` entry) and `stream-gpu verify-all`: the whole
+//! benchmark suite through the static verifier, with its coalescing
+//! prediction cross-checked against the simulator's dynamic memory
+//! counters.
 //!
-//! ```text
-//! verify-all [-v] [--dot <dir>] [--isolation] [--json] [iterations]
-//! ```
-//!
-//! For every benchmark × execution scheme the tool:
+//! For every benchmark × execution scheme the sweep:
 //!
 //! 1. compiles the benchmark and runs the full verifier (modulo-schedule
 //!    hazards, buffer-bounds liveness, coalescing classification);
@@ -15,21 +13,35 @@
 //!    any divergence between the static model and the simulator fails
 //!    the sweep;
 //! 3. fails on any error-severity (`V0101`/`V0201`/`V0301`-class)
-//!    diagnostic.
+//!    diagnostic;
+//! 4. runs the tenant-isolation prover ([`swpipe::verify::isolate`]) and
+//!    fails unless the artifact earns a certificate.
 //!
-//! `-v` prints every diagnostic (by default only failures are rendered);
-//! `--dot <dir>` writes an annotated Graphviz file per benchmark with
-//! flagged filters and channels colored by severity;
-//! `--isolation` additionally runs the tenant-isolation prover
-//! ([`swpipe::verify::isolate`]) and fails the sweep unless every
-//! benchmark × scheme earns a certificate;
-//! `--json` dumps every diagnostic (and, with `--isolation`, every
-//! certificate) as one JSON document on stdout after the sweep.
+//! The report prints one verdict line per check with every diagnostic
+//! under it, then every diagnostic and certificate as one JSON document.
+//! An optional directory receives an annotated Graphviz file per
+//! benchmark with flagged filters and channels colored by severity.
+
+use std::fmt::Write;
+use std::path::Path;
 
 use serde_json::Value;
 use swpipe::exec::{self, CompileOptions, Scheme};
 use swpipe::report;
 use swpipe::verify::{self, StaticCounters};
+
+/// Steady-state iterations each (benchmark, scheme) pair is verified and
+/// simulated for.
+pub const ITERATIONS: u64 = 4;
+
+/// A finished sweep: the report (the bytes of `results/verify_all.txt`)
+/// and how many checks failed.
+pub struct Sweep {
+    /// Verdict lines, their diagnostics, and the JSON document.
+    pub report: String,
+    /// Failed checks; the sweep passes only at zero.
+    pub failures: u32,
+}
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
@@ -47,42 +59,33 @@ fn opt_num(n: Option<u32>) -> Value {
     n.map_or(Value::Null, |v| num(u64::from(v)))
 }
 
-fn main() {
-    let mut verbose = false;
-    let mut dot_dir: Option<String> = None;
-    let mut isolation = false;
-    let mut json = false;
-    let mut iterations = 4u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-v" | "--verbose" => verbose = true,
-            "--isolation" => isolation = true,
-            "--json" => json = true,
-            "--dot" => match args.next() {
-                Some(d) => dot_dir = Some(d),
-                None => return usage(),
-            },
-            other => match other.parse() {
-                Ok(n) if n > 0 => iterations = n,
-                _ => return usage(),
-            },
-        }
+/// Appends `verdict` and the rendered `diags` under it.
+fn push_verdict(out: &mut String, verdict: &str, diags: &[verify::Diagnostic]) {
+    writeln!(out, "{verdict}").unwrap();
+    for line in report::render_diagnostics(diags).lines() {
+        writeln!(out, "    {line}").unwrap();
     }
+}
 
+/// Runs the sweep over every benchmark × scheme, writing an annotated
+/// `<benchmark>.dot` per benchmark into `dot_dir` when one is given (a
+/// file that cannot be written counts as a failure).
+#[must_use]
+pub fn sweep(dot_dir: Option<&Path>) -> Sweep {
     let schemes = [
         ("swp", Scheme::Swp { coarsening: 1 }),
         ("swpnc", Scheme::SwpNc { coarsening: 1 }),
         ("swp-raw", Scheme::SwpRaw { coarsening: 1 }),
         ("serial", Scheme::Serial { batch: 1 }),
     ];
+    let mut out = String::new();
     let mut failures = 0u32;
     let mut json_rows: Vec<Value> = Vec::new();
     for b in streambench::suite() {
         let graph = match b.spec.flatten() {
             Ok(g) => g,
             Err(e) => {
-                println!("{:<12} FLATTEN FAILED: {e}", b.name);
+                writeln!(out, "{:<12} FLATTEN FAILED: {e}", b.name).unwrap();
                 failures += 1;
                 continue;
             }
@@ -90,57 +93,50 @@ fn main() {
         let c = match exec::compile(&graph, &CompileOptions::small_test()) {
             Ok(c) => c,
             Err(e) => {
-                println!("{:<12} COMPILE FAILED: {e}", b.name);
+                writeln!(out, "{:<12} COMPILE FAILED: {e}", b.name).unwrap();
                 failures += 1;
                 continue;
             }
         };
         let mut bench_diags = Vec::new();
         for (label, scheme) in schemes {
-            match check(&c, scheme, iterations, &b) {
+            match check(&c, scheme, ITERATIONS, &b) {
                 Ok((v, verdict)) => {
-                    println!("{:<12} {label:<8} {verdict}", b.name);
-                    if verbose || !v.passes() {
-                        let text = report::render_diagnostics(&v.diagnostics);
-                        for line in text.lines() {
-                            println!("    {line}");
-                        }
-                    }
+                    push_verdict(
+                        &mut out,
+                        &format!("{:<12} {label:<8} {verdict}", b.name),
+                        &v.diagnostics,
+                    );
                     if !v.passes() || verdict.starts_with("FAIL") {
                         failures += 1;
                     }
-                    let mut row = vec![
+                    let (cert, iso_diags, iso_verdict) = prove_isolation(&c, scheme);
+                    push_verdict(
+                        &mut out,
+                        &format!("{:<12} {label:<8} {iso_verdict}", b.name),
+                        &iso_diags,
+                    );
+                    if cert.is_none() {
+                        failures += 1;
+                    }
+                    json_rows.push(obj(vec![
                         ("benchmark", Value::Str(b.name.into())),
                         ("scheme", Value::Str(label.into())),
                         ("verdict", Value::Str(verdict.clone())),
                         ("diagnostics", diagnostics_json(&v.diagnostics)),
-                    ];
-                    if isolation {
-                        let (cert, iso_diags, iso_verdict) = prove_isolation(&c, scheme);
-                        println!("{:<12} {label:<8} {iso_verdict}", b.name);
-                        if verbose || cert.is_none() {
-                            let text = report::render_diagnostics(&iso_diags);
-                            for line in text.lines() {
-                                println!("    {line}");
-                            }
-                        }
-                        if cert.is_none() {
-                            failures += 1;
-                        }
-                        row.push((
+                        (
                             "isolation",
                             obj(vec![
                                 ("certificate", certificate_json(cert.as_ref())),
                                 ("diagnostics", diagnostics_json(&iso_diags)),
                             ]),
-                        ));
-                        bench_diags.extend(iso_diags);
-                    }
-                    json_rows.push(obj(row));
+                        ),
+                    ]));
+                    bench_diags.extend(iso_diags);
                     bench_diags.extend(v.diagnostics);
                 }
                 Err(e) => {
-                    println!("{:<12} {label:<8} FAIL ({e})", b.name);
+                    writeln!(out, "{:<12} {label:<8} FAIL ({e})", b.name).unwrap();
                     failures += 1;
                     json_rows.push(obj(vec![
                         ("benchmark", Value::Str(b.name.into())),
@@ -151,46 +147,26 @@ fn main() {
                 }
             }
         }
-        if let Some(dir) = &dot_dir {
+        if let Some(dir) = dot_dir {
             let ann = report::dot_annotations(&bench_diags);
             let dot = c.graph.to_dot_annotated(b.name, &ann);
-            let path = format!("{dir}/{}.dot", b.name);
+            let path = dir.join(format!("{}.dot", b.name));
             if let Err(e) = std::fs::write(&path, dot) {
-                eprintln!("error: cannot write {path}: {e}");
+                eprintln!("error: cannot write {}: {e}", path.display());
                 failures += 1;
             }
         }
     }
-    if json {
-        let doc = obj(vec![
-            ("iterations", num(iterations)),
-            ("isolation", Value::Bool(isolation)),
-            ("failures", num(u64::from(failures))),
-            ("results", Value::Array(json_rows)),
-        ]);
-        println!("{}", serde_json::to_string_pretty(&doc));
-    }
-    // In --json mode the document must be the last thing on stdout, so
-    // the human summary moves to stderr.
-    let summary = |line: String| {
-        if json {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
-    if failures > 0 {
-        summary(format!("verify-all: {failures} failure(s)"));
-        std::process::exit(1);
-    }
-    if isolation {
-        summary(
-            "verify-all: ok — every prediction matched the simulator exactly \
-             and every artifact earned an isolation certificate"
-                .to_string(),
-        );
-    } else {
-        summary("verify-all: ok — every prediction matched the simulator exactly".to_string());
+    let doc = obj(vec![
+        ("iterations", num(ITERATIONS)),
+        ("isolation", Value::Bool(true)),
+        ("failures", num(u64::from(failures))),
+        ("results", Value::Array(json_rows)),
+    ]);
+    writeln!(out, "{}", serde_json::to_string_pretty(&doc)).unwrap();
+    Sweep {
+        report: out,
+        failures,
     }
 }
 
@@ -304,12 +280,4 @@ fn certificate_json(cert: Option<&verify::IsolationCertificate>) -> Value {
             ("exact", Value::Bool(c.exact)),
         ]),
     }
-}
-
-fn usage() {
-    eprint!(
-        "verify-all — static verification sweep with simulator cross-check\n\n\
-         USAGE:\n    verify-all [-v] [--dot <dir>] [--isolation] [--json] [iterations]\n"
-    );
-    std::process::exit(2);
 }

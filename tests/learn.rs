@@ -17,7 +17,7 @@ use swpipe::serve::{EventEngine, Job, QosClass, ServeOptions};
 /// feature extractor.
 fn committed_model() -> CostModel {
     let text = std::fs::read_to_string("models/cost_model.json")
-        .expect("committed model artifact exists (cargo run --bin learn_train)");
+        .expect("committed model artifact exists (stream-gpu regen models/cost_model.json)");
     let model = CostModel::from_json(&text).expect("committed model parses");
     model
         .check_schema()
@@ -298,18 +298,18 @@ fn fleet_store_warming_zeroes_serving_search_invocations() {
 }
 
 /// The committed dataset and model artifacts are exact replays of the
-/// deterministic generator and trainer — the property the CI `learn`
-/// job enforces on every push.
+/// deterministic generator and trainer — the property
+/// `stream-gpu regen --check` enforces on every push.
 #[test]
 fn committed_learn_artifacts_are_byte_stable() {
     let dataset = stream_gpu::learn_gen::gen(true);
     let committed = std::fs::read_to_string("datasets/learn_small.json")
-        .expect("committed dataset exists (cargo run --bin learn_gen -- --small)");
+        .expect("committed dataset exists (stream-gpu regen datasets/learn_small.json)");
     assert_eq!(
         dataset.to_json(),
         committed,
         "datasets/learn_small.json is not a fresh regeneration; \
-         rerun: cargo run --release --bin learn_gen -- --small"
+         rerun: cargo run --release -- regen datasets/learn_small.json"
     );
 
     let model = stream_gpu::learn_train::train_canonical(&dataset).expect("trains");
@@ -318,7 +318,7 @@ fn committed_learn_artifacts_are_byte_stable() {
         model.to_json(),
         committed,
         "models/cost_model.json is not a fresh retrain; \
-         rerun: cargo run --release --bin learn_train"
+         rerun: cargo run --release -- regen models/cost_model.json"
     );
     assert_eq!(model.digest(), committed_model().digest());
 }

@@ -205,9 +205,9 @@ fn admission_bounds_the_queue_under_saturation() {
 fn serve_bench_report_is_produced_and_parses() {
     let report = { stream_gpu::serve_bench::run_trace(2, 1) };
     // Write to a scratch path: the committed BENCH_serve.json is the
-    // verbatim output of the full serve_bench run and is drift-checked
-    // against a fresh full run in CI, so a shortened test trace must
-    // never overwrite it.
+    // verbatim output of the full trace (its `stream-gpu regen` entry)
+    // and is byte-checked against a fresh full run in CI, so a shortened
+    // test trace must never overwrite it.
     let path = std::env::temp_dir().join("stream_gpu_test_BENCH_serve.json");
     let path = path.to_str().unwrap();
     stream_gpu::write_json(&report, path);
