@@ -302,7 +302,7 @@ pub struct RunOptions {
 }
 
 /// The outcome of a GPU execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GpuRun {
     /// The graph-output stream: init-phase tokens followed by
     /// `iterations` steady iterations' worth.

@@ -2,8 +2,8 @@
 //! router in a single discrete-event loop.
 //!
 //! [`FleetEngine`] holds one device core per device (partitioner,
-//! admission, controller, busy horizons, metrics) and one
-//! [`ArtifactStore`], and coordinates:
+//! admission, controller, busy horizons), one [`ArtifactStore`] and one
+//! job ledger, and coordinates:
 //!
 //! * **Routing** ([`router`]): rendezvous-hashed tenant homes, health
 //!   bookkeeping (loss is permanent, partitions heal), and an
@@ -34,36 +34,50 @@
 //! a key reserved this run exists from its compile's virtual finish, and
 //! no job — hit, pending hit, remote fetch, reroute or failover — starts
 //! executing it earlier. A job leaves the live set once its finish is
-//! behind the clock; completed jobs are totalled in admission order.
+//! behind the clock.
+//!
+//! Each job is recorded once, in the ledger (`serve::metrics`), in
+//! admission order: pushed when admission decides, filled in when the
+//! job settles, rewritten by a failover. The record is the job's only
+//! state: verdicts are read off it, and [`FleetReport`] and
+//! [`crate::serve::ServeReport`] are folds over the ledger.
 
 pub mod router;
 pub mod storm;
 
 pub use crate::serve::cache::{ArtifactStore, Fetch, StoreStats};
+pub use crate::serve::metrics::{DeviceReport, FleetReport};
 pub use router::{Health, Router, RouterDecision};
 pub use storm::{FleetStorm, RackBrownout};
 
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use serde::Serialize;
-
-use gpusim::{Device, DeviceFaultKind, DeviceFaultPlan, DeviceId, LaunchStats};
+use gpusim::{Device, DeviceFaultKind, DeviceFaultPlan, DeviceId};
 use streamir::graph::FlatGraph;
 use streamir::ir::Scalar;
 
-use crate::exec::GpuRun;
 use crate::pipeline::{PipelineOptions, ResilientCompiled, ResilientPipeline};
 use crate::schedule::SearchInterrupt;
 use crate::serve::cache::{verify_artifact, Lookup};
-use crate::serve::device_core::{DeviceCore, Placement};
-use crate::serve::metrics::percentile_of;
+use crate::serve::device_core::{fetch_cost, DeviceCore};
+use crate::serve::metrics::{Fate, Placed, Record, Service};
 use crate::serve::{
     pipeline_options_for, warm, Decision, Event, EventKind, Job, JobResult, Pressure,
     RouteDecision, ServeOptions, ServeReport, Slice, TraceEvent, Verdict, WarmReport,
+    COMPILE_PENALTY_SECS,
 };
 use crate::{Error, Result};
+
+/// Virtual seconds to ship an artifact between devices on a remote store
+/// hit (small next to a compile, which is the point). The ship starts
+/// once the artifact exists.
+pub const FETCH_PENALTY_SECS: f64 = 0.05;
+
+/// Bound on concurrent ladder compiles unless
+/// [`crate::serve::EventEngine::with_workers`] sets another.
+const WORKERS: usize = 4;
 
 /// Fleet configuration.
 #[derive(Debug, Clone)]
@@ -71,14 +85,10 @@ pub struct FleetOptions {
     /// Number of simulated devices (identical hardware, distinct ids).
     pub devices: u32,
     /// The per-device serving configuration (hardware, budgets, queue
-    /// bound, compile penalty).
+    /// bound, controller).
     pub base: ServeOptions,
     /// Artifact-store replication factor R.
     pub replication: u32,
-    /// Virtual seconds to ship an artifact between devices on a remote
-    /// store hit (small next to a compile, which is the point). The ship
-    /// starts once the artifact exists.
-    pub fetch_penalty_secs: f64,
     /// Commit interval k for the k-launch checkpoint protocol; failover
     /// replays at most `k − 1` launches.
     pub checkpoint_interval: u32,
@@ -92,7 +102,6 @@ impl Default for FleetOptions {
             devices: 2,
             base: ServeOptions::default(),
             replication: 2,
-            fetch_penalty_secs: 0.05,
             checkpoint_interval: 4,
             device_faults: DeviceFaultPlan::new(),
         }
@@ -153,194 +162,6 @@ pub struct FleetJobResult {
     pub stats: gpusim::LaunchStats,
 }
 
-/// Per-device row of the fleet report.
-#[derive(Debug, Clone, Serialize)]
-pub struct DeviceReport {
-    /// Device id.
-    pub device: u32,
-    /// Whether it survived the run.
-    pub alive: bool,
-    /// Jobs it finished.
-    pub jobs_completed: u64,
-    /// Virtual seconds of service it delivered.
-    pub busy_secs: f64,
-    /// Scheduler searches its store-miss compiles paid for.
-    pub search_invocations: u64,
-}
-
-/// Aggregate fleet counters, serialized into `BENCH_fleet.json`.
-#[derive(Debug, Clone, Serialize)]
-pub struct FleetReport {
-    /// Fleet size.
-    pub devices: u32,
-    /// Devices still alive at the end.
-    pub devices_alive: u32,
-    /// Last finish minus first arrival.
-    pub makespan_secs: f64,
-    /// Jobs submitted.
-    pub jobs_submitted: u64,
-    /// Jobs completed.
-    pub jobs_completed: u64,
-    /// Jobs rejected (admission) or abandoned (no usable device).
-    pub jobs_rejected: u64,
-    /// Jobs neither completed nor rejected — zero by construction; the
-    /// chaos tests assert it stays zero.
-    pub jobs_lost: u64,
-    /// Output tokens per virtual second across the fleet.
-    pub throughput_tokens_per_sec: f64,
-    /// Median completed-job latency.
-    pub p50_latency_secs: f64,
-    /// Tail completed-job latency.
-    pub p99_latency_secs: f64,
-    /// Checkpoint-shipping failovers performed.
-    pub failovers: u64,
-    /// Median added latency per failover (new finish − old finish).
-    pub failover_p50_secs: f64,
-    /// Tail added latency per failover.
-    pub failover_p99_secs: f64,
-    /// Always 0: hedged dispatch is deleted. Kept, with `hedge_wins` and
-    /// `hedge_cycles`, until the benchmark stops reading them.
-    pub hedges: u64,
-    /// Always 0 (see `hedges`).
-    pub hedge_wins: u64,
-    /// Total billed cycles.
-    pub cycles: u64,
-    /// Total fault-overhead cycles (all disjoint components).
-    pub fault_overhead_cycles: u64,
-    /// The failover share of the overhead.
-    pub failover_cycles: u64,
-    /// Always 0 (see `hedges`).
-    pub hedge_cycles: u64,
-    /// Launch-path cycles across completed jobs: host launch overhead
-    /// for host-launched rounds, replay doorbells for captured-graph
-    /// rounds. Graph dispatch shrinks this; compare against a
-    /// host-launched run of the same trace for the savings.
-    pub launch_path_cycles: u64,
-    /// Steady-state rounds dispatched as captured-graph replays.
-    pub graph_replays: u64,
-    /// Graph captures paid for (one per graph-dispatched run, plus
-    /// re-captures billed into `failover_cycles` when a device dies
-    /// mid-replay and the survivor must rebuild the capture).
-    pub graph_captures: u64,
-    /// Cycles spent building captured graphs.
-    pub graph_capture_cycles: u64,
-    /// Artifacts dispatched across the fleet.
-    pub artifacts: u64,
-    /// The subset of `artifacts` carrying a verified tenant-isolation
-    /// certificate; dispatch refuses the rest, so this equals
-    /// `artifacts` on any completed run.
-    pub certified: u64,
-    /// Scheduler searches paid for across the fleet's store-miss
-    /// compiles (sum of the per-device rows). Warming pushes this
-    /// toward zero for a covered trace.
-    pub search_invocations: u64,
-    /// Artifact-store counters (hit rates, read-repairs, losses).
-    pub store: StoreStats,
-    /// Router decision-log length (the full log is available via
-    /// [`FleetEngine::router_log`]).
-    pub router_decisions: u64,
-    /// Per-device rows.
-    pub per_device: Vec<DeviceReport>,
-}
-
-/// What admission decided for one job: where it runs and what it
-/// compiles.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Placed {
-    /// Position in admission order.
-    ordinal: usize,
-    device: u32,
-    /// The tenant's static home device.
-    home: u32,
-    /// The width the job compiles at and the base SM it is placed at
-    /// (SM 0 for a guest: placement is semantics-preserving).
-    slice: Slice,
-    arrival: f64,
-    rerouted: bool,
-    key: u64,
-}
-
-/// One settled job. Failover rewrites `device`, the window and the
-/// billed stats; the outputs never change.
-pub(crate) struct Running {
-    placed: Placed,
-    device: u32,
-    /// Service start (queueing over, fetch or compile begins).
-    start: f64,
-    /// When execution proper began on the device that holds the job.
-    exec_start: f64,
-    /// When its artifact came to exist ([`FleetEngine::ready_at`]).
-    artifact_ready: f64,
-    finish: f64,
-    /// Absolute launch index the current execution started from (0
-    /// originally; the committed index after a failover).
-    trace_base: usize,
-    artifact: Arc<ResilientCompiled>,
-    run: GpuRun,
-    fetch: Fetch,
-    failed_over: u32,
-}
-
-/// Where one job of the trace stands.
-pub(crate) enum Slot {
-    /// Not dispatched yet.
-    Open,
-    /// A store miss waiting for its compile.
-    Waiting(Placed),
-    /// Settled: in flight until its finish, completed after.
-    Settled(Box<Running>),
-    /// Rejected by admission, or abandoned with no usable failover
-    /// target.
-    Rejected { retry_after_secs: f64 },
-}
-
-impl Slot {
-    /// The single-device verdict: `start_secs` is the service start.
-    pub(crate) fn into_verdict(self) -> Verdict {
-        match self {
-            Slot::Settled(r) => Verdict::Completed(Box::new(JobResult {
-                arrival_secs: r.placed.arrival,
-                start_secs: r.start,
-                finish_secs: r.finish,
-                latency_secs: r.finish - r.placed.arrival,
-                exec_secs: r.run.time_secs,
-                cache_hit: r.fetch != Fetch::Miss,
-                shipped: r.artifact.report.shipped,
-                slice: r.placed.slice,
-                retries: r.run.retries,
-                outputs: r.run.outputs,
-            })),
-            Slot::Rejected { retry_after_secs } => Verdict::Rejected { retry_after_secs },
-            Slot::Open | Slot::Waiting(_) => unreachable!("every job completes or is rejected"),
-        }
-    }
-
-    /// The fleet verdict: `start_secs` is when execution began on the
-    /// device that finished the job.
-    fn into_fleet_verdict(self, tenant: &str) -> FleetVerdict {
-        match self {
-            Slot::Settled(r) => FleetVerdict::Completed(Box::new(FleetJobResult {
-                tenant: tenant.to_string(),
-                arrival_secs: r.placed.arrival,
-                start_secs: r.exec_start,
-                artifact_ready_secs: r.artifact_ready,
-                finish_secs: r.finish,
-                latency_secs: r.finish - r.placed.arrival,
-                home: r.placed.home,
-                device: r.device,
-                rerouted: r.placed.rerouted,
-                failed_over: r.failed_over,
-                hedged: false,
-                fetch: r.fetch,
-                outputs: r.run.outputs,
-                stats: r.run.stats,
-            })),
-            Slot::Rejected { retry_after_secs } => FleetVerdict::Rejected { retry_after_secs },
-            Slot::Open | Slot::Waiting(_) => unreachable!("every job completes or is rejected"),
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 enum EvKind {
     /// Job `trace[i]` arrives.
@@ -379,23 +200,6 @@ impl PendingCompile {
     }
 }
 
-/// What the served runs add up to.
-#[derive(Default)]
-struct Totals {
-    submitted: u64,
-    completed: u64,
-    rejected: u64,
-    tokens_out: u64,
-    latencies: Vec<f64>,
-    /// Every completed job's billed stats, merged in admission order.
-    stats: LaunchStats,
-    /// Per device: jobs finished there and their execution seconds.
-    per_device: Vec<(u64, f64)>,
-    failover_latencies: Vec<f64>,
-    first_arrival: Option<f64>,
-    last_finish: f64,
-}
-
 /// The discrete-event serving loop over N devices.
 pub struct FleetEngine {
     pub(crate) opts: FleetOptions,
@@ -410,18 +214,31 @@ pub struct FleetEngine {
     pub(crate) checkpoint_period_secs: f64,
     /// Every processed event, in processing order.
     pub(crate) trace: Vec<TraceEvent>,
-    totals: Totals,
+    /// One record per dispatched job of every run, in admission order.
+    ledger: Vec<Record>,
+    /// Every tenant's name, shared by its records.
+    names: HashSet<Arc<str>>,
+    /// Jobs settled so far: the next ledger service's `seq`.
+    settles: u64,
+    /// Trace lengths served. Not the ledger's length: a job that never
+    /// reached admission is lost, and the chaos tests assert none is.
+    submitted: u64,
+    /// The makespan's bounds: the first arrival, and the latest finish
+    /// ever scheduled (a job failed over or later abandoned included).
+    first_arrival: Option<f64>,
+    last_finish: f64,
+    /// Added latency of each failover.
+    failover_latencies: Vec<f64>,
     // The run in progress.
     heap: BinaryHeap<Ev>,
     next_seq: u64,
     clock: f64,
-    slots: Vec<Slot>,
-    /// Job indices in admission order.
-    admitted: Vec<usize>,
-    /// Admission ordinals of settled jobs not yet finished at the clock.
+    /// The run's first ledger entry.
+    run_from: usize,
+    /// Ledger entries of settled jobs not yet finished at the clock.
     live: BTreeSet<usize>,
     /// Store-miss jobs awaiting their compile, FIFO per tenant.
-    waiting: BTreeMap<String, VecDeque<usize>>,
+    waiting: BTreeMap<String, VecDeque<(usize, Placed)>>,
     /// Compiles in flight, in spawn order.
     pending: Vec<PendingCompile>,
     /// Artifacts already joined and fulfilled, by key.
@@ -440,22 +257,28 @@ impl FleetEngine {
         let devices = (0..n)
             .map(|d| {
                 let (config, timing) = (opts.base.device.clone(), opts.base.timing.clone());
-                DeviceCore::new(Device::new(DeviceId(d), config, timing), &opts.base)
+                let device = Device::new(DeviceId(d), config, timing);
+                DeviceCore::new(device, &opts.base, opts.checkpoint_interval)
             })
             .collect();
         FleetEngine {
             router: Router::new(n),
             store: ArtifactStore::replicated(opts.replication),
             devices,
-            workers: 4,
+            workers: WORKERS,
             checkpoint_period_secs: 0.0,
             trace: Vec::new(),
-            totals: Totals::default(),
+            ledger: Vec::new(),
+            names: HashSet::new(),
+            settles: 0,
+            submitted: 0,
+            first_arrival: None,
+            last_finish: 0.0,
+            failover_latencies: Vec::new(),
             heap: BinaryHeap::new(),
             next_seq: 0,
             clock: f64::NEG_INFINITY,
-            slots: Vec::new(),
-            admitted: Vec::new(),
+            run_from: 0,
             live: BTreeSet::new(),
             waiting: BTreeMap::new(),
             pending: Vec::new(),
@@ -488,12 +311,6 @@ impl FleetEngine {
         self.router.log()
     }
 
-    /// Artifact-store counters.
-    #[must_use]
-    pub fn store_stats(&self) -> &StoreStats {
-        self.store.stats()
-    }
-
     /// Pre-compiles `graphs` into the store over graphs × plausible
     /// widths for up to `max_tenants` tenants per device × both policies
     /// (see `serve::warm`). Warming is offline: it charges no device's
@@ -518,19 +335,96 @@ impl FleetEngine {
     /// Compilation or execution errors, and [`crate::Error::Api`] when a
     /// home device's tenant population would exceed one tenant per SM.
     pub fn run(&mut self, trace: &[(Job, f64)]) -> Result<Vec<FleetVerdict>> {
-        let slots = self.serve(trace)?;
-        Ok(slots
-            .into_iter()
-            .zip(trace)
-            .map(|(slot, (job, _))| slot.into_fleet_verdict(&job.tenant))
+        self.verdicts(
+            trace,
+            // `start_secs` is when execution began on the device that
+            // finished the job.
+            |tenant, arrival_secs, s| {
+                FleetVerdict::Completed(Box::new(FleetJobResult {
+                    tenant: tenant.to_string(),
+                    arrival_secs,
+                    start_secs: s.exec_start,
+                    artifact_ready_secs: s.artifact_ready,
+                    finish_secs: s.finish,
+                    latency_secs: s.finish - arrival_secs,
+                    home: s.placed.home,
+                    device: s.on,
+                    rerouted: s.placed.rerouted,
+                    failed_over: s.failed_over,
+                    hedged: false,
+                    fetch: s.fetch,
+                    outputs: std::mem::take(&mut s.run.outputs),
+                    stats: s.run.stats.clone(),
+                }))
+            },
+            |retry_after_secs| FleetVerdict::Rejected { retry_after_secs },
+        )
+    }
+
+    /// [`FleetEngine::run`] with the single-device verdicts, whose
+    /// `start_secs` is the service start.
+    pub(crate) fn serve_solo(&mut self, trace: &[(Job, f64)]) -> Result<Vec<Verdict>> {
+        self.verdicts(
+            trace,
+            |_, arrival_secs, s| {
+                let shipped = (s.artifact.as_ref()).map(|a| a.report.shipped);
+                Verdict::Completed(Box::new(JobResult {
+                    arrival_secs,
+                    start_secs: s.start,
+                    finish_secs: s.finish,
+                    latency_secs: s.finish - arrival_secs,
+                    exec_secs: s.run.time_secs,
+                    cache_hit: s.fetch != Fetch::Miss,
+                    shipped: shipped.expect("a finished run holds its artifact"),
+                    slice: s.placed.slice,
+                    retries: s.run.retries,
+                    outputs: std::mem::take(&mut s.run.outputs),
+                }))
+            },
+            |retry_after_secs| Verdict::Rejected { retry_after_secs },
+        )
+    }
+
+    /// Serves `trace` and returns its verdicts in submission order:
+    /// `completed` of each finished job's tenant, arrival and service,
+    /// and `rejected` of each rejected or abandoned job's retry hint.
+    /// The ledger keeps every record but drops each finished job's
+    /// artifact and launch trace, which only the run needed.
+    fn verdicts<V>(
+        &mut self,
+        trace: &[(Job, f64)],
+        completed: impl Fn(&str, f64, &mut Service) -> V,
+        rejected: impl Fn(f64) -> V,
+    ) -> Result<Vec<V>> {
+        self.serve(trace)?;
+        let mut order: Vec<usize> = (self.run_from..self.ledger.len()).collect();
+        order.sort_by_key(|&e| self.ledger[e].job);
+        Ok((order.into_iter())
+            .map(|e| {
+                let rec = &mut self.ledger[e];
+                match &mut rec.fate {
+                    Fate::Rejected { retry_after_secs } => rejected(*retry_after_secs),
+                    Fate::Served(s) => match s.abandoned {
+                        Some(retry_after_secs) => rejected(retry_after_secs),
+                        None => {
+                            let verdict = completed(&rec.tenant, rec.arrival, s);
+                            (s.artifact, s.run.launch_cycles) = (None, Vec::new());
+                            verdict
+                        }
+                    },
+                    Fate::Waiting | Fate::Refused { .. } => {
+                        unreachable!("every job completes or is rejected")
+                    }
+                }
+            })
             .collect())
     }
 
-    /// Runs the loop over `trace` and returns every job's final slot. On
+    /// Runs the loop over `trace`, recording every job in the ledger. On
     /// error, in-flight compiles are interrupted (collapsing them to the
     /// serial rung), joined, and their reservations abandoned, so the
     /// store never dangles a pending entry.
-    pub(crate) fn serve(&mut self, trace: &[(Job, f64)]) -> Result<Vec<Slot>> {
+    fn serve(&mut self, trace: &[(Job, f64)]) -> Result<()> {
         self.begin(trace);
         if let Err(e) = self.drive(trace) {
             for p in &self.pending {
@@ -543,8 +437,7 @@ impl FleetEngine {
             }
             return Err(e);
         }
-        self.total_up();
-        Ok(std::mem::take(&mut self.slots))
+        Ok(())
     }
 
     fn begin(&mut self, trace: &[(Job, f64)]) {
@@ -554,10 +447,9 @@ impl FleetEngine {
         self.waiting.clear();
         self.ready.clear();
         self.compiled_at.clear();
-        self.admitted.clear();
         self.live.clear();
-        self.slots = trace.iter().map(|_| Slot::Open).collect();
-        self.totals.submitted += trace.len() as u64;
+        self.run_from = self.ledger.len();
+        self.submitted += trace.len() as u64;
         // Arrivals first, so arrival `i` takes sequence number `i`.
         for (i, (job, at)) in trace.iter().enumerate() {
             let home = self.router.home(&job.tenant).0;
@@ -582,10 +474,9 @@ impl FleetEngine {
         loop {
             while let Some(ev) = self.heap.pop() {
                 self.clock = self.clock.max(ev.time);
-                let (slots, admitted, clock) = (&self.slots, &self.admitted, self.clock);
-                self.live.retain(
-                    |&o| matches!(&slots[admitted[o]], Slot::Settled(r) if r.finish > clock),
-                );
+                let (ledger, clock) = (&self.ledger, self.clock);
+                self.live
+                    .retain(|&e| ledger[e].service().is_some_and(|s| s.finish > clock));
                 self.handle(trace, ev)?;
             }
             if self.waiting.values().all(VecDeque::is_empty) {
@@ -630,8 +521,8 @@ impl FleetEngine {
             EvKind::CompileFinish => self.log(&ev, EventKind::CompileFinish, String::new()),
             EvKind::LaunchFinish => self.log(&ev, EventKind::LaunchFinish, String::new()),
             EvKind::Checkpoint => {
-                let done = (self.slots.iter())
-                    .filter(|s| matches!(s, Slot::Settled(_) | Slot::Rejected { .. }))
+                let done = (self.ledger[self.run_from..].iter())
+                    .filter(|r| !matches!(r.fate, Fate::Waiting))
                     .count();
                 self.log(&ev, EventKind::Checkpoint, format!("jobs_done={done}"));
                 if !self.heap.is_empty() {
@@ -680,7 +571,7 @@ impl FleetEngine {
     fn dispatch(&mut self, trace: &[(Job, f64)], ev: &Ev, i: usize) -> Result<()> {
         let job = &trace[i].0;
         let (t, home) = (ev.time, ev.device);
-        self.totals.first_arrival.get_or_insert(t);
+        self.first_arrival.get_or_insert(t);
         // The home partitioner observes every arrival — dead or alive —
         // so slice widths are a pure function of the trace.
         let recut = self.devices[home as usize]
@@ -711,19 +602,16 @@ impl FleetEngine {
         let (key, lookup) =
             self.store
                 .lookup_or_reserve(&job.graph, &popts, DeviceId(device), &usable)?;
+        let entry = self.record(&job.tenant, i, device, t, Fate::Waiting);
         let placed = Placed {
-            ordinal: self.admitted.len(),
-            device,
             home,
             slice,
-            arrival: t,
             rerouted,
             key,
         };
-        self.admitted.push(i);
         let outcome = match lookup {
             Lookup::Hit(artifact, fetch) => {
-                self.settle(trace, i, placed, artifact, fetch)?;
+                self.settle(trace, entry, placed, artifact, fetch)?;
                 "hit"
             }
             Lookup::PendingHit(fetch) => {
@@ -732,16 +620,15 @@ impl FleetEngine {
                 // like any other hit.
                 let artifact = self.artifact_for(key)?;
                 verify_artifact(&artifact)?;
-                self.settle(trace, i, placed, artifact, fetch)?;
+                self.settle(trace, entry, placed, artifact, fetch)?;
                 "pending-hit"
             }
             Lookup::Miss => {
                 self.spawn_compile(key, &job.graph, popts)?;
-                self.slots[i] = Slot::Waiting(placed);
                 self.waiting
                     .entry(job.tenant.clone())
                     .or_default()
-                    .push_back(i);
+                    .push_back((entry, placed));
                 "miss"
             }
         };
@@ -763,7 +650,7 @@ impl FleetEngine {
     ) -> Option<(u32, Slice, Pressure, bool)> {
         let (job, t, home) = (&trace[i].0, ev.time, DeviceId(ev.device));
         let tenant = job.tenant.as_str();
-        let home_finishes = self.backlog(trace, tenant, home.0, t);
+        let home_finishes = self.backlog(tenant, home.0, t);
         let alternates = (self.router.usable_devices().iter())
             .filter(|&&d| d != home.0)
             .count();
@@ -788,7 +675,7 @@ impl FleetEngine {
             RouteDecision::Reroute => {
                 let target = (self.router.route(tenant, Some(home)))
                     .expect("Reroute implies a usable alternate");
-                let finishes = self.backlog(trace, tenant, target.0, t);
+                let finishes = self.backlog(tenant, target.0, t);
                 let admission = &self.devices[target.0 as usize].admission;
                 match admission.decide_event(&finishes, t) {
                     Decision::Admit(p) => {
@@ -817,99 +704,87 @@ impl FleetEngine {
         };
         self.router
             .log_decision(t, tenant, Some(i), "reject", Some(device), detail);
-        self.devices[device.0 as usize].reject(tenant);
-        self.slots[i] = Slot::Rejected { retry_after_secs };
-        self.totals.rejected += 1;
+        self.record(tenant, i, device.0, t, Fate::Rejected { retry_after_secs });
         None
     }
 
     /// Finish times of the tenant's live jobs on `device` after `now` —
     /// admission's per-(tenant, device) backlog.
-    fn backlog(&self, trace: &[(Job, f64)], tenant: &str, device: u32, now: f64) -> Vec<f64> {
-        (self.live.iter().map(|&o| self.admitted[o]))
-            .filter_map(|j| match &self.slots[j] {
-                Slot::Settled(r) if r.device == device && trace[j].0.tenant == tenant => {
-                    Some(r.finish)
-                }
-                _ => None,
-            })
-            .filter(|&f| f > now)
+    fn backlog(&self, tenant: &str, device: u32, now: f64) -> Vec<f64> {
+        (self.live.iter().map(|&e| &self.ledger[e]))
+            .filter(|r| *r.tenant == *tenant)
+            .filter_map(Record::service)
+            .filter(|s| s.on == device && s.finish > now)
+            .map(|s| s.finish)
             .collect()
     }
 
-    /// Virtual seconds a dispatch pays to obtain its artifact, by how
-    /// the store served it: nothing locally, a ship across devices, or
-    /// a full compile.
-    fn fetch_cost(&self, fetch: Fetch) -> f64 {
-        match fetch {
-            Fetch::LocalHit => 0.0,
-            Fetch::RemoteHit => self.opts.fetch_penalty_secs,
-            Fetch::Miss => self.opts.base.compile_penalty_secs,
-        }
+    /// Appends a ledger record of job `job` and returns its entry.
+    fn record(&mut self, tenant: &str, job: usize, device: u32, arrival: f64, fate: Fate) -> usize {
+        let tenant: Arc<str> = self
+            .names
+            .get(tenant)
+            .cloned()
+            .unwrap_or_else(|| tenant.into());
+        self.names.insert(Arc::clone(&tenant));
+        self.ledger.push(Record {
+            tenant,
+            job,
+            device,
+            arrival,
+            fate,
+        });
+        self.ledger.len() - 1
     }
 
-    /// Moves the tenant's busy horizon on `device` to `until`.
-    fn occupy(&mut self, device: u32, tenant: &str, until: f64) {
-        self.devices[device as usize].tenant(tenant).busy_until = until;
-    }
-
-    /// Settles job `i` on its device's core, no earlier than its artifact
-    /// exists, and schedules what follows from its window. A miss's own
-    /// window fixes when its artifact exists.
+    /// Settles ledger entry `entry`, placed at `placed`, on its device's
+    /// core, no earlier than its artifact exists, records its service and
+    /// schedules what follows from its window. A miss's own window fixes
+    /// when its artifact exists.
     fn settle(
         &mut self,
         trace: &[(Job, f64)],
-        i: usize,
+        entry: usize,
         placed: Placed,
         artifact: Arc<ResilientCompiled>,
         fetch: Fetch,
     ) -> Result<()> {
+        let (i, device, arrival) = {
+            let rec = &self.ledger[entry];
+            (rec.job, rec.device, rec.arrival)
+        };
         let job = &trace[i].0;
-        let head_secs = self.fetch_cost(fetch);
         let available_at = if fetch == Fetch::Miss {
             f64::NEG_INFINITY
         } else {
             self.ready_at(trace, placed.key)?
         };
-        let at = Placement {
-            slice: placed.slice,
-            arrival: placed.arrival,
-            fetch,
-            head_secs,
-            available_at,
-        };
-        let interval = self.opts.checkpoint_interval;
-        let s = self.devices[placed.device as usize].settle(job, &artifact, &at, interval)?;
-        let rec = Running {
-            placed,
-            device: placed.device,
-            start: s.start,
-            exec_start: s.exec_start,
-            artifact_ready: if fetch == Fetch::Miss {
-                s.exec_start
-            } else {
-                available_at
-            },
-            finish: s.finish,
-            trace_base: 0,
-            artifact,
-            run: s.run,
-            fetch,
-            failed_over: 0,
-        };
-        self.totals.last_finish = self.totals.last_finish.max(rec.finish);
+        let certified = artifact.isolation.is_some();
+        let core = &mut self.devices[device as usize];
+        let (mut service, switched) =
+            match core.settle(job, artifact, placed, arrival, fetch, available_at) {
+                Ok(settled) => settled,
+                Err(e) => {
+                    self.ledger[entry].fate = Fate::Refused { certified };
+                    return Err(e);
+                }
+            };
+        service.seq = self.settles;
+        self.settles += 1;
+        let (exec_start, finish) = (service.exec_start, service.finish);
+        self.ledger[entry].fate = Fate::Served(Box::new(service));
+        self.last_finish = self.last_finish.max(finish);
         // A controller switch becomes an event at the finish, so its
         // recompile is pre-spawned in deterministic event order.
-        if s.switched {
-            self.schedule(rec.finish, rec.device, &job.tenant, EvKind::PolicySwitch(i));
+        if switched {
+            self.schedule(finish, device, &job.tenant, EvKind::PolicySwitch(i));
         }
         if fetch == Fetch::Miss {
-            self.compiled_at.insert(placed.key, s.exec_start);
-            self.schedule(s.exec_start, rec.device, &job.tenant, EvKind::CompileFinish);
+            self.compiled_at.insert(placed.key, exec_start);
+            self.schedule(exec_start, device, &job.tenant, EvKind::CompileFinish);
         }
-        self.schedule(rec.finish, rec.device, &job.tenant, EvKind::LaunchFinish);
-        self.live.insert(placed.ordinal);
-        self.slots[i] = Slot::Settled(Box::new(rec));
+        self.schedule(finish, device, &job.tenant, EvKind::LaunchFinish);
+        self.live.insert(entry);
         Ok(())
     }
 
@@ -919,34 +794,26 @@ impl FleetEngine {
     /// first, since the owner's window fixes the instant.
     fn ready_at(&mut self, trace: &[(Job, f64)], key: u64) -> Result<f64> {
         let owner = (self.waiting.iter())
-            .find(|(_, q)| {
-                (q.iter()).any(|&j| matches!(&self.slots[j], Slot::Waiting(p) if p.key == key))
-            })
+            .find(|(_, q)| q.iter().any(|(_, p)| p.key == key))
             .map(|(tenant, _)| tenant.clone());
         if let Some(tenant) = owner {
             self.resolve(trace, &tenant)?;
         }
-        Ok(self.compiled_at(key))
-    }
-
-    /// [`FleetEngine::ready_at`] once no owner waits.
-    fn compiled_at(&self, key: u64) -> f64 {
-        self.compiled_at
+        Ok(self
+            .compiled_at
             .get(&key)
             .copied()
-            .unwrap_or(f64::NEG_INFINITY)
+            .unwrap_or(f64::NEG_INFINITY))
     }
 
     /// Settles every pending store-miss job of `tenant`, oldest first.
     /// Runs before anything reads those jobs' windows, so per-tenant
     /// completion order is arrival order.
     fn resolve(&mut self, trace: &[(Job, f64)], tenant: &str) -> Result<()> {
-        while let Some(i) = self.waiting.get_mut(tenant).and_then(VecDeque::pop_front) {
-            let Slot::Waiting(placed) = self.slots[i] else {
-                unreachable!("a queued job is waiting");
-            };
+        while let Some((entry, placed)) = self.waiting.get_mut(tenant).and_then(VecDeque::pop_front)
+        {
             let artifact = self.artifact_for(placed.key)?;
-            self.settle(trace, i, placed, artifact, Fetch::Miss)?;
+            self.settle(trace, entry, placed, artifact, Fetch::Miss)?;
         }
         Ok(())
     }
@@ -1039,8 +906,7 @@ impl FleetEngine {
             (_, Lookup::PendingHit(_)) => "compiling",
             (key, Lookup::Miss) => {
                 self.spawn_compile(key, &job.graph, popts)?;
-                let penalty = self.opts.base.compile_penalty_secs;
-                self.compiled_at.insert(key, ev.time + penalty);
+                self.compiled_at.insert(key, ev.time + COMPILE_PENALTY_SECS);
                 "recompile"
             }
         };
@@ -1065,7 +931,7 @@ impl FleetEngine {
                 self.store.drop_device(d);
                 self.router
                     .log_decision(t, "", None, "kill", Some(d), String::new());
-                self.failover_sweep(trace, d, t);
+                self.failover_sweep(d, t);
             }
             DeviceFaultKind::Brownout {
                 total_sms,
@@ -1103,31 +969,31 @@ impl FleetEngine {
     /// launches past the commit, bill the overhead into the disjoint
     /// `failover_cycles` component. Jobs with no usable target are
     /// rejected (never lost).
-    fn failover_sweep(&mut self, trace: &[(Job, f64)], dead: DeviceId, t: f64) {
+    fn failover_sweep(&mut self, dead: DeviceId, t: f64) {
         let timing = self.opts.base.timing.clone();
-        for o in self.live.clone() {
-            let j = self.admitted[o];
-            let Slot::Settled(mut r) = std::mem::replace(&mut self.slots[j], Slot::Open) else {
-                unreachable!("live jobs are settled");
+        for e in self.live.clone() {
+            let rec = &mut self.ledger[e];
+            let (j, tenant) = (rec.job, Arc::clone(&rec.tenant));
+            let Fate::Served(s) = &mut rec.fate else {
+                continue;
             };
-            let tenant = trace[j].0.tenant.as_str();
-            if r.device != dead.0 || r.finish <= t {
-                self.slots[j] = Slot::Settled(r);
+            if s.on != dead.0 || s.finish <= t {
                 continue;
             }
-            let Some(target) = self.router.route(tenant, None) else {
-                let retry_after_secs = self.router.heal_hint_secs(t);
+            let Some(target) = self.router.route(&tenant, None) else {
+                s.abandoned = Some(self.router.heal_hint_secs(t));
                 let detail = "no usable device to fail over to".to_string();
                 self.router
-                    .log_decision(t, tenant, Some(j), "abandon", None, detail);
-                self.slots[j] = Slot::Rejected { retry_after_secs };
-                self.totals.rejected += 1;
-                self.live.remove(&o);
+                    .log_decision(t, &tenant, Some(j), "abandon", None, detail);
+                self.live.remove(&e);
+                continue;
+            };
+            let Some(artifact) = s.artifact.clone() else {
                 continue;
             };
 
             let usable = self.router.usable_devices();
-            let key = r.placed.key;
+            let key = s.placed.key;
             let fetch =
                 (self.store.fetch(key, target, &usable)).expect("artifact verified at insert");
             if fetch == Fetch::Miss {
@@ -1135,25 +1001,26 @@ impl FleetEngine {
                 // recompile and restore the store from the job's own
                 // copy of the artifact.
                 self.store
-                    .insert(key, Arc::clone(&r.artifact), target, &usable);
+                    .insert(key, Arc::clone(&artifact), target, &usable);
             }
-            let fetch_cost = self.fetch_cost(fetch);
-
-            let old_finish = r.finish;
-            let tbusy = self.devices[target.0 as usize].busy_until(tenant);
+            let fetch_cost = fetch_cost(fetch);
+            let tbusy = self.devices[target.0 as usize].busy_until(&tenant);
+            let compiled = self.compiled_at.get(&key).copied();
+            let ready = t.max(tbusy).max(compiled.unwrap_or(f64::NEG_INFINITY));
+            let (old_finish, base, run) = (s.finish, s.trace_base, &mut s.run);
 
             // Cycles to ship the last commit's state and to replay the
             // launches past it, and the launch execution resumes from.
-            let (ship, replay, committed) = if r.exec_start >= t {
+            let (ship, replay, committed) = if s.exec_start >= t {
                 // Never started executing: pure re-dispatch, no state to
                 // ship, no launches to replay.
-                (0.0, 0.0, r.trace_base)
+                (0.0, 0.0, base)
             } else {
-                let elapsed = (t - r.exec_start) * timing.clock_hz;
-                let k = r.run.checkpoint_interval.max(1) as usize;
-                let mut completed = r.trace_base;
+                let elapsed = (t - s.exec_start) * timing.clock_hz;
+                let k = run.checkpoint_interval.max(1) as usize;
+                let mut completed = base;
                 let mut cum = 0.0;
-                for &lc in &r.run.launch_cycles[r.trace_base..] {
+                for &lc in &run.launch_cycles[base..] {
                     if cum + lc <= elapsed {
                         cum += lc;
                         completed += 1;
@@ -1161,9 +1028,9 @@ impl FleetEngine {
                         break;
                     }
                 }
-                let committed = r.trace_base.max(completed - completed % k);
-                let replay: f64 = r.run.launch_cycles[committed..completed].iter().sum();
-                let state_words = r.artifact.report.checkpoint.state_words;
+                let committed = base.max(completed - completed % k);
+                let replay: f64 = run.launch_cycles[committed..completed].iter().sum();
+                let state_words = artifact.report.checkpoint.state_words;
                 let ship = timing.host_transfer_latency_cycles
                     + state_words as f64 * timing.host_transfer_cycles_per_word;
                 // A graph-dispatched run re-enters its captured graph at
@@ -1175,121 +1042,88 @@ impl FleetEngine {
                 // trace already carries replay-path costs for steady
                 // launches, so the window replay below re-enters at
                 // doorbell cost, exactly as the original run paid.
-                let recapture = if r.run.stats.graph_captures > 0 {
-                    r.run.stats.graph_capture_cycles / r.run.stats.graph_captures as f64
+                let stats = &mut run.stats;
+                let recapture = if stats.graph_captures > 0 {
+                    stats.graph_capture_cycles / stats.graph_captures as f64
                 } else {
                     0.0
                 };
                 let overhead = ship + replay + recapture;
-                let stats = &mut r.run.stats;
                 stats.cycles += overhead;
                 stats.fault_overhead_cycles += overhead;
                 stats.failover_cycles += overhead;
                 stats.assert_billing();
                 (ship, replay, committed)
             };
-            let prefix: f64 = r.run.launch_cycles[..committed].iter().sum();
-            let remaining = r.run.time_secs - timing.secs(prefix);
-            let ready = t.max(tbusy).max(self.compiled_at(key));
-            r.exec_start = ready + fetch_cost + timing.secs(ship);
-            r.finish = r.exec_start + timing.secs(replay) + remaining;
-            r.trace_base = committed;
+            let prefix: f64 = run.launch_cycles[..committed].iter().sum();
+            let remaining = run.time_secs - timing.secs(prefix);
+            s.exec_start = ready + fetch_cost + timing.secs(ship);
+            s.finish = s.exec_start + timing.secs(replay) + remaining;
+            s.on = target.0;
+            s.trace_base = committed;
+            s.failed_over += 1;
+            let finish = s.finish;
 
-            self.occupy(target.0, tenant, r.finish);
-            r.device = target.0;
-            r.failed_over += 1;
-            let totals = &mut self.totals;
-            totals
-                .failover_latencies
-                .push((r.finish - old_finish).max(0.0));
-            totals.last_finish = totals.last_finish.max(r.finish);
-            let detail = format!("{fetch:?} fetch, resumed from launch {}", r.trace_base);
+            self.devices[target.0 as usize].occupy(&tenant, finish);
+            self.failover_latencies.push((finish - old_finish).max(0.0));
+            self.last_finish = self.last_finish.max(finish);
+            let detail = format!("{fetch:?} fetch, resumed from launch {committed}");
             self.router
-                .log_decision(t, tenant, Some(j), "failover", Some(target), detail);
-            self.slots[j] = Slot::Settled(r);
-        }
-    }
-
-    /// Totals the drained run's completed jobs in admission order.
-    fn total_up(&mut self) {
-        let t = &mut self.totals;
-        t.per_device.resize(self.devices.len(), (0, 0.0));
-        for &j in &self.admitted {
-            if let Slot::Settled(r) = &self.slots[j] {
-                t.completed += 1;
-                t.tokens_out += r.run.outputs.len() as u64;
-                t.latencies.push(r.finish - r.placed.arrival);
-                t.stats.merge(&r.run.stats);
-                let d = &mut t.per_device[r.device as usize];
-                d.0 += 1;
-                d.1 += r.finish - r.exec_start;
-            }
+                .log_decision(t, &tenant, Some(j), "failover", Some(target), detail);
         }
     }
 
     fn makespan(&self) -> f64 {
-        (self.totals.last_finish - self.totals.first_arrival.unwrap_or(0.0)).max(0.0)
+        (self.last_finish - self.first_arrival.unwrap_or(0.0)).max(0.0)
     }
 
-    /// Device 0's serving report — the single-device view of a run.
+    /// Device 0's serving report — the single-device view of the ledger.
     pub(crate) fn serve_report(&self) -> ServeReport {
         let cache = self.store.cache_stats();
-        self.devices[0].report(self.makespan(), cache)
+        ServeReport::of(&self.ledger, 0, &self.devices[0], self.makespan(), cache)
     }
 
-    /// Snapshots the run into a serializable report. Call after
-    /// [`FleetEngine::run`].
+    /// Snapshots the run into a serializable report — the fleet view of
+    /// the ledger. Call after [`FleetEngine::run`].
     #[must_use]
     pub fn report(&self) -> FleetReport {
-        let (t, devices) = (&self.totals, &self.devices);
-        let makespan = self.makespan();
-        let alive = |d: usize| self.router.alive(DeviceId(d as u32));
-        FleetReport {
-            devices: devices.len() as u32,
-            devices_alive: (0..devices.len()).filter(|&d| alive(d)).count() as u32,
-            makespan_secs: makespan,
-            jobs_submitted: t.submitted,
-            jobs_completed: t.completed,
-            jobs_rejected: t.rejected,
-            jobs_lost: t.submitted - t.completed - t.rejected,
-            throughput_tokens_per_sec: if makespan > 0.0 {
-                t.tokens_out as f64 / makespan
-            } else {
-                0.0
-            },
-            p50_latency_secs: percentile_of(&t.latencies, 0.50),
-            p99_latency_secs: percentile_of(&t.latencies, 0.99),
-            failovers: t.failover_latencies.len() as u64,
-            failover_p50_secs: percentile_of(&t.failover_latencies, 0.50),
-            failover_p99_secs: percentile_of(&t.failover_latencies, 0.99),
-            hedges: 0,
-            hedge_wins: 0,
-            cycles: t.stats.cycles.round() as u64,
-            fault_overhead_cycles: t.stats.fault_overhead_cycles.round() as u64,
-            failover_cycles: t.stats.failover_cycles.round() as u64,
-            hedge_cycles: 0,
-            launch_path_cycles: t.stats.launch_path_cycles.round() as u64,
-            graph_replays: t.stats.graph_replays,
-            graph_captures: t.stats.graph_captures,
-            graph_capture_cycles: t.stats.graph_capture_cycles.round() as u64,
-            artifacts: devices.iter().map(|d| d.artifacts).sum(),
-            certified: devices.iter().map(|d| d.certified).sum(),
-            search_invocations: devices.iter().map(DeviceCore::search_invocations).sum(),
-            store: self.store.stats().clone(),
-            router_decisions: self.router.log().len() as u64,
-            per_device: (devices.iter().enumerate())
-                .map(|(d, core)| {
-                    let (jobs_completed, busy_secs) =
-                        t.per_device.get(d).copied().unwrap_or_default();
-                    DeviceReport {
-                        device: d as u32,
-                        alive: alive(d),
-                        jobs_completed,
-                        busy_secs,
-                        search_invocations: core.search_invocations(),
-                    }
-                })
-                .collect(),
-        }
+        let alive = (0..self.devices.len() as u32)
+            .map(|d| self.router.alive(DeviceId(d)))
+            .collect::<Vec<_>>();
+        FleetReport::of(
+            &self.ledger,
+            &alive,
+            self.submitted,
+            self.makespan(),
+            &self.failover_latencies,
+            self.store.stats().clone(),
+            self.router.log().len() as u64,
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::engine::tests::job;
+
+    /// A dispatch refused for carrying no isolation certificate still
+    /// counts as an artifact, but not as certified, in both views.
+    #[test]
+    fn refused_dispatch_counts_as_an_uncertified_artifact() {
+        let mut engine = FleetEngine::solo(ServeOptions::default());
+        let trace = [(job("t", 2), 0.0)];
+        let job = &trace[0].0;
+        let popts = pipeline_options_for(&engine.opts.base, 4, Pressure::Nominal, job.qos.policy());
+        let mut artifact = ResilientPipeline::new(popts).compile(&job.graph).unwrap();
+        artifact.isolation = None;
+        let entry = engine.record("t", 0, 0, 0.0, Fate::Waiting);
+        let (placed, artifact) = (Placed::default(), Arc::new(artifact));
+        let refused = engine.settle(&trace, entry, placed, artifact, Fetch::Miss);
+        let refusal = refused.unwrap_err().to_string();
+        assert!(refusal.contains("isolation certificate"), "{refusal}");
+        let (serve, fleet) = (engine.serve_report(), engine.report());
+        assert_eq!((serve.artifacts, serve.certified), (1, 0));
+        assert_eq!((fleet.artifacts, fleet.certified), (1, 0));
     }
 }

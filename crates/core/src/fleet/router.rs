@@ -98,12 +98,6 @@ impl Router {
         !matches!(self.health[d.0 as usize], Health::Dead)
     }
 
-    /// The device's health.
-    #[must_use]
-    pub fn health(&self, d: DeviceId) -> Health {
-        self.health[d.0 as usize]
-    }
-
     /// Devices currently usable, ascending.
     #[must_use]
     pub fn usable_devices(&self) -> Vec<u32> {

@@ -12,6 +12,8 @@
 
 use gpusim::{DeviceFaultPlan, DeviceId};
 
+use super::router::score;
+
 /// A correlated rack brownout: the first `devices` fleet members brown
 /// out at the same instant (sharing a rack's power budget), then heal
 /// together.
@@ -88,7 +90,7 @@ impl FleetStorm {
             if alive.len() as u32 <= self.min_alive.max(1) {
                 break;
             }
-            let pick = (splitmix(self.seed ^ 0x4B11_u64, u64::from(i)) as usize) % alive.len();
+            let pick = (score(self.seed ^ 0x4B11_u64, i) as usize) % alive.len();
             let victim = alive.remove(pick);
             let at = self.kill_start_secs + f64::from(i) * self.kill_every_secs;
             plan = plan.with_loss(DeviceId(victim), at);
@@ -98,7 +100,7 @@ impl FleetStorm {
             if alive.is_empty() {
                 break;
             }
-            let pick = (splitmix(self.seed ^ 0x9A27_u64, u64::from(j)) as usize) % alive.len();
+            let pick = (score(self.seed ^ 0x9A27_u64, j) as usize) % alive.len();
             let victim = alive[pick];
             let at = self.partition_start_secs + f64::from(j) * self.partition_every_secs;
             plan = plan.with_partition(DeviceId(victim), at, self.partition_heal_secs);
@@ -116,17 +118,6 @@ impl FleetStorm {
         }
         plan
     }
-}
-
-/// splitmix64 over a seed/ordinal pair.
-fn splitmix(seed: u64, x: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(x)
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -51,6 +51,7 @@ use crate::pipeline::{
 };
 use crate::plan::{self, LayoutKind};
 use crate::schedule::{Schedule, SearchReport};
+use crate::serve::metrics::ratio;
 use crate::{verify, Error, Result};
 
 /// The stable content hash of a compilation request: graph + device +
@@ -130,19 +131,15 @@ impl CacheStats {
     /// `hits / (hits + misses)`; 0 when no lookups happened.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        ratio(self.hits, self.hits + self.misses)
     }
 }
 
 /// How a lookup was served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub enum Fetch {
     /// The requesting device already holds a replica.
+    #[default]
     LocalHit,
     /// Another usable device holds a replica; the artifact is shipped
     /// over and (read-repair) installed on the requester.
@@ -174,22 +171,14 @@ impl StoreStats {
     /// Fraction of lookups any replica served (local or remote).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            (self.local_hits + self.remote_hits) as f64 / self.lookups as f64
-        }
+        ratio(self.local_hits + self.remote_hits, self.lookups)
     }
 
     /// Fraction of lookups served *across* devices — the replication
     /// dividend a solo disk tier cannot earn.
     #[must_use]
     pub fn remote_hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.remote_hits as f64 / self.lookups as f64
-        }
+        ratio(self.remote_hits, self.lookups)
     }
 }
 
@@ -739,30 +728,24 @@ fn rebuild(value: &Value, graph: &FlatGraph, opts: &PipelineOptions) -> Result<R
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use streamir::graph::{FilterSpec, StreamSpec};
     use streamir::ir::{ElemTy, Expr, FnBuilder};
 
     const SOLO: DeviceId = DeviceId(0);
 
-    fn map_filter(name: &str, k: i32) -> StreamSpec {
-        let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
-        let x = b.local(ElemTy::I32);
-        b.pop_into(0, x);
-        b.push(0, Expr::local(x).mul(Expr::i32(k)));
-        StreamSpec::filter(FilterSpec::new(name, b.build().unwrap()))
-    }
-
-    fn chain(names: &[(&str, i32)]) -> FlatGraph {
-        StreamSpec::pipeline(
-            names
-                .iter()
-                .map(|&(n, k)| map_filter(n, k))
-                .collect::<Vec<_>>(),
-        )
-        .flatten()
-        .unwrap()
+    /// A pipeline of `(name, k)` filters, each multiplying by `k`.
+    pub(crate) fn chain(names: &[(&str, i32)]) -> FlatGraph {
+        let filter = |&(name, k): &(&str, i32)| {
+            let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+            let x = b.local(ElemTy::I32);
+            b.pop_into(0, x);
+            b.push(0, Expr::local(x).mul(Expr::i32(k)));
+            StreamSpec::filter(FilterSpec::new(name, b.build().unwrap()))
+        };
+        let filters = names.iter().map(filter).collect();
+        StreamSpec::pipeline(filters).flatten().unwrap()
     }
 
     fn small_opts() -> PipelineOptions {

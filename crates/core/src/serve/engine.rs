@@ -7,15 +7,16 @@
 //! fail over to. What it adds is the single-device view of the
 //! loop: verdicts carrying the job's service start and slice, the
 //! processed-event audit trace ([`EventEngine::trace`]), and a
-//! [`ServeReport`] whose `compile_overlap_secs` credits each compile
-//! window with the union of *other* tenants' execution it overlapped.
+//! [`ServeReport`] — device 0's view of the loop's job ledger — whose
+//! `compile_overlap_secs` credits each compile window with the union of
+//! *other* tenants' execution it overlapped.
 
 use serde::Serialize;
 use streamir::graph::FlatGraph;
 
 use gpusim::DeviceId;
 
-use crate::fleet::{FleetEngine, Slot};
+use crate::fleet::FleetEngine;
 use crate::serve::partition::RecutRecord;
 use crate::serve::resilience::{BrownoutSpec, ControllerDecision};
 use crate::serve::{Job, ServeOptions, ServeReport, Verdict, WarmReport};
@@ -135,8 +136,7 @@ impl EventEngine {
     /// reservations abandoned, so the cache never dangles a pending
     /// entry.
     pub fn serve_trace(&mut self, trace: &[(Job, f64)]) -> Result<Vec<Verdict>> {
-        let slots = self.fleet.serve(trace)?;
-        Ok(slots.into_iter().map(Slot::into_verdict).collect())
+        self.fleet.serve_solo(trace)
     }
 
     /// The processed-event audit trace, in processing order.
@@ -167,26 +167,17 @@ impl EventEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::serve::QosClass;
-    use streamir::graph::{FilterSpec, StreamSpec};
-    use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
+    use crate::serve::cache::tests::chain;
+    use crate::serve::{QosClass, TenantReport};
+    use streamir::ir::Scalar;
 
-    fn map_filter(name: &str, k: i32) -> StreamSpec {
-        let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
-        let x = b.local(ElemTy::I32);
-        b.pop_into(0, x);
-        b.push(0, Expr::local(x).mul(Expr::i32(k)));
-        StreamSpec::filter(FilterSpec::new(name, b.build().unwrap()))
-    }
-
-    fn job(tenant: &str, k: i32) -> Job {
+    /// A two-filter job of `tenant` multiplying by `k`, then `k + 1`.
+    pub(crate) fn job(tenant: &str, k: i32) -> Job {
         Job {
             tenant: tenant.into(),
-            graph: StreamSpec::pipeline(vec![map_filter("a", k), map_filter("b", k + 1)])
-                .flatten()
-                .unwrap(),
+            graph: chain(&[("a", k), ("b", k + 1)]),
             input: |n| (0..n).map(|i| Scalar::I32(i as i32)).collect(),
             iterations: 2,
             qos: QosClass::Batch,
@@ -230,5 +221,39 @@ mod tests {
         let report = engine.report();
         assert_eq!(report.tenants.len(), 2);
         assert!(report.makespan_secs > 0.0);
+    }
+
+    /// Both reports are views of one ledger, so on the solo loop they
+    /// agree wherever they count the same thing.
+    #[test]
+    fn serve_and_fleet_views_of_one_ledger_agree() {
+        let mut engine = EventEngine::new(ServeOptions {
+            device: gpusim::DeviceConfig {
+                num_sms: 8,
+                ..gpusim::DeviceConfig::gts512()
+            },
+            fault_plan: Some(gpusim::FaultPlan::new(0x1ED6E).with_launch_failures(200)),
+            max_queue: 1,
+            ..ServeOptions::default()
+        });
+        // Pairs of jobs 0.1 ms apart: a queue bound of one rejects the
+        // second of a pair that arrives while the first still compiles.
+        let trace: Vec<(Job, f64)> = [0.0, 1e-4, 1.0, 1.0001]
+            .into_iter()
+            .flat_map(|at| [(job("a", 2), at), (job("b", 5), at + 0.01)])
+            .collect();
+        engine.serve_trace(&trace).unwrap();
+        let (serve, fleet) = (engine.report(), engine.fleet.report());
+        let sum = |f: fn(&TenantReport) -> u64| serve.tenants.iter().map(f).sum::<u64>();
+        assert!(fleet.jobs_rejected > 0 && fleet.search_invocations > 0);
+        assert!(serve.tenants.iter().any(|t| t.retry_rate > 0.0));
+        assert_eq!(sum(|t| t.jobs_accepted), fleet.jobs_completed);
+        assert_eq!(sum(|t| t.jobs_rejected), fleet.jobs_rejected);
+        assert_eq!(serve.launch_path_cycles, fleet.launch_path_cycles);
+        assert_eq!(serve.graph_replays, fleet.graph_replays);
+        assert_eq!(serve.artifacts, fleet.artifacts);
+        assert_eq!(serve.certified, fleet.certified);
+        assert_eq!(sum(|t| t.search_invocations), fleet.search_invocations);
+        assert_eq!(serve.makespan_secs.to_bits(), fleet.makespan_secs.to_bits());
     }
 }

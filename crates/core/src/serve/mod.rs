@@ -17,13 +17,14 @@
 //!   pressure sheds *compile effort* down
 //!   [`crate::pipeline::ResilientPipeline`]'s degradation ladder before
 //!   it sheds jobs.
-//! * **Metrics** ([`metrics`]): per-tenant throughput, p50/p99 latency,
-//!   cache hit rate, slice utilization, retry rate and fault-overhead
-//!   share, exported as a serializable [`ServeReport`].
+//! * **Reports** ([`metrics`]): the loop records each job once, in one
+//!   ledger; [`ServeReport`] (per-tenant throughput, p50/p99 latency,
+//!   cache hit rate, slice utilization, retry rate, fault-overhead
+//!   share) and the fleet's report are folds over it.
 //!
-//! A device's state and the per-job lifecycle over it (run → place the
-//! service window → roll up metrics → report) live once, in the
-//! crate-private device core. The one discrete-event serving loop,
+//! A device's state and the per-job lifecycle over it (run the artifact,
+//! place the service window) live once, in the crate-private device
+//! core. The one discrete-event serving loop,
 //! [`crate::fleet::FleetEngine`], drives N cores over one store;
 //! [`EventEngine`] is that loop at N = 1. Cache-miss compiles overlap
 //! other tenants' execution on a bounded worker pool.
@@ -55,7 +56,7 @@ pub use admission::{budgets_for, AdmissionController, Decision, Pressure, RouteD
 pub use cache::{cache_key, ArtifactStore, CacheOptions, CacheStats, Fetch, Lookup, StoreStats};
 pub use engine::{EventEngine, EventKind, TraceEvent};
 pub(crate) use event::Event;
-pub use metrics::{ServeMetrics, ServeReport, TenantReport};
+pub use metrics::{ServeReport, TenantReport};
 pub use partition::{placement_universe, Partitioner, RateEstimator, RecutRecord, Slice};
 pub use resilience::{
     BrownoutSpec, ChaosStorm, ControllerDecision, FaultController, ResilienceOptions,
@@ -100,6 +101,14 @@ pub struct Job {
     pub qos: QosClass,
 }
 
+/// Virtual seconds charged for a cache-miss compilation: the compile
+/// latency a real deployment would pay on the serving path, whichever
+/// ladder rung ran.
+pub const COMPILE_PENALTY_SECS: f64 = 0.5;
+
+/// EWMA weight of the partitioner's arrival-rate estimates.
+pub(crate) const RATE_ALPHA: f64 = 0.3;
+
 /// Serving configuration (per device, in a fleet).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -125,15 +134,10 @@ pub struct ServeOptions {
     /// Compilation-cache sizing and persistence of a single device (a
     /// fleet's replicated store is unbounded and memory-only).
     pub cache: CacheOptions,
-    /// Virtual seconds charged for a cache-miss compilation (models the
-    /// compile latency a real deployment would pay on the serving path).
-    pub compile_penalty_secs: f64,
     /// Retry-rate threshold above which the resilience controller, when
     /// enabled, switches a Throughput tenant to TailLatency (its upper
     /// hysteresis band).
     pub retry_warn_threshold: f64,
-    /// EWMA weight for arrival-rate estimation.
-    pub rate_alpha: f64,
     /// Online fault-rate controller configuration (disabled by default,
     /// in which case serving is byte- and cycle-identical to serving
     /// without a controller).
@@ -166,9 +170,7 @@ impl Default for ServeOptions {
             fault_plan: None,
             max_queue: 8,
             cache: CacheOptions::default(),
-            compile_penalty_secs: 0.5,
             retry_warn_threshold: 0.05,
-            rate_alpha: 0.3,
             resilience: ResilienceOptions::default(),
             graph_dispatch: false,
         }

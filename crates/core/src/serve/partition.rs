@@ -24,7 +24,7 @@ use serde::Serialize;
 use crate::{Error, Result};
 
 /// A contiguous slice of the physical device's SMs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Slice {
     /// First SM of the slice.
     pub base_sm: u32,
@@ -133,11 +133,9 @@ pub struct Partitioner {
     alpha: f64,
     rates: BTreeMap<String, RateEstimator>,
     slices: BTreeMap<String, Slice>,
-    /// Partition recuts performed (including the initial cut per tenant
-    /// set), for the metrics layer.
-    pub rebalances: u64,
-    /// Every recut, in order — the audit trail the event engine's
-    /// determinism tests lock down.
+    /// Every recut, in order (the initial cut per tenant set included) —
+    /// the audit trail the event engine's determinism tests lock down,
+    /// and the serve report's `rebalances`.
     pub recut_log: Vec<RecutRecord>,
 }
 
@@ -150,7 +148,6 @@ impl Partitioner {
             alpha,
             rates: BTreeMap::new(),
             slices: BTreeMap::new(),
-            rebalances: 0,
             recut_log: Vec::new(),
         }
     }
@@ -309,7 +306,6 @@ impl Partitioner {
             base += w;
         }
         self.slices = slices;
-        self.rebalances += 1;
     }
 }
 
@@ -488,14 +484,15 @@ mod tests {
             observe(&mut p, "b", now + 0.01).unwrap();
             now += 1.0;
         }
-        let after_warmup = p.rebalances;
+        let after_warmup = p.recut_log.len();
         for _ in 0..100 {
             observe(&mut p, "a", now).unwrap();
             observe(&mut p, "b", now + 0.01).unwrap();
             now += 1.0;
         }
         assert_eq!(
-            p.rebalances, after_warmup,
+            p.recut_log.len(),
+            after_warmup,
             "steady equal demand must not recut the partition"
         );
     }

@@ -41,8 +41,20 @@ use std::collections::BTreeMap;
 use gpusim::{FaultKind, FaultPlan, TimingModel};
 use serde::Serialize;
 
+use crate::hash::splitmix64;
 use crate::pipeline::FaultPolicy;
 use crate::plan::CheckpointPlan;
+use crate::serve::metrics::ratio;
+
+/// EWMA smoothing weight of the newest per-job retry-rate sample.
+const EWMA_ALPHA: f64 = 0.35;
+/// Lower hysteresis band as a fraction of the upper band (the serve
+/// options' `retry_warn_threshold`). A TailLatency override reverts to
+/// Throughput only once the EWMA falls below `upper * HYSTERESIS_RATIO`,
+/// so a rate hovering at the threshold cannot thrash.
+const HYSTERESIS_RATIO: f64 = 0.3;
+/// Largest commit interval the checkpoint cost model may choose.
+const K_MAX: u64 = 4;
 
 /// Configuration for the online fault-rate controller. Disabled by
 /// default: an engine with `enabled: false` behaves byte- and
@@ -52,21 +64,10 @@ pub struct ResilienceOptions {
     /// Master switch. When off, the controller never overrides a
     /// policy, always reports commit interval 1, and logs nothing.
     pub enabled: bool,
-    /// EWMA smoothing weight of the newest per-job retry-rate sample
-    /// (clamped to `(0, 1]`).
-    pub ewma_alpha: f64,
-    /// Lower hysteresis band as a fraction of the upper band (the
-    /// serve options' `retry_warn_threshold`). A TailLatency override
-    /// reverts to Throughput only once the EWMA falls below
-    /// `upper * hysteresis_ratio`, so a rate hovering at the threshold
-    /// cannot thrash.
-    pub hysteresis_ratio: f64,
     /// Minimum completed jobs between switches for one tenant — both
     /// before the first switch (the EWMA needs evidence) and between
     /// consecutive ones (dwell).
     pub dwell_jobs: u64,
-    /// Largest commit interval the checkpoint cost model may choose.
-    pub k_max: u64,
     /// Overrides every run's retry budget (attempts per launch,
     /// including the first). Chaos storms pin fault *trains* that a
     /// default budget of 3 could exhaust; soak configs raise it so a
@@ -78,10 +79,7 @@ impl Default for ResilienceOptions {
     fn default() -> Self {
         ResilienceOptions {
             enabled: false,
-            ewma_alpha: 0.35,
-            hysteresis_ratio: 0.3,
             dwell_jobs: 2,
-            k_max: 4,
             retry_max_attempts: None,
         }
     }
@@ -197,12 +195,6 @@ impl FaultController {
         &self.decisions
     }
 
-    /// The tenant's current retry-rate EWMA, when it has one.
-    #[must_use]
-    pub fn ewma_for(&self, tenant: &str) -> Option<f64> {
-        self.tenants.get(tenant).and_then(|t| t.ewma)
-    }
-
     /// Feeds one completed job's launch/retry counters into the
     /// tenant's EWMA, re-derives the commit interval from the cost
     /// model, and applies the hysteresis rule. Returns the new policy
@@ -227,15 +219,10 @@ impl FaultController {
         if !self.opts.enabled {
             return None;
         }
-        let alpha = self.opts.ewma_alpha.clamp(f64::MIN_POSITIVE, 1.0);
-        let sample = if launches == 0 {
-            0.0
-        } else {
-            retries as f64 / launches as f64
-        };
+        let sample = ratio(retries, launches);
         let t = self.tenants.entry(tenant.to_string()).or_default();
         let ewma = match t.ewma {
-            Some(e) => (1.0 - alpha) * e + alpha * sample,
+            Some(e) => (1.0 - EWMA_ALPHA) * e + EWMA_ALPHA * sample,
             None => sample,
         };
         t.ewma = Some(ewma);
@@ -257,7 +244,7 @@ impl FaultController {
                 checkpoint.state_words,
                 ewma,
                 mean_launch,
-                self.opts.k_max,
+                K_MAX,
             ))
             .unwrap_or(1)
         };
@@ -281,7 +268,7 @@ impl FaultController {
             return None;
         }
         let current = t.policy.unwrap_or(default_policy);
-        let lower = self.upper_band * self.opts.hysteresis_ratio.clamp(0.0, 1.0);
+        let lower = self.upper_band * HYSTERESIS_RATIO;
         let switched = match current {
             FaultPolicy::Throughput if ewma > self.upper_band => Some(FaultPolicy::TailLatency),
             FaultPolicy::TailLatency if ewma < lower => Some(FaultPolicy::Throughput),
@@ -365,15 +352,6 @@ impl Default for ChaosStorm {
     }
 }
 
-/// SplitMix64 — the storm's only source of randomness, so a storm is a
-/// pure function of its seed.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl ChaosStorm {
     /// The deterministic fault plan this storm injects: background
     /// rates plus pinned bursts at seed-derived attempt ordinals.
@@ -385,13 +363,13 @@ impl ChaosStorm {
             .with_hangs(self.hang_permille)
             .with_overhead_spikes(self.spike_permille, 4.0);
         for train in 0..self.hang_trains {
-            let base = splitmix(self.seed ^ (0xA11 + u64::from(train))) % horizon;
+            let base = splitmix64(self.seed ^ (0xA11 + u64::from(train))) % horizon;
             for j in 0..u64::from(self.train_len) {
                 fp = fp.at_launch(base + j, FaultKind::Hang);
             }
         }
         for cluster in 0..self.corruption_clusters {
-            let base = splitmix(self.seed ^ (0xBEEF + u64::from(cluster))) % horizon;
+            let base = splitmix64(self.seed ^ (0xBEEF + u64::from(cluster))) % horizon;
             for j in 0..u64::from(self.cluster_len) {
                 fp = fp.at_launch(base + j, FaultKind::MemCorruption);
             }

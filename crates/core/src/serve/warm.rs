@@ -102,18 +102,7 @@ pub(crate) fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamir::graph::{FilterSpec, StreamSpec};
-    use streamir::ir::{ElemTy, Expr, FnBuilder};
-
-    fn tiny_graph() -> FlatGraph {
-        let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
-        let x = b.local(ElemTy::I32);
-        b.pop_into(0, x);
-        b.push(0, Expr::local(x).mul(Expr::i32(3)));
-        StreamSpec::filter(FilterSpec::new("warm_inc", b.build().unwrap()))
-            .flatten()
-            .unwrap()
-    }
+    use crate::serve::cache::tests::chain;
 
     #[test]
     fn warming_fills_the_cache_and_restores_stats() {
@@ -125,7 +114,7 @@ mod tests {
             ..ServeOptions::default()
         };
         let mut cache = ArtifactStore::new(opts.cache.clone());
-        let graphs = [tiny_graph()];
+        let graphs = [chain(&[("warm_inc", 3)])];
         let report = sweep(&mut cache, &[0], &opts, &graphs, 2);
         let widths = crate::serve::partition::plausible_widths(opts.device.num_sms, 2);
         assert_eq!(report.widths, widths);

@@ -451,6 +451,8 @@ mod tests {
     fn seed_parsing_accepts_decimal_and_hex() {
         assert_eq!(parse_u64("42"), Some(42));
         assert_eq!(parse_u64("0xC4A055EE"), Some(0xC4A0_55EE));
+        // CI names the fleet-chaos seeds both ways.
+        assert_eq!(parse_u64("0xF1EE700B"), Some(4_058_935_307));
         assert_eq!(parse_u64("--flag"), None);
     }
 }

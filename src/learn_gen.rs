@@ -15,12 +15,10 @@
 use swpipe::learn::dataset::{generate, random_sources, GenOptions};
 use swpipe::learn::{Dataset, Source};
 
-/// Seed of the random stream graphs in both dataset flavors.
+/// Seed of the dataset's random stream graphs.
 pub const SEED: u64 = 0x5EED_DA7A;
-/// Random graphs in the full dataset (the suite rides along).
-pub const FULL_RANDOM: usize = 6;
-/// Random graphs in the small (committed) dataset.
-pub const SMALL_RANDOM: usize = 2;
+/// Random graphs in the dataset.
+pub const RANDOM_GRAPHS: usize = 2;
 
 /// The eight StreamIt benchmarks as labeling sources.
 ///
@@ -39,30 +37,22 @@ pub fn suite_sources() -> Vec<Source> {
         .collect()
 }
 
-/// Generates the dataset. `small` restricts the sources (two random
-/// graphs plus the first three benchmarks) and the candidate grid so
-/// it generates in well under a second; the full flavor covers the whole
-/// suite plus [`FULL_RANDOM`] random graphs on the default grid.
+/// Generates the dataset: two random graphs plus the first three
+/// benchmarks, on a candidate grid small enough that it generates in well
+/// under a second.
 ///
 /// # Panics
 ///
 /// Panics when generation fails (profile or schedule construction on a
 /// fixed, known-good source set — a generator bug).
 #[must_use]
-pub fn gen(small: bool) -> Dataset {
-    let (sources, opts) = if small {
-        let mut sources = random_sources(SMALL_RANDOM, SEED);
-        sources.extend(suite_sources().into_iter().take(3));
-        let opts = GenOptions {
-            sms_grid: vec![2, 4],
-            ii_multipliers: vec![1.0, 1.15],
-            ..GenOptions::default()
-        };
-        (sources, opts)
-    } else {
-        let mut sources = suite_sources();
-        sources.extend(random_sources(FULL_RANDOM, SEED));
-        (sources, GenOptions::default())
+pub fn gen() -> Dataset {
+    let mut sources = random_sources(RANDOM_GRAPHS, SEED);
+    sources.extend(suite_sources().into_iter().take(3));
+    let opts = GenOptions {
+        sms_grid: vec![2, 4],
+        ii_multipliers: vec![1.0, 1.15],
+        ..GenOptions::default()
     };
     generate(&sources, &opts).expect("dataset generation on known-good sources")
 }
@@ -73,8 +63,8 @@ mod tests {
 
     #[test]
     fn small_dataset_is_deterministic_and_trainable() {
-        let a = gen(true);
-        let b = gen(true);
+        let a = gen();
+        let b = gen();
         assert_eq!(a.to_json(), b.to_json(), "small dataset must be replayable");
         assert!(a.points.len() >= 10, "too few points: {}", a.points.len());
         let (xs, ys) = a.xy();

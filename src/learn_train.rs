@@ -44,7 +44,7 @@ mod tests {
 
     #[test]
     fn canonical_training_is_deterministic_and_schema_gated() {
-        let dataset = crate::learn_gen::gen(true);
+        let dataset = crate::learn_gen::gen();
         let a = train_canonical(&dataset).expect("trains");
         let b = train_canonical(&dataset).expect("trains");
         assert_eq!(a.to_json(), b.to_json());

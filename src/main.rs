@@ -59,7 +59,8 @@ USAGE:
                                         decimal or 0x hex, profiles default, hangs,
                                         corruption or quiet
     stream-gpu fleet-chaos [--seed S] [--devices N]
-                                        fleet storm, writes FLEET_chaos.json
+                                        fleet storm, writes FLEET_chaos.json; the seed
+                                        is decimal or 0x hex
 ";
 
 /// Prints `error` and the usage text; the exit code of a bad command line.
@@ -162,7 +163,7 @@ fn cmd_fleet_chaos(args: &[String]) -> i32 {
     for pair in args.chunks(2) {
         let value = pair.get(1).map_or("", String::as_str);
         let ok = match pair[0].as_str() {
-            "--seed" => value.parse().map(|n| seed = n).is_ok(),
+            "--seed" => chaos_soak::parse_u64(value).map(|n| seed = n).is_some(),
             "--devices" => value.parse().map(|n| devices = n).is_ok(),
             _ => false,
         };

@@ -44,7 +44,7 @@ impl Inputs {
 
     /// The small learned-cost-model dataset.
     fn dataset(&self) -> &Dataset {
-        self.dataset.get_or_init(|| learn_gen::gen(true))
+        self.dataset.get_or_init(learn_gen::gen)
     }
 }
 

@@ -180,7 +180,6 @@ fn adaptive_policy_beats_static_under_hang_storm() {
             enabled: true,
             dwell_jobs: 1,
             retry_max_attempts: Some(10),
-            ..ResilienceOptions::default()
         },
         retry_warn_threshold: band,
         max_queue: 64,
@@ -297,7 +296,6 @@ proptest! {
                 enabled: true,
                 dwell_jobs: 1,
                 retry_max_attempts: Some(8),
-                ..ResilienceOptions::default()
             },
             retry_warn_threshold: 0.05,
             ..ServeOptions::default()

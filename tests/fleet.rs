@@ -26,8 +26,12 @@ use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
 
 use gpusim::{DeviceFaultPlan, DeviceId, FaultPlan};
 use stream_gpu::fleet_bench;
-use swpipe::fleet::{Fetch, FleetEngine, FleetOptions, FleetStorm, FleetVerdict, Router};
-use swpipe::serve::{EventEngine, Job, QosClass, ResilienceOptions, ServeOptions, Verdict};
+use swpipe::fleet::{
+    Fetch, FleetEngine, FleetOptions, FleetStorm, FleetVerdict, Router, FETCH_PENALTY_SECS,
+};
+use swpipe::serve::{
+    EventEngine, Job, QosClass, ResilienceOptions, ServeOptions, Verdict, COMPILE_PENALTY_SECS,
+};
 
 fn map_filter(name: &str, k: i32) -> StreamSpec {
     let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
@@ -101,7 +105,7 @@ fn one_device_fleet_serves_bit_identically_to_the_solo_engine() {
         ("fault-free", fleet_bench::base_serve_options()),
         ("stormy", stormy),
     ] {
-        let penalty = base.compile_penalty_secs;
+        let penalty = COMPILE_PENALTY_SECS;
         let mut solo = EventEngine::new(base.clone());
         let solo_verdicts = solo.serve_trace(&trace).expect("solo trace serves");
         let solo_report = solo.report();
@@ -256,11 +260,11 @@ fn rerouted_remote_hit_starts_after_the_compile_and_the_fetch() {
     assert_eq!(guest.fetch, Fetch::RemoteHit);
     assert_eq!(report.store.remote_hits, 1);
 
-    let compiled_at = owner.arrival_secs + opts.base.compile_penalty_secs;
+    let compiled_at = owner.arrival_secs + COMPILE_PENALTY_SECS;
     assert_eq!(owner.start_secs.to_bits(), compiled_at.to_bits());
     assert_eq!(
         guest.start_secs.to_bits(),
-        (compiled_at + opts.fetch_penalty_secs).to_bits(),
+        (compiled_at + FETCH_PENALTY_SECS).to_bits(),
         "the fetch waits for the compile: execution starts at {}",
         guest.start_secs
     );

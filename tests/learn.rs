@@ -302,7 +302,7 @@ fn fleet_store_warming_zeroes_serving_search_invocations() {
 /// `stream-gpu regen --check` enforces on every push.
 #[test]
 fn committed_learn_artifacts_are_byte_stable() {
-    let dataset = stream_gpu::learn_gen::gen(true);
+    let dataset = stream_gpu::learn_gen::gen();
     let committed = std::fs::read_to_string("datasets/learn_small.json")
         .expect("committed dataset exists (stream-gpu regen datasets/learn_small.json)");
     assert_eq!(

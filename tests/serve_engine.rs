@@ -31,6 +31,7 @@ use swpipe::exec::CompileOptions;
 use swpipe::pipeline::{LadderRung, PipelineOptions};
 use swpipe::serve::{
     cache_key, EventEngine, Job, JobResult, QosClass, ServeOptions, ServeReport, Verdict,
+    COMPILE_PENALTY_SECS,
 };
 
 /// Scheduler searches a served trace paid for, over all its tenants.
@@ -562,7 +563,7 @@ fn pending_hit_waits_for_the_owners_compile_to_finish() {
     assert!(!owner.cache_hit, "the owner pays the compile");
     assert!(joiner.cache_hit, "the joiner lands on the reservation");
 
-    let penalty = ServeOptions::default().compile_penalty_secs;
+    let penalty = COMPILE_PENALTY_SECS;
     let compiled_at = owner.start_secs + penalty;
     assert_eq!(compiled_at, 2.5);
     assert_eq!(
