@@ -541,6 +541,13 @@ impl Prepared {
         })
     }
 
+    /// Every node's kernel is value-oblivious
+    /// ([`Kernel::value_oblivious`]): a scaled measurement prices its
+    /// launches instead of running them.
+    fn priced(&self) -> bool {
+        self.nodes.iter().all(|n| n.kernel.value_oblivious())
+    }
+
     /// The artifact's initialization schedule.
     fn init_plan(&self, c: &Compiled) -> &InitPlan {
         (self.init).get_or_init(|| InitPlan::new(&c.graph, &c.ig, &c.exec_cfg))
@@ -728,7 +735,8 @@ impl Prepared {
     }
 
     /// Executes `iterations` basic steady iterations of `c` (`scaled`:
-    /// measure instead, see [`measure`]).
+    /// measure instead, see [`measure`]; a priced measurement writes no
+    /// input and fires no init phase, since no launch reads a value).
     pub(crate) fn run(
         &self,
         c: &Compiled,
@@ -796,10 +804,14 @@ impl Prepared {
         }
         let buffers = codegen::allocate(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, plan, alloc_iters)?;
         check_input_len(&buffers, input)?;
-        let init = (self.init_plan(c)).run(&c.graph, |v| &self.nodes[v].kernel, input)?;
-        let init_out = buffers.seed_init_state(&mut gpu, &c.ig, init);
-        if buffers.input.is_some() {
-            buffers.write_input(&mut gpu, input);
+        let priced = scaled && self.priced();
+        let mut init_out = Vec::new();
+        if !priced {
+            let init = (self.init_plan(c)).run(&c.graph, |v| &self.nodes[v].kernel, input)?;
+            init_out = buffers.seed_init_state(&mut gpu, &c.ig, init);
+            if buffers.input.is_some() {
+                buffers.write_input(&mut gpu, input);
+            }
         }
 
         let ckpt_plan = plan::checkpoint_plan(&c.graph, &c.timing, opts.fault_plan.as_ref());
@@ -850,6 +862,7 @@ impl Prepared {
             watchdog_margin,
             billed,
         );
+        seq.priced = priced;
 
         // The one launch loop: every ordinal of the run in issue order,
         // simulated unless the plan extrapolates it from its sample.
@@ -909,6 +922,12 @@ impl Prepared {
 /// data-independent, as in the whole benchmark suite), and the steady
 /// window is scaled to the requested length. This matches how the paper
 /// measures long runs, at simulation cost independent of `iterations`.
+///
+/// When every kernel of `c` is value-oblivious
+/// ([`Kernel::value_oblivious`]), the launches are priced from their
+/// abstract walks ([`gpusim::Gpu::price_dispatched`]) rather than
+/// simulated, with bit-identical stats: no input token is written and no
+/// init phase fires. A launch the walk cannot price exactly still runs.
 ///
 /// The returned [`GpuRun::outputs`] is empty (skipped iterations leave
 /// the output buffer undefined); use [`execute`] when outputs matter.
@@ -1242,7 +1261,16 @@ mod tests {
         // Every token is 3, so `reciprocal` divides by zero as soon as the
         // pipeline has filled (SWP) or its kernel runs (serial).
         let threes = vec![Scalar::I32(3); required_input(&c, 2) as usize];
-        let trap = |scheme| execute(&c, scheme, 2, &threes).unwrap_err().to_string();
+        // A varying divisor: measurement runs the launches too, and traps
+        // where execution does.
+        assert!(!Prepared::new(&c, Scheme::Serial { batch: 1 })
+            .unwrap()
+            .priced());
+        let trap = |scheme| {
+            let e = execute(&c, scheme, 2, &threes).unwrap_err().to_string();
+            assert_eq!(measure(&c, scheme, 2, &threes).unwrap_err().to_string(), e);
+            e
+        };
         let stage = c.schedule.stage[c.ig.len() - 1];
         assert_eq!(
             trap(Scheme::Swp { coarsening: 1 }),
@@ -1272,6 +1300,10 @@ mod tests {
         let spec = StreamSpec::filter(FilterSpec::new("gate", b.build().unwrap()));
         let c = compile(&spec.flatten().unwrap(), &CompileOptions::small_test()).unwrap();
         let scheme = Scheme::Swp { coarsening: 1 };
+        assert!(
+            !Prepared::new(&c, scheme).unwrap().priced(),
+            "a varying branch runs"
+        );
         let first = required_input(&c, 1);
         let input: Vec<Scalar> = (0..measure_input(&c, scheme))
             .map(|i| Scalar::I32(i32::from(i >= first)))
@@ -1584,5 +1616,65 @@ mod tests {
         );
         assert!(tight.stats.cycles < loose.stats.cycles);
         tight.stats.assert_billing();
+    }
+
+    /// Every launch of every suite artifact under SWP, SWPNC and Serial,
+    /// priced and run over the buffers the run allocates: the stats agree
+    /// bit for bit. Every artifact but DES, whose S-boxes index by data,
+    /// is priced.
+    #[test]
+    fn every_suite_launch_prices_as_it_runs() {
+        for b in streambench::suite() {
+            let graph = b.spec.flatten().unwrap();
+            let c = compile(&graph, &CompileOptions::small_test()).unwrap();
+            let schemes = [
+                Scheme::Swp { coarsening: 1 },
+                Scheme::SwpNc { coarsening: 1 },
+                Scheme::Serial { batch: 1 },
+            ];
+            for scheme in schemes {
+                let ctx = format!("{} under {scheme:?}", b.name);
+                let p = Prepared::new(&c, scheme).unwrap();
+                assert_eq!(p.priced(), b.name != "DES", "{ctx}");
+                let iters = c.schedule.max_stage() + 2;
+                let input = (b.input)(required_input(&c, iters) as usize);
+                let mut gpu = Gpu::with_timing(c.device.clone(), c.timing.clone());
+                let buffers =
+                    codegen::allocate(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, p.plan(), iters)
+                        .unwrap();
+                let init = (p.init_plan(&c)).run(&c.graph, |v| &p.nodes[v].kernel, &input);
+                buffers.seed_init_state(&mut gpu, &c.ig, init.unwrap());
+                buffers.write_input(&mut gpu, &input);
+                for r in 0..p.launch_count(&c, iters) {
+                    let launch = p.launch(&c, &buffers, r, iters, 0);
+                    let ran = gpu.run(&launch).expect(&ctx);
+                    let priced = gpu.price_dispatched(&launch, Dispatch::HostLaunch);
+                    assert!(identical(&priced.expect(&ctx), &ran), "{ctx}, launch {r}");
+                }
+            }
+        }
+    }
+
+    /// A watchdog budget below a launch's instructions kills a priced
+    /// measurement as it kills execution: the launch runs, and the
+    /// simulator's own timeout gives up after the same retries.
+    #[test]
+    fn a_tiny_watchdog_budget_kills_a_priced_measurement_like_a_run() {
+        let (mut c, input, iters) = compiled_three_stage();
+        let scheme = Scheme::Swp { coarsening: 1 };
+        assert!(Prepared::new(&c, scheme).unwrap().priced());
+        // The budget is the instructions the clock issues in the
+        // watchdog interval: a slow enough clock leaves a handful.
+        c.timing.clock_hz = 4.0;
+        let budget = c.timing.watchdog_budget_insts();
+        assert!(budget > 0 && budget < 8, "{budget}");
+        let killed = execute(&c, scheme, iters, &input).unwrap_err();
+        assert!(
+            killed
+                .to_string()
+                .contains(&format!("instruction budget of {budget}")),
+            "{killed}"
+        );
+        assert_eq!(measure(&c, scheme, iters, &input).unwrap_err(), killed);
     }
 }

@@ -236,6 +236,11 @@ pub(super) struct Sequencer<'g, B> {
     totals: LaunchStats,
     retries: u64,
     trace: Vec<f64>,
+    /// Price launches from the kernels' walks where that is exact
+    /// ([`Gpu::price_dispatched`]) instead of running them: set for
+    /// scaled measurements of value-oblivious artifacts, which read no
+    /// output.
+    pub(super) priced: bool,
 }
 
 impl<'g, 'p, B: Fn(u64) -> (Launch<'p>, Dispatch)> Sequencer<'g, B> {
@@ -261,6 +266,7 @@ impl<'g, 'p, B: Fn(u64) -> (Launch<'p>, Dispatch)> Sequencer<'g, B> {
             totals,
             retries: 0,
             trace: Vec::new(),
+            priced: false,
         }
     }
 
@@ -330,7 +336,12 @@ impl<'g, 'p, B: Fn(u64) -> (Launch<'p>, Dispatch)> Sequencer<'g, B> {
         bill: &mut Recovery,
     ) -> Result<Option<LaunchStats>> {
         let (launch, dispatch) = (self.build)(ordinal);
-        match self.gpu.run_dispatched(&launch, dispatch) {
+        let result = if self.priced {
+            self.gpu.price_dispatched(&launch, dispatch)
+        } else {
+            self.gpu.run_dispatched(&launch, dispatch)
+        };
+        match result {
             Ok(stats) => {
                 // A replay repeats a launch the tuner has already seen. It
                 // is no new evidence, and re-tightening on it would take

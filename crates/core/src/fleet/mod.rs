@@ -216,7 +216,7 @@ pub struct FleetEngine {
     pub(crate) trace: Vec<TraceEvent>,
     /// One record per dispatched job of every run, in admission order.
     ledger: Vec<Record>,
-    /// Every tenant's name, shared by its records.
+    /// Every tenant's name, shared by its records and queued events.
     names: HashSet<Arc<str>>,
     /// Jobs settled so far: the next ledger service's `seq`.
     settles: u64,
@@ -495,10 +495,11 @@ impl FleetEngine {
 
     /// Queues `kind` under the next sequence number.
     fn schedule(&mut self, time: f64, device: u32, tenant: &str, kind: EvKind) {
+        let tenant = self.name(tenant);
         self.heap.push(Ev {
             time,
             device,
-            tenant: tenant.to_string(),
+            tenant,
             seq: self.next_seq,
             kind,
         });
@@ -508,7 +509,7 @@ impl FleetEngine {
     fn log(&mut self, ev: &Ev, kind: EventKind, detail: String) {
         self.trace.push(TraceEvent {
             time_secs: ev.time,
-            tenant: ev.tenant.clone(),
+            tenant: ev.tenant.to_string(),
             seq: ev.seq,
             kind,
             detail,
@@ -719,14 +720,19 @@ impl FleetEngine {
             .collect()
     }
 
+    /// The one shared copy of `tenant`'s name.
+    fn name(&mut self, tenant: &str) -> Arc<str> {
+        if let Some(name) = self.names.get(tenant) {
+            return Arc::clone(name);
+        }
+        let name: Arc<str> = tenant.into();
+        self.names.insert(Arc::clone(&name));
+        name
+    }
+
     /// Appends a ledger record of job `job` and returns its entry.
     fn record(&mut self, tenant: &str, job: usize, device: u32, arrival: f64, fate: Fate) -> usize {
-        let tenant: Arc<str> = self
-            .names
-            .get(tenant)
-            .cloned()
-            .unwrap_or_else(|| tenant.into());
-        self.names.insert(Arc::clone(&tenant));
+        let tenant = self.name(tenant);
         self.ledger.push(Record {
             tenant,
             job,

@@ -4,8 +4,12 @@
 //! simulated GPU at each `(register limit, thread count)` grid point,
 //! against synthetic channel buffers laid out exactly as the final code
 //! will lay them out. The register limit enters only the launch's
-//! feasibility check and the spill bill, so one functional run per
-//! thread count prices every limit ([`gpusim::Gpu::price_reg_limits`]).
+//! feasibility check and the spill bill, so one walk or functional run
+//! per thread count prices every limit
+//! ([`gpusim::Gpu::price_reg_limits`]): a value-oblivious kernel
+//! ([`Kernel::value_oblivious`]) is priced from its abstract walk, any
+//! other runs over synthetic tokens. A row is a function of the node's
+//! work function alone, so nodes that share one share its row.
 //! Infeasible points (register file exhausted) are recorded as such;
 //! feasible points record the per-instance execution time the ILP will
 //! use as `d(v)`.
@@ -131,9 +135,11 @@ pub fn synthetic_token(ty: ElemTy, i: u64) -> Scalar {
 }
 
 /// Profiles every node of `graph` over the grid (the paper's Figure 6
-/// loop). When a grid point simulates more than one warp, nodes are
-/// profiled side by side on the host's cores ([`crate::par::map`]); the
-/// table does not depend on how many.
+/// loop). The first node of each distinct work function is priced, and
+/// later nodes with an equal work function share its row. When a grid
+/// point simulates more than one warp, those nodes are profiled side by
+/// side on the host's cores ([`crate::par::map`]); the table does not
+/// depend on how many.
 ///
 /// # Errors
 ///
@@ -164,12 +170,26 @@ pub(crate) fn profile_on(
     device: &DeviceConfig,
     timing: &TimingModel,
 ) -> Result<ProfileTable> {
-    let nodes: Vec<NodeId> = (0..graph.len() as u32).map(NodeId).collect();
-    let times = par::map_on(workers, &nodes, |&node| {
+    // Each node's row is the row of the first node with its work function,
+    // a node of `firsts`; a failing row therefore names the first node
+    // that fails.
+    let mut firsts: Vec<NodeId> = Vec::new();
+    let row_of: Vec<usize> = (graph.nodes().iter())
+        .enumerate()
+        .map(|(v, node)| {
+            let first = firsts.iter().position(|f| graph.node(*f).work == node.work);
+            first.unwrap_or_else(|| {
+                firsts.push(NodeId(v as u32));
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    let rows = par::map_on(workers, &firsts, |&node| {
         profile_node(graph, node, opts, device, timing)
     })
     .into_iter()
-    .collect::<Result<_>>()?;
+    .collect::<Result<Vec<_>>>()?;
+    let times = row_of.into_iter().map(|r| rows[r].clone()).collect();
     Ok(ProfileTable {
         reg_limits: opts.reg_limits.clone(),
         thread_counts: opts.thread_counts.clone(),
@@ -233,7 +253,9 @@ fn while_profiling(e: gpusim::SimError, name: &str, regs: u32, threads: u32) -> 
 
 /// A fresh device holding exactly one instance of `kernel` at `threads`
 /// threads over synthetic input, and the launch that fires it. The
-/// launch's register limit is left at 0 for the caller to price.
+/// launch's register limit is left at 0 for the caller to price. A
+/// value-oblivious kernel is priced without reading a token, so its
+/// buffers are left zero.
 fn instance_on_device<'k>(
     kernel: &'k Kernel,
     threads: u32,
@@ -278,10 +300,12 @@ fn instance_on_device<'k>(
             endpoint_rate: pop,
             abs_start: 0,
         };
-        for i in 0..u64::from(tokens) {
-            let slot = binding.layout.slot(i, pop.max(1), u64::from(tokens));
-            gpu.memory_mut()
-                .write_token(base + slot as u32, synthetic_token(ty, i));
+        if !kernel.value_oblivious() {
+            for i in 0..u64::from(tokens) {
+                let slot = binding.layout.slot(i, pop.max(1), u64::from(tokens));
+                gpu.memory_mut()
+                    .write_token(base + slot as u32, synthetic_token(ty, i));
+            }
         }
         inputs.push(binding);
     }
@@ -305,8 +329,10 @@ fn instance_on_device<'k>(
     let active = if work.is_stateful() { 1 } else { threads };
     let state_base = if work.is_stateful() {
         let base = gpu.try_alloc_tokens(state_words)?;
-        for (i, st) in work.states().iter().enumerate() {
-            gpu.memory_mut().write_token(base + i as u32, st.init);
+        if !kernel.value_oblivious() {
+            for (i, st) in work.states().iter().enumerate() {
+                gpu.memory_mut().write_token(base + i as u32, st.init);
+            }
         }
         Some(base)
     } else {
@@ -555,5 +581,31 @@ mod tests {
                 Scalar::I32(_) => unreachable!(),
             }
         }
+    }
+
+    /// `a -> b -> c -> d` where `a`, `b` and `d` share one work function:
+    /// they share one row, and the table is still the per-point loop's.
+    /// (The trapping graph's two dividers share one too, and its trap
+    /// still names the first.)
+    #[test]
+    fn nodes_with_one_work_function_share_its_row() {
+        let stage = |name: &str, terms: i32| {
+            let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+            let x = f.local(ElemTy::I32);
+            f.pop_into(0, x);
+            let sum = (1..terms).fold(Expr::local(x), |e, k| e.add(Expr::i32(k)));
+            f.push(0, sum);
+            StreamSpec::filter(FilterSpec::new(name, f.build().unwrap()))
+        };
+        let stages = vec![stage("a", 1), stage("b", 1), stage("c", 9), stage("d", 1)];
+        let g = StreamSpec::pipeline(stages).flatten().unwrap();
+        let c = crate::harness::HarnessOptions::paper_scaled().compile;
+        let table = profile(&g, &c.profile, &c.device, &c.timing).unwrap();
+        let expected = oracle(&g, &c.profile, &c.device, &c.timing).unwrap();
+        assert_eq!(bits(&table), bits(&expected));
+        let rows = bits(&table);
+        assert_eq!(rows[0], rows[1]);
+        assert_eq!(rows[0], rows[3]);
+        assert_ne!(rows[0], rows[2]);
     }
 }

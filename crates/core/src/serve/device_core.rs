@@ -68,7 +68,12 @@ impl DeviceCore {
 
     /// Moves the tenant's busy horizon here to `until`.
     pub(crate) fn occupy(&mut self, tenant: &str, until: f64) {
-        self.busy_until.insert(tenant.to_string(), until);
+        match self.busy_until.get_mut(tenant) {
+            Some(horizon) => *horizon = until,
+            None => {
+                self.busy_until.insert(tenant.to_string(), until);
+            }
+        }
     }
 
     /// Executes one job admitted at `placed` and settles it: the service

@@ -8,6 +8,7 @@
 //! which degenerates the key to `(time, tenant, seq)`.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// One queued event. `kind` is the loop's payload; it takes no part in
 /// ordering *or* equality — two events are equal exactly when
@@ -16,7 +17,8 @@ use std::cmp::Ordering;
 pub(crate) struct Event<K> {
     pub(crate) time: f64,
     pub(crate) device: u32,
-    pub(crate) tenant: String,
+    /// Shared with the loop's ledger: queueing an event copies no name.
+    pub(crate) tenant: Arc<str>,
     pub(crate) seq: u64,
     pub(crate) kind: K,
 }

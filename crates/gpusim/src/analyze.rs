@@ -21,13 +21,23 @@
 //! nothing. It has no masks, no traps and no watchdog, so it is a separate
 //! walk over shared data rather than a generic interpreter both would
 //! branch inside.
+//!
+//! A kernel whose walk meets none of those departures — no varying `if`
+//! condition, peek depth, divisor, array or table index, and no reached
+//! [`DStmt::Invalid`] — is *value-oblivious*: no input can make it trap,
+//! diverge or move an access, so its walk is exact, and the same for
+//! every warp of every instance up to the addresses of its channel
+//! accesses. A [`Kernel`] records that walk once as a [`Tape`], and
+//! [`Tape::price`] bills an instance from it without executing a lane.
 
-use streamir::ir::AccessKind;
+use streamir::ir::{AccessKind, ElemTy};
 
 use crate::config::DeviceConfig;
 use crate::exec::{binary, int_div, stale_peeks, unary, DExpr, DStmt, Op, Program, Src};
-use crate::launch::{staging_steps, InstanceExec};
-use crate::layout::{BufferBinding, WarpAccess, WarpGeometry};
+use crate::launch::{bill_staging, staging_steps, InstanceExec, Kernel};
+use crate::layout::{BufferBinding, Layout, WarpAccess, WarpGeometry, WARP_LANES};
+use crate::mem::{bank_conflict_degree, count_transactions};
+use crate::stats::InstanceStats;
 
 /// An abstract register: `Some(bits)` when every lane of the warp holds
 /// the same bits, `None` when they may differ.
@@ -103,6 +113,10 @@ pub trait AccessSink {
     /// covering the window in and the pushes out. Called once per staged
     /// instance, after all its warps.
     fn staging_copy(&mut self, inst: &InstanceExec<'_>, steps: u64);
+    /// `slots` issue slots of expressions and statements, besides the
+    /// one each channel access and each stale peek slot takes. Ignored
+    /// unless the sink counts instructions.
+    fn issue(&mut self, _slots: u64) {}
 }
 
 /// One warp's abstract state, reused from warp to warp.
@@ -117,6 +131,8 @@ struct Walk<'a, S> {
     outs: Vec<(WarpGeometry, u64)>,
     /// The warp's peek-slot high-water mark ([`stale_peeks`]).
     peek_slots: u32,
+    /// No value-dependent departure from execution has been met.
+    oblivious: bool,
     sink: &'a mut S,
 }
 
@@ -124,7 +140,15 @@ impl InstanceExec<'_> {
     /// Walks every warp of this instance abstractly into `sink`, then the
     /// staging copy the simulator bills a staged instance.
     pub fn analyze(&self, device: &DeviceConfig, sink: &mut impl AccessSink) {
-        let (warp, prog) = (device.warp_size, &self.kernel.program);
+        let txn_words = u64::from(device.transaction_words());
+        self.walk(device.warp_size, txn_words, sink);
+    }
+
+    /// [`InstanceExec::analyze`] on a device of `warp` lanes and
+    /// `txn_words`-word transactions. Returns whether the walk was
+    /// value-oblivious.
+    fn walk(&self, warp: u32, txn_words: u64, sink: &mut impl AccessSink) -> bool {
+        let prog = &self.kernel.program;
         let ports =
             |bindings: &[BufferBinding]| bindings.iter().map(|b| (b.geometry(0), 0)).collect();
         let mut walk = Walk {
@@ -133,7 +157,7 @@ impl InstanceExec<'_> {
                 lane0: 0,
                 active: 0,
                 half_warp: warp / 2,
-                txn_words: u64::from(device.transaction_words()),
+                txn_words,
             },
             prog,
             regs: Vec::new(),
@@ -141,6 +165,7 @@ impl InstanceExec<'_> {
             ins: ports(&self.inputs),
             outs: ports(&self.outputs),
             peek_slots: 0,
+            oblivious: true,
             sink,
         };
         for lane0 in (0..self.active_threads).step_by(warp as usize) {
@@ -155,6 +180,7 @@ impl InstanceExec<'_> {
         if self.shared_staging {
             walk.sink.staging_copy(self, staging_steps(self, warp));
         }
+        walk.oblivious
     }
 }
 
@@ -192,9 +218,11 @@ impl<S: AccessSink> Walk<'_, S> {
         self.sink.channel(&self.warp, &access);
     }
 
-    /// Evaluates `e`: its ops' events in order, then the stale peek slots.
+    /// Evaluates `e`: its issue slots, its ops' events in order, then the
+    /// stale peek slots.
     fn eval(&mut self, e: &DExpr) -> AbsVal {
         let prog = self.prog;
+        self.sink.issue(e.issue);
         for op in &prog.ops[e.ops.start as usize..e.ops.end as usize] {
             self.op(op);
         }
@@ -219,6 +247,14 @@ impl<S: AccessSink> Walk<'_, S> {
         Some((self.value(a)?, self.value(b)?))
     }
 
+    /// The index `r` holds if it is one constant below `len`; otherwise
+    /// the access may trap, and the walk is no longer value-oblivious.
+    fn row(&mut self, r: AbsVal, len: usize) -> Option<usize> {
+        let row = index(r).filter(|&i| i < len);
+        self.oblivious &= row.is_some();
+        row
+    }
+
     fn op(&mut self, op: &Op) {
         let (dst, v) = match *op {
             Op::Const { dst, bits } => (dst, Some(bits)),
@@ -238,10 +274,14 @@ impl<S: AccessSink> Walk<'_, S> {
                     lane[0][0]
                 }),
             ),
-            Op::DivRem { op, dst, a, b } => (
-                dst,
-                self.consts(a, b).and_then(|(x, y)| int_div(op, x, y).ok()),
-            ),
+            Op::DivRem { op, dst, a, b } => {
+                // Only a zero divisor traps.
+                self.oblivious &= self.value(b).is_some_and(|y| y != 0);
+                (
+                    dst,
+                    self.consts(a, b).and_then(|(x, y)| int_div(op, x, y).ok()),
+                )
+            }
             Op::Peek {
                 dst,
                 port,
@@ -250,7 +290,10 @@ impl<S: AccessSink> Walk<'_, S> {
             } => {
                 match index(self.regs[depth as usize]) {
                     Some(d) => self.channel(AccessKind::Peek, port, site, d as u64),
-                    None => self.sink.varying_depth(&self.warp, site),
+                    None => {
+                        self.oblivious = false;
+                        self.sink.varying_depth(&self.warp, site);
+                    }
                 }
                 (dst, None)
             }
@@ -262,7 +305,7 @@ impl<S: AccessSink> Walk<'_, S> {
                 if self.prog.arrays_in_local_memory {
                     self.sink.local_array();
                 }
-                let row = index(self.regs[i as usize]).filter(|&i| i < rows.len());
+                let row = self.row(self.regs[i as usize], rows.len());
                 (dst, row.and_then(|i| self.arrays[rows.start as usize + i]))
             }
             Op::LoadTable {
@@ -271,10 +314,8 @@ impl<S: AccessSink> Walk<'_, S> {
                 index: i,
             } => {
                 let table = &self.prog.table_words[words.start as usize..words.end as usize];
-                (
-                    dst,
-                    index(self.regs[i as usize]).and_then(|i| table.get(i).copied()),
-                )
+                let row = self.row(self.regs[i as usize], table.len());
+                (dst, row.map(|i| table[i]))
             }
             Op::LoadState { dst, .. } => {
                 self.sink.state();
@@ -292,9 +333,13 @@ impl<S: AccessSink> Walk<'_, S> {
 
     fn stmt(&mut self, s: &DStmt) {
         match s {
-            DStmt::Assign { dst, value } => self.regs[*dst as usize] = self.eval(value),
+            DStmt::Assign { dst, value } => {
+                self.regs[*dst as usize] = self.eval(value);
+                self.sink.issue(1);
+            }
             DStmt::StoreState { value, .. } => {
                 self.eval(value);
+                self.sink.issue(1);
                 self.sink.state();
             }
             DStmt::Store {
@@ -302,19 +347,22 @@ impl<S: AccessSink> Walk<'_, S> {
                 index: i,
                 value,
             } => {
-                let i = index(self.eval(i));
+                let i = self.eval(i);
                 let v = self.eval(value);
+                self.sink.issue(1);
                 if self.prog.arrays_in_local_memory {
                     self.sink.local_array();
                 }
+                let row = self.row(i, rows.len());
                 let cells = &mut self.arrays[rows.start as usize..rows.end as usize];
-                match i.filter(|&i| i < cells.len()) {
+                match row {
                     Some(i) => cells[i] = v,
                     // Unknown index: a weak update, every cell may change.
                     None => cells.fill(None),
                 }
             }
             DStmt::Pop { port, dst, site } => {
+                self.sink.issue(1); // address arithmetic
                 self.channel(AccessKind::Pop, *port, *site, 0);
                 self.ins[usize::from(*port)].1 += 1;
                 if let Some(dst) = dst {
@@ -323,11 +371,13 @@ impl<S: AccessSink> Walk<'_, S> {
             }
             DStmt::Push { port, value, site } => {
                 self.eval(value);
+                self.sink.issue(1);
                 self.channel(AccessKind::Push, *port, *site, 0);
                 self.outs[usize::from(*port)].1 += 1;
             }
             DStmt::For { var, lo, hi, body } => {
                 for i in *lo..*hi {
+                    self.sink.issue(1); // induction update + branch
                     self.regs[*var as usize] = Some(i as u32);
                     self.block(body);
                 }
@@ -336,17 +386,161 @@ impl<S: AccessSink> Walk<'_, S> {
                 cond,
                 then_body,
                 else_body,
-            } => match self.eval(cond) {
-                Some(c) => self.block(if c != 0 { then_body } else { else_body }),
-                None => {
-                    self.sink.varying_branch();
-                    self.block(then_body);
-                    self.block(else_body);
+            } => {
+                let c = self.eval(cond);
+                self.sink.issue(1); // the branch itself
+                match c {
+                    Some(c) => self.block(if c != 0 { then_body } else { else_body }),
+                    None => {
+                        self.oblivious = false;
+                        self.sink.varying_branch();
+                        self.block(then_body);
+                        self.block(else_body);
+                    }
                 }
-            },
+            }
             // The simulator traps here: no access to report.
-            DStmt::Invalid(_) => {}
+            DStmt::Invalid(_) => self.oblivious = false,
         }
+    }
+}
+
+/// The walk of one warp of a value-oblivious kernel, recorded once per
+/// loaded kernel: what every warp of every instance of it bills,
+/// up to the addresses of its channel accesses, which the instance's
+/// bindings place.
+#[derive(Debug, Default)]
+pub(crate) struct Tape {
+    /// Every channel access in walk order: what it does, its port and the
+    /// token position every lane has reached.
+    channels: Vec<(AccessKind, u8, u64)>,
+    /// Issue slots besides the channel accesses' and stale slots' own.
+    issue: u64,
+    /// Stale peek slots ([`stale_peeks`]).
+    stale: u64,
+    /// State-word accesses, and local-memory array accesses.
+    state: u64,
+    local_array: u64,
+}
+
+impl AccessSink for Tape {
+    fn channel(&mut self, _: &AbstractWarp<'_>, access: &Channel<'_>) {
+        self.channels.push((access.kind, access.port, access.pos));
+    }
+    fn stale_peeks(&mut self, _: &AbstractWarp<'_>, n: u32) {
+        self.stale += u64::from(n);
+    }
+    fn state(&mut self) {
+        self.state += 1;
+    }
+    fn local_array(&mut self) {
+        self.local_array += 1;
+    }
+    // A walk that meets these is not value-oblivious and is discarded.
+    fn varying_depth(&mut self, _: &AbstractWarp<'_>, _: u32) {}
+    fn varying_branch(&mut self) {}
+    // The copy is billed per instance ([`Tape::price`]).
+    fn staging_copy(&mut self, _: &InstanceExec<'_>, _: u64) {}
+    fn issue(&mut self, slots: u64) {
+        self.issue += slots;
+    }
+}
+
+impl Tape {
+    /// The walk of one warp of `kernel`, if the kernel is
+    /// value-oblivious. One lane over placeholder bindings stands for
+    /// every instance: no value in the walk depends on an address or a
+    /// lane.
+    pub(crate) fn record(kernel: &Kernel) -> Option<Tape> {
+        let work = kernel.work();
+        let ports = |n: usize| {
+            let any = BufferBinding::whole(0, 1, ElemTy::I32, Layout::Sequential, 1);
+            vec![any; n]
+        };
+        let one_lane = InstanceExec {
+            kernel,
+            active_threads: 1,
+            inputs: ports(work.input_ports().len()),
+            outputs: ports(work.output_ports().len()),
+            shared_staging: false,
+            state_base: Some(0),
+            label: None,
+        };
+        // The tape resolves no address, so no transaction size matters.
+        let mut tape = Tape::default();
+        one_lane
+            .walk(WARP_LANES as u32, 1, &mut tape)
+            .then_some(tape)
+    }
+
+    /// What the simulator bills `inst`, an instance of the recorded
+    /// kernel, before the spill bill ([`crate::Gpu::run`]'s counters), on
+    /// a device of `warp` lanes, `txn_words`-word transactions and
+    /// `mem_words` words of memory. `None` when an access may leave device
+    /// memory, which only the simulator reports exactly. `access` is
+    /// scratch space.
+    pub(crate) fn price(
+        &self,
+        inst: &InstanceExec<'_>,
+        (warp, txn_words): (u32, u64),
+        mem_words: u64,
+        access: &mut WarpAccess,
+    ) -> Option<InstanceStats> {
+        let warps = inst.active_threads.div_ceil(warp);
+        let mut stats = InstanceStats {
+            warps,
+            ..InstanceStats::default()
+        };
+        let geometry = |bindings: &[BufferBinding]| -> Vec<WarpGeometry> {
+            bindings.iter().map(|b| b.geometry(0)).collect()
+        };
+        let (mut ins, mut outs) = (geometry(&inst.inputs), geometry(&inst.outputs));
+        for lane0 in (0..inst.active_threads).step_by(warp as usize) {
+            if lane0 > 0 {
+                for g in ins.iter_mut().chain(&mut outs) {
+                    g.next_warp(warp);
+                }
+            }
+            let mask = u32::MAX >> (32 - warp.min(inst.active_threads - lane0));
+            for &(kind, port, pos) in &self.channels {
+                let ports = if kind == AccessKind::Push {
+                    &outs
+                } else {
+                    &ins
+                };
+                ports[usize::from(port)].access(pos, mask, access);
+                // A run's addresses never descend: its last is its highest.
+                if access.iter().any(|run| run.last_addr() >= mem_words) {
+                    return None;
+                }
+                if inst.shared_staging {
+                    stats.bank_conflict_passes += bank_conflict_degree(access);
+                } else {
+                    stats.mem_transactions += count_transactions(access, warp / 2, txn_words);
+                }
+            }
+        }
+        if self.state > 0 {
+            let states = inst.kernel.work().states().len() as u64;
+            if u64::from(inst.state_base?) + states > mem_words {
+                return None;
+            }
+        }
+        let per_warp = |n: u64| n * u64::from(warps);
+        // Each channel access and stale slot is one access instruction.
+        let routed = per_warp(self.channels.len() as u64 + self.stale);
+        stats.warp_instructions = per_warp(self.issue) + routed;
+        if inst.shared_staging {
+            stats.shared_accesses = routed;
+        } else {
+            stats.mem_access_insts = routed;
+        }
+        stats.mem_access_insts += per_warp(self.state + self.local_array);
+        stats.mem_transactions += per_warp(self.state + 2 * self.local_array);
+        if inst.shared_staging {
+            bill_staging(&mut stats, staging_steps(inst, warp));
+        }
+        Some(stats)
     }
 }
 

@@ -239,7 +239,7 @@ pub(crate) struct DExpr {
     pub(crate) out: Reg,
     /// Issue slots of every node (literals, ALU and SFU ops, index and
     /// address arithmetic, state and local-array accesses).
-    issue: u64,
+    pub(crate) issue: u64,
     /// Device access instructions of state loads and local-memory arrays.
     access_insts: u64,
     /// Their transactions (one line per state load, two per array access).

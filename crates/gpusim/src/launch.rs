@@ -1,11 +1,14 @@
 //! Kernel launches and the top-level [`Gpu`] handle.
 
+use std::sync::OnceLock;
+
 use streamir::ir::{access_sites, AccessSite, WorkFunction};
 
+use crate::analyze::Tape;
 use crate::config::DeviceConfig;
 use crate::exec::{run_warp, ExecLimits, Program, TripKind, WarpCtx, WarpState};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::layout::{BufferBinding, WARP_LANES};
+use crate::layout::{BufferBinding, WarpAccess, WARP_LANES};
 use crate::mem::{Allocator, DeviceMemory};
 use crate::stats::{InstanceStats, LaunchStats};
 use crate::timing::TimingModel;
@@ -20,6 +23,10 @@ pub struct Kernel {
     work: WorkFunction,
     pub(crate) program: Program,
     sites: Vec<AccessSite>,
+    /// One warp's abstract walk, when the kernel is value-oblivious:
+    /// walked on first use, which a kernel that only ever runs never
+    /// pays for.
+    tape: OnceLock<Option<Tape>>,
 }
 
 impl Kernel {
@@ -30,7 +37,23 @@ impl Kernel {
             program: Program::decode(work),
             sites: access_sites(work),
             work: work.clone(),
+            tape: OnceLock::new(),
         }
+    }
+
+    /// Whether no input can make the kernel trap, diverge or move an
+    /// access: its abstract walk meets no varying `if` condition, peek
+    /// depth, divisor, array or table index, and reaches no undecodable
+    /// statement. A launch of such kernels is priced from the walk
+    /// ([`Gpu::price_dispatched`]) instead of run. Decided by one walk,
+    /// the first time it is asked.
+    #[must_use]
+    pub fn value_oblivious(&self) -> bool {
+        self.tape().is_some()
+    }
+
+    fn tape(&self) -> Option<&Tape> {
+        self.tape.get_or_init(|| Tape::record(self)).as_ref()
     }
 
     /// The work function this kernel fires.
@@ -101,6 +124,105 @@ pub struct Launch<'a> {
     /// is the slowest SM — so a sliced run models identically to a solo
     /// run on a `k`-SM device.
     pub sm_offset: u32,
+}
+
+impl<'k> Launch<'k> {
+    /// Every instance with the SM it runs on on a device of `num_sms` SMs,
+    /// blocks in order and each block's items in order: the order a launch
+    /// is billed in.
+    fn instances(&self, num_sms: u32) -> impl Iterator<Item = (usize, &InstanceExec<'k>)> {
+        (self.blocks.iter().enumerate()).flat_map(move |(b, block)| {
+            let sm = (b + self.sm_offset as usize) % num_sms as usize;
+            block.items.iter().map(move |inst| (sm, inst))
+        })
+    }
+}
+
+/// Each instance of a launch with its SM and its counters before the
+/// spill bill, in [`Launch::instances`] order.
+type Bases<'l, 'k> = Vec<(usize, &'l InstanceExec<'k>, InstanceStats)>;
+
+/// A launch's stats, built from its instances' counters before the spill
+/// bill as they arrive in [`Launch::instances`] order, whether run or
+/// priced: the same `f64` additions in the same order, so both bill
+/// bit-identical cycles.
+struct Bill {
+    regs_per_thread: u32,
+    per_sm: Vec<f64>,
+    totals: LaunchStats,
+    transactions: u64,
+}
+
+impl Bill {
+    fn open(num_sms: u32, regs_per_thread: u32) -> Bill {
+        Bill {
+            regs_per_thread,
+            per_sm: vec![0.0; num_sms as usize],
+            totals: LaunchStats {
+                launches: 1,
+                ..LaunchStats::default()
+            },
+            transactions: 0,
+        }
+    }
+
+    /// Bills `inst`'s spills at the launch's register limit and adds its
+    /// cycles to SM `sm`.
+    fn add(
+        &mut self,
+        timing: &TimingModel,
+        sm: usize,
+        inst: &InstanceExec<'_>,
+        base: InstanceStats,
+    ) {
+        let stats = bill_spills(base, inst, self.regs_per_thread);
+        self.per_sm[sm] += timing.instance_cycles(&stats);
+        self.transactions += stats.mem_transactions + stats.spill_transactions;
+        let totals = &mut self.totals;
+        totals.warp_instructions += stats.warp_instructions;
+        totals.mem_access_insts += stats.mem_access_insts;
+        totals.mem_transactions += stats.mem_transactions;
+        totals.shared_accesses += stats.shared_accesses;
+        totals.bank_conflict_passes += stats.bank_conflict_passes;
+        totals.divergent_branches += stats.divergent_branches;
+        totals.spill_transactions += stats.spill_transactions;
+    }
+
+    /// The launch bound and the path `dispatch` takes, its overhead scaled
+    /// by `spike_factor`.
+    fn close(
+        self,
+        timing: &TimingModel,
+        launch: &Launch<'_>,
+        dispatch: Dispatch,
+        spike_factor: f64,
+    ) -> LaunchStats {
+        let (per_sm, mut totals) = (self.per_sm, self.totals);
+        // An overhead spike multiplies whichever launch path this
+        // dispatch actually took: a spiked replay burns extra doorbell
+        // cycles, not the driver path it never walked.
+        let blocks = launch.blocks.len() as u64;
+        let (cycles, path_overhead) = match dispatch {
+            Dispatch::HostLaunch => (
+                timing.launch_cycles(&per_sm, self.transactions, blocks),
+                timing.launch_overhead_cycles,
+            ),
+            Dispatch::GraphReplay => {
+                totals.graph_replays = 1;
+                (
+                    timing.replay_cycles(&per_sm, self.transactions, blocks),
+                    timing.graph_replay_overhead_cycles,
+                )
+            }
+        };
+        totals.launch_path_cycles = path_overhead;
+        totals.fault_overhead_cycles = (spike_factor - 1.0) * path_overhead;
+        totals.spike_cycles = totals.fault_overhead_cycles;
+        totals.per_sm_cycles = per_sm;
+        totals.cycles = cycles + totals.fault_overhead_cycles;
+        totals.time_secs = timing.secs(totals.cycles);
+        totals
+    }
 }
 
 /// How a kernel reaches the device: a host-driven driver launch paying
@@ -324,30 +446,11 @@ impl Gpu {
             _ => {}
         }
 
-        let mut per_sm = vec![0.0f64; self.config.num_sms as usize];
-        let mut totals = LaunchStats {
-            per_sm_cycles: Vec::new(),
-            launches: 1,
-            ..LaunchStats::default()
-        };
-        let mut total_transactions = 0u64;
         let mut warp_state = WarpState::default();
-
-        for (b, block) in launch.blocks.iter().enumerate() {
-            let sm = (b + launch.sm_offset as usize) % self.config.num_sms as usize;
-            for inst in &block.items {
-                let base = self.run_instance(inst, &mut warp_state, &mut limits)?;
-                let stats = bill_spills(base, inst, launch.regs_per_thread);
-                per_sm[sm] += self.timing.instance_cycles(&stats);
-                total_transactions += stats.mem_transactions + stats.spill_transactions;
-                totals.warp_instructions += stats.warp_instructions;
-                totals.mem_access_insts += stats.mem_access_insts;
-                totals.mem_transactions += stats.mem_transactions;
-                totals.shared_accesses += stats.shared_accesses;
-                totals.bank_conflict_passes += stats.bank_conflict_passes;
-                totals.divergent_branches += stats.divergent_branches;
-                totals.spill_transactions += stats.spill_transactions;
-            }
+        let mut bill = Bill::open(self.config.num_sms, launch.regs_per_thread);
+        for (sm, inst) in launch.instances(self.config.num_sms) {
+            let base = self.run_instance(inst, &mut warp_state, &mut limits)?;
+            bill.add(&self.timing, sm, inst, base);
         }
 
         // An armed hang/corruption that the (small) prefix budget did not
@@ -357,46 +460,87 @@ impl Gpu {
             limits.remaining = 0;
             return Err(limits.trip_error());
         }
+        Ok(bill.close(&self.timing, launch, dispatch, spike_factor))
+    }
 
-        // An overhead spike multiplies whichever launch path this
-        // dispatch actually took: a spiked replay burns extra doorbell
-        // cycles, not the driver path it never walked.
-        let (cycles, path_overhead) = match dispatch {
-            Dispatch::HostLaunch => (
-                self.timing
-                    .launch_cycles(&per_sm, total_transactions, launch.blocks.len() as u64),
-                self.timing.launch_overhead_cycles,
-            ),
-            Dispatch::GraphReplay => {
-                totals.graph_replays = 1;
-                (
-                    self.timing.replay_cycles(
-                        &per_sm,
-                        total_transactions,
-                        launch.blocks.len() as u64,
-                    ),
-                    self.timing.graph_replay_overhead_cycles,
-                )
+    /// [`Gpu::run_dispatched`], priced from the kernels' abstract walks
+    /// when that is exact: every kernel of `launch` is
+    /// [value-oblivious](Kernel::value_oblivious), no fault plan is
+    /// installed, every walked address lies in device memory and the
+    /// walked instructions stay under the watchdog budget. Then the stats
+    /// are bit-identical to the run's, device memory is untouched and one
+    /// launch ordinal is consumed; otherwise the launch runs.
+    ///
+    /// Nothing a value-oblivious kernel computes depends on the words it
+    /// reads, so a launch that runs instead reports the same error, or
+    /// the same stats, whatever memory holds.
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`Gpu::run`].
+    pub fn price_dispatched(
+        &mut self,
+        launch: &Launch<'_>,
+        dispatch: Dispatch,
+    ) -> Result<LaunchStats> {
+        if self.fault_plan.is_none() && self.validate(launch, launch.regs_per_thread).is_ok() {
+            if let Some(bases) = self.priced(launch) {
+                self.launches_attempted += 1;
+                let regs = launch.regs_per_thread;
+                return Ok(self.bill(launch, regs, &bases, dispatch));
             }
-        };
-        totals.launch_path_cycles = path_overhead;
-        totals.fault_overhead_cycles = (spike_factor - 1.0) * path_overhead;
-        totals.spike_cycles = totals.fault_overhead_cycles;
-        totals.per_sm_cycles = per_sm;
-        totals.cycles = cycles + totals.fault_overhead_cycles;
-        totals.time_secs = self.timing.secs(totals.cycles);
-        Ok(totals)
+        }
+        self.run_dispatched(launch, dispatch)
+    }
+
+    /// Every instance's counters before the spill bill, priced from its
+    /// kernel's tape ([`Launch::instances`] order), or `None` when that is
+    /// not exact (see [`Gpu::price_dispatched`]). `launch` must validate.
+    fn priced<'l, 'k>(&self, launch: &'l Launch<'k>) -> Option<Bases<'l, 'k>> {
+        let shape = (
+            self.config.warp_size,
+            u64::from(self.config.transaction_words()),
+        );
+        let mem_words = u64::from(self.memory.len());
+        let mut access = WarpAccess::default();
+        let (mut bases, mut issued) = (Vec::new(), 0);
+        for (sm, inst) in launch.instances(self.config.num_sms) {
+            let tape = inst.kernel.tape()?;
+            let base = tape.price(inst, shape, mem_words, &mut access)?;
+            issued += base.warp_instructions;
+            bases.push((sm, inst, base));
+        }
+        // Under the budget the watchdog never trips; at it, it may.
+        (issued < self.watchdog_budget()).then_some(bases)
+    }
+
+    /// The launch's stats from every instance's counters before the spill
+    /// bill ([`Bill`]), at `regs_per_thread`.
+    fn bill(
+        &self,
+        launch: &Launch<'_>,
+        regs_per_thread: u32,
+        bases: &Bases<'_, '_>,
+        dispatch: Dispatch,
+    ) -> LaunchStats {
+        let mut bill = Bill::open(self.config.num_sms, regs_per_thread);
+        for &(sm, inst, base) in bases {
+            bill.add(&self.timing, sm, inst, base);
+        }
+        bill.close(&self.timing, launch, dispatch, 1.0)
     }
 
     /// Prices `launch` at every register limit in `reg_limits` from one
-    /// functional run. Entry `i` is what [`Gpu::run`] reports for the
-    /// launch with `regs_per_thread = reg_limits[i]` (the launch's own
-    /// `regs_per_thread` is ignored): its slowest SM's cycles, `None`
+    /// walk or one functional run. Entry `i` is what [`Gpu::run`] reports
+    /// for the launch with `regs_per_thread = reg_limits[i]` (the launch's
+    /// own `regs_per_thread` is ignored): its slowest SM's cycles, `None`
     /// where that run fails with [`SimError::LaunchConfig`], or the error
     /// it fails with. The limit enters only [`Gpu::run`]'s register-file
-    /// check and the spill bill, so the warps run once, and only if some
-    /// limit is feasible. Like a launch, the run consumes one launch
-    /// ordinal and the watchdog budget; no fault plan is consulted.
+    /// check and the spill bill, so the counters are taken once, and only
+    /// if some limit is feasible: from the kernels' walks when
+    /// [`Gpu::price_dispatched`] would price the launch, else from running
+    /// its warps. Like a launch, that consumes one launch ordinal and the
+    /// watchdog budget; no fault plan is consulted.
     pub fn price_reg_limits(
         &mut self,
         launch: &Launch<'_>,
@@ -406,37 +550,36 @@ impl Gpu {
             .iter()
             .map(|&regs| self.validate(launch, regs))
             .collect();
-        // Every instance's counters before the spill bill, with its SM.
-        let mut runs = Vec::new();
-        let ran = if checks.iter().any(Result::is_ok) {
+        let bases = if checks.iter().any(Result::is_ok) {
             let attempt = self.launches_attempted;
             self.launches_attempted += 1;
-            let mut limits = ExecLimits::new(self.watchdog_budget(), attempt);
-            let mut warp_state = WarpState::default();
-            let mut run = || -> Result<()> {
-                for (b, block) in launch.blocks.iter().enumerate() {
-                    let sm = (b + launch.sm_offset as usize) % self.config.num_sms as usize;
-                    for inst in &block.items {
-                        let base = self.run_instance(inst, &mut warp_state, &mut limits)?;
-                        runs.push((sm, inst, base));
-                    }
+            match self.priced(launch) {
+                Some(bases) => Ok(bases),
+                None => {
+                    let mut limits = ExecLimits::new(self.watchdog_budget(), attempt);
+                    let mut warp_state = WarpState::default();
+                    (launch.instances(self.config.num_sms))
+                        .map(|(sm, inst)| {
+                            Ok((
+                                sm,
+                                inst,
+                                self.run_instance(inst, &mut warp_state, &mut limits)?,
+                            ))
+                        })
+                        .collect()
                 }
-                Ok(())
-            };
-            run()
+            }
         } else {
-            Ok(())
+            Ok(Vec::new())
         };
         checks
             .into_iter()
             .zip(reg_limits)
             .map(|(check, &regs)| {
-                let priced = check.and_then(|()| ran.clone()).map(|()| {
-                    let mut per_sm = vec![0.0f64; self.config.num_sms as usize];
-                    for &(sm, inst, base) in &runs {
-                        per_sm[sm] += self.timing.instance_cycles(&bill_spills(base, inst, regs));
-                    }
-                    per_sm.into_iter().fold(0.0f64, f64::max)
+                let priced = check.and_then(|()| {
+                    let bases = bases.as_ref().map_err(Clone::clone)?;
+                    let stats = self.bill(launch, regs, bases, Dispatch::HostLaunch);
+                    Ok(stats.per_sm_cycles.into_iter().fold(0.0f64, f64::max))
                 });
                 match priced {
                     Ok(cycles) => Ok(Some(cycles)),
@@ -527,12 +670,7 @@ impl Gpu {
         inst.run_warps(mem, (warp, txn_words), warp_state, &mut stats, limits)?;
 
         if inst.shared_staging {
-            // Each warp-wide copy step is one access instruction and two
-            // 64-byte transactions.
-            let steps = staging_steps(inst, warp);
-            stats.warp_instructions += steps;
-            stats.mem_access_insts += steps;
-            stats.mem_transactions += steps * 2;
+            bill_staging(&mut stats, staging_steps(inst, warp));
         }
         Ok(stats)
     }
@@ -612,6 +750,14 @@ fn bill_spills(
         stats.warp_instructions += spill_accesses;
     }
     stats
+}
+
+/// Bills a staged instance's bulk copy of `steps` warp-wide steps: each
+/// is one access instruction and two 64-byte transactions.
+pub(crate) fn bill_staging(stats: &mut InstanceStats, steps: u64) {
+    stats.warp_instructions += steps;
+    stats.mem_access_insts += steps;
+    stats.mem_transactions += steps * 2;
 }
 
 /// Warp-wide steps of a staged instance's coalesced bulk copy: one each
@@ -1224,6 +1370,17 @@ mod tests {
     /// threads over synthetic input, as the profiler lays it out; the
     /// launch's register limit is the caller's to set.
     fn priced_instance(kernel: &Kernel, threads: u32, staged: bool) -> (Gpu, Launch<'_>) {
+        instance_over(kernel, threads, staged, Layout::Transposed { group: 128 })
+    }
+
+    /// One instance of `kernel` at `threads` threads over synthetic input
+    /// laid out by `layout`, on a fresh 2²⁰-word device.
+    fn instance_over(
+        kernel: &Kernel,
+        threads: u32,
+        staged: bool,
+        layout: Layout,
+    ) -> (Gpu, Launch<'_>) {
         let work = kernel.work();
         let stateful = work.is_stateful();
         let active = if stateful { 1 } else { threads };
@@ -1231,7 +1388,6 @@ mod tests {
             device_mem_words: 1 << 20,
             ..DeviceConfig::gts512()
         });
-        let layout = Layout::Transposed { group: 128 };
         let binding = |base, tokens: u32, rate: u32| BufferBinding {
             base_word: base,
             region_tokens: u64::from(tokens),
@@ -1354,5 +1510,153 @@ mod tests {
             }
         }
         assert!(spilled > 0 && infeasible > 0 && stateful > 0 && staged > 0);
+    }
+
+    /// Every suite kernel and a stateful one, priced and run: the stats
+    /// agree in every counter and every bit of their cycles, on both
+    /// layouts, staged and not, over full and partial warps, spilling and
+    /// not, down either dispatch path. A priced launch leaves memory
+    /// alone; only DES's S-boxes, whose table index is data, run.
+    #[test]
+    fn priced_launches_equal_runs_bit_for_bit() {
+        let mut kernels: Vec<Kernel> = streambench::suite()
+            .iter()
+            .flat_map(|b| {
+                let graph = b.spec.flatten().unwrap();
+                (graph.nodes().iter())
+                    .map(|n| Kernel::load(&n.work))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+        let st = f.state(ElemTy::I32, Scalar::I32(5));
+        let x = f.local(ElemTy::I32);
+        f.pop_into(0, x);
+        f.push(0, Expr::state(st).add(Expr::local(x)));
+        f.store_state(st, Expr::state(st).add(Expr::i32(1)));
+        kernels.push(Kernel::load(&f.build().unwrap()));
+
+        let bits = |s: &LaunchStats| {
+            let per_sm: Vec<u64> = s.per_sm_cycles.iter().map(|c| c.to_bits()).collect();
+            (s.cycles.to_bits(), s.time_secs.to_bits(), per_sm)
+        };
+        let mut priced = 0;
+        for kernel in &kernels {
+            for layout in [Layout::Transposed { group: 128 }, Layout::Sequential] {
+                for threads in [16, 48, 128] {
+                    let stage = threads >= 128 && {
+                        let (_, launch) = instance_over(kernel, threads, true, layout);
+                        staging_bytes(&launch.blocks[0].items[0]) <= 16 * 1024
+                    };
+                    for (regs, dispatch) in
+                        [(16, Dispatch::HostLaunch), (64, Dispatch::GraphReplay)]
+                    {
+                        let (mut ran, mut launch) = instance_over(kernel, threads, stage, layout);
+                        launch.regs_per_thread = regs;
+                        let (mut walked, _) = instance_over(kernel, threads, stage, layout);
+                        let image = |gpu: &Gpu| -> Vec<u32> {
+                            let words = u64::from(gpu.allocated_words());
+                            (0..words).map(|a| gpu.memory().read(a).unwrap()).collect()
+                        };
+                        let before = image(&walked);
+                        let expected = ran.run_dispatched(&launch, dispatch).unwrap();
+                        let got = walked.price_dispatched(&launch, dispatch).unwrap();
+                        let ctx = format!("{layout:?}, {threads} threads, {regs} regs");
+                        assert_eq!(got, expected, "{ctx}");
+                        assert_eq!(bits(&got), bits(&expected), "{ctx}");
+                        assert_eq!(walked.launches_attempted(), 1);
+                        if kernel.value_oblivious() {
+                            assert!(image(&walked) == before, "{ctx}: a priced launch wrote");
+                            priced += 1;
+                        }
+                    }
+                }
+            }
+        }
+        let walked: Vec<&Kernel> = kernels.iter().filter(|k| !k.value_oblivious()).collect();
+        assert_eq!(walked.len(), 16, "only DES's 16 S-boxes run");
+        assert!(walked.iter().all(|k| k.work().tables().len() == 1));
+        assert!(priced > 1000, "{priced}");
+    }
+
+    /// A priced launch whose walk leaves device memory, or reaches the
+    /// watchdog budget, reports exactly what the simulator reports.
+    #[test]
+    fn priced_launches_leave_faults_to_the_simulator() {
+        let work = doubler();
+        assert!(work.value_oblivious());
+        let mut gpu = Gpu::new(DeviceConfig::small_test());
+        let n = 64;
+        let inp = gpu.alloc_tokens(n);
+        let words = gpu.memory().len();
+        let launch = simple_launch(&work, inp, words - n / 2, n, Layout::Sequential);
+        let expected = gpu.clone().run(&launch).unwrap_err();
+        assert!(matches!(expected, SimError::BadAddress { .. }));
+        assert_eq!(
+            gpu.price_dispatched(&launch, Dispatch::HostLaunch),
+            Err(expected)
+        );
+
+        let (mut gpu, work, inp, out, n) = faultable_setup();
+        gpu.set_watchdog_budget(Some(2));
+        let launch = simple_launch(&work, inp, out, n, Layout::Sequential);
+        let timeout = SimError::WatchdogTimeout {
+            budget: 2,
+            launch: 0,
+        };
+        assert_eq!(
+            gpu.price_dispatched(&launch, Dispatch::HostLaunch),
+            Err(timeout)
+        );
+        assert_eq!(gpu.launches_attempted(), 1);
+    }
+
+    /// What makes a kernel's walk value-dependent, one kernel each, next
+    /// to the constant-folded form of the same construct.
+    #[test]
+    fn value_dependent_kernels_are_not_oblivious() {
+        let kernel = |build: &dyn Fn(&mut FnBuilder, streamir::ir::LocalId)| {
+            let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+            let x = f.local(ElemTy::I32);
+            f.pop_into(0, x);
+            build(&mut f, x);
+            Kernel::load(&f.build().unwrap())
+        };
+        let x = |x| Expr::local(x);
+        let divide = |d: fn(Expr) -> Expr| {
+            kernel(&move |f, v| {
+                f.push(0, Expr::i32(100).div(d(x(v))));
+            })
+        };
+        assert!(!divide(|v| v).value_oblivious(), "a varying divisor");
+        assert!(divide(|_| Expr::i32(7)).value_oblivious());
+        assert!(
+            !divide(|_| Expr::i32(0)).value_oblivious(),
+            "a zero divisor"
+        );
+
+        let gate = |c: fn(Expr) -> Expr| {
+            kernel(&move |f, v| {
+                let triple = streamir::ir::Stmt::Assign(v, x(v).mul(Expr::i32(3)));
+                f.if_else(c(x(v)), vec![triple], vec![]);
+                f.push(0, x(v));
+            })
+        };
+        assert!(
+            !gate(|v| v.ne(Expr::i32(0))).value_oblivious(),
+            "a varying branch"
+        );
+        assert!(gate(|_| Expr::i32(1).ne(Expr::i32(0))).value_oblivious());
+
+        let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+        let t = f.table(streamir::ir::Table::i32(&[4, 5, 6, 7]));
+        let v = f.local(ElemTy::I32);
+        f.pop_into(0, v);
+        f.push(0, Expr::table(t, x(v).bitand(Expr::i32(3))));
+        f.push(0, Expr::table(t, Expr::i32(2)));
+        assert!(
+            !Kernel::load(&f.build().unwrap()).value_oblivious(),
+            "a varying table index"
+        );
     }
 }

@@ -7,6 +7,7 @@
 //! warp-synchronous interpreter must all agree with the sequential
 //! semantics for every algorithm in the suite.
 
+use gpusim::Kernel;
 use streamir::cpu::{self, CpuCostModel};
 use streamir::ir::Scalar;
 use swpipe::exec::{self, CompileOptions, Scheme};
@@ -131,10 +132,14 @@ fn measure_matches_execute_when_window_covers_run() {
 /// full simulation whenever control flow is data-independent: one launch
 /// loop serves both, so the launch count, every counter and every bit of
 /// the modeled cycles are the same, on the whole suite under every scheme.
+/// Every benchmark but DES is value-oblivious, so its measurement prices
+/// its launches from the abstract walk: priced against simulated.
 #[test]
 fn scaled_measurement_equals_full_simulation() {
     for b in streambench::suite() {
         let graph = b.spec.flatten().unwrap();
+        let oblivious = (graph.nodes().iter()).all(|n| Kernel::load(&n.work).value_oblivious());
+        assert_eq!(oblivious, b.name != "DES", "{} prices its launches", b.name);
         let compiled = exec::compile(&graph, &CompileOptions::small_test()).unwrap();
         let mut schemes = vec![
             Scheme::Swp { coarsening: 1 },

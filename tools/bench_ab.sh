@@ -10,8 +10,11 @@
 # `benchmark --workload <workload> --seconds <seconds> --trace 0`
 # (default 10 s), parent and change, alternating which side goes first.
 # Any further arguments, such as `--seed 424242`, go to both sides.
-# Prints each side's median and quartiles of host_s and setup_s and how
-# many pairs the change won on each.
+# Prints each side's median and quartiles of host_s and setup_s, how
+# many pairs the change won on each, and whether the A/B can decide it:
+# a metric is `unresolved` when either side's IQR exceeds the metric's
+# end-to-end bound in BENCHMARK.json (as a fraction of that side's
+# median), `resolved` otherwise.
 #
 # Each pair also runs both sides once with `--trace 1`, in the same
 # order, and the script prints per operation — each (span, op id) of the
@@ -65,6 +68,12 @@ traced() {
         sed -n 's/^# trace: .* written to //p')
     grep -o '"name":"[^"]*"[^}]*"op":[0-9]*,"phase":"timed","self_us":[0-9.e+-]*' "$path" |
         sed 's/"name":"\([^"]*\)".*"op":\([0-9]*\),"phase":"timed","self_us":\(.*\)/\1 \2 \3/'
+}
+
+# The end-to-end bound of metric $1 in BENCHMARK.json, a fraction.
+bound() {
+    awk -v m="\"$1\"" '/"name":/ { named = index($0, m) > 0 }
+        named && /"bound":/ { gsub(/[^0-9.]/, "", $2); print $2; exit }' "$root/BENCHMARK.json"
 }
 
 # Median and quartiles (linear interpolation between order statistics).
@@ -126,11 +135,20 @@ for workload in ${workloads//,/ }; do
     echo "workload $workload, $pairs pairs, $seconds s, extra args: ${*:-none}"
     for col in 1:host_s 2:setup_s; do
         n=${col%%:*} name=${col#*:}
-        echo "$name parent: $(cut -d' ' -f"$n" "$tmp/parent.txt" | quartiles)"
-        echo "$name change: $(cut -d' ' -f"$n" "$tmp/change.txt" | quartiles)"
+        limit=$(bound "$name") verdict=resolved
+        for side in parent change; do
+            stats=$(cut -d' ' -f"$n" "$tmp/$side.txt" | quartiles)
+            echo "$name $side: $stats"
+            # `median m q1 a q3 b iqr i`: is i / m above the bound?
+            if awk -v s="$stats" -v b="$limit" \
+                'BEGIN { split(s, f, " "); exit !(f[2] > 0 && f[8] / f[2] > b) }'; then
+                verdict=unresolved
+            fi
+        done
         wins=$(paste -d' ' <(cut -d' ' -f"$n" "$tmp/parent.txt") <(cut -d' ' -f"$n" "$tmp/change.txt") |
             awk '$2 < $1 { w++ } END { print w + 0 }')
         echo "$name change wins $wins/$pairs"
+        echo "$name $verdict: each side's IQR against the bound of $limit of its median"
     done
     echo "timed-phase self time per operation, over $pairs traced runs per side:"
     per_op <"$tmp/spans.txt"
