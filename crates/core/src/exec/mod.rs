@@ -14,7 +14,7 @@
 //!   buffers constrained to a single batch in flight.
 
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use gpusim::{
     BlockWork, CheckpointMode, DeviceConfig, Dispatch, FaultPlan, Gpu, InstanceExec, Kernel,
@@ -274,7 +274,7 @@ pub struct RunOptions {
     /// any successful launch has issued, so a hang is killed after a
     /// small multiple of a legitimate launch instead of burning the
     /// full display-watchdog interval
-    /// ([`gpusim::timing::WATCHDOG_SECS`]). A kill that was the
+    /// ([`gpusim::TimingModel::watchdog_budget_insts`]). A kill that was the
     /// tightened budget's own fault — a later launch legitimately
     /// bigger than everything seen so far — self-corrects: every kill
     /// at a tightened budget doubles the armed budget before the retry
@@ -438,7 +438,8 @@ pub(crate) fn check_iterations(c: &Compiled, scheme: Scheme, iterations: u64) ->
 /// What every instance of one node launches with.
 #[derive(Debug)]
 struct NodeLaunch {
-    kernel: Kernel,
+    /// Shared by every node with the same work function.
+    kernel: Arc<Kernel>,
     threads: u32,
     /// The channel behind each input (output) port; `None` is the
     /// graph's external stream.
@@ -498,11 +499,15 @@ impl Prepared {
     pub(crate) fn new(c: &Compiled, scheme: Scheme) -> Result<Prepared> {
         let (granule, kind) = scheme_shape(scheme);
         let staged = !matches!(scheme, Scheme::SwpRaw { .. });
+        let (firsts, class) = c.graph.work_classes();
+        let kernels: Vec<Arc<Kernel>> = (firsts.iter())
+            .map(|&f| Arc::new(Kernel::load(&c.graph.node(f).work)))
+            .collect();
         let nodes = (c.graph.nodes().iter().enumerate())
             .map(|(v, node)| {
                 let threads = c.exec_cfg.threads[v];
                 NodeLaunch {
-                    kernel: Kernel::load(&node.work),
+                    kernel: Arc::clone(&kernels[class[v]]),
                     threads,
                     inputs: c.graph.input_wiring(NodeId(v as u32)),
                     outputs: c.graph.output_wiring(NodeId(v as u32)),
@@ -565,7 +570,7 @@ impl Prepared {
     /// Each node's loaded kernel, in node order — the values launched
     /// instances point at.
     pub(crate) fn kernels(&self) -> impl Iterator<Item = &Kernel> {
-        self.nodes.iter().map(|n| &n.kernel)
+        self.nodes.iter().map(|n| &*n.kernel)
     }
 
     /// Launches an `iterations`-long run issues: fill, steady and drain
@@ -1316,6 +1321,25 @@ mod tests {
         );
         let zeros = vec![Scalar::I32(0); input.len()];
         assert!(measure(&c, scheme, 64, &zeros).is_ok());
+    }
+
+    /// Nodes with one work function share one decoded kernel, and the
+    /// shared kernels still compute the CPU reference's bytes.
+    #[test]
+    fn nodes_with_one_work_function_share_one_kernel() {
+        let double = |name| map_filter(name, |x| x.mul(Expr::i32(2)));
+        let spec = StreamSpec::pipeline(vec![
+            double("a"),
+            double("b"),
+            map_filter("c", |x| x.add(Expr::i32(1))),
+            double("d"),
+        ]);
+        let c = compile(&spec.flatten().unwrap(), &CompileOptions::small_test()).unwrap();
+        let p = Prepared::new(&c, Scheme::Swp { coarsening: 1 }).unwrap();
+        let k: Vec<&Arc<Kernel>> = p.nodes.iter().map(|n| &n.kernel).collect();
+        assert!(Arc::ptr_eq(k[0], k[1]) && Arc::ptr_eq(k[0], k[3]));
+        assert!(!Arc::ptr_eq(k[0], k[2]));
+        assert_gpu_matches_cpu(&spec, Scheme::Swp { coarsening: 1 }, 4);
     }
 
     fn compiled_three_stage() -> (Compiled, Vec<Scalar>, u64) {

@@ -5,10 +5,8 @@
 //! admission, controller, busy horizons), one [`ArtifactStore`] and one
 //! job ledger, and coordinates:
 //!
-//! * **Routing** ([`router`]): rendezvous-hashed tenant homes, health
-//!   bookkeeping (loss is permanent, partitions heal), and an
-//!   append-only decision log that same-seed runs reproduce
-//!   byte-identically.
+//! * **Routing** ([`router`]): rendezvous-hashed tenant homes and health
+//!   bookkeeping (loss is permanent, partitions heal).
 //! * **Replicated artifacts**: the store at replication factor R with
 //!   lazy read-repair, so failover never recompiles what any reachable
 //!   replica already holds.
@@ -41,13 +39,22 @@
 //! job settles, rewritten by a failover. The record is the job's only
 //! state: verdicts are read off it, and [`FleetReport`] and
 //! [`crate::serve::ServeReport`] are folds over the ledger.
+//!
+//! Each occurrence is recorded once, on the timeline
+//! ([`FleetEngine::trace`], one [`TraceEvent`] per entry), by
+//! `FleetEngine::log` alone: the router, partitioner and controller
+//! decide and return, and the loop writes what they decided. An
+//! arrival's routing verdict is its `Dispatch` entry, a recut is its
+//! `Rebalance` or brownout entry, a controller change its `PolicySwitch`
+//! or `IntervalChange` entry. The reports count recuts and router
+//! decisions off it, and same-seed runs reproduce it byte-identically.
 
 pub mod router;
 pub mod storm;
 
 pub use crate::serve::cache::{ArtifactStore, Fetch, StoreStats};
 pub use crate::serve::metrics::{DeviceReport, FleetReport};
-pub use router::{Health, Router, RouterDecision};
+pub use router::{Health, Router};
 pub use storm::{FleetStorm, RackBrownout};
 
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
@@ -166,15 +173,12 @@ pub struct FleetJobResult {
 enum EvKind {
     /// Job `trace[i]` arrives.
     Arrival(usize),
-    /// A store-miss compile's virtual penalty window closed.
-    CompileFinish,
-    /// A job's service finished (virtual time).
-    LaunchFinish,
-    /// A periodic observability tick.
-    Checkpoint,
-    /// The controller switched the policy of the tenant of `trace[i]`,
-    /// whose graph is recompiled under the new policy.
-    PolicySwitch(usize),
+    /// An occurrence about job `trace[i]` known before its instant — a
+    /// compile or launch finish, an interval change — to record then.
+    Record(usize, EventKind, String),
+    /// Settling job `trace[i]` switched its tenant's policy at retry-rate
+    /// EWMA `.1`; the tenant's graph is recompiled under the new policy.
+    PolicySwitch(usize, f64),
     /// Device fault `plan.events()[i]` strikes.
     Fault(usize),
     /// A link partition heals.
@@ -183,7 +187,27 @@ enum EvKind {
     BrownoutHeal { restore_sms: u32 },
 }
 
+impl EvKind {
+    /// The trace index of the job the event concerns.
+    fn job(&self) -> Option<usize> {
+        match self {
+            EvKind::Arrival(i) | EvKind::Record(i, ..) | EvKind::PolicySwitch(i, _) => Some(*i),
+            EvKind::Fault(_) | EvKind::PartitionHeal | EvKind::BrownoutHeal { .. } => None,
+        }
+    }
+}
+
 type Ev = Event<EvKind>;
+
+/// One routing or health entry of the timeline, by the router's action
+/// ([`TraceEvent::router_action`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RouterEntry<'a> {
+    /// `home`, `reroute`, `reject`, `kill`, `partition`,
+    /// `partition-heal`, `brownout`, `brownout-heal`, `failover` or
+    /// `abandon`.
+    pub action: &'a str,
+}
 
 /// A ladder compile in flight on the worker pool.
 struct PendingCompile {
@@ -210,10 +234,8 @@ pub struct FleetEngine {
     /// *oldest* one — deterministic, unlike waiting on whichever thread
     /// finishes first.
     pub(crate) workers: usize,
-    /// Virtual seconds between observability checkpoints (0 = none).
-    pub(crate) checkpoint_period_secs: f64,
-    /// Every processed event, in processing order.
-    pub(crate) trace: Vec<TraceEvent>,
+    /// The timeline: one entry per occurrence, in processing order.
+    trace: Vec<TraceEvent>,
     /// One record per dispatched job of every run, in admission order.
     ledger: Vec<Record>,
     /// Every tenant's name, shared by its records and queued events.
@@ -266,7 +288,6 @@ impl FleetEngine {
             store: ArtifactStore::replicated(opts.replication),
             devices,
             workers: WORKERS,
-            checkpoint_period_secs: 0.0,
             trace: Vec::new(),
             ledger: Vec::new(),
             names: HashSet::new(),
@@ -304,11 +325,24 @@ impl FleetEngine {
         solo
     }
 
-    /// The router's append-only decision log — the determinism witness
-    /// the chaos CI job uploads.
+    /// The timeline of every run so far: one entry per occurrence, in
+    /// processing order — the determinism witness the chaos CI jobs
+    /// upload.
     #[must_use]
-    pub fn router_log(&self) -> &[RouterDecision] {
-        self.router.log()
+    pub fn trace(&self) -> &[TraceEvent] {
+        &self.trace
+    }
+
+    /// The timeline's routing and health entries, the ones
+    /// [`FleetReport::router_decisions`] counts, by router action. A view
+    /// of [`FleetEngine::trace`], kept because the benchmark's fleet
+    /// workload counts reroutes through it.
+    #[must_use]
+    pub fn router_log(&self) -> Vec<RouterEntry<'_>> {
+        (self.trace.iter())
+            .filter_map(TraceEvent::router_action)
+            .map(|action| RouterEntry { action })
+            .collect()
     }
 
     /// Pre-compiles `graphs` into the store over graphs × plausible
@@ -459,12 +493,6 @@ impl FleetEngine {
         for (i, fault) in faults.events().iter().enumerate() {
             self.schedule(fault.at_secs, fault.device.0, "", EvKind::Fault(i));
         }
-        if self.checkpoint_period_secs > 0.0 {
-            if let Some(first) = trace.iter().map(|(_, t)| *t).min_by(f64::total_cmp) {
-                let at = first + self.checkpoint_period_secs;
-                self.schedule(at, 0, "", EvKind::Checkpoint);
-            }
-        }
     }
 
     /// Drains the queue, then resolves leftover pending compiles in
@@ -506,49 +534,44 @@ impl FleetEngine {
         self.next_seq += 1;
     }
 
-    fn log(&mut self, ev: &Ev, kind: EventKind, detail: String) {
+    /// Appends one entry to the timeline — the only code that does —
+    /// stamped with the time, sequence number, device, tenant and job of
+    /// the event `ev` that produced it, and returns it for the caller to
+    /// name another device, tenant or job.
+    fn log(&mut self, ev: &Ev, kind: EventKind, detail: String) -> &mut TraceEvent {
         self.trace.push(TraceEvent {
             time_secs: ev.time,
-            tenant: ev.tenant.to_string(),
+            device: ev.device,
+            tenant: Arc::clone(&ev.tenant),
+            job: ev.kind.job().map(|j| j as u64),
             seq: ev.seq,
             kind,
             detail,
         });
+        self.trace.last_mut().expect("just pushed")
     }
 
     fn handle(&mut self, trace: &[(Job, f64)], ev: Ev) -> Result<()> {
-        match ev.kind {
-            EvKind::Arrival(i) => self.dispatch(trace, &ev, i)?,
-            EvKind::CompileFinish => self.log(&ev, EventKind::CompileFinish, String::new()),
-            EvKind::LaunchFinish => self.log(&ev, EventKind::LaunchFinish, String::new()),
-            EvKind::Checkpoint => {
-                let done = (self.ledger[self.run_from..].iter())
-                    .filter(|r| !matches!(r.fate, Fate::Waiting))
-                    .count();
-                self.log(&ev, EventKind::Checkpoint, format!("jobs_done={done}"));
-                if !self.heap.is_empty() {
-                    let next = ev.time + self.checkpoint_period_secs;
-                    self.schedule(next, 0, "", EvKind::Checkpoint);
-                }
+        match &ev.kind {
+            EvKind::Arrival(i) => self.dispatch(trace, &ev, *i)?,
+            EvKind::Record(_, kind, detail) => {
+                self.log(&ev, *kind, detail.clone());
             }
-            EvKind::PolicySwitch(i) => self.policy_switch(trace, &ev, i)?,
-            EvKind::Fault(i) => self.fault(trace, &ev, i)?,
+            EvKind::PolicySwitch(i, ewma) => self.policy_switch(trace, &ev, *i, *ewma)?,
+            EvKind::Fault(i) => self.fault(trace, &ev, *i)?,
             EvKind::PartitionHeal => {
-                let (t, d) = (ev.time, DeviceId(ev.device));
-                self.router.heal(d);
-                let detail = String::new();
-                self.router
-                    .log_decision(t, "", None, "partition-heal", Some(d), detail);
+                self.router.heal(DeviceId(ev.device));
+                self.log(&ev, EventKind::PartitionHeal, String::new());
             }
             EvKind::BrownoutHeal { restore_sms } => {
-                let d = DeviceId(ev.device);
-                if self.router.alive(d) {
-                    let p = &mut self.devices[ev.device as usize].partitioner;
+                let d = ev.device;
+                if self.router.alive(DeviceId(d)) {
+                    let p = &mut self.devices[d as usize].partitioner;
                     let floor = (p.slices().len() as u32).max(1);
-                    p.set_capacity(restore_sms.max(floor), ev.time)?;
-                    let detail = format!("restored to {restore_sms} SMs");
-                    self.router
-                        .log_decision(ev.time, "", None, "brownout-heal", Some(d), detail);
+                    let restored = (*restore_sms).max(floor);
+                    p.set_capacity(restored)?;
+                    let detail = format!("sms={restored} {}", self.slice_widths(d));
+                    self.log(&ev, EventKind::BrownoutHeal, detail);
                 }
             }
         }
@@ -578,10 +601,11 @@ impl FleetEngine {
         let recut = self.devices[home as usize]
             .partitioner
             .record_arrival(&job.tenant, t)?;
-        self.log(ev, EventKind::Arrival, format!("job={i}"));
+        self.log(ev, EventKind::Arrival, String::new());
         if recut {
-            self.devices[home as usize].partitioner.recut_at(t);
-            self.log(ev, EventKind::Rebalance, self.slice_widths(home));
+            self.devices[home as usize].partitioner.recut();
+            let widths = self.slice_widths(home);
+            self.log(ev, EventKind::Rebalance, widths);
         }
         let slice = self.devices[home as usize]
             .partitioner
@@ -589,7 +613,6 @@ impl FleetEngine {
             .expect("observed tenant has a slice");
         self.resolve(trace, &job.tenant)?;
         let Some((device, slice, pressure, rerouted)) = self.admit(trace, ev, i, slice) else {
-            self.log(ev, EventKind::Dispatch, format!("job={i} rejected"));
             return Ok(());
         };
 
@@ -633,7 +656,9 @@ impl FleetEngine {
                 "miss"
             }
         };
-        self.log(ev, EventKind::Dispatch, format!("job={i} {outcome}"));
+        let route = if rerouted { "reroute" } else { "home" };
+        self.log(ev, EventKind::Dispatch, format!("{route} {outcome}"))
+            .device = device;
         Ok(())
     }
 
@@ -641,7 +666,7 @@ impl FleetEngine {
     /// alternate when home is down or full. Returns the serving device,
     /// the slice to compile at and place on, the compile pressure and
     /// whether the job was rerouted — or `None` once a rejection is
-    /// recorded.
+    /// recorded in the ledger and on the timeline.
     fn admit(
         &mut self,
         trace: &[(Job, f64)],
@@ -662,17 +687,9 @@ impl FleetEngine {
             alternates,
             self.router.heal_hint_secs(t),
         );
-        let (device, retry_after_secs, detail) = match routed {
-            RouteDecision::Admit(p) => {
-                self.router
-                    .log_decision(t, tenant, Some(i), "home", Some(home), String::new());
-                return Some((home.0, slice, p, false));
-            }
-            RouteDecision::Reject { retry_after_secs } => (
-                home,
-                retry_after_secs,
-                format!("retry after {retry_after_secs:.3}s"),
-            ),
+        let (device, retry_after_secs) = match routed {
+            RouteDecision::Admit(p) => return Some((home.0, slice, p, false)),
+            RouteDecision::Reject { retry_after_secs } => (home, retry_after_secs),
             RouteDecision::Reroute => {
                 let target = (self.router.route(tenant, Some(home)))
                     .expect("Reroute implies a usable alternate");
@@ -680,32 +697,19 @@ impl FleetEngine {
                 let admission = &self.devices[target.0 as usize].admission;
                 match admission.decide_event(&finishes, t) {
                     Decision::Admit(p) => {
-                        let detail = format!("home dev{} unusable or full", home.0);
-                        self.router.log_decision(
-                            t,
-                            tenant,
-                            Some(i),
-                            "reroute",
-                            Some(target),
-                            detail,
-                        );
                         let guest = Slice {
                             base_sm: 0,
                             num_sms: slice.num_sms,
                         };
                         return Some((target.0, guest, p, true));
                     }
-                    Decision::Reject { retry_after_secs } => (
-                        target,
-                        retry_after_secs,
-                        "alternate also saturated".to_string(),
-                    ),
+                    Decision::Reject { retry_after_secs } => (target, retry_after_secs),
                 }
             }
         };
-        self.router
-            .log_decision(t, tenant, Some(i), "reject", Some(device), detail);
         self.record(tenant, i, device.0, t, Fate::Rejected { retry_after_secs });
+        let detail = format!("reject retry after {retry_after_secs:.3}s");
+        self.log(ev, EventKind::Dispatch, detail).device = device.0;
         None
     }
 
@@ -767,7 +771,7 @@ impl FleetEngine {
         };
         let certified = artifact.isolation.is_some();
         let core = &mut self.devices[device as usize];
-        let (mut service, switched) =
+        let (mut service, adjusted) =
             match core.settle(job, artifact, placed, arrival, fetch, available_at) {
                 Ok(settled) => settled,
                 Err(e) => {
@@ -780,16 +784,28 @@ impl FleetEngine {
         let (exec_start, finish) = (service.exec_start, service.finish);
         self.ledger[entry].fate = Fate::Served(Box::new(service));
         self.last_finish = self.last_finish.max(finish);
-        // A controller switch becomes an event at the finish, so its
-        // recompile is pre-spawned in deterministic event order.
-        if switched {
-            self.schedule(finish, device, &job.tenant, EvKind::PolicySwitch(i));
+        // A controller change becomes an event at the finish, so it is
+        // recorded, and a switch's recompile pre-spawned, in
+        // deterministic event order.
+        let ewma = adjusted.ewma;
+        let record = |kind, detail| EvKind::Record(i, kind, detail);
+        if let Some((from, to)) = adjusted.interval {
+            let change = record(
+                EventKind::IntervalChange,
+                format!("{from}->{to} ewma={ewma}"),
+            );
+            self.schedule(finish, device, &job.tenant, change);
+        }
+        if adjusted.policy.is_some() {
+            self.schedule(finish, device, &job.tenant, EvKind::PolicySwitch(i, ewma));
         }
         if fetch == Fetch::Miss {
             self.compiled_at.insert(placed.key, exec_start);
-            self.schedule(exec_start, device, &job.tenant, EvKind::CompileFinish);
+            let compiled = record(EventKind::CompileFinish, String::new());
+            self.schedule(exec_start, device, &job.tenant, compiled);
         }
-        self.schedule(finish, device, &job.tenant, EvKind::LaunchFinish);
+        let finished = record(EventKind::LaunchFinish, String::new());
+        self.schedule(finish, device, &job.tenant, finished);
         self.live.insert(entry);
         Ok(())
     }
@@ -891,11 +907,12 @@ impl FleetEngine {
     /// the tenant's next dispatch asks for it. Pre-warming uses nominal
     /// budgets; a dispatch under elevated pressure addresses a different
     /// key and simply compiles then.
-    fn policy_switch(&mut self, trace: &[(Job, f64)], ev: &Ev, i: usize) -> Result<()> {
+    fn policy_switch(&mut self, trace: &[(Job, f64)], ev: &Ev, i: usize, ewma: f64) -> Result<()> {
         let job = &trace[i].0;
         let home = self.router.home(&job.tenant).0 as usize;
         let Some(slice) = self.devices[home].partitioner.slice(&job.tenant) else {
-            self.log(ev, EventKind::PolicySwitch, format!("job={i} no-slice"));
+            let detail = format!("no-slice ewma={ewma}");
+            self.log(ev, EventKind::PolicySwitch, detail);
             return Ok(());
         };
         let policy = self.devices[ev.device as usize]
@@ -916,7 +933,7 @@ impl FleetEngine {
                 "recompile"
             }
         };
-        let detail = format!("job={i} policy={policy} {outcome}");
+        let detail = format!("policy={policy} {outcome} ewma={ewma}");
         self.log(ev, EventKind::PolicySwitch, detail);
         Ok(())
     }
@@ -935,9 +952,8 @@ impl FleetEngine {
                 self.resolve_all(trace)?;
                 self.router.mark_dead(d);
                 self.store.drop_device(d);
-                self.router
-                    .log_decision(t, "", None, "kill", Some(d), String::new());
-                self.failover_sweep(d, t);
+                self.log(ev, EventKind::DeviceLoss, String::new());
+                self.failover_sweep(ev, d);
             }
             DeviceFaultKind::Brownout {
                 total_sms,
@@ -948,11 +964,8 @@ impl FleetEngine {
                 let target = total_sms.max((p.slices().len() as u32).max(1));
                 // Capacity changes can only fail when shrinking below
                 // one SM per tenant, which the floor prevents.
-                p.set_capacity(target, t)
+                p.set_capacity(target)
                     .expect("brownout capacity floored at tenant count");
-                let detail = format!("{restore_sms} -> {target} SMs");
-                self.router
-                    .log_decision(t, "", None, "brownout", Some(d), detail);
                 let detail = format!("sms={target} {}", self.slice_widths(d.0));
                 self.log(ev, EventKind::Brownout, detail);
                 if let Some(heal) = heal_secs {
@@ -962,8 +975,7 @@ impl FleetEngine {
             DeviceFaultKind::LinkPartition { heal_secs } => {
                 self.router.mark_partitioned(d, t + heal_secs);
                 let detail = format!("heals at {:.3}s", t + heal_secs);
-                self.router
-                    .log_decision(t, "", None, "partition", Some(d), detail);
+                self.log(ev, EventKind::LinkPartition, detail);
                 self.schedule(t + heal_secs, d.0, "", EvKind::PartitionHeal);
             }
         }
@@ -974,9 +986,9 @@ impl FleetEngine {
     /// replica: ship the last k-launch commit's state words, replay the
     /// launches past the commit, bill the overhead into the disjoint
     /// `failover_cycles` component. Jobs with no usable target are
-    /// rejected (never lost).
-    fn failover_sweep(&mut self, dead: DeviceId, t: f64) {
-        let timing = self.opts.base.timing.clone();
+    /// rejected (never lost). `ev` is the loss.
+    fn failover_sweep(&mut self, ev: &Ev, dead: DeviceId) {
+        let (timing, t) = (self.opts.base.timing.clone(), ev.time);
         for e in self.live.clone() {
             let rec = &mut self.ledger[e];
             let (j, tenant) = (rec.job, Arc::clone(&rec.tenant));
@@ -989,8 +1001,8 @@ impl FleetEngine {
             let Some(target) = self.router.route(&tenant, None) else {
                 s.abandoned = Some(self.router.heal_hint_secs(t));
                 let detail = "no usable device to fail over to".to_string();
-                self.router
-                    .log_decision(t, &tenant, Some(j), "abandon", None, detail);
+                let entry = self.log(ev, EventKind::Abandon, detail);
+                (entry.tenant, entry.job) = (tenant, Some(j as u64));
                 self.live.remove(&e);
                 continue;
             };
@@ -1074,8 +1086,8 @@ impl FleetEngine {
             self.failover_latencies.push((finish - old_finish).max(0.0));
             self.last_finish = self.last_finish.max(finish);
             let detail = format!("{fetch:?} fetch, resumed from launch {committed}");
-            self.router
-                .log_decision(t, &tenant, Some(j), "failover", Some(target), detail);
+            let entry = self.log(ev, EventKind::Failover, detail);
+            (entry.device, entry.tenant, entry.job) = (target.0, tenant, Some(j as u64));
         }
     }
 
@@ -1086,7 +1098,8 @@ impl FleetEngine {
     /// Device 0's serving report — the single-device view of the ledger.
     pub(crate) fn serve_report(&self) -> ServeReport {
         let cache = self.store.cache_stats();
-        ServeReport::of(&self.ledger, 0, &self.devices[0], self.makespan(), cache)
+        let core = &self.devices[0];
+        ServeReport::of(&self.ledger, &self.trace, 0, core, self.makespan(), cache)
     }
 
     /// Snapshots the run into a serializable report — the fleet view of
@@ -1098,12 +1111,12 @@ impl FleetEngine {
             .collect::<Vec<_>>();
         FleetReport::of(
             &self.ledger,
+            &self.trace,
             &alive,
             self.submitted,
             self.makespan(),
             &self.failover_latencies,
             self.store.stats().clone(),
-            self.router.log().len() as u64,
         )
     }
 }

@@ -1,4 +1,4 @@
-//! Deterministic tenant→device routing with a replayable decision log.
+//! Deterministic tenant→device routing.
 //!
 //! The router is the fleet's only authority on *where* work goes. Its
 //! two jobs:
@@ -13,13 +13,12 @@
 //!   heal at a scheduled time, and both are visible to placement the
 //!   instant they are applied, in event order.
 //!
-//! Every routing-relevant action appends a [`RouterDecision`] to an
-//! append-only log. The log is the fleet's determinism witness: two
-//! same-seed runs must produce byte-identical logs, and the chaos CI
-//! job uploads it as an artifact.
+//! The router decides and keeps health; it records nothing. The serving
+//! loop writes each routing verdict into the arrival's `Dispatch` entry
+//! and each health transition as its own entry of the one timeline
+//! ([`crate::serve::TraceEvent`]).
 
 use gpusim::DeviceId;
-use serde::Serialize;
 
 use crate::hash::fnv1a;
 
@@ -37,31 +36,10 @@ pub enum Health {
     Dead,
 }
 
-/// One appended routing decision (or health transition). Serialized
-/// into the chaos artifact so replays can be diffed byte-for-byte.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct RouterDecision {
-    /// Virtual time of the decision.
-    pub time_secs: f64,
-    /// The tenant involved (empty for pure health transitions).
-    pub tenant: String,
-    /// Input job index (`u64::MAX` for non-job events).
-    pub job: u64,
-    /// What happened: `home`, `reroute`, `reject`, `failover`,
-    /// `abandon`, `kill`, `brownout`, `brownout-heal`, `partition`,
-    /// `partition-heal`.
-    pub action: String,
-    /// The device acted on (`u32::MAX` when none applies).
-    pub device: u32,
-    /// Human-readable detail (deterministic content only).
-    pub detail: String,
-}
-
 /// The deterministic fleet router.
 #[derive(Debug, Clone)]
 pub struct Router {
     health: Vec<Health>,
-    log: Vec<RouterDecision>,
 }
 
 impl Router {
@@ -70,7 +48,6 @@ impl Router {
     pub fn new(n: u32) -> Router {
         Router {
             health: vec![Health::Healthy; n as usize],
-            log: Vec::new(),
         }
     }
 
@@ -170,32 +147,6 @@ impl Router {
         if self.alive(d) {
             self.health[d.0 as usize] = Health::Healthy;
         }
-    }
-
-    /// Appends one decision to the log.
-    pub fn log_decision(
-        &mut self,
-        time_secs: f64,
-        tenant: &str,
-        job: Option<usize>,
-        action: &str,
-        device: Option<DeviceId>,
-        detail: String,
-    ) {
-        self.log.push(RouterDecision {
-            time_secs,
-            tenant: tenant.to_string(),
-            job: job.map_or(u64::MAX, |j| j as u64),
-            action: action.to_string(),
-            device: device.map_or(u32::MAX, |d| d.0),
-            detail,
-        });
-    }
-
-    /// The append-only decision log.
-    #[must_use]
-    pub fn log(&self) -> &[RouterDecision] {
-        &self.log
     }
 }
 

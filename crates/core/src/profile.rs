@@ -173,17 +173,7 @@ pub(crate) fn profile_on(
     // Each node's row is the row of the first node with its work function,
     // a node of `firsts`; a failing row therefore names the first node
     // that fails.
-    let mut firsts: Vec<NodeId> = Vec::new();
-    let row_of: Vec<usize> = (graph.nodes().iter())
-        .enumerate()
-        .map(|(v, node)| {
-            let first = firsts.iter().position(|f| graph.node(*f).work == node.work);
-            first.unwrap_or_else(|| {
-                firsts.push(NodeId(v as u32));
-                firsts.len() - 1
-            })
-        })
-        .collect();
+    let (firsts, row_of) = graph.work_classes();
     let rows = par::map_on(workers, &firsts, |&node| {
         profile_node(graph, node, opts, device, timing)
     })

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use gpusim::Device;
 
 use super::metrics::{Placed, Service};
+use super::resilience::Adjustment;
 use super::{AdmissionController, FaultController, Fetch, Job, Partitioner, ServeOptions};
 use crate::exec::{required_input, RunOptions, SmPlacement};
 use crate::pipeline::ResilientCompiled;
@@ -83,7 +84,7 @@ impl DeviceCore {
     /// costs and `available_at` when the artifact exists; the run's
     /// retry rate is fed to the controller at the finish instant.
     /// Returns the service, whose `seq` is the caller's to assign, and
-    /// whether the controller switched the tenant's fault policy.
+    /// what the observation changed in the controller.
     ///
     /// Serving shares one device across tenants, so an artifact is
     /// refused here unless it carries a tenant-isolation certificate
@@ -97,7 +98,7 @@ impl DeviceCore {
         arrival: f64,
         fetch: Fetch,
         available_at: f64,
-    ) -> Result<(Service, bool)> {
+    ) -> Result<(Service, Adjustment)> {
         if artifact.isolation.is_none() {
             return Err(crate::Error::Api(format!(
                 "tenant '{}': artifact carries no tenant-isolation certificate; \
@@ -131,18 +132,14 @@ impl DeviceCore {
         let finish = exec_start + run.time_secs;
         self.occupy(&job.tenant, finish);
 
-        let switched = self
-            .controller
-            .observe_job(
-                &job.tenant,
-                finish,
-                run.launches,
-                run.retries,
-                run.stats.productive_cycles(),
-                &artifact.report.checkpoint,
-                job.qos.policy(),
-            )
-            .is_some();
+        let adjusted = self.controller.observe_job(
+            &job.tenant,
+            run.launches,
+            run.retries,
+            run.stats.productive_cycles(),
+            &artifact.report.checkpoint,
+            job.qos.policy(),
+        );
         let miss = fetch == Fetch::Miss;
         let service = Service {
             placed,
@@ -164,6 +161,6 @@ impl DeviceCore {
             on: self.device.id.0,
             ..Service::default()
         };
-        Ok((service, switched))
+        Ok((service, adjusted))
     }
 }

@@ -1,4 +1,4 @@
-//! The single-device serving engine.
+//! The single-device serving engine and the serving timeline.
 //!
 //! [`EventEngine`] is the one serving loop ([`crate::fleet::FleetEngine`])
 //! over one device: R = 1 with the device's own LRU-bounded cache and
@@ -6,10 +6,21 @@
 //! controller chooses otherwise, and no second device to route to or
 //! fail over to. What it adds is the single-device view of the
 //! loop: verdicts carrying the job's service start and slice, the
-//! processed-event audit trace ([`EventEngine::trace`]), and a
+//! loop's timeline ([`EventEngine::trace`]), and a
 //! [`ServeReport`] — device 0's view of the loop's job ledger — whose
 //! `compile_overlap_secs` credits each compile window with the union of
 //! *other* tenants' execution it overlapped.
+//!
+//! The timeline is one [`TraceEvent`] per occurrence, in processing
+//! order, appended by the loop alone: the router, partitioner and
+//! controller decide and return what they decided, and the loop records
+//! it. An arrival's routing verdict is part of its `Dispatch` entry, a
+//! recut is its `Rebalance` or brownout entry, and a controller change
+//! is its `PolicySwitch` or `IntervalChange` entry. The serve report's
+//! `rebalances` and `policy_switches` and the fleet report's
+//! `router_decisions` are counts over it.
+
+use std::sync::Arc;
 
 use serde::Serialize;
 use streamir::graph::FlatGraph;
@@ -17,51 +28,94 @@ use streamir::graph::FlatGraph;
 use gpusim::DeviceId;
 
 use crate::fleet::FleetEngine;
-use crate::serve::partition::RecutRecord;
-use crate::serve::resilience::{BrownoutSpec, ControllerDecision};
+use crate::serve::resilience::BrownoutSpec;
 use crate::serve::{Job, ServeOptions, ServeReport, Verdict, WarmReport};
 use crate::Result;
 
-/// The kind of a processed event, for the audit trace.
+/// What a timeline entry records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum EventKind {
-    /// A job arrived: demand recorded.
+    /// A job arrived at its home device: demand recorded.
     Arrival,
-    /// The partition was recut from the current demand estimates.
+    /// The home partition was recut from the current demand estimates;
+    /// the detail is every tenant's `name:width`.
     Rebalance,
-    /// Admission decided and the job was served (or rejected).
+    /// Admission decided: the detail's first word is the route (`home`,
+    /// `reroute` or `reject`), then the store's outcome or the reason
+    /// for the rejection. The entry's device served or rejected the job.
     Dispatch,
     /// A cache-miss compilation's virtual penalty window closed.
     CompileFinish,
     /// A job's service finished (virtual time).
     LaunchFinish,
-    /// A periodic observability tick (when enabled).
-    Checkpoint,
     /// The resilience controller switched a tenant's fault policy and
     /// the recompile was pre-spawned on the worker pool.
     PolicySwitch,
-    /// A device brownout shrank (or restored) the usable SM range and
-    /// forced a partition recut.
+    /// The resilience controller changed a tenant's checkpoint commit
+    /// interval.
+    IntervalChange,
+    /// A brownout shrank the device's usable SM range and recut its
+    /// partition.
     Brownout,
+    /// A brownout healed: capacity restored and the partition recut.
+    BrownoutHeal,
+    /// The device was lost for good.
+    DeviceLoss,
+    /// The device's link was partitioned.
+    LinkPartition,
+    /// The device's link partition healed.
+    PartitionHeal,
+    /// A job in flight on a lost device resumed on this device from its
+    /// last checkpoint commit.
+    Failover,
+    /// A job in flight on a lost device had nowhere to fail over to and
+    /// was rejected with a retry hint.
+    Abandon,
 }
 
-/// One processed event, in processing order.
+/// One entry of the serving timeline, in processing order.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceEvent {
-    /// The event's own virtual timestamp. Launch/compile-finish events
+    /// The entry's virtual timestamp. Launch/compile-finish events
     /// are scheduled once their instant is known, which can be after
     /// the clock passed it; the processing order (this log's order)
     /// stays total because their handlers are order-insensitive.
     pub time_secs: f64,
-    /// The tenant the event belongs to (empty for checkpoints).
-    pub tenant: String,
-    /// Tie-break sequence within `(time, tenant)`: an arrival's trace
-    /// index, shared by its rebalance and dispatch entries.
+    /// The device the occurrence happened on.
+    pub device: u32,
+    /// The tenant the entry belongs to (empty for a device's own
+    /// health entries).
+    pub tenant: Arc<str>,
+    /// The job's index in its run's trace, for entries about one job.
+    pub job: Option<u64>,
+    /// The sequence number of the event that produced the entry: an
+    /// arrival's trace index, shared by its rebalance and dispatch
+    /// entries.
     pub seq: u64,
     /// What happened.
     pub kind: EventKind,
-    /// Human-readable detail (admission verdict, cache outcome, ...).
+    /// Human-readable detail (route, cache outcome, widths, ...).
     pub detail: String,
+}
+
+impl TraceEvent {
+    /// The router's action this entry records: the route of a dispatch,
+    /// or the name of a health transition, failover or abandon. `None`
+    /// for entries the router takes no part in.
+    #[must_use]
+    pub fn router_action(&self) -> Option<&str> {
+        Some(match self.kind {
+            EventKind::Dispatch => self.detail.split(' ').next().unwrap_or_default(),
+            EventKind::DeviceLoss => "kill",
+            EventKind::LinkPartition => "partition",
+            EventKind::PartitionHeal => "partition-heal",
+            EventKind::Brownout => "brownout",
+            EventKind::BrownoutHeal => "brownout-heal",
+            EventKind::Failover => "failover",
+            EventKind::Abandon => "abandon",
+            _ => return None,
+        })
+    }
 }
 
 /// The deterministic single-device serving engine.
@@ -71,7 +125,7 @@ pub struct EventEngine {
 
 impl EventEngine {
     /// A fresh engine over `opts.device` with a default 4-worker
-    /// compile pool and no checkpoint ticks.
+    /// compile pool.
     #[must_use]
     pub fn new(opts: ServeOptions) -> EventEngine {
         EventEngine {
@@ -97,16 +151,6 @@ impl EventEngine {
     /// so the subsequent trace reports its own hit rate.
     pub fn warm(&mut self, graphs: &[FlatGraph], max_tenants: usize) -> WarmReport {
         self.fleet.warm(graphs, max_tenants)
-    }
-
-    /// Enables periodic checkpoint events every `secs` of virtual time
-    /// (disabled when `secs <= 0`). Checkpoints are observability
-    /// ticks: they snapshot the decided-job count into the trace and
-    /// never touch serving state.
-    #[must_use]
-    pub fn with_checkpoint_period(mut self, secs: f64) -> EventEngine {
-        self.fleet.checkpoint_period_secs = secs;
-        self
     }
 
     /// Schedules a device brownout: at `spec.at_secs` of virtual time
@@ -139,24 +183,10 @@ impl EventEngine {
         self.fleet.serve_solo(trace)
     }
 
-    /// The processed-event audit trace, in processing order.
+    /// The serving timeline, in processing order.
     #[must_use]
     pub fn trace(&self) -> &[TraceEvent] {
-        &self.fleet.trace
-    }
-
-    /// The partition recut audit log.
-    #[must_use]
-    pub fn recut_log(&self) -> &[RecutRecord] {
-        &self.fleet.devices[0].partitioner.recut_log
-    }
-
-    /// The resilience controller's decision log, in virtual-time order.
-    /// Empty when the controller is disabled. Deterministic: the same
-    /// trace and fault seed always produce a byte-identical log.
-    #[must_use]
-    pub fn decisions(&self) -> &[ControllerDecision] {
-        self.fleet.devices[0].controller.decisions()
+        self.fleet.trace()
     }
 
     /// Snapshots the serving run into a serializable report.
@@ -192,8 +222,7 @@ pub(crate) mod tests {
                 ..gpusim::DeviceConfig::gts512()
             },
             ..ServeOptions::default()
-        })
-        .with_checkpoint_period(0.25);
+        });
         let trace = vec![
             (job("a", 2), 0.0),
             (job("b", 5), 0.1),
@@ -214,7 +243,6 @@ pub(crate) mod tests {
             EventKind::Dispatch,
             EventKind::CompileFinish,
             EventKind::LaunchFinish,
-            EventKind::Checkpoint,
         ] {
             assert!(kinds.contains(&kind), "missing {kind:?} in {kinds:?}");
         }

@@ -2,13 +2,15 @@
 //!
 //! The serving loop ([`crate::fleet::FleetEngine`]) records each job once,
 //! as a `Record` in its ledger: pushed when admission decides, filled in
-//! when the job settles, rewritten by a failover. Nothing else
+//! when the job settles, rewritten by a failover. It records each
+//! occurrence once, as a [`TraceEvent`] on its timeline. Nothing else
 //! accumulates. [`ServeReport`] (one device's per-tenant view,
 //! `BENCH_serve.json`) and [`FleetReport`] (the fleet's per-device view,
-//! `BENCH_fleet.json`) are each one fold over the ledger plus the few
-//! facts that are not per-job sums: the makespan bounds, the submitted
-//! count, failover latencies, and the store's, router's, partitioner's
-//! and controller's own counters.
+//! `BENCH_fleet.json`) are each one fold over the ledger, counts over
+//! the timeline (recuts, policy switches, router decisions), and the few
+//! facts that are neither: the makespan bounds, the submitted count,
+//! failover latencies, the store's counters and the controller's
+//! per-tenant commit intervals.
 //!
 //! f64 sums are order-sensitive, so each fold fixes its order:
 //! per-tenant sums run in settle order, which is per-tenant admission
@@ -25,6 +27,7 @@ use crate::exec::GpuRun;
 use crate::pipeline::ResilientCompiled;
 use crate::serve::cache::{CacheStats, Fetch, StoreStats};
 use crate::serve::device_core::DeviceCore;
+use crate::serve::engine::{EventKind, TraceEvent};
 use crate::serve::partition::Slice;
 
 /// One job's entry in the serving ledger.
@@ -187,7 +190,8 @@ pub struct TenantReport {
     /// Cycles spent on graph capture (amortized by the replays above).
     pub graph_capture_cycles: u64,
     /// Fault-policy switches the resilience controller performed for
-    /// this tenant (0 under a disabled controller).
+    /// this tenant: its `PolicySwitch` entries on the timeline (0 under
+    /// a disabled controller).
     pub policy_switches: u64,
     /// The checkpoint commit interval the tenant currently runs at —
     /// the controller's observed-rate cost-model choice, or 1.
@@ -204,7 +208,8 @@ pub struct ServeReport {
     /// Aggregate cache hit rate, duplicated out of `cache` for easy
     /// plotting.
     pub cache_hit_rate: f64,
-    /// Partition recuts performed by the demand-driven rebalancer.
+    /// Partition recuts on the timeline: demand-driven rebalances, and
+    /// the recuts of brownouts and their heals.
     pub rebalances: u64,
     /// Fault-policy switches across all tenants (sum of the per-tenant
     /// [`TenantReport::policy_switches`]).
@@ -313,8 +318,9 @@ pub struct FleetReport {
     pub search_invocations: u64,
     /// Artifact-store counters (hit rates, read-repairs, losses).
     pub store: StoreStats,
-    /// Router decision-log length (the full log is available via
-    /// [`crate::fleet::FleetEngine::router_log`]).
+    /// Routing and health entries on the timeline: one per arrival,
+    /// health transition, failover and abandon
+    /// ([`TraceEvent::router_action`]).
     pub router_decisions: u64,
     /// Per-device rows.
     pub per_device: Vec<DeviceReport>,
@@ -328,6 +334,23 @@ fn dispatched<'a>(records: impl Iterator<Item = &'a Record>) -> (u64, u64) {
         Fate::Refused { certified } => (a + 1, c + u64::from(certified)),
         Fate::Rejected { .. } | Fate::Waiting => (a, c),
     })
+}
+
+/// Partition recuts on `device` along `timeline`: every `Rebalance`,
+/// and every brownout or heal once an arrival has admitted a tenant
+/// there (an empty partition has nothing to recut).
+fn recuts(timeline: &[TraceEvent], device: u32) -> u64 {
+    let mut admitted = false;
+    let mut recuts = 0;
+    for e in timeline.iter().filter(|e| e.device == device) {
+        match e.kind {
+            EventKind::Arrival => admitted = true,
+            EventKind::Rebalance => recuts += 1,
+            EventKind::Brownout | EventKind::BrownoutHeal if admitted => recuts += 1,
+            _ => {}
+        }
+    }
+    recuts
 }
 
 /// An executed job's record and service: one service window.
@@ -356,19 +379,22 @@ fn overlap_with_others(windows: &[Window], tenant: &str, w0: f64, w1: f64) -> f6
 }
 
 impl ServeReport {
-    /// Device `device`'s view of `ledger` over `makespan` virtual
-    /// seconds: one row per tenant that settled or was rejected there,
-    /// with `core`'s slices, recuts and controller state and `cache` the
-    /// store's counters. Each window that paid a head (a compile) is
-    /// credited with the seconds of it other tenants' execution covered.
+    /// Device `device`'s view of `ledger` and `timeline` over `makespan`
+    /// virtual seconds: one row per tenant that settled or was rejected
+    /// there, with `core`'s slices and commit intervals, the timeline's
+    /// recuts and policy switches there, and `cache` the store's
+    /// counters. Each window that paid a head (a compile) is credited
+    /// with the seconds of it other tenants' execution covered.
     pub(crate) fn of(
         ledger: &[Record],
+        timeline: &[TraceEvent],
         device: u32,
         core: &DeviceCore,
         makespan: f64,
         cache: CacheStats,
     ) -> ServeReport {
         let here = || ledger.iter().filter(|r| r.device == device);
+        let here_on_timeline = || timeline.iter().filter(|e| e.device == device);
         let mut windows: Vec<Window> = here().filter_map(|r| Some((r, r.service()?))).collect();
         windows.sort_by_key(|(_, s)| s.seq);
         // Per tenant: its jobs in settle order, and its rejections.
@@ -420,7 +446,9 @@ impl ServeReport {
                     graph_replays: count(|s| s.run.stats.graph_replays),
                     graph_captures: count(|s| s.run.stats.graph_captures),
                     graph_capture_cycles: rounded(|st| st.graph_capture_cycles),
-                    policy_switches: core.controller.switches_for(name),
+                    policy_switches: (here_on_timeline())
+                        .filter(|e| e.kind == EventKind::PolicySwitch && *e.tenant == *name)
+                        .count() as u64,
                     checkpoint_interval: core.controller.interval_for(name),
                 }
             })
@@ -430,7 +458,7 @@ impl ServeReport {
             makespan_secs: makespan,
             cache_hit_rate: cache.hit_rate(),
             cache,
-            rebalances: core.partitioner.recut_log.len() as u64,
+            rebalances: recuts(timeline, device),
             policy_switches: tenants.iter().map(|t| t.policy_switches).sum(),
             artifacts,
             certified,
@@ -446,17 +474,18 @@ impl FleetReport {
     /// The fleet's view of `ledger` over devices whose liveness is
     /// `alive`: completed jobs totalled in admission order by the device
     /// that finished them, each dispatch's searches charged to the device
-    /// that settled it. The rest is what the loop knows that is not a
-    /// per-job sum: trace lengths `submitted`, the `makespan`, each
-    /// failover's added latency, and the store's and router's counters.
+    /// that settled it, and its router decisions counted off `timeline`.
+    /// The rest is what the loop knows that is not a per-job sum: trace
+    /// lengths `submitted`, the `makespan`, each failover's added
+    /// latency, and the store's counters.
     pub(crate) fn of(
         ledger: &[Record],
+        timeline: &[TraceEvent],
         alive: &[bool],
         submitted: u64,
         makespan: f64,
         failovers: &[f64],
         store: StoreStats,
-        router_decisions: u64,
     ) -> FleetReport {
         let n = alive.len();
         let mut rows: Vec<DeviceReport> = (0..n)
@@ -524,7 +553,9 @@ impl FleetReport {
             certified,
             search_invocations: rows.iter().map(|d| d.search_invocations).sum(),
             store,
-            router_decisions,
+            router_decisions: (timeline.iter())
+                .filter(|e| e.router_action().is_some())
+                .count() as u64,
             per_device: rows,
         }
     }
@@ -608,7 +639,7 @@ mod tests {
         let opts = ServeOptions::default();
         let device = Device::solo(opts.device.clone(), opts.timing.clone());
         let core = DeviceCore::new(device, &opts, 1);
-        let report = ServeReport::of(ledger, 0, &core, 10.0, CacheStats::default());
+        let report = ServeReport::of(ledger, &[], 0, &core, 10.0, CacheStats::default());
         let row = report.tenants.iter().find(|t| t.tenant == tenant).cloned();
         (report, row.expect("tenant has a row"))
     }

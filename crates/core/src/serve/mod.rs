@@ -18,9 +18,10 @@
 //!   [`crate::pipeline::ResilientPipeline`]'s degradation ladder before
 //!   it sheds jobs.
 //! * **Reports** ([`metrics`]): the loop records each job once, in one
-//!   ledger; [`ServeReport`] (per-tenant throughput, p50/p99 latency,
-//!   cache hit rate, slice utilization, retry rate, fault-overhead
-//!   share) and the fleet's report are folds over it.
+//!   ledger, and each occurrence once, on one timeline ([`TraceEvent`]);
+//!   [`ServeReport`] (per-tenant throughput, p50/p99 latency, cache hit
+//!   rate, slice utilization, retry rate, fault-overhead share) and the
+//!   fleet's report are folds over the two.
 //!
 //! A device's state and the per-job lifecycle over it (run the artifact,
 //! place the service window) live once, in the crate-private device
@@ -57,10 +58,8 @@ pub use cache::{cache_key, ArtifactStore, CacheOptions, CacheStats, Fetch, Looku
 pub use engine::{EventEngine, EventKind, TraceEvent};
 pub(crate) use event::Event;
 pub use metrics::{ServeReport, TenantReport};
-pub use partition::{placement_universe, Partitioner, RateEstimator, RecutRecord, Slice};
-pub use resilience::{
-    BrownoutSpec, ChaosStorm, ControllerDecision, FaultController, ResilienceOptions,
-};
+pub use partition::{placement_universe, Partitioner, RateEstimator, Slice};
+pub use resilience::{Adjustment, BrownoutSpec, ChaosStorm, FaultController, ResilienceOptions};
 pub use warm::WarmReport;
 
 /// The quality-of-service class a tenant submits under.

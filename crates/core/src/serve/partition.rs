@@ -16,6 +16,11 @@
 //! quota has drifted more than one full SM from its current allocation —
 //! so a noisy arrival process does not thrash the compilation cache with
 //! new slice widths.
+//!
+//! The partitioner decides and keeps no history: the serving loop
+//! records each recut once, as the `Rebalance` or brownout entry of its
+//! timeline ([`crate::serve::TraceEvent`]), and the serve report counts
+//! recuts there.
 
 use std::collections::BTreeMap;
 
@@ -115,16 +120,6 @@ impl RateEstimator {
     }
 }
 
-/// One partition recut, for the audit log: when it happened and the
-/// slice widths it produced, in tenant-name order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecutRecord {
-    /// Virtual time of the arrival that triggered the recut.
-    pub at_secs: f64,
-    /// `(tenant, slice width)` after the recut, in tenant-name order.
-    pub widths: Vec<(String, u32)>,
-}
-
 /// The current partition of the device plus the demand estimators that
 /// drive it.
 #[derive(Debug, Clone)]
@@ -133,10 +128,6 @@ pub struct Partitioner {
     alpha: f64,
     rates: BTreeMap<String, RateEstimator>,
     slices: BTreeMap<String, Slice>,
-    /// Every recut, in order (the initial cut per tenant set included) —
-    /// the audit trail the event engine's determinism tests lock down,
-    /// and the serve report's `rebalances`.
-    pub recut_log: Vec<RecutRecord>,
 }
 
 impl Partitioner {
@@ -148,7 +139,6 @@ impl Partitioner {
             alpha,
             rates: BTreeMap::new(),
             slices: BTreeMap::new(),
-            recut_log: Vec::new(),
         }
     }
 
@@ -157,9 +147,10 @@ impl Partitioner {
     /// whether the partition needs a recut — either the tenant has no
     /// slice yet or some tenant's ideal quota has drifted more than one
     /// full SM from its allocation (the hysteresis band);
-    /// [`Partitioner::recut_at`] performs it. The serving loop calls both
+    /// [`Partitioner::recut`] performs it. The serving loop calls both
     /// at each arrival's dequeue, so demand is observed in true arrival
-    /// order at true arrival times.
+    /// order at true arrival times, and records the recut on its
+    /// timeline.
     ///
     /// # Errors
     ///
@@ -181,20 +172,6 @@ impl Partitioner {
         Ok(is_new || self.drifted())
     }
 
-    /// Recuts the partition from the current demand estimates, logging
-    /// the result at virtual time `now`.
-    pub fn recut_at(&mut self, now: f64) {
-        self.recut();
-        self.recut_log.push(RecutRecord {
-            at_secs: now,
-            widths: self
-                .slices
-                .iter()
-                .map(|(t, s)| (t.clone(), s.num_sms))
-                .collect(),
-        });
-    }
-
     /// The device capacity currently being partitioned.
     #[must_use]
     pub fn capacity(&self) -> u32 {
@@ -203,15 +180,15 @@ impl Partitioner {
 
     /// Resizes the device capacity to `total_sms` — the brownout hook:
     /// a mid-trace loss (or recovery) of SMs changes what there is to
-    /// apportion, so the partition is recut immediately at `now` and the
-    /// recut logged. Admitted tenants keep their floor of one SM each,
+    /// apportion, so the partition is recut immediately once any tenant
+    /// is admitted. Admitted tenants keep their floor of one SM each,
     /// which bounds how far a brownout can shrink the device.
     ///
     /// # Errors
     ///
     /// [`Error::Api`] when `total_sms` is zero or smaller than the
     /// number of admitted tenants.
-    pub fn set_capacity(&mut self, total_sms: u32, now: f64) -> Result<()> {
+    pub fn set_capacity(&mut self, total_sms: u32) -> Result<()> {
         if total_sms == 0 || (self.rates.len() as u32) > total_sms {
             return Err(Error::Api(format!(
                 "cannot resize device to {total_sms} SM(s): {} tenant(s) admitted and every \
@@ -221,7 +198,7 @@ impl Partitioner {
         }
         self.total_sms = total_sms;
         if !self.rates.is_empty() {
-            self.recut_at(now);
+            self.recut();
         }
         Ok(())
     }
@@ -267,9 +244,10 @@ impl Partitioner {
         })
     }
 
-    /// Largest-remainder apportionment of the device, then contiguous
+    /// Recuts the partition from the current demand estimates:
+    /// largest-remainder apportionment of the device, then contiguous
     /// base-SM assignment in tenant-name order.
-    fn recut(&mut self) {
+    pub fn recut(&mut self) {
         let quotas = self.ideal_quotas();
         if quotas.is_empty() {
             self.slices.clear();
@@ -313,13 +291,33 @@ impl Partitioner {
 mod tests {
     use super::*;
 
-    /// One arrival as the serving loop records it: demand observed, the
-    /// partition recut when it drifted.
-    fn observe(p: &mut Partitioner, tenant: &str, now: f64) -> Result<()> {
-        if p.record_arrival(tenant, now)? {
-            p.recut_at(now);
+    /// One arrival as the serving loop handles it: demand observed, the
+    /// partition recut when it drifted. Returns whether it recut.
+    fn observe(p: &mut Partitioner, tenant: &str, now: f64) -> Result<bool> {
+        let recut = p.record_arrival(tenant, now)?;
+        if recut {
+            p.recut();
         }
-        Ok(())
+        Ok(recut)
+    }
+
+    /// Every tenant's width, in name order.
+    fn widths(p: &Partitioner) -> Vec<(String, u32)> {
+        (p.slices().into_iter())
+            .map(|(t, s)| (t, s.num_sms))
+            .collect()
+    }
+
+    /// Serves `arrivals` and returns each recut's time and widths, as
+    /// the serving loop's timeline records them.
+    fn cuts(p: &mut Partitioner, arrivals: &[(&str, f64)]) -> Vec<(f64, Vec<(String, u32)>)> {
+        let mut cuts = Vec::new();
+        for &(tenant, at) in arrivals {
+            if observe(p, tenant, at).unwrap() {
+                cuts.push((at, widths(p)));
+            }
+        }
+        cuts
     }
 
     #[test]
@@ -348,10 +346,8 @@ mod tests {
         for (i, t) in ["a", "b", "c"].iter().enumerate() {
             observe(&mut p, t, i as f64).unwrap();
         }
-        let recuts_before = p.recut_log.len();
-        p.set_capacity(6, 10.0).unwrap();
+        p.set_capacity(6).unwrap();
         assert_eq!(p.capacity(), 6);
-        assert_eq!(p.recut_log.len(), recuts_before + 1);
         let covered: u32 = p.slices().iter().map(|(_, s)| s.num_sms).sum();
         assert_eq!(covered, 6, "recut apportions exactly the shrunk device");
         for (_, s) in p.slices() {
@@ -361,8 +357,8 @@ mod tests {
             );
         }
         // Three tenants cannot fit two SMs, and zero is never valid.
-        assert!(p.set_capacity(2, 11.0).is_err());
-        assert!(p.set_capacity(0, 11.0).is_err());
+        assert!(p.set_capacity(2).is_err());
+        assert!(p.set_capacity(0).is_err());
         assert_eq!(p.capacity(), 6, "failed resizes must not change capacity");
     }
 
@@ -395,9 +391,9 @@ mod tests {
     }
 
     #[test]
-    fn recut_log_locks_the_sequence_and_true_arrival_order_matters() {
+    fn recuts_lock_the_sequence_and_true_arrival_order_matters() {
         // Demand observed in true arrival order: "hot" floods, "cold"
-        // trickles. The recut log pins the exact sequence of cuts.
+        // trickles. The recuts pin the exact sequence of cuts.
         let trace: Vec<(&str, f64)> = {
             let mut t: Vec<(&str, f64)> = (0..40).map(|i| ("hot", 0.1 * f64::from(i))).collect();
             t.push(("cold", 0.05));
@@ -405,49 +401,39 @@ mod tests {
             t.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(b.0)));
             t
         };
-        let mut in_order = Partitioner::new(16, 0.5);
-        for &(tenant, at) in &trace {
-            observe(&mut in_order, tenant, at).unwrap();
-        }
+        let in_order = cuts(&mut Partitioner::new(16, 0.5), &trace);
         // The same arrivals replayed at *simulation* time, clamped to a
         // monotone clock: "cold"'s early arrival is recorded late, at
         // whatever the clock had advanced to (here: after the whole hot
         // burst). The estimators see a different demand history, so the
         // recut sequence differs — why the serving loop records at
         // arrival-event dequeue.
-        let mut clamped = Partitioner::new(16, 0.5);
         let mut clock = 0.0f64;
-        for &(tenant, at) in trace.iter().filter(|(t, _)| *t == "hot") {
-            clock = clock.max(at);
-            observe(&mut clamped, tenant, clock).unwrap();
-        }
-        for &(tenant, at) in trace.iter().filter(|(t, _)| *t == "cold") {
-            clock = clock.max(at);
-            observe(&mut clamped, tenant, clock).unwrap();
-        }
+        let by_tenant = |name: &'static str| trace.iter().filter(move |(t, _)| *t == name);
+        let clamped: Vec<(&str, f64)> = (by_tenant("hot").chain(by_tenant("cold")))
+            .map(|&(tenant, at)| {
+                clock = clock.max(at);
+                (tenant, clock)
+            })
+            .collect();
+        let clamped = cuts(&mut Partitioner::new(16, 0.5), &clamped);
 
-        // Replaying the true-order trace is bit-reproducible: the log
-        // locks both the times and the widths of every cut.
-        let mut replay = Partitioner::new(16, 0.5);
-        for &(tenant, at) in &trace {
-            observe(&mut replay, tenant, at).unwrap();
-        }
-        assert_eq!(in_order.recut_log, replay.recut_log);
+        // Replaying the true-order trace is bit-reproducible: the times
+        // and the widths of every cut repeat.
+        let replay = cuts(&mut Partitioner::new(16, 0.5), &trace);
+        assert_eq!(in_order, replay);
         assert!(
-            in_order.recut_log.len() >= 2,
-            "admitting two tenants must cut at least twice: {:?}",
-            in_order.recut_log
+            in_order.len() >= 2,
+            "admitting two tenants must cut at least twice: {in_order:?}"
         );
         // First cut: hot alone owns the device.
-        assert_eq!(in_order.recut_log[0].widths, vec![("hot".to_string(), 16)]);
+        assert_eq!(in_order[0].1, vec![("hot".to_string(), 16)]);
         // Demand order changes the outcome: the clamped replay distorts
         // cold's inter-arrival gaps, so the final widths diverge.
         assert_ne!(
-            in_order.recut_log.last().unwrap().widths,
-            clamped.recut_log.last().unwrap().widths,
-            "simulation-time recording must be observably wrong: {:?} vs {:?}",
-            in_order.recut_log,
-            clamped.recut_log,
+            in_order.last().unwrap().1,
+            clamped.last().unwrap().1,
+            "simulation-time recording must be observably wrong: {in_order:?} vs {clamped:?}"
         );
     }
 
@@ -484,15 +470,14 @@ mod tests {
             observe(&mut p, "b", now + 0.01).unwrap();
             now += 1.0;
         }
-        let after_warmup = p.recut_log.len();
+        let mut recuts = 0;
         for _ in 0..100 {
-            observe(&mut p, "a", now).unwrap();
-            observe(&mut p, "b", now + 0.01).unwrap();
+            recuts += u32::from(observe(&mut p, "a", now).unwrap());
+            recuts += u32::from(observe(&mut p, "b", now + 0.01).unwrap());
             now += 1.0;
         }
         assert_eq!(
-            p.recut_log.len(),
-            after_warmup,
+            recuts, 0,
             "steady equal demand must not recut the partition"
         );
     }

@@ -20,12 +20,12 @@
 //! engine runs each tenant at the argmin commit interval `k` — commits
 //! amortize over `k` launches, recovery replays at most `k − 1`.
 //!
-//! Every decision is appended to a serializable log
-//! ([`ControllerDecision`]) in virtual-time order. Because observations
-//! arrive in the event engine's deterministic completion order and the
-//! EWMA is pure arithmetic, two runs over the same trace and fault seed
-//! produce byte-identical logs — the chaos soak harness locks this
-//! down.
+//! The controller keeps no log: each observation returns what it
+//! changed ([`Adjustment`]), and the serving loop records every change
+//! as one entry of its timeline. Because observations arrive in the
+//! loop's deterministic completion order and the EWMA is pure
+//! arithmetic, two runs over the same trace and fault seed record
+//! byte-identical changes — the chaos soak harness locks this down.
 //!
 //! [`ChaosStorm`] generates the adversarial fault environments the soak
 //! harness runs under: bursty *hang trains* (consecutive attempt
@@ -39,7 +39,6 @@
 use std::collections::BTreeMap;
 
 use gpusim::{FaultKind, FaultPlan, TimingModel};
-use serde::Serialize;
 
 use crate::hash::splitmix64;
 use crate::pipeline::FaultPolicy;
@@ -85,20 +84,16 @@ impl Default for ResilienceOptions {
     }
 }
 
-/// One controller decision, in virtual-time order. `PartialEq` +
-/// `Serialize` so determinism tests can compare whole logs and the
-/// chaos harness can export them.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ControllerDecision {
-    /// Virtual time of the job completion that triggered the decision.
-    pub time_secs: f64,
-    /// The tenant the decision applies to.
-    pub tenant: String,
-    /// The retry-rate EWMA at decision time.
-    pub ewma_retry_rate: f64,
-    /// What changed, e.g. `"policy throughput->tail-latency"` or
-    /// `"interval 1->3"`.
-    pub action: String,
+/// What one observation changed. Nothing changes under a disabled
+/// controller.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Adjustment {
+    /// The tenant's retry-rate EWMA after the observation.
+    pub ewma: f64,
+    /// `(from, to)` when the checkpoint commit interval changed.
+    pub interval: Option<(u32, u32)>,
+    /// The new policy when the observation switched it.
+    pub policy: Option<FaultPolicy>,
 }
 
 /// Per-tenant controller state.
@@ -112,8 +107,6 @@ struct TenantControl {
     jobs_since_switch: u64,
     /// The commit interval currently in force (0 = never chosen = 1).
     interval: u32,
-    /// Policy switches performed.
-    switches: u64,
 }
 
 /// The online fault-rate controller: retry-rate EWMAs, hysteretic
@@ -125,7 +118,6 @@ pub struct FaultController {
     /// Upper hysteresis band — the serve options' warn threshold.
     upper_band: f64,
     tenants: BTreeMap<String, TenantControl>,
-    decisions: Vec<ControllerDecision>,
 }
 
 impl FaultController {
@@ -138,7 +130,6 @@ impl FaultController {
             timing,
             upper_band: upper_band.max(0.0),
             tenants: BTreeMap::new(),
-            decisions: Vec::new(),
         }
     }
 
@@ -183,41 +174,27 @@ impl FaultController {
         }
     }
 
-    /// Policy switches performed for `tenant`.
-    #[must_use]
-    pub fn switches_for(&self, tenant: &str) -> u64 {
-        self.tenants.get(tenant).map_or(0, |t| t.switches)
-    }
-
-    /// The full decision log, in virtual-time order.
-    #[must_use]
-    pub fn decisions(&self) -> &[ControllerDecision] {
-        &self.decisions
-    }
-
     /// Feeds one completed job's launch/retry counters into the
     /// tenant's EWMA, re-derives the commit interval from the cost
-    /// model, and applies the hysteresis rule. Returns the new policy
-    /// when this observation *switched* it (the engine then emits a
-    /// `PolicySwitch` event and pre-spawns the recompile).
+    /// model, and applies the hysteresis rule. Returns what changed: the
+    /// serving loop records an interval change, and for a policy switch
+    /// also pre-spawns the recompile.
     ///
     /// Only tenants whose `default_policy` is Throughput are managed:
     /// an Interactive tenant's TailLatency is a QoS guarantee the
     /// controller must not trade away, and "switch back" below the
     /// lower band must never demote it.
-    #[allow(clippy::too_many_arguments)] // one observation point, raw counters in
     pub fn observe_job(
         &mut self,
         tenant: &str,
-        now: f64,
         launches: u64,
         retries: u64,
         productive_cycles: f64,
         checkpoint: &CheckpointPlan,
         default_policy: FaultPolicy,
-    ) -> Option<FaultPolicy> {
+    ) -> Adjustment {
         if !self.opts.enabled {
-            return None;
+            return Adjustment::default();
         }
         let sample = ratio(retries, launches);
         let t = self.tenants.entry(tenant.to_string()).or_default();
@@ -249,23 +226,17 @@ impl FaultController {
             .unwrap_or(1)
         };
         let prev_k = t.interval.max(1);
-        if k != prev_k {
-            t.interval = k;
-            self.decisions.push(ControllerDecision {
-                time_secs: now,
-                tenant: tenant.to_string(),
-                ewma_retry_rate: ewma,
-                action: format!("interval {prev_k}->{k}"),
-            });
-        } else {
-            t.interval = k;
-        }
+        t.interval = k;
+        let mut changed = Adjustment {
+            ewma,
+            interval: (k != prev_k).then_some((prev_k, k)),
+            policy: None,
+        };
 
-        if default_policy != FaultPolicy::Throughput {
-            return None;
-        }
-        if t.jobs_since_switch < self.opts.dwell_jobs.max(1) {
-            return None;
+        if default_policy != FaultPolicy::Throughput
+            || t.jobs_since_switch < self.opts.dwell_jobs.max(1)
+        {
+            return changed;
         }
         let current = t.policy.unwrap_or(default_policy);
         let lower = self.upper_band * HYSTERESIS_RATIO;
@@ -276,16 +247,10 @@ impl FaultController {
         };
         if let Some(to) = switched {
             t.policy = Some(to);
-            t.switches += 1;
             t.jobs_since_switch = 0;
-            self.decisions.push(ControllerDecision {
-                time_secs: now,
-                tenant: tenant.to_string(),
-                ewma_retry_rate: ewma,
-                action: format!("policy {current}->{to}"),
-            });
         }
-        switched
+        changed.policy = switched;
+        changed
     }
 }
 
@@ -405,83 +370,58 @@ mod tests {
         )
     }
 
+    /// The policy one observation switched to, if any.
+    fn switch(
+        c: &mut FaultController,
+        retries: u64,
+        p: &CheckpointPlan,
+        qos: FaultPolicy,
+    ) -> Option<FaultPolicy> {
+        c.observe_job("t", 10, retries, 1e6, p, qos).policy
+    }
+
     #[test]
     fn disabled_controller_is_inert() {
         let mut c = controller(false);
         assert_eq!(
-            c.observe_job("t", 1.0, 10, 9, 1e6, &plan(8), FaultPolicy::Throughput),
-            None
+            c.observe_job("t", 10, 9, 1e6, &plan(8), FaultPolicy::Throughput),
+            Adjustment::default()
         );
         assert_eq!(
             c.policy_for("t", FaultPolicy::Throughput),
             FaultPolicy::Throughput
         );
         assert_eq!(c.interval_for("t"), 1);
-        assert!(c.decisions().is_empty());
     }
 
     #[test]
     fn hysteresis_switches_up_after_dwell_and_back_below_lower_band() {
         let mut c = controller(true);
-        let p = plan(8);
+        let (p, qos) = (plan(8), FaultPolicy::Throughput);
         // First noisy observation: EWMA over the band but dwell unmet.
-        assert_eq!(
-            c.observe_job("t", 1.0, 10, 3, 1e6, &p, FaultPolicy::Throughput),
-            None
-        );
+        assert_eq!(switch(&mut c, 3, &p, qos), None);
         // Second: dwell satisfied, switch up.
-        assert_eq!(
-            c.observe_job("t", 2.0, 10, 3, 1e6, &p, FaultPolicy::Throughput),
-            Some(FaultPolicy::TailLatency)
-        );
-        assert_eq!(
-            c.policy_for("t", FaultPolicy::Throughput),
-            FaultPolicy::TailLatency
-        );
-        assert_eq!(c.switches_for("t"), 1);
+        assert_eq!(switch(&mut c, 3, &p, qos), Some(FaultPolicy::TailLatency));
+        assert_eq!(c.policy_for("t", qos), FaultPolicy::TailLatency);
         // Quiet observations: EWMA decays, but no back-switch until it
         // crosses the *lower* band (0.05 * 0.3 = 0.015) and dwells.
-        let mut switched_back = 0;
-        for i in 0..12 {
-            if c.observe_job(
-                "t",
-                3.0 + f64::from(i),
-                10,
-                0,
-                1e6,
-                &p,
-                FaultPolicy::Throughput,
-            ) == Some(FaultPolicy::Throughput)
-            {
-                switched_back += 1;
-            }
-        }
-        assert_eq!(switched_back, 1, "exactly one back-switch");
-        assert_eq!(
-            c.policy_for("t", FaultPolicy::Throughput),
-            FaultPolicy::Throughput
-        );
-        assert_eq!(c.switches_for("t"), 2);
-        let log = c.decisions();
-        assert!(
-            log.iter()
-                .any(|d| d.action == "policy throughput->tail-latency"),
-            "missing up-switch in {log:?}"
-        );
-        assert!(
-            log.iter()
-                .any(|d| d.action == "policy tail-latency->throughput"),
-            "missing back-switch in {log:?}"
-        );
+        let back: Vec<Adjustment> = (0..12)
+            .map(|_| c.observe_job("t", 10, 0, 1e6, &p, qos))
+            .filter(|a| a.policy.is_some())
+            .collect();
+        assert_eq!(back.len(), 1, "exactly one back-switch: {back:?}");
+        assert_eq!(back[0].policy, Some(FaultPolicy::Throughput));
+        assert!(back[0].ewma < 0.015, "{back:?}");
+        assert_eq!(c.policy_for("t", qos), FaultPolicy::Throughput);
     }
 
     #[test]
     fn interactive_tenants_are_never_demoted() {
         let mut c = controller(true);
         let p = plan(8);
-        for i in 0..8 {
+        for _ in 0..8 {
             assert_eq!(
-                c.observe_job("t", f64::from(i), 10, 0, 1e6, &p, FaultPolicy::TailLatency),
+                switch(&mut c, 0, &p, FaultPolicy::TailLatency),
                 None,
                 "a TailLatency-by-QoS tenant must never switch"
             );
@@ -490,36 +430,23 @@ mod tests {
             c.policy_for("t", FaultPolicy::TailLatency),
             FaultPolicy::TailLatency
         );
-        assert_eq!(c.switches_for("t"), 0);
     }
 
     #[test]
     fn interval_tracks_the_cost_model_and_stays_one_for_stateless() {
         let mut c = controller(true);
         // Stateless: nothing to commit, k pinned at 1.
-        c.observe_job("s", 1.0, 100, 0, 2e6, &plan(0), FaultPolicy::Throughput);
-        assert_eq!(c.interval_for("s"), 1);
-        // Stateful at a near-zero observed rate: commits amortize, k > 1.
-        c.observe_job("t", 1.0, 100, 0, 2e6, &plan(16), FaultPolicy::Throughput);
-        assert!(c.interval_for("t") > 1, "k = {}", c.interval_for("t"));
-        assert!(
-            c.decisions()
-                .iter()
-                .any(|d| d.action.starts_with("interval 1->")),
-            "interval change must be logged: {:?}",
-            c.decisions()
-        );
+        let stateless = c.observe_job("s", 100, 0, 2e6, &plan(0), FaultPolicy::Throughput);
+        assert_eq!((stateless.interval, c.interval_for("s")), (None, 1));
+        // Stateful at a near-zero observed rate: commits amortize, k > 1,
+        // and the observation reports the change.
+        let first = c.observe_job("t", 100, 0, 2e6, &plan(16), FaultPolicy::Throughput);
+        let k = c.interval_for("t");
+        assert!(k > 1, "k = {k}");
+        assert_eq!(first.interval, Some((1, k)));
         // Storm of retries: expected replay dominates, k collapses to 1.
-        for i in 0..6 {
-            c.observe_job(
-                "t",
-                2.0 + f64::from(i),
-                10,
-                9,
-                2e5,
-                &plan(16),
-                FaultPolicy::Throughput,
-            );
+        for _ in 0..6 {
+            c.observe_job("t", 10, 9, 2e5, &plan(16), FaultPolicy::Throughput);
         }
         assert_eq!(c.interval_for("t"), 1);
     }

@@ -4,7 +4,7 @@
 //! [`crate::codegen::capture_graph`] — that a captured graph's event-edge
 //! set covers exactly the modulo-schedule dependence set. The required
 //! set is **re-derived from the channel token geometry** via
-//! [`super::deps::derive_deps`], not read back from the instance model
+//! `deps::derive_deps`, not read back from the instance model
 //! the emitter consumed: the emitter and an enumeration bug would have to
 //! agree byte-for-byte to slip a race past this pass.
 //!

@@ -33,7 +33,7 @@
 //! The abstract interpretation is `gpusim`'s own
 //! ([`gpusim::InstanceExec::analyze`]): a second walk over the decoded
 //! program the simulator executes. The coalescing and isolation analyses
-//! are its [`gpusim::AccessSink`]s, fed by [`analyze_launches`].
+//! are its [`gpusim::AccessSink`]s, fed by `analyze_launches`.
 //!
 //! The predicted counters are cross-checked against the simulator's
 //! dynamic counters in the test suite and by the `verify-all` binary, so

@@ -200,7 +200,7 @@ impl TimingModel {
     }
 
     /// Instruction budget implied by the watchdog interval: the
-    /// warp-instructions the device could issue in [`WATCHDOG_SECS`] at
+    /// warp-instructions the device could issue in `WATCHDOG_SECS` at
     /// full rate. A kernel that exhausts this budget cannot be making
     /// forward progress on any launch this simulator models.
     #[must_use]

@@ -23,6 +23,7 @@
 pub use serde_derive::Serialize;
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A JSON value tree. Objects preserve insertion order.
@@ -136,6 +137,14 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
+/// Shared data renders as what it points to, as in the real crate's
+/// `rc` feature.
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
@@ -196,6 +205,8 @@ mod tests {
         assert_eq!(true.to_value(), Value::Bool(true));
         assert_eq!("x".to_value(), Value::Str("x".into()));
         assert_eq!(None::<u32>.to_value(), Value::Null);
+        let shared: Arc<str> = "x".into();
+        assert_eq!(shared.to_value(), Value::Str("x".into()));
         assert_eq!(
             vec![1u8, 2].to_value(),
             Value::Array(vec![Value::Num(1.0), Value::Num(2.0)])

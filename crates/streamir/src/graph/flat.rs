@@ -256,6 +256,26 @@ impl FlatGraph {
         self.0.nodes.is_empty()
     }
 
+    /// Nodes grouped by work function: the first node of each distinct
+    /// work function, in node order, and each node's index into that
+    /// list. Nodes of one group run the same code, so whatever is a
+    /// function of the code alone — a decoded kernel, a profile row — is
+    /// derived once per group.
+    #[must_use]
+    pub fn work_classes(&self) -> (Vec<NodeId>, Vec<usize>) {
+        let mut firsts: Vec<NodeId> = Vec::new();
+        let class = (self.0.nodes.iter().enumerate())
+            .map(|(v, node)| {
+                let first = firsts.iter().position(|f| self.node(*f).work == node.work);
+                first.unwrap_or_else(|| {
+                    firsts.push(NodeId(v as u32));
+                    firsts.len() - 1
+                })
+            })
+            .collect();
+        (firsts, class)
+    }
+
     /// Count of user filters whose work function peeks beyond what it pops
     /// (the "Peeking Filters" column of Table I).
     #[must_use]

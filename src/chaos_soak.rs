@@ -24,16 +24,16 @@
 //!    run of the same trace (faults and brownouts may change *when*,
 //!    never *what*).
 //! 4. **Deterministic replay** — re-running the same storm seed
-//!    reproduces the controller's decision log and the engine's event
-//!    trace byte-for-byte.
+//!    reproduces the engine's timeline byte-for-byte, the controller's
+//!    policy switches and interval changes included.
 //!
-//! Writes `CHAOS_soak.json` — the decision log and headline counters —
-//! for the CI artifact upload.
+//! Writes `CHAOS_soak.json` — the timeline and headline counters — for
+//! the CI artifact upload.
 
 use streamir::ir::Scalar;
 use swpipe::serve::{
-    BrownoutSpec, ChaosStorm, ControllerDecision, EventEngine, Job, ResilienceOptions,
-    ServeOptions, ServeReport, TraceEvent, Verdict,
+    BrownoutSpec, ChaosStorm, EventEngine, Job, ResilienceOptions, ServeOptions, ServeReport,
+    TraceEvent, Verdict,
 };
 
 use crate::{suite_trace, write_json};
@@ -134,9 +134,7 @@ pub struct SoakRun {
     pub outputs: Vec<Option<Vec<Scalar>>>,
     /// The serve report.
     pub report: ServeReport,
-    /// The controller's decision log.
-    pub decisions: Vec<ControllerDecision>,
-    /// The engine's processed-event trace.
+    /// The engine's timeline.
     pub events: Vec<TraceEvent>,
 }
 
@@ -230,7 +228,6 @@ fn run_with_plan(cfg: &SoakConfig, stormy: bool) -> SoakRun {
     SoakRun {
         outputs,
         report: engine.report(),
-        decisions: engine.decisions().to_vec(),
         events: engine.trace().to_vec(),
     }
 }
@@ -298,14 +295,10 @@ pub fn assert_invariants(cfg: &SoakConfig) -> SoakRun {
     }
     assert!(compared > 0, "no surviving jobs to compare");
 
-    // 4. Same-seed replay reproduces decisions and events exactly.
-    assert_eq!(
-        stormy.decisions, replay.decisions,
-        "controller decisions must replay deterministically"
-    );
+    // 4. Same-seed replay reproduces the whole timeline exactly.
     assert_eq!(
         stormy.events, replay.events,
-        "event trace must replay deterministically"
+        "the timeline must replay deterministically"
     );
 
     // 5. When the storm runs graph-dispatched, the coverage must be
@@ -343,7 +336,7 @@ struct SoakSummary {
     graph_dispatch: bool,
     graph_replays: u64,
     launch_path_cycles: u64,
-    decisions: Vec<ControllerDecision>,
+    events: Vec<TraceEvent>,
 }
 
 /// Parses a storm seed, decimal or `0x` hex.
@@ -355,7 +348,7 @@ pub fn parse_u64(s: &str) -> Option<u64> {
 
 /// A storm matrix of seeds (the `stream-gpu soak` command): each seed
 /// soaked under `base` and invariant-checked, with the last seed's
-/// decision log written to `CHAOS_soak.json`. An empty `seeds` soaks
+/// timeline written to `CHAOS_soak.json`. An empty `seeds` soaks
 /// two default seeds.
 ///
 /// # Panics
@@ -378,12 +371,12 @@ pub fn soak(seeds: &[u64], base: &SoakConfig) {
         let completed = run.outputs.iter().filter(|o| o.is_some()).count();
         println!(
             "seed {seed:#x} ({} storm): {} jobs, {completed} completed, {} policy switch(es), \
-             {} rebalance(s), {} controller decision(s), makespan {:.3}s — invariants hold",
+             {} rebalance(s), {} timeline entries, makespan {:.3}s — invariants hold",
             cfg.profile,
             run.outputs.len(),
             run.report.policy_switches,
             run.report.rebalances,
-            run.decisions.len(),
+            run.events.len(),
             run.report.makespan_secs,
         );
         last = Some((seed, run));
@@ -401,7 +394,7 @@ pub fn soak(seeds: &[u64], base: &SoakConfig) {
         graph_dispatch: base.graph,
         graph_replays: run.report.graph_replays,
         launch_path_cycles: run.report.launch_path_cycles,
-        decisions: run.decisions,
+        events: run.events,
     };
     write_json(&summary, "CHAOS_soak.json");
     println!("wrote CHAOS_soak.json");

@@ -16,16 +16,15 @@
 //!    shipping ran.
 //!
 //! [`run_bench`] renders `BENCH_fleet.json` with all three reports;
-//! [`chaos`] writes `FLEET_chaos.json` carrying the router's full
-//! decision log — the determinism witness the CI chaos job uploads.
+//! [`chaos`] writes `FLEET_chaos.json` carrying the loop's whole
+//! timeline — the determinism witness the CI chaos job uploads.
 
 use gpusim::DeviceId;
 use serde::Serialize;
 use swpipe::fleet::{
     FleetEngine, FleetJobResult, FleetOptions, FleetReport, FleetStorm, FleetVerdict, RackBrownout,
-    RouterDecision,
 };
-use swpipe::serve::{Job, ServeOptions};
+use swpipe::serve::{Job, ServeOptions, TraceEvent};
 
 use crate::{suite_trace, write_json};
 
@@ -132,7 +131,7 @@ pub fn chaos_options(devices: u32, seed: u64) -> FleetOptions {
 }
 
 /// Runs one fleet configuration over a trace, returning the report,
-/// the router's decision log, and the verdicts.
+/// the timeline, and the verdicts.
 ///
 /// # Panics
 ///
@@ -142,10 +141,10 @@ pub fn chaos_options(devices: u32, seed: u64) -> FleetOptions {
 pub fn run_fleet(
     opts: FleetOptions,
     trace: &[(Job, f64)],
-) -> (FleetReport, Vec<RouterDecision>, Vec<FleetVerdict>) {
+) -> (FleetReport, Vec<TraceEvent>, Vec<FleetVerdict>) {
     let mut engine = FleetEngine::new(opts);
     let verdicts = engine.run(trace).expect("fleet trace serves");
-    (engine.report(), engine.router_log().to_vec(), verdicts)
+    (engine.report(), engine.trace().to_vec(), verdicts)
 }
 
 /// The three-configuration benchmark artifact (`BENCH_fleet.json`).
@@ -256,7 +255,7 @@ pub fn run_bench(rounds: usize, iterations: u64, devices: u32, seed: u64) -> Fle
 }
 
 /// The chaos artifact (`FLEET_chaos.json`): the storm report plus the
-/// router's full decision log.
+/// loop's whole timeline.
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetChaosArtifact {
     /// Storm seed.
@@ -275,9 +274,9 @@ pub struct FleetChaosArtifact {
     pub saved_launch_cycles: u64,
     /// The storm-run report.
     pub report: FleetReport,
-    /// Every router decision, in order — byte-identical across
-    /// same-seed replays.
-    pub decisions: Vec<RouterDecision>,
+    /// The timeline, in order — byte-identical across same-seed
+    /// replays.
+    pub events: Vec<TraceEvent>,
 }
 
 fn print_report(name: &str, r: &FleetReport) {
@@ -322,7 +321,7 @@ pub fn chaos(devices: u32, seed: u64) {
     // The same storm host-launched: the launch-overhead baseline
     // and the byte-identity reference for the graph-dispatched run.
     let (host, _, host_verdicts) = run_fleet(with_loss(storm_options(devices, seed), loss), &trace);
-    let (report, decisions, verdicts) =
+    let (report, events, verdicts) =
         run_fleet(with_loss(chaos_options(devices, seed), loss), &trace);
     assert_eq!(host.jobs_lost, 0, "host-launched chaos run lost jobs");
     assert_eq!(report.jobs_lost, 0, "chaos run lost jobs");
@@ -363,7 +362,7 @@ pub fn chaos(devices: u32, seed: u64) {
         host_launch_path_cycles: host.launch_path_cycles,
         saved_launch_cycles: host.launch_path_cycles - report.launch_path_cycles,
         report,
-        decisions,
+        events,
     };
     println!(
         "graph dispatch under storm: launch path {} -> {} cycles ({} replays, {} failovers)",
@@ -374,8 +373,8 @@ pub fn chaos(devices: u32, seed: u64) {
     );
     write_json(&artifact, "FLEET_chaos.json");
     println!(
-        "wrote FLEET_chaos.json ({} decisions)",
-        artifact.decisions.len()
+        "wrote FLEET_chaos.json ({} timeline entries)",
+        artifact.events.len()
     );
 }
 

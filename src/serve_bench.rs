@@ -102,7 +102,7 @@ pub fn run_trace_configured(
         },
         ..ServeOptions::default()
     };
-    let mut engine = EventEngine::new(opts).with_checkpoint_period(1.0);
+    let mut engine = EventEngine::new(opts);
 
     let suite = streambench::suite();
     if warm {

@@ -10,8 +10,8 @@
 //!   the frozen static policy, with byte-identical outputs;
 //! * **brownout** — a mid-trace device brownout recuts every tenant
 //!   into the shrunk SM range without changing a single output byte;
-//! * **determinism** — same seed, same storm: verdicts, the
-//!   controller's decision log, and the engine's event trace replay
+//! * **determinism** — same seed, same storm: verdicts and the
+//!   engine's whole timeline, the controller's changes included, replay
 //!   byte-for-byte (property-tested across seeds).
 //!
 //! Criterion (c) — the model-chosen commit interval beating `k = 1` at
@@ -23,8 +23,8 @@ use proptest::prelude::*;
 use streamir::graph::{FilterSpec, FlatGraph, StreamSpec};
 use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
 use swpipe::serve::{
-    BrownoutSpec, ChaosStorm, EventEngine, Job, QosClass, ResilienceOptions, ServeOptions,
-    TenantReport, Verdict,
+    BrownoutSpec, ChaosStorm, EventEngine, EventKind, Job, QosClass, ResilienceOptions,
+    ServeOptions, TenantReport, TraceEvent, Verdict,
 };
 
 fn map_filter(name: &str, k: i32) -> StreamSpec {
@@ -49,6 +49,14 @@ fn tiny_job(tenant: &str, k: i32, iterations: u64) -> Job {
         iterations,
         qos: QosClass::Batch,
     }
+}
+
+/// The controller's changes on a timeline: its policy switches and
+/// interval changes.
+fn controller_entries(timeline: &[TraceEvent]) -> Vec<&TraceEvent> {
+    (timeline.iter())
+        .filter(|e| matches!(e.kind, EventKind::PolicySwitch | EventKind::IntervalChange))
+        .collect()
 }
 
 /// A small two-tenant trace of stateless tiny jobs.
@@ -100,8 +108,7 @@ fn assert_verdicts_match(a: &Verdict, b: &Verdict, ctx: &str) {
 /// rate, never crosses any band, and must be invisible — an engine with
 /// the controller enabled serves a fault-free trace byte- and
 /// cycle-identically to one with it disabled: same verdict bits, same
-/// processed-event trace, same serialized report, and an empty decision
-/// log.
+/// timeline, same serialized report, and no controller change on it.
 #[test]
 fn fault_free_controller_is_byte_and_cycle_invisible() {
     let trace = tiny_trace(8, 2);
@@ -127,16 +134,62 @@ fn fault_free_controller_is_byte_and_cycle_invisible() {
         adaptive.trace(),
         "the controller must not reorder or add events on a fault-free trace"
     );
+    let changes = controller_entries(adaptive.trace());
     assert!(
-        adaptive.decisions().is_empty(),
-        "zero retries must produce zero decisions: {:?}",
-        adaptive.decisions()
+        changes.is_empty(),
+        "zero retries must change nothing: {changes:?}"
     );
     assert_eq!(
         serde_json::to_string(&plain.report()),
         serde_json::to_string(&adaptive.report()),
         "fault-free reports must serialize identically"
     );
+}
+
+/// A stateful tenant's commit-interval change is recorded once, as an
+/// `IntervalChange` entry at the finish of the job whose observation
+/// made it: with no faults the cost model amortizes commits over more
+/// than one launch, so the first job moves the interval off 1, and the
+/// report's interval is the entry's target.
+#[test]
+fn interval_change_is_one_timeline_entry() {
+    let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+    let acc = f.state(ElemTy::I32, Scalar::I32(0));
+    let x = f.local(ElemTy::I32);
+    f.pop_into(0, x);
+    f.store_state(acc, Expr::state(acc).add(Expr::local(x)));
+    f.push(0, Expr::state(acc));
+    let accumulator = StreamSpec::filter(FilterSpec::new("acc", f.build().unwrap()));
+    let job = Job {
+        graph: StreamSpec::pipeline(vec![map_filter("pre", 3), accumulator])
+            .flatten()
+            .unwrap(),
+        ..tiny_job("s", 3, 4)
+    };
+    let trace: Vec<(Job, f64)> = (0..3).map(|i| (job.clone(), f64::from(i))).collect();
+    let opts = ServeOptions {
+        resilience: ResilienceOptions {
+            enabled: true,
+            ..ResilienceOptions::default()
+        },
+        ..ServeOptions::default()
+    };
+    let mut engine = EventEngine::new(opts);
+    let verdicts = engine.serve_trace(&trace).unwrap();
+    let changes = controller_entries(engine.trace());
+    assert_eq!(changes.len(), 1, "{changes:?}");
+    let change = changes[0];
+    assert_eq!(
+        (change.kind, change.job),
+        (EventKind::IntervalChange, Some(0))
+    );
+    let Verdict::Completed(first) = &verdicts[0] else {
+        panic!("the first job completes");
+    };
+    assert_eq!(change.time_secs.to_bits(), first.finish_secs.to_bits());
+    let k = tenant_row(&engine.report().tenants, "s").checkpoint_interval;
+    assert!(k > 1, "k = {k}");
+    assert!(change.detail.starts_with(&format!("1->{k} ")), "{change:?}");
 }
 
 fn tenant_row<'a>(rows: &'a [TenantReport], name: &str) -> &'a TenantReport {
@@ -209,7 +262,7 @@ fn adaptive_policy_beats_static_under_hang_storm() {
     assert!(
         a_row.policy_switches >= 1,
         "the hang storm must push the EWMA over the band: {:?}",
-        adaptive.decisions()
+        controller_entries(adaptive.trace())
     );
     assert_eq!(
         s_row.policy_switches, 0,
@@ -225,7 +278,8 @@ fn adaptive_policy_beats_static_under_hang_storm() {
 
 /// A mid-trace brownout shrinks the device out from under a served
 /// trace: the partitioner recuts every tenant into the surviving SM
-/// range, the recut is logged, every post-brownout slice fits the
+/// range, the recut is one brownout entry on the timeline and is counted
+/// in the report's `rebalances`, every post-brownout slice fits the
 /// shrunk device — and not one output byte changes relative to the
 /// full-width run (slice width trades time, never values).
 #[test]
@@ -251,11 +305,28 @@ fn brownout_recuts_without_changing_outputs() {
     }
     assert!(compared > 0, "no completed jobs to compare");
 
+    // Recuts counted on each timeline: every rebalance, and the
+    // brownout's own recut (the trace has admitted tenants by then).
+    let recuts = |timeline: &[TraceEvent]| {
+        (timeline.iter())
+            .filter(|e| matches!(e.kind, EventKind::Rebalance | EventKind::Brownout))
+            .count() as u64
+    };
+    let brownouts: Vec<&TraceEvent> = (browned.trace().iter())
+        .filter(|e| e.kind == EventKind::Brownout)
+        .collect();
+    assert_eq!(brownouts.len(), 1, "one brownout, one entry: {brownouts:?}");
     assert!(
-        browned.recut_log().len() > full.recut_log().len(),
+        brownouts[0].detail.starts_with("sms=6 "),
+        "the entry carries the recut widths: {brownouts:?}"
+    );
+    assert_eq!(recuts(browned.trace()), browned.report().rebalances);
+    assert_eq!(recuts(full.trace()), full.report().rebalances);
+    assert!(
+        browned.report().rebalances > full.report().rebalances,
         "the brownout must force an extra recut: {} vs {}",
-        browned.recut_log().len(),
-        full.recut_log().len()
+        browned.report().rebalances,
+        full.report().rebalances
     );
     // Every job that *arrived* after the brownout ran inside the
     // shrunk range.  (Jobs arriving earlier may have been sliced at
@@ -279,8 +350,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
     /// Same seed, same storm, same decisions: serving the same trace
-    /// twice under one [`ChaosStorm`] reproduces the verdict bits, the
-    /// controller's decision log, and the processed-event trace
+    /// twice under one [`ChaosStorm`] reproduces the verdict bits and
+    /// the whole timeline, the controller's changes included,
     /// byte-for-byte — the replay invariant the chaos soak harness
     /// leans on, property-tested across storm seeds.
     #[test]
@@ -311,7 +382,6 @@ proptest! {
         for (i, (a, b)) in v1.iter().zip(&v2).enumerate() {
             assert_verdicts_match(a, b, &format!("seed {seed}, job {i}"));
         }
-        prop_assert_eq!(e1.decisions(), e2.decisions());
         prop_assert_eq!(e1.trace(), e2.trace());
     }
 }

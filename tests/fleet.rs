@@ -8,8 +8,11 @@
 //! * **Completion-or-rejection** — rolling kill storms lose no jobs:
 //!   every submission completes or is rejected, even when no usable
 //!   failover target remains;
+//! * **One timeline** — under a storm, each arrival has one `Dispatch`
+//!   entry carrying its route, each health transition, failover and
+//!   abandon one entry, and `router_decisions` counts exactly those;
 //! * **Determinism** — same-seed fleet chaos replays to identical
-//!   router decision logs, reports, and output bytes, property-tested
+//!   timelines, reports, and output bytes, property-tested
 //!   over random traces × device counts ∈ {2, 4, 8}, and no job ever
 //!   executes before its artifact's compile finishes;
 //! * **Replication dividend** — the cross-device artifact store's hit
@@ -27,10 +30,12 @@ use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
 use gpusim::{DeviceFaultPlan, DeviceId, FaultPlan};
 use stream_gpu::fleet_bench;
 use swpipe::fleet::{
-    Fetch, FleetEngine, FleetOptions, FleetStorm, FleetVerdict, Router, FETCH_PENALTY_SECS,
+    Fetch, FleetEngine, FleetOptions, FleetStorm, FleetVerdict, RackBrownout, Router,
+    FETCH_PENALTY_SECS,
 };
 use swpipe::serve::{
-    EventEngine, Job, QosClass, ResilienceOptions, ServeOptions, Verdict, COMPILE_PENALTY_SECS,
+    EventEngine, EventKind, Job, QosClass, ResilienceOptions, ServeOptions, Verdict,
+    COMPILE_PENALTY_SECS,
 };
 
 fn map_filter(name: &str, k: i32) -> StreamSpec {
@@ -308,6 +313,82 @@ fn rolling_kill_storm_loses_no_jobs() {
     assert!(report.devices_alive >= 1);
 }
 
+/// The timeline records each occurrence once under a storm of kills,
+/// partitions and a healing rack brownout: every arrival has exactly one
+/// `Arrival` and one `Dispatch` entry, the dispatch's route word agrees
+/// with where it landed, and `router_decisions` equals the entries of
+/// the routing and health kinds, counted here kind by kind.
+#[test]
+fn storm_timeline_records_each_occurrence_once() {
+    let trace = tiny_trace(12, 2);
+    let storm = FleetStorm {
+        seed: 0xDEAD_BEEF,
+        kills: 2,
+        kill_start_secs: 0.3,
+        kill_every_secs: 0.7,
+        min_alive: 1,
+        partitions: 1,
+        partition_start_secs: 0.9,
+        partition_every_secs: 1.0,
+        partition_heal_secs: 0.4,
+        rack: Some(RackBrownout {
+            at_secs: 0.5,
+            devices: 4,
+            total_sms: 4,
+            heal_secs: 0.8,
+        }),
+    };
+    let opts = FleetOptions {
+        devices: 4,
+        device_faults: storm.device_fault_plan(4),
+        ..FleetOptions::default()
+    };
+    let mut engine = FleetEngine::new(opts);
+    engine.run(&trace).expect("storm trace serves");
+    let (report, timeline) = (engine.report(), engine.trace());
+
+    let of = |kind: EventKind| timeline.iter().filter(move |e| e.kind == kind);
+    for i in 0..trace.len() as u64 {
+        let arrivals: Vec<_> = of(EventKind::Arrival)
+            .filter(|e| e.job == Some(i))
+            .collect();
+        let dispatches: Vec<_> = of(EventKind::Dispatch)
+            .filter(|e| e.job == Some(i))
+            .collect();
+        assert_eq!((arrivals.len(), dispatches.len()), (1, 1), "job {i}");
+        let (home, landed) = (arrivals[0].device, dispatches[0].device);
+        match dispatches[0].router_action() {
+            Some("home") => assert_eq!(landed, home, "job {i}"),
+            Some("reroute") => assert_ne!(landed, home, "job {i}"),
+            Some("reject") => {}
+            other => panic!("job {i}: dispatch without a route: {other:?}"),
+        }
+    }
+    let routing = [
+        EventKind::Dispatch,
+        EventKind::DeviceLoss,
+        EventKind::LinkPartition,
+        EventKind::PartitionHeal,
+        EventKind::Brownout,
+        EventKind::BrownoutHeal,
+        EventKind::Failover,
+        EventKind::Abandon,
+    ];
+    let counted: usize = routing.iter().map(|&k| of(k).count()).sum();
+    assert_eq!(report.router_decisions, counted as u64);
+    assert_eq!(engine.router_log().len(), counted);
+    assert_eq!(of(EventKind::DeviceLoss).count(), 2, "both kills strike");
+    assert!(of(EventKind::Brownout).count() > 0 && of(EventKind::BrownoutHeal).count() > 0);
+    assert_eq!(of(EventKind::Failover).count() as u64, report.failovers);
+    let rejects = (of(EventKind::Dispatch))
+        .filter(|e| e.router_action() == Some("reject"))
+        .count();
+    assert_eq!(
+        (rejects + of(EventKind::Abandon).count()) as u64,
+        report.jobs_rejected
+    );
+}
+
 /// When a device dies and nothing usable remains (the only other
 /// device is partitioned), in-flight jobs are *rejected* — surfaced to
 /// the caller with a retry hint — never silently dropped.
@@ -341,8 +422,9 @@ fn loss_with_no_usable_target_rejects_instead_of_losing() {
     assert_eq!(report.jobs_rejected, 1);
     assert_eq!(report.jobs_lost, 0);
     assert!(
-        report.router_decisions > 0 && engine.router_log().iter().any(|d| d.action == "abandon"),
-        "the abandon is logged"
+        report.router_decisions > 0
+            && (engine.trace().iter()).any(|e| e.kind == EventKind::Abandon && e.job == Some(0)),
+        "the abandon is on the timeline"
     );
 }
 
@@ -398,7 +480,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
     /// Same seed, same storm, same fleet: two runs replay to identical
-    /// router decision logs, identical serialized reports, and
+    /// timelines, identical serialized reports, and
     /// identical output bytes — across random traces and device counts
     /// ∈ {2, 4, 8}. And whatever the storm does, every completed job's
     /// execution starts no earlier than its key's compile finishes (a
@@ -430,10 +512,11 @@ proptest! {
         let mut b = FleetEngine::new(opts);
         let vb = b.run(&trace).expect("second run serves");
 
+        prop_assert_eq!(a.trace(), b.trace(), "timelines diverge");
         prop_assert_eq!(
-            serde_json::to_string(&a.router_log().to_vec()),
-            serde_json::to_string(&b.router_log().to_vec()),
-            "router decision logs diverge"
+            serde_json::to_string(a.trace()),
+            serde_json::to_string(b.trace()),
+            "serialized timelines diverge"
         );
         prop_assert_eq!(
             serde_json::to_string(&a.report()),

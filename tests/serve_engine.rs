@@ -30,8 +30,8 @@ use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
 use swpipe::exec::CompileOptions;
 use swpipe::pipeline::{LadderRung, PipelineOptions};
 use swpipe::serve::{
-    cache_key, EventEngine, Job, JobResult, QosClass, ServeOptions, ServeReport, Verdict,
-    COMPILE_PENALTY_SECS,
+    cache_key, EventEngine, EventKind, Job, JobResult, QosClass, ServeOptions, ServeReport,
+    Verdict, COMPILE_PENALTY_SECS,
 };
 
 /// Scheduler searches a served trace paid for, over all its tenants.
@@ -280,8 +280,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 5, ..ProptestConfig::default() })]
 
     /// Random arrival traces: (1) two engine runs over the same trace
-    /// are bit-identical — verdicts, the processed-event trace, and the
-    /// recut log; (2) the engine compiles each distinct cache key the
+    /// are bit-identical — verdicts and the whole timeline, its recuts
+    /// included; (2) the engine compiles each distinct cache key the
     /// trace's dispatches address exactly once — never twice, however
     /// the compiles overlap — and serves every other dispatch as a hit.
     /// (A queue bound above any backlog keeps pressure nominal, so a
@@ -315,7 +315,6 @@ proptest! {
             assert_verdicts_match(a, b, &format!("same-seed run, job {i}"));
         }
         prop_assert_eq!(e1.trace(), e2.trace());
-        prop_assert_eq!(e1.recut_log(), e2.recut_log());
 
         let distinct: BTreeSet<u64> = trace
             .iter()
@@ -445,11 +444,35 @@ fn cold_compile_overlaps_without_delaying_hot_tenant() {
     );
 }
 
+/// The timeline of the shared suite trace, pinned entry by entry kind:
+/// two rounds at four iterations under the default options record one
+/// entry per occurrence — 16 arrivals, the 8 first-arrival rebalances,
+/// 16 dispatches, 13 compile finishes (one per miss) and 16 launch
+/// finishes.
+#[test]
+fn suite_trace_timeline_is_pinned() {
+    let trace = stream_gpu::suite_trace(2, 4);
+    let mut engine = EventEngine::new(ServeOptions::default());
+    engine.serve_trace(&trace).unwrap();
+    let count = |kind: EventKind| engine.trace().iter().filter(|e| e.kind == kind).count();
+    assert_eq!(engine.trace().len(), 69);
+    assert_eq!(
+        [
+            count(EventKind::Arrival),
+            count(EventKind::Rebalance),
+            count(EventKind::Dispatch),
+            count(EventKind::CompileFinish),
+            count(EventKind::LaunchFinish),
+        ],
+        [16, 8, 16, 13, 16]
+    );
+}
+
 /// The EWMA fix, end to end: submitting a trace out of order serves
 /// byte-identically to submitting it sorted — the engine records demand
 /// at each arrival's true time in true time order either way, where
 /// clamping an early arrival to a monotone clock would distort the rate
-/// estimate (see the partitioner's `recut_log` unit test).
+/// estimate (see the partitioner's recut-sequence unit test).
 #[test]
 fn out_of_order_submission_equals_sorted_trace() {
     let sorted: Vec<(Job, f64)> = (0..8)
@@ -467,7 +490,14 @@ fn out_of_order_submission_equals_sorted_trace() {
     let mut e_shuffled = EventEngine::new(ServeOptions::default());
     let v_shuffled = e_shuffled.serve_trace(&shuffled).unwrap();
 
-    assert_eq!(e_sorted.recut_log(), e_shuffled.recut_log());
+    // The same recuts at the same instants; only trace indices differ.
+    let recuts = |engine: &EventEngine| -> Vec<(u64, String)> {
+        (engine.trace().iter())
+            .filter(|e| e.kind == EventKind::Rebalance)
+            .map(|e| (e.time_secs.to_bits(), e.detail.clone()))
+            .collect()
+    };
+    assert_eq!(recuts(&e_sorted), recuts(&e_shuffled));
     for (i, (job, at)) in sorted.iter().enumerate() {
         let j = shuffled
             .iter()
