@@ -389,9 +389,8 @@ pub fn execute_with(
     Prepared::new(c, scheme)?.run(c, iterations, input, false, opts)
 }
 
-/// The (iteration granule, buffer layout) shape of a scheme. Shared by
-/// the executor and the static verifier so both plan identical buffers.
-pub(crate) fn scheme_shape(scheme: Scheme) -> (u32, LayoutKind) {
+/// The (iteration granule, buffer layout) shape of a scheme.
+fn scheme_shape(scheme: Scheme) -> (u32, LayoutKind) {
     match scheme {
         Scheme::Swp { coarsening } => (coarsening.max(1), LayoutKind::Optimized),
         Scheme::SwpNc { coarsening } | Scheme::SwpRaw { coarsening } => {
@@ -433,6 +432,21 @@ pub(crate) fn check_iterations(c: &Compiled, scheme: Scheme, iterations: u64) ->
         ));
     }
     Ok(())
+}
+
+/// Rejects a schedule the pipelined walk cannot index: one that does not
+/// cover every instance, or places one off the device. Only a schedule
+/// read back from outside the program (a disk cache entry) can be; the
+/// static verifier reports every finer fault.
+fn check_shape(c: &Compiled) -> Result<()> {
+    let (s, n, sms) = (&c.schedule, c.ig.len(), c.device.num_sms);
+    let covers = [s.sm_of.len(), s.offset.len(), s.stage.len()] == [n; 3];
+    if covers && s.sm_of.iter().all(|&sm| sm < sms) {
+        return Ok(());
+    }
+    Err(Error::Api(format!(
+        "schedule does not place each of the {n} instances on one of {sms} SMs"
+    )))
 }
 
 /// What every instance of one node launches with.
@@ -527,6 +541,7 @@ impl Prepared {
             ),
             _ => {
                 let sched = &c.schedule;
+                check_shape(c)?;
                 let mut order = vec![Vec::new(); c.device.num_sms as usize];
                 let mut idx: Vec<usize> = (0..c.ig.len()).collect();
                 idx.sort_by_key(|&i| (sched.offset[i], i));
@@ -560,6 +575,27 @@ impl Prepared {
 
     pub(crate) fn scheme(&self) -> Scheme {
         self.scheme
+    }
+
+    /// The scheme's iteration granule: basic iterations per launch (SWP
+    /// family) or per batch (serial).
+    pub(crate) fn granule(&self) -> u32 {
+        scheme_shape(self.scheme).0
+    }
+
+    /// The pipeline schedule the launches and the plan follow: `c`'s, or
+    /// `None` for the serial walk, which plans its buffers without one
+    /// (stage span zero by construction).
+    pub(crate) fn schedule<'c>(&self, c: &'c Compiled) -> Option<&'c Schedule> {
+        self.capture().map(|_| &c.schedule)
+    }
+
+    /// The steady window's captured graph; `None` for the serial walk.
+    pub(crate) fn capture(&self) -> Option<&CapturedGraph> {
+        match &self.walk {
+            Walk::Swp { capture, .. } => Some(capture),
+            Walk::Serial { .. } => None,
+        }
     }
 
     /// The canonical (no replay slack) buffer plan.
@@ -752,7 +788,6 @@ impl Prepared {
     ) -> Result<GpuRun> {
         check_iterations(c, self.scheme, iterations)?;
         let (granule, kind) = scheme_shape(self.scheme);
-        let serial = matches!(self.walk, Walk::Serial { .. });
         // k-launch checkpointing only matters (and is only billed) under an
         // armed fault plan; scaled measurement extrapolates merged steady
         // launches, so it always commits per launch over canonical buffers.
@@ -775,7 +810,7 @@ impl Prepared {
         let plan = if interval == 1 {
             &self.plan
         } else {
-            let sched = (!serial).then_some(&c.schedule);
+            let sched = self.schedule(c);
             slack_plan =
                 plan::plan_with_replay_slack(&c.graph, &c.ig, sched, granule, kind, interval - 1);
             &slack_plan
@@ -838,17 +873,14 @@ impl Prepared {
             0..0
         };
         let mut billed = LaunchStats::default();
-        match &self.walk {
-            Walk::Swp { capture, .. } if !replayed.is_empty() => {
-                let cost = gpu
-                    .timing()
-                    .graph_capture_cycles(capture.node_count(), capture.edge_count());
-                billed.graph_captures += 1;
-                billed.graph_capture_cycles += cost;
-                billed.cycles += cost;
-                billed.time_secs += gpu.timing().secs(cost);
-            }
-            _ => {}
+        if let Some(capture) = self.capture().filter(|_| !replayed.is_empty()) {
+            let cost = gpu
+                .timing()
+                .graph_capture_cycles(capture.node_count(), capture.edge_count());
+            billed.graph_captures += 1;
+            billed.graph_capture_cycles += cost;
+            billed.cycles += cost;
+            billed.time_secs += gpu.timing().secs(cost);
         }
         let build = |r: u64| {
             let dispatch = if replayed.contains(&r) {

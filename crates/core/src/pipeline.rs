@@ -23,9 +23,9 @@
 //!    the serialized SAS executor ([`Scheme::Serial`]) with a real,
 //!    validated single-SM schedule.
 //!
-//! Every rung's schedule — including the serial rung's — must pass the
-//! independent static verifier ([`crate::verify`]: re-derived dependence
-//! timing plus buffer-bounds liveness) before its artifact is accepted.
+//! Every rung's artifact — the serial rung's too — is prepared once and
+//! must pass the static verifier's gate over that prepared form (re-derived
+//! dependence timing, captured-graph event edges, buffer-bounds liveness).
 //! A rung whose schedule is rejected fails with the diagnostics and the
 //! ladder degrades; if even the serial rung's schedule is rejected, the
 //! compilation fails with [`crate::Error::Verification`] rather than
@@ -36,7 +36,7 @@
 //! log) can state exactly which rung produced each number.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gpusim::FaultPlan;
@@ -44,8 +44,10 @@ use serde::Serialize;
 use streamir::graph::FlatGraph;
 use streamir::ir::Scalar;
 
-use crate::exec::{compile_front, CompileOptions, Compiled, GpuRun, Prepared, RunOptions, Scheme};
-use crate::plan::{self, CheckpointPlan, LayoutKind};
+use crate::exec::{
+    compile_front, CompileOptions, Compiled, FrontEnd, GpuRun, Prepared, RunOptions, Scheme,
+};
+use crate::plan::{self, CheckpointPlan};
 use crate::profile::TIME_UNIT_CYCLES;
 use crate::schedule::{self, Schedule, SchedulerKind, SearchOptions, SearchReport};
 use crate::{verify, Error, Result};
@@ -269,7 +271,8 @@ pub struct ResilientCompiled {
     /// Which rung shipped, and what every rung did.
     pub report: DegradationReport,
     /// The execution scheme the shipped rung supports: a pipelined
-    /// scheme for rungs 1–3, [`Scheme::Serial`] for rung 4.
+    /// scheme for the beam, ILP and heuristic rungs, [`Scheme::Serial`]
+    /// for the serial rung.
     pub scheme: Scheme,
     /// Ready-made execution options matching the compile-time fault
     /// assumptions: the ladder's fault plan installed, checkpoint mode
@@ -282,30 +285,57 @@ pub struct ResilientCompiled {
     /// any SM placement. `None` when the proof failed — the serving
     /// layer refuses to dispatch such an artifact onto a shared device.
     pub isolation: Option<verify::IsolationCertificate>,
-    /// The artifact prepared for execution under its scheme, built by the
-    /// first [`ResilientCompiled::execute`] and shared by every clone.
-    pub(crate) prepared: OnceLock<Arc<Prepared>>,
+    /// The artifact prepared for execution under its scheme — the buffer
+    /// plan, captured graph and launch walk the acceptance gate checked
+    /// and the isolation proof walked. Built once, when the artifact is,
+    /// and shared by every clone.
+    pub(crate) prepared: Arc<Prepared>,
 }
 
 impl ResilientCompiled {
+    /// The one constructor, shared by the ladder and the cache's disk
+    /// reload so a rebuilt artifact runs byte-identically to a fresh one.
+    /// A failed or errored isolation proof over `prepared` ships `None`:
+    /// the artifact still runs on a dedicated device, not a shared one.
+    pub(crate) fn new(
+        compiled: Compiled,
+        prepared: Prepared,
+        shipped: LadderRung,
+        attempts: Vec<RungAttempt>,
+        opts: &PipelineOptions,
+    ) -> ResilientCompiled {
+        let isolation = verify::isolate::certify_prepared(&compiled, &prepared)
+            .ok()
+            .and_then(|iso| iso.certificate);
+        let fault_plan = opts.fault_plan.as_ref();
+        let checkpoint = plan::checkpoint_plan(&compiled.graph, &compiled.timing, fault_plan);
+        ResilientCompiled {
+            compiled,
+            report: DegradationReport {
+                shipped,
+                attempts,
+                policy: opts.policy,
+                checkpoint,
+            },
+            scheme: prepared.scheme(),
+            run_options: run_options_for(opts.policy, opts.fault_plan.clone(), opts.graph_dispatch),
+            isolation,
+            prepared: Arc::new(prepared),
+        }
+    }
+
     /// Executes `iterations` basic steady iterations under the artifact's
-    /// own scheme: [`crate::exec::execute_with`] over a prepared form that
-    /// is built once and reused by every later call, from any thread.
-    /// Pass [`ResilientCompiled::run_options`] (or a variation of it) as
+    /// own scheme: [`crate::exec::execute_with`] over the prepared form
+    /// built with the artifact, from any thread. Pass
+    /// [`ResilientCompiled::run_options`] (or a variation of it) as
     /// `opts`.
     ///
     /// # Errors
     ///
     /// As for [`crate::exec::execute`].
     pub fn execute(&self, iterations: u64, input: &[Scalar], opts: &RunOptions) -> Result<GpuRun> {
-        let prepared = match self.prepared.get() {
-            Some(p) => p,
-            None => {
-                let p = Arc::new(Prepared::new(&self.compiled, self.scheme)?);
-                self.prepared.get_or_init(|| p)
-            }
-        };
-        prepared.run(&self.compiled, iterations, input, false, opts)
+        self.prepared
+            .run(&self.compiled, iterations, input, false, opts)
     }
 }
 
@@ -340,7 +370,7 @@ impl ResilientPipeline {
     ///
     /// Front-end failures (profiling, configuration selection, instance
     /// modeling) are not schedulable around and propagate. Scheduling
-    /// failures on rungs 1–3 never propagate — the ladder degrades past
+    /// failures on rungs 0–3 never propagate — the ladder degrades past
     /// them. The [`LadderRung::SerialSas`] rung has no further fallback:
     /// if its schedule cannot be built, or the static verifier rejects
     /// it, the whole compilation fails ([`Error::Verification`] in the
@@ -348,9 +378,26 @@ impl ResilientPipeline {
     pub fn compile(&self, graph: &FlatGraph) -> Result<ResilientCompiled> {
         let opts = &self.opts;
         let timing = &opts.compile.timing;
-        let fe = compile_front(graph, &opts.compile)?;
+        let FrontEnd {
+            selection,
+            exec_cfg,
+            ig,
+            search: front,
+        } = compile_front(graph, &opts.compile)?;
         let num_sms = opts.compile.device.num_sms;
         let mut attempts = Vec::new();
+        // The one artifact: each rung that finds a schedule installs it
+        // here and is gated over it.
+        let mut compiled = Compiled {
+            graph: graph.clone(),
+            exec_cfg,
+            selection,
+            ig,
+            schedule: Schedule::default(),
+            report: SearchReport::default(),
+            device: opts.compile.device.clone(),
+            timing: timing.clone(),
+        };
 
         // Expected per-launch retry overhead of the fault plan, in
         // schedule time units. Under TailLatency it becomes the
@@ -364,12 +411,11 @@ impl ResilientPipeline {
             FaultPolicy::Throughput => 0,
             FaultPolicy::TailLatency => reserve_units,
         };
-        let checkpoint = plan::checkpoint_plan(graph, timing, opts.fault_plan.as_ref());
 
         let budgets = &opts.budgets;
         let base = SearchOptions {
             fault_reserve: sched_reserve,
-            ..fe.search.clone()
+            ..front.clone()
         };
         let ilp = SearchOptions {
             scheduler: SchedulerKind::Ilp,
@@ -398,7 +444,7 @@ impl ResilientPipeline {
                 budgets.relaxed_ilp,
                 SearchOptions {
                     ilp_budget: (budgets.relaxed_ilp)
-                        .min(fe.search.ilp_budget)
+                        .min(front.ilp_budget)
                         .max(Duration::from_millis(1)),
                     ..ilp
                 },
@@ -419,15 +465,16 @@ impl ResilientPipeline {
                 LadderRung::Beam => schedule::find_beam,
                 _ => schedule::find,
             };
-            let interrupt = &fe.search.interrupt;
             let run = || {
-                let found = find(&fe.ig, &fe.exec_cfg, num_sms, &search)?;
-                verify_rung(graph, &fe, num_sms, &found.0, false)?;
-                Ok(found)
+                let found = find(&compiled.ig, &compiled.exec_cfg, num_sms, &search)?;
+                prepare(&mut compiled, found, rung)
             };
-            let found = try_rung(rung, budget, reserve_units, interrupt, &mut attempts, run);
-            if let Some(found) = found {
-                return Ok(assemble(graph, opts, fe, found, rung, attempts, checkpoint));
+            let interrupt = &front.interrupt;
+            let shipped = try_rung(rung, budget, reserve_units, interrupt, &mut attempts, run);
+            if let Some(prepared) = shipped {
+                return Ok(ResilientCompiled::new(
+                    compiled, prepared, rung, attempts, opts,
+                ));
             }
         }
 
@@ -438,26 +485,38 @@ impl ResilientPipeline {
         // than shipping unchecked.
         let rung = LadderRung::SerialSas;
         let started = Instant::now();
-        let schedule = match serial_sas_schedule(&fe, sched_reserve)
-            .and_then(|s| verify_rung(graph, &fe, 1, &s, true).map(|()| s))
-        {
-            Ok(s) => s,
+        let shipped = serial_sas_schedule(&compiled, sched_reserve).and_then(|s| {
+            let report = SearchReport::new(s.ii, s.ii, sched_reserve, 0, started);
+            prepare(&mut compiled, (s, report), rung)
+        });
+        let (prepared, nominal_ii) = match shipped {
+            Ok(ok) => ok,
             Err(e) => {
                 let failed = RungOutcome::Failed(e.to_string());
                 attempts.push(RungAttempt::new(rung, failed, started.elapsed(), None, 0));
                 return Err(e);
             }
         };
-        let report = SearchReport::new(schedule.ii, schedule.ii, sched_reserve, 0, started);
         attempts.push(RungAttempt::new(
             rung,
             RungOutcome::Shipped,
             started.elapsed(),
-            Some(report.nominal_ii),
+            Some(nominal_ii),
             reserve_units,
         ));
-        let found = (schedule, report);
-        Ok(assemble(graph, opts, fe, found, rung, attempts, checkpoint))
+        Ok(ResilientCompiled::new(
+            compiled, prepared, rung, attempts, opts,
+        ))
+    }
+}
+
+impl LadderRung {
+    /// The execution scheme an artifact shipped by this rung runs under.
+    pub(crate) fn scheme(self) -> Scheme {
+        match self {
+            LadderRung::SerialSas => Scheme::Serial { batch: 1 },
+            _ => Scheme::Swp { coarsening: 1 },
+        }
     }
 }
 
@@ -481,9 +540,9 @@ impl RungAttempt {
     }
 }
 
-/// Runs one rung under its budget. Returns the schedule on success;
-/// records the attempt — including the nominal and fault-adjusted II of
-/// any schedule it produced — either way.
+/// Runs one rung under its budget. Returns the prepared artifact on
+/// success; records the attempt — including the nominal and
+/// fault-adjusted II of any schedule it produced — either way.
 ///
 /// A raised [`schedule::SearchInterrupt`] short-circuits the rung before
 /// any scheduling work starts (and aborts a running search at its next
@@ -497,8 +556,8 @@ fn try_rung(
     reserve_units: u64,
     interrupt: &schedule::SearchInterrupt,
     attempts: &mut Vec<RungAttempt>,
-    run: impl FnOnce() -> Result<(Schedule, SearchReport)>,
-) -> Option<(Schedule, SearchReport)> {
+    run: impl FnOnce() -> Result<(Prepared, u64)>,
+) -> Option<Prepared> {
     let mut record = |outcome, elapsed, nominal_ii| {
         attempts.push(RungAttempt::new(
             rung,
@@ -522,13 +581,13 @@ fn try_rung(
     let result = run();
     let elapsed = started.elapsed();
     match result {
-        Ok(ok) if elapsed <= budget => {
-            record(RungOutcome::Shipped, elapsed, Some(ok.1.nominal_ii));
-            Some(ok)
+        Ok((prepared, nominal_ii)) if elapsed <= budget => {
+            record(RungOutcome::Shipped, elapsed, Some(nominal_ii));
+            Some(prepared)
         }
-        Ok((_, report)) => {
+        Ok((_, nominal_ii)) => {
             let late = format!("finished after the {budget:?} budget elapsed");
-            record(RungOutcome::Failed(late), elapsed, Some(report.nominal_ii));
+            record(RungOutcome::Failed(late), elapsed, Some(nominal_ii));
             None
         }
         Err(e) => {
@@ -542,89 +601,25 @@ fn try_rung(
 /// schedule from the decomposed scheduler — every instance on SM 0, the
 /// II an honest makespan (plus any fault reserve) rather than a blind
 /// delay sum, offsets respecting the dependence system.
-fn serial_sas_schedule(fe: &crate::exec::FrontEnd, fault_reserve: u64) -> Result<Schedule> {
-    let sched = schedule::heuristic::schedule(&fe.ig, &fe.exec_cfg, 1, 1, 1, fault_reserve)?;
-    schedule::validate(&fe.ig, &fe.exec_cfg, &sched, 1, 1)?;
+fn serial_sas_schedule(c: &Compiled, fault_reserve: u64) -> Result<Schedule> {
+    let sched = schedule::heuristic::schedule(&c.ig, &c.exec_cfg, 1, 1, 1, fault_reserve)?;
+    schedule::validate(&c.ig, &c.exec_cfg, &sched, 1, 1)?;
     Ok(sched)
 }
 
-/// The independent acceptance gate every rung's schedule must clear:
-/// modulo-schedule dependence timing re-derived from the graph
-/// ([`verify::check_schedule`]) plus buffer-bounds liveness over the
-/// canonical buffer plan ([`verify::check_plan`]). Any error-severity
-/// finding rejects the rung with the full diagnostic batch.
-fn verify_rung(
-    graph: &FlatGraph,
-    fe: &crate::exec::FrontEnd,
-    num_sms: u32,
-    sched: &Schedule,
-    serial: bool,
-) -> Result<()> {
-    let mut diags = verify::check_schedule(graph, &fe.ig, &fe.exec_cfg, sched, num_sms, 1);
-    // Pipelined rungs must also ship a sound steady-state capture: the
-    // event-edge set the codegen would emit for this schedule is checked
-    // against the independently re-derived dependence set (V05xx), so an
-    // artifact can be flipped to graph dispatch at serve time without
-    // re-verification.
-    if !serial {
-        let cap = crate::codegen::capture_graph(&fe.ig, sched, 1);
-        diags.extend(verify::check_capture(graph, &fe.ig, sched, 1, &cap));
-    }
-    // The serial executor plans its buffers without a pipeline schedule
-    // (stage span zero by construction); pipelined rungs plan against
-    // the schedule they would ship with.
-    let plan_sched = if serial { None } else { Some(sched) };
-    let plan = plan::plan(graph, &fe.ig, plan_sched, 1, LayoutKind::Optimized);
-    diags.extend(verify::check_plan(graph, &fe.ig, plan_sched, &plan));
-    if verify::passes(&diags) {
-        Ok(())
-    } else {
-        Err(Error::verification(diags))
-    }
-}
-
-fn assemble(
-    graph: &FlatGraph,
-    opts: &PipelineOptions,
-    fe: crate::exec::FrontEnd,
+/// Installs a rung's schedule in the artifact, prepares it under the
+/// rung's scheme and gates that prepared form ([`verify::gate`]).
+/// Returns it and the schedule's nominal II.
+fn prepare(
+    c: &mut Compiled,
     (schedule, report): (Schedule, SearchReport),
-    shipped: LadderRung,
-    attempts: Vec<RungAttempt>,
-    checkpoint: CheckpointPlan,
-) -> ResilientCompiled {
-    let scheme = match shipped {
-        LadderRung::SerialSas => Scheme::Serial { batch: 1 },
-        _ => Scheme::Swp { coarsening: 1 },
-    };
-    let compiled = Compiled {
-        graph: graph.clone(),
-        exec_cfg: fe.exec_cfg,
-        selection: fe.selection,
-        ig: fe.ig,
-        schedule,
-        report,
-        device: opts.compile.device.clone(),
-        timing: opts.compile.timing.clone(),
-    };
-    // Run the tenant-isolation prover at the scheme's canonical granule.
-    // A failed or errored proof ships `None`: the artifact still runs on
-    // a dedicated device, but shared devices refuse to dispatch it.
-    let isolation = crate::verify::isolate::certify(&compiled, scheme)
-        .ok()
-        .and_then(|iso| iso.certificate);
-    ResilientCompiled {
-        compiled,
-        report: DegradationReport {
-            shipped,
-            attempts,
-            policy: opts.policy,
-            checkpoint,
-        },
-        scheme,
-        run_options: run_options_for(opts.policy, opts.fault_plan.clone(), opts.graph_dispatch),
-        isolation,
-        prepared: OnceLock::new(),
-    }
+    rung: LadderRung,
+) -> Result<(Prepared, u64)> {
+    c.schedule = schedule;
+    c.report = report;
+    let prepared = Prepared::new(c, rung.scheme())?;
+    verify::gate(c, &prepared)?;
+    Ok((prepared, c.report.nominal_ii))
 }
 
 /// Watchdog tightening factor TailLatency artifacts run with: a hang is
@@ -639,13 +634,10 @@ pub const TAIL_LATENCY_WATCHDOG_MARGIN: u32 = 4;
 /// device's generous display watchdog: a tightened watchdog spends
 /// billed false-kill retries to buy hang-detection latency, which is
 /// exactly the tail-for-throughput trade the policy axis encodes.
-/// Shared by the ladder and the serving cache's disk-reload path so a
-/// rebuilt artifact runs byte-identically to a fresh one.
 /// `graph_dispatch` arms [`RunOptions::graph_dispatch`]: the artifact's
 /// steady state replays its captured graph instead of host-launching
 /// (functionally inert; serial artifacts ignore it).
-#[must_use]
-pub fn run_options_for(
+fn run_options_for(
     policy: FaultPolicy,
     fault_plan: Option<FaultPlan>,
     graph_dispatch: bool,

@@ -59,16 +59,6 @@ impl ProfileOptions {
         }
     }
 
-    /// The paper's grid in SWPNC mode.
-    #[must_use]
-    pub fn paper_no_coalesce() -> ProfileOptions {
-        ProfileOptions {
-            layout: Layout::Sequential,
-            shared_staging: true,
-            ..ProfileOptions::paper()
-        }
-    }
-
     /// A reduced grid for unit tests and examples.
     #[must_use]
     pub fn small(threads: &[u32]) -> ProfileOptions {

@@ -12,7 +12,7 @@ use crate::{Error, Result};
 /// A software-pipelined schedule: for every instance, its SM assignment
 /// (`w`), its offset within the kernel (`o`), and its pipeline stage (`f`)
 /// — the linear-form schedule `σ(j,k,v) = T·(j + f) + o` of the paper.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct Schedule {
     /// The initiation interval `T`.
     pub ii: u64,
@@ -560,7 +560,7 @@ impl Default for SearchOptions {
 
 /// How the schedule was found, for reporting (the paper's Section V
 /// discussion of solve times and II relaxation).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SearchReport {
     /// The search's starting point: `max(ResMII, RecMII, max d)` plus the
     /// fault reserve when one was requested.

@@ -33,7 +33,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use gpusim::DeviceId;
@@ -42,14 +42,11 @@ use serde_json::Value;
 use streamir::graph::FlatGraph;
 
 use crate::config::Selection;
-use crate::exec::{CompileOptions, Compiled, Scheme};
+use crate::exec::{CompileOptions, Compiled, Prepared};
 use crate::fleet::router::score;
 use crate::hash::Fnv;
 use crate::instances::{self, ExecConfig};
-use crate::pipeline::{
-    DegradationReport, LadderRung, PipelineOptions, ResilientCompiled, ResilientPipeline,
-};
-use crate::plan::{self, LayoutKind};
+use crate::pipeline::{LadderRung, PipelineOptions, ResilientCompiled, ResilientPipeline};
 use crate::schedule::{Schedule, SearchReport};
 use crate::serve::metrics::ratio;
 use crate::{verify, Error, Result};
@@ -569,27 +566,18 @@ fn top_up(replicas: &mut BTreeSet<u32>, key: u64, usable: &[u32], r: usize) {
     }
 }
 
-/// The acceptance gate a cached artifact must clear before it is served:
-/// the same schedule- and plan-level static checks the pipeline runs on
-/// a freshly compiled rung. The serving loop also runs it on artifacts
-/// joined from pending reservations, so every hit is verified on serve.
+/// What a cached artifact must clear before it is served: the ladder's
+/// gate ([`verify::gate`]) over its own prepared form, and its isolation
+/// certificate against that form's plan. The serving loop also runs it on
+/// artifacts joined from pending reservations.
 pub(crate) fn verify_artifact(artifact: &ResilientCompiled) -> Result<()> {
-    let c = &artifact.compiled;
-    let serial = matches!(artifact.scheme, Scheme::Serial { .. });
-    let num_sms = if serial { 1 } else { c.device.num_sms };
-    let mut diags = verify::check_schedule(&c.graph, &c.ig, &c.exec_cfg, &c.schedule, num_sms, 1);
-    let plan_sched = if serial { None } else { Some(&c.schedule) };
-    let plan = plan::plan(&c.graph, &c.ig, plan_sched, 1, LayoutKind::Optimized);
-    diags.extend(verify::check_plan(&c.graph, &c.ig, plan_sched, &plan));
-    if !verify::passes(&diags) {
-        return Err(Error::verification(diags));
-    }
-    // A served artifact must additionally carry a valid tenant-isolation
-    // certificate: serving multiplexes tenants onto shared devices, and
-    // the cheap digest re-check here stands in for re-running the full
-    // isolation proof on every hit.
+    let (c, prepared) = (&artifact.compiled, &artifact.prepared);
+    verify::gate(c, prepared)?;
+    // Serving multiplexes tenants onto shared devices, and the cheap
+    // digest re-check here stands in for re-running the full isolation
+    // proof on every hit.
     match &artifact.isolation {
-        Some(cert) => verify::verify_certificate(c, artifact.scheme, cert),
+        Some(cert) => verify::isolate::check_certificate(c, prepared, cert),
         None => Err(Error::Api(
             "artifact carries no tenant-isolation certificate; \
              refusing to serve it onto a shared device"
@@ -681,11 +669,6 @@ fn rebuild(value: &Value, graph: &FlatGraph, opts: &PipelineOptions) -> Result<R
     let normalized_ii = get(value, "normalized_ii", Value::as_f64)?;
 
     let ig = instances::build(graph, &exec_cfg)?;
-    let scheme = match shipped {
-        LadderRung::SerialSas => Scheme::Serial { batch: 1 },
-        _ => Scheme::Swp { coarsening: 1 },
-    };
-    let checkpoint = plan::checkpoint_plan(graph, &opts.compile.timing, opts.fault_plan.as_ref());
     let compiled = Compiled {
         graph: graph.clone(),
         selection: Selection {
@@ -700,31 +683,14 @@ fn rebuild(value: &Value, graph: &FlatGraph, opts: &PipelineOptions) -> Result<R
         device: opts.compile.device.clone(),
         timing: opts.compile.timing.clone(),
     };
-    // Disk entries never store the certificate: the isolation proof is a
-    // deterministic function of (graph, exec_cfg, scheme) and is re-run
-    // on load, so a tampered entry cannot smuggle in a stale proof.
-    let isolation = verify::isolate::certify(&compiled, scheme)
-        .ok()
-        .and_then(|iso| iso.certificate);
-    Ok(ResilientCompiled {
-        compiled,
-        report: DegradationReport {
-            shipped,
-            // Disk entries do not replay the original ladder walk; an
-            // empty attempt list marks a reloaded artifact.
-            attempts: Vec::new(),
-            policy: opts.policy,
-            checkpoint,
-        },
-        scheme,
-        run_options: crate::pipeline::run_options_for(
-            opts.policy,
-            opts.fault_plan.clone(),
-            opts.graph_dispatch,
-        ),
-        isolation,
-        prepared: OnceLock::new(),
-    })
+    let prepared = Prepared::new(&compiled, shipped.scheme())?;
+    // Disk entries store no certificate (the proof is re-run on load, so
+    // a tampered entry cannot smuggle in a stale one) and no ladder walk
+    // (an empty attempt list marks a reloaded artifact).
+    let attempts = Vec::new();
+    Ok(ResilientCompiled::new(
+        compiled, prepared, shipped, attempts, opts,
+    ))
 }
 
 #[cfg(test)]
@@ -818,6 +784,15 @@ pub(crate) mod tests {
             Arc::ptr_eq(&cached, &fresh),
             "a cache hit must share the stored artifact, not recompile or copy it"
         );
+        // The prepared form built with the artifact is the one the hit
+        // gate checked and the one execution runs: neither rebuilds it.
+        let prepared = Arc::clone(&fresh.prepared);
+        let iters = 4;
+        let input: Vec<_> = (0..crate::exec::required_input(&cached.compiled, iters))
+            .map(|i| streamir::ir::Scalar::I32(i as i32))
+            .collect();
+        cached.execute(iters, &input, &cached.run_options).unwrap();
+        assert!(Arc::ptr_eq(&prepared, &cached.prepared));
         assert_eq!(cache.cache_stats().hits, 1);
         assert_eq!(cache.cache_stats().misses, 1);
         // Both views count the same lookups.
@@ -914,6 +889,53 @@ pub(crate) mod tests {
         assert_eq!(reloaded.compiled.schedule, fresh.compiled.schedule);
         assert_eq!(reloaded.compiled.exec_cfg, fresh.compiled.exec_cfg);
         assert_eq!(reloaded.report.shipped, fresh.report.shipped);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A disk entry is input from outside the process: one whose stored
+    /// schedule starts a consumer before its producer finishes is
+    /// rejected at load by the same gate as a ladder rung, and one whose
+    /// schedule does not cover the graph is rejected without being
+    /// prepared.
+    #[test]
+    fn tampered_disk_schedules_are_rejected_at_load() {
+        let dir =
+            std::env::temp_dir().join(format!("swpipe-serve-cache-tamper-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let g = chain(&[("a", 2), ("b", 3)]);
+        let opts = small_opts();
+        let copts = CacheOptions {
+            capacity: 8,
+            disk_dir: Some(dir.clone()),
+        };
+        let shipped = ResilientPipeline::new(opts.clone()).compile(&g).unwrap();
+        let load = |tampered: &ResilientCompiled| {
+            ArtifactStore::new(copts.clone()).persist(cache_key(&g, &opts), tampered);
+            let loaded = ArtifactStore::new(copts.clone()).get_or_compile(&g, &opts, SOLO, &[0]);
+            loaded.expect_err("a tampered entry must not load")
+        };
+
+        // Move one consumer onto its producer's (stage, offset).
+        let mut early = shipped.clone();
+        let ig = &early.compiled.ig;
+        let dep = (ig.deps.iter())
+            .find(|d| d.producer != d.consumer && d.jlag == 0)
+            .expect("a same-iteration dependence");
+        let (u, c) = (dep.producer.0 as usize, dep.consumer.0 as usize);
+        let s = &mut early.compiled.schedule;
+        (s.stage[c], s.offset[c]) = (s.stage[u], s.offset[u]);
+        match load(&early) {
+            Error::Verification { diagnostics } => assert!(
+                diagnostics.iter().any(|d| d.code.code().starts_with("V01")),
+                "{diagnostics:?}"
+            ),
+            other => panic!("expected a V01xx verification error, got {other}"),
+        }
+
+        let mut short = shipped;
+        short.compiled.schedule.sm_of.pop();
+        let err = load(&short);
+        assert!(err.to_string().contains("does not place"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

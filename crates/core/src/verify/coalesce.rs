@@ -299,7 +299,7 @@ pub fn predict_with_plan(
 
 /// The analysis proper, over the prepared form whose launch enumeration
 /// the executor itself runs: same code, not a re-implementation.
-fn predict_prepared(
+pub(crate) fn predict_prepared(
     c: &Compiled,
     prepared: &Prepared,
     iterations: u64,

@@ -45,9 +45,9 @@ use streamir::graph::{EdgeId, NodeId};
 use streamir::ir::AccessKind;
 
 use crate::codegen::{self, ProgramBuffers};
-use crate::exec::{check_iterations, scheme_shape, Compiled, Prepared, Scheme};
+use crate::exec::{check_iterations, Compiled, Prepared, Scheme};
 use crate::hash::Fnv;
-use crate::plan::{self, BufferPlan};
+use crate::plan::BufferPlan;
 use crate::verify::analyze_launches;
 use crate::verify::diag::{Code, Diagnostic, Severity};
 use crate::{Error, Result};
@@ -499,14 +499,13 @@ fn arena(c: &Compiled, plan: &BufferPlan, iterations: u64) -> Result<Arena> {
 ///
 /// The same shape errors as [`prove`].
 pub fn region_map(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<RegionMap> {
-    check_iterations(c, scheme, iterations)?;
-    let (granule, kind) = scheme_shape(scheme);
-    let sched = match scheme {
-        Scheme::Serial { .. } => None,
-        _ => Some(&c.schedule),
-    };
-    let plan = plan::plan(&c.graph, &c.ig, sched, granule, kind);
-    let (_, map, _) = arena(c, &plan, iterations)?;
+    map_of(c, &Prepared::new(c, scheme)?, iterations)
+}
+
+/// [`region_map`] over the plan `prepared` executes with.
+fn map_of(c: &Compiled, prepared: &Prepared, iterations: u64) -> Result<RegionMap> {
+    check_iterations(c, prepared.scheme(), iterations)?;
+    let (_, map, _) = arena(c, prepared.plan(), iterations)?;
     Ok(map)
 }
 
@@ -519,33 +518,12 @@ pub fn region_map(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<Regio
 /// The same shape errors as [`crate::exec::execute`], plus allocation
 /// failures while reconstructing the launch sequence.
 pub fn prove(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<Isolation> {
-    let prepared = Prepared::new(c, scheme)?;
-    prove_prepared(c, &prepared, iterations, prepared.plan())
+    prove_prepared(c, &Prepared::new(c, scheme)?, iterations)
 }
 
-/// [`prove`] over an explicit buffer plan. Exposed so tests can verify
-/// that the proof is driven by the real allocation, whatever the plan.
-///
-/// # Errors
-///
-/// As for [`prove`].
-pub fn prove_with_plan(
-    c: &Compiled,
-    scheme: Scheme,
-    iterations: u64,
-    plan: &BufferPlan,
-) -> Result<Isolation> {
-    prove_prepared(c, &Prepared::new(c, scheme)?, iterations, plan)
-}
-
-fn prove_prepared(
-    c: &Compiled,
-    prepared: &Prepared,
-    iterations: u64,
-    plan: &BufferPlan,
-) -> Result<Isolation> {
+fn prove_prepared(c: &Compiled, prepared: &Prepared, iterations: u64) -> Result<Isolation> {
     check_iterations(c, prepared.scheme(), iterations)?;
-    let (buffers, map, targets) = arena(c, plan, iterations)?;
+    let (buffers, map, targets) = arena(c, prepared.plan(), iterations)?;
 
     let names: Vec<String> = c.graph.nodes().iter().map(|n| n.name.clone()).collect();
     let owners = |wiring: Vec<Option<EdgeId>>, external: RegionOwner| -> Vec<RegionOwner> {
@@ -603,8 +581,12 @@ fn prove_prepared(
 ///
 /// As for [`prove`].
 pub fn certify(c: &Compiled, scheme: Scheme) -> Result<Isolation> {
-    let (granule, _) = scheme_shape(scheme);
-    prove(c, scheme, u64::from(granule))
+    certify_prepared(c, &Prepared::new(c, scheme)?)
+}
+
+/// [`certify`] over the prepared form the artifact executes.
+pub(crate) fn certify_prepared(c: &Compiled, prepared: &Prepared) -> Result<Isolation> {
+    prove_prepared(c, prepared, u64::from(prepared.granule()))
 }
 
 /// Re-verifies a certificate against a compiled artifact: recompute the
@@ -618,13 +600,22 @@ pub fn certify(c: &Compiled, scheme: Scheme) -> Result<Isolation> {
 /// match this artifact, or its iteration count is invalid for the
 /// scheme.
 pub fn verify_certificate(c: &Compiled, scheme: Scheme, cert: &IsolationCertificate) -> Result<()> {
+    check_certificate(c, &Prepared::new(c, scheme)?, cert)
+}
+
+/// [`verify_certificate`] over the plan `prepared` executes with.
+pub(crate) fn check_certificate(
+    c: &Compiled,
+    prepared: &Prepared,
+    cert: &IsolationCertificate,
+) -> Result<()> {
     if cert.version != CERT_VERSION {
         return Err(Error::Api(format!(
             "isolation certificate version {} does not match verifier version {CERT_VERSION}",
             cert.version
         )));
     }
-    let map = region_map(c, scheme, cert.iterations)?;
+    let map = map_of(c, prepared, cert.iterations)?;
     if map.digest() != cert.digest {
         return Err(Error::Api(format!(
             "isolation certificate digest {:#x} does not match the artifact's \

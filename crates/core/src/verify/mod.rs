@@ -1,7 +1,7 @@
 //! Whole-program static verification of compiled stream pipelines.
 //!
-//! Four analyses, one entry point ([`verify`]) plus a standalone
-//! isolation prover ([`isolate::prove`]):
+//! Five analyses: four behind one entry point ([`verify`]) and a
+//! standalone isolation prover ([`isolate::prove`]):
 //!
 //! * [`deps`] — modulo-schedule dependence checking: every consumer
 //!   firing reads FIFO slots already written under the schedule's
@@ -56,16 +56,15 @@ pub use isolate::{prove, verify_certificate, Isolation, IsolationCertificate};
 use gpusim::AccessSink;
 
 use crate::codegen::ProgramBuffers;
-use crate::exec::{scheme_shape, Compiled, Prepared, Scheme};
-use crate::plan;
-use crate::Result;
+use crate::exec::{Compiled, Prepared, Scheme};
+use crate::{Error, Result};
 
-/// The combined result of all three analyses over one compiled pipeline
-/// and execution scheme.
+/// The combined result of the schedule, event-edge, bounds and
+/// coalescing analyses over one compiled pipeline and execution scheme.
 #[derive(Debug, Clone)]
 pub struct Verification {
-    /// All findings, schedule hazards first, then bounds, then
-    /// coalescing.
+    /// All findings, schedule hazards first, then event edges, then
+    /// bounds, then coalescing.
     pub diagnostics: Vec<Diagnostic>,
     /// The traffic prediction, for cross-checking against a dynamic run.
     pub prediction: Prediction,
@@ -90,46 +89,57 @@ impl Verification {
 ///
 /// The serial scheme has no pipeline schedule, so only bounds and
 /// coalescing apply; the SWP family is additionally checked for
-/// modulo-schedule hazards at the scheme's iteration granule.
+/// modulo-schedule hazards and captured-graph event edges at the
+/// scheme's iteration granule.
 ///
 /// # Errors
 ///
 /// The same shape errors as [`crate::exec::execute`], plus allocation
 /// failures while reconstructing the launch sequence.
 pub fn verify(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<Verification> {
-    let (granule, kind) = scheme_shape(scheme);
-    let sched = match scheme {
-        Scheme::Serial { .. } => None,
-        _ => Some(&c.schedule),
-    };
-    let mut diagnostics = Vec::new();
-    if let Some(s) = sched {
-        // The execution granule is the effective cmax: jlag/cmax truncates
-        // toward zero, so verifying at the actual granule is the exact
-        // requirement (larger granules are stricter).
-        diagnostics.extend(deps::check_schedule(
-            &c.graph,
-            &c.ig,
-            &c.exec_cfg,
-            s,
-            c.device.num_sms,
-            granule,
-        ));
-        // The captured steady-state graph this schedule would replay
-        // under graph dispatch must gate exactly the cross-SM dependence
-        // set — checked even for host-launched artifacts, so enabling
-        // graph dispatch later never changes the verification verdict.
-        let cap = crate::codegen::capture_graph(&c.ig, s, granule);
-        diagnostics.extend(events::check_capture(&c.graph, &c.ig, s, granule, &cap));
-    }
-    let plan = plan::plan(&c.graph, &c.ig, sched, granule, kind);
-    diagnostics.extend(bounds::check_plan(&c.graph, &c.ig, sched, &plan));
-    let prediction = coalesce::predict_with_plan(c, scheme, iterations, &plan)?;
+    let prepared = Prepared::new(c, scheme)?;
+    let mut diagnostics = static_checks(c, &prepared);
+    let prediction = coalesce::predict_prepared(c, &prepared, iterations, prepared.plan())?;
     diagnostics.extend(prediction.diagnostics.iter().cloned());
     Ok(Verification {
         diagnostics,
         prediction,
     })
+}
+
+/// The checks without abstract interpretation, over what `prepared`
+/// executes: a pipelined walk's dependence timing at its granule (the
+/// effective cmax, since jlag/cmax truncates toward zero) and its own
+/// capture's event edges, even when host-launched, so enabling graph
+/// dispatch never changes the verdict; then bounds over its own plan.
+fn static_checks(c: &Compiled, prepared: &Prepared) -> Vec<Diagnostic> {
+    let (granule, s) = (prepared.granule(), &c.schedule);
+    let mut diags = Vec::new();
+    if let Some(cap) = prepared.capture() {
+        diags = deps::check_schedule(&c.graph, &c.ig, &c.exec_cfg, s, c.device.num_sms, granule);
+        diags.extend(events::check_capture(&c.graph, &c.ig, s, granule, cap));
+    }
+    let sched = prepared.schedule(c);
+    diags.extend(bounds::check_plan(&c.graph, &c.ig, sched, prepared.plan()));
+    diags
+}
+
+/// The acceptance gate of every ladder rung, cache hit and disk load:
+/// [`static_checks`] over the prepared form the executor runs, plus a
+/// serial walk's schedule timing on its one SM. An error rejects the
+/// artifact with the whole batch; otherwise the findings are returned.
+pub(crate) fn gate(c: &Compiled, prepared: &Prepared) -> Result<Vec<Diagnostic>> {
+    let mut diags = Vec::new();
+    if prepared.capture().is_none() {
+        let granule = prepared.granule();
+        diags = deps::check_schedule(&c.graph, &c.ig, &c.exec_cfg, &c.schedule, 1, granule);
+    }
+    diags.extend(static_checks(c, prepared));
+    if passes(&diags) {
+        Ok(diags)
+    } else {
+        Err(Error::verification(diags))
+    }
 }
 
 /// Walks every instance of every launch an `iterations`-long run of
@@ -152,4 +162,56 @@ pub(crate) fn analyze_launches<S: AccessSink>(
         });
     }
     launches
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::{FaultPolicy, ResilientPipeline};
+    use crate::serve::{pipeline_options_for, Pressure, ServeOptions};
+
+    /// The gate every shipped artifact clears checks what the full
+    /// verifier checks at one iteration, over the very prepared form the
+    /// artifact executes: every suite program at the serving
+    /// configuration (both policies, slices of 1–4 SMs, and the
+    /// serial-only saturated preset) passes, with the same schedule,
+    /// event-edge and bounds findings as `verify`.
+    #[test]
+    fn gate_agrees_with_the_verifier_on_every_served_artifact() {
+        let serve = ServeOptions::default();
+        let presets = [
+            (Pressure::Nominal, FaultPolicy::Throughput),
+            (Pressure::Nominal, FaultPolicy::TailLatency),
+            (Pressure::Saturated, FaultPolicy::Throughput),
+        ];
+        let mut serial = 0;
+        for b in streambench::suite() {
+            let graph = b.spec.flatten().unwrap();
+            for sms in 1..=4 {
+                for (pressure, policy) in presets {
+                    let popts = pipeline_options_for(&serve, sms, pressure, policy);
+                    let rc = ResilientPipeline::new(popts).compile(&graph).unwrap();
+                    let ctx = format!("{} at {sms} SMs, {pressure:?}, {policy}", b.name);
+                    let findings = gate(&rc.compiled, &rc.prepared)
+                        .unwrap_or_else(|e| panic!("{ctx}: gate rejects: {e}"));
+                    let full = verify(&rc.compiled, rc.scheme, 1).unwrap();
+                    let static_codes = |d: &&Diagnostic| {
+                        let code = d.code.code();
+                        ["V01", "V03", "V05"].iter().any(|p| code.starts_with(p))
+                    };
+                    let expected: Vec<_> = full.diagnostics.iter().filter(static_codes).collect();
+                    // The serial rung's schedule is also checked on its
+                    // one SM, which `verify` skips for the serial scheme.
+                    let checked: Vec<_> = (findings.iter())
+                        .filter(|d| {
+                            rc.prepared.capture().is_some() || !d.code.code().starts_with("V01")
+                        })
+                        .collect();
+                    assert_eq!(checked, expected, "{ctx}");
+                    serial += usize::from(rc.prepared.capture().is_none());
+                }
+            }
+        }
+        assert!(serial > 0, "the saturated preset ships serial artifacts");
+    }
 }

@@ -341,11 +341,6 @@ impl Gpu {
         self.fault_plan = Some(plan);
     }
 
-    /// Removes any installed fault plan.
-    pub fn clear_faults(&mut self) {
-        self.fault_plan = None;
-    }
-
     /// The installed fault plan, if any.
     #[must_use]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
@@ -392,20 +387,6 @@ impl Gpu {
     ///   a consistent buffer state.
     pub fn run(&mut self, launch: &Launch<'_>) -> Result<LaunchStats> {
         self.run_dispatched(launch, Dispatch::HostLaunch)
-    }
-
-    /// Replays `launch` as a captured graph: identical functional
-    /// execution and fault semantics to [`Gpu::run`], but the fixed host
-    /// launch path is replaced by the replay doorbell. The one-time
-    /// capture cost is the *caller's* to bill (via
-    /// [`TimingModel::graph_capture_cycles`]) — this models only the
-    /// per-replay economics.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Gpu::run`].
-    pub fn run_replay(&mut self, launch: &Launch<'_>) -> Result<LaunchStats> {
-        self.run_dispatched(launch, Dispatch::GraphReplay)
     }
 
     /// [`Gpu::run`] with an explicit dispatch mode.

@@ -46,10 +46,4 @@ impl FilterSpec {
     pub fn work(&self) -> &WorkFunction {
         &self.work
     }
-
-    /// Decomposes into `(name, work)`.
-    #[must_use]
-    pub fn into_parts(self) -> (String, WorkFunction) {
-        (self.name, self.work)
-    }
 }

@@ -18,38 +18,17 @@
 //! low fault rates — lives in `tests/resilience.rs` next to the
 //! executor-level checkpoint tests.
 
+mod common;
+
+use common::{assert_verdicts_match, map_filter, tiny_job};
 use gpusim::FaultPlan;
 use proptest::prelude::*;
-use streamir::graph::{FilterSpec, FlatGraph, StreamSpec};
+use streamir::graph::{FilterSpec, StreamSpec};
 use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
 use swpipe::serve::{
     BrownoutSpec, ChaosStorm, EventEngine, EventKind, Job, QosClass, ResilienceOptions,
     ServeOptions, TenantReport, TraceEvent, Verdict,
 };
-
-fn map_filter(name: &str, k: i32) -> StreamSpec {
-    let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
-    let x = b.local(ElemTy::I32);
-    b.pop_into(0, x);
-    b.push(0, Expr::local(x).mul(Expr::i32(k)));
-    StreamSpec::filter(FilterSpec::new(name, b.build().unwrap()))
-}
-
-fn chain(k: i32) -> FlatGraph {
-    StreamSpec::pipeline(vec![map_filter("f", k), map_filter("g", k + 1)])
-        .flatten()
-        .unwrap()
-}
-
-fn tiny_job(tenant: &str, k: i32, iterations: u64) -> Job {
-    Job {
-        tenant: tenant.to_string(),
-        graph: chain(k),
-        input: |n| (0..n).map(|i| Scalar::I32(i as i32)).collect(),
-        iterations,
-        qos: QosClass::Batch,
-    }
-}
 
 /// The controller's changes on a timeline: its policy switches and
 /// interval changes.
@@ -67,41 +46,6 @@ fn tiny_trace(jobs: usize, iterations: u64) -> Vec<(Job, f64)> {
             (tiny_job(name, k, iterations), 0.2 * i as f64)
         })
         .collect()
-}
-
-/// Byte-level equality of two verdicts (same contract as the
-/// serve_engine differential suite: every virtual-time field compared
-/// bit-for-bit).
-fn assert_verdicts_match(a: &Verdict, b: &Verdict, ctx: &str) {
-    match (a, b) {
-        (Verdict::Completed(x), Verdict::Completed(y)) => {
-            assert_eq!(x.outputs, y.outputs, "{ctx}: outputs diverge");
-            for (field, l, r) in [
-                ("arrival", x.arrival_secs, y.arrival_secs),
-                ("start", x.start_secs, y.start_secs),
-                ("finish", x.finish_secs, y.finish_secs),
-                ("latency", x.latency_secs, y.latency_secs),
-                ("exec", x.exec_secs, y.exec_secs),
-            ] {
-                assert_eq!(l.to_bits(), r.to_bits(), "{ctx}: {field} {l} vs {r}");
-            }
-            assert_eq!(x.cache_hit, y.cache_hit, "{ctx}: cache outcome");
-            assert_eq!(x.shipped, y.shipped, "{ctx}: shipped rung");
-            assert_eq!(x.slice, y.slice, "{ctx}: slice");
-            assert_eq!(x.retries, y.retries, "{ctx}: retries");
-        }
-        (
-            Verdict::Rejected {
-                retry_after_secs: l,
-            },
-            Verdict::Rejected {
-                retry_after_secs: r,
-            },
-        ) => {
-            assert_eq!(l.to_bits(), r.to_bits(), "{ctx}: retry hint {l} vs {r}");
-        }
-        _ => panic!("{ctx}: verdict kinds diverge: {a:?} vs {b:?}"),
-    }
 }
 
 /// Criterion (a): with no faults the controller observes a zero retry

@@ -23,9 +23,10 @@
 //! * **One causal clock** — a rerouted remote hit starts executing at
 //!   its artifact's compile finish plus the fetch, pinned bit for bit.
 
+mod common;
+
 use proptest::prelude::*;
-use streamir::graph::{FilterSpec, FlatGraph, StreamSpec};
-use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
+use streamir::ir::Scalar;
 
 use gpusim::{DeviceFaultPlan, DeviceId, FaultPlan};
 use stream_gpu::fleet_bench;
@@ -38,27 +39,10 @@ use swpipe::serve::{
     COMPILE_PENALTY_SECS,
 };
 
-fn map_filter(name: &str, k: i32) -> StreamSpec {
-    let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
-    let x = b.local(ElemTy::I32);
-    b.pop_into(0, x);
-    b.push(0, Expr::local(x).mul(Expr::i32(k)));
-    StreamSpec::filter(FilterSpec::new(name, b.build().unwrap()))
-}
-
-fn chain(k: i32) -> FlatGraph {
-    StreamSpec::pipeline(vec![map_filter("f", k), map_filter("g", k + 1)])
-        .flatten()
-        .unwrap()
-}
-
 fn tiny_job(tenant: &str, k: i32, iterations: u64, qos: QosClass) -> Job {
     Job {
-        tenant: tenant.to_string(),
-        graph: chain(k),
-        input: |n| (0..n).map(|i| Scalar::I32(i as i32)).collect(),
-        iterations,
         qos,
+        ..common::tiny_job(tenant, k, iterations)
     }
 }
 

@@ -85,7 +85,7 @@ fn run(rc: &ResilientCompiled, iters: u64, input: fn(usize) -> Vec<Scalar>) -> V
 ///   for the exact rung's and the heuristic rung's.
 /// * Semantics: the beam artifact's outputs are byte-identical to the
 ///   exact-path artifact's for the same job, and its schedule passed
-///   the full static verifier inside the ladder (`verify_rung` gates
+///   the full static verifier inside the ladder (`verify::gate` gates
 ///   every shipped rung).
 #[test]
 fn beam_is_near_exact_and_prunes_search_on_the_whole_suite() {

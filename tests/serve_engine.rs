@@ -20,13 +20,15 @@
 //! * the causal clock: a pending hit executes from its owner's compile
 //!   finish, pinned bit for bit.
 
+mod common;
+
 use std::collections::BTreeSet;
 
+use common::{assert_verdicts_match, tiny_job};
 use gpusim::FaultPlan;
 use proptest::prelude::*;
 use streamir::cpu::{self, CpuCostModel};
-use streamir::graph::{FilterSpec, FlatGraph, StreamSpec};
-use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
+use streamir::ir::Scalar;
 use swpipe::exec::CompileOptions;
 use swpipe::pipeline::{LadderRung, PipelineOptions};
 use swpipe::serve::{
@@ -37,30 +39,6 @@ use swpipe::serve::{
 /// Scheduler searches a served trace paid for, over all its tenants.
 fn searches(report: &ServeReport) -> u64 {
     report.tenants.iter().map(|t| t.search_invocations).sum()
-}
-
-fn map_filter(name: &str, k: i32) -> StreamSpec {
-    let mut b = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
-    let x = b.local(ElemTy::I32);
-    b.pop_into(0, x);
-    b.push(0, Expr::local(x).mul(Expr::i32(k)));
-    StreamSpec::filter(FilterSpec::new(name, b.build().unwrap()))
-}
-
-fn chain(k: i32) -> FlatGraph {
-    StreamSpec::pipeline(vec![map_filter("f", k), map_filter("g", k + 1)])
-        .flatten()
-        .unwrap()
-}
-
-fn tiny_job(tenant: &str, k: i32, iterations: u64) -> Job {
-    Job {
-        tenant: tenant.to_string(),
-        graph: chain(k),
-        input: |n| (0..n).map(|i| Scalar::I32(i as i32)).collect(),
-        iterations,
-        qos: QosClass::Batch,
-    }
 }
 
 /// The serving benchmark's arrival trace: every StreamIt benchmark as
@@ -132,40 +110,6 @@ fn assert_matches_cpu(job: &Job, outputs: &[Scalar], ctx: &str) {
         &reference[..outputs.len()],
         "{ctx}: outputs diverge from the CPU"
     );
-}
-
-/// Byte-level equality of two verdicts: outputs, every virtual-time
-/// field bit-for-bit, cache outcome, shipped rung, slice, retries.
-fn assert_verdicts_match(a: &Verdict, b: &Verdict, ctx: &str) {
-    match (a, b) {
-        (Verdict::Completed(x), Verdict::Completed(y)) => {
-            assert_eq!(x.outputs, y.outputs, "{ctx}: outputs diverge");
-            for (field, l, r) in [
-                ("arrival", x.arrival_secs, y.arrival_secs),
-                ("start", x.start_secs, y.start_secs),
-                ("finish", x.finish_secs, y.finish_secs),
-                ("latency", x.latency_secs, y.latency_secs),
-                ("exec", x.exec_secs, y.exec_secs),
-            ] {
-                assert_eq!(l.to_bits(), r.to_bits(), "{ctx}: {field} {l} vs {r}");
-            }
-            assert_eq!(x.cache_hit, y.cache_hit, "{ctx}: cache outcome");
-            assert_eq!(x.shipped, y.shipped, "{ctx}: shipped rung");
-            assert_eq!(x.slice, y.slice, "{ctx}: slice");
-            assert_eq!(x.retries, y.retries, "{ctx}: retries");
-        }
-        (
-            Verdict::Rejected {
-                retry_after_secs: l,
-            },
-            Verdict::Rejected {
-                retry_after_secs: r,
-            },
-        ) => {
-            assert_eq!(l.to_bits(), r.to_bits(), "{ctx}: retry hint {l} vs {r}");
-        }
-        _ => panic!("{ctx}: verdict kinds diverge: {a:?} vs {b:?}"),
-    }
 }
 
 /// One job of the known-answer table: `f64::to_bits` of start, finish,
