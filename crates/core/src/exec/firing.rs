@@ -1,16 +1,26 @@
-//! The initialization phase on the warp core.
+//! The dataflow firing plan on the host.
 //!
 //! Before the first steady launch the paper's executor runs an
 //! initialization schedule that primes every peeking channel: each node
 //! fires `init × threads` basic firings, in the fixed-point order of
 //! "fire whatever is fireable". Which firings run when is a function of
-//! the artifact alone, so [`InitPlan::new`] derives it once — grouped into
-//! batches of firings that are fireable together — along with a small
-//! scratch memory layout. [`InitPlan::run`] then fires each batch over
-//! the job's input as one [`InstanceExec`] on `gpusim`'s decoded program,
-//! one lane per firing. Lanes of a batch read only tokens resident
-//! before it and write disjoint positions past them, so the batch equals
-//! its firings one after another.
+//! the artifact alone, so [`FiringPlan::init`] derives it once — grouped
+//! into batches of firings that are fireable together — along with a
+//! small scratch memory layout. [`FiringPlan::steady`] derives the same
+//! for a window of steady iterations, starting from the tokens the init
+//! phase leaves resident; by rate balance a window leaves every channel
+//! holding as many tokens as it found, so one window plan fires a run of
+//! any length window by window, the leftover tokens and node states
+//! carried from one to the next ([`InitState`]) and scratch memory
+//! bounded by the window.
+//!
+//! [`FiringPlan::run`] fires each batch over the job's input as one
+//! [`InstanceExec`] on `gpusim`'s decoded program, one lane per firing:
+//! a stateless value-oblivious kernel on the wide executor
+//! ([`InstanceExec::execute_wide`]), any other on the warp core. Lanes of
+//! a batch read only tokens resident before it and write disjoint
+//! positions past them, so the batch equals its firings one after
+//! another.
 
 use gpusim::{BufferBinding, DeviceMemory, InstanceExec, Kernel, Layout};
 use streamir::graph::{EdgeId, FlatGraph, NodeId};
@@ -19,17 +29,34 @@ use streamir::ir::{ElemTy, Scalar};
 use crate::instances::{ExecConfig, InstanceGraph};
 use crate::{Error, Result};
 
-/// What the initialization phase leaves for the first steady launch.
+/// What a firing plan leaves for whatever fires next — the first steady
+/// launch after the initialization phase, or the next steady window.
 #[derive(Debug, Clone)]
 pub struct InitState {
     /// Per channel, the tokens still resident, in FIFO order.
     pub leftover: Vec<Vec<Scalar>>,
-    /// Tokens pushed to the graph output; they precede the steady output.
+    /// Tokens pushed to the graph output so far; the init phase's precede
+    /// the steady output.
     pub output: Vec<Scalar>,
     /// Graph-input tokens consumed.
     pub consumed: usize,
-    /// Each node's persistent state after its init firings.
+    /// Each node's persistent state.
     pub states: Vec<Vec<Scalar>>,
+}
+
+impl InitState {
+    /// Before any firing: each channel holds its initial tokens and each
+    /// node its initial state.
+    pub(crate) fn start(graph: &FlatGraph) -> InitState {
+        InitState {
+            leftover: graph.edges().iter().map(|e| e.initial.clone()).collect(),
+            output: Vec::new(),
+            consumed: 0,
+            states: (graph.nodes().iter())
+                .map(|node| node.work.initial_state())
+                .collect(),
+        }
+    }
 }
 
 /// A sequential span of scratch words.
@@ -68,7 +95,7 @@ impl Region {
 
 /// A stream the schedule moves tokens through — a channel, the graph
 /// input's prefix or the graph output — and how far it has got: tokens
-/// pushed (initial ones included) and popped.
+/// pushed (resident ones included) and popped.
 #[derive(Debug, Clone, Copy)]
 struct Stream {
     region: Region,
@@ -103,14 +130,15 @@ struct Batch {
     outputs: Vec<BufferBinding>,
 }
 
-/// The initialization schedule of one artifact: its batches in firing
-/// order, the scratch streams they run over, and the nodes that stall
-/// short of their init firings (a deadlocked schedule).
+/// A firing schedule of one artifact — its init phase, or one window of
+/// steady iterations: its batches in firing order, the scratch streams
+/// they run over, and the nodes that stall short of what they owe (a
+/// deadlocked schedule).
 #[derive(Debug)]
-pub(crate) struct InitPlan {
+pub(crate) struct FiringPlan {
     batches: Vec<Batch>,
-    /// One stream per channel, sized for its initial tokens plus every
-    /// init push, then the graph input's and output's, each where the
+    /// One stream per channel, sized for its resident tokens plus every
+    /// push, then the graph input's and output's, each where the
     /// schedule leaves it.
     streams: Vec<Stream>,
     /// Indices of the graph input's and output's streams.
@@ -123,24 +151,64 @@ pub(crate) struct InitPlan {
     needed_input: u64,
     /// `name:remaining` of each node left short.
     stalled: Vec<String>,
+    /// What the firings are, for an error one of them raises.
+    phase: &'static str,
 }
 
-impl InitPlan {
-    /// Derives the fixed-point firing order of the schedule and its
-    /// scratch layout. A batch is `min(remaining, fireable)` firings of
-    /// one node, where `fireable` is how many firings in a row every input
-    /// stream's resident tokens can feed given its pop and peek rates
-    /// (stateful nodes fire one at a time: their firings chain through
-    /// the state).
-    pub(crate) fn new(graph: &FlatGraph, ig: &InstanceGraph, config: &ExecConfig) -> InitPlan {
-        let n = graph.len();
-        let works: Vec<_> = graph.nodes().iter().map(|node| &node.work).collect();
-        let mut remaining: Vec<u64> = (0..n)
+impl FiringPlan {
+    /// The initialization schedule: `init × threads` firings of every
+    /// node, from the channels' initial tokens.
+    pub(crate) fn init(graph: &FlatGraph, ig: &InstanceGraph, config: &ExecConfig) -> FiringPlan {
+        let owed = (0..graph.len())
             .map(|v| u64::from(ig.init[v]) * u64::from(config.threads[v]))
             .collect();
+        let resident = (graph.edges().iter())
+            .map(|e| e.initial.len() as u64)
+            .collect();
+        FiringPlan::new(graph, owed, resident, "initialization")
+    }
+
+    /// `window` basic steady iterations — `window × reps × threads`
+    /// firings of every node — from the tokens `init` leaves resident.
+    pub(crate) fn steady(
+        graph: &FlatGraph,
+        ig: &InstanceGraph,
+        config: &ExecConfig,
+        init: &FiringPlan,
+        window: u64,
+    ) -> FiringPlan {
+        let owed = (0..graph.len())
+            .map(|v| window * u64::from(ig.reps[v]) * u64::from(config.threads[v]))
+            .collect();
+        let resident = (init.streams[..graph.edges().len()].iter())
+            .map(|s| s.pushed - s.popped)
+            .collect();
+        FiringPlan::new(graph, owed, resident, "steady-state")
+    }
+
+    /// Whether some node stalls short of what it owes.
+    pub(crate) fn stalls(&self) -> bool {
+        !self.stalled.is_empty()
+    }
+
+    /// Derives the fixed-point firing order of `remaining[v]` firings of
+    /// each node `v`, channel `e` starting with `resident[e]` tokens, and
+    /// its scratch layout. A batch is `min(remaining, fireable)` firings
+    /// of one node, where `fireable` is how many firings in a row every
+    /// input stream's resident tokens can feed given its pop and peek
+    /// rates (stateful nodes fire one at a time: their firings chain
+    /// through the state).
+    fn new(
+        graph: &FlatGraph,
+        mut remaining: Vec<u64>,
+        resident: Vec<u64>,
+        phase: &'static str,
+    ) -> FiringPlan {
+        let n = graph.len();
+        let works: Vec<_> = graph.nodes().iter().map(|node| &node.work).collect();
         let mut words = 0u64;
         let mut region = |tokens: u64| {
-            let base = u32::try_from(words).expect("the init phase fits in device words");
+            let base = u32::try_from(words).expect("a firing plan fits in device words");
             words += tokens;
             Region { base, tokens }
         };
@@ -149,12 +217,11 @@ impl InitPlan {
             pushed,
             popped: 0,
         };
-        let mut streams: Vec<Stream> = (graph.edges().iter())
-            .map(|e| {
-                let initial = e.initial.len() as u64;
+        let mut streams: Vec<Stream> = (graph.edges().iter().zip(resident))
+            .map(|(e, resident)| {
                 let src = e.src.0 as usize;
                 let pushes = remaining[src] * u64::from(works[src].push_rate(e.src_port));
-                stream(initial + pushes, initial)
+                stream(resident + pushes, resident)
             })
             .collect();
         // The external streams use port 0, as the device buffers do.
@@ -175,7 +242,7 @@ impl InitPlan {
         let states = (works.iter())
             .map(|w| w.is_stateful().then(|| region(w.states().len() as u64)))
             .collect();
-        let words = u32::try_from(words).expect("the init phase fits in device words");
+        let words = u32::try_from(words).expect("a firing plan fits in device words");
 
         // Each port's stream; `None` wiring is the graph's external one.
         let wire = |ports: Vec<Option<EdgeId>>, external: Option<usize>| {
@@ -233,7 +300,7 @@ impl InitPlan {
             .filter(|&(_, &r)| r > 0)
             .map(|(v, &r)| format!("{}:{r}", graph.node(NodeId(v as u32)).name))
             .collect();
-        InitPlan {
+        FiringPlan {
             batches,
             streams,
             input,
@@ -242,11 +309,13 @@ impl InitPlan {
             words,
             needed_input,
             stalled,
+            phase,
         }
     }
 
-    /// Runs the schedule over `input` on scratch memory, firing node `v`
-    /// through `kernel(v)`.
+    /// Runs the schedule on scratch memory from where `from` left the
+    /// graph, over the graph input past the tokens `from` consumed,
+    /// firing node `v` through `kernel(v)`.
     ///
     /// # Errors
     ///
@@ -258,24 +327,26 @@ impl InitPlan {
         graph: &FlatGraph,
         kernel: impl Fn(usize) -> &'k Kernel,
         input: &[Scalar],
+        from: InitState,
     ) -> Result<InitState> {
-        if (input.len() as u64) < self.needed_input {
+        let rest = input.get(from.consumed..).unwrap_or_default();
+        if (rest.len() as u64) < self.needed_input {
             return Err(Error::Stream(streamir::Error::InsufficientInput {
-                needed: self.needed_input as usize,
+                needed: from.consumed + self.needed_input as usize,
                 got: input.len(),
             }));
         }
         let mut mem = DeviceMemory::new(self.words);
         if let Some(s) = self.input {
             let r = self.streams[s].region;
-            r.write(&mut mem, &input[..input.len().min(r.tokens as usize)]);
+            r.write(&mut mem, &rest[..rest.len().min(r.tokens as usize)]);
         }
-        for (e, s) in graph.edges().iter().zip(&self.streams) {
-            s.region.write(&mut mem, &e.initial);
+        for (tokens, s) in from.leftover.iter().zip(&self.streams) {
+            s.region.write(&mut mem, tokens);
         }
-        for (node, r) in graph.nodes().iter().zip(&self.states) {
+        for (state, r) in from.states.iter().zip(&self.states) {
             if let Some(r) = r {
-                r.write(&mut mem, &node.work.initial_state());
+                r.write(&mut mem, state);
             }
         }
         for b in &self.batches {
@@ -288,12 +359,12 @@ impl InitPlan {
                 state_base: self.states[b.node].map(|r| r.base),
                 label: None,
             };
-            inst.execute(&mut mem).map_err(|e| {
+            inst.execute_wide(&mut mem).map_err(|e| {
                 let name = &graph.node(NodeId(b.node as u32)).name;
-                Error::sim_while(e, format!("initialization firing of filter '{name}'"))
+                Error::sim_while(e, format!("{} firing of filter '{name}'", self.phase))
             })?;
         }
-        if !self.stalled.is_empty() {
+        if self.stalls() {
             return Err(Error::Stream(streamir::Error::Deadlock {
                 stalled: self.stalled.clone(),
             }));
@@ -301,25 +372,23 @@ impl InitPlan {
         let leftover = (graph.edges().iter().zip(&self.streams))
             .map(|(e, s)| s.region.read(&mem, s.popped..s.pushed, e.elem))
             .collect();
-        let output = (self.output.zip(graph.output())).map_or_else(Vec::new, |(s, exit)| {
+        let mut output = from.output;
+        if let Some((s, exit)) = self.output.zip(graph.output()) {
             let (s, ty) = (self.streams[s], graph.node(exit).work.output_ports()[0]);
-            s.region.read(&mem, 0..s.pushed, ty)
-        });
-        let states = (graph.nodes().iter().zip(&self.states))
-            .map(|(node, r)| {
-                let initial = node.work.initial_state();
-                match r {
-                    Some(r) => (initial.iter().enumerate())
-                        .map(|(i, s)| mem.read_token(r.base + i as u32, s.ty()))
-                        .collect(),
-                    None => initial,
-                }
+            output.extend(s.region.read(&mem, 0..s.pushed, ty));
+        }
+        let states = (from.states.into_iter().zip(&self.states))
+            .map(|(state, r)| match r {
+                Some(r) => (state.iter().enumerate())
+                    .map(|(i, s)| mem.read_token(r.base + i as u32, s.ty()))
+                    .collect(),
+                None => state,
             })
             .collect();
         Ok(InitState {
             leftover,
             output,
-            consumed: self.input.map_or(0, |s| self.streams[s].popped as usize),
+            consumed: from.consumed + self.input.map_or(0, |s| self.streams[s].popped as usize),
             states,
         })
     }
@@ -473,11 +542,11 @@ mod tests {
         }
     }
 
-    fn stateful_run(plan: &InitPlan, c: &exec::Compiled, input: &[Scalar]) -> Result<InitState> {
+    fn stateful_run(plan: &FiringPlan, c: &exec::Compiled, input: &[Scalar]) -> Result<InitState> {
         let kernels: Vec<Kernel> = (c.graph.nodes().iter())
             .map(|node| Kernel::load(&node.work))
             .collect();
-        plan.run(&c.graph, |v| &kernels[v], input)
+        plan.run(&c.graph, |v| &kernels[v], input, InitState::start(&c.graph))
     }
 
     fn options(width: u32) -> CompileOptions {
@@ -515,12 +584,11 @@ mod tests {
                     Scheme::Serial { batch: 1 },
                 ] {
                     let p = Prepared::new(&c, scheme).unwrap();
-                    let got = p
-                        .init_plan(&c)
-                        .run(&c.graph, |v| &p.nodes[v].kernel, &input);
+                    let start = InitState::start(&c.graph);
+                    let got = (p.init_plan(&c)).run(&c.graph, |v| p.kernel(&c, v), &input, start);
                     assert_same(&got, &want, &format!("{name} w{width} {scheme:?}"));
                 }
-                let plan = InitPlan::new(&c.graph, &c.ig, &c.exec_cfg);
+                let plan = FiringPlan::init(&c.graph, &c.ig, &c.exec_cfg);
                 firings += (plan.batches.iter())
                     .map(|b| u64::from(b.firings))
                     .sum::<u64>();
@@ -562,7 +630,7 @@ mod tests {
         // Owe several firings around the loop so it has to take turns.
         c.ig.init = vec![3; c.graph.len()];
         let input: Vec<Scalar> = (1..=64).map(Scalar::I32).collect();
-        let plan = InitPlan::new(&c.graph, &c.ig, &c.exec_cfg);
+        let plan = FiringPlan::init(&c.graph, &c.ig, &c.exec_cfg);
         assert!(
             plan.batches.len() > c.graph.len(),
             "{} batches",
@@ -603,9 +671,8 @@ mod tests {
         let want = run_on_cpu(&c.graph, &c.ig, &c.exec_cfg, &input).unwrap();
         assert_ne!(want.states[0], vec![Scalar::I32(5)], "state moved");
         let p = Prepared::new(&c, Scheme::Swp { coarsening: 1 }).unwrap();
-        let got = p
-            .init_plan(&c)
-            .run(&c.graph, |v| &p.nodes[v].kernel, &input);
+        let start = InitState::start(&c.graph);
+        let got = (p.init_plan(&c)).run(&c.graph, |v| p.kernel(&c, v), &input, start);
         assert_same(&got, &Ok(want), "stateful");
     }
 
@@ -631,7 +698,7 @@ mod tests {
         .unwrap();
         let mut c = compile(&graph, &CompileOptions::small_test()).unwrap();
         c.ig.init = vec![2, 3];
-        let plan = InitPlan::new(&c.graph, &c.ig, &c.exec_cfg);
+        let plan = FiringPlan::init(&c.graph, &c.ig, &c.exec_cfg);
         let input: Vec<Scalar> = (0..4096).map(Scalar::I32).collect();
         let needed = 2 * 2 * c.exec_cfg.threads[0] as usize;
         for got in [0, needed - 1] {
@@ -649,7 +716,7 @@ mod tests {
         }
         // fir2 owes more firings than fir's init output can feed.
         c.ig.init = vec![1, 4];
-        let plan = InitPlan::new(&c.graph, &c.ig, &c.exec_cfg);
+        let plan = FiringPlan::init(&c.graph, &c.ig, &c.exec_cfg);
         let want = run_on_cpu(&c.graph, &c.ig, &c.exec_cfg, &input);
         assert!(
             matches!(&want, Err(Error::Stream(streamir::Error::Deadlock { stalled }))

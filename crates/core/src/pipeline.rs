@@ -325,8 +325,9 @@ impl ResilientCompiled {
     }
 
     /// Executes `iterations` basic steady iterations under the artifact's
-    /// own scheme: [`crate::exec::execute_with`] over the prepared form
-    /// built with the artifact, from any thread. Pass
+    /// own scheme, over the prepared form built with the artifact, from
+    /// any thread, so a fault-free job reuses the bill the first job of
+    /// its shape kept (as [`crate::exec::Prepared::execute`]). Pass
     /// [`ResilientCompiled::run_options`] (or a variation of it) as
     /// `opts`.
     ///
@@ -334,8 +335,7 @@ impl ResilientCompiled {
     ///
     /// As for [`crate::exec::execute`].
     pub fn execute(&self, iterations: u64, input: &[Scalar], opts: &RunOptions) -> Result<GpuRun> {
-        self.prepared
-            .run(&self.compiled, iterations, input, false, opts)
+        self.prepared.run(&self.compiled, iterations, input, opts)
     }
 }
 
@@ -617,7 +617,7 @@ fn prepare(
 ) -> Result<(Prepared, u64)> {
     c.schedule = schedule;
     c.report = report;
-    let prepared = Prepared::new(c, rung.scheme())?;
+    let prepared = Prepared::of(c, rung.scheme())?;
     verify::gate(c, &prepared)?;
     Ok((prepared, c.report.nominal_ii))
 }

@@ -199,6 +199,10 @@ struct Entry {
     slot: Slot,
     replicas: BTreeSet<u32>,
     last_used: u64,
+    /// [`verify_artifact`]'s verdict on the ready artifact, taken at its
+    /// first hit (or its disk load) and returned on every later one: the
+    /// artifact is an immutable `Arc`, so the verdict cannot change.
+    verdict: Option<Result<()>>,
 }
 
 /// The outcome of [`ArtifactStore::lookup_or_reserve`].
@@ -328,6 +332,9 @@ impl ArtifactStore {
             self.counters.disk_loads += 1;
             let artifact = Arc::new(artifact);
             self.place(key, Slot::Ready(Arc::clone(&artifact)), device, usable);
+            if let Some(e) = self.entries.get_mut(&key) {
+                e.verdict = Some(Ok(()));
+            }
             return Ok((key, Lookup::Hit(artifact, Fetch::LocalHit)));
         }
         self.count(Fetch::Miss);
@@ -436,7 +443,8 @@ impl ArtifactStore {
 
     /// The in-memory half of a lookup: `None` when no entry is reachable
     /// from `device` (absent, or every replica unusable). A hit touches
-    /// the LRU order, is read-repaired and verified, and is counted.
+    /// the LRU order, is read-repaired and verified (once per entry), and
+    /// is counted.
     fn probe(&mut self, key: u64, device: DeviceId, usable: &[u32]) -> Result<Option<Lookup>> {
         self.tick += 1;
         let Some(entry) = self.entries.get_mut(&key) else {
@@ -458,7 +466,8 @@ impl ArtifactStore {
         let repaired = entry.replicas.len() != before;
         let found = match &entry.slot {
             Slot::Ready(artifact) => {
-                verify_artifact(artifact)?;
+                let verdict = (entry.verdict).get_or_insert_with(|| verify_artifact(artifact));
+                verdict.clone()?;
                 Lookup::Hit(Arc::clone(artifact), fetch)
             }
             Slot::Reserved => Lookup::PendingHit(fetch),
@@ -506,6 +515,7 @@ impl ArtifactStore {
                 slot,
                 replicas,
                 last_used,
+                verdict: None,
             },
         );
     }
@@ -683,7 +693,7 @@ fn rebuild(value: &Value, graph: &FlatGraph, opts: &PipelineOptions) -> Result<R
         device: opts.compile.device.clone(),
         timing: opts.compile.timing.clone(),
     };
-    let prepared = Prepared::new(&compiled, shipped.scheme())?;
+    let prepared = Prepared::of(&compiled, shipped.scheme())?;
     // Disk entries store no certificate (the proof is re-run on load, so
     // a tampered entry cannot smuggle in a stale one) and no ladder walk
     // (an empty attempt list marks a reloaded artifact).
@@ -890,6 +900,31 @@ pub(crate) mod tests {
         assert_eq!(reloaded.compiled.exec_cfg, fresh.compiled.exec_cfg);
         assert_eq!(reloaded.report.shipped, fresh.report.shipped);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store entry is verified at its first hit, and every later hit
+    /// returns that verdict: an uncertified artifact's refusal, word for
+    /// word, or a pass. Replacing the entry's artifact forgets it.
+    #[test]
+    fn an_entry_is_verified_once_and_every_hit_returns_the_verdict() {
+        let (key, artifact) = artifact();
+        let mut uncertified = (*artifact).clone();
+        uncertified.isolation = None;
+        let mut store = ArtifactStore::replicated(1);
+        store.insert(key, Arc::new(uncertified), SOLO, &[0]);
+        assert!(store.entries[&key].verdict.is_none());
+        let refusal = store.fetch(key, SOLO, &[0]).unwrap_err();
+        assert!(
+            refusal.to_string().contains("isolation certificate"),
+            "{refusal}"
+        );
+        assert_eq!(store.entries[&key].verdict, Some(Err(refusal.clone())));
+        assert_eq!(store.fetch(key, SOLO, &[0]).unwrap_err(), refusal);
+
+        store.insert(key, artifact, SOLO, &[0]);
+        assert!(store.entries[&key].verdict.is_none());
+        assert_eq!(store.fetch(key, SOLO, &[0]), Ok(Fetch::LocalHit));
+        assert_eq!(store.entries[&key].verdict, Some(Ok(())));
     }
 
     /// A disk entry is input from outside the process: one whose stored

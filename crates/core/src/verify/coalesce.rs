@@ -278,7 +278,7 @@ fn classify_groups(
 /// [`gpusim::DeviceConfig::check_shape`] rejects), plus allocation
 /// failures.
 pub fn predict(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<Prediction> {
-    let prepared = Prepared::new(c, scheme)?;
+    let prepared = Prepared::of(c, scheme)?;
     predict_prepared(c, &prepared, iterations, prepared.plan())
 }
 
@@ -294,7 +294,7 @@ pub fn predict_with_plan(
     iterations: u64,
     plan: &BufferPlan,
 ) -> Result<Prediction> {
-    predict_prepared(c, &Prepared::new(c, scheme)?, iterations, plan)
+    predict_prepared(c, &Prepared::of(c, scheme)?, iterations, plan)
 }
 
 /// The analysis proper, over the prepared form whose launch enumeration
@@ -313,7 +313,7 @@ pub(crate) fn predict_prepared(
     let mut gpu = Gpu::with_timing(c.device.clone(), c.timing.clone());
     let buffers = codegen::allocate(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, plan, iterations)?;
 
-    let kernels: Vec<&Kernel> = prepared.kernels().collect();
+    let kernels: Vec<&Kernel> = prepared.kernels(c).collect();
     let mut acc = Acc {
         counters: StaticCounters::default(),
         exact: true,

@@ -499,7 +499,7 @@ fn arena(c: &Compiled, plan: &BufferPlan, iterations: u64) -> Result<Arena> {
 ///
 /// The same shape errors as [`prove`].
 pub fn region_map(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<RegionMap> {
-    map_of(c, &Prepared::new(c, scheme)?, iterations)
+    map_of(c, &Prepared::of(c, scheme)?, iterations)
 }
 
 /// [`region_map`] over the plan `prepared` executes with.
@@ -518,7 +518,7 @@ fn map_of(c: &Compiled, prepared: &Prepared, iterations: u64) -> Result<RegionMa
 /// The same shape errors as [`crate::exec::execute`], plus allocation
 /// failures while reconstructing the launch sequence.
 pub fn prove(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<Isolation> {
-    prove_prepared(c, &Prepared::new(c, scheme)?, iterations)
+    prove_prepared(c, &Prepared::of(c, scheme)?, iterations)
 }
 
 fn prove_prepared(c: &Compiled, prepared: &Prepared, iterations: u64) -> Result<Isolation> {
@@ -581,7 +581,7 @@ fn prove_prepared(c: &Compiled, prepared: &Prepared, iterations: u64) -> Result<
 ///
 /// As for [`prove`].
 pub fn certify(c: &Compiled, scheme: Scheme) -> Result<Isolation> {
-    certify_prepared(c, &Prepared::new(c, scheme)?)
+    certify_prepared(c, &Prepared::of(c, scheme)?)
 }
 
 /// [`certify`] over the prepared form the artifact executes.
@@ -600,7 +600,7 @@ pub(crate) fn certify_prepared(c: &Compiled, prepared: &Prepared) -> Result<Isol
 /// match this artifact, or its iteration count is invalid for the
 /// scheme.
 pub fn verify_certificate(c: &Compiled, scheme: Scheme, cert: &IsolationCertificate) -> Result<()> {
-    check_certificate(c, &Prepared::new(c, scheme)?, cert)
+    check_certificate(c, &Prepared::of(c, scheme)?, cert)
 }
 
 /// [`verify_certificate`] over the plan `prepared` executes with.

@@ -97,7 +97,7 @@ impl Verification {
 /// The same shape errors as [`crate::exec::execute`], plus allocation
 /// failures while reconstructing the launch sequence.
 pub fn verify(c: &Compiled, scheme: Scheme, iterations: u64) -> Result<Verification> {
-    let prepared = Prepared::new(c, scheme)?;
+    let prepared = Prepared::of(c, scheme)?;
     let mut diagnostics = static_checks(c, &prepared);
     let prediction = coalesce::predict_prepared(c, &prepared, iterations, prepared.plan())?;
     diagnostics.extend(prediction.diagnostics.iter().cloned());

@@ -771,12 +771,12 @@ pub(crate) fn int_div(op: BinOp, a: u32, b: u32) -> streamir::Result<u32> {
     interp::eval_binary(op, x, y).map(Scalar::to_bits)
 }
 
-fn trap(msg: impl Into<String>) -> SimError {
+pub(crate) fn trap(msg: impl Into<String>) -> SimError {
     SimError::Trap(msg.into())
 }
 
 /// The storage row of the element a lane indexes in the array at `rows`.
-fn array_row(rows: &Range<u32>, index: u32, access: &str) -> Result<usize> {
+pub(crate) fn array_row(rows: &Range<u32>, index: u32, access: &str) -> Result<usize> {
     let i = index as i32;
     u32::try_from(i)
         .ok()
@@ -876,7 +876,11 @@ pub(crate) fn run_warp(
 /// Register `dst` for writing beside register `src` for reading; they
 /// must differ.
 #[inline(always)]
-fn pair<const L: usize>(regs: &mut [[u32; L]], dst: Reg, src: Reg) -> (&mut [u32; L], &[u32; L]) {
+pub(crate) fn pair<const L: usize>(
+    regs: &mut [[u32; L]],
+    dst: Reg,
+    src: Reg,
+) -> (&mut [u32; L], &[u32; L]) {
     let (dst, src) = (dst as usize, src as usize);
     if dst < src {
         let (lo, hi) = regs.split_at_mut(src);

@@ -12,6 +12,7 @@ use crate::layout::{BufferBinding, WarpAccess, WARP_LANES};
 use crate::mem::{Allocator, DeviceMemory};
 use crate::stats::{InstanceStats, LaunchStats};
 use crate::timing::TimingModel;
+use crate::wide::{self, Flat};
 use crate::{Result, SimError};
 
 /// A work function loaded for the device: the kernel IR paired with the
@@ -675,6 +676,43 @@ impl InstanceExec<'_> {
         // The transaction size only shapes counters nobody reads.
         let shape = (WARP_LANES as u32, 16);
         self.run_warps(memory, shape, &mut state, &mut stats, &mut limits)
+    }
+
+    /// [`InstanceExec::execute`], many firings per op: a stateless
+    /// [value-oblivious](Kernel::value_oblivious) kernel whose ports are
+    /// sequential single-region spans its firings never wrap fires on the
+    /// wide executor, [`WIDE_LANES`](crate::WIDE_LANES) firings per op
+    /// dispatch, without masks or warps; any other instance runs through
+    /// [`InstanceExec::execute`]. Memory ends up the same either way.
+    ///
+    /// # Errors
+    ///
+    /// As for [`InstanceExec::execute`].
+    pub fn execute_wide(&self, memory: &mut DeviceMemory) -> Result<()> {
+        let work = self.kernel.work();
+        if self.active_threads == 0 || work.is_stateful() || !self.kernel.value_oblivious() {
+            return self.execute(memory);
+        }
+        let flats = |bindings: &[BufferBinding], extent: &dyn Fn(u8) -> u32| {
+            (0u8..)
+                .zip(bindings)
+                .map(|(p, b)| Flat::of(b, self.active_threads, extent(p)))
+                .collect::<Option<Vec<_>>>()
+        };
+        let window = |p| work.peek_rate(p).max(work.pop_rate(p));
+        match (
+            flats(&self.inputs, &window),
+            flats(&self.outputs, &|p| work.push_rate(p)),
+        ) {
+            (Some(ins), Some(outs)) => wide::fire(
+                &self.kernel.program,
+                self.active_threads,
+                &ins,
+                &outs,
+                memory,
+            ),
+            _ => self.execute(memory),
+        }
     }
 
     /// Runs every warp of the instance through [`run_warp`] on a device
@@ -1558,6 +1596,94 @@ mod tests {
         assert_eq!(walked.len(), 16, "only DES's 16 S-boxes run");
         assert!(walked.iter().all(|k| k.work().tables().len() == 1));
         assert!(priced > 1000, "{priced}");
+    }
+
+    /// Sequential single-region ports for `firings` firings of `work`,
+    /// back to back from word 0, and the words they span. `wrap` makes
+    /// the input regions one token short, so the last firing wraps.
+    fn flat_ports(
+        work: &WorkFunction,
+        firings: u32,
+        wrap: bool,
+    ) -> (Vec<BufferBinding>, Vec<BufferBinding>, u32) {
+        let mut base = 0;
+        let mut span = |rate: u32, extent: u32, wrap: bool| {
+            let tokens = u64::from((firings - 1) * rate + extent.max(rate)) + 3;
+            let binding = BufferBinding {
+                base_word: base,
+                region_tokens: if wrap { tokens - 1 } else { tokens }.max(1),
+                regions: 1,
+                layout: Layout::Sequential,
+                consumer_rate: 1,
+                endpoint_rate: rate,
+                abs_start: 3,
+            };
+            base += binding.region_tokens as u32 + 7;
+            binding
+        };
+        let ins = (0..work.input_ports().len() as u8)
+            .map(|p| span(work.pop_rate(p), work.peek_rate(p), wrap))
+            .collect();
+        let outs = (0..work.output_ports().len() as u8)
+            .map(|p| span(work.push_rate(p), work.push_rate(p), false))
+            .collect();
+        (ins, outs, base)
+    }
+
+    /// Every suite kernel fired wide writes what the warp core writes, for
+    /// batches of one, a partial warp, a partial wide group and several
+    /// groups, over arbitrary bits (NaNs included); DES's S-boxes, which
+    /// fall back to the warp core, too. A binding the firings would wrap
+    /// also falls back.
+    #[test]
+    fn wide_firings_write_what_the_warp_core_writes() {
+        let kernels = streambench::suite().into_iter().flat_map(|b| {
+            let graph = b.spec.flatten().unwrap();
+            (graph.nodes().iter())
+                .map(|n| Kernel::load(&n.work))
+                .collect::<Vec<_>>()
+        });
+        let mut wide = 0;
+        for kernel in kernels {
+            let work = kernel.work();
+            for firings in [1, 20, 300] {
+                for wrap in [false, true] {
+                    if wrap && work.input_ports().is_empty() {
+                        continue;
+                    }
+                    let (inputs, outputs, words) = flat_ports(work, firings, wrap);
+                    let inst = InstanceExec {
+                        kernel: &kernel,
+                        active_threads: firings,
+                        inputs,
+                        outputs,
+                        shared_staging: false,
+                        state_base: None,
+                        label: None,
+                    };
+                    let mut warp = DeviceMemory::new(words + 64);
+                    let mut seed = 0x9e37_79b9_7f4a_7c15_u64 ^ u64::from(firings);
+                    for a in 0..warp.len() {
+                        seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        warp.write(u64::from(a), (seed >> 32) as u32).unwrap();
+                    }
+                    let mut fired = warp.clone();
+                    let want = inst.execute(&mut warp);
+                    assert_eq!(inst.execute_wide(&mut fired), want);
+                    let image = |m: &DeviceMemory| -> Vec<u32> {
+                        (0..m.len())
+                            .map(|a| m.read(u64::from(a)).unwrap())
+                            .collect()
+                    };
+                    assert!(
+                        image(&fired) == image(&warp),
+                        "{firings} firings, wrap {wrap}"
+                    );
+                    wide += u32::from(kernel.value_oblivious() && !wrap);
+                }
+            }
+        }
+        assert!(wide > 900, "{wide}");
     }
 
     /// A priced launch whose walk leaves device memory, or reaches the

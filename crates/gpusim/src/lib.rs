@@ -78,6 +78,7 @@ mod layout;
 mod mem;
 mod stats;
 mod timing;
+mod wide;
 
 pub mod occupancy;
 
@@ -93,6 +94,7 @@ pub use mem::{
 };
 pub use stats::{InstanceStats, LaunchStats};
 pub use timing::{CheckpointMode, TimingModel};
+pub use wide::WIDE_LANES;
 
 use std::fmt;
 

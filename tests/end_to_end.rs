@@ -7,10 +7,10 @@
 //! warp-synchronous interpreter must all agree with the sequential
 //! semantics for every algorithm in the suite.
 
-use gpusim::Kernel;
+use gpusim::{DeviceConfig, Kernel};
 use streamir::cpu::{self, CpuCostModel};
 use streamir::ir::Scalar;
-use swpipe::exec::{self, CompileOptions, Scheme};
+use swpipe::exec::{self, CompileOptions, GpuRun, Prepared, RunOptions, Scheme, SmPlacement};
 
 /// Compiles and runs `iters` iterations under `scheme`, returning the GPU
 /// output stream and the CPU output stream covering it.
@@ -210,4 +210,79 @@ fn buffer_plans_scale_with_coarsening() {
         bytes(8, LayoutKind::Sequential),
         "layout permutes placement, not size"
     );
+}
+
+/// Everything a run reports, bit for bit: outputs, stats, per-launch
+/// cycles, launches, plan bytes and checkpoint protocol.
+fn assert_same_run(got: &GpuRun, want: &GpuRun, ctx: &str) {
+    let bits = |o: &[Scalar]| o.iter().map(|t| (t.ty(), t.to_bits())).collect::<Vec<_>>();
+    let floats = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got.outputs), bits(&want.outputs), "{ctx}: outputs");
+    assert_eq!(got.stats, want.stats, "{ctx}: stats");
+    let cycles = |r: &GpuRun| (r.stats.cycles.to_bits(), floats(&r.stats.per_sm_cycles));
+    assert_eq!(cycles(got), cycles(want), "{ctx}: cycles");
+    assert_eq!(
+        floats(&got.launch_cycles),
+        floats(&want.launch_cycles),
+        "{ctx}"
+    );
+    assert_eq!(got.time_secs.to_bits(), want.time_secs.to_bits(), "{ctx}");
+    assert_eq!(
+        (got.launches, got.retries, got.buffer_bytes),
+        (want.launches, want.retries, want.buffer_bytes),
+        "{ctx}"
+    );
+    assert_eq!(
+        (got.checkpoint_mode, got.checkpoint_interval),
+        (want.checkpoint_mode, want.checkpoint_interval),
+        "{ctx}"
+    );
+}
+
+/// The simulator stays the cross-check of the run a server repeats: every
+/// suite artifact but DES (whose S-boxes index by data), under SWP, SWPNC,
+/// Serial and SWP8, launched from the host and replayed as a graph, on its
+/// own device and on a slice of a wider one at a nonzero base SM. The
+/// first run of a prepared artifact is simulated and keeps its bill; the
+/// second, on new input, reuses the bill and fires its outputs on the
+/// host (the library's own tests check that it takes that path), and
+/// returns exactly what a fresh simulation returns.
+#[test]
+fn a_kept_bill_and_the_firing_plan_reproduce_every_suite_simulation() {
+    for b in streambench::suite().into_iter().filter(|b| b.name != "DES") {
+        let c = exec::compile(&b.spec.flatten().unwrap(), &CompileOptions::small_test()).unwrap();
+        let wide = DeviceConfig {
+            num_sms: c.device.num_sms + 3,
+            ..c.device.clone()
+        };
+        let schemes = [
+            (Scheme::Swp { coarsening: 1 }, 4),
+            (Scheme::SwpNc { coarsening: 1 }, 4),
+            (Scheme::Serial { batch: 1 }, 3),
+            (Scheme::Swp { coarsening: 8 }, 16),
+        ];
+        for (scheme, iters) in schemes {
+            let p = Prepared::new(&c, scheme).unwrap();
+            // Two inputs of the run's length that move different values.
+            let len = exec::required_input(&c, iters) as usize;
+            let first = (b.input)(len);
+            let second = (b.input)(len + 5).split_off(5);
+            let shapes = [(false, None), (true, None), (true, Some(2))];
+            for (graph_dispatch, base_sm) in shapes {
+                let opts = RunOptions {
+                    graph_dispatch,
+                    placement: base_sm.map(|base_sm| SmPlacement {
+                        device: wide.clone(),
+                        base_sm,
+                    }),
+                    ..RunOptions::default()
+                };
+                let ctx = format!("{} {scheme:?} {graph_dispatch} {base_sm:?}", b.name);
+                p.execute(&c, iters, &first, &opts).unwrap();
+                let reused = p.execute(&c, iters, &second, &opts).unwrap();
+                let simulated = exec::execute_with(&c, scheme, iters, &second, &opts).unwrap();
+                assert_same_run(&reused, &simulated, &ctx);
+            }
+        }
+    }
 }
