@@ -1,14 +1,14 @@
-//! Code generation support: device buffer allocation, endpoint bindings,
-//! host↔device token transfer, and seeding the device with what the
-//! initialization phase left.
+//! Code generation support: the graph's decoded kernels, device buffer
+//! allocation, endpoint bindings, host↔device token transfer, and seeding
+//! the device with what the initialization phase left.
 //!
 //! The generated "kernel" is a [`gpusim::Launch`] whose blocks mirror the
 //! paper's `switch (blockIdx.x)` arms; this module provides the address
 //! math that turns a `(basic iteration, instance)` pair into a
 //! [`BufferBinding`] over the planned buffers.
 
-use gpusim::{BufferBinding, Gpu, Layout};
-use streamir::graph::FlatGraph;
+use gpusim::{BufferBinding, Gpu, Kernel, Layout};
+use streamir::graph::{FlatGraph, NodeId};
 use streamir::ir::{ElemTy, Scalar};
 
 use crate::exec::InitState;
@@ -16,6 +16,50 @@ use crate::instances::{ExecConfig, InstanceGraph};
 use crate::plan::BufferPlan;
 use crate::schedule::Schedule;
 use crate::{Error, Result};
+
+/// A graph's decoded kernels: one [`Kernel`] per work class — the nodes
+/// that share one work function. The profiler, every prepared form of
+/// every artifact of the graph, their firing plans and the verifier's
+/// walks read this one table ([`Kernels::of`]).
+pub(crate) struct Kernels {
+    /// The first node of each class, in node order, with its kernel.
+    pub(crate) classes: Vec<(NodeId, Kernel)>,
+    /// Each node's index into `classes`.
+    pub(crate) class_of: Vec<usize>,
+}
+
+impl Kernels {
+    /// `graph`'s table, decoded on first use and shared by every clone of
+    /// the graph ([`FlatGraph::derived`]).
+    pub(crate) fn of(graph: &FlatGraph) -> &Kernels {
+        graph.derived(|graph| {
+            let mut classes: Vec<(NodeId, Kernel)> = Vec::new();
+            let class_of = (graph.nodes().iter().enumerate())
+                .map(|(v, node)| {
+                    let first = classes.iter().position(|(_, k)| *k.work() == node.work);
+                    first.unwrap_or_else(|| {
+                        classes.push((NodeId(v as u32), Kernel::load(&node.work)));
+                        classes.len() - 1
+                    })
+                })
+                .collect();
+            Kernels { classes, class_of }
+        })
+    }
+
+    /// Node `v`'s kernel.
+    pub(crate) fn node(&self, v: usize) -> &Kernel {
+        &self.classes[self.class_of[v]].1
+    }
+
+    /// Every kernel is value-oblivious ([`Kernel::value_oblivious`]): a
+    /// scaled measurement prices the graph's launches instead of running
+    /// them, and a fault-free run reuses the bill of the first run of its
+    /// shape.
+    pub(crate) fn value_oblivious(&self) -> bool {
+        self.classes.iter().all(|(_, k)| k.value_oblivious())
+    }
+}
 
 /// One event edge of a captured steady-state graph: at every replay `r`,
 /// the `consumer` node's start is gated on the completion event the

@@ -22,10 +22,11 @@
 //! positions past them, so the batch equals its firings one after
 //! another.
 
-use gpusim::{BufferBinding, DeviceMemory, InstanceExec, Kernel, Layout};
+use gpusim::{BufferBinding, DeviceMemory, InstanceExec, Layout};
 use streamir::graph::{EdgeId, FlatGraph, NodeId};
 use streamir::ir::{ElemTy, Scalar};
 
+use crate::codegen::Kernels;
 use crate::instances::{ExecConfig, InstanceGraph};
 use crate::{Error, Result};
 
@@ -315,17 +316,16 @@ impl FiringPlan {
 
     /// Runs the schedule on scratch memory from where `from` left the
     /// graph, over the graph input past the tokens `from` consumed,
-    /// firing node `v` through `kernel(v)`.
+    /// firing each node through the graph's kernel for it ([`Kernels`]).
     ///
     /// # Errors
     ///
     /// [`streamir::Error::InsufficientInput`] when `input` is shorter
     /// than the schedule pops, [`streamir::Error::Deadlock`] when the
     /// schedule stalls, and the device error of a firing that traps.
-    pub(crate) fn run<'k>(
+    pub(crate) fn run(
         &self,
         graph: &FlatGraph,
-        kernel: impl Fn(usize) -> &'k Kernel,
         input: &[Scalar],
         from: InitState,
     ) -> Result<InitState> {
@@ -349,9 +349,10 @@ impl FiringPlan {
                 r.write(&mut mem, state);
             }
         }
+        let kernels = Kernels::of(graph);
         for b in &self.batches {
             let inst = InstanceExec {
-                kernel: kernel(b.node),
+                kernel: kernels.node(b.node),
                 active_threads: b.firings,
                 inputs: b.inputs.clone(),
                 outputs: b.outputs.clone(),
@@ -543,10 +544,7 @@ mod tests {
     }
 
     fn stateful_run(plan: &FiringPlan, c: &exec::Compiled, input: &[Scalar]) -> Result<InitState> {
-        let kernels: Vec<Kernel> = (c.graph.nodes().iter())
-            .map(|node| Kernel::load(&node.work))
-            .collect();
-        plan.run(&c.graph, |v| &kernels[v], input, InitState::start(&c.graph))
+        plan.run(&c.graph, input, InitState::start(&c.graph))
     }
 
     fn options(width: u32) -> CompileOptions {
@@ -585,7 +583,7 @@ mod tests {
                 ] {
                     let p = Prepared::new(&c, scheme).unwrap();
                     let start = InitState::start(&c.graph);
-                    let got = (p.init_plan(&c)).run(&c.graph, |v| p.kernel(&c, v), &input, start);
+                    let got = (p.init_plan(&c)).run(&c.graph, &input, start);
                     assert_same(&got, &want, &format!("{name} w{width} {scheme:?}"));
                 }
                 let plan = FiringPlan::init(&c.graph, &c.ig, &c.exec_cfg);
@@ -672,7 +670,7 @@ mod tests {
         assert_ne!(want.states[0], vec![Scalar::I32(5)], "state moved");
         let p = Prepared::new(&c, Scheme::Swp { coarsening: 1 }).unwrap();
         let start = InitState::start(&c.graph);
-        let got = (p.init_plan(&c)).run(&c.graph, |v| p.kernel(&c, v), &input, start);
+        let got = (p.init_plan(&c)).run(&c.graph, &input, start);
         assert_same(&got, &Ok(want), "stateful");
     }
 

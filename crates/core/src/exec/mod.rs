@@ -17,14 +17,14 @@ use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
 use gpusim::{
-    BlockWork, CheckpointMode, DeviceConfig, Dispatch, FaultPlan, Gpu, InstanceExec, Kernel,
-    Launch, LaunchStats, TimingModel,
+    BlockWork, CheckpointMode, DeviceConfig, Dispatch, FaultPlan, Gpu, InstanceExec, Launch,
+    LaunchStats, TimingModel,
 };
 use streamir::graph::{EdgeId, FlatGraph, NodeId};
 use streamir::hash::Fnv;
 use streamir::ir::Scalar;
 
-use crate::codegen::{self, CapturedGraph, ProgramBuffers};
+use crate::codegen::{self, CapturedGraph, Kernels, ProgramBuffers};
 use crate::config::{self, Selection};
 use crate::instances::{self, ExecConfig, InstanceGraph};
 use crate::plan::{self, BufferPlan, LayoutKind};
@@ -451,12 +451,10 @@ fn check_shape(c: &Compiled) -> Result<()> {
     )))
 }
 
-/// What every instance of one node launches with.
+/// What every instance of one node launches with, besides the graph's
+/// kernel for it ([`Kernels`]).
 #[derive(Debug)]
 struct NodeLaunch {
-    /// The node's work class: every node with the same work function
-    /// launches the class's one kernel.
-    class: usize,
     threads: u32,
     /// The channel behind each input (output) port; `None` is the
     /// graph's external stream.
@@ -465,8 +463,6 @@ struct NodeLaunch {
     /// Stage the working set through shared memory: the scheme stages and
     /// the window fits at `threads`.
     staging: bool,
-    /// `name[k]` of each steady instance `k`.
-    labels: Vec<String>,
 }
 
 /// How a scheme's launch ordinals enumerate instances.
@@ -531,8 +527,10 @@ struct Bill {
 /// Everything about running one artifact under one scheme that is a pure
 /// function of the artifact: the port wiring and staging decision of every
 /// node, the launch enumeration, the captured steady graph and the
-/// canonical buffer plan, and — derived when first needed — the loaded
-/// kernels, the dataflow firing plans and the bills of fault-free runs.
+/// canonical buffer plan, and — derived when first needed — the dataflow
+/// firing plans and the bills of fault-free runs. The kernels it launches
+/// are the graph's, decoded once per work function and shared with the
+/// profiler and every other prepared form of the graph.
 /// Built once ([`crate::pipeline::ResilientCompiled`] keeps it), then
 /// every run — and the static verifier, which must enumerate the very
 /// launches the executor issues — reads it; what a run still derives is
@@ -545,15 +543,8 @@ pub struct Prepared {
     source: Option<u64>,
     scheme: Scheme,
     nodes: Vec<NodeLaunch>,
-    /// The first node of each work class: its work function is the
-    /// class's kernel.
-    firsts: Vec<NodeId>,
     walk: Walk,
     plan: BufferPlan,
-    /// One kernel per work class, loaded by the first run, prediction or
-    /// certification that launches or walks one: the cheap verifier entry
-    /// points read only the buffer plan.
-    kernels: OnceLock<Vec<Kernel>>,
     /// Derived by the first run: the verifier prepares artifacts too and
     /// never fires their init phase.
     init: OnceLock<FiringPlan>,
@@ -587,19 +578,14 @@ impl Prepared {
     pub(crate) fn of(c: &Compiled, scheme: Scheme) -> Result<Prepared> {
         let (granule, kind) = scheme_shape(scheme);
         let staged = !matches!(scheme, Scheme::SwpRaw { .. });
-        let (firsts, class) = c.graph.work_classes();
         let nodes = (c.graph.nodes().iter().enumerate())
             .map(|(v, node)| {
                 let threads = c.exec_cfg.threads[v];
                 NodeLaunch {
-                    class: class[v],
                     threads,
                     inputs: c.graph.input_wiring(NodeId(v as u32)),
                     outputs: c.graph.output_wiring(NodeId(v as u32)),
                     staging: staged && staging_fits(&node.work, threads, &c.device),
-                    labels: (0..c.ig.reps[v])
-                        .map(|k| format!("{}[{k}]", node.name))
-                        .collect(),
                 }
             })
             .collect();
@@ -627,36 +613,12 @@ impl Prepared {
             source: None,
             scheme,
             nodes,
-            firsts,
             walk,
             plan: plan::plan(&c.graph, &c.ig, sched, granule, kind),
-            kernels: OnceLock::new(),
             init: OnceLock::new(),
             steady: OnceLock::new(),
             bills: Mutex::new(Vec::new()),
         })
-    }
-
-    /// One loaded kernel per work class.
-    fn loaded(&self, c: &Compiled) -> &[Kernel] {
-        (self.kernels).get_or_init(|| {
-            (self.firsts.iter())
-                .map(|&f| Kernel::load(&c.graph.node(f).work))
-                .collect()
-        })
-    }
-
-    /// Node `v`'s kernel.
-    fn kernel(&self, c: &Compiled, v: usize) -> &Kernel {
-        &self.loaded(c)[self.nodes[v].class]
-    }
-
-    /// Every node's kernel is value-oblivious
-    /// ([`Kernel::value_oblivious`]): a scaled measurement prices its
-    /// launches instead of running them, and a fault-free run reuses the
-    /// bill of the first run of its shape.
-    fn priced(&self, c: &Compiled) -> bool {
-        self.loaded(c).iter().all(Kernel::value_oblivious)
     }
 
     /// The artifact's initialization schedule.
@@ -665,16 +627,9 @@ impl Prepared {
     }
 
     /// One granule of steady iterations as a firing plan, from where the
-    /// init phase leaves the channels; `None` when either stalls, and for
-    /// a serial walk over a stateful node, whose one-thread instances the
-    /// walk deals round-robin over the SMs, so that they fire out of
-    /// order: the plan fires them in order and would not reproduce that.
+    /// init phase leaves the channels; `None` when either stalls.
     fn steady_plan(&self, c: &Compiled) -> Option<&FiringPlan> {
         let derive = || {
-            let stateful = c.graph.nodes().iter().any(|n| n.work.is_stateful());
-            if stateful && matches!(self.walk, Walk::Serial { .. }) {
-                return None;
-            }
             let init = self.init_plan(c);
             let window = u64::from(self.granule());
             let steady = FiringPlan::steady(&c.graph, &c.ig, &c.exec_cfg, init, window);
@@ -713,13 +668,6 @@ impl Prepared {
         &self.plan
     }
 
-    /// Each node's loaded kernel, in node order — the values launched
-    /// instances point at.
-    pub(crate) fn kernels<'p>(&'p self, c: &Compiled) -> impl Iterator<Item = &'p Kernel> {
-        let kernels = self.loaded(c);
-        self.nodes.iter().map(move |n| &kernels[n.class])
-    }
-
     /// Launches an `iterations`-long run issues: fill, steady and drain
     /// kernel iterations, or one kernel per node per batch.
     pub(crate) fn launch_count(&self, c: &Compiled, iterations: u64) -> u64 {
@@ -734,13 +682,13 @@ impl Prepared {
     /// run as `(block, node, instance)`, each block's in execution order.
     /// The executor and the static verifier both enumerate launches
     /// through here, so they cannot disagree on what a launch contains.
-    pub(crate) fn for_each_instance<'p>(
-        &'p self,
-        c: &Compiled,
+    pub(crate) fn for_each_instance<'c>(
+        &self,
+        c: &'c Compiled,
         buffers: &ProgramBuffers,
         ordinal: u64,
         iterations: u64,
-        mut visit: impl FnMut(usize, NodeId, InstanceExec<'p>),
+        mut visit: impl FnMut(usize, NodeId, InstanceExec<'c>),
     ) {
         let granule = u64::from(scheme_shape(self.scheme).0);
         match &self.walk {
@@ -760,16 +708,21 @@ impl Prepared {
                     }
                 }
             }
-            // Every instance of the node over one batch, round-robin over
-            // the SMs.
+            // Every instance of the node over one batch in (batch, k)
+            // order, round-robin over the SMs; a stateful node's all on
+            // one, which runs them in that order.
             Walk::Serial { topo } => {
                 let (node, batch_no) = serial_step(topo, ordinal);
-                let num_sms = c.device.num_sms as usize;
+                let blocks = if c.graph.node(node).work.is_stateful() {
+                    1
+                } else {
+                    c.device.num_sms as usize
+                };
                 let mut slot = 0usize;
                 for sub in 0..granule {
                     let b = batch_no * granule + sub;
                     for k in 0..c.ig.reps[node.0 as usize] {
-                        visit(slot % num_sms, node, self.instance(c, buffers, node, k, b));
+                        visit(slot % blocks, node, self.instance(c, buffers, node, k, b));
                         slot += 1;
                     }
                 }
@@ -779,14 +732,14 @@ impl Prepared {
 
     /// Instance `k` of `node` at basic iteration `b`: the node's prepared
     /// launch shape with every port bound at that iteration.
-    fn instance<'p>(
-        &'p self,
-        c: &Compiled,
+    fn instance<'c>(
+        &self,
+        c: &'c Compiled,
         buffers: &ProgramBuffers,
         node: NodeId,
         k: u32,
         b: u64,
-    ) -> InstanceExec<'p> {
+    ) -> InstanceExec<'c> {
         let n = &self.nodes[node.0 as usize];
         let input = |port: &Option<EdgeId>| match port {
             Some(e) => buffers.consumer_binding(&c.ig, e.0 as usize, b, k),
@@ -797,24 +750,24 @@ impl Prepared {
             None => buffers.output_binding(b, k),
         };
         InstanceExec {
-            kernel: self.kernel(c, node.0 as usize),
+            kernel: Kernels::of(&c.graph).node(node.0 as usize),
             active_threads: n.threads,
             inputs: n.inputs.iter().map(input).collect(),
             outputs: n.outputs.iter().map(output).collect(),
             shared_staging: n.staging,
             state_base: buffers.state_base[node.0 as usize],
-            label: Some(&n.labels[k as usize]),
+            label: Some((&c.graph.node(node).name, k)),
         }
     }
 
-    fn launch<'p>(
-        &'p self,
-        c: &Compiled,
+    fn launch<'c>(
+        &self,
+        c: &'c Compiled,
         buffers: &ProgramBuffers,
         ordinal: u64,
         iterations: u64,
         sm_offset: u32,
-    ) -> Launch<'p> {
+    ) -> Launch<'c> {
         let mut blocks = vec![BlockWork::default(); c.device.num_sms as usize];
         self.for_each_instance(c, buffers, ordinal, iterations, |block, _, inst| {
             blocks[block].items.push(inst);
@@ -887,12 +840,12 @@ impl Prepared {
     }
 
     /// [`execute_with`] the artifact [`Prepared::new`] prepared. A
-    /// fault-free run of an artifact whose kernels are all value-oblivious
-    /// ([`Kernel::value_oblivious`]) bills the same whatever values it
-    /// moves: the first run of each shape (iterations, placement, graph
-    /// dispatch, checkpoint selection) is simulated and keeps its bill,
-    /// and every later one returns that bill with outputs fired on the
-    /// host.
+    /// fault-free run of an artifact whose kernels are all
+    /// value-oblivious ([`gpusim::Kernel::value_oblivious`]) bills the
+    /// same whatever values it moves: the first run of each shape
+    /// (iterations, placement, graph dispatch, checkpoint selection) is
+    /// simulated and keeps its bill, and every later one returns that
+    /// bill with outputs fired on the host.
     ///
     /// # Errors
     ///
@@ -915,9 +868,9 @@ impl Prepared {
 
     /// Executes `iterations` basic steady iterations of `c`.
     ///
-    /// A fault-free run of a value-oblivious artifact ([`Prepared::priced`])
-    /// whose firing plans do not stall bills the same whatever values it
-    /// moves. The first of each shape ([`BillKey`]) is simulated and keeps
+    /// A fault-free run of a value-oblivious artifact
+    /// ([`Kernels::value_oblivious`]) whose firing plans do not stall
+    /// bills the same whatever values it moves. The first of each shape ([`BillKey`]) is simulated and keeps
     /// its bill; each later one returns that bill, with outputs from the
     /// dataflow firing plans ([`FiringPlan`]) instead of the simulator.
     pub(crate) fn run(
@@ -927,7 +880,7 @@ impl Prepared {
         input: &[Scalar],
         opts: &RunOptions,
     ) -> Result<GpuRun> {
-        let steady = if opts.fault_plan.is_none() && self.priced(c) {
+        let steady = if opts.fault_plan.is_none() && Kernels::of(&c.graph).value_oblivious() {
             self.steady_plan(c)
         } else {
             None
@@ -964,11 +917,9 @@ impl Prepared {
             return Ok(None);
         };
         check_input_len(input_tokens, input)?;
-        let kernel = |v| self.kernel(c, v);
-        let mut fired =
-            (self.init_plan(c)).run(&c.graph, kernel, input, InitState::start(&c.graph))?;
+        let mut fired = (self.init_plan(c)).run(&c.graph, input, InitState::start(&c.graph))?;
         for _ in 0..key.iterations / u64::from(self.granule()) {
-            fired = steady.run(&c.graph, kernel, input, fired)?;
+            fired = steady.run(&c.graph, input, fired)?;
         }
         Ok(Some(GpuRun {
             outputs: fired.output,
@@ -1069,11 +1020,11 @@ impl Prepared {
         // caller must fill everything but the slack.
         let input_tokens = buffers.input.as_ref().map_or(0, |io| io.tokens);
         check_input_len(input_tokens, input)?;
-        let priced = scaled && self.priced(c);
+        let priced = scaled && Kernels::of(&c.graph).value_oblivious();
         let mut init_out = Vec::new();
         if !priced {
             let start = InitState::start(&c.graph);
-            let init = (self.init_plan(c)).run(&c.graph, |v| self.kernel(c, v), input, start)?;
+            let init = (self.init_plan(c)).run(&c.graph, input, start)?;
             init_out = buffers.seed_init_state(&mut gpu, &c.ig, init);
             if buffers.input.is_some() {
                 buffers.write_input(&mut gpu, input);
@@ -1188,7 +1139,7 @@ impl Prepared {
 /// measures long runs, at simulation cost independent of `iterations`.
 ///
 /// When every kernel of `c` is value-oblivious
-/// ([`Kernel::value_oblivious`]), the launches are priced from their
+/// ([`gpusim::Kernel::value_oblivious`]), the launches are priced from their
 /// abstract walks ([`gpusim::Gpu::price_dispatched`]) rather than
 /// simulated, with bit-identical stats: no input token is written and no
 /// init phase fires. A launch the walk cannot price exactly still runs.
@@ -1265,6 +1216,7 @@ fn collect_output(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpusim::Kernel;
     use streamir::cpu::{self, CpuCostModel};
     use streamir::graph::{FilterSpec, SplitterKind, StreamSpec};
     use streamir::ir::{ElemTy, Expr, FnBuilder};
@@ -1275,6 +1227,31 @@ mod tests {
         b.pop_into(0, x);
         b.push(0, f(Expr::local(x)));
         StreamSpec::filter(FilterSpec::new(name, b.build().unwrap()))
+    }
+
+    /// `iir → window`: a stateful filter (`y = y / 2 + x`) feeding a
+    /// 3-tap peeking window.
+    fn iir_window() -> StreamSpec {
+        let mut iir = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+        let y = iir.state(ElemTy::I32, Scalar::I32(5));
+        let x = iir.local(ElemTy::I32);
+        iir.pop_into(0, x);
+        iir.store_state(y, Expr::state(y).div(Expr::i32(2)).add(Expr::local(x)));
+        iir.push(0, Expr::state(y));
+        let mut window = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+        let sum = Expr::peek(0, Expr::i32(0)).add(Expr::peek(0, Expr::i32(2)));
+        window.push(0, sum);
+        window.pop(0);
+        StreamSpec::pipeline(vec![
+            StreamSpec::filter(FilterSpec::new("iir", iir.build().unwrap())),
+            StreamSpec::filter(FilterSpec::new("window", window.build().unwrap())),
+        ])
+    }
+
+    /// Every kernel of `c` is value-oblivious: runs reuse bills and
+    /// measurements price.
+    fn priced(c: &Compiled) -> bool {
+        Kernels::of(&c.graph).value_oblivious()
     }
 
     /// Compiles, runs CPU + the given scheme for `iters` iterations, and
@@ -1445,6 +1422,8 @@ mod tests {
         // the transaction gap becomes the Figure 10 speedup gap.
     }
 
+    /// A stateful filter's instances run in order under the serial walk
+    /// too, so its output is the CPU reference's.
     #[test]
     fn serial_matches_cpu_with_more_launches() {
         let spec = StreamSpec::pipeline(vec![
@@ -1458,6 +1437,9 @@ mod tests {
             serial.launches > swp.launches,
             "serial launches one kernel per filter"
         );
+        for batch in [1, 2] {
+            assert_gpu_matches_cpu(&iir_window(), Scheme::Serial { batch }, 4);
+        }
     }
 
     #[test]
@@ -1537,9 +1519,7 @@ mod tests {
         let threes = vec![Scalar::I32(3); required_input(&c, 2) as usize];
         // A varying divisor: measurement runs the launches too, and traps
         // where execution does.
-        assert!(!Prepared::new(&c, Scheme::Serial { batch: 1 })
-            .unwrap()
-            .priced(&c));
+        assert!(!priced(&c));
         let trap = |scheme| {
             let e = execute(&c, scheme, 2, &threes).unwrap_err().to_string();
             assert_eq!(measure(&c, scheme, 2, &threes).unwrap_err().to_string(), e);
@@ -1574,10 +1554,7 @@ mod tests {
         let spec = StreamSpec::filter(FilterSpec::new("gate", b.build().unwrap()));
         let c = compile(&spec.flatten().unwrap(), &CompileOptions::small_test()).unwrap();
         let scheme = Scheme::Swp { coarsening: 1 };
-        assert!(
-            !Prepared::new(&c, scheme).unwrap().priced(&c),
-            "a varying branch runs"
-        );
+        assert!(!priced(&c), "a varying branch runs");
         let first = required_input(&c, 1);
         let input: Vec<Scalar> = (0..measure_input(&c, scheme))
             .map(|i| Scalar::I32(i32::from(i >= first)))
@@ -1592,8 +1569,30 @@ mod tests {
         assert!(measure(&c, scheme, 64, &zeros).is_ok());
     }
 
-    /// Nodes with one work function share one decoded kernel, and the
-    /// shared kernels still compute the CPU reference's bytes.
+    /// The kernel each instance of every launch of a short run of `p`
+    /// hands out, by node.
+    fn launched<'c>(p: &Prepared, c: &'c Compiled) -> Vec<(NodeId, &'c Kernel)> {
+        let iters = u64::from(p.granule()) * (c.schedule.max_stage() + 1);
+        let mut gpu = Gpu::with_timing(c.device.clone(), c.timing.clone());
+        let buffers =
+            codegen::allocate(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, p.plan(), iters).unwrap();
+        let mut kernels = Vec::new();
+        for r in 0..p.launch_count(c, iters) {
+            p.for_each_instance(c, &buffers, r, iters, |_, v, inst| {
+                kernels.push((v, inst.kernel));
+            });
+        }
+        kernels
+    }
+
+    /// Nodes with one work function share one decoded kernel, the graph's
+    /// ([`Kernels`]), and the shared kernels still compute the CPU
+    /// reference's bytes. On every suite graph, the table the profiler
+    /// prices from is the one every artifact's clone of the graph reads:
+    /// prepared forms under SWP, SWPNC, Serial and SWP8 at two slice
+    /// widths, and an artifact reloaded from the disk tier, launch its
+    /// kernels, one per work class. The tables hold the suite's 113
+    /// distinct work functions.
     #[test]
     fn nodes_with_one_work_function_share_one_kernel() {
         let double = |name| map_filter(name, |x| x.mul(Expr::i32(2)));
@@ -1603,13 +1602,95 @@ mod tests {
             map_filter("c", |x| x.add(Expr::i32(1))),
             double("d"),
         ]);
-        let c = compile(&spec.flatten().unwrap(), &CompileOptions::small_test()).unwrap();
-        let p = Prepared::new(&c, Scheme::Swp { coarsening: 1 }).unwrap();
-        let k: Vec<&Kernel> = p.kernels(&c).collect();
-        assert!(std::ptr::eq(k[0], k[1]) && std::ptr::eq(k[0], k[3]));
-        assert!(!std::ptr::eq(k[0], k[2]));
-        assert_eq!(p.loaded(&c).len(), 2);
+        let graph = spec.flatten().unwrap();
+        let k = Kernels::of(&graph);
+        assert!(std::ptr::eq(k.node(0), k.node(1)) && std::ptr::eq(k.node(0), k.node(3)));
+        assert!(!std::ptr::eq(k.node(0), k.node(2)));
+        assert_eq!(k.classes.len(), 2);
         assert_gpu_matches_cpu(&spec, Scheme::Swp { coarsening: 1 }, 4);
+
+        use crate::pipeline::FaultPolicy;
+        use crate::serve::cache::{ArtifactStore, CacheOptions};
+        use crate::serve::{pipeline_options_for, Pressure, ServeOptions};
+        let serving = |sms| {
+            let serve = ServeOptions::default();
+            pipeline_options_for(&serve, sms, Pressure::Nominal, FaultPolicy::Throughput)
+        };
+        let dir = std::env::temp_dir().join(format!("swpipe-kernels-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = || {
+            ArtifactStore::new(CacheOptions {
+                capacity: 8,
+                disk_dir: Some(dir.clone()),
+            })
+        };
+        let (mut writer, mut reader) = (store(), store());
+        let mut decoded = 0;
+        for b in streambench::suite() {
+            let graph = b.spec.flatten().unwrap();
+            let table = Kernels::of(&graph);
+            decoded += table.classes.len();
+            let same = |v: NodeId, k: &Kernel| std::ptr::eq(k, table.node(v.0 as usize));
+            let one_per_class = |kernels: Vec<(NodeId, &Kernel)>, ctx: &str| {
+                assert!(kernels.iter().all(|&(v, k)| same(v, k)), "{} {ctx}", b.name);
+                let mut distinct: Vec<*const Kernel> =
+                    kernels.iter().map(|&(_, k)| k as _).collect();
+                distinct.sort();
+                distinct.dedup();
+                assert_eq!(distinct.len(), table.classes.len(), "{} {ctx}", b.name);
+            };
+            for sms in [1, 2] {
+                let c = compile(&graph, &serving(sms).compile).unwrap();
+                assert!(std::ptr::eq(Kernels::of(&c.graph), table), "{}", b.name);
+                for scheme in [
+                    Scheme::Swp { coarsening: 1 },
+                    Scheme::SwpNc { coarsening: 1 },
+                    Scheme::Serial { batch: 1 },
+                    Scheme::Swp { coarsening: 8 },
+                ] {
+                    let p = Prepared::new(&c, scheme).unwrap();
+                    one_per_class(launched(&p, &c), &format!("{scheme:?} on {sms} SMs"));
+                }
+            }
+            let opts = serving(2);
+            let served = |store: &mut ArtifactStore| {
+                store
+                    .get_or_compile(&graph, &opts, gpusim::DeviceId(0), &[0])
+                    .unwrap()
+            };
+            assert!(!served(&mut writer).1, "{}: compiled", b.name);
+            let (reloaded, hit) = served(&mut reader);
+            assert!(hit, "{}: reloaded", b.name);
+            let c = &reloaded.compiled;
+            one_per_class(launched(&reloaded.prepared, c), "reloaded");
+        }
+        assert_eq!(reader.cache_stats().disk_loads, 8);
+        assert_eq!(decoded, 113);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A launch that rejects an instance of a prepared artifact names it
+    /// `name[k]`: here the stateful `iir`'s sixth instance in its serial
+    /// launch, widened to two threads.
+    #[test]
+    fn a_rejected_instance_is_named_by_filter_and_index() {
+        let c = compile(
+            &iir_window().flatten().unwrap(),
+            &CompileOptions::small_test(),
+        )
+        .unwrap();
+        let p = Prepared::new(&c, Scheme::Serial { batch: 1 }).unwrap();
+        let mut gpu = Gpu::with_timing(c.device.clone(), c.timing.clone());
+        let buffers = codegen::allocate(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, p.plan(), 1);
+        let mut launch = p.launch(&c, &buffers.unwrap(), 0, 1, 0);
+        assert!(launch.blocks[0].items.len() > 5, "iir has more instances");
+        launch.threads_per_block = 2;
+        launch.blocks[0].items[5].active_threads = 2;
+        assert_eq!(
+            gpu.run(&launch).unwrap_err().to_string(),
+            "infeasible launch configuration: instance iir[5] is stateful and must run \
+             single-threaded, got 2"
+        );
     }
 
     fn compiled_three_stage() -> (Compiled, Vec<Scalar>, u64) {
@@ -1929,8 +2010,8 @@ mod tests {
             for scheme in schemes {
                 let ctx = format!("{} under {scheme:?}", b.name);
                 let p = Prepared::new(&c, scheme).unwrap();
-                assert_eq!(p.priced(&c), b.name != "DES", "{ctx}");
-                let reuses = p.priced(&c) && p.steady_plan(&c).is_some();
+                assert_eq!(priced(&c), b.name != "DES", "{ctx}");
+                let reuses = priced(&c) && p.steady_plan(&c).is_some();
                 assert_eq!(
                     reuses,
                     b.name != "DES",
@@ -1943,7 +2024,7 @@ mod tests {
                     codegen::allocate(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, p.plan(), iters)
                         .unwrap();
                 let start = InitState::start(&c.graph);
-                let init = (p.init_plan(&c)).run(&c.graph, |v| p.kernel(&c, v), &input, start);
+                let init = (p.init_plan(&c)).run(&c.graph, &input, start);
                 buffers.seed_init_state(&mut gpu, &c.ig, init.unwrap());
                 buffers.write_input(&mut gpu, &input);
                 for r in 0..p.launch_count(&c, iters) {
@@ -2006,10 +2087,9 @@ mod tests {
     /// What does not keep a bill: a run under a fault plan and every run
     /// of DES (its S-boxes index by data); [`measure`] and
     /// [`execute_with`] never look for one. A stateful filter and a
-    /// feedback loop do, their batches firing on the warp core one at a
-    /// time, as do seeded random graphs, and their fired outputs are the
-    /// simulator's; a stateful graph under the serial walk is simulated
-    /// every time.
+    /// feedback loop do, under the pipelined and the serial walk, their
+    /// batches firing on the warp core one at a time, as do seeded random
+    /// graphs, and their fired outputs are the simulator's.
     #[test]
     fn faults_and_des_simulate_and_stateful_graphs_reuse_bills() {
         let (c, input, iters) = compiled_three_stage();
@@ -2030,22 +2110,8 @@ mod tests {
         let p = Prepared::new(&c, scheme).unwrap();
         let input = (des.input)(required_input(&c, 2) as usize);
         p.execute(&c, 2, &input, &RunOptions::default()).unwrap();
-        assert!(!p.priced(&c) && kept(&p) == 0, "DES");
+        assert!(!priced(&c) && kept(&p) == 0, "DES");
 
-        let mut iir = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
-        let y = iir.state(ElemTy::I32, Scalar::I32(5));
-        let x = iir.local(ElemTy::I32);
-        iir.pop_into(0, x);
-        iir.store_state(y, Expr::state(y).div(Expr::i32(2)).add(Expr::local(x)));
-        iir.push(0, Expr::state(y));
-        let mut window = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
-        let sum = Expr::peek(0, Expr::i32(0)).add(Expr::peek(0, Expr::i32(2)));
-        window.push(0, sum);
-        window.pop(0);
-        let stateful = StreamSpec::pipeline(vec![
-            StreamSpec::filter(FilterSpec::new("iir", iir.build().unwrap())),
-            StreamSpec::filter(FilterSpec::new("window", window.build().unwrap())),
-        ]);
         let mut add = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
         let (x, s) = (add.local(ElemTy::I32), add.local(ElemTy::I32));
         add.pop_into(0, x);
@@ -2070,7 +2136,7 @@ mod tests {
         let mut graphs = vec![
             (
                 "stateful",
-                stateful.flatten().unwrap(),
+                iir_window().flatten().unwrap(),
                 ramp as fn(usize) -> Vec<Scalar>,
             ),
             ("feedback", feedback.flatten().unwrap(), ramp),
@@ -2082,18 +2148,11 @@ mod tests {
             for scheme in [Scheme::Swp { coarsening: 1 }, Scheme::Serial { batch: 1 }] {
                 let ctx = format!("{name} {scheme:?}");
                 let p = Prepared::new(&c, scheme).unwrap();
-                assert!(p.priced(&c), "{ctx}");
+                assert!(priced(&c), "{ctx}");
                 let len = required_input(&c, 4);
                 let (first, second) = (skewed(input, len, 0), skewed(input, len, 3));
                 let simulated = execute(&c, scheme, 4, &second).unwrap();
                 let opts = RunOptions::default();
-                if name == "stateful" && scheme == (Scheme::Serial { batch: 1 }) {
-                    p.execute(&c, 4, &first, &opts).unwrap();
-                    let run = p.execute(&c, 4, &second, &opts).unwrap();
-                    assert_eq!(kept(&p), 0, "{ctx}");
-                    assert_eq!(output_bits(&run), output_bits(&simulated), "{ctx}");
-                    continue;
-                }
                 let run = second_run_reuses_the_bill(&p, &c, 4, [&first, &second], &opts);
                 assert_eq!(output_bits(&run), output_bits(&simulated), "{ctx}");
             }
@@ -2143,7 +2202,7 @@ mod tests {
     fn a_tiny_watchdog_budget_kills_a_priced_measurement_like_a_run() {
         let (mut c, input, iters) = compiled_three_stage();
         let scheme = Scheme::Swp { coarsening: 1 };
-        assert!(Prepared::new(&c, scheme).unwrap().priced(&c));
+        assert!(priced(&c));
         // The budget is the instructions the clock issues in the
         // watchdog interval: a slow enough clock leaves a handful.
         c.timing.clock_hz = 4.0;

@@ -20,6 +20,7 @@ use gpusim::{
 use streamir::graph::{FlatGraph, NodeId};
 use streamir::ir::{ElemTy, Scalar};
 
+use crate::codegen::Kernels;
 use crate::{par, Result};
 
 /// Cycles per integer scheduling time unit: delays handed to the ILP are
@@ -160,16 +161,16 @@ pub(crate) fn profile_on(
     device: &DeviceConfig,
     timing: &TimingModel,
 ) -> Result<ProfileTable> {
-    // Each node's row is the row of the first node with its work function,
-    // a node of `firsts`; a failing row therefore names the first node
+    // Each node's row is its work class's, priced through the class's
+    // first node and kernel; a failing row therefore names the first node
     // that fails.
-    let (firsts, row_of) = graph.work_classes();
-    let rows = par::map_on(workers, &firsts, |&node| {
-        profile_node(graph, node, opts, device, timing)
+    let kernels = Kernels::of(graph);
+    let rows = par::map_on(workers, &kernels.classes, |(node, kernel)| {
+        profile_node(&graph.node(*node).name, kernel, opts, device, timing)
     })
     .into_iter()
     .collect::<Result<Vec<_>>>()?;
-    let times = row_of.into_iter().map(|r| rows[r].clone()).collect();
+    let times = kernels.class_of.iter().map(|&r| rows[r].clone()).collect();
     Ok(ProfileTable {
         reg_limits: opts.reg_limits.clone(),
         thread_counts: opts.thread_counts.clone(),
@@ -177,23 +178,22 @@ pub(crate) fn profile_on(
     })
 }
 
-/// One node's `times[r][t]`. A thread count's one functional run prices
-/// every register limit; the first error in register-major order wins,
-/// as when every grid point ran on its own.
+/// One work class's `times[r][t]`, its errors naming filter `name`. A
+/// thread count's one functional run prices every register limit; the
+/// first error in register-major order wins, as when every grid point ran
+/// on its own.
 fn profile_node(
-    graph: &FlatGraph,
-    node: NodeId,
+    name: &str,
+    kernel: &Kernel,
     opts: &ProfileOptions,
     device: &DeviceConfig,
     timing: &TimingModel,
 ) -> Result<Vec<Vec<Option<f64>>>> {
-    let node = graph.node(node);
-    let kernel = Kernel::load(&node.work);
     let by_threads: Vec<Vec<Result<Option<f64>>>> = opts
         .thread_counts
         .iter()
         .map(|&threads| {
-            profile_threads(&node.name, &kernel, threads, opts, device, timing)
+            profile_threads(name, kernel, threads, opts, device, timing)
                 // A set-up failure fails every limit, as it did each point.
                 .unwrap_or_else(|e| vec![Err(e); opts.reg_limits.len()])
         })

@@ -39,7 +39,7 @@ use std::collections::BTreeSet;
 
 use gpusim::{
     bank_conflict_degree, half_warps, AbstractWarp, AccessSink, AffineRun, BufferBinding, Channel,
-    Gpu, InstanceExec, Kernel, LaunchStats, Layout, WarpAccess,
+    Gpu, InstanceExec, LaunchStats, Layout, WarpAccess,
 };
 use streamir::graph::NodeId;
 use streamir::ir::{AccessKind, AccessSite};
@@ -313,13 +313,13 @@ pub(crate) fn predict_prepared(
     let mut gpu = Gpu::with_timing(c.device.clone(), c.timing.clone());
     let buffers = codegen::allocate(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, plan, iterations)?;
 
-    let kernels: Vec<&Kernel> = prepared.kernels(c).collect();
+    let kernels = codegen::Kernels::of(&c.graph);
     let mut acc = Acc {
         counters: StaticCounters::default(),
         exact: true,
         node: 0,
-        tallies: (kernels.iter())
-            .map(|k| vec![None; k.sites().len()])
+        tallies: (0..c.graph.len())
+            .map(|v| vec![None; kernels.node(v).sites().len()])
             .collect(),
         varying_branch: BTreeSet::new(),
         access: WarpAccess::default(),
@@ -335,7 +335,7 @@ pub(crate) fn predict_prepared(
     });
     for (node, ord, t) in tallies {
         let name = c.graph.nodes()[node as usize].name.clone();
-        let site = kernels[node as usize].sites()[ord];
+        let site = kernels.node(node as usize).sites()[ord];
         let locate = |d: Diagnostic| {
             let d = d.at_filter(&name, node).at_site(site);
             match edge_of(c, node, site) {

@@ -16,9 +16,9 @@ use crate::wide::{self, Flat};
 use crate::{Result, SimError};
 
 /// A work function loaded for the device: the kernel IR paired with the
-/// warp program it decodes to. Load it once per compiled artifact and
-/// launch it as often as needed — [`Gpu::run`] never decodes — or walk it
-/// abstractly ([`InstanceExec::analyze`]).
+/// warp program it decodes to. Load it once per work function of a graph
+/// and launch it as often as needed — [`Gpu::run`] never decodes — or
+/// walk it abstractly ([`InstanceExec::analyze`]).
 #[derive(Debug)]
 pub struct Kernel {
     work: WorkFunction,
@@ -93,8 +93,9 @@ pub struct InstanceExec<'a> {
     /// Device word address of the filter's persistent state. Required for
     /// stateful work functions, which must run with one active thread.
     pub state_base: Option<u32>,
-    /// Diagnostic label shown in launch-configuration errors.
-    pub label: Option<&'a str>,
+    /// The filter's name and the instance's index, shown as `name[k]` in
+    /// the launch-configuration error that rejects the instance.
+    pub label: Option<(&'a str, u32)>,
 }
 
 /// The instance sequence one thread block executes (the body of one arm of
@@ -588,46 +589,39 @@ impl Gpu {
                 regs_per_thread, launch.threads_per_block, regs_needed, cfg.registers_per_sm
             )));
         }
-        for block in &launch.blocks {
-            for inst in &block.items {
-                if inst.active_threads == 0 || inst.active_threads > launch.threads_per_block {
-                    return Err(SimError::LaunchConfig(format!(
-                        "instance {:?} uses {} threads in a {}-thread block",
-                        inst.label, inst.active_threads, launch.threads_per_block
-                    )));
-                }
-                let work = inst.kernel.work();
-                if inst.inputs.len() != work.input_ports().len()
-                    || inst.outputs.len() != work.output_ports().len()
-                {
-                    return Err(SimError::LaunchConfig(format!(
-                        "instance {:?} binding arity mismatch",
-                        inst.label
-                    )));
-                }
-                if work.is_stateful() {
-                    if inst.state_base.is_none() {
-                        return Err(SimError::LaunchConfig(format!(
-                            "stateful instance {:?} has no state buffer",
-                            inst.label
-                        )));
-                    }
-                    if inst.active_threads != 1 {
-                        return Err(SimError::LaunchConfig(format!(
-                            "stateful instance {:?} must run single-threaded, got {}",
-                            inst.label, inst.active_threads
-                        )));
-                    }
-                }
-                if inst.shared_staging {
-                    let bytes = staging_bytes(inst);
-                    if bytes > u64::from(cfg.shared_mem_per_sm) {
-                        return Err(SimError::LaunchConfig(format!(
-                            "instance {:?} staging window of {bytes} B exceeds {} B shared memory",
-                            inst.label, cfg.shared_mem_per_sm
-                        )));
-                    }
-                }
+        for inst in launch.blocks.iter().flat_map(|block| &block.items) {
+            // The label is rendered only for an instance the launch rejects.
+            let reject = |why: String| {
+                let label = match inst.label {
+                    Some((name, k)) => format!("{name}[{k}]"),
+                    None => "(unlabelled)".to_owned(),
+                };
+                Err(SimError::LaunchConfig(format!("instance {label} {why}")))
+            };
+            let (threads, block) = (inst.active_threads, launch.threads_per_block);
+            if threads == 0 || threads > block {
+                return reject(format!("uses {threads} threads in a {block}-thread block"));
+            }
+            let work = inst.kernel.work();
+            if inst.inputs.len() != work.input_ports().len()
+                || inst.outputs.len() != work.output_ports().len()
+            {
+                return reject("binding arity mismatch".into());
+            }
+            if work.is_stateful() && inst.state_base.is_none() {
+                return reject("is stateful and has no state buffer".into());
+            }
+            if work.is_stateful() && threads != 1 {
+                return reject(format!(
+                    "is stateful and must run single-threaded, got {threads}"
+                ));
+            }
+            let shared = cfg.shared_mem_per_sm;
+            let staged = inst.shared_staging.then(|| staging_bytes(inst));
+            if let Some(bytes) = staged.filter(|&bytes| bytes > u64::from(shared)) {
+                return reject(format!(
+                    "staging window of {bytes} B exceeds {shared} B shared memory"
+                ));
             }
         }
         Ok(())

@@ -1,5 +1,6 @@
 //! The flattened stream graph.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -66,7 +67,8 @@ pub struct Edge {
 /// satisfies the structural invariants (all internal ports connected exactly
 /// once, matching element types). It is immutable from then on, so a
 /// clone shares the nodes, the channels and the memoised
-/// [`FlatGraph::content_hash`] instead of copying them.
+/// [`FlatGraph::content_hash`] and [`FlatGraph::derived`] value instead
+/// of copying them.
 #[derive(Clone)]
 pub struct FlatGraph(Arc<Shared>);
 
@@ -76,10 +78,11 @@ struct Shared {
     input: Option<NodeId>,
     output: Option<NodeId>,
     content_hash: OnceLock<u64>,
+    derived: OnceLock<Box<dyn Any + Send + Sync>>,
 }
 
 /// Prints exactly what `#[derive(Debug)]` printed when the four fields
-/// sat directly in the struct (the memo is not content).
+/// sat directly in the struct (the memos are not content).
 impl fmt::Debug for FlatGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FlatGraph")
@@ -104,6 +107,7 @@ impl FlatGraph {
             input,
             output,
             content_hash: OnceLock::new(),
+            derived: OnceLock::new(),
         }))
     }
 
@@ -133,6 +137,23 @@ impl FlatGraph {
             h.str(&format!("{:?}/{:?}", self.input(), self.output()));
             h.finish()
         })
+    }
+
+    /// A value derived from the graph's content by the first call's
+    /// `derive` and shared by every clone, as
+    /// [`FlatGraph::content_hash`] is. It holds what a downstream crate
+    /// derives from the nodes' code alone, of a type this crate cannot
+    /// name (the decoded device kernels); the graph keeps one such value,
+    /// so one function fills it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value was derived as another type.
+    pub fn derived<T: Any + Send + Sync>(&self, derive: impl FnOnce(&FlatGraph) -> T) -> &T {
+        let value = self.0.derived.get_or_init(|| Box::new(derive(self)));
+        value
+            .downcast_ref()
+            .expect("one type derives a graph's value")
     }
 
     /// All nodes, indexable by [`NodeId`].
@@ -254,26 +275,6 @@ impl FlatGraph {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.0.nodes.is_empty()
-    }
-
-    /// Nodes grouped by work function: the first node of each distinct
-    /// work function, in node order, and each node's index into that
-    /// list. Nodes of one group run the same code, so whatever is a
-    /// function of the code alone — a decoded kernel, a profile row — is
-    /// derived once per group.
-    #[must_use]
-    pub fn work_classes(&self) -> (Vec<NodeId>, Vec<usize>) {
-        let mut firsts: Vec<NodeId> = Vec::new();
-        let class = (self.0.nodes.iter().enumerate())
-            .map(|(v, node)| {
-                let first = firsts.iter().position(|f| self.node(*f).work == node.work);
-                first.unwrap_or_else(|| {
-                    firsts.push(NodeId(v as u32));
-                    firsts.len() - 1
-                })
-            })
-            .collect();
-        (firsts, class)
     }
 
     /// Count of user filters whose work function peeks beyond what it pops
