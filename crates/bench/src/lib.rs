@@ -14,8 +14,7 @@
 //! `stream-gpu regen` manifest calls them, rendering Table II and both
 //! figures from one [`run_suite`]. Scale control: the default
 //! configuration is the scaled paper setup described in EXPERIMENTS.md,
-//! and `SWP_BENCH_FULL=1` runs the paper's full profiling grid. On a
-//! 2-core host one suite pass takes 5–7 s scaled and 9–13 s full. Every
+//! and `SWP_BENCH_FULL=1` runs the paper's full profiling grid. Every
 //! pass uses all the cores the process may run on, and renders the same
 //! bytes on one.
 

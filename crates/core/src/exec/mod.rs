@@ -2037,6 +2037,80 @@ mod tests {
         }
     }
 
+    /// One steady SWP launch of each suite artifact at the paper's scaled
+    /// configuration, priced (DES runs): its busiest SM's cycles against
+    /// that SM's planned load, Σ d(v) × [`crate::profile::TIME_UNIT_CYCLES`]
+    /// over the instances the schedule put there, and the filters it
+    /// holds. The busiest planned SM is `II` time units in every case. On
+    /// DCT, FFT and MatrixMult a producer whose pushes the consumer's rate
+    /// transposes runs several times the time its profile gave it.
+    #[test]
+    fn the_busiest_sm_of_a_steady_launch_against_its_plan() {
+        let opts = crate::harness::HarnessOptions::paper_scaled();
+        let scheme = Scheme::Swp { coarsening: 1 };
+        let mut got = Vec::new();
+        for b in streambench::suite() {
+            let graph = b.spec.flatten().unwrap();
+            let c = compile(&graph, &opts.compile).unwrap();
+            let p = Prepared::new(&c, scheme).unwrap();
+            let ordinal = c.schedule.max_stage();
+            let iters = ordinal + 1;
+            let mut gpu = Gpu::with_timing(c.device.clone(), c.timing.clone());
+            let buffers =
+                codegen::allocate(&mut gpu, &c.graph, &c.ig, &c.exec_cfg, p.plan(), iters).unwrap();
+            let launch = p.launch(&c, &buffers, ordinal, iters, 0);
+            let stats = gpu.price_dispatched(&launch, Dispatch::HostLaunch).unwrap();
+            let mut planned = vec![0u64; c.device.num_sms as usize];
+            let mut held = vec![Vec::new(); planned.len()];
+            for (i, &(v, _)) in c.ig.list.iter().enumerate() {
+                let sm = c.schedule.sm_of[i] as usize;
+                planned[sm] += c.exec_cfg.delay[v.0 as usize];
+                let name = c.graph.node(v).name.as_str();
+                if !held[sm].contains(&name) {
+                    held[sm].push(name);
+                }
+            }
+            assert_eq!(planned.iter().max(), Some(&c.schedule.ii), "{}", b.name);
+            // The first of the SMs that run longest.
+            let per_sm = &stats.per_sm_cycles;
+            let busiest =
+                (0..per_sm.len()).fold(0, |m, sm| if per_sm[sm] > per_sm[m] { sm } else { m });
+            let unit = crate::profile::TIME_UNIT_CYCLES;
+            let ratio = per_sm[busiest] / (planned[busiest] as f64 * unit);
+            got.push((
+                b.name,
+                busiest,
+                format!("{ratio:.3}"),
+                held[busiest].join(" "),
+            ));
+        }
+        let want = [
+            ("Bitonic", 2, "1.142", "split#3 ce_k8j2_b0_s0 split#6"),
+            ("BitonicRec", 5, "1.070", "join join#9 mce_rr_1 split#10"),
+            ("DCT", 1, "3.854", "dct_row1 join"),
+            ("DES", 6, "0.997", "sbox0 roundout2 expandkey4 sbox14"),
+            ("FFT", 3, "5.302", "reorder16"),
+            ("Filterbank", 8, "1.059", FILTERBANK_SM8),
+            (
+                "FMRadio",
+                0,
+                "0.977",
+                "front_lpf eq_hi3 eq_sub5 eq_amp6 eq_hi7",
+            ),
+            ("MatrixMult", 1, "7.459", "b_rep"),
+        ];
+        let want: Vec<_> = (want.iter())
+            .map(|&(name, sm, ratio, held)| (name, sm, ratio.to_owned(), held.to_owned()))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    /// What Filterbank's busiest steady SM holds: both halves of every
+    /// band, band 0's upsampler and the final sum.
+    const FILTERBANK_SM8: &str = "analysis0 up0 synthesis0 analysis1 synthesis1 analysis2 \
+        synthesis2 analysis3 synthesis3 analysis4 synthesis4 analysis5 synthesis5 analysis6 \
+        synthesis6 analysis7 synthesis7 bank_sum";
+
     /// Bills `p` keeps.
     fn kept(p: &Prepared) -> usize {
         p.bills.lock().unwrap().len()

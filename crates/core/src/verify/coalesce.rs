@@ -4,9 +4,9 @@
 //!
 //! The analysis walks the exact launch sequence the executor builds
 //! (`Prepared::for_each_instance` — the same function, not a
-//! re-implementation) and, per warp of each instance, walks the kernel's
-//! decoded program abstractly ([`gpusim::InstanceExec::analyze`], also
-//! the engine behind the tenant-isolation prover). Channel addresses are
+//! re-implementation) and, per warp of each instance, replays the abstract
+//! walk recorded once per kernel ([`gpusim::InstanceExec::analyze`], also
+//! behind the isolation prover and the priced bill). Channel addresses are
 //! evaluated through each warp's [`gpusim::WarpGeometry`] — the same
 //! lowering the simulator executes — and classified with the
 //! [`half_warps`] verdicts [`gpusim::count_transactions`] sums and with
@@ -723,6 +723,90 @@ mod tests {
         // Every verdict is exercised.
         assert!(total.boundary_groups > 0 && total.scattered_groups > 0);
         assert!(total.misaligned_groups > 0, "{total:?}");
+    }
+
+    /// A walk that branches on data and cannot resolve a peek depth, over
+    /// a full warp and a partial one, staged and not: its counters, its
+    /// per-site tallies (the else arm's push is walked after the then
+    /// arm's, one token further on) and its diagnostics in order.
+    #[test]
+    fn an_unresolved_walk_is_pinned_staged_and_unstaged() {
+        let c = crate::verify::tests::unresolved_walk();
+        assert!((c.exec_cfg.threads.iter()).all(|&t| t == 40));
+        let tally = |t: &SiteTally| {
+            let groups = [t.scattered_groups, t.boundary_groups, t.misaligned_groups];
+            let traffic = [t.accesses, t.transactions, t.shared_accesses];
+            (traffic, t.bank_conflict_passes, groups, t.varying_depth)
+        };
+        // Every site but the peek and the else arm's push bills alike.
+        let sites = |alike, else_push| {
+            vec![
+                ("gen", "pop[in0]#0", alike),
+                ("gen", "push[out0]#0", alike),
+                ("gate", "pop[in0]#0", alike),
+                ("gate", "peek[in0]#0", ([0; 3], 0, [0; 3], true)),
+                ("gate", "push[out0]#0", alike),
+                ("gate", "push[out0]#1", else_push),
+            ]
+        };
+        let staged = ([0, 0, 8], 4, [0; 3], false);
+        let (v0211, v0210) = (
+            "warning[V0211]: peek depth at peek[in0]#0 of filter 'gate' is data-dependent; \
+             its traffic cannot be predicted statically\n  --> filter 'gate', peek[in0]#0, \
+             channel #0",
+            "warning[V0210]: filter 'gate' branches on data; predicted counters are approximate\
+             \n  --> filter 'gate'",
+        );
+        let sequential = |site: &str, filter: &str, txns: u64, channel: &str| {
+            format!(
+                "info[V0203]: {site} of filter '{filter}' serializes under the sequential \
+                 layout ({txns} transactions over 8 accesses)\n  --> filter '{filter}', \
+                 {site}{channel}"
+            )
+        };
+        let unstaged =
+            |txns, boundary, misaligned| ([8, txns, 0], 0, [0, boundary, misaligned], false);
+        let cases = [
+            (
+                Scheme::SwpNc { coarsening: 1 },
+                [32, 64, 48, 20],
+                sites(staged, staged),
+                vec![v0211.to_owned(), v0210.to_owned()],
+            ),
+            (
+                Scheme::SwpRaw { coarsening: 1 },
+                [48, 504, 0, 0],
+                sites(unstaged(86, 0, 6), unstaged(160, 1, 11)),
+                vec![
+                    sequential("pop[in0]#0", "gen", 86, ""),
+                    sequential("push[out0]#0", "gen", 86, ", channel #0"),
+                    sequential("pop[in0]#0", "gate", 86, ", channel #0"),
+                    v0211.to_owned(),
+                    sequential("push[out0]#0", "gate", 86, ""),
+                    sequential("push[out0]#1", "gate", 160, ""),
+                    v0210.to_owned(),
+                ],
+            ),
+        ];
+        for (scheme, [insts, txns, shared, passes], want, diagnostics) in cases {
+            let pred = predict(&c, scheme, 4).unwrap();
+            let counters = StaticCounters {
+                mem_access_insts: insts,
+                mem_transactions: txns,
+                shared_accesses: shared,
+                bank_conflict_passes: passes,
+            };
+            assert_eq!(
+                (pred.counters, pred.exact, pred.launches),
+                (counters, false, 5)
+            );
+            let got: Vec<_> = (pred.sites.iter())
+                .map(|s| (s.filter.as_str(), s.site.as_str(), tally(&s.tally)))
+                .collect();
+            assert_eq!(got, want, "{scheme:?}");
+            let rendered: Vec<String> = pred.diagnostics.iter().map(ToString::to_string).collect();
+            assert_eq!(rendered, diagnostics, "{scheme:?}");
+        }
     }
 
     #[test]

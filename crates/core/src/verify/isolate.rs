@@ -13,12 +13,12 @@
 //!    [`crate::codegen::allocate`]'s deterministic bump allocation plus
 //!    the checkpointer's shadow buffers, so it is the *actual* address
 //!    layout, not a model of one.
-//! 2. **Abstract interpretation** — the same per-warp walk the coalescing
-//!    analysis uses ([`gpusim::InstanceExec::analyze`]) replays every launch
-//!    the executor would issue; at every access event the binding's
-//!    whole address span ([`gpusim::BufferBinding::span`]) is checked
-//!    against the region its access site owns. Span containment is an
-//!    algebraic theorem over *all* lanes, token numbers, and iteration
+//! 2. **Abstract interpretation** — the coalescing analysis's replay of
+//!    each kernel's recorded walk ([`gpusim::InstanceExec::analyze`]) over
+//!    every launch the executor would issue; at every access event the
+//!    binding's whole address span ([`gpusim::BufferBinding::span`]) is
+//!    checked against the region its access site owns. Span containment is
+//!    an algebraic theorem over *all* lanes, token numbers, and iteration
 //!    counts (the address map is modular in the logical index and the
 //!    layout is a bijection per region), so one proof at the scheme's
 //!    canonical granule quantifies over every run length.
@@ -683,6 +683,28 @@ mod tests {
             assert!(cert.accesses_checked > 0);
             assert!(cert.launches > 0);
             verify_certificate(&c, scheme, &cert).unwrap();
+        }
+    }
+
+    /// A walk that branches on data and cannot resolve a peek depth still
+    /// certifies, inexactly: the depth's binding span is contained. Staged,
+    /// the bulk copy's steps are checked besides the walked accesses.
+    #[test]
+    fn an_unresolved_walk_certifies_inexactly() {
+        let c = crate::verify::tests::unresolved_walk();
+        for (scheme, checked) in [
+            (Scheme::SwpNc { coarsening: 1 }, 20),
+            (Scheme::SwpRaw { coarsening: 1 }, 12),
+        ] {
+            let iso = certify(&c, scheme).unwrap();
+            assert!(iso.diagnostics.is_empty(), "{:?}", iso.diagnostics);
+            let cert = iso.certificate.expect("a contained proof certifies");
+            let got = (cert.accesses_checked, cert.launches, cert.exact);
+            assert_eq!(got, (checked, 2, false), "{scheme:?}");
+            assert_eq!(
+                (cert.digest, cert.arena_words),
+                (0x1d13_2601_8467_fedd, 280)
+            );
         }
     }
 

@@ -10,14 +10,13 @@
 //! * [`bounds`] — buffer-bounds liveness: no rotating channel region is
 //!   overwritten before its last read, and region geometry matches the
 //!   channel rates (`V03xx`).
-//! * [`coalesce`] — static coalescing proof: abstract warp
-//!   interpretation of every launch the executor would issue, predicting
-//!   the simulator's memory counters exactly and classifying every
-//!   uncoalesced access site (`V02xx`).
-//! * [`isolate`] — tenant-isolation proof: the same abstract warp
-//!   interpretation, but checking that every resolved address stays
-//!   inside the region its access site owns, under every placement the
-//!   partitioner may assign (`V04xx`).
+//! * [`coalesce`] — static coalescing proof: every launch the executor
+//!   would issue, replayed abstractly, predicting the simulator's memory
+//!   counters exactly and classifying every uncoalesced access site
+//!   (`V02xx`).
+//! * [`isolate`] — tenant-isolation proof: the same replay, checking
+//!   that every resolved address stays inside the region its access site
+//!   owns, under every placement the partitioner may assign (`V04xx`).
 //!   Successful proofs are stamped into an
 //!   [`isolate::IsolationCertificate`] that serving re-verifies cheaply
 //!   instead of re-running the proof.
@@ -30,10 +29,12 @@
 //!   re-derived from channel geometry rather than trusted from the
 //!   emitter (`V05xx`).
 //!
-//! The abstract interpretation is `gpusim`'s own
-//! ([`gpusim::InstanceExec::analyze`]): a second walk over the decoded
-//! program the simulator executes. The coalescing and isolation analyses
-//! are its [`gpusim::AccessSink`]s, fed by `analyze_launches`.
+//! The abstract interpretation is `gpusim`'s own: one walk per kernel
+//! over the decoded program the simulator executes, which
+//! [`gpusim::InstanceExec::analyze`] replays over every warp of an
+//! instance. The coalescing and isolation analyses are two of its
+//! [`gpusim::AccessSink`]s, fed by `analyze_launches`; the simulator's
+//! priced bill is the third.
 //!
 //! The predicted counters are cross-checked against the simulator's
 //! dynamic counters in the test suite and by the `verify-all` binary, so
@@ -142,10 +143,10 @@ pub(crate) fn gate(c: &Compiled, prepared: &Prepared) -> Result<Vec<Diagnostic>>
     }
 }
 
-/// Walks every instance of every launch an `iterations`-long run of
-/// `prepared` issues over `buffers` abstractly into `sink` — the launches
-/// the executor enumerates, through the same function — telling it each
-/// instance's node first. Returns the number of launches.
+/// Replays its kernel's walk over every instance of every launch an
+/// `iterations`-long run of `prepared` issues over `buffers` into `sink`
+/// — the launches the executor enumerates, through the same function —
+/// telling it each instance's node first. Returns the number of launches.
 pub(crate) fn analyze_launches<S: AccessSink>(
     c: &Compiled,
     prepared: &Prepared,
@@ -167,8 +168,49 @@ pub(crate) fn analyze_launches<S: AccessSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{compile, CompileOptions};
     use crate::pipeline::{FaultPolicy, ResilientPipeline};
+    use crate::profile::ProfileOptions;
     use crate::serve::{pipeline_options_for, Pressure, ServeOptions};
+    use streamir::graph::{FilterSpec, StreamSpec};
+    use streamir::ir::{ElemTy, Expr, FnBuilder, Stmt};
+
+    /// A generator feeding `gate`, whose walk meets both departures from
+    /// execution. It branches on the token it pops, and the arm no input
+    /// here takes peeks at `5 % 4 - 2`. The validator bounds that depth
+    /// by the interval [-2, 1], so the filter builds; the walk folds it
+    /// to -1, which names no token, and reports it as data-dependent.
+    /// Profiled at 40 threads only: one full warp and a partial one.
+    pub(super) fn unresolved_walk() -> Compiled {
+        let mut g = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+        let x = g.local(ElemTy::I32);
+        g.pop_into(0, x);
+        g.push(0, Expr::local(x).add(Expr::i32(1)));
+        let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+        let x = f.local(ElemTy::I32);
+        f.pop_into(0, x);
+        let depth = Expr::i32(5).rem(Expr::i32(4)).sub(Expr::i32(2));
+        f.if_else(
+            Expr::local(x).lt(Expr::i32(0)),
+            vec![Stmt::Push {
+                port: 0,
+                value: Expr::peek(0, depth),
+            }],
+            vec![Stmt::Push {
+                port: 0,
+                value: Expr::local(x),
+            }],
+        );
+        let spec = StreamSpec::pipeline(vec![
+            StreamSpec::filter(FilterSpec::new("gen", g.build().unwrap())),
+            StreamSpec::filter(FilterSpec::new("gate", f.build().unwrap())),
+        ]);
+        let opts = CompileOptions {
+            profile: ProfileOptions::small(&[40]),
+            ..CompileOptions::small_test()
+        };
+        compile(&spec.flatten().unwrap(), &opts).unwrap()
+    }
 
     /// The gate every shipped artifact clears checks what the full
     /// verifier checks at one iteration, over the very prepared form the

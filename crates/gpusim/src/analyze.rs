@@ -1,41 +1,37 @@
 //! The abstract warp walk: a second interpretation of the decoded
-//! [`Program`] the simulator executes.
+//! [`Program`] the simulator executes, walked once per kernel.
 //!
-//! The static verifier predicts the simulator's memory counters and proves
-//! tenant containment without executing a token. Both analyses walk every
-//! warp of every instance through the kernel's decoded ops and statements
-//! — the ones [`crate::exec`] runs, with the same site numbering, the same
-//! peek counts and the same stale-peek rule — over a two-point domain per
-//! register ([`AbsVal`]), and resolve every channel access through the
-//! warp's [`WarpGeometry`] for the port. An [`AccessSink`] receives every
-//! address-relevant event in the order the simulator bills it; the
-//! analyses differ only in their sink.
+//! The walk steps one warp through the decoded ops and statements — the
+//! ones [`crate::exec`] runs, with the same site numbering, peek counts
+//! and stale-peek rule — over a two-point domain per register
+//! ([`AbsVal`]), and records a [`Tape`]: every address-relevant event in
+//! the order the simulator bills it, each channel access as a token
+//! position all lanes share. No operand reads a lane, an instance or an
+//! address, and every warp starts from the same constants, so one tape
+//! stands for every warp of every instance. [`Tape::replay`] places its
+//! accesses through an instance's [`WarpGeometry`]s, warp by warp, into
+//! an [`AccessSink`]: the verifier's coalescing prediction and isolation
+//! proof ([`InstanceExec::analyze`]), and [`Tape::price`]'s bill.
 //!
 //! Billing and addressing depend on values only through `if` conditions,
 //! array and table indices and peek depths, so the domain is tiny:
 //! constants fold with the simulator's own bit-level operators on one
-//! lane, an immediate operand is a uniform constant, and what folding
-//! cannot decide (a popped value, a trap) is varying. Where a static walk
-//! must, it departs from execution: a data-dependent `if` walks both arms,
-//! and a statement the simulator would trap on ([`DStmt::Invalid`]) emits
-//! nothing. It has no masks, no traps and no watchdog, so it is a separate
-//! walk over shared data rather than a generic interpreter both would
-//! branch inside.
-//!
-//! A kernel whose walk meets none of those departures — no varying `if`
+//! lane, an immediate is a uniform constant, and what folding cannot
+//! decide (a popped value, a trap) is varying. Where it must, the walk
+//! departs from execution: a data-dependent `if` walks both arms, and a
+//! statement the simulator would trap on ([`DStmt::Invalid`]) emits
+//! nothing. A kernel whose walk meets no such departure — no varying `if`
 //! condition, peek depth, divisor, array or table index, and no reached
 //! [`DStmt::Invalid`] — is *value-oblivious*: no input can make it trap,
-//! diverge or move an access, so its walk is exact, and the same for
-//! every warp of every instance up to the addresses of its channel
-//! accesses. A [`Kernel`] records that walk once as a [`Tape`], and
-//! [`Tape::price`] bills an instance from it without executing a lane.
+//! diverge or move an access, so its tape is exact, and prices an
+//! instance without executing a lane.
 
-use streamir::ir::{AccessKind, ElemTy};
+use streamir::ir::AccessKind;
 
 use crate::config::DeviceConfig;
 use crate::exec::{binary, int_div, stale_peeks, unary, DExpr, DStmt, Op, Program, Src};
 use crate::launch::{bill_staging, staging_steps, InstanceExec, Kernel};
-use crate::layout::{BufferBinding, Layout, WarpAccess, WarpGeometry, WARP_LANES};
+use crate::layout::{BufferBinding, WarpAccess, WarpGeometry};
 use crate::mem::{bank_conflict_degree, count_transactions};
 use crate::stats::InstanceStats;
 
@@ -48,10 +44,10 @@ fn index(v: AbsVal) -> Option<usize> {
     usize::try_from(v? as i32).ok()
 }
 
-/// One warp of an analyzed instance: what a sink needs to resolve an
+/// One warp of a replayed instance: what a sink needs to resolve an
 /// event's addresses.
 pub struct AbstractWarp<'a> {
-    /// The instance being walked.
+    /// The instance being replayed.
     pub inst: &'a InstanceExec<'a>,
     /// Instance-local thread id of lane 0.
     pub lane0: u32,
@@ -66,9 +62,8 @@ pub struct AbstractWarp<'a> {
 impl AbstractWarp<'_> {
     /// Refills `out` with the addresses of `access` in every active lane.
     pub fn addresses(&self, access: &Channel<'_>, out: &mut WarpAccess) {
-        access
-            .geometry
-            .access(access.pos, u32::MAX >> (32 - self.active), out);
+        let mask = u32::MAX >> (32 - self.active);
+        access.geometry.access(access.pos, mask, out);
     }
 }
 
@@ -87,10 +82,10 @@ pub struct Channel<'a> {
     pub geometry: &'a WarpGeometry,
 }
 
-/// Receiver of every address-relevant event of an abstract walk, in the
+/// Receiver of every address-relevant event of a replayed walk, in the
 /// order the simulator bills them. The sink decides what an event means
-/// (tally transactions, check containment); the walk decides when events
-/// happen.
+/// (tally transactions, check containment, bill); the walk decides when
+/// events happen.
 pub trait AccessSink {
     /// One warp-wide channel access.
     fn channel(&mut self, warp: &AbstractWarp<'_>, access: &Channel<'_>);
@@ -119,116 +114,82 @@ pub trait AccessSink {
     fn issue(&mut self, _slots: u64) {}
 }
 
-/// One warp's abstract state, reused from warp to warp.
-struct Walk<'a, S> {
-    warp: AbstractWarp<'a>,
+impl InstanceExec<'_> {
+    /// Replays the kernel's abstract walk, recorded once, over every warp
+    /// of this instance into `sink`, then the staging copy the simulator
+    /// bills a staged instance.
+    pub fn analyze(&self, device: &DeviceConfig, sink: &mut impl AccessSink) {
+        let shape = (device.warp_size, u64::from(device.transaction_words()));
+        self.kernel.tape().replay(self, shape, sink);
+    }
+}
+
+/// One event of a walk, in walk order.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// A warp-wide channel access: its kind, port and site, and the token
+    /// position every lane has reached on the port.
+    Channel(AccessKind, u8, u32, u64),
+    /// Stale peek slots of one evaluation ([`stale_peeks`]).
+    StalePeeks(u32),
+    /// A state-word access, and a local-memory array access.
+    State,
+    LocalArray,
+    /// A data-dependent peek depth at a site, and a data-dependent branch.
+    VaryingDepth(u32),
+    VaryingBranch,
+}
+
+/// The walk of one warp of a kernel, recorded once per loaded kernel:
+/// what every warp of every instance of it meets, up to the addresses of
+/// its channel accesses, which the instance's bindings place.
+#[derive(Debug)]
+pub(crate) struct Tape {
+    /// Every event, in walk order.
+    events: Vec<Event>,
+    /// Issue slots besides the channel accesses' and stale slots' own.
+    issue: u64,
+    /// No value-dependent departure from execution was met: the tape is
+    /// exact ([`Kernel::value_oblivious`]).
+    pub(crate) oblivious: bool,
+}
+
+/// The walk's abstract state.
+struct Walk<'a> {
     prog: &'a Program,
     regs: Vec<AbsVal>,
     arrays: Vec<AbsVal>,
-    /// Per input (output) port: the warp's geometry, and the tokens every
-    /// lane has popped (pushed).
-    ins: Vec<(WarpGeometry, u64)>,
-    outs: Vec<(WarpGeometry, u64)>,
+    /// Per input (output) port: the tokens every lane has popped
+    /// (pushed).
+    popped: Vec<u64>,
+    pushed: Vec<u64>,
     /// The warp's peek-slot high-water mark ([`stale_peeks`]).
     peek_slots: u32,
-    /// No value-dependent departure from execution has been met.
-    oblivious: bool,
-    sink: &'a mut S,
+    tape: Tape,
 }
 
-impl InstanceExec<'_> {
-    /// Walks every warp of this instance abstractly into `sink`, then the
-    /// staging copy the simulator bills a staged instance.
-    pub fn analyze(&self, device: &DeviceConfig, sink: &mut impl AccessSink) {
-        let txn_words = u64::from(device.transaction_words());
-        self.walk(device.warp_size, txn_words, sink);
-    }
-
-    /// [`InstanceExec::analyze`] on a device of `warp` lanes and
-    /// `txn_words`-word transactions. Returns whether the walk was
-    /// value-oblivious.
-    fn walk(&self, warp: u32, txn_words: u64, sink: &mut impl AccessSink) -> bool {
-        let prog = &self.kernel.program;
-        let ports =
-            |bindings: &[BufferBinding]| bindings.iter().map(|b| (b.geometry(0), 0)).collect();
-        let mut walk = Walk {
-            warp: AbstractWarp {
-                inst: self,
-                lane0: 0,
-                active: 0,
-                half_warp: warp / 2,
-                txn_words,
-            },
-            prog,
-            regs: Vec::new(),
-            arrays: Vec::new(),
-            ins: ports(&self.inputs),
-            outs: ports(&self.outputs),
-            peek_slots: 0,
-            oblivious: true,
-            sink,
-        };
-        for lane0 in (0..self.active_threads).step_by(warp as usize) {
-            if lane0 > 0 {
-                for (geometry, _) in walk.ins.iter_mut().chain(&mut walk.outs) {
-                    geometry.next_warp(warp);
-                }
-            }
-            walk.reset(lane0, warp.min(self.active_threads - lane0));
-            walk.block(&prog.body);
-        }
-        if self.shared_staging {
-            walk.sink.staging_copy(self, staging_steps(self, warp));
-        }
-        walk.oblivious
-    }
-}
-
-impl<S: AccessSink> Walk<'_, S> {
-    fn reset(&mut self, lane0: u32, active: u32) {
-        (self.warp.lane0, self.warp.active) = (lane0, active);
-        for (v, len) in [
-            (&mut self.regs, self.prog.regs),
-            (&mut self.arrays, self.prog.array_rows),
-        ] {
-            v.clear();
-            v.resize(len, Some(0));
-        }
-        for (_, tokens) in self.ins.iter_mut().chain(&mut self.outs) {
-            *tokens = 0;
-        }
-        self.peek_slots = 0;
-    }
-
+impl Walk<'_> {
     /// One channel access at `ahead` tokens past the port's count.
     fn channel(&mut self, kind: AccessKind, port: u8, site: u32, ahead: u64) {
-        let (inst, p) = (self.warp.inst, usize::from(port));
-        let ((geometry, tokens), binding) = match kind {
-            AccessKind::Push => (&self.outs[p], &inst.outputs[p]),
-            AccessKind::Pop | AccessKind::Peek => (&self.ins[p], &inst.inputs[p]),
+        let tokens = match kind {
+            AccessKind::Push => &self.pushed,
+            AccessKind::Pop | AccessKind::Peek => &self.popped,
         };
-        let access = Channel {
-            kind,
-            port,
-            site,
-            pos: tokens + ahead,
-            binding,
-            geometry,
-        };
-        self.sink.channel(&self.warp, &access);
+        let pos = tokens[usize::from(port)] + ahead;
+        (self.tape.events).push(Event::Channel(kind, port, site, pos));
     }
 
     /// Evaluates `e`: its issue slots, its ops' events in order, then the
     /// stale peek slots.
     fn eval(&mut self, e: &DExpr) -> AbsVal {
         let prog = self.prog;
-        self.sink.issue(e.issue);
+        self.tape.issue += e.issue;
         for op in &prog.ops[e.ops.start as usize..e.ops.end as usize] {
             self.op(op);
         }
         let stale = stale_peeks(&mut self.peek_slots, e.peeks);
         if stale > 0 {
-            self.sink.stale_peeks(&self.warp, stale);
+            self.tape.events.push(Event::StalePeeks(stale));
         }
         self.regs[e.out as usize]
     }
@@ -251,7 +212,7 @@ impl<S: AccessSink> Walk<'_, S> {
     /// the access may trap, and the walk is no longer value-oblivious.
     fn row(&mut self, r: AbsVal, len: usize) -> Option<usize> {
         let row = index(r).filter(|&i| i < len);
-        self.oblivious &= row.is_some();
+        self.tape.oblivious &= row.is_some();
         row
     }
 
@@ -276,7 +237,7 @@ impl<S: AccessSink> Walk<'_, S> {
             ),
             Op::DivRem { op, dst, a, b } => {
                 // Only a zero divisor traps.
-                self.oblivious &= self.value(b).is_some_and(|y| y != 0);
+                self.tape.oblivious &= self.value(b).is_some_and(|y| y != 0);
                 (
                     dst,
                     self.consts(a, b).and_then(|(x, y)| int_div(op, x, y).ok()),
@@ -291,8 +252,8 @@ impl<S: AccessSink> Walk<'_, S> {
                 match index(self.regs[depth as usize]) {
                     Some(d) => self.channel(AccessKind::Peek, port, site, d as u64),
                     None => {
-                        self.oblivious = false;
-                        self.sink.varying_depth(&self.warp, site);
+                        self.tape.oblivious = false;
+                        self.tape.events.push(Event::VaryingDepth(site));
                     }
                 }
                 (dst, None)
@@ -303,7 +264,7 @@ impl<S: AccessSink> Walk<'_, S> {
                 index: i,
             } => {
                 if self.prog.arrays_in_local_memory {
-                    self.sink.local_array();
+                    self.tape.events.push(Event::LocalArray);
                 }
                 let row = self.row(self.regs[i as usize], rows.len());
                 (dst, row.and_then(|i| self.arrays[rows.start as usize + i]))
@@ -318,7 +279,7 @@ impl<S: AccessSink> Walk<'_, S> {
                 (dst, row.map(|i| table[i]))
             }
             Op::LoadState { dst, .. } => {
-                self.sink.state();
+                self.tape.events.push(Event::State);
                 (dst, None)
             }
         };
@@ -335,12 +296,12 @@ impl<S: AccessSink> Walk<'_, S> {
         match s {
             DStmt::Assign { dst, value } => {
                 self.regs[*dst as usize] = self.eval(value);
-                self.sink.issue(1);
+                self.tape.issue += 1;
             }
             DStmt::StoreState { value, .. } => {
                 self.eval(value);
-                self.sink.issue(1);
-                self.sink.state();
+                self.tape.issue += 1;
+                self.tape.events.push(Event::State);
             }
             DStmt::Store {
                 rows,
@@ -349,9 +310,9 @@ impl<S: AccessSink> Walk<'_, S> {
             } => {
                 let i = self.eval(i);
                 let v = self.eval(value);
-                self.sink.issue(1);
+                self.tape.issue += 1;
                 if self.prog.arrays_in_local_memory {
-                    self.sink.local_array();
+                    self.tape.events.push(Event::LocalArray);
                 }
                 let row = self.row(i, rows.len());
                 let cells = &mut self.arrays[rows.start as usize..rows.end as usize];
@@ -362,22 +323,22 @@ impl<S: AccessSink> Walk<'_, S> {
                 }
             }
             DStmt::Pop { port, dst, site } => {
-                self.sink.issue(1); // address arithmetic
+                self.tape.issue += 1; // address arithmetic
                 self.channel(AccessKind::Pop, *port, *site, 0);
-                self.ins[usize::from(*port)].1 += 1;
+                self.popped[usize::from(*port)] += 1;
                 if let Some(dst) = dst {
                     self.regs[*dst as usize] = None;
                 }
             }
             DStmt::Push { port, value, site } => {
                 self.eval(value);
-                self.sink.issue(1);
+                self.tape.issue += 1;
                 self.channel(AccessKind::Push, *port, *site, 0);
-                self.outs[usize::from(*port)].1 += 1;
+                self.pushed[usize::from(*port)] += 1;
             }
             DStmt::For { var, lo, hi, body } => {
                 for i in *lo..*hi {
-                    self.sink.issue(1); // induction update + branch
+                    self.tape.issue += 1; // induction update + branch
                     self.regs[*var as usize] = Some(i as u32);
                     self.block(body);
                 }
@@ -388,168 +349,209 @@ impl<S: AccessSink> Walk<'_, S> {
                 else_body,
             } => {
                 let c = self.eval(cond);
-                self.sink.issue(1); // the branch itself
+                self.tape.issue += 1; // the branch itself
                 match c {
                     Some(c) => self.block(if c != 0 { then_body } else { else_body }),
                     None => {
-                        self.oblivious = false;
-                        self.sink.varying_branch();
+                        self.tape.oblivious = false;
+                        self.tape.events.push(Event::VaryingBranch);
                         self.block(then_body);
                         self.block(else_body);
                     }
                 }
             }
             // The simulator traps here: no access to report.
-            DStmt::Invalid(_) => self.oblivious = false,
+            DStmt::Invalid(_) => self.tape.oblivious = false,
         }
     }
 }
 
-/// The walk of one warp of a value-oblivious kernel, recorded once per
-/// loaded kernel: what every warp of every instance of it bills,
-/// up to the addresses of its channel accesses, which the instance's
-/// bindings place.
-#[derive(Debug, Default)]
-pub(crate) struct Tape {
-    /// Every channel access in walk order: what it does, its port and the
-    /// token position every lane has reached.
-    channels: Vec<(AccessKind, u8, u64)>,
-    /// Issue slots besides the channel accesses' and stale slots' own.
-    issue: u64,
-    /// Stale peek slots ([`stale_peeks`]).
-    stale: u64,
-    /// State-word accesses, and local-memory array accesses.
-    state: u64,
-    local_array: u64,
-}
-
-impl AccessSink for Tape {
-    fn channel(&mut self, _: &AbstractWarp<'_>, access: &Channel<'_>) {
-        self.channels.push((access.kind, access.port, access.pos));
-    }
-    fn stale_peeks(&mut self, _: &AbstractWarp<'_>, n: u32) {
-        self.stale += u64::from(n);
-    }
-    fn state(&mut self) {
-        self.state += 1;
-    }
-    fn local_array(&mut self) {
-        self.local_array += 1;
-    }
-    // A walk that meets these is not value-oblivious and is discarded.
-    fn varying_depth(&mut self, _: &AbstractWarp<'_>, _: u32) {}
-    fn varying_branch(&mut self) {}
-    // The copy is billed per instance ([`Tape::price`]).
-    fn staging_copy(&mut self, _: &InstanceExec<'_>, _: u64) {}
-    fn issue(&mut self, slots: u64) {
-        self.issue += slots;
-    }
-}
-
 impl Tape {
-    /// The walk of one warp of `kernel`, if the kernel is
-    /// value-oblivious. One lane over placeholder bindings stands for
-    /// every instance: no value in the walk depends on an address or a
-    /// lane.
-    pub(crate) fn record(kernel: &Kernel) -> Option<Tape> {
-        let work = kernel.work();
-        let ports = |n: usize| {
-            let any = BufferBinding::whole(0, 1, ElemTy::I32, Layout::Sequential, 1);
-            vec![any; n]
+    /// Walks one warp of `kernel`. One walk stands for every warp of
+    /// every instance: no value in it depends on an address or a lane.
+    pub(crate) fn record(kernel: &Kernel) -> Tape {
+        let (prog, work) = (&kernel.program, kernel.work());
+        let mut walk = Walk {
+            prog,
+            regs: vec![Some(0); prog.regs],
+            arrays: vec![Some(0); prog.array_rows],
+            popped: vec![0; work.input_ports().len()],
+            pushed: vec![0; work.output_ports().len()],
+            peek_slots: 0,
+            tape: Tape {
+                events: Vec::new(),
+                issue: 0,
+                oblivious: true,
+            },
         };
-        let one_lane = InstanceExec {
-            kernel,
-            active_threads: 1,
-            inputs: ports(work.input_ports().len()),
-            outputs: ports(work.output_ports().len()),
-            shared_staging: false,
-            state_base: Some(0),
-            label: None,
-        };
-        // The tape resolves no address, so no transaction size matters.
-        let mut tape = Tape::default();
-        one_lane
-            .walk(WARP_LANES as u32, 1, &mut tape)
-            .then_some(tape)
+        walk.block(&prog.body);
+        walk.tape
     }
 
-    /// What the simulator bills `inst`, an instance of the recorded
-    /// kernel, before the spill bill ([`crate::Gpu::run`]'s counters), on
-    /// a device of `warp` lanes, `txn_words`-word transactions and
-    /// `mem_words` words of memory. `None` when an access may leave device
-    /// memory, which only the simulator reports exactly. `access` is
-    /// scratch space.
-    pub(crate) fn price(
-        &self,
-        inst: &InstanceExec<'_>,
-        (warp, txn_words): (u32, u64),
-        mem_words: u64,
-        access: &mut WarpAccess,
-    ) -> Option<InstanceStats> {
-        let warps = inst.active_threads.div_ceil(warp);
-        let mut stats = InstanceStats {
-            warps,
-            ..InstanceStats::default()
-        };
+    /// Replays the walk over every warp of `inst`, an instance of the
+    /// recorded kernel, on a device of `warp` lanes and `txn_words`-word
+    /// transactions: each warp's events in walk order, its channel
+    /// accesses placed by the warp's geometry for the port, then the
+    /// staging copy of a staged instance.
+    fn replay(&self, inst: &InstanceExec<'_>, shape: (u32, u64), sink: &mut impl AccessSink) {
+        let (warp, txn_words) = shape;
         let geometry = |bindings: &[BufferBinding]| -> Vec<WarpGeometry> {
             bindings.iter().map(|b| b.geometry(0)).collect()
         };
         let (mut ins, mut outs) = (geometry(&inst.inputs), geometry(&inst.outputs));
+        let mut at = AbstractWarp {
+            inst,
+            lane0: 0,
+            active: 0,
+            half_warp: warp / 2,
+            txn_words,
+        };
         for lane0 in (0..inst.active_threads).step_by(warp as usize) {
             if lane0 > 0 {
                 for g in ins.iter_mut().chain(&mut outs) {
                     g.next_warp(warp);
                 }
             }
-            let mask = u32::MAX >> (32 - warp.min(inst.active_threads - lane0));
-            for &(kind, port, pos) in &self.channels {
-                let ports = if kind == AccessKind::Push {
-                    &outs
-                } else {
-                    &ins
-                };
-                ports[usize::from(port)].access(pos, mask, access);
-                // A run's addresses never descend: its last is its highest.
-                if access.iter().any(|run| run.last_addr() >= mem_words) {
-                    return None;
-                }
-                if inst.shared_staging {
-                    stats.bank_conflict_passes += bank_conflict_degree(access);
-                } else {
-                    stats.mem_transactions += count_transactions(access, warp / 2, txn_words);
+            (at.lane0, at.active) = (lane0, warp.min(inst.active_threads - lane0));
+            sink.issue(self.issue);
+            for &event in &self.events {
+                match event {
+                    Event::Channel(kind, port, site, pos) => {
+                        let p = usize::from(port);
+                        let (geometry, binding) = match kind {
+                            AccessKind::Push => (&outs[p], &inst.outputs[p]),
+                            AccessKind::Pop | AccessKind::Peek => (&ins[p], &inst.inputs[p]),
+                        };
+                        let access = Channel {
+                            kind,
+                            port,
+                            site,
+                            pos,
+                            binding,
+                            geometry,
+                        };
+                        sink.channel(&at, &access);
+                    }
+                    Event::StalePeeks(n) => sink.stale_peeks(&at, n),
+                    Event::State => sink.state(),
+                    Event::LocalArray => sink.local_array(),
+                    Event::VaryingDepth(site) => sink.varying_depth(&at, site),
+                    Event::VaryingBranch => sink.varying_branch(),
                 }
             }
         }
-        if self.state > 0 {
-            let states = inst.kernel.work().states().len() as u64;
-            if u64::from(inst.state_base?) + states > mem_words {
-                return None;
-            }
-        }
-        let per_warp = |n: u64| n * u64::from(warps);
-        // Each channel access and stale slot is one access instruction.
-        let routed = per_warp(self.channels.len() as u64 + self.stale);
-        stats.warp_instructions = per_warp(self.issue) + routed;
         if inst.shared_staging {
-            stats.shared_accesses = routed;
+            sink.staging_copy(inst, staging_steps(inst, warp));
+        }
+    }
+
+    /// What the simulator bills `inst`, an instance of the recorded
+    /// kernel, before the spill bill ([`crate::Gpu::run`]'s counters), on
+    /// a device of `warp` lanes, `txn_words`-word transactions and
+    /// `mem_words` words of memory. `None` when the kernel is not
+    /// value-oblivious, or an access may leave device memory, which only
+    /// the simulator reports exactly. `access` is scratch space.
+    pub(crate) fn price(
+        &self,
+        inst: &InstanceExec<'_>,
+        shape: (u32, u64),
+        mem_words: u64,
+        access: &mut WarpAccess,
+    ) -> Option<InstanceStats> {
+        if !self.oblivious {
+            return None;
+        }
+        let states = inst.kernel.work().states().len() as u64;
+        let mut bill = Priced {
+            stats: InstanceStats {
+                warps: inst.active_threads.div_ceil(shape.0),
+                ..InstanceStats::default()
+            },
+            mem_words,
+            state_in_memory: (inst.state_base).is_some_and(|b| u64::from(b) + states <= mem_words),
+            escapes: false,
+            access,
+        };
+        self.replay(inst, shape, &mut bill);
+        (!bill.escapes).then_some(bill.stats)
+    }
+}
+
+/// [`Tape::price`]'s sink: an instance's counters, billed event by event
+/// as the simulator bills them.
+struct Priced<'a> {
+    stats: InstanceStats,
+    /// Device memory's words, whether the state words lie inside it, and
+    /// whether some access may leave it.
+    mem_words: u64,
+    state_in_memory: bool,
+    escapes: bool,
+    /// The access being billed; each one refills it.
+    access: &'a mut WarpAccess,
+}
+
+impl AccessSink for Priced<'_> {
+    fn channel(&mut self, warp: &AbstractWarp<'_>, access: &Channel<'_>) {
+        warp.addresses(access, self.access);
+        // A run's addresses never descend: its last is its highest.
+        self.escapes |= (self.access.iter()).any(|run| run.last_addr() >= self.mem_words);
+        let stats = &mut self.stats;
+        // Each channel access is one access instruction.
+        stats.warp_instructions += 1;
+        if warp.inst.shared_staging {
+            stats.shared_accesses += 1;
+            stats.bank_conflict_passes += bank_conflict_degree(self.access);
         } else {
-            stats.mem_access_insts = routed;
+            stats.mem_access_insts += 1;
+            stats.mem_transactions +=
+                count_transactions(self.access, warp.half_warp, warp.txn_words);
         }
-        stats.mem_access_insts += per_warp(self.state + self.local_array);
-        stats.mem_transactions += per_warp(self.state + 2 * self.local_array);
-        if inst.shared_staging {
-            bill_staging(&mut stats, staging_steps(inst, warp));
+    }
+
+    fn stale_peeks(&mut self, warp: &AbstractWarp<'_>, n: u32) {
+        // So is each stale slot, with no transaction.
+        let (n, stats) = (u64::from(n), &mut self.stats);
+        stats.warp_instructions += n;
+        if warp.inst.shared_staging {
+            stats.shared_accesses += n;
+        } else {
+            stats.mem_access_insts += n;
         }
-        Some(stats)
+    }
+
+    fn state(&mut self) {
+        self.escapes |= !self.state_in_memory;
+        self.stats.mem_access_insts += 1;
+        self.stats.mem_transactions += 1;
+    }
+
+    fn local_array(&mut self) {
+        self.stats.mem_access_insts += 1;
+        self.stats.mem_transactions += 2;
+    }
+
+    // A value-oblivious walk meets neither.
+    fn varying_depth(&mut self, _: &AbstractWarp<'_>, _: u32) {}
+    fn varying_branch(&mut self) {}
+
+    fn staging_copy(&mut self, _: &InstanceExec<'_>, steps: u64) {
+        bill_staging(&mut self.stats, steps);
+    }
+
+    fn issue(&mut self, slots: u64) {
+        self.stats.warp_instructions += slots;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use streamir::ir::{access_sites, AccessSite, ElemTy, Expr, FnBuilder, WorkFunction};
+    use streamir::cpu::CpuCostModel;
+    use streamir::graph::{FilterSpec, StreamSpec};
+    use streamir::ir::WorkFunction;
+    use streamir::ir::{access_sites, AccessSite, ElemTy, Expr, FnBuilder, Scalar, Stmt};
 
     use super::*;
-    use crate::{Kernel, Layout};
+    use crate::{BlockWork, Gpu, Kernel, Launch, Layout, SimError};
 
     /// Records the site each channel event and unresolved peek names,
     /// checking it against what the event does.
@@ -629,38 +631,98 @@ mod tests {
 
     #[test]
     fn an_undecodable_arm_emits_nothing_and_shifts_no_later_site() {
-        // The validator folds the condition by i64 intervals — 1 / 2^32 is
-        // 0, and 0 < 8 — and never type-checks the else arm. In i32 the
-        // divisor wraps to 0, so the walk's fold traps and it takes both
-        // arms; the else arm's push is ill-typed and decodes to
-        // `DStmt::Invalid`.
+        // The validator folds the condition — 1 / 131072 is 0, and 0 < 8 —
+        // and never type-checks the dead else arm, whose push is ill-typed
+        // and decodes to `DStmt::Invalid`. The walk folds it alike and
+        // takes the then arm only.
         let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
         let x = f.local(ElemTy::I32);
         f.pop_into(0, x);
-        let wrapped = Expr::i32(65536).mul(Expr::i32(65536));
+        let divisor = Expr::i32(65536).mul(Expr::i32(2));
         f.if_else(
-            Expr::i32(1).div(wrapped).lt(Expr::i32(8)),
-            vec![streamir::ir::Stmt::Push {
+            Expr::i32(1).div(divisor).lt(Expr::i32(8)),
+            vec![Stmt::Push {
                 port: 0,
                 value: Expr::local(x),
             }],
-            vec![streamir::ir::Stmt::Push {
+            vec![Stmt::Push {
                 port: 0,
                 value: Expr::local(x).add(Expr::f32(1.0)),
             }],
         );
         f.pop(0);
         let wf = f.build().unwrap();
-        let program = &Kernel::load(&wf).program;
+        let kernel = Kernel::load(&wf);
+        let program = &kernel.program;
         assert!(matches!(&program.body[1], DStmt::If { else_body, .. }
             if matches!(else_body[..], [DStmt::Invalid(_)])));
+        assert!(kernel.value_oblivious());
 
         let sites = walk(&wf);
-        assert_eq!(sites.varying_branches, 1);
+        assert_eq!(sites.varying_branches, 0);
         let named: Vec<String> = sites.named.iter().map(ToString::to_string).collect();
         // `push[out0]#1`, the invalid arm's, is never named; the later pop
         // is still `pop[in0]#1`, site 3.
         assert_eq!(named, ["pop[in0]#0", "push[out0]#0", "pop[in0]#1"]);
         assert!(matches!(program.body[2], DStmt::Pop { site: 3, .. }));
+    }
+
+    /// In `i32`, `65536 · 65536` wraps to 0, and the validator's intervals
+    /// say so: they bound neither that divisor nor the condition over it,
+    /// so both arms are type-checked. An ill-typed arm does not build; a
+    /// well-typed one builds, and the simulator and the CPU reference both
+    /// trap on the zero divisor.
+    #[test]
+    fn a_divisor_that_wraps_to_zero_traps_everywhere() {
+        let filter = |else_value: fn(Expr) -> Expr| {
+            let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+            let x = f.local(ElemTy::I32);
+            f.pop_into(0, x);
+            let wrapped = Expr::i32(65536).mul(Expr::i32(65536));
+            f.if_else(
+                Expr::i32(1).div(wrapped).lt(Expr::i32(8)),
+                vec![Stmt::Push {
+                    port: 0,
+                    value: Expr::local(x),
+                }],
+                vec![Stmt::Push {
+                    port: 0,
+                    value: else_value(Expr::local(x)),
+                }],
+            );
+            f.build()
+        };
+        assert!(filter(|x| x.add(Expr::f32(1.0))).is_err());
+        let wf = filter(|x| x.add(Expr::i32(1))).unwrap();
+
+        let kernel = Kernel::load(&wf);
+        let mut gpu = Gpu::new(DeviceConfig::small_test());
+        let (inp, out) = (gpu.alloc_tokens(32), gpu.alloc_tokens(32));
+        let binding = |base| BufferBinding::whole(base, 32, ElemTy::I32, Layout::Sequential, 1);
+        let launch = Launch {
+            threads_per_block: 32,
+            regs_per_thread: 16,
+            blocks: vec![BlockWork {
+                items: vec![InstanceExec {
+                    kernel: &kernel,
+                    active_threads: 32,
+                    inputs: vec![binding(inp)],
+                    outputs: vec![binding(out)],
+                    shared_staging: false,
+                    state_base: None,
+                    label: None,
+                }],
+            }],
+            sm_offset: 0,
+        };
+        assert!(matches!(gpu.run(&launch), Err(SimError::Trap(_))));
+
+        let graph = StreamSpec::filter(FilterSpec::new("wrap", wf))
+            .flatten()
+            .unwrap();
+        let steady = streamir::sdf::solve(&graph).unwrap();
+        let input = [Scalar::I32(7)];
+        let cpu = streamir::cpu::run(&graph, &steady, 1, &input, &CpuCostModel::default());
+        assert!(matches!(cpu, Err(streamir::Error::Trap(_))), "{cpu:?}");
     }
 }

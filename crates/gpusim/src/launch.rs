@@ -18,16 +18,15 @@ use crate::{Result, SimError};
 /// A work function loaded for the device: the kernel IR paired with the
 /// warp program it decodes to. Load it once per work function of a graph
 /// and launch it as often as needed — [`Gpu::run`] never decodes — or
-/// walk it abstractly ([`InstanceExec::analyze`]).
+/// replay its abstract walk ([`InstanceExec::analyze`]).
 #[derive(Debug)]
 pub struct Kernel {
     work: WorkFunction,
     pub(crate) program: Program,
     sites: Vec<AccessSite>,
-    /// One warp's abstract walk, when the kernel is value-oblivious:
-    /// walked on first use, which a kernel that only ever runs never
-    /// pays for.
-    tape: OnceLock<Option<Tape>>,
+    /// One warp's abstract walk: walked on first use, which a kernel that
+    /// only ever runs never pays for.
+    tape: OnceLock<Tape>,
 }
 
 impl Kernel {
@@ -50,11 +49,11 @@ impl Kernel {
     /// the first time it is asked.
     #[must_use]
     pub fn value_oblivious(&self) -> bool {
-        self.tape().is_some()
+        self.tape().oblivious
     }
 
-    fn tape(&self) -> Option<&Tape> {
-        self.tape.get_or_init(|| Tape::record(self)).as_ref()
+    pub(crate) fn tape(&self) -> &Tape {
+        self.tape.get_or_init(|| Tape::record(self))
     }
 
     /// The work function this kernel fires.
@@ -488,8 +487,7 @@ impl Gpu {
         let mut access = WarpAccess::default();
         let (mut bases, mut issued) = (Vec::new(), 0);
         for (sm, inst) in launch.instances(self.config.num_sms) {
-            let tape = inst.kernel.tape()?;
-            let base = tape.price(inst, shape, mem_words, &mut access)?;
+            let base = (inst.kernel.tape()).price(inst, shape, mem_words, &mut access)?;
             issued += base.warp_instructions;
             bases.push((sm, inst, base));
         }

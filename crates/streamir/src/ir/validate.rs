@@ -515,8 +515,7 @@ impl<'a> Analyzer<'a> {
                 }
                 let out = match op {
                     UnOp::Neg => {
-                        let r = irange
-                            .and_then(|(lo, hi)| Some((hi.checked_neg()?, lo.checked_neg()?)));
+                        let r = irange.and_then(|(lo, hi)| in_i32(-hi, -lo));
                         return Ok((ity, if ity == ElemTy::I32 { r } else { None }));
                     }
                     UnOp::Abs => return Ok((ity, None)),
@@ -609,11 +608,12 @@ fn check_static_bounds(range: Range, len: u32, what: &str) -> Result<()> {
 }
 
 /// Interval arithmetic over `i32` expressions; conservative (`None` when the
-/// result cannot be bounded or an intermediate would overflow `i64`).
+/// result cannot be bounded or a bound leaves `i32`, where execution
+/// wraps).
 fn fold_i32(op: BinOp, l: Range, r: Range) -> Range {
     let (ll, lh) = l?;
     let (rl, rh) = r?;
-    match op {
+    let (lo, hi) = match op {
         BinOp::Add => Some((ll.checked_add(rl)?, lh.checked_add(rh)?)),
         BinOp::Sub => Some((ll.checked_sub(rh)?, lh.checked_sub(rl)?)),
         BinOp::Mul => {
@@ -663,7 +663,14 @@ fn fold_i32(op: BinOp, l: Range, r: Range) -> Range {
             }
         }
         _ => None,
-    }
+    }?;
+    in_i32(lo, hi)
+}
+
+/// `[lo, hi]`, if neither bound leaves `i32`.
+fn in_i32(lo: i64, hi: i64) -> Range {
+    let i32_bits = i64::from(i32::MIN)..=i64::from(i32::MAX);
+    (i32_bits.contains(&lo) && i32_bits.contains(&hi)).then_some((lo, hi))
 }
 
 #[cfg(test)]
@@ -744,6 +751,27 @@ mod tests {
         f.push(0, Expr::peek(0, Expr::local(x)));
         let e = f.build().unwrap_err();
         assert!(matches!(e, Error::InvalidWork(ref m) if m.contains("boundable")));
+    }
+
+    /// Depths whose value wraps in `i32` are not bounded by their `i64`
+    /// value: `-i32::MIN` is `i32::MIN` again, and `65536 · 65536` is 0.
+    #[test]
+    fn depths_that_wrap_in_i32_are_unbounded() {
+        let wrapping = [
+            Expr::i32(i32::MIN).neg(),
+            Expr::i32(65536).mul(Expr::i32(65536)),
+            Expr::i32(65536).mul(Expr::i32(65536)).add(Expr::i32(1)),
+        ];
+        for depth in wrapping {
+            let mut f = simple_builder();
+            f.push(0, Expr::peek(0, depth));
+            f.pop(0);
+            let e = f.build().unwrap_err();
+            assert!(
+                matches!(e, Error::InvalidWork(ref m) if m.contains("boundable")),
+                "{e}"
+            );
+        }
     }
 
     #[test]
