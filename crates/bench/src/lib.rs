@@ -7,8 +7,9 @@
 //! | [`table2`] | Table II — SWP8 buffer requirements |
 //! | [`fig10`] | Figure 10 — SWPNC vs Serial vs SWP8 speedups |
 //! | [`fig11`] | Figure 11 — SWP coarsening 1/4/8/16 speedups |
+//! | [`ablations`] | DESIGN.md ablations (a) layout and (b) launch overhead |
 //! | `ilp_report` binary | Section V — ILP formulation sizes, solve times, II relaxation |
-//! | `ablations` binary | DESIGN.md ablations — layout, launch overhead, scheduler quality |
+//! | `ablation_ilp` binary | DESIGN.md ablation (c) — scheduler quality against the exact ILP |
 //!
 //! The renderers return the committed `results/*.txt` bytes; the
 //! `stream-gpu regen` manifest calls them, rendering Table II and both
@@ -21,7 +22,10 @@
 use std::fmt::Write;
 
 use streambench::Benchmark;
+use streamir::ir::Scalar;
+use swpipe::exec::{self, Scheme};
 use swpipe::harness::{self, geometric_mean, BenchmarkResult, HarnessOptions};
+use swpipe::par;
 
 /// Harness options honoring the scale environment variable:
 /// `SWP_BENCH_FULL=1` for the paper's complete profiling grid, and the
@@ -313,6 +317,101 @@ pub fn fig11(results: &[BenchmarkResult]) -> String {
         results.len()
     )
     .unwrap();
+    out
+}
+
+/// Ablations (a) and (b) of DESIGN.md, measured at `opts`:
+///
+/// (a) **Buffer layout** at a fixed schedule: the optimized transposed
+///     layout (SWP8) vs natural FIFO with shared-memory staging (SWPNC)
+///     vs natural FIFO with staging disabled (SWP-raw), which isolates
+///     how much of the win is the layout and how much the staging
+///     fallback recovers.
+/// (b) **Launch-overhead sensitivity**: Serial's gap to SWP8 as the
+///     per-launch cost varies (0×, 1×, 4× the calibrated 16k cycles).
+///     The paper attributes much of Serial's loss to launch overhead
+///     that coarsened software pipelines amortize.
+///
+/// Rows are measured side by side ([`swpipe::par`]) and render the same
+/// bytes on one worker.
+///
+/// # Panics
+///
+/// Panics with a diagnostic if compilation or measurement fails.
+#[must_use]
+pub fn ablations(opts: &HarnessOptions) -> String {
+    let compile = |name: &str, o: &HarnessOptions| {
+        let b = streambench::by_name(name).expect("known benchmark");
+        let graph = b.spec.flatten().expect("flattens");
+        let c = exec::compile(&graph, &o.compile).unwrap_or_else(|e| panic!("{name}: {e}"));
+        (b, c)
+    };
+    let time = |name: &str, c: &exec::Compiled, scheme, input: &[Scalar]| {
+        exec::measure(c, scheme, opts.iterations, input)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .time_secs
+    };
+    let swp8 = Scheme::Swp { coarsening: 8 };
+    let mut out = String::new();
+
+    out.push_str("Ablation (a): buffer layout at fixed schedule (speedup-proxy: 1/time)\n");
+    let widths = [12, 14, 14, 14, 14];
+    let header = [
+        "Benchmark",
+        "SWP8 time",
+        "SWPNC time",
+        "SWP-raw time",
+        "raw/opt",
+    ];
+    writeln!(out, "{}", row(&header.map(String::from), &widths)).unwrap();
+    let rows = par::map(&["DCT", "FFT", "MatrixMult"], |&name| {
+        let (b, c) = compile(name, opts);
+        let input = (b.input)(exec::measure_input(&c, swp8) as usize);
+        let opt = time(name, &c, swp8, &input);
+        let nc = time(name, &c, Scheme::SwpNc { coarsening: 8 }, &input);
+        let raw = time(name, &c, Scheme::SwpRaw { coarsening: 8 }, &input);
+        let cells = [
+            name.into(),
+            format!("{opt:.3e}"),
+            format!("{nc:.3e}"),
+            format!("{raw:.3e}"),
+            format!("{:.2}x", raw / opt),
+        ];
+        row(&cells, &widths)
+    });
+    rows.iter().for_each(|r| writeln!(out, "{r}").unwrap());
+
+    out.push_str("\nAblation (b): Serial vs SWP8 under varying launch overhead\n");
+    let widths = [12, 12, 16, 16, 16];
+    let header = [
+        "Benchmark",
+        "overhead",
+        "SWP8 time",
+        "Serial time",
+        "Serial/SWP8",
+    ];
+    writeln!(out, "{}", row(&header.map(String::from), &widths)).unwrap();
+    let points: Vec<(&str, f64)> = (["DES", "FFT"].into_iter())
+        .flat_map(|name| [0.0, 1.0, 4.0].map(|mult| (name, mult)))
+        .collect();
+    let rows = par::map(&points, |&(name, mult)| {
+        let mut o = opts.clone();
+        o.compile.timing.launch_overhead_cycles = 16_000.0 * mult;
+        let (b, c) = compile(name, &o);
+        let serial8 = Scheme::Serial { batch: 8 };
+        let input = (b.input)(exec::measure_input(&c, serial8) as usize);
+        let swp = time(name, &c, swp8, &input);
+        let serial = time(name, &c, serial8, &input);
+        let cells = [
+            name.into(),
+            format!("{mult:.0}x"),
+            format!("{swp:.3e}"),
+            format!("{serial:.3e}"),
+            format!("{:.2}", serial / swp),
+        ];
+        row(&cells, &widths)
+    });
+    rows.iter().for_each(|r| writeln!(out, "{r}").unwrap());
     out
 }
 

@@ -17,8 +17,8 @@ use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
 use gpusim::{
-    BlockWork, CheckpointMode, DeviceConfig, Dispatch, FaultPlan, Gpu, InstanceExec, Launch,
-    LaunchStats, TimingModel,
+    BlockWork, CheckpointMode, DeviceConfig, Dispatch, FaultPlan, Gpu, InstanceBills, InstanceExec,
+    Launch, LaunchStats, TimingModel,
 };
 use streamir::graph::{EdgeId, FlatGraph, NodeId};
 use streamir::hash::Fnv;
@@ -1076,7 +1076,7 @@ impl Prepared {
             watchdog_margin,
             billed,
         );
-        seq.priced = priced;
+        seq.bills = priced.then(InstanceBills::default);
 
         // The one launch loop: every ordinal of the run in issue order,
         // simulated unless the plan extrapolates it from its sample.
@@ -2035,6 +2035,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`measure`]'s launch loop over `c`, by hand: every launch it
+    /// prices, in issue order, each priced both through one memo for the
+    /// whole loop and through a fresh memo of its own, which must agree
+    /// bit for bit. Returns the fresh-memo loop's totals, folded as
+    /// [`Prepared::simulate`] folds them, and the shared memo's instance
+    /// bills and tape replays.
+    fn measured_by_hand(c: &Compiled, p: &Prepared, iterations: u64) -> (LaunchStats, (u64, u64)) {
+        let granule = u64::from(scheme_shape(p.scheme).0);
+        let alloc_iters = iterations.min((c.schedule.max_stage() + 4) * granule);
+        let mut gpu = Gpu::with_timing(c.device.clone(), c.timing.clone());
+        let buffers = codegen::allocate(
+            &mut gpu,
+            &c.graph,
+            &c.ig,
+            &c.exec_cfg,
+            p.plan(),
+            alloc_iters,
+        )
+        .unwrap();
+        let launches = p.launch_count(c, iterations);
+        let (sampled, skipped) = p.extrapolation(c, iterations).unwrap();
+        let mut bills = InstanceBills::default();
+        let (mut totals, mut sample) = (LaunchStats::default(), LaunchStats::default());
+        let mut ordinal = 0;
+        while ordinal < launches {
+            if skipped.contains(&ordinal) {
+                totals.merge(&sample);
+                ordinal += sampled.end - sampled.start;
+                continue;
+            }
+            let launch = p.launch(c, &buffers, ordinal, iterations, 0);
+            let dispatch = Dispatch::HostLaunch;
+            let fresh = gpu.price_memoized(&launch, dispatch, &mut InstanceBills::default());
+            let shared = gpu.price_memoized(&launch, dispatch, &mut bills);
+            let (fresh, shared) = (fresh.unwrap(), shared.unwrap());
+            assert!(identical(&fresh, &shared), "launch {ordinal}");
+            if sampled.contains(&ordinal) {
+                sample.merge(&fresh);
+            }
+            totals.merge(&fresh);
+            ordinal += 1;
+        }
+        (totals, bills.counts())
+    }
+
+    /// A scaled measurement of each value-oblivious suite artifact at the
+    /// paper's scaled configuration, under SWP8, SWPNC and SwpRaw, bills
+    /// through its loop's one memo what the same loop bills with a fresh
+    /// memo per launch: every counter, and the cycles bit for bit. The
+    /// memo's instance bills and tape replays are pinned, so a change to
+    /// the work a measurement does shows as a diff of counts.
+    #[test]
+    fn a_scaled_measurement_bills_each_placement_once() {
+        let opts = crate::harness::HarnessOptions::paper_scaled();
+        let schemes = [
+            ("SWP8", Scheme::Swp { coarsening: 8 }),
+            ("SWPNC", Scheme::SwpNc { coarsening: 8 }),
+            ("SwpRaw", Scheme::SwpRaw { coarsening: 8 }),
+        ];
+        let mut got = Vec::new();
+        for b in streambench::suite().into_iter().filter(|b| b.name != "DES") {
+            let graph = b.spec.flatten().unwrap();
+            let c = compile(&graph, &opts.compile).unwrap();
+            assert!(priced(&c), "{}", b.name);
+            for (label, scheme) in schemes {
+                let input = (b.input)(measure_input(&c, scheme) as usize);
+                let run = measure(&c, scheme, opts.iterations, &input).unwrap();
+                let p = Prepared::of(&c, scheme).unwrap();
+                let (totals, (bills, replays)) = measured_by_hand(&c, &p, opts.iterations);
+                assert!(identical(&run.stats, &totals), "{} {label}", b.name);
+                got.push((b.name, label, bills, replays));
+            }
+        }
+        // Per artifact: instance bills and tape replays, the same under
+        // every scheme.
+        let want = [
+            ("Bitonic", 9_936, 1_336),
+            ("BitonicRec", 11_040, 1_392),
+            ("DCT", 17_264, 3_016),
+            ("FFT", 3_136, 680),
+            ("Filterbank", 18_944, 18_304),
+            ("FMRadio", 7_568, 5_456),
+            ("MatrixMult", 11_304, 3_760),
+        ];
+        let want: Vec<_> = (want.iter())
+            .flat_map(|&(name, bills, replays)| {
+                (schemes.iter()).map(move |&(label, _)| (name, label, bills, replays))
+            })
+            .collect();
+        assert_eq!(got, want);
     }
 
     /// One steady SWP launch of each suite artifact at the paper's scaled

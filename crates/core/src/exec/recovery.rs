@@ -2,7 +2,7 @@
 //! watchdog, the k-launch commit window and the [`Sequencer`] that issues
 //! launch ordinals through them.
 
-use gpusim::{CheckpointMode, Dispatch, Gpu, Launch, LaunchStats, SimError};
+use gpusim::{CheckpointMode, Dispatch, Gpu, InstanceBills, Launch, LaunchStats, SimError};
 
 use super::RetryPolicy;
 use crate::{Error, Result};
@@ -215,7 +215,7 @@ struct Recovery {
 /// retry-with-replay, and owns everything the run mutates: the device,
 /// the checkpoint, the commit window, the watchdog budget and the run's
 /// totals.
-pub(super) struct Sequencer<'g, B> {
+pub(super) struct Sequencer<'g, 'p, B> {
     gpu: &'g mut Gpu,
     /// The launch of an ordinal and the path it dispatches on. A window
     /// replay asks for the ordinal it repeats, so it re-enters the
@@ -237,13 +237,13 @@ pub(super) struct Sequencer<'g, B> {
     retries: u64,
     trace: Vec<f64>,
     /// Price launches from the kernels' walks where that is exact
-    /// ([`Gpu::price_dispatched`]) instead of running them: set for
-    /// scaled measurements of value-oblivious artifacts, which read no
-    /// output.
-    pub(super) priced: bool,
+    /// ([`Gpu::price_memoized`]) instead of running them, each distinct
+    /// instance placement once for the whole loop: set for scaled
+    /// measurements of value-oblivious artifacts, which read no output.
+    pub(super) bills: Option<InstanceBills<'p>>,
 }
 
-impl<'g, 'p, B: Fn(u64) -> (Launch<'p>, Dispatch)> Sequencer<'g, B> {
+impl<'g, 'p, B: Fn(u64) -> (Launch<'p>, Dispatch)> Sequencer<'g, 'p, B> {
     /// `totals` is what the run has billed before its first launch (the
     /// graph capture); `watchdog_margin` 0 leaves the watchdog alone.
     pub(super) fn new(
@@ -254,7 +254,7 @@ impl<'g, 'p, B: Fn(u64) -> (Launch<'p>, Dispatch)> Sequencer<'g, B> {
         interval: u32,
         watchdog_margin: u64,
         totals: LaunchStats,
-    ) -> Sequencer<'g, B> {
+    ) -> Sequencer<'g, 'p, B> {
         Sequencer {
             tuner: WatchdogTuner::new(watchdog_margin, gpu.watchdog_budget()),
             gpu,
@@ -266,7 +266,7 @@ impl<'g, 'p, B: Fn(u64) -> (Launch<'p>, Dispatch)> Sequencer<'g, B> {
             totals,
             retries: 0,
             trace: Vec::new(),
-            priced: false,
+            bills: None,
         }
     }
 
@@ -336,10 +336,9 @@ impl<'g, 'p, B: Fn(u64) -> (Launch<'p>, Dispatch)> Sequencer<'g, B> {
         bill: &mut Recovery,
     ) -> Result<Option<LaunchStats>> {
         let (launch, dispatch) = (self.build)(ordinal);
-        let result = if self.priced {
-            self.gpu.price_dispatched(&launch, dispatch)
-        } else {
-            self.gpu.run_dispatched(&launch, dispatch)
+        let result = match &mut self.bills {
+            Some(bills) => self.gpu.price_memoized(&launch, dispatch, bills),
+            None => self.gpu.run_dispatched(&launch, dispatch),
         };
         match result {
             Ok(stats) => {

@@ -50,8 +50,10 @@ impl Default for HarnessOptions {
 
 impl HarnessOptions {
     /// A tractable full-pipeline configuration: the paper's device with a
-    /// halved profiling grid (threads {128, 256}, registers {16, 32}) so
-    /// that simulating all eight benchmarks completes in minutes.
+    /// halved profiling grid (threads {128, 256}, registers {16, 32}) and
+    /// the heuristic scheduler. Measurements of value-oblivious artifacts
+    /// are priced rather than simulated (`exec::measure`), so a pass over
+    /// all eight benchmarks takes seconds.
     #[must_use]
     pub fn paper_scaled() -> HarnessOptions {
         let mut compile = CompileOptions::default();

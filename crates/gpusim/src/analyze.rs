@@ -44,6 +44,16 @@ fn index(v: AbsVal) -> Option<usize> {
     usize::try_from(v? as i32).ok()
 }
 
+/// Joins the values one arm of a varying branch left in `other` into
+/// `vals`, the other arm's: equal values stay, unequal ones vary.
+fn join(vals: &mut [AbsVal], other: &[AbsVal]) {
+    for (v, &o) in vals.iter_mut().zip(other) {
+        if *v != o {
+            *v = None;
+        }
+    }
+}
+
 /// One warp of a replayed instance: what a sink needs to resolve an
 /// event's addresses.
 pub struct AbstractWarp<'a> {
@@ -355,8 +365,22 @@ impl Walk<'_> {
                     None => {
                         self.tape.oblivious = false;
                         self.tape.events.push(Event::VaryingBranch);
+                        // The lanes split: each arm starts where the
+                        // branch found the ports, registers and array
+                        // cells, and after it they hold what both arms
+                        // agree on. The validator makes both arms pop and
+                        // push alike. The peek-slot mark is the warp's,
+                        // and carries from one arm into the other as it
+                        // does in a divergent warp of `crate::exec`.
+                        let ports = (self.popped.clone(), self.pushed.clone());
+                        let (regs, arrays) = (self.regs.clone(), self.arrays.clone());
                         self.block(then_body);
+                        let regs = std::mem::replace(&mut self.regs, regs);
+                        let arrays = std::mem::replace(&mut self.arrays, arrays);
+                        (self.popped, self.pushed) = ports;
                         self.block(else_body);
+                        join(&mut self.regs, &regs);
+                        join(&mut self.arrays, &arrays);
                     }
                 }
             }

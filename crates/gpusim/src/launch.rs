@@ -1,5 +1,7 @@
 //! Kernel launches and the top-level [`Gpu`] handle.
 
+use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::OnceLock;
 
 use streamir::ir::{access_sites, AccessSite, WorkFunction};
@@ -142,6 +144,78 @@ impl<'k> Launch<'k> {
 /// Each instance of a launch with its SM and its counters before the
 /// spill bill, in [`Launch::instances`] order.
 type Bases<'l, 'k> = Vec<(usize, &'l InstanceExec<'k>, InstanceStats)>;
+
+/// The instance bills of one priced launch loop ([`Gpu::price_memoized`]):
+/// each distinct instance placement is priced from its kernel's tape once,
+/// and every later instance placed alike reuses that price.
+///
+/// The key is everything pricing reads of an [`InstanceExec`] —
+/// the kernel, its active threads, staging, state base and bindings — with
+/// each binding's `abs_start` reduced modulo its buffer's
+/// `region_tokens × regions` words. That is exact by arithmetic:
+/// [`BufferBinding::addr`] reads the logical index only through
+/// `(j / region_tokens) % regions` and `j % region_tokens`, so every
+/// address, and with it every transaction count, bank-conflict degree and
+/// escape check, repeats with that period. The label is not read. The
+/// lifetime ties the memo to the kernels it keys by address, so a freed
+/// kernel's address can never alias another's.
+#[derive(Debug, Default)]
+pub struct InstanceBills<'k> {
+    memo: HashMap<Placement<'k>, Option<InstanceStats>>,
+    /// The warp shape and memory words the memo was priced on; another
+    /// device starts it over.
+    device: Option<((u32, u64), u64)>,
+    bills: u64,
+    replays: u64,
+}
+
+impl InstanceBills<'_> {
+    /// Instances billed through the memo, and the tapes replayed to bill
+    /// them: one per distinct placement.
+    #[must_use]
+    pub fn counts(&self) -> (u64, u64) {
+        (self.bills, self.replays)
+    }
+}
+
+/// An instance as [`Tape::price`] reads it ([`InstanceBills`]).
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct Placement<'k> {
+    /// The kernel, by address.
+    kernel: usize,
+    active_threads: u32,
+    shared_staging: bool,
+    state_base: Option<u32>,
+    /// Inputs then outputs, each `abs_start` reduced modulo the buffer's
+    /// words; the kernel fixes the arity.
+    bindings: Vec<BufferBinding>,
+    kernels: PhantomData<&'k Kernel>,
+}
+
+impl<'k> Placement<'k> {
+    fn of(inst: &InstanceExec<'k>) -> Placement<'k> {
+        let period = |b: &BufferBinding| BufferBinding {
+            abs_start: b
+                .abs_start
+                .checked_rem(b.size_words())
+                .unwrap_or(b.abs_start),
+            ..b.clone()
+        };
+        Placement {
+            kernel: std::ptr::from_ref(inst.kernel) as usize,
+            active_threads: inst.active_threads,
+            shared_staging: inst.shared_staging,
+            state_base: inst.state_base,
+            bindings: inst
+                .inputs
+                .iter()
+                .chain(&inst.outputs)
+                .map(period)
+                .collect(),
+            kernels: PhantomData,
+        }
+    }
+}
 
 /// A launch's stats, built from its instances' counters before the spill
 /// bill as they arrive in [`Launch::instances`] order, whether run or
@@ -465,8 +539,37 @@ impl Gpu {
         launch: &Launch<'_>,
         dispatch: Dispatch,
     ) -> Result<LaunchStats> {
+        self.price_through(launch, dispatch, None)
+    }
+
+    /// [`Gpu::price_dispatched`] for one launch of a loop, pricing each
+    /// instance placed as one `bills` has priced from that bill instead of
+    /// replaying its tape. The stats are bit-identical to
+    /// [`Gpu::price_dispatched`]'s: an instance's bill is a function of
+    /// its placement, and the launch adds every instance's bill, and
+    /// counts every instance's instructions against the watchdog, in
+    /// launch order (blocks in order, each block's items in order).
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`Gpu::run`].
+    pub fn price_memoized<'k>(
+        &mut self,
+        launch: &Launch<'k>,
+        dispatch: Dispatch,
+        bills: &mut InstanceBills<'k>,
+    ) -> Result<LaunchStats> {
+        self.price_through(launch, dispatch, Some(bills))
+    }
+
+    fn price_through<'k>(
+        &mut self,
+        launch: &Launch<'k>,
+        dispatch: Dispatch,
+        bills: Option<&mut InstanceBills<'k>>,
+    ) -> Result<LaunchStats> {
         if self.fault_plan.is_none() && self.validate(launch, launch.regs_per_thread).is_ok() {
-            if let Some(bases) = self.priced(launch) {
+            if let Some(bases) = self.priced(launch, bills) {
                 self.launches_attempted += 1;
                 let regs = launch.regs_per_thread;
                 return Ok(self.bill(launch, regs, &bases, dispatch));
@@ -476,18 +579,41 @@ impl Gpu {
     }
 
     /// Every instance's counters before the spill bill, priced from its
-    /// kernel's tape ([`Launch::instances`] order), or `None` when that is
-    /// not exact (see [`Gpu::price_dispatched`]). `launch` must validate.
-    fn priced<'l, 'k>(&self, launch: &'l Launch<'k>) -> Option<Bases<'l, 'k>> {
+    /// kernel's tape or found in `bills` ([`Launch::instances`] order), or
+    /// `None` when that is not exact (see [`Gpu::price_dispatched`]).
+    /// `launch` must validate.
+    fn priced<'l, 'k>(
+        &self,
+        launch: &'l Launch<'k>,
+        mut bills: Option<&mut InstanceBills<'k>>,
+    ) -> Option<Bases<'l, 'k>> {
         let shape = (
             self.config.warp_size,
             u64::from(self.config.transaction_words()),
         );
         let mem_words = u64::from(self.memory.len());
+        if let Some(bills) = bills.as_deref_mut() {
+            if bills.device != Some((shape, mem_words)) {
+                bills.memo.clear();
+                bills.device = Some((shape, mem_words));
+            }
+        }
         let mut access = WarpAccess::default();
+        let mut price = |inst: &InstanceExec<'_>| {
+            (inst.kernel.tape()).price(inst, shape, mem_words, &mut access)
+        };
         let (mut bases, mut issued) = (Vec::new(), 0);
         for (sm, inst) in launch.instances(self.config.num_sms) {
-            let base = (inst.kernel.tape()).price(inst, shape, mem_words, &mut access)?;
+            let base = match bills.as_deref_mut() {
+                Some(bills) => {
+                    bills.bills += 1;
+                    *(bills.memo.entry(Placement::of(inst))).or_insert_with(|| {
+                        bills.replays += 1;
+                        price(inst)
+                    })
+                }
+                None => price(inst),
+            }?;
             issued += base.warp_instructions;
             bases.push((sm, inst, base));
         }
@@ -534,7 +660,7 @@ impl Gpu {
         let bases = if checks.iter().any(Result::is_ok) {
             let attempt = self.launches_attempted;
             self.launches_attempted += 1;
-            match self.priced(launch) {
+            match self.priced(launch, None) {
                 Some(bases) => Ok(bases),
                 None => {
                     let mut limits = ExecLimits::new(self.watchdog_budget(), attempt);

@@ -25,7 +25,7 @@
 
 /// How logical token indices map to physical offsets within a buffer
 /// region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Layout {
     /// Natural FIFO order (used by the SWPNC baseline).
     Sequential,
@@ -198,7 +198,7 @@ pub(crate) fn lane_bits(lane: u32, lanes: u32) -> u32 {
 /// steady-iteration region is, how many regions rotate (software-pipelined
 /// channels hold several iterations in flight), the layout, and the
 /// absolute logical index this instance starts at.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BufferBinding {
     /// Base device word address of the buffer.
     pub base_word: u32,
@@ -754,6 +754,57 @@ mod tests {
                         let got: Vec<_> = b.runs(0, 3..700, 0).flat_map(|r| r.pairs()).collect();
                         let want: Vec<_> = (3..700).map(|l| (l, b.addr(l, 0))).collect();
                         assert_eq!(got, want, "{b:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// What keys a priced instance's bill (`crate::InstanceBills`): a
+    /// binding addresses the same words, and a warp makes the same
+    /// accesses, at `abs_start` and a whole number of buffer turns
+    /// (`region_tokens × regions` tokens) later. Over both layouts,
+    /// partial tails, rate mismatches and peeks past a region's end.
+    #[test]
+    fn addresses_repeat_with_the_buffer_period() {
+        let (mut at, mut later) = (WarpAccess::default(), WarpAccess::default());
+        for layout in [Layout::Sequential, Layout::Transposed { group: 4 }] {
+            for (region_tokens, consumer_rate, endpoint_rate) in [
+                (384u64, 3u32, 3u32), // whole firings, rates agree
+                (100, 3, 3),          // partial tail
+                (130, 7, 2),          // producer rate != consumer rate
+                (10, 3, 24),          // one lane step spans regions
+            ] {
+                for regions in [1u32, 3, 25] {
+                    for abs_start in [0u64, 17, region_tokens - 1, 3 * region_tokens + 5] {
+                        let b = BufferBinding {
+                            base_word: 4096,
+                            region_tokens,
+                            regions,
+                            layout,
+                            consumer_rate,
+                            endpoint_rate,
+                            abs_start,
+                        };
+                        for turns in [1u64, 2, 7] {
+                            let shifted = BufferBinding {
+                                abs_start: abs_start + turns * b.size_words(),
+                                ..b.clone()
+                            };
+                            // Peeks run past the firing and the region.
+                            for n in (0..=9).chain([13, region_tokens, 95, 300]) {
+                                for lane in 0..40 {
+                                    assert_eq!(b.addr(lane, n), shifted.addr(lane, n));
+                                }
+                                for tid0 in [0u32, 7, 32, 103] {
+                                    for mask in [u32::MAX, 0x7fff_fffe, 0xaaaa_0000] {
+                                        b.warp_access(tid0, n, mask, &mut at);
+                                        shifted.warp_access(tid0, n, mask, &mut later);
+                                        assert_eq!(*at, *later, "{b:?} +{turns} turns n={n}");
+                                    }
+                                }
+                            }
+                        }
                     }
                 }
             }

@@ -86,7 +86,7 @@ pub use analyze::{AbstractWarp, AccessSink, Channel};
 pub use config::{Device, DeviceConfig, DeviceId};
 pub use exec::REG_ARRAY_WORDS;
 pub use fault::{DeviceFaultEvent, DeviceFaultKind, DeviceFaultPlan, FaultKind, FaultPlan};
-pub use launch::{BlockWork, Dispatch, Gpu, InstanceExec, Kernel, Launch};
+pub use launch::{BlockWork, Dispatch, Gpu, InstanceBills, InstanceExec, Kernel, Launch};
 pub use layout::{AffineRun, BufferBinding, Layout, WarpAccess, WarpGeometry, WARP_LANES};
 pub use mem::{
     bank_conflict_degree, count_transactions, half_warps, Allocator, DeviceMemory, HalfWarp,

@@ -15,8 +15,8 @@
 //!
 //! Not in the manifest: `results/bench_device.txt` (written by the
 //! benchmark harness under `benchmark/`) and the manual
-//! `results/ablations.txt` and `results/ilp_report.txt` (`swp-bench`
-//! binaries that take minutes to hours).
+//! `results/ablation_ilp.txt` and `results/ilp_report.txt` (`swp-bench`
+//! binaries whose exact-ILP columns run under a wall-clock budget).
 
 use std::cell::OnceCell;
 use std::path::Path;
@@ -75,6 +75,10 @@ pub const MANIFEST: &[Entry] = &[
     Entry {
         path: "results/fig11.txt",
         generate: |inputs| Ok(swp_bench::fig11(inputs.suite())),
+    },
+    Entry {
+        path: "results/ablations.txt",
+        generate: |_| Ok(swp_bench::ablations(&swp_bench::options_from_env())),
     },
     Entry {
         path: "results/verify_all.txt",

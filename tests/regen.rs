@@ -14,8 +14,8 @@ const EXCEPTIONS: &[(&str, &str)] = &[
         "written by the benchmark harness under benchmark/, in CI's test job",
     ),
     (
-        "results/ablations.txt",
-        "manual: the swp-bench `ablations` binary takes minutes",
+        "results/ablation_ilp.txt",
+        "manual: the swp-bench `ablation_ilp` binary's exact ILP runs under a wall-clock budget",
     ),
     (
         "results/ilp_report.txt",
