@@ -373,8 +373,12 @@ pub fn execute(c: &Compiled, scheme: Scheme, iterations: u64, input: &[Scalar]) 
 /// [`RetryPolicy::max_attempts`]) the transient error propagates as
 /// [`Error::Sim`].
 ///
-/// Prepares `c` for `scheme` and runs it once, on the simulator; to run
-/// one artifact many times, keep the [`Prepared`] form
+/// Prepares `c` for `scheme` and runs it once, as a kept [`Prepared`]
+/// runs its first job of a shape: a fault-free run of a value-oblivious
+/// artifact is priced from its kernels' walks and its outputs fired on
+/// the host, any other run is simulated ([`Prepared::execute`]). Stats,
+/// outputs and errors are the simulator's ([`simulate`]) either way. To
+/// run one artifact many times, keep the [`Prepared`] form
 /// ([`crate::pipeline::ResilientCompiled::execute`] does).
 ///
 /// # Errors
@@ -387,8 +391,27 @@ pub fn execute_with(
     input: &[Scalar],
     opts: &RunOptions,
 ) -> Result<GpuRun> {
-    let (run, _) = Prepared::of(c, scheme)?.simulate(c, iterations, input, false, opts)?;
-    Ok(run)
+    Prepared::of(c, scheme)?.run(c, iterations, input, opts)
+}
+
+/// The reference executor: [`execute_with`] with every launch run on the
+/// simulator, the input written to device memory and the outputs read
+/// back from it. [`execute_with`] and every kept [`Prepared`] return what
+/// this returns, bit for bit; tests that check the simulator itself, or
+/// check a faster path against it, call this.
+///
+/// # Errors
+///
+/// As for [`execute`].
+pub fn simulate(
+    c: &Compiled,
+    scheme: Scheme,
+    iterations: u64,
+    input: &[Scalar],
+    opts: &RunOptions,
+) -> Result<GpuRun> {
+    let looped = Prepared::of(c, scheme)?.run_loop(c, iterations, input, Loop::Simulate, opts)?;
+    Ok(looped.run)
 }
 
 /// The (iteration granule, buffer layout) shape of a scheme.
@@ -487,6 +510,35 @@ fn serial_step(topo: &[NodeId], ordinal: u64) -> (NodeId, u64) {
     (topo[(ordinal % nodes) as usize], ordinal / nodes)
 }
 
+/// What [`Prepared::run_loop`] does with each launch of a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Loop {
+    /// Every launch on the simulator, over the input written to device
+    /// memory, with the outputs read back ([`simulate`]).
+    Simulate,
+    /// Every launch priced from its kernels' walks
+    /// ([`Gpu::price_memoized`], one [`InstanceBills`] for the loop): no
+    /// input written, no init phase fired, no output read. The caller
+    /// fires the outputs on the host. Only for a value-oblivious
+    /// artifact, whose launches read no value.
+    Price,
+    /// A scaled measurement ([`measure`]): priced as [`Loop::Price`] when
+    /// the artifact is value-oblivious, else simulated, and extrapolated
+    /// over the steady window.
+    Measure,
+}
+
+/// A run's launch loop, done ([`Prepared::run_loop`]).
+struct Looped {
+    run: GpuRun,
+    /// The input tokens the run required.
+    input_tokens: u64,
+    /// The loop's instance bills and tape replays
+    /// ([`InstanceBills::counts`]); zero for a simulated loop.
+    #[cfg(test)]
+    bills: (u64, u64),
+}
+
 /// Kept bills per prepared artifact; the oldest goes first when one more
 /// would not fit. Counted over ten-second runs of every benchmark
 /// workload, no prepared artifact met more than three run shapes
@@ -515,7 +567,7 @@ impl BillKey {
     }
 }
 
-/// The bill of a simulated fault-free run: its [`GpuRun`] without the
+/// The bill of a priced fault-free run: its [`GpuRun`] without the
 /// outputs, and the input tokens it required.
 #[derive(Debug)]
 struct Bill {
@@ -552,7 +604,7 @@ pub struct Prepared {
     /// first fault-free run of a value-oblivious artifact; `None` when it
     /// cannot stand in for the simulator ([`Prepared::steady_plan`]).
     steady: OnceLock<Option<FiringPlan>>,
-    /// Bills of simulated fault-free runs of a value-oblivious artifact,
+    /// Bills of priced fault-free runs of a value-oblivious artifact,
     /// oldest first ([`Prepared::run`]).
     bills: Mutex<Vec<Bill>>,
 }
@@ -844,8 +896,8 @@ impl Prepared {
     /// value-oblivious ([`gpusim::Kernel::value_oblivious`]) bills the
     /// same whatever values it moves: the first run of each shape
     /// (iterations, placement, graph dispatch, checkpoint selection) is
-    /// simulated and keeps its bill, and every later one returns that
-    /// bill with outputs fired on the host.
+    /// priced from the kernels' walks and keeps its bill, every later one
+    /// returns that bill, and each fires its outputs on the host.
     ///
     /// # Errors
     ///
@@ -870,9 +922,18 @@ impl Prepared {
     ///
     /// A fault-free run of a value-oblivious artifact
     /// ([`Kernels::value_oblivious`]) whose firing plans do not stall
-    /// bills the same whatever values it moves. The first of each shape ([`BillKey`]) is simulated and keeps
-    /// its bill; each later one returns that bill, with outputs from the
-    /// dataflow firing plans ([`FiringPlan`]) instead of the simulator.
+    /// bills the same whatever values it moves. The first of each shape
+    /// ([`BillKey`]) prices its launch loop ([`Loop::Price`]) and keeps
+    /// the bill; each later one returns that bill. Either way the outputs
+    /// come from the dataflow firing plans ([`FiringPlan`]), not the
+    /// device. Any other run is simulated.
+    ///
+    /// Fails as the simulator fails: a priced run makes every check the
+    /// simulated one makes before its first launch, in the same order,
+    /// and a kept bill's key fixes every check before the input's length
+    /// (the kept run passed them). No input makes a value-oblivious
+    /// kernel trap or outrun the watchdog, and a launch the walk cannot
+    /// price runs.
     pub(crate) fn run(
         &self,
         c: &Compiled,
@@ -886,48 +947,40 @@ impl Prepared {
             None
         };
         let Some(steady) = steady else {
-            return Ok(self.simulate(c, iterations, input, false, opts)?.0);
+            return Ok(self.run_loop(c, iterations, input, Loop::Simulate, opts)?.run);
         };
         let key = BillKey::of(iterations, opts);
-        if let Some(run) = self.rebill(c, steady, &key, input)? {
-            return Ok(run);
-        }
-        let (run, input_tokens) = self.simulate(c, iterations, input, false, opts)?;
-        self.keep(key, &run, input_tokens);
-        Ok(run)
-    }
-
-    /// The kept bill of a run shaped `key` with its outputs fired through
-    /// `steady` on the host, or `None` when no bill is kept. Fails as the
-    /// simulated run would: the key fixes every check before the input's
-    /// length (the kept run passed them), and no input makes a
-    /// value-oblivious kernel trap or outrun the watchdog.
-    fn rebill(
-        &self,
-        c: &Compiled,
-        steady: &FiringPlan,
-        key: &BillKey,
-        input: &[Scalar],
-    ) -> Result<Option<GpuRun>> {
-        let kept = (self.bills.lock().expect("bills"))
-            .iter()
-            .find(|b| b.key == *key)
-            .map(|b| (b.run.clone(), b.input_tokens));
-        let Some((run, input_tokens)) = kept else {
-            return Ok(None);
+        let bill = match self.kept(&key) {
+            Some((bill, input_tokens)) => {
+                check_input_len(input_tokens, input)?;
+                bill
+            }
+            None => {
+                let looped = self.run_loop(c, iterations, input, Loop::Price, opts)?;
+                self.keep(key, &looped.run, looped.input_tokens);
+                looped.run
+            }
         };
-        check_input_len(input_tokens, input)?;
         let mut fired = (self.init_plan(c)).run(&c.graph, input, InitState::start(&c.graph))?;
-        for _ in 0..key.iterations / u64::from(self.granule()) {
+        for _ in 0..iterations / u64::from(self.granule()) {
             fired = steady.run(&c.graph, input, fired)?;
         }
-        Ok(Some(GpuRun {
+        Ok(GpuRun {
             outputs: fired.output,
-            ..run
-        }))
+            ..bill
+        })
     }
 
-    /// Keeps the bill of a simulated run shaped `key`.
+    /// The kept bill of a run shaped `key`, with the input tokens it
+    /// required.
+    fn kept(&self, key: &BillKey) -> Option<(GpuRun, u64)> {
+        (self.bills.lock().expect("bills"))
+            .iter()
+            .find(|b| b.key == *key)
+            .map(|b| (b.run.clone(), b.input_tokens))
+    }
+
+    /// Keeps the bill of a priced run shaped `key`.
     fn keep(&self, key: BillKey, run: &GpuRun, input_tokens: u64) {
         let mut bills = self.bills.lock().expect("bills");
         if bills.iter().any(|b| b.key == key) {
@@ -947,18 +1000,17 @@ impl Prepared {
         });
     }
 
-    /// Executes `iterations` basic steady iterations of `c` on the
-    /// simulator (`scaled`: measure instead, see [`measure`]; a priced
-    /// measurement writes no input and fires no init phase, since no
-    /// launch reads a value), with the input tokens the run required.
-    fn simulate(
+    /// Runs the launch loop of `iterations` basic steady iterations of
+    /// `c` as `how` says.
+    fn run_loop(
         &self,
         c: &Compiled,
         iterations: u64,
         input: &[Scalar],
-        scaled: bool,
+        how: Loop,
         opts: &RunOptions,
-    ) -> Result<(GpuRun, u64)> {
+    ) -> Result<Looped> {
+        let scaled = how == Loop::Measure;
         check_iterations(c, self.scheme, iterations)?;
         let (granule, kind) = scheme_shape(self.scheme);
         // k-launch checkpointing only matters (and is only billed) under an
@@ -1020,7 +1072,13 @@ impl Prepared {
         // caller must fill everything but the slack.
         let input_tokens = buffers.input.as_ref().map_or(0, |io| io.tokens);
         check_input_len(input_tokens, input)?;
-        let priced = scaled && Kernels::of(&c.graph).value_oblivious();
+        // A priced loop writes no input and fires no init phase: no
+        // launch reads a value.
+        let priced = match how {
+            Loop::Simulate => false,
+            Loop::Price => true,
+            Loop::Measure => Kernels::of(&c.graph).value_oblivious(),
+        };
         let mut init_out = Vec::new();
         if !priced {
             let start = InitState::start(&c.graph);
@@ -1108,12 +1166,14 @@ impl Prepared {
             }
             ordinal += 1;
         }
+        #[cfg(test)]
+        let bills = (seq.bills.as_ref()).map_or((0, 0), InstanceBills::counts);
         let (totals, trace) = seq.finish();
 
-        let outputs = if scaled {
-            Vec::new()
-        } else {
+        let outputs = if how == Loop::Simulate {
             collect_output(c, &buffers, &gpu, iterations, init_out)
+        } else {
+            Vec::new()
         };
         let run = GpuRun {
             outputs,
@@ -1126,7 +1186,12 @@ impl Prepared {
             launch_cycles: if scaled { Vec::new() } else { trace },
             stats: totals,
         };
-        Ok((run, input_tokens))
+        Ok(Looped {
+            run,
+            input_tokens,
+            #[cfg(test)]
+            bills,
+        })
     }
 }
 
@@ -1152,8 +1217,8 @@ impl Prepared {
 /// As for [`execute`].
 pub fn measure(c: &Compiled, scheme: Scheme, iterations: u64, input: &[Scalar]) -> Result<GpuRun> {
     let opts = RunOptions::default();
-    let (run, _) = Prepared::of(c, scheme)?.simulate(c, iterations, input, true, &opts)?;
-    Ok(run)
+    let looped = Prepared::of(c, scheme)?.run_loop(c, iterations, input, Loop::Measure, &opts)?;
+    Ok(looped.run)
 }
 
 /// Input tokens [`measure`] needs: enough for the initialization phase
@@ -1254,8 +1319,10 @@ mod tests {
         Kernels::of(&c.graph).value_oblivious()
     }
 
-    /// Compiles, runs CPU + the given scheme for `iters` iterations, and
-    /// asserts bit-identical output streams.
+    /// Compiles, runs CPU + the given scheme for `iters` iterations on
+    /// the simulator (the scheme's walk, bindings and staging shape only
+    /// a simulated run's outputs), and asserts bit-identical output
+    /// streams.
     fn assert_gpu_matches_cpu(spec: &StreamSpec, scheme: Scheme, iters: u64) -> GpuRun {
         let graph = spec.flatten().unwrap();
         let opts = CompileOptions::small_test();
@@ -1295,7 +1362,8 @@ mod tests {
             .map(|i| Scalar::I32(i as i32 % 101 - 50))
             .collect();
 
-        let run = execute(&c, scheme, iters, &input_full[..total_in as usize]).unwrap();
+        let input = &input_full[..total_in as usize];
+        let run = simulate(&c, scheme, iters, input, &RunOptions::default()).unwrap();
 
         // CPU reference: both executors emit prefixes of the same output
         // stream; run the CPU long enough to cover the GPU's emission and
@@ -1708,16 +1776,18 @@ mod tests {
         (c, input, iters)
     }
 
+    /// On the simulator, whose outputs depend on the launches each
+    /// dispatch path sends.
     #[test]
     fn graph_dispatch_is_byte_identical_and_cheaper() {
         let (c, input, iters) = compiled_three_stage();
         let scheme = Scheme::Swp { coarsening: 1 };
-        let host = execute(&c, scheme, iters, &input).unwrap();
+        let host = simulate(&c, scheme, iters, &input, &RunOptions::default()).unwrap();
         let opts = RunOptions {
             graph_dispatch: true,
             ..RunOptions::default()
         };
-        let replayed = execute_with(&c, scheme, iters, &input, &opts).unwrap();
+        let replayed = simulate(&c, scheme, iters, &input, &opts).unwrap();
         assert_eq!(host.outputs, replayed.outputs);
         assert_eq!(host.launches, replayed.launches);
         assert_eq!(replayed.stats.graph_captures, 1);
@@ -1743,9 +1813,9 @@ mod tests {
         );
         replayed.stats.assert_billing();
         // Serial has no steady-state graph: the flag is inert.
-        let serial_host = execute(&c, Scheme::Serial { batch: 1 }, iters, &input).unwrap();
-        let serial_graph =
-            execute_with(&c, Scheme::Serial { batch: 1 }, iters, &input, &opts).unwrap();
+        let serial = Scheme::Serial { batch: 1 };
+        let serial_host = simulate(&c, serial, iters, &input, &RunOptions::default()).unwrap();
+        let serial_graph = simulate(&c, serial, iters, &input, &opts).unwrap();
         assert_eq!(serial_host.outputs, serial_graph.outputs);
         assert_eq!(serial_graph.stats.graph_replays, 0);
         assert_eq!(serial_graph.stats.graph_captures, 0);
@@ -2129,6 +2199,52 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// One `exec_steady`-shaped pass over the suite, each artifact run as
+    /// [`execute_with`] runs it: a fresh prepared form, SWP8 (coarsening 1
+    /// for a graph whose iterations must stay serial) for its pipeline
+    /// depth plus four rounds, graph dispatch, fault-free. Seven runs are
+    /// priced, keeping their bills, and one, DES's, is simulated and keeps
+    /// none. Each priced loop's instance bills and tape replays are
+    /// pinned, so a change to the work a first run does shows as a diff of
+    /// counts. A second run of the same prepared form keeps no new bill.
+    #[test]
+    fn an_exec_steady_pass_prices_seven_runs_and_simulates_des() {
+        let opts = RunOptions {
+            graph_dispatch: true,
+            ..RunOptions::default()
+        };
+        let mut got = Vec::new();
+        for b in streambench::suite() {
+            let graph = b.spec.flatten().unwrap();
+            let c = compile(&graph, &CompileOptions::small_test()).unwrap();
+            let serial = instances::requires_serial_iterations(&graph);
+            let coarsening = if serial { 1 } else { 8 };
+            let iters = u64::from(coarsening) * (c.schedule.max_stage() + 4);
+            let input = (b.input)(required_input(&c, iters) as usize);
+            let p = Prepared::of(&c, Scheme::Swp { coarsening }).unwrap();
+            p.run(&c, iters, &input, &opts).unwrap();
+            let priced = kept(&p) == 1;
+            p.run(&c, iters, &input, &opts).unwrap();
+            assert_eq!(kept(&p), usize::from(priced), "{}", b.name);
+            let counts = priced.then(|| {
+                let looped = p.run_loop(&c, iters, &input, Loop::Price, &opts);
+                looped.unwrap().bills
+            });
+            got.push((b.name, counts));
+        }
+        let want = [
+            ("Bitonic", Some((10_800, 1_576))),
+            ("BitonicRec", Some((11_040, 1_968))),
+            ("DCT", Some((19_920, 6_192))),
+            ("DES", None),
+            ("FFT", Some((3_584, 896))),
+            ("Filterbank", Some((9_408, 8_768))),
+            ("FMRadio", Some((6_240, 3_936))),
+            ("MatrixMult", Some((15_072, 7_056))),
+        ];
+        assert_eq!(got, want);
+    }
+
     /// One steady SWP launch of each suite artifact at the paper's scaled
     /// configuration, priced (DES runs): its busiest SM's cycles against
     /// that SM's planned load, Σ d(v) × [`crate::profile::TIME_UNIT_CYCLES`]
@@ -2251,11 +2367,11 @@ mod tests {
     }
 
     /// What does not keep a bill: a run under a fault plan and every run
-    /// of DES (its S-boxes index by data); [`measure`] and
-    /// [`execute_with`] never look for one. A stateful filter and a
-    /// feedback loop do, under the pipelined and the serial walk, their
-    /// batches firing on the warp core one at a time, as do seeded random
-    /// graphs, and their fired outputs are the simulator's.
+    /// of DES (its S-boxes index by data); [`measure`] never looks for
+    /// one. A stateful filter and a feedback loop do, under the pipelined
+    /// and the serial walk, their batches firing on the warp core one at
+    /// a time, as do seeded random graphs, and their fired outputs are
+    /// the simulator's.
     #[test]
     fn faults_and_des_simulate_and_stateful_graphs_reuse_bills() {
         let (c, input, iters) = compiled_three_stage();
@@ -2317,7 +2433,7 @@ mod tests {
                 assert!(priced(&c), "{ctx}");
                 let len = required_input(&c, 4);
                 let (first, second) = (skewed(input, len, 0), skewed(input, len, 3));
-                let simulated = execute(&c, scheme, 4, &second).unwrap();
+                let simulated = simulate(&c, scheme, 4, &second, &RunOptions::default()).unwrap();
                 let opts = RunOptions::default();
                 let run = second_run_reuses_the_bill(&p, &c, 4, [&first, &second], &opts);
                 assert_eq!(output_bits(&run), output_bits(&simulated), "{ctx}");
@@ -2325,36 +2441,73 @@ mod tests {
         }
     }
 
-    /// A run that reuses a bill fails as the simulator fails: on input too
-    /// short for the run. A run the watchdog kills keeps no bill, so every
-    /// later run of its shape is simulated and killed the same way. A
-    /// prepared form refuses an artifact other than its own, here one
-    /// whose clock changed.
+    /// A priced first run fails as the simulator fails, through a fresh
+    /// [`Prepared`] and through [`execute_with`], and the checks come in
+    /// the simulator's order: a bad iteration granule before a slice that
+    /// does not fit, that before input too short for the run. A fresh
+    /// prepared form refuses an artifact other than its own before it
+    /// runs anything. A run that reuses a bill fails on short input as
+    /// the simulator does. A run the watchdog kills keeps no bill, so
+    /// every later run of its shape is priced and killed the same way. A
+    /// prepared form that kept a bill refuses an artifact whose clock
+    /// changed.
     #[test]
     fn a_kept_bill_fails_as_the_simulator_fails() {
         let (mut c, input, iters) = compiled_three_stage();
-        let scheme = Scheme::Swp { coarsening: 1 };
-        let opts = RunOptions::default();
-        let p = Prepared::new(&c, scheme).unwrap();
-        p.execute(&c, iters, &input, &opts).unwrap();
-        assert_eq!(kept(&p), 1);
+        let scheme = Scheme::Swp { coarsening: 2 };
+        assert!(priced(&c));
+        let narrow = RunOptions {
+            placement: Some(SmPlacement {
+                device: c.device.clone(),
+                base_sm: 1,
+            }),
+            ..RunOptions::default()
+        };
         let short = &input[..input.len() - 1];
-        let e = p.execute(&c, iters, short, &opts).unwrap_err();
-        assert_eq!(e, execute(&c, scheme, iters, short).unwrap_err());
+        let first_runs_fail_as_simulated = |c: &Compiled, iters, input, opts: &RunOptions| {
+            let want = simulate(c, scheme, iters, input, opts).unwrap_err();
+            let fresh = Prepared::new(c, scheme).unwrap();
+            assert_eq!(fresh.execute(c, iters, input, opts).unwrap_err(), want);
+            assert_eq!(kept(&fresh), 0);
+            assert_eq!(
+                execute_with(c, scheme, iters, input, opts).unwrap_err(),
+                want
+            );
+            want
+        };
+        let granule = first_runs_fail_as_simulated(&c, iters + 1, short, &narrow);
+        assert!(
+            granule.to_string().contains("coarsening/batch factor"),
+            "{granule}"
+        );
+        let slice = first_runs_fail_as_simulated(&c, iters, short, &narrow);
+        assert!(slice.to_string().contains("does not fit"), "{slice}");
+        let opts = RunOptions::default();
+        let e = first_runs_fail_as_simulated(&c, iters, short, &opts);
         assert!(matches!(
             e,
             Error::Stream(streamir::Error::InsufficientInput { .. })
         ));
 
+        let p = Prepared::new(&c, scheme).unwrap();
+        let (mut other, _, _) = compiled_three_stage();
+        other.timing.clock_hz *= 2.0;
+        let refused = p.execute(&other, iters, &input, &opts).unwrap_err();
+        assert!(matches!(refused, Error::Api(_)), "{refused}");
+        assert_eq!(kept(&p), 0);
+        p.execute(&c, iters, &input, &opts).unwrap();
+        assert_eq!(kept(&p), 1);
+        assert_eq!(p.execute(&c, iters, short, &opts).unwrap_err(), e);
+
         c.timing.clock_hz = 4.0;
         let stale = p.execute(&c, iters, &input, &opts).unwrap_err();
         assert!(matches!(stale, Error::Api(_)), "{stale}");
-        let p = Prepared::new(&c, scheme).unwrap();
-        let killed = execute(&c, scheme, iters, &input).unwrap_err();
+        let killed = first_runs_fail_as_simulated(&c, iters, &input, &opts);
         assert!(
             killed.to_string().contains("instruction budget"),
             "{killed}"
         );
+        let p = Prepared::new(&c, scheme).unwrap();
         for _ in 0..2 {
             assert_eq!(p.execute(&c, iters, &input, &opts).unwrap_err(), killed);
             assert_eq!(kept(&p), 0);
@@ -2374,7 +2527,7 @@ mod tests {
         c.timing.clock_hz = 4.0;
         let budget = c.timing.watchdog_budget_insts();
         assert!(budget > 0 && budget < 8, "{budget}");
-        let killed = execute(&c, scheme, iters, &input).unwrap_err();
+        let killed = simulate(&c, scheme, iters, &input, &RunOptions::default()).unwrap_err();
         assert!(
             killed
                 .to_string()

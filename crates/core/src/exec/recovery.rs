@@ -238,8 +238,10 @@ pub(super) struct Sequencer<'g, 'p, B> {
     trace: Vec<f64>,
     /// Price launches from the kernels' walks where that is exact
     /// ([`Gpu::price_memoized`]) instead of running them, each distinct
-    /// instance placement once for the whole loop: set for scaled
-    /// measurements of value-oblivious artifacts, which read no output.
+    /// instance placement once for the whole loop: set for the launch
+    /// loops of value-oblivious artifacts that read no output from the
+    /// device (fault-free runs, whose outputs fire on the host, and scaled
+    /// measurements).
     pub(super) bills: Option<InstanceBills<'p>>,
 }
 

@@ -678,13 +678,21 @@ mod tests {
         .unwrap()
     }
 
+    /// The artifact's outputs on the simulator, where its schedule
+    /// shapes them.
     fn run(rc: &ResilientCompiled, iters: u64) -> Vec<Scalar> {
         let input: Vec<Scalar> = (0..required_input(&rc.compiled, iters))
             .map(|i| Scalar::I32(i as i32 % 37 - 18))
             .collect();
-        exec::execute(&rc.compiled, rc.scheme, iters, &input)
-            .unwrap()
-            .outputs
+        exec::simulate(
+            &rc.compiled,
+            rc.scheme,
+            iters,
+            &input,
+            &RunOptions::default(),
+        )
+        .unwrap()
+        .outputs
     }
 
     #[test]
@@ -755,7 +763,8 @@ mod tests {
             let input: Vec<Scalar> = (0..required_input(&c, iters))
                 .map(|i| Scalar::I32(i as i32 % 37 - 18))
                 .collect();
-            exec::execute(&c, Scheme::Serial { batch: 1 }, iters, &input)
+            let opts = RunOptions::default();
+            exec::simulate(&c, Scheme::Serial { batch: 1 }, iters, &input, &opts)
                 .unwrap()
                 .outputs
         };

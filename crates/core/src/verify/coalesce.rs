@@ -452,7 +452,7 @@ fn edge_of(c: &Compiled, node: u32, site: AccessSite) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{compile, execute, required_input, CompileOptions};
+    use crate::exec::{compile, required_input, simulate, CompileOptions, RunOptions};
     use crate::plan;
     use streamir::graph::{FilterSpec, StreamSpec};
     use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
@@ -486,7 +486,10 @@ mod tests {
     fn assert_prediction_exact(c: &Compiled, scheme: Scheme, iters: u64) -> Prediction {
         let pred = predict(c, scheme, iters).unwrap();
         assert!(pred.exact, "suite control flow is data-independent");
-        let run = execute(c, scheme, iters, &input_for(c, iters)).unwrap();
+        // The simulator: a priced run replays the tapes the prediction
+        // replays.
+        let input = input_for(c, iters);
+        let run = simulate(c, scheme, iters, &input, &RunOptions::default()).unwrap();
         assert_eq!(
             pred.counters,
             StaticCounters::of_stats(&run.stats),

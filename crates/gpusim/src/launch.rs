@@ -1,6 +1,7 @@
 //! Kernel launches and the top-level [`Gpu`] handle.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
 
@@ -159,9 +160,14 @@ type Bases<'l, 'k> = Vec<(usize, &'l InstanceExec<'k>, InstanceStats)>;
 /// escape check, repeats with that period. The label is not read. The
 /// lifetime ties the memo to the kernels it keys by address, so a freed
 /// kernel's address can never alias another's.
+///
+/// A lookup hashes the instance's placement word by word without building
+/// it and compares the stored placement field by field; only a miss
+/// builds one. Two placements whose hashes collide are told apart by that
+/// comparison: the later one is priced from its tape every time.
 #[derive(Debug, Default)]
 pub struct InstanceBills<'k> {
-    memo: HashMap<Placement<'k>, Option<InstanceStats>>,
+    memo: HashMap<u64, (Placement<'k>, Option<InstanceStats>), BuildHasherDefault<WordHasher>>,
     /// The warp shape and memory words the memo was priced on; another
     /// device starts it over.
     device: Option<((u32, u64), u64)>,
@@ -179,41 +185,98 @@ impl InstanceBills<'_> {
 }
 
 /// An instance as [`Tape::price`] reads it ([`InstanceBills`]).
-#[derive(Debug, PartialEq, Eq, Hash)]
+#[derive(Debug)]
 struct Placement<'k> {
     /// The kernel, by address.
     kernel: usize,
     active_threads: u32,
     shared_staging: bool,
     state_base: Option<u32>,
-    /// Inputs then outputs, each `abs_start` reduced modulo the buffer's
-    /// words; the kernel fixes the arity.
+    /// [`Placement::bindings`].
     bindings: Vec<BufferBinding>,
     kernels: PhantomData<&'k Kernel>,
 }
 
 impl<'k> Placement<'k> {
     fn of(inst: &InstanceExec<'k>) -> Placement<'k> {
-        let period = |b: &BufferBinding| BufferBinding {
-            abs_start: b
-                .abs_start
-                .checked_rem(b.size_words())
-                .unwrap_or(b.abs_start),
-            ..b.clone()
-        };
         Placement {
             kernel: std::ptr::from_ref(inst.kernel) as usize,
             active_threads: inst.active_threads,
             shared_staging: inst.shared_staging,
             state_base: inst.state_base,
-            bindings: inst
-                .inputs
-                .iter()
-                .chain(&inst.outputs)
-                .map(period)
-                .collect(),
+            bindings: Placement::bindings(inst).collect(),
             kernels: PhantomData,
         }
+    }
+
+    /// `inst`'s inputs then outputs, each `abs_start` reduced modulo the
+    /// buffer's words; the kernel fixes the arity.
+    fn bindings<'i>(inst: &'i InstanceExec<'_>) -> impl Iterator<Item = BufferBinding> + 'i {
+        (inst.inputs.iter().chain(&inst.outputs)).map(|b| BufferBinding {
+            abs_start: (b.abs_start.checked_rem(b.size_words())).unwrap_or(b.abs_start),
+            ..b.clone()
+        })
+    }
+
+    /// The hash of [`Placement::of`]`(inst)`, without building it.
+    fn hash(inst: &InstanceExec<'_>) -> u64 {
+        let mut h = WordHasher::default();
+        (std::ptr::from_ref(inst.kernel) as usize).hash(&mut h);
+        inst.active_threads.hash(&mut h);
+        inst.shared_staging.hash(&mut h);
+        inst.state_base.hash(&mut h);
+        Placement::bindings(inst).for_each(|b| b.hash(&mut h));
+        h.finish()
+    }
+
+    /// Whether `inst` is placed as `self`.
+    fn holds(&self, inst: &InstanceExec<'_>) -> bool {
+        self.kernel == std::ptr::from_ref(inst.kernel) as usize
+            && self.active_threads == inst.active_threads
+            && self.shared_staging == inst.shared_staging
+            && self.state_base == inst.state_base
+            && Placement::bindings(inst).eq(self.bindings.iter().cloned())
+    }
+}
+
+/// A word-at-a-time multiplicative hasher (the `FxHash` construction):
+/// one rotate, xor and multiply per field, where the default SipHash runs
+/// its rounds over every byte. For in-process memo keys only; it neither
+/// resists chosen keys nor promises the same digest across builds.
+#[derive(Debug, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    /// The last multiply leaves the high bits best mixed; the table
+    /// indexes by the low ones.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 
@@ -607,10 +670,17 @@ impl Gpu {
             let base = match bills.as_deref_mut() {
                 Some(bills) => {
                     bills.bills += 1;
-                    *(bills.memo.entry(Placement::of(inst))).or_insert_with(|| {
-                        bills.replays += 1;
-                        price(inst)
-                    })
+                    match bills.memo.entry(Placement::hash(inst)) {
+                        Entry::Occupied(hit) if hit.get().0.holds(inst) => hit.get().1,
+                        Entry::Occupied(_) => {
+                            bills.replays += 1;
+                            price(inst)
+                        }
+                        Entry::Vacant(miss) => {
+                            bills.replays += 1;
+                            miss.insert((Placement::of(inst), price(inst))).1
+                        }
+                    }
                 }
                 None => price(inst),
             }?;

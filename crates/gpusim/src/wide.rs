@@ -13,6 +13,16 @@
 //! Ports are flat sequential spans ([`Flat`]): the `n`-th token of lane
 //! `l`'s firing sits `l · rate + n` words past lane 0's first, so every
 //! channel access is one strided run. Nothing is billed.
+//!
+//! The lanes share one index per peek depth, array access and table
+//! load: lane 0's. That holds only because a value-oblivious kernel's
+//! walk proves every such index constant, so the executor relies on
+//! [`Kernel::value_oblivious`](crate::Kernel::value_oblivious) staying
+//! that strict. A walk that admitted a varying index in range (an
+//! interval domain that proves `(x >>> k) & 63` in bounds, to price
+//! DES's S-boxes) would make this executor compute wrong values for
+//! every lane whose index differs from lane 0's, unless loads gather per
+//! lane.
 
 use crate::exec::{
     array_row, binary, int_div, pair, trap, unary, DExpr, DStmt, Op, Program, Reg, Src,
@@ -166,6 +176,9 @@ impl Wide<'_> {
                 let row = array_row(rows, self.regs[index as usize][0], "load")?;
                 self.regs[dst as usize][..n].copy_from_slice(&self.arrays[row][..n]);
             }
+            // Lane 0's index for every lane: a value-oblivious kernel's
+            // table index is a constant (see the module docs), which is
+            // what lets one load stand for all of them.
             Op::LoadTable {
                 dst,
                 ref words,

@@ -181,7 +181,8 @@ fn check(
     let v = verify::verify(c, scheme, iterations)?;
     let n_input = exec::required_input(c, iterations);
     let input = (b.input)(n_input as usize);
-    let run = exec::execute(c, scheme, iterations, &input[..n_input as usize])?;
+    let opts = exec::RunOptions::default();
+    let run = exec::simulate(c, scheme, iterations, &input[..n_input as usize], &opts)?;
     let measured = StaticCounters::of_stats(&run.stats);
     let p = &v.prediction;
     let verdict = if !p.exact {

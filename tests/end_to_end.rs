@@ -12,8 +12,12 @@ use streamir::cpu::{self, CpuCostModel};
 use streamir::ir::Scalar;
 use swpipe::exec::{self, CompileOptions, GpuRun, Prepared, RunOptions, Scheme, SmPlacement};
 
-/// Compiles and runs `iters` iterations under `scheme`, returning the GPU
-/// output stream and the CPU output stream covering it.
+/// Compiles and runs `iters` iterations under `scheme` on the simulator,
+/// returning the GPU output stream and the CPU output stream covering it.
+/// Simulated, because the scheme's walk, buffer layout and seeding shape
+/// only a simulated run's outputs; `execute` fires a value-oblivious
+/// artifact's outputs on the host, and
+/// `a_priced_first_run_equals_a_simulated_run` checks it against this.
 fn run_both(b: &streambench::Benchmark, scheme: Scheme, iters: u64) -> (Vec<Scalar>, Vec<Scalar>) {
     let graph = b
         .spec
@@ -27,8 +31,9 @@ fn run_both(b: &streambench::Benchmark, scheme: Scheme, iters: u64) -> (Vec<Scal
     let cpu_per_iter = steady.input_tokens_per_iteration(&graph).max(1);
     let input = (b.input)((n_input + 2 * cpu_per_iter + 64) as usize);
 
-    let gpu = exec::execute(&compiled, scheme, iters, &input[..n_input as usize])
-        .unwrap_or_else(|e| panic!("{}: execute: {e}", b.name));
+    let opts = RunOptions::default();
+    let gpu = exec::simulate(&compiled, scheme, iters, &input[..n_input as usize], &opts)
+        .unwrap_or_else(|e| panic!("{}: simulate: {e}", b.name));
 
     let cpu_init = steady.input_tokens_for_init(&graph);
     let cpu_iters = (n_input.saturating_sub(cpu_init)).div_ceil(cpu_per_iter) + 1;
@@ -110,7 +115,7 @@ fn des_gpu_output_is_real_des() {
     assert_eq!(got, expect);
 }
 
-/// Scaled measurement must agree with full execution on the overlapping
+/// Scaled measurement must agree with full simulation on the overlapping
 /// window's statistics-derived time for a case where both paths run.
 #[test]
 fn measure_matches_execute_when_window_covers_run() {
@@ -121,7 +126,8 @@ fn measure_matches_execute_when_window_covers_run() {
                    // back to exact simulation
     let n_input = exec::required_input(&compiled, iters);
     let input = (b.input)(n_input as usize);
-    let full = exec::execute(&compiled, Scheme::Swp { coarsening: 2 }, iters, &input).unwrap();
+    let scheme = Scheme::Swp { coarsening: 2 };
+    let full = exec::simulate(&compiled, scheme, iters, &input, &RunOptions::default()).unwrap();
     let meas = exec::measure(&compiled, Scheme::Swp { coarsening: 2 }, iters, &input).unwrap();
     assert!((full.time_secs - meas.time_secs).abs() < 1e-12);
     assert_eq!(full.stats.mem_transactions, meas.stats.mem_transactions);
@@ -155,7 +161,8 @@ fn scaled_measurement_equals_full_simulation() {
         let input = (b.input)(exec::required_input(&compiled, iters) as usize);
         for scheme in schemes {
             let ctx = format!("{} under {scheme:?}", b.name);
-            let full = exec::execute(&compiled, scheme, iters, &input).expect(&ctx);
+            let opts = RunOptions::default();
+            let full = exec::simulate(&compiled, scheme, iters, &input, &opts).expect(&ctx);
             let meas = exec::measure(&compiled, scheme, iters, &input).expect(&ctx);
             assert!(
                 meas.outputs.is_empty(),
@@ -239,16 +246,14 @@ fn assert_same_run(got: &GpuRun, want: &GpuRun, ctx: &str) {
     );
 }
 
-/// The simulator stays the cross-check of the run a server repeats: every
-/// suite artifact but DES (whose S-boxes index by data), under SWP, SWPNC,
-/// Serial and SWP8, launched from the host and replayed as a graph, on its
-/// own device and on a slice of a wider one at a nonzero base SM. The
-/// first run of a prepared artifact is simulated and keeps its bill; the
-/// second, on new input, reuses the bill and fires its outputs on the
-/// host (the library's own tests check that it takes that path), and
-/// returns exactly what a fresh simulation returns.
-#[test]
-fn a_kept_bill_and_the_firing_plan_reproduce_every_suite_simulation() {
+/// Every suite artifact but DES (whose S-boxes index by data), under SWP,
+/// SWPNC, Serial and SWP8, launched from the host and replayed as a
+/// graph, on its own device and on a slice of a wider one at a nonzero
+/// base SM: `check` gets each with its run length, run options and a
+/// label.
+fn for_each_priced_shape(
+    mut check: impl FnMut(&streambench::Benchmark, &exec::Compiled, Scheme, u64, &RunOptions, &str),
+) {
     for b in streambench::suite().into_iter().filter(|b| b.name != "DES") {
         let c = exec::compile(&b.spec.flatten().unwrap(), &CompileOptions::small_test()).unwrap();
         let wide = DeviceConfig {
@@ -262,13 +267,7 @@ fn a_kept_bill_and_the_firing_plan_reproduce_every_suite_simulation() {
             (Scheme::Swp { coarsening: 8 }, 16),
         ];
         for (scheme, iters) in schemes {
-            let p = Prepared::new(&c, scheme).unwrap();
-            // Two inputs of the run's length that move different values.
-            let len = exec::required_input(&c, iters) as usize;
-            let first = (b.input)(len);
-            let second = (b.input)(len + 5).split_off(5);
-            let shapes = [(false, None), (true, None), (true, Some(2))];
-            for (graph_dispatch, base_sm) in shapes {
+            for (graph_dispatch, base_sm) in [(false, None), (true, None), (true, Some(2))] {
                 let opts = RunOptions {
                     graph_dispatch,
                     placement: base_sm.map(|base_sm| SmPlacement {
@@ -278,11 +277,52 @@ fn a_kept_bill_and_the_firing_plan_reproduce_every_suite_simulation() {
                     ..RunOptions::default()
                 };
                 let ctx = format!("{} {scheme:?} {graph_dispatch} {base_sm:?}", b.name);
-                p.execute(&c, iters, &first, &opts).unwrap();
-                let reused = p.execute(&c, iters, &second, &opts).unwrap();
-                let simulated = exec::execute_with(&c, scheme, iters, &second, &opts).unwrap();
-                assert_same_run(&reused, &simulated, &ctx);
+                check(&b, &c, scheme, iters, &opts, &ctx);
             }
         }
     }
+}
+
+/// The simulator stays the cross-check of the run a server repeats: one
+/// prepared form per artifact and scheme runs every shape of
+/// [`for_each_priced_shape`] in turn, so it keeps a bill per shape and each
+/// new shape must miss the bills kept for the earlier ones. The first run
+/// of each shape is priced and keeps its bill; the second, on new input,
+/// reuses the bill and fires its outputs on the host (the library's own
+/// tests check that it takes that path), and returns exactly what a fresh
+/// simulation returns.
+#[test]
+fn a_kept_bill_and_the_firing_plan_reproduce_every_suite_simulation() {
+    let mut shared: Option<(&str, Scheme, Prepared)> = None;
+    for_each_priced_shape(|b, c, scheme, iters, opts, ctx| {
+        if !matches!(&shared, Some((name, s, _)) if *name == b.name && *s == scheme) {
+            shared = Some((b.name, scheme, Prepared::new(c, scheme).unwrap()));
+        }
+        let p = &shared.as_ref().unwrap().2;
+        // Two inputs of the run's length that move different values.
+        let len = exec::required_input(c, iters) as usize;
+        let first = (b.input)(len);
+        let second = (b.input)(len + 5).split_off(5);
+        p.execute(c, iters, &first, opts).unwrap();
+        let reused = p.execute(c, iters, &second, opts).unwrap();
+        let simulated = exec::simulate(c, scheme, iters, &second, opts).unwrap();
+        assert_same_run(&reused, &simulated, ctx);
+    });
+}
+
+/// The first run of a shape, priced from the kernels' walks with its
+/// outputs fired on the host, returns what the simulator returns, on
+/// every shape of [`for_each_priced_shape`]: through a fresh prepared
+/// form and through `execute_with` (which prepares afresh every time).
+#[test]
+fn a_priced_first_run_equals_a_simulated_run() {
+    for_each_priced_shape(|b, c, scheme, iters, opts, ctx| {
+        let input = (b.input)(exec::required_input(c, iters) as usize);
+        let simulated = exec::simulate(c, scheme, iters, &input, opts).unwrap();
+        let p = Prepared::new(c, scheme).unwrap();
+        let first = p.execute(c, iters, &input, opts).unwrap();
+        assert_same_run(&first, &simulated, &format!("{ctx}, prepared"));
+        let once = exec::execute_with(c, scheme, iters, &input, opts).unwrap();
+        assert_same_run(&once, &simulated, &format!("{ctx}, execute_with"));
+    });
 }

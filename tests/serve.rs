@@ -105,8 +105,8 @@ fn sliced_tenants_match_solo_runs() {
         let opts = solo_options(result.slice.num_sms, job.qos);
         let rc = ResilientPipeline::new(opts).compile(&job.graph).unwrap();
         let input: Vec<Scalar> = (job.input)(required_input(&rc.compiled, iters) as usize);
-        let solo =
-            exec::execute_with(&rc.compiled, rc.scheme, iters, &input, &rc.run_options).unwrap();
+        // On the simulator, where the slice places every access.
+        let solo = exec::simulate(&rc.compiled, rc.scheme, iters, &input, &rc.run_options).unwrap();
         assert_eq!(
             solo.outputs, result.outputs,
             "{}: sliced run diverged from the solo run",
@@ -340,8 +340,10 @@ proptest! {
 
         let input: Vec<Scalar> =
             (b.input)(required_input(&fresh.compiled, iters) as usize);
+        // On the simulator, where the fresh artifact's schedule shapes the
+        // outputs.
         let fresh_run =
-            exec::execute_with(&fresh.compiled, fresh.scheme, iters, &input, &fresh.run_options)
+            exec::simulate(&fresh.compiled, fresh.scheme, iters, &input, &fresh.run_options)
                 .unwrap();
         let hit_run = hit.execute(iters, &input, &hit.run_options).unwrap();
         prop_assert_eq!(

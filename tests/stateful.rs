@@ -71,11 +71,14 @@ fn gpu_stateful_pipeline_matches_cpu_bit_exact() {
     let input: Vec<Scalar> = (0..n_input + 64)
         .map(|i| Scalar::I32(i as i32 % 50 - 25))
         .collect();
-    let gpu = exec::execute(
+    // On the simulator: the executor's state handling shapes only a
+    // simulated run's outputs.
+    let gpu = exec::simulate(
         &compiled,
         Scheme::Swp { coarsening: 1 },
         iters,
         &input[..n_input as usize],
+        &exec::RunOptions::default(),
     )
     .unwrap();
 
@@ -194,11 +197,12 @@ fn feedback_loop_runs_on_gpu() {
     let iters = 16;
     let n_input = exec::required_input(&compiled, iters);
     let input: Vec<Scalar> = (1..=n_input as i32 + 8).map(Scalar::I32).collect();
-    let gpu = exec::execute(
+    let gpu = exec::simulate(
         &compiled,
         Scheme::Swp { coarsening: 1 },
         iters,
         &input[..n_input as usize],
+        &exec::RunOptions::default(),
     )
     .unwrap();
 

@@ -9,7 +9,7 @@
 //! transaction coalescer, so any divergence is a bug in one of them and
 //! fails loudly here.
 
-use swpipe::exec::{self, CompileOptions, Scheme};
+use swpipe::exec::{self, CompileOptions, RunOptions, Scheme};
 use swpipe::verify::{self, Code, Severity, StaticCounters};
 
 const SCHEMES: [Scheme; 4] = [
@@ -47,8 +47,11 @@ fn every_benchmark_prediction_matches_the_simulator_exactly() {
 
             let n_input = exec::required_input(&c, iterations);
             let input = (b.input)(n_input as usize);
-            let run = exec::execute(&c, scheme, iterations, &input[..n_input as usize])
-                .unwrap_or_else(|e| panic!("{}/{scheme:?}: execute failed: {e}", b.name));
+            // The simulator, not `execute`: a value-oblivious artifact's
+            // `execute` replays the same kernel tapes the prediction does.
+            let opts = RunOptions::default();
+            let run = exec::simulate(&c, scheme, iterations, &input[..n_input as usize], &opts)
+                .unwrap_or_else(|e| panic!("{}/{scheme:?}: simulate failed: {e}", b.name));
             let measured = StaticCounters::of_stats(&run.stats);
             assert_eq!(
                 v.prediction.counters, measured,
